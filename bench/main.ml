@@ -481,32 +481,29 @@ let dump_trace_if_asked () =
        with Sys_error e -> Fmt.epr "OBS_TRACE: cannot write trace: %s@." e)
 
 (* machine-readable results, for CI artifacts: a stable little JSON
-   document, built by hand (names are plain ASCII; escape anyway) *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+   document (a non-finite estimate becomes null) *)
 let write_json path ~quota rows =
   let oc = open_out path in
-  Printf.fprintf oc "{\"suite\":\"quorum_nested\",\"quota_s\":%g,\"unit\":\"ns/run\",\"benchmarks\":[" quota;
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "%s{\"name\":\"%s\",\"ns_per_run\":%s}"
-        (if i = 0 then "" else ",")
-        (json_escape name)
-        (if Float.is_finite est then Printf.sprintf "%.1f" est else "null"))
-    rows;
-  output_string oc "]}\n";
+  output_string oc
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          [
+            ("suite", Obs.Json.Str "quorum_nested");
+            ("quota_s", Obs.Json.Num quota);
+            ("unit", Obs.Json.Str "ns/run");
+            ( "benchmarks",
+              Obs.Json.List
+                (List.map
+                   (fun (name, est) ->
+                     Obs.Json.Obj
+                       [
+                         ("name", Obs.Json.Str name);
+                         ( "ns_per_run",
+                           Obs.Json.Num (Float.round (est *. 10.0) /. 10.0) );
+                       ])
+                   rows) );
+          ]));
+  output_string oc "\n";
   close_out oc
 
 let run_benchmarks only quota list_only json_file =

@@ -1,37 +1,68 @@
 (* Regenerates every experiment table of DESIGN.md's index.
 
-   Usage:  tables.exe [COMMAND]
-   Commands: e5 (formal checks), availability, latency, crossover,
-   gifford, reconfig, theorem11, recon, all (default). *)
+   Usage:  tables.exe [COMMAND] [--seeds N]
+   With no command, prints every table; `tables.exe --help` lists the
+   commands.  Tables are Store.Experiments.table values printed through
+   [render]. *)
+
+module E = Store.Experiments
 
 let bar = String.make 78 '-'
 
 let header title =
   Fmt.pr "@.%s@.%s@.%s@." bar title bar
 
+let render t =
+  header t.E.title;
+  E.print t
+
+let shape text = Fmt.pr "@.shape: %s@." text
+
+let all_clean t = List.for_all (fun (_, rs) -> List.for_all E.clean rs) t.E.rows
+
+(* a gated command exits 1 when its gate (the last stdout line) fails *)
+let gate name ok =
+  if not ok then (
+    Fmt.epr "%s ablation gate FAILED (see the gate line)@." name;
+    exit 1)
+
 (* ---------- formal results (E5-E12): seeds x checks ---------- *)
 
 let formal_table seeds =
-  header
-    (Fmt.str
-       "E5-E10: Lemmas 5-8 + Theorem 10 on %d random replicated serial systems"
-       seeds);
-  Fmt.pr "%-8s %-8s %-10s %-8s %-10s@." "seed" "steps" "quiescent" "items"
-    "verdict";
-  let failures = ref 0 in
-  for seed = 1 to seeds do
-    match Quorum.Harness.run_and_check ~seed () with
-    | Ok r ->
-        if seed <= 10 || seed mod 25 = 0 then
-          Fmt.pr "%-8d %-8d %-10b %-8d %-10s@." seed r.Quorum.Harness.steps
-            r.quiescent r.items "OK"
-    | Error e ->
-        incr failures;
-        Fmt.pr "%-8d %-38s@." seed e
-  done;
+  let results =
+    List.init seeds (fun i -> (i + 1, Quorum.Harness.run_and_check ~seed:(i + 1) ()))
+  in
+  let report f = function Ok r -> f r | Error _ -> "" in
+  render
+    {
+      E.title =
+        Fmt.str
+          "E5-E10: Lemmas 5-8 + Theorem 10 on %d random replicated serial \
+           systems"
+          seeds;
+      keys = [ ("seed", 8) ];
+      columns =
+        [
+          E.col "steps" 8 (report (fun r -> string_of_int r.Quorum.Harness.steps));
+          E.col "quiescent" 10
+            (report (fun r -> string_of_bool r.Quorum.Harness.quiescent));
+          E.col "items" 8 (report (fun r -> string_of_int r.Quorum.Harness.items));
+          E.col "verdict" 10 (function Ok _ -> "OK" | Error e -> e);
+        ];
+      rows =
+        List.filter_map
+          (fun (seed, r) ->
+            if Result.is_error r || seed <= 10 || seed mod 25 = 0 then
+              Some ([ string_of_int seed ], r)
+            else None)
+          results;
+    };
   Fmt.pr "...@.TOTAL: %d/%d runs pass every check (Lemma 5, 6, 7, 8; Thm 10)@."
-    (seeds - !failures) seeds;
-  header (Fmt.str "E12: Section 4 reconfiguration invariants on %d random systems" (seeds / 2));
+    (List.length (List.filter (fun (_, r) -> Result.is_ok r) results))
+    seeds;
+  header
+    (Fmt.str "E12: Section 4 reconfiguration invariants on %d random systems"
+       (seeds / 2));
   let rfail = ref 0 and recons = ref 0 in
   for seed = 1 to seeds / 2 do
     match Recon.Harness.run_and_check ~seed () with
@@ -43,74 +74,53 @@ let formal_table seeds =
   Fmt.pr "TOTAL: %d/%d recon runs pass (with %d reconfigurations exercised)@."
     ((seeds / 2) - !rfail) (seeds / 2) !recons
 
-(* ---------- Q1 availability ---------- *)
+(* ---------- E11 Theorem 11 ---------- *)
 
-let availability_table () =
-  header "Q1: availability vs per-site availability p (n = 5 replicas)";
-  Fmt.pr "%-28s %-6s %-12s %-12s %-10s@." "strategy" "p" "read(anal)"
-    "write(anal)" "simulated";
-  List.iter
-    (fun (r : Store.Experiments.availability_row) ->
-      Fmt.pr "%-28s %-6.2f %-12.4f %-12.4f %-10.4f@."
-        r.Store.Experiments.strategy r.p r.read_analytic r.write_analytic
-        r.simulated)
-    (Store.Experiments.availability_sweep ())
-
-(* ---------- Q2 latency ---------- *)
-
-let latency_table () =
-  header "Q2: operation latency by strategy (n = 5, lognormal link latency)";
-  Fmt.pr "%-28s %-5s %-5s %-28s %-28s@." "strategy" "|rq|" "|wq|"
-    "read latency" "write latency";
-  List.iter
-    (fun (r : Store.Experiments.latency_row) ->
-      Fmt.pr "%-28s %-5d %-5d %-28s %-28s@." r.Store.Experiments.strategy
-        r.min_read_quorum r.min_write_quorum
-        (Fmt.str "%a" Sim.Stats.pp_summary r.read)
-        (Fmt.str "%a" Sim.Stats.pp_summary r.write))
-    (Store.Experiments.latency_table ())
-
-(* ---------- Q3 crossover ---------- *)
-
-let crossover_table () =
-  header "Q3: mean op latency, read-one/write-all vs majority, by read fraction";
-  Fmt.pr "%-15s %-12s %-12s %-20s@." "read fraction" "rowa" "majority" "winner";
-  List.iter
-    (fun (r : Store.Experiments.crossover_row) ->
-      Fmt.pr "%-15.2f %-12.2f %-12.2f %-20s@." r.Store.Experiments.read_fraction
-        r.rowa_mean r.majority_mean r.winner)
-    (Store.Experiments.crossover ())
-
-(* ---------- G1-G3 ---------- *)
-
-let gifford_table () =
-  header "G1-G3: weighted-voting configurations (Gifford-style examples)";
-  Fmt.pr "%-24s %-14s %-4s %-4s %-5s %-5s %-9s %-9s %-8s %-8s@." "example"
-    "votes" "r" "w" "|rq|" "|wq|" "Ar(p=.9)" "Aw(p=.9)" "lat(r)" "lat(w)";
-  List.iter
-    (fun (g : Store.Experiments.gifford_row) ->
-      Fmt.pr "%-24s %-14s %-4d %-4d %-5d %-5d %-9.4f %-9.4f %-8.2f %-8.2f@."
-        g.Store.Experiments.label
-        (String.concat "," (List.map string_of_int g.votes))
-        g.r g.w g.min_read_quorum g.min_write_quorum g.read_avail_90
-        g.write_avail_90 g.read_latency g.write_latency)
-    (Store.Experiments.gifford_examples ())
-
-(* ---------- Q4 reconfiguration ---------- *)
-
-let reconfig_table () =
-  header
-    "Q4: reconfiguration restores availability (RoWa/5 -> 2 replicas die -> \
-     majority over survivors)";
-  Fmt.pr "%-18s %-8s %-8s %-8s@." "phase" "ok" "failed" "rate";
-  List.iter
-    (fun (r : Store.Experiments.reconfig_row) ->
-      Fmt.pr "%-18s %-8d %-8d %-8.3f@." r.Store.Experiments.phase r.ok r.failed
-        r.rate)
-    (Store.Experiments.reconfig_experiment ())
+let theorem11_table seeds =
+  let row (name, mode, expect_pass) =
+    let passed =
+      List.filter_map
+        (fun i -> Result.to_option (Cc.Harness.run_and_check ~mode ~seed:(i + 1) ()))
+        (List.init seeds Fun.id)
+    in
+    let pass = List.length passed in
+    let verdict =
+      if expect_pass then if pass = seeds then "OK" else "FAIL"
+      else if pass < seeds then "violations found (expected)"
+      else "UNEXPECTEDLY CLEAN"
+    in
+    ([ name ], (passed, verdict))
+  in
+  let sum f (passed, _) = string_of_int (E.total f passed) in
+  render
+    {
+      E.title =
+        Fmt.str
+          "E11: one-copy serializability of concurrent replicated runs (%d \
+           seeds per mode)"
+          seeds;
+      keys = [ ("mode", 8) ];
+      columns =
+        [
+          E.col "pass" 10 (fun (passed, _) ->
+              Fmt.str "%3d/%-6d" (List.length passed) seeds);
+          E.col "commits" 10 (sum (fun r -> r.Cc.Harness.committed_tops));
+          E.col "aborted" 12 (sum (fun r -> r.Cc.Harness.aborted_nodes));
+          E.col "peak-conc" 12 (fun (passed, _) ->
+              string_of_int
+                (List.fold_left
+                   (fun acc r -> max acc r.Cc.Harness.peak_concurrency)
+                   0 passed));
+          E.col "verdict" 10 snd;
+        ];
+      rows =
+        List.map row
+          [ ("2PL", `TwoPL, true); ("MVTO", `Mvto, true); ("none", `NoCC, false) ];
+    }
 
 (* ---------- E13 ADT extension ---------- *)
 
+(* printed by hand: the counter column's cells are not padded *)
 let adt_table () =
   header
     "E13 (extension): General Quorum Consensus for ADTs vs read-write quorums \
@@ -131,225 +141,75 @@ let adt_table () =
         r.lost)
     (Adt.Experiments.race_comparison ())
 
-(* ---------- load: broadcast vs targeted quorums ---------- *)
+(* ---------- E14 virtual partitions ---------- *)
 
-let load_table () =
-  header
-    "Load & messages: broadcast vs targeted-quorum routing (n = 6, 80% reads)";
-  Fmt.pr "%-18s %-11s %-10s %-10s %-12s %-10s@." "strategy" "mode" "messages"
-    "read mean" "availability" "imbalance";
-  List.iter
-    (fun (r : Store.Experiments.load_row) ->
-      Fmt.pr "%-18s %-11s %-10d %-10.2f %-12.3f %-10.2f@."
-        r.Store.Experiments.strategy_name r.mode r.messages r.read_mean
-        r.availability r.load_imbalance)
-    (Store.Experiments.load_table ());
+let vp_table () =
+  let c = Vp.Experiments.compare () in
+  render
+    {
+      E.title =
+        "E14 (extension): virtual partitions (El Abbadi-Toueg) — partition \
+         timeline and read-one fast path";
+      keys = [ ("phase", 18) ];
+      columns =
+        [
+          E.col "ok" 8 (fun (r : Vp.Experiments.phase_row) -> string_of_int r.ok);
+          E.col "failed" 8 (fun (r : Vp.Experiments.phase_row) -> string_of_int r.failed);
+          E.col "read mean" 10 (fun (r : Vp.Experiments.phase_row) ->
+              Fmt.str "%.2f" r.read_mean);
+        ];
+      rows = List.map (fun (r : Vp.Experiments.phase_row) -> ([ r.phase ], r)) c.phases;
+    };
   Fmt.pr
-    "@.shape: targeting cuts messages ~n/|q|-fold and reveals the load axis \
-     (grid spreads it; a primary-weighted scheme hot-spots the big site); \
-     broadcast hides load but wins tail latency via quorum-wide hedging.@."
+    "@.read-one in healthy view: %.2f vs static majority quorum read: %.2f@."
+    c.vp_read_mean c.majority_read_mean;
+  Fmt.pr "stale reads: %d; minority-side view refused: %b@." c.stale_reads
+    c.minority_view_refused
 
-(* ---------- retry/backoff/hedging policy ablation ---------- *)
+(* ---------- coterie quality ---------- *)
 
-let retry_table () =
-  header
-    "Retry & hedging ablation: success rate and latency vs RPC policy under \
-     loss and partitions (majority-5, targeted quorums)";
-  Fmt.pr "%-22s %-12s %-6s %-8s %-9s %-10s %-10s %-8s %-7s %-7s@." "policy"
-    "condition" "ok" "failed" "success" "read mean" "messages" "retries"
-    "hedges" "audit";
-  List.iter
-    (fun (r : Store.Experiments.retry_row) ->
-      Fmt.pr "%-22s %-12s %-6d %-8d %-9.3f %-10.2f %-10d %-8d %-7d %-7s@."
-        r.Store.Experiments.policy_name r.condition r.ok_ops r.failed_ops
-        r.success_rate r.read_mean r.messages r.retries r.hedges
-        (if r.audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.retry_policy_table ());
-  Fmt.pr
-    "@.shape: fire-once pays the full operation timeout whenever one message \
-     of the chosen quorum is lost; bounded retries resend to the unheard \
-     members and recover most of the lost availability for a modest message \
-     overhead, and hedging adds the unchosen replicas as a late fallback — \
-     the audit stays clean throughout, since retries and hedges never weaken \
-     quorum intersection.@."
-
-(* ---------- shard-balance ablation ---------- *)
-
-let shards_table ?(seeds = 1) () =
-  header
-    (if seeds = 1 then
-       "Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
-        (majority-3 per shard, 80% reads), with the hot shard killed at t=500"
-     else
-       Fmt.str
-         "Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
-          (majority-3 per shard, 80%% reads), with the hot shard killed at \
-          t=500 — availability cells min/mean over %d seeds"
-         seeds);
-  Fmt.pr "%-8s %-10s %-10s %-11s %-13s %-19s %-19s@." "shards" "replicas"
-    "messages" "imbalance" "shard spread" "availability" "kill avail";
-  List.iter
-    (fun (r : Store.Experiments.shard_row) ->
-      let cell min mean =
-        if seeds = 1 then Fmt.str "%.3f" mean
-        else Fmt.str "%.3f/%.3f" min mean
-      in
-      Fmt.pr "%-8d %-10d %-10d %-11.2f %-13.2f %-19s %-19s@."
-        r.Store.Experiments.n_shards r.total_replicas r.messages
-        r.replica_imbalance r.shard_spread
-        (cell r.min_availability r.availability)
-        (cell r.min_kill_availability r.kill_availability))
-    (Store.Experiments.shard_table ~seeds ());
-  Fmt.pr
-    "@.shape: per-key quorums make sharding correctness-free capacity — \
-     messages stay flat while replicas multiply; range sharding concentrates \
-     the Zipf head in shard 0 (spread >> 1), and killing that shard is a \
-     total outage at 1 shard but leaves the other shards' keys serving as \
-     the shard count grows.@."
-
-(* ---------- multi-key batching ablation ---------- *)
-
-let batch_table () =
-  header
-    "Multi-key batching ablation: burst-8 clients, batched vs unbatched \
-     (majority-5, broadcast), uniform and Zipf-skewed keys";
-  Fmt.pr "%-15s %-15s %-10s %-10s %-10s %-10s %-6s %-8s %-7s@." "workload"
-    "mode" "messages" "payloads" "read p95" "write p95" "ok" "failed" "audit";
-  List.iter
-    (fun (r : Store.Experiments.batch_row) ->
-      Fmt.pr "%-15s %-15s %-10d %-10d %-10.2f %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.zipf_label r.mode r.b_messages r.b_payloads
-        r.read_p95 r.write_p95 r.b_ok_ops r.b_failed_ops
-        (if r.b_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.batching_table ());
-  Fmt.pr
-    "@.shape: a burst of distinct keys shares one frame per replica per \
-     window, so wire messages collapse (payloads count the logical work and \
-     stay equal) at the cost of up to one window of queue delay per request \
-     in the p95 columns; the audit is untouched — batching changes framing, \
-     never quorum membership.@."
-
-(* ---------- replica-side io pipeline ablation ---------- *)
-
-let io_table_check () =
-  header
-    "Replica io-pipeline ablation: per-install fsync vs group commit \
-     (majority-3, burst-8 Zipf, 30% reads, write_cost=0.05 fsync_cost=5.0)";
-  Fmt.pr "%-15s %-10s %-8s %-14s %-11s %-10s %-6s %-8s %-7s@." "mode"
-    "installs" "fsyncs" "fsyncs/install" "write mean" "write p95" "ok"
-    "failed" "audit";
-  let rows = Store.Experiments.io_table () in
-  List.iter
-    (fun (r : Store.Experiments.io_row) ->
-      Fmt.pr "%-15s %-10d %-8d %-14.3f %-11.2f %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.io_mode r.io_installs r.io_fsyncs
-        r.io_fsyncs_per_install r.io_write_mean r.io_write_p95 r.io_ok_ops
-        r.io_failed_ops
-        (if r.io_audit_clean then "clean" else "DIRTY")) rows;
-  let fpi mode =
-    match
-      List.find_opt (fun r -> r.Store.Experiments.io_mode = mode) rows
-    with
-    | Some r -> r.Store.Experiments.io_fsyncs_per_install
-    | None -> nan
-  in
-  let amortization = fpi "naive-fsync" /. fpi "group-commit" in
-  let audits_clean =
-    List.for_all (fun r -> r.Store.Experiments.io_audit_clean) rows
-  in
-  Fmt.pr
-    "@.shape: the device serializes, so per-install fsyncs queue behind each \
-     other and every burst pays its full length in fsync latency; group \
-     commit drains whatever accumulated behind the in-flight fsync as one \
-     group, amortizing the dominant cost — acks still wait for durability, \
-     so the audit is unchanged.@.";
-  Fmt.pr "@.group-commit fsync amortization vs naive: %.2fx (gate: >= 2.0)@."
-    amortization;
-  amortization >= 2.0 && audits_clean
-
-let io_table_cmd () =
-  if not (io_table_check ()) then (
-    Fmt.epr "io ablation gate FAILED: amortization < 2.0x or dirty audit@.";
-    exit 1)
-
-(* ---------- adaptive batching-window ablation ---------- *)
-
-let window_table_cmd () =
-  header
-    "Adaptive batching-window ablation: static windows vs AIMD control \
-     (majority-3, burst-8 Zipf vs uniform low-rate)";
-  Fmt.pr "%-18s %-15s %-10s %-10s %-10s %-6s %-8s %-7s@." "workload" "mode"
-    "messages" "payloads" "op mean" "ok" "failed" "audit";
-  List.iter
-    (fun (r : Store.Experiments.window_row) ->
-      Fmt.pr "%-18s %-15s %-10d %-10d %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.w_workload r.w_mode r.w_messages r.w_payloads
-        r.w_op_mean r.w_ok_ops r.w_failed_ops
-        (if r.w_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.window_table ());
-  Fmt.pr
-    "@.shape: on bursts, wide static windows buy coalescing with queue \
-     delay; the AIMD controller widens only while flushes keep finding \
-     full per-replica frames, matching the best static message economy, \
-     and decays to zero on the uniform low-rate workload — where it adds \
-     no window latency at all (compare its op mean with unbatched).@."
-
-(* ---------- latency-attribution ablation ---------- *)
-
-let attribution_table_cmd () =
-  header
-    "Latency attribution: per-phase decomposition of mean op latency, loss x \
-     burst (majority-3 x 2 shards, retries, batch window 1.0, storage \
-     0.05/2.0)";
-  Fmt.pr "%-18s %-6s %-9s" "condition" "ops" "wall";
-  List.iter
-    (fun p -> Fmt.pr " %8s" (Obs.Attribution.phase_label p))
-    Obs.Attribution.phases;
-  Fmt.pr " %-7s@." "audit";
-  List.iter
-    (fun (r : Store.Experiments.attr_row) ->
-      Fmt.pr "%-18s %-6d %-9.3f" r.Store.Experiments.a_label r.a_ops
-        r.a_wall_mean;
-      List.iter (fun (_, d) -> Fmt.pr " %8.3f" d) r.a_phase_means;
-      Fmt.pr " %-7s@." (if r.a_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.attribution_table ());
-  Fmt.pr
-    "@.shape: the phases sum to the wall mean by construction, so each knob's \
-     cost lands in its own column — loss shows up as backoff gaps (and \
-     timeout-inflated net), bursts as batch-window waits plus the \
-     group-commit fsync share; what remains in net is genuine flight and \
-     scheduling, the part no client-side knob can recover.@."
-
-(* ---------- optimal vote assignments ---------- *)
-
-let optimal_table () =
-  header
-    "Optimal vote assignments (n = 5): best (votes, r, w) by availability, \
-     per site availability p and read fraction f";
-  Fmt.pr "%-6s %-6s %-14s %-4s %-4s %-10s %-10s %-10s@." "p" "f" "votes" "r"
-    "w" "score" "rowa" "majority";
-  List.iter
-    (fun (r : Store.Experiments.optimum_row) ->
-      Fmt.pr "%-6.2f %-6.2f %-14s %-4d %-4d %-10.5f %-10.5f %-10.5f@."
-        r.Store.Experiments.p r.read_fraction
-        (String.concat "," (List.map string_of_int r.votes))
-        r.r r.w r.score r.rowa_score r.majority_score)
-    (Store.Experiments.optimal_configurations ());
-  Fmt.pr
-    "@.shape: the optimum always weakly dominates both classical extremes; \
-     at moderate p the skewed workloads are won by ASYMMETRIC quorums \
-     (e.g. 2-of-5 reads / 4-of-5 writes), not by read-one/write-all — \
-     whose write side collapses; rowa's real advantage is latency, not \
-     availability.@."
+let coterie_table () =
+  let dms = List.init 5 (fun i -> Fmt.str "d%d" i) in
+  let coterie f = function None -> "-" | Some c -> f c in
+  render
+    {
+      E.title =
+        "Coterie analysis (Barbara & Garcia-Molina): write sides of the \
+         standard configurations over 5 DMs";
+      keys = [ ("configuration", 22) ];
+      columns =
+        [
+          E.col "write side" 18 (function
+            | None -> "not a coterie"
+            | Some _ -> "coterie");
+          E.col "non-dominated" 14
+            (coterie (fun c -> string_of_bool (Quorum.Coterie.non_dominated c)));
+          E.col "domination witness" 30
+            (coterie (fun c ->
+                 match Quorum.Coterie.domination_witness c with
+                 | Some w -> String.concat "," w
+                 | None -> "-"));
+        ];
+      rows =
+        List.map
+          (fun (name, c) -> ([ name ], Quorum.Coterie.of_write_side c))
+          [
+            ("majority", Quorum.Config.majority dms);
+            ("read-one/write-all", Quorum.Config.rowa dms);
+            ("read-all/write-one", Quorum.Config.raow dms);
+            ( "grid 1x5-ish",
+              Quorum.Config.weighted
+                ~votes:(List.mapi (fun i d -> (d, if i = 0 then 2 else 1)) dms)
+                ~read_threshold:2 ~write_threshold:5 );
+          ];
+    };
+  shape
+    "majority is non-dominated (optimal in the coterie sense); write-all is \
+     dominated (any single site witnesses it) — the price of read-one reads."
 
 (* ---------- exhaustive verification ---------- *)
 
 let exhaustive_table () =
-  header
-    "EX: exhaustive verification — every schedule of small instances checked \
-     (Lemmas 5-8; recon invariants)";
-  Fmt.pr "%-44s %-11s %-11s %-10s %-9s@." "instance" "schedules" "prefixes"
-    "exhausted" "verdict";
   let w v seq =
     Serial.User_txn.Access_child
       (Ioa.Txn.Access { obj = "x"; kind = Ioa.Txn.Write; data = Ioa.Value.Int v; seq })
@@ -386,209 +246,176 @@ let exhaustive_table () =
           };
       }
     in
-    let s =
-      Quorum.Explore.check_description ~budget:5_000_000 ~include_aborts d
-    in
-    Fmt.pr "%-44s %-11d %-11d %-10b %-9s@." name s.Quorum.Explore.schedules
-      s.prefixes s.exhausted
-      (if s.violation = None then "OK" else "VIOLATION")
+    ([ name ], Quorum.Explore.check_description ~budget:5_000_000 ~include_aborts d)
   in
-  quorum_instance "2-DM rowa, write+read, no aborts" Quorum.Config.rowa
-    [ "d0"; "d1" ] [ w 1 0; r 1 ] false;
-  quorum_instance "2-DM majority, write+read, no aborts" Quorum.Config.majority
-    [ "d0"; "d1" ] [ w 1 0; r 1 ] false;
-  quorum_instance "2-DM rowa, write, WITH aborts" Quorum.Config.rowa
-    [ "d0"; "d1" ] [ w 1 0 ] true;
   (* recon instance: config migrates {d0} -> {d1} around one write *)
-  let tiny_item =
-    Recon.Item.make ~name:"x" ~dms:[ "d0"; "d1" ] ~initial:(Ioa.Value.Int 0)
-      ~initial_config:
-        (Quorum.Config.make ~read_quorums:[ [ "d0" ] ] ~write_quorums:[ [ "d0" ] ])
-      ~candidates:
-        [ Quorum.Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1" ] ] ]
-  in
-  let rd =
-    {
-      Recon.Description.items = [ tiny_item ];
-      raw_objects = [];
-      root_script =
-        {
-          Serial.User_txn.children = [ w 1 0 ];
-          ordered = true;
-          eager = false;
-          returns = Serial.User_txn.return_nil;
-        };
-      max_recons_per_txn = 1;
-    }
-  in
-  let s = Recon.Explore.check_description ~budget:5_000_000 rd in
-  Fmt.pr "%-44s %-11d %-11d %-10b %-9s@."
-    "recon {d0}->{d1}, write + spy recon" s.Quorum.Explore.schedules s.prefixes
-    s.exhausted
-    (if s.violation = None then "OK" else "VIOLATION")
-
-(* ---------- read repair ---------- *)
-
-let repair_table () =
-  header
-    "Read repair (anti-entropy): replica staleness after a failure-heavy \
-     write phase, then a read-only phase (majority, n = 5)";
-  Fmt.pr "%-18s %-16s %-16s %-10s@." "mode" "staleness(mid)" "staleness(end)"
-    "repairs";
-  List.iter
-    (fun (r : Store.Experiments.repair_row) ->
-      Fmt.pr "%-18s %-16.3f %-16.3f %-10d@." r.Store.Experiments.mode
-        r.staleness_mid r.staleness_end r.repairs_sent)
-    (Store.Experiments.read_repair_experiment ())
-
-(* ---------- coterie quality ---------- *)
-
-let coterie_table () =
-  header
-    "Coterie analysis (Barbara & Garcia-Molina): write sides of the standard \
-     configurations over 5 DMs";
-  let dms = List.init 5 (fun i -> Fmt.str "d%d" i) in
-  Fmt.pr "%-22s %-18s %-14s %-30s@." "configuration" "write side" "non-dominated"
-    "domination witness";
-  List.iter
-    (fun (name, c) ->
-      match Quorum.Coterie.of_write_side c with
-      | None -> Fmt.pr "%-22s %-18s %-14s %-30s@." name "not a coterie" "-" "-"
-      | Some coterie ->
-          let nd = Quorum.Coterie.non_dominated coterie in
-          let witness =
-            match Quorum.Coterie.domination_witness coterie with
-            | Some w -> String.concat "," w
-            | None -> "-"
-          in
-          Fmt.pr "%-22s %-18s %-14b %-30s@." name "coterie" nd witness)
-    [
-      ("majority", Quorum.Config.majority dms);
-      ("read-one/write-all", Quorum.Config.rowa dms);
-      ("read-all/write-one", Quorum.Config.raow dms);
-      ( "grid 1x5-ish",
-        Quorum.Config.weighted
-          ~votes:(List.mapi (fun i d -> (d, if i = 0 then 2 else 1)) dms)
-          ~read_threshold:2 ~write_threshold:5 );
-    ];
-  Fmt.pr
-    "@.shape: majority is non-dominated (optimal in the coterie sense); \
-     write-all is dominated (any single site witnesses it) — the price of \
-     read-one reads.@."
-
-(* ---------- E14 virtual partitions ---------- *)
-
-let vp_table () =
-  header
-    "E14 (extension): virtual partitions (El Abbadi-Toueg) — partition \
-     timeline and read-one fast path";
-  let c = Vp.Experiments.compare () in
-  Fmt.pr "%-18s %-8s %-8s %-10s@." "phase" "ok" "failed" "read mean";
-  List.iter
-    (fun (r : Vp.Experiments.phase_row) ->
-      Fmt.pr "%-18s %-8d %-8d %-10.2f@." r.Vp.Experiments.phase r.ok r.failed
-        r.read_mean)
-    c.Vp.Experiments.phases;
-  Fmt.pr
-    "@.read-one in healthy view: %.2f vs static majority quorum read: %.2f@."
-    c.vp_read_mean c.majority_read_mean;
-  Fmt.pr "stale reads: %d; minority-side view refused: %b@." c.stale_reads
-    c.minority_view_refused
-
-(* ---------- cross-shard commit ablation: 2PC vs Paxos Commit ---------- *)
-
-(* the pinned coordinator-kill schedule of test/test_txn.ml: two
-   client-coordinators die inside the commit window and recover only
-   near the end of the run, after which the network heals *)
-let txn_kill_script =
-  Harness.Script.
-    [
-      At (30.0, Crash "c0");
-      At (55.0, Crash "c1");
-      At (700.0, Recover "c0");
-      At (700.0, Recover "c1");
-      At (701.0, Heal);
-    ]
-
-let txn_run mode seed =
-  Store.Cluster.run
-    {
-      Store.Cluster.default_params with
-      n_replicas = 3;
-      n_clients = 3;
-      n_shards = 3;
-      seed;
-      script = txn_kill_script;
-      workload =
-        { Store.Workload.default_spec with n_keys = 24; think_time = 4.0 };
-      txns =
-        Some
+  let recon_instance () =
+    let tiny_item =
+      Recon.Item.make ~name:"x" ~dms:[ "d0"; "d1" ] ~initial:(Ioa.Value.Int 0)
+        ~initial_config:
+          (Quorum.Config.make ~read_quorums:[ [ "d0" ] ] ~write_quorums:[ [ "d0" ] ])
+        ~candidates:
+          [ Quorum.Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1" ] ] ]
+    in
+    let rd =
+      {
+        Recon.Description.items = [ tiny_item ];
+        raw_objects = [];
+        root_script =
           {
-            Store.Cluster.default_txn_spec with
-            commit_mode = mode;
-            txns_per_client = 12;
+            Serial.User_txn.children = [ w 1 0 ];
+            ordered = true;
+            eager = false;
+            returns = Serial.User_txn.return_nil;
           };
+        max_recons_per_txn = 1;
+      }
+    in
+    ( [ "recon {d0}->{d1}, write + spy recon" ],
+      Recon.Explore.check_description ~budget:5_000_000 rd )
+  in
+  let rows =
+    List.map
+      (fun (name, config_of, ops, include_aborts) ->
+        quorum_instance name config_of [ "d0"; "d1" ] ops include_aborts)
+      [
+        ("2-DM rowa, write+read, no aborts", Quorum.Config.rowa, [ w 1 0; r 1 ], false);
+        ( "2-DM majority, write+read, no aborts",
+          Quorum.Config.majority,
+          [ w 1 0; r 1 ],
+          false );
+        ("2-DM rowa, write, WITH aborts", Quorum.Config.rowa, [ w 1 0 ], true);
+      ]
+  in
+  render
+    {
+      E.title =
+        "EX: exhaustive verification — every schedule of small instances \
+         checked (Lemmas 5-8; recon invariants)";
+      keys = [ ("instance", 44) ];
+      columns =
+        [
+          E.col "schedules" 11 (fun s -> string_of_int s.Quorum.Explore.schedules);
+          E.col "prefixes" 11 (fun s -> string_of_int s.Quorum.Explore.prefixes);
+          E.col "exhausted" 10 (fun s -> string_of_bool s.Quorum.Explore.exhausted);
+          E.col "verdict" 9 (fun s ->
+              if s.Quorum.Explore.violation = None then "OK" else "VIOLATION");
+        ];
+      rows = rows @ [ recon_instance () ];
     }
 
-let txn_table_check ?(seeds = 8) () =
-  header
-    (Fmt.str
-       "TXN: coordinator-kill ablation — blocking 2PC vs Paxos Commit \
-        (3 shards x majority-3, 3 clients, 2 coordinators killed in the \
-        commit window, healed at t=701; %d seeds per mode)"
-       seeds);
-  Fmt.pr "%-8s %-6s %-8s %-8s %-9s %-9s %-10s %-7s %-9s@." "mode" "seed"
-    "acked" "failed" "decided" "blocked" "lat mean" "audit" "liveness";
-  let totals =
-    List.map
-      (fun mode ->
-        let blocked = ref 0 and dirty = ref 0 and dead = ref 0 in
-        let acked = ref 0 in
-        for seed = 1 to seeds do
-          let r = txn_run mode seed in
-          let live =
-            Harness.Check.liveness_after_heal ~script:txn_kill_script
-              ~completions:r.Store.Cluster.completions
-            = Ok ()
-          in
-          blocked := !blocked + List.length r.Store.Cluster.blocked_txns;
-          dirty := !dirty + List.length r.Store.Cluster.audit_violations;
-          acked := !acked + r.Store.Cluster.ok_txns;
-          if not live then incr dead;
-          Fmt.pr "%-8s %-6d %-8d %-8d %-9d %-9d %-10.2f %-7s %-9s@."
-            (Store.Txn.mode_label mode)
-            seed r.Store.Cluster.ok_txns r.Store.Cluster.failed_txns
-            r.Store.Cluster.decided_txns
-            (List.length r.Store.Cluster.blocked_txns)
-            r.Store.Cluster.txn_latency.Sim.Stats.mean
-            (if r.Store.Cluster.audit_violations = [] then "clean"
-             else "DIRTY")
-            (if live then "live" else "STUCK")
-        done;
-        (mode, !blocked, !dirty, !dead, !acked))
-      [ `Two_phase; `Paxos ]
+(* ---------- store tables ---------- *)
+
+let load () =
+  render (E.load_table ());
+  shape
+    "targeting cuts messages ~n/|q|-fold and reveals the load axis (grid \
+     spreads it; a primary-weighted scheme hot-spots the big site); \
+     broadcast hides load but wins tail latency via quorum-wide hedging."
+
+let retry () =
+  render (E.retry_policy_table ());
+  shape
+    "fire-once pays the full operation timeout whenever one message of the \
+     chosen quorum is lost; bounded retries resend to the unheard members \
+     and recover most of the lost availability for a modest message \
+     overhead, and hedging adds the unchosen replicas as a late fallback — \
+     the audit stays clean throughout, since retries and hedges never weaken \
+     quorum intersection."
+
+let shards seeds =
+  render (E.shard_table ~seeds ());
+  shape
+    "per-key quorums make sharding correctness-free capacity — messages stay \
+     flat while replicas multiply; range sharding concentrates the Zipf head \
+     in shard 0 (spread >> 1), and killing that shard is a total outage at 1 \
+     shard but leaves the other shards' keys serving as the shard count \
+     grows."
+
+let batch () =
+  render (E.batching_table ());
+  shape
+    "a burst of distinct keys shares one frame per replica per window, so \
+     wire messages collapse (payloads count the logical work and stay equal) \
+     at the cost of up to one window of queue delay per request in the p95 \
+     columns; the audit is untouched — batching changes framing, never \
+     quorum membership."
+
+let window () =
+  render (E.window_table ());
+  shape
+    "on bursts, wide static windows buy coalescing with queue delay; the AIMD \
+     controller widens only while flushes keep finding full per-replica \
+     frames, matching the best static message economy, and decays to zero on \
+     the uniform low-rate workload — where it adds no window latency at all \
+     (compare its op mean with unbatched)."
+
+let attribution () =
+  render (E.attribution_table ());
+  shape
+    "the phases sum to the wall mean by construction, so each knob's cost \
+     lands in its own column — loss shows up as backoff gaps (and \
+     timeout-inflated net), bursts as batch-window waits plus the \
+     group-commit fsync share; what remains in net is genuine flight and \
+     scheduling, the part no client-side knob can recover."
+
+let optimal () =
+  render (E.optimal_configurations ());
+  shape
+    "the optimum always weakly dominates both classical extremes; at moderate \
+     p the skewed workloads are won by ASYMMETRIC quorums (e.g. 2-of-5 reads \
+     / 4-of-5 writes), not by read-one/write-all — whose write side \
+     collapses; rowa's real advantage is latency, not availability."
+
+(* ---------- gated store tables ---------- *)
+
+let io_check () =
+  let t = E.io_table () in
+  render t;
+  shape
+    "the device serializes, so per-install fsyncs queue behind each other and \
+     every burst pays its full length in fsync latency; group commit drains \
+     whatever accumulated behind the in-flight fsync as one group, \
+     amortizing the dominant cost — acks still wait for durability, so the \
+     audit is unchanged.";
+  let fpi mode = E.mean E.fsyncs_per_install (E.find t [ mode ]) in
+  let amortization = fpi "naive-fsync" /. fpi "group-commit" in
+  Fmt.pr "@.group-commit fsync amortization vs naive: %.2fx (gate: >= 2.0)@."
+    amortization;
+  amortization >= 2.0 && all_clean t
+
+let txn_check seeds =
+  let t = E.txn_table ~seeds () in
+  render t;
+  let totals mode =
+    let rs =
+      List.concat_map
+        (fun (labels, rs) -> if List.hd labels = mode then rs else [])
+        t.E.rows
+    in
+    let n f = E.total f rs in
+    ( n (fun r -> r.Store.Cluster.ok_txns),
+      n (fun r -> List.length r.Store.Cluster.blocked_txns),
+      n (fun r -> List.length r.Store.Cluster.audit_violations),
+      n (fun r -> if E.txn_live r then 0 else 1) )
   in
+  let two_pc = totals "2pc" and paxos = totals "paxos" in
   Fmt.pr "@.";
   List.iter
-    (fun (mode, blocked, dirty, dead, acked) ->
+    (fun (mode, (acked, blocked, dirty, dead)) ->
       Fmt.pr
         "%-8s TOTAL: %d acked, %d blocked txn(s), %d audit violation(s), %d \
          stuck run(s)@."
-        (Store.Txn.mode_label mode)
-        acked blocked dirty dead)
-    totals;
-  let find m =
-    List.find (fun (mode, _, _, _, _) -> mode = m) totals
-  in
-  let _, b2, d2, _, _ = find `Two_phase in
-  let _, bp, dp, deadp, _ = find `Paxos in
-  Fmt.pr
-    "@.shape: the kill lands between prepare and decision, so 2PC \
-     participants stay prepared-but-undecided — locked and in doubt — until \
-     the coordinator returns (here: never inside the measurement window); \
-     Paxos Commit lets the prepared replicas elect a recovery leader over \
-     the same decision register and finish the commit, so nothing stays \
-     blocked once the partition heals, at no cost to the audit.@.";
+        mode acked blocked dirty dead)
+    [ ("2pc", two_pc); ("paxos", paxos) ];
+  let _, b2, d2, _ = two_pc and _, bp, dp, deadp = paxos in
+  shape
+    "the kill lands between prepare and decision, so 2PC participants stay \
+     prepared-but-undecided — locked and in doubt — until the coordinator \
+     returns (here: never inside the measurement window); Paxos Commit lets \
+     the prepared replicas elect a recovery leader over the same decision \
+     register and finish the commit, so nothing stays blocked once the \
+     partition heals, at no cost to the audit.";
   Fmt.pr "@.gate: 2pc blocked > 0: %b; paxos blocked = 0: %b; audits clean: \
           %b; paxos live after heal: %b@."
     (b2 > 0) (bp = 0)
@@ -596,73 +423,32 @@ let txn_table_check ?(seeds = 8) () =
     (deadp = 0);
   b2 > 0 && bp = 0 && d2 = 0 && dp = 0 && deadp = 0
 
-let txn_table_cmd seeds =
-  if not (txn_table_check ~seeds ()) then (
-    Fmt.epr
-      "txn ablation gate FAILED: expected 2pc blocked > 0, paxos blocked = \
-       0, clean audits, paxos liveness after heal@.";
-    exit 1)
-
-(* ---------- Workload-aware quorum tuning ---------- *)
-
-let tune_table_check ?(seeds = 3) () =
-  header
-    (Fmt.str
-       "TUNE: workload-aware quorum optimizer + queue-aware read steering \
-        vs static majority (5 replicas, 4 clients, quorum targeting, \
-        fire-once; %d seeds per cell)"
-       seeds);
-  let rows = Store.Experiments.tune_table ~seeds () in
-  Fmt.pr "%-8s %-8s %-16s %-18s %-4s %-6s %-7s %-8s %-9s %-9s %-6s@." "env"
-    "mix" "mode" "strategy" "sw" "ok" "failed" "thruput" "read-mean" "read-p99"
-    "audit";
-  List.iter
-    (fun (r : Store.Experiments.tune_row) ->
-      Fmt.pr "%-8s %-8s %-16s %-18s %-4d %-6d %-7d %-8.4f %-9.2f %-9.2f %-6s@."
-        r.Store.Experiments.t_env r.t_mix r.t_mode r.t_strategy r.t_switches
-        r.t_ok_ops r.t_failed_ops r.t_throughput r.t_read_mean r.t_read_p99
-        (if r.t_audit_clean then "clean" else "DIRTY"))
-    rows;
-  let find env mix mode =
-    List.find
-      (fun (r : Store.Experiments.tune_row) ->
-        String.equal r.Store.Experiments.t_env env
-        && String.equal r.t_mix mix
-        && String.equal r.t_mode mode)
-      rows
-  in
-  let maj = find "uniform" "90/10" "majority" in
-  let opt = find "uniform" "90/10" "optimized" in
-  let smaj = find "slow-r4" "90/10" "majority" in
-  let ssteer = find "slow-r4" "90/10" "majority+steer" in
-  let audits =
-    List.for_all (fun (r : Store.Experiments.tune_row) -> r.t_audit_clean) rows
-  in
+let tune_check seeds =
+  let t = E.tune_table ~seeds () in
+  render t;
+  let find env mode = E.find t [ env; "90/10"; mode ] in
+  let p99 = E.mean (fun r -> r.Store.Cluster.reads.Sim.Stats.p99) in
+  let read_mean = E.mean (fun r -> r.Store.Cluster.reads.Sim.Stats.mean) in
+  let maj = find "uniform" "majority" and opt = find "uniform" "optimized" in
+  let smaj = find "slow-r4" "majority" and ssteer = find "slow-r4" "majority+steer" in
   let opt_win =
-    Float.compare opt.Store.Experiments.t_throughput
-      maj.Store.Experiments.t_throughput
-    > 0
-    || Float.compare opt.Store.Experiments.t_read_p99
-         maj.Store.Experiments.t_read_p99
-       < 0
+    Float.compare (E.mean E.throughput opt) (E.mean E.throughput maj) > 0
+    || Float.compare (p99 opt) (p99 maj) < 0
   in
-  let adopted = opt.Store.Experiments.t_switches > 0 in
+  let adopted = (List.hd opt).Store.Cluster.strategy_switches <> [] in
   let steer_win =
-    Float.compare ssteer.Store.Experiments.t_read_p99
-      smaj.Store.Experiments.t_read_p99
-    < 0
-    || Float.compare ssteer.Store.Experiments.t_read_mean
-         smaj.Store.Experiments.t_read_mean
-       < 0
+    Float.compare (p99 ssteer) (p99 smaj) < 0
+    || Float.compare (read_mean ssteer) (read_mean smaj) < 0
   in
-  Fmt.pr
-    "@.shape: on the skewed mix the optimizer migrates the shard off \
-     majority onto a small-read-quorum strategy (writes pay a larger \
-     install quorum, but at 90/10 the read side dominates both load and \
-     latency); with a slow replica, steering routes reads around it using \
-     the per-replica latency EWMA + live queue depths, while random quorum \
-     picks keep paying its tax.  Every switch runs the joint-strategy \
-     transition + key migration, so the audits stay clean throughout.@.";
+  let audits = all_clean t in
+  shape
+    "on the skewed mix the optimizer migrates the shard off majority onto a \
+     small-read-quorum strategy (writes pay a larger install quorum, but at \
+     90/10 the read side dominates both load and latency); with a slow \
+     replica, steering routes reads around it using the per-replica latency \
+     EWMA + live queue depths, while random quorum picks keep paying its \
+     tax.  Every switch runs the joint-strategy transition + key migration, \
+     so the audits stay clean throughout.";
   Fmt.pr
     "@.gate: optimizer adopted a strategy: %b; optimized beats majority \
      (throughput or read p99, 90/10): %b; steering beats random under \
@@ -670,116 +456,86 @@ let tune_table_check ?(seeds = 3) () =
     adopted opt_win steer_win audits;
   adopted && opt_win && steer_win && audits
 
-let tune_table_cmd seeds =
-  if not (tune_table_check ~seeds ()) then (
-    Fmt.epr
-      "tune ablation gate FAILED: expected an adopted strategy, an \
-       optimizer win vs majority on the skewed mix, a steering win with a \
-       slow replica, and clean audits@.";
-    exit 1)
-
-(* ---------- E11 Theorem 11 ---------- *)
-
-let theorem11_table seeds =
-  header
-    (Fmt.str
-       "E11: one-copy serializability of concurrent replicated runs (%d seeds \
-        per mode)"
-       seeds);
-  Fmt.pr "%-8s %-10s %-10s %-12s %-12s %-10s@." "mode" "pass" "commits"
-    "aborted" "peak-conc" "verdict";
-  List.iter
-    (fun (name, mode, expect_pass) ->
-      let pass = ref 0 and commits = ref 0 and aborted = ref 0 and peak = ref 0 in
-      for seed = 1 to seeds do
-        match Cc.Harness.run_and_check ~mode ~seed () with
-        | Ok r ->
-            incr pass;
-            commits := !commits + r.Cc.Harness.committed_tops;
-            aborted := !aborted + r.aborted_nodes;
-            peak := max !peak r.peak_concurrency
-        | Error _ -> ()
-      done;
-      let verdict =
-        if expect_pass then (if !pass = seeds then "OK" else "FAIL")
-        else if !pass < seeds then "violations found (expected)"
-        else "UNEXPECTEDLY CLEAN"
-      in
-      Fmt.pr "%-8s %3d/%-6d %-10d %-12d %-12d %-10s@." name !pass seeds !commits
-        !aborted !peak verdict)
-    [ ("2PL", `TwoPL, true); ("MVTO", `Mvto, true); ("none", `NoCC, false) ]
-
 let all seeds =
   formal_table seeds;
   theorem11_table (min seeds 30);
-  availability_table ();
-  latency_table ();
-  crossover_table ();
-  gifford_table ();
-  reconfig_table ();
+  render (E.availability_sweep ());
+  render (E.latency_table ());
+  render (E.crossover ());
+  render (E.gifford_examples ());
+  render (E.reconfig_experiment ());
   adt_table ();
   vp_table ();
   coterie_table ();
-  repair_table ();
-  optimal_table ();
-  load_table ();
-  retry_table ();
-  shards_table ();
-  batch_table ();
-  attribution_table_cmd ();
-  ignore (io_table_check ());
-  window_table_cmd ();
-  ignore (txn_table_check ~seeds:4 ());
-  ignore (tune_table_check ~seeds:2 ());
+  render (E.read_repair_experiment ());
+  optimal ();
+  load ();
+  retry ();
+  shards 1;
+  batch ();
+  attribution ();
+  ignore (io_check ());
+  window ();
+  ignore (txn_check 4);
+  ignore (tune_check 2);
   exhaustive_table ()
 
 (* ---------- CLI ---------- *)
 
 open Cmdliner
 
-let seeds =
-  let doc = "Number of random-system seeds for the formal checks." in
-  Arg.(value & opt int 100 & info [ "seeds" ] ~doc)
+(* every --seeds is a positive count: 0 or less is a usage error,
+   reported before any table output *)
+let seeds ?(doc = "Number of random-system seeds for the formal checks.")
+    default =
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n > 0 -> Ok n
+          | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))),
+        Fmt.int )
+  in
+  Arg.(value & opt positive default & info [ "seeds" ] ~docv:"N" ~doc)
 
-let cmd_of name f doc =
-  Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
+let cmd name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
+let table name doc f = cmd name doc (fun () -> render (f ()))
 
 let () =
-  let default = Term.(const all $ seeds) in
   let cmds =
     [
       Cmd.v (Cmd.info "e5" ~doc:"Formal checks (Lemmas 5-8, Thm 10, recon)")
-        Term.(const formal_table $ seeds);
-      cmd_of "availability" availability_table "Q1 availability sweep";
-      cmd_of "latency" latency_table "Q2 latency by strategy";
-      cmd_of "crossover" crossover_table "Q3 rowa/majority crossover";
-      cmd_of "gifford" gifford_table "G1-G3 weighted-voting examples";
-      cmd_of "reconfig" reconfig_table "Q4 reconfiguration experiment";
-      cmd_of "adt" adt_table "E13 ADT general quorum consensus (extension)";
-      cmd_of "vp" vp_table "E14 virtual partitions (extension)";
-      cmd_of "coterie" coterie_table "Coterie quality analysis";
-      cmd_of "repair" repair_table "Read-repair anti-entropy experiment";
-      cmd_of "exhaustive" exhaustive_table "EX exhaustive verification";
-      cmd_of "optimal" optimal_table "Optimal vote assignments";
-      cmd_of "load" load_table "Broadcast vs targeted quorums (load/messages)";
-      cmd_of "retry" retry_table "Retry/backoff/hedging policy ablation";
+        Term.(const formal_table $ seeds 100);
+      table "availability" "Q1 availability sweep" E.availability_sweep;
+      table "latency" "Q2 latency by strategy" E.latency_table;
+      table "crossover" "Q3 rowa/majority crossover" E.crossover;
+      table "gifford" "G1-G3 weighted-voting examples" E.gifford_examples;
+      table "reconfig" "Q4 reconfiguration experiment" E.reconfig_experiment;
+      cmd "adt" "E13 ADT general quorum consensus (extension)" adt_table;
+      cmd "vp" "E14 virtual partitions (extension)" vp_table;
+      cmd "coterie" "Coterie quality analysis" coterie_table;
+      table "repair" "Read-repair anti-entropy experiment" E.read_repair_experiment;
+      cmd "exhaustive" "EX exhaustive verification" exhaustive_table;
+      cmd "optimal" "Optimal vote assignments" optimal;
+      cmd "load" "Broadcast vs targeted quorums (load/messages)" load;
+      cmd "retry" "Retry/backoff/hedging policy ablation" retry;
       Cmd.v
         (Cmd.info "shards" ~doc:"Shard-balance ablation (1/2/4 shards)")
         Term.(
-          const (fun seeds -> shards_table ~seeds ())
-          $ Arg.(
-              value & opt int 1
-              & info [ "seeds" ]
-                  ~doc:
-                    "Average the availability cells over $(docv) consecutive \
-                     seeds, reporting min/mean per cell."));
-      cmd_of "batch" batch_table "Multi-key batching ablation";
-      cmd_of "attribution" attribution_table_cmd
-        "Latency-attribution ablation (loss x burst phase decomposition)";
-      cmd_of "io" io_table_cmd
+          const shards
+          $ seeds 1
+              ~doc:
+                "Average the availability cells over $(docv) consecutive \
+                 seeds, reporting min/mean per cell.");
+      cmd "batch" "Multi-key batching ablation" batch;
+      cmd "attribution"
+        "Latency-attribution ablation (loss x burst phase decomposition)"
+        attribution;
+      cmd "io"
         "Replica io-pipeline ablation (exits 1 if group commit amortizes \
-         fsyncs < 2x vs naive, or any audit is dirty)";
-      cmd_of "window" window_table_cmd "Adaptive batching-window ablation";
+         fsyncs < 2x vs naive, or any audit is dirty)"
+        (fun () -> gate "io" (io_check ()));
+      cmd "window" "Adaptive batching-window ablation" window;
       Cmd.v
         (Cmd.info "txn"
            ~doc:
@@ -788,10 +544,8 @@ let () =
               does not, every audit is clean, and Paxos regains liveness \
               after the heal)")
         Term.(
-          const txn_table_cmd
-          $ Arg.(
-              value & opt int 8
-              & info [ "seeds" ] ~doc:"Seeds per commit mode."));
+          const (fun n -> gate "txn" (txn_check n))
+          $ seeds 8 ~doc:"Seeds per commit mode.");
       Cmd.v
         (Cmd.info "tune"
            ~doc:
@@ -801,16 +555,15 @@ let () =
               steering beats random picks with a slow replica, and every \
               audit is clean)")
         Term.(
-          const tune_table_cmd
-          $ Arg.(
-              value & opt int 3
-              & info [ "seeds" ] ~doc:"Seeds averaged per cell."));
+          const (fun n -> gate "tune" (tune_check n))
+          $ seeds 3 ~doc:"Seeds averaged per cell.");
       Cmd.v (Cmd.info "theorem11" ~doc:"E11 serializability table")
-        Term.(const theorem11_table $ Arg.(value & opt int 30 & info [ "seeds" ]));
+        Term.(const theorem11_table $ seeds 30 ~doc:"Seeds per mode.");
     ]
   in
   exit
     (Cmd.eval
-       (Cmd.group ~default
+       (Cmd.group
+          ~default:Term.(const all $ seeds 100)
           (Cmd.info "tables" ~doc:"Regenerate the experiment tables")
           cmds))

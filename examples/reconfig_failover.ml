@@ -77,12 +77,7 @@ let () =
   Fmt.pr "reconfigurations exercised across seeds: %d@." !total_recons;
 
   Fmt.pr "@.=== Part 2: reconfiguration in the simulated store (Q4) ===@.";
-  Fmt.pr "%-18s %-8s %-8s %-8s@." "phase" "ok" "failed" "success";
-  List.iter
-    (fun (r : Store.Experiments.reconfig_row) ->
-      Fmt.pr "%-18s %-8d %-8d %-8.3f@." r.Store.Experiments.phase r.ok r.failed
-        r.rate)
-    (Store.Experiments.reconfig_experiment ());
+  Store.Experiments.print (Store.Experiments.reconfig_experiment ());
   Fmt.pr
     "@.shape: healthy ~1.0; after two permanent replica failures \
      read-one/write-all writes fail; majority-of-survivors restores ~1.0.@."

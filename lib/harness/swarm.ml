@@ -91,48 +91,28 @@ let repro_line ?(extra = "") (o : outcome) : string =
     (if extra = "" then "" else " ")
     extra
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let num n = Obs.Json.Num (float_of_int n)
 
-let outcome_json ?extra (o : outcome) : string =
-  Fmt.str
-    "{\"seed\": %d, \"script\": \"%s\", \"violations\": [%s], \"repro\": \
-     \"%s\"}"
-    o.seed
-    (json_escape (Script.to_string o.script))
-    (String.concat ", "
-       (List.map (fun v -> Fmt.str "\"%s\"" (json_escape v)) o.violations))
-    (json_escape (repro_line ?extra o))
+let outcome_json ?extra (o : outcome) : Obs.Json.t =
+  Obs.Json.Obj
+    [
+      ("seed", num o.seed);
+      ("script", Obs.Json.Str (Script.to_string o.script));
+      ( "violations",
+        Obs.Json.List (List.map (fun v -> Obs.Json.Str v) o.violations) );
+      ("repro", Obs.Json.Str (repro_line ?extra o));
+    ]
 
 (** The machine-readable swarm report (CI uploads this artifact). *)
 let report_json ?extra (r : report) : string =
-  let b = Buffer.create 1024 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"seeds\": %d,\n" r.seeds;
-  add "  \"seed0\": %d,\n" r.seed0;
-  add "  \"failing_seeds\": %d,\n" (List.length r.failures);
-  add "  \"failures\": [\n";
-  add "%s\n"
-    (String.concat ",\n"
-       (List.map (fun o -> "    " ^ outcome_json ?extra o) r.failures));
-  add "  ],\n";
-  add "  \"minimized\": [\n";
-  add "%s\n"
-    (String.concat ",\n"
-       (List.map (fun o -> "    " ^ outcome_json ?extra o) r.minimized));
-  add "  ]\n";
-  add "}\n";
-  Buffer.contents b
+  let outcomes os = Obs.Json.List (List.map (outcome_json ?extra) os) in
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("seeds", num r.seeds);
+         ("seed0", num r.seed0);
+         ("failing_seeds", num (List.length r.failures));
+         ("failures", outcomes r.failures);
+         ("minimized", outcomes r.minimized);
+       ])
+  ^ "\n"

@@ -43,6 +43,8 @@ val repro_line : ?extra:string -> outcome -> string
 (** The copy-pasteable [swarm repro ...] one-liner; [extra] appends
     the caller's cluster-shape flags. *)
 
-val outcome_json : ?extra:string -> outcome -> string
 val report_json : ?extra:string -> report -> string
-(** The machine-readable swarm report (the CI artifact). *)
+(** The machine-readable swarm report (the CI artifact), one
+    {!Obs.Json} object: [seeds], [seed0], [failing_seeds], and the
+    [failures] and [minimized] outcomes, each with its [seed],
+    [script], [violations] and [repro] line. *)

@@ -17,9 +17,11 @@
       every constructor (a decoder that can never produce a frame has
       dropped it on the receive side).
 
-    A protocol type with no annotated handler, serializer, or
-    deserializer anywhere in the analyzed program is itself a finding:
-    the contract must exist, not merely hold vacuously.
+    A protocol type with no annotated handler anywhere in the analyzed
+    program is itself a finding: the dispatch contract must exist, not
+    merely hold vacuously.  Serializers and deserializers are optional
+    (a protocol that never leaves the process has none) and are
+    checked where they exist.
 
     A finding line can be silenced with [(* lint: totality-ok *)]. *)
 
@@ -296,12 +298,13 @@ let run ~(units : Typed.unit_info list)
               | ms -> Some (m, ms))
             bindings
         in
-        if relevant = [] then
-          add ~source:p.p_source ~line:p.p_line ~col:0
-            (Fmt.str
-               "protocol type %s has no [@lint.%s] that matches it — a new \
-                frame would have nowhere to be dispatched"
-               qualified (role_attr role))
+        if relevant = [] then (
+          if role = Handler then
+            add ~source:p.p_source ~line:p.p_line ~col:0
+              (Fmt.str
+                 "protocol type %s has no [@lint.%s] that matches it — a new \
+                  frame would have nowhere to be dispatched"
+                 qualified (role_attr role)))
         else begin
           (* wildcard arms are findings wherever they appear *)
           List.iter
@@ -338,7 +341,8 @@ let run ~(units : Typed.unit_info list)
       in
       check_matches Handler;
       check_matches Serialize;
-      (* deserializer: must be able to produce every frame *)
+      (* deserializer, where there is one: must be able to produce
+         every frame *)
       let deser = role_bindings Deserialize in
       let relevant =
         List.filter_map
@@ -348,17 +352,10 @@ let run ~(units : Typed.unit_info list)
             | cs -> Some (m, cs))
           deser
       in
-      if relevant = [] then
-        add ~source:p.p_source ~line:p.p_line ~col:0
-          (Fmt.str
-             "protocol type %s has no [@lint.protocol_deserialize] that \
-              constructs it — frames cannot come off the wire"
-             qualified)
-      else
-        let covered = List.concat_map snd relevant in
-        let missing = missing_of ~all:p.p_constructors covered in
-        if missing <> [] then
-          let m, _ = List.hd relevant in
+      let covered = List.concat_map snd relevant in
+      let missing = missing_of ~all:p.p_constructors covered in
+      match relevant with
+      | (m, _) :: _ when missing <> [] ->
           add ~source:m.m_source ~line:m.m_line ~col:m.m_col
             (Fmt.str
                "deserializer %s never constructs %s of %s — the receive side \
@@ -366,6 +363,7 @@ let run ~(units : Typed.unit_info list)
                m.m_name
                (String.concat ", " missing)
                qualified
-               (String.concat ", " missing)))
+               (String.concat ", " missing))
+      | _ -> ())
     protos;
   List.rev !findings

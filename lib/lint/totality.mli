@@ -1,11 +1,11 @@
-(** Protocol handler totality ([handler-totality]): for every type
-    marked [@@lint.protocol], the bindings marked
-    [@lint.protocol_handler] / [@lint.protocol_serialize] must match
-    it wildcard-free and cover every constructor, and the bindings
-    marked [@lint.protocol_deserialize] must construct every
-    constructor — so a new frame cannot be silently dropped by either
-    side of the wire.  Silence a line with
-    [(* lint: totality-ok *)]. *)
+(** Protocol handler totality ([handler-totality]): every type marked
+    [@@lint.protocol] needs a [@lint.protocol_handler] binding that
+    matches it wildcard-free and covers every constructor.  Where a
+    [@lint.protocol_serialize] binding exists it has the same
+    obligation, and where a [@lint.protocol_deserialize] binding exists
+    it must construct every constructor — so a new frame cannot be
+    silently dropped by the dispatch or by either side of a wire.
+    Silence a line with [(* lint: totality-ok *)]. *)
 
 val rule : string
 

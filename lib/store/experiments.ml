@@ -1,11 +1,90 @@
-(** The quantitative experiments (DESIGN.md ids Q1-Q4, G1-G3): the
-    evaluation the paper's introduction motivates but, being a theory
-    paper, never runs.  Each function returns printable rows;
-    [bin/tables.exe] renders them. *)
+(** The quantitative experiments (DESIGN.md ids Q1-Q4, G1-G3, and the
+    ablations): the evaluation the paper's introduction motivates but,
+    being a theory paper, never runs.  Every experiment is a {!table}:
+    a row spec (labels plus the seeded runs or analytic value behind
+    each row) and a column list; {!print} renders any of them. *)
 
 module Prng = Qc_util.Prng
 module Core = Sim.Core
 module Net = Sim.Net
+
+(** {1 The table form} *)
+
+type 'a column = { header : string; width : int; cell : 'a -> string }
+
+type 'a table = {
+  title : string;
+  keys : (string * int) list;
+  columns : 'a column list;
+  rows : (string list * 'a) list;
+}
+
+let col header width cell = { header; width; cell }
+let find t labels = List.assoc labels t.rows
+
+let cell t labels header =
+  (List.find (fun c -> String.equal c.header header) t.columns).cell (find t labels)
+
+let print t =
+  let widths = List.map snd t.keys @ List.map (fun c -> c.width) t.columns in
+  let line cells =
+    Fmt.pr "%s@." (String.concat " " (List.map2 (Fmt.str "%-*s") widths cells))
+  in
+  line (List.map fst t.keys @ List.map (fun c -> c.header) t.columns);
+  List.iter
+    (fun (labels, v) -> line (labels @ List.map (fun c -> c.cell v) t.columns))
+    t.rows
+
+(** Run every row's params, in row order. *)
+let run_grid ~title ~keys ~columns specs =
+  let rows = List.map (fun (labels, ps) -> (labels, List.map Cluster.run ps)) specs in
+  { title; keys; columns; rows }
+
+(** Every [(x, y)] pair, [x]-major: the row order of a two-axis grid. *)
+let cross xs ys f = List.concat_map (fun x -> List.map (f x) ys) xs
+
+(** {1 Shared cells over a row's runs}
+
+    Counts are totals over the runs, measures are means over them — so
+    a one-run row shows that run's numbers unchanged. *)
+
+let ok (r : Cluster.results) = r.ok_reads + r.ok_writes
+let failed (r : Cluster.results) = r.failed_reads + r.failed_writes
+let clean (r : Cluster.results) = r.audit_violations = []
+let total f rs = List.fold_left (fun acc r -> acc + f r) 0 rs
+let mean f rs =
+  List.fold_left (fun acc r -> acc +. f r) 0.0 rs /. float_of_int (List.length rs)
+
+let imbalance loads =
+  let m = float_of_int (total Fun.id loads) /. float_of_int (List.length loads) in
+  if m > 0.0 then float_of_int (List.fold_left max 0 loads) /. m else nan
+
+let replica_imbalance (r : Cluster.results) = imbalance (List.map snd r.replica_loads)
+
+let mean_op_latency (r : Cluster.results) =
+  let weighted (s : Sim.Stats.summary) =
+    if s.count = 0 then 0.0 else s.mean *. float_of_int s.count
+  in
+  let n = r.reads.count + r.writes.count in
+  if n = 0 then nan else (weighted r.reads +. weighted r.writes) /. float_of_int n
+
+let fsyncs_per_install (r : Cluster.results) =
+  if r.installs = 0 then nan else float_of_int r.fsyncs /. float_of_int r.installs
+
+let throughput (r : Cluster.results) = float_of_int (ok r) /. r.duration
+let read_mean (r : Cluster.results) = r.reads.mean
+let write_mean (r : Cluster.results) = r.writes.mean
+let fixed prec x = Fmt.str "%.*f" prec x
+let count header width f = col header width (fun rs -> string_of_int (total f rs))
+let avg ?(prec = 2) header width f = col header width (fun rs -> fixed prec (mean f rs))
+let audited rs = if List.for_all clean rs then "clean" else "DIRTY"
+let audit width = col "audit" width audited
+let messages = count "messages" 10 (fun r -> r.Cluster.net.Net.sent)
+let payloads = count "payloads" 10 (fun r -> r.Cluster.net.Net.payload_sent)
+let outcome ~failed_width = [ count "ok" 6 ok; count "failed" failed_width failed ]
+
+let check_seeds name seeds =
+  if seeds < 1 then invalid_arg (Fmt.str "Experiments.%s: seeds must be >= 1" name)
 
 (** The strategy menu used across experiments. *)
 let menu n : (string * Strategy.t) list =
@@ -19,147 +98,122 @@ let menu n : (string * Strategy.t) list =
     ("primary-copy", Strategy.primary n);
   ]
 
+(* a cluster of [n] replicas under a fixed strategy *)
+let strategy_params ~n ~ops ~read_fraction ~seed strat =
+  {
+    Cluster.default_params with
+    n_replicas = n;
+    strategy = (fun _ -> strat);
+    workload = { Workload.default_spec with ops_per_client = ops; read_fraction };
+    seed;
+  }
+
+let votes_label votes = String.concat "," (List.map string_of_int votes)
+
+(* the quorum-size columns of a (strategy, run) row *)
+let quorum_sizes =
+  [
+    col "|rq|" 5 (fun ((s : Strategy.t), _) -> string_of_int s.min_read);
+    col "|wq|" 5 (fun ((s : Strategy.t), _) -> string_of_int s.min_write);
+  ]
+
+(* replicas r0-r4 and one client c0 on a lognormal network, for the
+   experiments that drive the client by hand *)
+let five_replicas ~seed ~strategy ?read_repair () =
+  let sim = Core.create ~seed in
+  let names = List.init 5 (fun i -> Fmt.str "r%d" i) in
+  let net =
+    Net.create ~sim ~nodes:(names @ [ "c0" ])
+      ~latency:(Net.lognormal_latency ~mu:1.0 ~sigma:0.5) ()
+  in
+  let replicas = List.map (fun name -> Replica.create ~name ()) names in
+  List.iter (fun r -> Replica.attach r ~net) replicas;
+  let client =
+    Client.create ~name:"c0" ~sim ~net ~replicas:(Array.of_list names) ~strategy
+      ~timeout:50.0 ?read_repair ()
+  in
+  Client.attach client;
+  (sim, net, names, replicas, client)
+
 (** {1 Q1 — availability vs. per-site availability p} *)
 
-type availability_row = {
-  strategy : string;
-  p : float;
-  read_analytic : float;
-  write_analytic : float;
-  simulated : float;  (** measured op success rate under crash/recover *)
-}
-
 let availability_sweep ?(n = 5) ?(ps = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
-    ?(seed = 11) () : availability_row list =
-  List.concat_map
-    (fun (name, strat) ->
-      List.map
-        (fun p ->
-          let read_analytic, write_analytic = Strategy.availability strat ~p in
-          (* simulate: mtbf/mttr chosen so long-run availability = p *)
-          let mttr = 50.0 in
-          let mtbf = mttr *. p /. (1.0 -. p) in
-          let r =
-            Cluster.run
-              {
-                Cluster.default_params with
-                n_replicas = n;
-                strategy = (fun _ -> strat);
-                failures = Some { Sim.Failure.mtbf; mttr };
-                timeout = 60.0;
-                workload =
-                  { Workload.default_spec with ops_per_client = 400; read_fraction = 0.5 };
-                seed;
-              }
-          in
-          {
-            strategy = name;
-            p;
-            read_analytic;
-            write_analytic;
-            simulated = Cluster.availability r;
-          })
-        ps)
-    (menu n)
+    ?(seed = 11) () =
+  let row (name, strat) p =
+    (* simulate: mtbf/mttr chosen so long-run availability = p *)
+    let mttr = 50.0 in
+    let mtbf = mttr *. p /. (1.0 -. p) in
+    let params = strategy_params ~n ~ops:400 ~read_fraction:0.5 ~seed strat in
+    ( [ name; fixed 2 p ],
+      ( Strategy.availability strat ~p,
+        Cluster.run
+          { params with failures = Some { Sim.Failure.mtbf; mttr }; timeout = 60.0 } ) )
+  in
+  {
+    title = "Q1: availability vs per-site availability p (n = 5 replicas)";
+    keys = [ ("strategy", 28); ("p", 6) ];
+    columns =
+      [
+        col "read(anal)" 12 (fun ((ar, _), _) -> fixed 4 ar);
+        col "write(anal)" 12 (fun ((_, aw), _) -> fixed 4 aw);
+        col "simulated" 10 (fun (_, r) -> fixed 4 (Cluster.availability r));
+      ];
+    rows = cross (menu n) ps row;
+  }
 
 (** {1 Q2 — latency by strategy} *)
 
-type latency_row = {
-  strategy : string;
-  min_read_quorum : int;
-  min_write_quorum : int;
-  read : Sim.Stats.summary;
-  write : Sim.Stats.summary;
-}
-
-let latency_table ?(n = 5) ?(seed = 23) () : latency_row list =
-  List.map
-    (fun (name, strat) ->
-      let r =
-        Cluster.run
-          {
-            Cluster.default_params with
-            n_replicas = n;
-            strategy = (fun _ -> strat);
-            workload =
-              { Workload.default_spec with ops_per_client = 500; read_fraction = 0.5 };
-            seed;
-          }
-      in
-      {
-        strategy = name;
-        min_read_quorum = strat.Strategy.min_read;
-        min_write_quorum = strat.Strategy.min_write;
-        read = r.Cluster.reads;
-        write = r.Cluster.writes;
-      })
-    (menu n)
+let latency_table ?(n = 5) ?(seed = 23) () =
+  let summary header stat =
+    col header 28 (fun (_, r) -> Fmt.str "%a" Sim.Stats.pp_summary (stat r))
+  in
+  {
+    title = "Q2: operation latency by strategy (n = 5, lognormal link latency)";
+    keys = [ ("strategy", 28) ];
+    columns =
+      quorum_sizes
+      @ [
+          summary "read latency" (fun r -> r.Cluster.reads);
+          summary "write latency" (fun r -> r.Cluster.writes);
+        ];
+    rows =
+      List.map
+        (fun (name, s) ->
+          let params = strategy_params ~n ~ops:500 ~read_fraction:0.5 ~seed s in
+          ([ name ], (s, Cluster.run params)))
+        (menu n);
+  }
 
 (** {1 Q3 — crossover: who wins at which read fraction} *)
 
-type crossover_row = {
-  read_fraction : float;
-  rowa_mean : float;
-  majority_mean : float;
-  winner : string;
-}
-
-let mean_op_latency (r : Cluster.results) =
-  let weighted (s : Sim.Stats.summary) =
-    if s.Sim.Stats.count = 0 then 0.0
-    else s.Sim.Stats.mean *. float_of_int s.Sim.Stats.count
-  in
-  let tr = r.Cluster.reads and tw = r.Cluster.writes in
-  let n = tr.Sim.Stats.count + tw.Sim.Stats.count in
-  if n = 0 then nan else (weighted tr +. weighted tw) /. float_of_int n
-
 let crossover ?(n = 5) ?(seed = 31)
-    ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99 ]) () : crossover_row list
-    =
-  List.map
-    (fun f ->
-      let run strat =
-        mean_op_latency
-          (Cluster.run
-             {
-               Cluster.default_params with
-               n_replicas = n;
-               strategy = strat;
-               workload =
-                 {
-                   Workload.default_spec with
-                   ops_per_client = 400;
-                   read_fraction = f;
-                 };
-               seed;
-             })
-      in
-      let rowa = run Strategy.rowa and majority = run Strategy.majority in
-      {
-        read_fraction = f;
-        rowa_mean = rowa;
-        majority_mean = majority;
-        winner = (if rowa < majority then "read-one/write-all" else "majority");
-      })
-    fractions
+    ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99 ]) () =
+  let run f strat =
+    Cluster.run (strategy_params ~n ~ops:400 ~read_fraction:f ~seed (strat n))
+  in
+  {
+    title = "Q3: mean op latency, read-one/write-all vs majority, by read fraction";
+    keys = [ ("read fraction", 15) ];
+    columns =
+      [
+        col "rowa" 12 (fun (rowa, _) -> fixed 2 (mean_op_latency rowa));
+        col "majority" 12 (fun (_, maj) -> fixed 2 (mean_op_latency maj));
+        col "winner" 20 (fun (rowa, maj) ->
+            if mean_op_latency rowa < mean_op_latency maj then "read-one/write-all"
+            else "majority");
+      ];
+    rows =
+      List.map
+        (fun f ->
+          let rowa = run f Strategy.rowa in
+          ([ fixed 2 f ], (rowa, run f Strategy.majority)))
+        fractions;
+  }
 
 (** {1 G1-G3 — weighted-voting configurations in the style of
     Gifford's examples} *)
 
-type gifford_row = {
-  label : string;
-  votes : int list;
-  r : int;
-  w : int;
-  min_read_quorum : int;
-  min_write_quorum : int;
-  read_avail_90 : float;
-  write_avail_90 : float;
-  read_latency : float;
-  write_latency : float;
-}
-
-let gifford_examples ?(seed = 47) () : gifford_row list =
+let gifford_examples ?(seed = 47) () =
   let cases =
     [
       (* read-optimized: reads anywhere, writes everywhere *)
@@ -170,36 +224,28 @@ let gifford_examples ?(seed = 47) () : gifford_row list =
       ("G3 primary-weighted", [ 3; 1; 1 ], 3, 3);
     ]
   in
-  List.map
-    (fun (label, votes, r, w) ->
-      let strat =
-        Strategy.weighted ~name:label ~votes:(Array.of_list votes) ~r ~w
-      in
-      let read_avail_90, write_avail_90 = Strategy.availability strat ~p:0.9 in
-      let res =
-        Cluster.run
-          {
-            Cluster.default_params with
-            n_replicas = List.length votes;
-            strategy = (fun _ -> strat);
-            workload =
-              { Workload.default_spec with ops_per_client = 400; read_fraction = 0.5 };
-            seed;
-          }
-      in
-      {
-        label;
-        votes;
-        r;
-        w;
-        min_read_quorum = strat.Strategy.min_read;
-        min_write_quorum = strat.Strategy.min_write;
-        read_avail_90;
-        write_avail_90;
-        read_latency = res.Cluster.reads.Sim.Stats.mean;
-        write_latency = res.Cluster.writes.Sim.Stats.mean;
-      })
-    cases
+  let avail side (s, _) = fixed 4 (side (Strategy.availability s ~p:0.9)) in
+  let row (label, votes, r, w) =
+    let s = Strategy.weighted ~name:label ~votes:(Array.of_list votes) ~r ~w in
+    let params =
+      strategy_params ~n:(List.length votes) ~ops:400 ~read_fraction:0.5 ~seed s
+    in
+    ( [ label; votes_label votes; string_of_int r; string_of_int w ],
+      (s, Cluster.run params) )
+  in
+  {
+    title = "G1-G3: weighted-voting configurations (Gifford-style examples)";
+    keys = [ ("example", 24); ("votes", 14); ("r", 4); ("w", 4) ];
+    columns =
+      quorum_sizes
+      @ [
+          col "Ar(p=.9)" 9 (avail fst);
+          col "Aw(p=.9)" 9 (avail snd);
+          col "lat(r)" 8 (fun (_, r) -> fixed 2 (read_mean r));
+          col "lat(w)" 8 (fun (_, r) -> fixed 2 (write_mean r));
+        ];
+    rows = List.map row cases;
+  }
 
 (** {1 Q4 — reconfiguration restores availability after failures}
 
@@ -212,39 +258,18 @@ let gifford_examples ?(seed = 47) () : gifford_row list =
     both reads and writes succeed again).  Success rates per phase are
     the deliverable — the Section 4 motivation, quantified. *)
 
-type reconfig_row = { phase : string; ok : int; failed : int; rate : float }
-
-let reconfig_experiment ?(seed = 53) () : reconfig_row list =
-  let sim = Core.create ~seed in
-  let replica_names = List.init 5 (fun i -> Fmt.str "r%d" i) in
-  let net =
-    Net.create ~sim
-      ~nodes:(replica_names @ [ "c0" ])
-      ~latency:(Net.lognormal_latency ~mu:1.0 ~sigma:0.5)
-      ()
-  in
-  let replicas = List.map (fun name -> Replica.create ~name ()) replica_names in
-  List.iter (fun r -> Replica.attach r ~net) replicas;
+let reconfig_experiment ?(seed = 53) () =
   (* old configuration: read-one/write-all — writes reach every
      replica, so any survivor set holds the latest data *)
-  let old_strategy = Strategy.rowa 5 in
+  let sim, net, _, _, client = five_replicas ~seed ~strategy:(Strategy.rowa 5) () in
   (* new configuration: majority over the three survivors r0-r2 *)
   let new_strategy =
-    Strategy.weighted ~name:"survivors-majority" ~votes:[| 1; 1; 1; 0; 0 |]
-      ~r:2 ~w:2
+    Strategy.weighted ~name:"survivors-majority" ~votes:[| 1; 1; 1; 0; 0 |] ~r:2 ~w:2
   in
-  let client =
-    Client.create ~name:"c0" ~sim ~net
-      ~replicas:(Array.of_list replica_names)
-      ~strategy:old_strategy ~timeout:50.0 ()
-  in
-  Client.attach client;
   let phases = Hashtbl.create 4 in
   let phase = ref "A-healthy" in
   let record ok =
-    let o, f =
-      Option.value ~default:(0, 0) (Hashtbl.find_opt phases !phase)
-    in
+    let o, f = Option.value ~default:(0, 0) (Hashtbl.find_opt phases !phase) in
     Hashtbl.replace phases !phase (if ok then (o + 1, f) else (o, f + 1))
   in
   let rng = Prng.create (seed lxor 0xff) in
@@ -281,26 +306,29 @@ let reconfig_experiment ?(seed = 53) () : reconfig_row list =
             Client.read client ~key ~on_done:(fun ~ok ~vn ~value ~latency:_ ->
                 if ok then
                   Client.install client ~key ~vn:(vn + 1) ~value
-                    ~on_done:(fun ~ok:_ ~vn:_ ~value:_ ~latency:_ ->
-                      migrate rest)
+                    ~on_done:(fun ~ok:_ ~vn:_ ~value:_ ~latency:_ -> migrate rest)
                 else migrate rest)
       in
       migrate keys);
   Core.run sim;
-  let order = [ "A-healthy"; "B-failed"; "C-migrating"; "D-reconfigured" ] in
-  List.filter_map
-    (fun phase ->
-      match Hashtbl.find_opt phases phase with
-      | Some (ok, failed) ->
-          Some
-            {
-              phase;
-              ok;
-              failed;
-              rate = float_of_int ok /. float_of_int (max 1 (ok + failed));
-            }
-      | None -> None)
-    order
+  {
+    title =
+      "Q4: reconfiguration restores availability (RoWa/5 -> 2 replicas die -> \
+       majority over survivors)";
+    keys = [ ("phase", 18) ];
+    columns =
+      [
+        col "ok" 8 (fun (ok, _) -> string_of_int ok);
+        col "failed" 8 (fun (_, failed) -> string_of_int failed);
+        col "rate" 8 (fun (ok, failed) ->
+            fixed 3 (float_of_int ok /. float_of_int (max 1 (ok + failed))));
+      ];
+    rows =
+      List.filter_map
+        (fun phase ->
+          Option.map (fun v -> ([ phase ], v)) (Hashtbl.find_opt phases phase))
+        [ "A-healthy"; "B-failed"; "C-migrating"; "D-reconfigured" ];
+  }
 
 (** {1 Read repair: anti-entropy on the read path}
 
@@ -311,34 +339,15 @@ let reconfig_experiment ?(seed = 53) () : reconfig_row list =
     failure margin).  With read repair, reads push the newest version
     to the stale replicas they observed.  The experiment measures
     replica staleness after a failure-heavy write phase followed by a
-    read-only phase, with repair off and on. *)
+    read-only phase, with repair off and on: a row holds the mean
+    fraction of stale replicas per key when failures stop, the same
+    after the read-only phase, and the repairs sent. *)
 
-type repair_row = {
-  mode : string;
-  staleness_mid : float;
-      (** mean fraction of stale replicas per key when failures stop *)
-  staleness_end : float;  (** idem after the read-only phase *)
-  repairs_sent : int;
-}
-
-let read_repair_experiment ?(seed = 61) () : repair_row list =
+let read_repair_experiment ?(seed = 61) () =
   let run_one ~read_repair =
-    let sim = Core.create ~seed in
-    let replica_names = List.init 5 (fun i -> Fmt.str "r%d" i) in
-    let net =
-      Net.create ~sim
-        ~nodes:(replica_names @ [ "c0" ])
-        ~latency:(Net.lognormal_latency ~mu:1.0 ~sigma:0.5)
-        ()
+    let sim, net, replica_names, replicas, client =
+      five_replicas ~seed ~strategy:(Strategy.majority 5) ~read_repair ()
     in
-    let replicas = List.map (fun name -> Replica.create ~name ()) replica_names in
-    List.iter (fun r -> Replica.attach r ~net) replicas;
-    let client =
-      Client.create ~name:"c0" ~sim ~net
-        ~replicas:(Array.of_list replica_names)
-        ~strategy:(Strategy.majority 5) ~timeout:50.0 ~read_repair ()
-    in
-    Client.attach client;
     let keys = List.init 8 (fun i -> Fmt.str "k%d" i) in
     let rng = Prng.create (seed lxor 0x5e) in
     (* failure-heavy write phase until t=800 *)
@@ -375,9 +384,7 @@ let read_repair_experiment ?(seed = 61) () : repair_row list =
       let per_key =
         List.map
           (fun key ->
-            let vns =
-              List.map (fun r -> fst (Replica.lookup r key)) replicas
-            in
+            let vns = List.map (fun r -> fst (Replica.lookup r key)) replicas in
             let hi = List.fold_left max 0 vns in
             if hi = 0 then 0.0
             else
@@ -390,14 +397,22 @@ let read_repair_experiment ?(seed = 61) () : repair_row list =
     let mid = ref 0.0 in
     Core.schedule sim ~delay:890.0 (fun () -> mid := staleness ());
     Core.run sim;
-    {
-      mode = (if read_repair then "read repair on" else "read repair off");
-      staleness_mid = !mid;
-      staleness_end = staleness ();
-      repairs_sent = Obs.Metrics.value client.Client.repairs_sent;
-    }
+    ( [ (if read_repair then "read repair on" else "read repair off") ],
+      (!mid, staleness (), Obs.Metrics.value client.Client.repairs_sent) )
   in
-  [ run_one ~read_repair:false; run_one ~read_repair:true ]
+  {
+    title =
+      "Read repair (anti-entropy): replica staleness after a failure-heavy \
+       write phase, then a read-only phase (majority, n = 5)";
+    keys = [ ("mode", 18) ];
+    columns =
+      [
+        col "staleness(mid)" 16 (fun (mid, _, _) -> fixed 3 mid);
+        col "staleness(end)" 16 (fun (_, fin, _) -> fixed 3 fin);
+        col "repairs" 10 (fun (_, _, repairs) -> string_of_int repairs);
+      ];
+    rows = [ run_one ~read_repair:false; run_one ~read_repair:true ];
+  }
 
 (** {1 Optimal vote assignments}
 
@@ -415,20 +430,8 @@ let read_repair_experiment ?(seed = 61) () : repair_row list =
     the cold side) rather than by read-one/write-all, whose write side
     collapses — rowa's real advantage is latency, not availability. *)
 
-type optimum_row = {
-  p : float;
-  read_fraction : float;
-  votes : int list;
-  r : int;
-  w : int;
-  score : float;
-  rowa_score : float;
-  majority_score : float;
-}
-
-let optimal_configurations ?(n = 5)
-    ?(ps = [ 0.8; 0.9; 0.99 ]) ?(fractions = [ 0.1; 0.5; 0.9 ]) () :
-    optimum_row list =
+let optimal_configurations ?(n = 5) ?(ps = [ 0.8; 0.9; 0.99 ])
+    ?(fractions = [ 0.1; 0.5; 0.9 ]) () =
   (* non-increasing vote vectors, entries 0..3, at least one positive *)
   let rec vote_vectors k maxv =
     if k = 0 then [ [] ]
@@ -448,40 +451,44 @@ let optimal_configurations ?(n = 5)
     let ar, aw = Strategy.availability strat ~p in
     (f *. ar) +. ((1.0 -. f) *. aw)
   in
-  List.concat_map
-    (fun p ->
-      List.map
-        (fun f ->
-          let best = ref None in
-          List.iter
-            (fun (votes, total) ->
-              for r = 1 to total do
-                let w = total + 1 - r in
-                if w >= 1 && w <= total then begin
-                  let strat =
-                    Strategy.weighted ~name:"cand" ~votes:(Array.of_list votes)
-                      ~r ~w
-                  in
-                  let s = score strat ~p ~f in
-                  match !best with
-                  | Some (s', _, _, _) when s' >= s -> ()
-                  | _ -> best := Some (s, votes, r, w)
-                end
-              done)
-            candidates;
-          let s, votes, r, w = Option.get !best in
-          {
-            p;
-            read_fraction = f;
-            votes;
-            r;
-            w;
-            score = s;
-            rowa_score = score (Strategy.rowa n) ~p ~f;
-            majority_score = score (Strategy.majority n) ~p ~f;
-          })
-        fractions)
-    ps
+  let best p f =
+    let top = ref None in
+    List.iter
+      (fun (votes, total) ->
+        for r = 1 to total do
+          let w = total + 1 - r in
+          if w >= 1 && w <= total then begin
+            let strat =
+              Strategy.weighted ~name:"cand" ~votes:(Array.of_list votes) ~r ~w
+            in
+            let s = score strat ~p ~f in
+            match !top with
+            | Some (s', _) when s' >= s -> ()
+            | _ -> top := Some (s, (votes, r, w))
+          end
+        done)
+      candidates;
+    let s, config = Option.get !top in
+    ( [ fixed 2 p; fixed 2 f ],
+      (config, (s, score (Strategy.rowa n) ~p ~f, score (Strategy.majority n) ~p ~f)) )
+  in
+  let score_col header pick = col header 10 (fun (_, s) -> fixed 5 (pick s)) in
+  {
+    title =
+      "Optimal vote assignments (n = 5): best (votes, r, w) by availability, \
+       per site availability p and read fraction f";
+    keys = [ ("p", 6); ("f", 6) ];
+    columns =
+      [
+        col "votes" 14 (fun ((votes, _, _), _) -> votes_label votes);
+        col "r" 4 (fun ((_, r, _), _) -> string_of_int r);
+        col "w" 4 (fun ((_, _, w), _) -> string_of_int w);
+        score_col "score" (fun (s, _, _) -> s);
+        score_col "rowa" (fun (_, rowa, _) -> rowa);
+        score_col "majority" (fun (_, _, maj) -> maj);
+      ];
+    rows = cross ps fractions best;
+  }
 
 (** {1 Broadcast vs targeted quorums: messages, load, latency}
 
@@ -492,59 +499,40 @@ let optimal_configurations ?(n = 5)
     is invisible; targeted routing (message one random minimal quorum)
     reveals it, trading tail latency and messages for load. *)
 
-type load_row = {
-  strategy_name : string;
-  mode : string;
-  messages : int;
-  read_mean : float;
-  availability : float;
-  load_imbalance : float;
-      (** max replica load / mean replica load (1.0 = perfectly flat) *)
-}
-
-let load_table ?(seed = 83) () : load_row list =
+let load_table ?(seed = 83) () =
   let n = 6 in
   let strategies =
     [
       ("majority-6", fun _ -> Strategy.majority n);
       ("grid-2x3", fun _ -> Strategy.grid ~rows:2 ~cols:3);
       ( "primary-weighted",
-        fun _ ->
-          Strategy.weighted ~name:"pw" ~votes:[| 3; 1; 1; 1; 1; 1 |] ~r:4 ~w:5
-      );
+        fun _ -> Strategy.weighted ~name:"pw" ~votes:[| 3; 1; 1; 1; 1; 1 |] ~r:4 ~w:5 );
     ]
   in
-  List.concat_map
-    (fun (name, strat) ->
-      List.map
-        (fun (mode, targeting) ->
-          let r =
-            Cluster.run
-              {
-                Cluster.default_params with
-                n_replicas = n;
-                strategy = strat;
-                targeting;
-                workload =
-                  { Workload.default_spec with ops_per_client = 400; read_fraction = 0.8 };
-                seed;
-              }
-          in
-          let loads = List.map snd r.Cluster.replica_loads in
-          let total = List.fold_left ( + ) 0 loads in
-          let mean = float_of_int total /. float_of_int n in
-          let hi = List.fold_left max 0 loads in
-          {
-            strategy_name = name;
-            mode;
-            messages = r.Cluster.net.Sim.Net.sent;
-            read_mean = r.Cluster.reads.Sim.Stats.mean;
-            availability = Cluster.availability r;
-            load_imbalance =
-              (if mean > 0.0 then float_of_int hi /. mean else nan);
-          })
-        [ ("broadcast", `Broadcast); ("targeted", `Quorum) ])
-    strategies
+  run_grid
+    ~title:"Load & messages: broadcast vs targeted-quorum routing (n = 6, 80% reads)"
+    ~keys:[ ("strategy", 18); ("mode", 11) ]
+    ~columns:
+      [
+        messages;
+        avg "read mean" 10 read_mean;
+        avg ~prec:3 "availability" 12 Cluster.availability;
+        avg "imbalance" 10 replica_imbalance;
+      ]
+    (cross strategies [ ("broadcast", `Broadcast); ("targeted", `Quorum) ]
+       (fun (name, strategy) (mode, targeting) ->
+         ( [ name; mode ],
+           [
+             {
+               Cluster.default_params with
+               n_replicas = n;
+               strategy;
+               targeting;
+               workload =
+                 { Workload.default_spec with ops_per_client = 400; read_fraction = 0.8 };
+               seed;
+             };
+           ] )))
 
 (** {1 Ablation — retry/backoff/hedging policy under adverse networks}
 
@@ -555,20 +543,7 @@ let load_table ?(seed = 83) () : load_row list =
     the full operation timeout while retries resend and hedges fall
     back to the unchosen replicas. *)
 
-type retry_row = {
-  policy_name : string;
-  condition : string;
-  ok_ops : int;
-  failed_ops : int;
-  success_rate : float;
-  read_mean : float;
-  messages : int;
-  retries : int;
-  hedges : int;
-  audit_clean : bool;
-}
-
-let retry_policy_table ?(seed = 77) () : retry_row list =
+let retry_policy_table ?(seed = 77) () =
   let policies =
     [
       ("fire-once", Rpc.Policy.default);
@@ -580,64 +555,49 @@ let retry_policy_table ?(seed = 77) () : retry_row list =
   (* the partition condition is the legacy storm expressed as a
      harness script — identical code path, identical numbers *)
   let conditions =
-    [
-      ("loss 30%", 0.3, []);
-      ("partitions", 0.0, Harness.Script.of_partitions 150.0);
-    ]
+    [ ("loss 30%", 0.3, []); ("partitions", 0.0, Harness.Script.of_partitions 150.0) ]
   in
   let n_clients = 4 in
-  List.concat_map
-    (fun (policy_name, policy) ->
-      List.map
-        (fun (condition, loss, script) ->
-          let r =
-            Cluster.run
-              {
-                Cluster.default_params with
-                targeting = `Quorum;
-                policy;
-                loss;
-                script;
-                n_clients;
-                workload =
-                  {
-                    Workload.default_spec with
-                    ops_per_client = 150;
-                    read_fraction = 0.5;
-                  };
-                seed;
-              }
-          in
-          (* the engine's counters are per client; re-fetching the same
-             (name, labels) pair from the shared registry yields the
-             same instrument, so summing over client names aggregates *)
-          let sum name =
-            List.fold_left
-              (fun acc ci ->
-                acc
-                + Obs.Metrics.value
-                    (Obs.Metrics.counter r.Cluster.metrics
-                       ~labels:[ ("client", Fmt.str "c%d" ci) ]
-                       name))
-              0
-              (List.init n_clients Fun.id)
-          in
-          let ok = r.Cluster.ok_reads + r.Cluster.ok_writes in
-          let failed = r.Cluster.failed_reads + r.Cluster.failed_writes in
-          {
-            policy_name;
-            condition;
-            ok_ops = ok;
-            failed_ops = failed;
-            success_rate = Cluster.availability r;
-            read_mean = r.Cluster.reads.Sim.Stats.mean;
-            messages = r.Cluster.net.Sim.Net.sent;
-            retries = sum "rpc.retries";
-            hedges = sum "rpc.hedges";
-            audit_clean = r.Cluster.audit_violations = [];
-          })
-        conditions)
-    policies
+  (* the engine's counters are per client; re-fetching the same
+     (name, labels) pair from the shared registry yields the same
+     instrument, so summing over client names aggregates *)
+  let engine name (r : Cluster.results) =
+    total
+      (fun ci ->
+        Obs.Metrics.value
+          (Obs.Metrics.counter r.metrics ~labels:[ ("client", Fmt.str "c%d" ci) ] name))
+      (List.init n_clients Fun.id)
+  in
+  run_grid
+    ~title:
+      "Retry & hedging ablation: success rate and latency vs RPC policy under \
+       loss and partitions (majority-5, targeted quorums)"
+    ~keys:[ ("policy", 22); ("condition", 12) ]
+    ~columns:
+      (outcome ~failed_width:8
+      @ [
+          avg ~prec:3 "success" 9 Cluster.availability;
+          avg "read mean" 10 read_mean;
+          messages;
+          count "retries" 8 (engine "rpc.retries");
+          count "hedges" 7 (engine "rpc.hedges");
+          audit 7;
+        ])
+    (cross policies conditions (fun (policy_name, policy) (condition, loss, script) ->
+         ( [ policy_name; condition ],
+           [
+             {
+               Cluster.default_params with
+               targeting = `Quorum;
+               policy;
+               loss;
+               script;
+               n_clients;
+               workload =
+                 { Workload.default_spec with ops_per_client = 150; read_fraction = 0.5 };
+               seed;
+             };
+           ] )))
 
 (** {1 Ablation — sharding the keyspace across replica groups}
 
@@ -650,35 +610,17 @@ let retry_policy_table ?(seed = 77) () : retry_row list =
     ranks in shard 0 — plus the blast radius of losing a whole shard:
     the same run with the hot shard killed mid-way.  One shard means
     the kill is a total outage; more shards keep every other shard's
-    keys serving. *)
+    keys serving.
 
-type shard_row = {
-  n_shards : int;
-  total_replicas : int;
-  messages : int;
-  replica_imbalance : float;
-      (** max replica load / mean replica load (1.0 = flat) *)
-  shard_spread : float;
-      (** max shard load / mean shard load — how unevenly the key skew
-          lands on shards (1 shard: 1.0 by definition) *)
-  availability : float;  (** mean over the seeds *)
-  min_availability : float;
-      (** worst seed — equals [availability] with one seed *)
-  kill_availability : float;
-      (** availability of the same run with the hottest shard crashed
-          at t=500 — the targeted-failure blast radius (mean over the
-          seeds) *)
-  min_kill_availability : float;  (** worst seed *)
-}
+    A row holds the seeds' plain runs and their shard-kill runs.  The
+    load/message columns come from the base seed's run, so a one-seed
+    table is unchanged; the availability cells report min/mean over
+    the seeds.  The shard kill is the legacy nemesis expressed as a
+    harness script. *)
 
-(** The sharding ablation.  [seeds] (default 1) averages the
-    availability cells over [seed .. seed + seeds - 1], reporting
-    min/mean per cell; the load/message columns come from the base
-    seed's run, so a single-seed table is unchanged.  The shard kill
-    is the legacy nemesis expressed as a harness script. *)
-let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
-  if seeds < 1 then invalid_arg "Experiments.shard_table: seeds must be >= 1";
-  let mk n_shards seed script =
+let shard_table ?(seed = 91) ?(seeds = 1) () =
+  check_seeds "shard_table" seeds;
+  let run n_shards script seed =
     Cluster.run
       {
         Cluster.default_params with
@@ -698,53 +640,45 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
       }
   in
   let seed_list = List.init seeds (fun i -> seed + i) in
-  let min_mean xs =
-    ( List.fold_left Float.min infinity xs,
-      List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) )
+  let base header width f =
+    col header width (fun (runs, _) -> f (List.hd runs : Cluster.results))
   in
-  List.map
-    (fun n_shards ->
-      let runs = List.map (fun s -> mk n_shards s []) seed_list in
-      (* range sharding puts the hot low ranks in shard 0 *)
-      let kill_runs =
-        List.map
-          (fun s -> mk n_shards s (Harness.Script.of_shard_kill (0, 500.0)))
-          seed_list
-      in
-      let r = List.hd runs in
-      let min_avail, mean_avail =
-        min_mean (List.map Cluster.availability runs)
-      in
-      let min_kill, mean_kill =
-        min_mean (List.map Cluster.availability kill_runs)
-      in
-      let loads = List.map snd r.Cluster.replica_loads in
-      let n_total = List.length loads in
-      let total = List.fold_left ( + ) 0 loads in
-      let mean = float_of_int total /. float_of_int n_total in
-      let hi = List.fold_left max 0 loads in
-      let shard_loads =
-        List.map (fun (s : Cluster.shard_stat) -> s.Cluster.load) r.Cluster.shards
-      in
-      let smean =
-        float_of_int (List.fold_left ( + ) 0 shard_loads)
-        /. float_of_int n_shards
-      in
-      let shi = List.fold_left max 0 shard_loads in
-      {
-        n_shards;
-        total_replicas = n_total;
-        messages = r.Cluster.net.Sim.Net.sent;
-        replica_imbalance =
-          (if mean > 0.0 then float_of_int hi /. mean else nan);
-        shard_spread =
-          (if smean > 0.0 then float_of_int shi /. smean else nan);
-        availability = mean_avail;
-        min_availability = min_avail;
-        kill_availability = mean_kill;
-        min_kill_availability = min_kill;
-      })
-    [ 1; 2; 4 ]
+  let availability header pick =
+    col header 19 (fun v ->
+        let avail = List.map Cluster.availability (pick v) in
+        let m = fixed 3 (mean Fun.id avail) in
+        if seeds = 1 then m
+        else Fmt.str "%s/%s" (fixed 3 (List.fold_left Float.min infinity avail)) m)
+  in
+  {
+    title =
+      "Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
+       (majority-3 per shard, 80% reads), with the hot shard killed at t=500"
+      ^
+      if seeds = 1 then ""
+      else Fmt.str " — availability cells min/mean over %d seeds" seeds;
+    keys = [ ("shards", 8) ];
+    columns =
+      [
+        base "replicas" 10 (fun r -> string_of_int (List.length r.replica_loads));
+        base "messages" 10 (fun r -> string_of_int r.net.Net.sent);
+        base "imbalance" 11 (fun r -> fixed 2 (replica_imbalance r));
+        (* how unevenly the key skew lands on shards (1 shard: 1.0) *)
+        base "shard spread" 13 (fun r ->
+            let loads = List.map (fun (s : Cluster.shard_stat) -> s.load) r.shards in
+            fixed 2 (imbalance loads));
+        availability "availability" fst;
+        availability "kill avail" snd;
+      ];
+    rows =
+      List.map
+        (fun n_shards ->
+          let runs = List.map (run n_shards []) seed_list in
+          (* range sharding puts the hot low ranks in shard 0 *)
+          let kill = Harness.Script.of_shard_kill (0, 500.0) in
+          ([ string_of_int n_shards ], (runs, List.map (run n_shards kill) seed_list)))
+        [ 1; 2; 4 ];
+  }
 
 (** {1 Ablation — multi-key batching}
 
@@ -756,52 +690,35 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
     window of added queue delay per request — visible in the p95
     columns. *)
 
-type batch_row = {
-  zipf_label : string;
-  mode : string;  (** "unbatched" or "batched w=&lt;window&gt;" *)
-  b_messages : int;  (** wire messages *)
-  b_payloads : int;  (** logical requests carried *)
-  read_p95 : float;
-  write_p95 : float;
-  b_ok_ops : int;
-  b_failed_ops : int;
-  b_audit_clean : bool;
-}
-
-let batching_table ?(seed = 97) () : batch_row list =
+let batching_table ?(seed = 97) () =
   let window = 1.0 in
-  List.concat_map
-    (fun (zipf_label, zipf_s) ->
-      List.map
-        (fun (mode, batch_window) ->
-          let r =
-            Cluster.run
-              {
-                Cluster.default_params with
-                batch_window;
-                workload =
-                  {
-                    Workload.default_spec with
-                    zipf_s;
-                    burst = 8;
-                    ops_per_client = 200;
-                  };
-                seed;
-              }
-          in
-          {
-            zipf_label;
-            mode;
-            b_messages = r.Cluster.net.Sim.Net.sent;
-            b_payloads = r.Cluster.net.Sim.Net.payload_sent;
-            read_p95 = r.Cluster.reads.Sim.Stats.p95;
-            write_p95 = r.Cluster.writes.Sim.Stats.p95;
-            b_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            b_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            b_audit_clean = r.Cluster.audit_violations = [];
-          })
-        [ ("unbatched", None); (Fmt.str "batched w=%g" window, Some window) ])
-    [ ("uniform (s=0)", 0.0); ("zipf s=1.1", 1.1) ]
+  run_grid
+    ~title:
+      "Multi-key batching ablation: burst-8 clients, batched vs unbatched \
+       (majority-5, broadcast), uniform and Zipf-skewed keys"
+    ~keys:[ ("workload", 15); ("mode", 15) ]
+    ~columns:
+      ([
+         messages;
+         payloads;
+         avg "read p95" 10 (fun r -> r.Cluster.reads.p95);
+         avg "write p95" 10 (fun r -> r.Cluster.writes.p95);
+       ]
+      @ outcome ~failed_width:8 @ [ audit 7 ])
+    (cross
+       [ ("uniform (s=0)", 0.0); ("zipf s=1.1", 1.1) ]
+       [ ("unbatched", None); (Fmt.str "batched w=%g" window, Some window) ]
+       (fun (zipf_label, zipf_s) (mode, batch_window) ->
+         ( [ zipf_label; mode ],
+           [
+             {
+               Cluster.default_params with
+               batch_window;
+               workload =
+                 { Workload.default_spec with zipf_s; burst = 8; ops_per_client = 200 };
+               seed;
+             };
+           ] )))
 
 (** {1 Ablation — replica-side io pipeline}
 
@@ -815,60 +732,48 @@ let batching_table ?(seed = 97) () : batch_row list =
     still certify durable versions, so quorum intersection (and
     therefore the audit) is untouched by the pipeline. *)
 
-type io_row = {
-  io_mode : string;  (** "no-storage", "naive-fsync", "group-commit" *)
-  io_installs : int;
-  io_fsyncs : int;
-  io_fsyncs_per_install : float;
-  io_write_mean : float;
-  io_write_p95 : float;
-  io_ok_ops : int;
-  io_failed_ops : int;
-  io_audit_clean : bool;
-}
-
-let io_table ?(seed = 42) () : io_row list =
-  let params ~storage ~group_commit =
-    {
-      Cluster.default_params with
-      n_replicas = 3;
-      n_clients = 4;
-      workload =
-        {
-          Workload.default_spec with
-          ops_per_client = 60;
-          read_fraction = 0.3;
-          zipf_s = 1.1;
-          burst = 8;
-        };
-      storage_cost = (if storage then 0.05 else 0.0);
-      fsync_cost = (if storage then 5.0 else 0.0);
-      group_commit;
-      seed;
-    }
-  in
-  List.map
-    (fun (io_mode, storage, group_commit) ->
-      let r = Cluster.run (params ~storage ~group_commit) in
-      {
-        io_mode;
-        io_installs = r.Cluster.installs;
-        io_fsyncs = r.Cluster.fsyncs;
-        io_fsyncs_per_install =
-          (if r.Cluster.installs = 0 then nan
-           else
-             float_of_int r.Cluster.fsyncs /. float_of_int r.Cluster.installs);
-        io_write_mean = r.Cluster.writes.Sim.Stats.mean;
-        io_write_p95 = r.Cluster.writes.Sim.Stats.p95;
-        io_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-        io_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-        io_audit_clean = r.Cluster.audit_violations = [];
-      })
-    [
-      ("no-storage", false, true);
-      ("naive-fsync", true, false);
-      ("group-commit", true, true);
-    ]
+let io_table ?(seed = 42) () =
+  run_grid
+    ~title:
+      "Replica io-pipeline ablation: per-install fsync vs group commit \
+       (majority-3, burst-8 Zipf, 30% reads, write_cost=0.05 fsync_cost=5.0)"
+    ~keys:[ ("mode", 15) ]
+    ~columns:
+      ([
+         count "installs" 10 (fun r -> r.Cluster.installs);
+         count "fsyncs" 8 (fun r -> r.Cluster.fsyncs);
+         avg ~prec:3 "fsyncs/install" 14 fsyncs_per_install;
+         avg "write mean" 11 write_mean;
+         avg "write p95" 10 (fun r -> r.Cluster.writes.p95);
+       ]
+      @ outcome ~failed_width:8 @ [ audit 7 ])
+    (List.map
+       (fun (mode, storage, group_commit) ->
+         ( [ mode ],
+           [
+             {
+               Cluster.default_params with
+               n_replicas = 3;
+               n_clients = 4;
+               workload =
+                 {
+                   Workload.default_spec with
+                   ops_per_client = 60;
+                   read_fraction = 0.3;
+                   zipf_s = 1.1;
+                   burst = 8;
+                 };
+               storage_cost = (if storage then 0.05 else 0.0);
+               fsync_cost = (if storage then 5.0 else 0.0);
+               group_commit;
+               seed;
+             };
+           ] ))
+       [
+         ("no-storage", false, true);
+         ("naive-fsync", true, false);
+         ("group-commit", true, true);
+       ])
 
 (** {1 Ablation — adaptive batching windows}
 
@@ -882,84 +787,49 @@ let io_table ?(seed = 42) () : io_row list =
     any fixed window only adds latency; the controller should sit at
     zero and match the unbatched mean). *)
 
-type window_row = {
-  w_workload : string;  (** "burst-8 zipf" or "uniform low-rate" *)
-  w_mode : string;  (** "unbatched", "static w=...", "adaptive" *)
-  w_messages : int;  (** wire messages *)
-  w_payloads : int;  (** logical requests carried *)
-  w_op_mean : float;  (** mean latency over all successful ops *)
-  w_ok_ops : int;
-  w_failed_ops : int;
-  w_audit_clean : bool;
-}
-
 let window_statics = [ 0.5; 1.0; 2.0; 4.0 ]
 
-let window_table ?(seed = 42) () : window_row list =
-  let base ~bursty =
-    if bursty then
-      {
-        Cluster.default_params with
-        n_replicas = 3;
-        n_clients = 4;
-        workload =
-          {
-            Workload.default_spec with
-            ops_per_client = 60;
-            read_fraction = 0.7;
-            zipf_s = 1.1;
-            burst = 8;
-          };
-        seed;
-      }
-    else
-      {
-        Cluster.default_params with
-        n_replicas = 3;
-        n_clients = 4;
-        workload =
-          {
-            Workload.default_spec with
-            ops_per_client = 60;
-            read_fraction = 0.9;
-            zipf_s = 0.0;
-            think_time = 10.0;
-            burst = 1;
-          };
-        seed;
-      }
+let window_table ?(seed = 42) () =
+  let bursty =
+    {
+      Workload.default_spec with
+      ops_per_client = 60;
+      read_fraction = 0.7;
+      zipf_s = 1.1;
+      burst = 8;
+    }
   in
+  let uniform =
+    {
+      Workload.default_spec with
+      ops_per_client = 60;
+      read_fraction = 0.9;
+      zipf_s = 0.0;
+      think_time = 10.0;
+      burst = 1;
+    }
+  in
+  let static w =
+    (Fmt.str "static w=%g" w, fun p -> { p with Cluster.batch_window = Some w })
+  in
+  let adaptive p = { p with Cluster.adaptive_window = Some Rpc.Window.default_config } in
   let modes =
-    ("unbatched", `Unbatched)
-    :: List.map (fun w -> (Fmt.str "static w=%g" w, `Static w)) window_statics
-    @ [ ("adaptive", `Adaptive) ]
+    (("unbatched", Fun.id) :: List.map static window_statics) @ [ ("adaptive", adaptive) ]
   in
-  List.concat_map
-    (fun (w_workload, bursty) ->
-      List.map
-        (fun (w_mode, m) ->
-          let p = base ~bursty in
-          let p =
-            match m with
-            | `Unbatched -> p
-            | `Static w -> { p with Cluster.batch_window = Some w }
-            | `Adaptive ->
-                { p with
-                  Cluster.adaptive_window = Some Rpc.Window.default_config }
-          in
-          let r = Cluster.run p in
-          {
-            w_workload;
-            w_mode;
-            w_messages = r.Cluster.net.Sim.Net.sent;
-            w_payloads = r.Cluster.net.Sim.Net.payload_sent;
-            w_op_mean = mean_op_latency r;
-            w_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            w_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            w_audit_clean = r.Cluster.audit_violations = [];
-          })
-        modes)
-    [ ("burst-8 zipf", true); ("uniform low-rate", false) ]
+  run_grid
+    ~title:
+      "Adaptive batching-window ablation: static windows vs AIMD control \
+       (majority-3, burst-8 Zipf vs uniform low-rate)"
+    ~keys:[ ("workload", 18); ("mode", 15) ]
+    ~columns:
+      ([ messages; payloads; avg "op mean" 10 mean_op_latency ]
+      @ outcome ~failed_width:8 @ [ audit 7 ])
+    (cross [ ("burst-8 zipf", bursty); ("uniform low-rate", uniform) ] modes
+       (fun (name, workload) (mode, set) ->
+         let p =
+           { Cluster.default_params with n_replicas = 3; n_clients = 4; workload; seed }
+         in
+         ([ name; mode ], [ set p ])))
 
 (** {1 Ablation — latency attribution}
 
@@ -972,76 +842,70 @@ let window_table ?(seed = 42) () : window_row list =
     size (closed-loop vs burst-8 — batch-window waits and group-commit
     amortization appear), holding retries, batching, and storage costs
     fixed, so each knob's latency cost shows up in its own phase
-    instead of as an undifferentiated mean. *)
+    instead of as an undifferentiated mean.  A row holds the run's
+    per-operation breakdowns and the run. *)
 
-type attr_row = {
-  a_label : string;  (** e.g. ["loss=30% burst=8"] *)
-  a_ops : int;  (** stamped operations attributed *)
-  a_wall_mean : float;  (** mean wall latency over attributed ops *)
-  a_phase_means : (Obs.Attribution.phase * float) list;
-      (** mean time units per op per phase, in {!Obs.Attribution.phases}
-          order; sums to [a_wall_mean] up to float error *)
-  a_ok_ops : int;
-  a_failed_ops : int;
-  a_audit_clean : bool;
-}
-
-let attribution_table ?(seed = 42) () : attr_row list =
-  List.concat_map
-    (fun (loss_label, loss) ->
-      List.map
-        (fun (burst_label, burst) ->
-          let tracer = Obs.Trace.create ~capacity:262144 ~enabled:true () in
-          let r =
-            Cluster.run
-              {
-                Cluster.default_params with
-                n_replicas = 3;
-                n_clients = 4;
-                n_shards = 2;
-                loss;
-                tracer = Some tracer;
-                trace_ctx = true;
-                batch_window = Some 1.0;
-                storage_cost = 0.05;
-                fsync_cost = 2.0;
-                policy =
-                  {
-                    Rpc.Policy.default with
-                    max_attempts = 3;
-                    attempt_timeout = 25.0;
-                    backoff = 2.0;
-                  };
-                workload =
-                  {
-                    Workload.default_spec with
-                    ops_per_client = 60;
-                    read_fraction = 0.5;
-                    zipf_s = 1.1;
-                    burst;
-                  };
-                seed;
-              }
-          in
-          let bs = Obs.Attribution.of_events (Obs.Trace.events tracer) in
-          let n = List.length bs in
-          let wall_mean =
-            if n = 0 then nan
-            else
-              List.fold_left (fun acc b -> acc +. Obs.Attribution.wall b) 0.0 bs
-              /. float_of_int n
-          in
-          {
-            a_label = Fmt.str "%s %s" loss_label burst_label;
-            a_ops = n;
-            a_wall_mean = wall_mean;
-            a_phase_means = Obs.Attribution.mean_by_phase bs;
-            a_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            a_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            a_audit_clean = r.Cluster.audit_violations = [];
-          })
-        [ ("burst=1", 1); ("burst=8", 8) ])
-    [ ("loss=0%", 0.0); ("loss=30%", 0.3) ]
+let attribution_table ?(seed = 42) () =
+  let row (loss_label, loss) (burst_label, burst) =
+    let r =
+      Cluster.run
+        {
+          Cluster.default_params with
+          n_replicas = 3;
+          n_clients = 4;
+          n_shards = 2;
+          loss;
+          tracer = Some (Obs.Trace.create ~capacity:262144 ~enabled:true ());
+          trace_ctx = true;
+          batch_window = Some 1.0;
+          storage_cost = 0.05;
+          fsync_cost = 2.0;
+          policy =
+            {
+              Rpc.Policy.default with
+              max_attempts = 3;
+              attempt_timeout = 25.0;
+              backoff = 2.0;
+            };
+          workload =
+            {
+              Workload.default_spec with
+              ops_per_client = 60;
+              read_fraction = 0.5;
+              zipf_s = 1.1;
+              burst;
+            };
+          seed;
+        }
+    in
+    ( [ Fmt.str "%s %s" loss_label burst_label ],
+      (Obs.Attribution.of_events (Obs.Trace.events r.trace), r) )
+  in
+  (* phase columns are right-aligned: header and cell come pre-padded *)
+  let phase p =
+    col
+      (Fmt.str "%8s" (Obs.Attribution.phase_label p))
+      8
+      (fun (bs, _) -> Fmt.str "%8.3f" (List.assoc p (Obs.Attribution.mean_by_phase bs)))
+  in
+  {
+    title =
+      "Latency attribution: per-phase decomposition of mean op latency, loss x \
+       burst (majority-3 x 2 shards, retries, batch window 1.0, storage \
+       0.05/2.0)";
+    keys = [ ("condition", 18) ];
+    columns =
+      (col "ops" 6 (fun (bs, _) -> string_of_int (List.length bs))
+       (* the phases sum to this wall mean up to float error *)
+       :: col "wall" 9 (fun (bs, _) -> fixed 3 (mean Obs.Attribution.wall bs))
+       :: List.map phase Obs.Attribution.phases)
+      @ [ col "audit" 7 (fun (_, r) -> audited [ r ]) ];
+    rows =
+      cross
+        [ ("loss=0%", 0.0); ("loss=30%", 0.3) ]
+        [ ("burst=1", 1); ("burst=8", 8) ]
+        row;
+  }
 
 (** {1 Ablation — workload-aware quorum tuning}
 
@@ -1052,37 +916,22 @@ let attribution_table ?(seed = 42) () : attr_row list =
     optimizer + queue-aware steering, and steering alone under static
     majority (the slow-replica isolation).  Quorum targeting with the
     default fire-once policy, so the chosen quorum's members are the
-    ops' whole fate — exactly the regime the model scores. *)
-
-type tune_row = {
-  t_mix : string;  (** "90/10" or "50/50" *)
-  t_env : string;  (** "uniform" or "slow-r4" *)
-  t_mode : string;
-      (** "majority", "optimized", "optimized+steer", "majority+steer" *)
-  t_strategy : string;  (** the shard's final strategy (base seed) *)
-  t_switches : int;  (** committed re-strategizes (base seed) *)
-  t_ok_ops : int;  (** summed over the seeds *)
-  t_failed_ops : int;
-  t_throughput : float;  (** ok ops per time unit, mean over seeds *)
-  t_read_mean : float;  (** mean over seeds of the read-latency mean *)
-  t_read_p99 : float;  (** mean over seeds of the read-latency p99 *)
-  t_audit_clean : bool;  (** every seed's audit clean *)
-}
+    ops' whole fate — exactly the regime the model scores.  A row holds
+    one run per seed; strategy and switch count come from the base
+    seed. *)
 
 let tune_mixes = [ ("90/10", 0.9); ("50/50", 0.5) ]
-
-let tune_modes =
-  [ "majority"; "optimized"; "optimized+steer"; "majority+steer" ]
+let tune_modes = [ "majority"; "optimized"; "optimized+steer"; "majority+steer" ]
 
 let tune_spec_of_mode = function
   | "majority" -> None
   | "optimized" -> Some { Cluster.default_tune_spec with steer = false }
   | "optimized+steer" -> Some Cluster.default_tune_spec
-  | "majority+steer" ->
-      Some { Cluster.default_tune_spec with optimize = false }
+  | "majority+steer" -> Some { Cluster.default_tune_spec with optimize = false }
   | mode -> invalid_arg (Fmt.str "tune_spec_of_mode: %s" mode)
 
-let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
+let tune_table ?(seed = 42) ?(seeds = 3) () =
+  check_seeds "tune_table" seeds;
   let base_latency = Net.lognormal_latency ~mu:1.0 ~sigma:0.5 in
   (* one slow replica: every link touching r4 pays a constant on top
      of the base draw (same rng consumption, so runs stay comparable) *)
@@ -1091,64 +940,108 @@ let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
     let l = base_latency rng ~src ~dst in
     if String.equal src "r4" || String.equal dst "r4" then l +. 4.0 else l
   in
-  let run_one ~f ~slow ~mode s =
-    Cluster.run
-      {
-        Cluster.default_params with
-        n_replicas = 5;
-        n_clients = 4;
-        targeting = `Quorum;
-        latency = (if slow then slow_latency else base_latency);
-        workload =
+  let row (env, latency) ((mix, read_fraction), mode) =
+    ( [ env; mix; mode ],
+      List.init seeds (fun i ->
           {
-            Workload.default_spec with
-            ops_per_client = 150;
-            read_fraction = f;
-            think_time = 2.0;
-          };
-        tune = tune_spec_of_mode mode;
-        seed = s;
-      }
-  in
-  List.concat_map
-    (fun (t_env, slow) ->
-      List.concat_map
-        (fun (t_mix, f) ->
-          List.map
-            (fun t_mode ->
-              let rs =
-                List.init (max 1 seeds) (fun i ->
-                    run_one ~f ~slow ~mode:t_mode (seed + (31 * i)))
-              in
-              let base = List.hd rs in
-              let mean g =
-                List.fold_left (fun acc r -> acc +. g r) 0.0 rs
-                /. float_of_int (List.length rs)
-              in
-              let sum g = List.fold_left (fun acc r -> acc + g r) 0 rs in
+            Cluster.default_params with
+            n_replicas = 5;
+            n_clients = 4;
+            targeting = `Quorum;
+            latency;
+            workload =
               {
-                t_mix;
-                t_env;
-                t_mode;
-                t_strategy =
-                  (match base.Cluster.shard_strategies with
-                  | s :: _ -> s
-                  | [] -> "?");
-                t_switches = List.length base.Cluster.strategy_switches;
-                t_ok_ops =
-                  sum (fun r -> r.Cluster.ok_reads + r.Cluster.ok_writes);
-                t_failed_ops =
-                  sum (fun r ->
-                      r.Cluster.failed_reads + r.Cluster.failed_writes);
-                t_throughput =
-                  mean (fun r ->
-                      float_of_int (r.Cluster.ok_reads + r.Cluster.ok_writes)
-                      /. r.Cluster.duration);
-                t_read_mean = mean (fun r -> r.Cluster.reads.Sim.Stats.mean);
-                t_read_p99 = mean (fun r -> r.Cluster.reads.Sim.Stats.p99);
-                t_audit_clean =
-                  List.for_all (fun r -> r.Cluster.audit_violations = []) rs;
-              })
-            tune_modes)
-        tune_mixes)
-    [ ("uniform", false); ("slow-r4", true) ]
+                Workload.default_spec with
+                ops_per_client = 150;
+                read_fraction;
+                think_time = 2.0;
+              };
+            tune = tune_spec_of_mode mode;
+            seed = seed + (31 * i);
+          }) )
+  in
+  let base header width f =
+    col header width (fun rs -> f (List.hd rs : Cluster.results))
+  in
+  run_grid
+    ~title:
+      (Fmt.str
+         "TUNE: workload-aware quorum optimizer + queue-aware read steering \
+          vs static majority (5 replicas, 4 clients, quorum targeting, \
+          fire-once; %d seeds per cell)"
+         seeds)
+    ~keys:[ ("env", 8); ("mix", 8); ("mode", 16) ]
+    ~columns:
+      ([
+         base "strategy" 18 (fun r ->
+             match r.shard_strategies with s :: _ -> s | [] -> "?");
+         base "sw" 4 (fun r -> string_of_int (List.length r.strategy_switches));
+       ]
+      @ outcome ~failed_width:7
+      @ [
+          avg ~prec:4 "thruput" 8 throughput;
+          avg "read-mean" 9 read_mean;
+          avg "read-p99" 9 (fun r -> r.Cluster.reads.p99);
+          audit 6;
+        ])
+    (cross
+       [ ("uniform", base_latency); ("slow-r4", slow_latency) ]
+       (cross tune_mixes tune_modes (fun mix mode -> (mix, mode)))
+       row)
+
+(** {1 Ablation — cross-shard commit: 2PC vs Paxos Commit}
+
+    The pinned coordinator-kill schedule of test/test_txn.ml: two
+    client-coordinators die inside the commit window and recover only
+    near the end of the run, after which the network heals.  One row
+    per (commit mode, seed). *)
+
+let txn_kill_script =
+  Harness.Script.
+    [
+      At (30.0, Crash "c0");
+      At (55.0, Crash "c1");
+      At (700.0, Recover "c0");
+      At (700.0, Recover "c1");
+      At (701.0, Heal);
+    ]
+
+let txn_live (r : Cluster.results) =
+  Harness.Check.liveness_after_heal ~script:txn_kill_script ~completions:r.completions
+  = Ok ()
+
+let txn_table ?(seeds = 8) () =
+  check_seeds "txn_table" seeds;
+  run_grid
+    ~title:
+      (Fmt.str
+         "TXN: coordinator-kill ablation — blocking 2PC vs Paxos Commit (3 \
+          shards x majority-3, 3 clients, 2 coordinators killed in the commit \
+          window, healed at t=701; %d seeds per mode)"
+         seeds)
+    ~keys:[ ("mode", 8); ("seed", 6) ]
+    ~columns:
+      [
+        count "acked" 8 (fun r -> r.Cluster.ok_txns);
+        count "failed" 8 (fun r -> r.Cluster.failed_txns);
+        count "decided" 9 (fun r -> r.Cluster.decided_txns);
+        count "blocked" 9 (fun r -> List.length r.Cluster.blocked_txns);
+        avg "lat mean" 10 (fun r -> r.Cluster.txn_latency.mean);
+        audit 7;
+        col "liveness" 9 (fun rs -> if List.for_all txn_live rs then "live" else "STUCK");
+      ]
+    (cross [ `Two_phase; `Paxos ] (List.init seeds succ) (fun commit_mode seed ->
+         ( [ Txn.mode_label commit_mode; string_of_int seed ],
+           [
+             {
+               Cluster.default_params with
+               n_replicas = 3;
+               n_clients = 3;
+               n_shards = 3;
+               seed;
+               script = txn_kill_script;
+               workload = { Workload.default_spec with n_keys = 24; think_time = 4.0 };
+               txns =
+                 Some { Cluster.default_txn_spec with commit_mode; txns_per_client = 12 };
+             };
+           ] )))

@@ -1,256 +1,163 @@
-(** The quantitative experiments (DESIGN.md Q1-Q4, G1-G3): the
-    evaluation the paper's introduction motivates. *)
+(** The quantitative experiments (DESIGN.md Q1-Q4, G1-G3, and the
+    ablations): the evaluation the paper's introduction motivates.
+    Every experiment is a {!table}, printed by {!print}. *)
 
-type availability_row = {
-  strategy : string;
-  p : float;
-  read_analytic : float;
-  write_analytic : float;
-  simulated : float;
+(** {1 The table form} *)
+
+type 'a column = {
+  header : string;
+  width : int;  (** the cell is left-aligned and padded to this width *)
+  cell : 'a -> string;
 }
 
-val availability_sweep :
-  ?n:int -> ?ps:float list -> ?seed:int -> unit -> availability_row list
-(** Q1: analytic and simulated availability per strategy and per-site
-    availability. *)
-
-type latency_row = {
-  strategy : string;
-  min_read_quorum : int;
-  min_write_quorum : int;
-  read : Sim.Stats.summary;
-  write : Sim.Stats.summary;
+type 'a table = {
+  title : string;
+  keys : (string * int) list;  (** header and width of each label column *)
+  columns : 'a column list;
+  rows : (string list * 'a) list;
+      (** one label per key, then the row's value: the results of its
+          seeded run(s), or an analytic value *)
 }
 
-val latency_table : ?n:int -> ?seed:int -> unit -> latency_row list
-(** Q2: operation latency by strategy. *)
+val col : string -> int -> ('a -> string) -> 'a column
+(** [col header width cell] *)
 
-type crossover_row = {
-  read_fraction : float;
-  rowa_mean : float;
-  majority_mean : float;
-  winner : string;
-}
+val find : 'a table -> string list -> 'a
+(** The value of the row with these labels.  @raise Not_found *)
+
+val cell : 'a table -> string list -> string -> string
+(** [cell t labels header] is one rendered cell.  @raise Not_found *)
+
+val print : 'a table -> unit
+(** The header line, then one line per row: every cell padded to its
+    column's width, cells separated by one space. *)
+
+(** {1 Shared cells}
+
+    A run row's counts are totals over its runs and its measures are
+    means over them, so a one-run row shows that run's numbers. *)
+
+val clean : Cluster.results -> bool
+val total : ('a -> int) -> 'a list -> int
+val mean : ('a -> float) -> 'a list -> float
+
+val replica_imbalance : Cluster.results -> float
+(** max / mean replica load (1.0 = perfectly flat). *)
 
 val mean_op_latency : Cluster.results -> float
+val fsyncs_per_install : Cluster.results -> float
+
+val throughput : Cluster.results -> float
+(** ok ops per time unit *)
+
+(** {1 The experiments} *)
+
+val availability_sweep :
+  ?n:int ->
+  ?ps:float list ->
+  ?seed:int ->
+  unit ->
+  ((float * float) * Cluster.results) table
+(** Q1: analytic (read, write) and simulated availability per strategy
+    and per-site availability p. *)
+
+val latency_table :
+  ?n:int -> ?seed:int -> unit -> (Strategy.t * Cluster.results) table
+(** Q2: operation latency by strategy. *)
 
 val crossover :
-  ?n:int -> ?seed:int -> ?fractions:float list -> unit -> crossover_row list
-(** Q3: who wins at which read fraction. *)
+  ?n:int ->
+  ?seed:int ->
+  ?fractions:float list ->
+  unit ->
+  (Cluster.results * Cluster.results) table
+(** Q3: read-one/write-all vs majority runs per read fraction, and who
+    wins. *)
 
-type gifford_row = {
-  label : string;
-  votes : int list;
-  r : int;
-  w : int;
-  min_read_quorum : int;
-  min_write_quorum : int;
-  read_avail_90 : float;
-  write_avail_90 : float;
-  read_latency : float;
-  write_latency : float;
-}
-
-val gifford_examples : ?seed:int -> unit -> gifford_row list
+val gifford_examples : ?seed:int -> unit -> (Strategy.t * Cluster.results) table
 (** G1-G3: weighted-voting configurations in the style of Gifford's
     examples. *)
 
-type reconfig_row = { phase : string; ok : int; failed : int; rate : float }
+val reconfig_experiment : ?seed:int -> unit -> (int * int) table
+(** Q4: (ok, failed) operations per phase — reconfiguration restores
+    availability after permanent replica failures (RoWa ->
+    majority-of-survivors with data migration). *)
 
-val reconfig_experiment : ?seed:int -> unit -> reconfig_row list
-(** Q4: reconfiguration restores availability after permanent replica
-    failures (RoWa -> majority-of-survivors with data migration). *)
-
-type repair_row = {
-  mode : string;
-  staleness_mid : float;
-      (** mean fraction of stale replicas per key when failures stop *)
-  staleness_end : float;  (** idem after the read-only phase *)
-  repairs_sent : int;
-}
-
-val read_repair_experiment : ?seed:int -> unit -> repair_row list
-(** Anti-entropy on the read path: replica staleness after a
-    failure-heavy write phase and a read-only phase, repair off vs
-    on. *)
-
-type optimum_row = {
-  p : float;
-  read_fraction : float;
-  votes : int list;
-  r : int;
-  w : int;
-  score : float;
-  rowa_score : float;
-  majority_score : float;
-}
+val read_repair_experiment : ?seed:int -> unit -> (float * float * int) table
+(** Anti-entropy on the read path, repair off vs on: mean replica
+    staleness after a failure-heavy write phase, again after a
+    read-only phase, and the repairs sent. *)
 
 val optimal_configurations :
-  ?n:int -> ?ps:float list -> ?fractions:float list -> unit -> optimum_row list
+  ?n:int ->
+  ?ps:float list ->
+  ?fractions:float list ->
+  unit ->
+  ((int list * int * int) * (float * float * float)) table
 (** Search all vote assignments (votes 0-3, minimal legal thresholds)
-    for the availability-optimal configuration per (per-site
-    availability, read fraction) point. *)
+    for the availability-optimal [(votes, r, w)] per (p, read
+    fraction) point, with its score and read-one/write-all's and
+    majority's. *)
 
-type load_row = {
-  strategy_name : string;
-  mode : string;
-  messages : int;
-  read_mean : float;
-  availability : float;
-  load_imbalance : float;
-      (** max replica load / mean replica load (1.0 = perfectly flat) *)
-}
-
-val load_table : ?seed:int -> unit -> load_row list
+val load_table : ?seed:int -> unit -> Cluster.results list table
 (** Broadcast vs targeted-quorum routing: message counts, read
     latency, availability, and per-replica load imbalance. *)
 
-type retry_row = {
-  policy_name : string;
-  condition : string;
-  ok_ops : int;
-  failed_ops : int;
-  success_rate : float;
-  read_mean : float;
-  messages : int;
-  retries : int;
-  hedges : int;
-  audit_clean : bool;  (** consistency audit passed *)
-}
-
-val retry_policy_table : ?seed:int -> unit -> retry_row list
+val retry_policy_table : ?seed:int -> unit -> Cluster.results list table
 (** Ablation: operation success rate and latency vs the engine's
     retry/backoff/hedging policy, under message loss and nemesis
     partitions (targeted-quorum routing — the stress case for
     fire-once clients). *)
 
-type shard_row = {
-  n_shards : int;
-  total_replicas : int;
-  messages : int;
-  replica_imbalance : float;
-      (** max replica load / mean replica load (1.0 = flat) *)
-  shard_spread : float;
-      (** max shard load / mean shard load (1 shard: 1.0) *)
-  availability : float;  (** mean over the seeds *)
-  min_availability : float;  (** worst seed (= mean with one seed) *)
-  kill_availability : float;
-      (** availability with the hottest shard crashed at t=500 (a
-          {!Harness.Script.of_shard_kill} script), mean over the seeds *)
-  min_kill_availability : float;  (** worst seed *)
-}
-
-val shard_table : ?seed:int -> ?seeds:int -> unit -> shard_row list
+val shard_table :
+  ?seed:int ->
+  ?seeds:int ->
+  unit ->
+  (Cluster.results list * Cluster.results list) table
 (** Ablation: a Zipf-skewed workload over 1/2/4 range shards (3
     replicas each) — load spread across replicas and shards, and the
-    blast radius of killing the hot shard mid-run.  [seeds] (default
-    1) averages the availability cells over consecutive seeds,
-    reporting min and mean; load/message columns come from the base
-    seed. *)
+    blast radius of killing the hot shard mid-run.  A row holds one
+    plain and one shard-kill run per seed; [seeds] (default 1) is
+    reported as min/mean availability, load/message columns come from
+    the base seed.  @raise Invalid_argument if [seeds < 1]. *)
 
-type batch_row = {
-  zipf_label : string;
-  mode : string;
-  b_messages : int;  (** wire messages *)
-  b_payloads : int;  (** logical requests carried *)
-  read_p95 : float;
-  write_p95 : float;
-  b_ok_ops : int;
-  b_failed_ops : int;
-  b_audit_clean : bool;
-}
-
-val batching_table : ?seed:int -> unit -> batch_row list
+val batching_table : ?seed:int -> unit -> Cluster.results list table
 (** Ablation: multi-key batching on burst-issuing clients, uniform vs
     Zipf-skewed keys — wire messages vs logical payloads, and the p95
     latency cost of the batching window. *)
 
-type io_row = {
-  io_mode : string;  (** "no-storage", "naive-fsync", "group-commit" *)
-  io_installs : int;
-  io_fsyncs : int;
-  io_fsyncs_per_install : float;  (** the amortization measure *)
-  io_write_mean : float;
-  io_write_p95 : float;
-  io_ok_ops : int;
-  io_failed_ops : int;
-  io_audit_clean : bool;
-}
-
-val io_table : ?seed:int -> unit -> io_row list
+val io_table : ?seed:int -> unit -> Cluster.results list table
 (** Ablation: the replica-side apply pipeline under a burst-8 Zipf
     write-heavy workload with per-write and per-fsync storage costs —
     naive per-install fsync (1.0 fsyncs/install, serialized) vs group
     commit (one fsync per drained group), with the free-storage
     baseline alongside.  The audit must stay clean in every mode. *)
 
-type window_row = {
-  w_workload : string;  (** "burst-8 zipf" or "uniform low-rate" *)
-  w_mode : string;  (** "unbatched", "static w=...", "adaptive" *)
-  w_messages : int;  (** wire messages *)
-  w_payloads : int;  (** logical requests carried *)
-  w_op_mean : float;  (** mean latency over all successful ops *)
-  w_ok_ops : int;
-  w_failed_ops : int;
-  w_audit_clean : bool;
-}
-
-val window_statics : float list
-(** The static windows the ablation sweeps. *)
-
-val window_table : ?seed:int -> unit -> window_row list
+val window_table : ?seed:int -> unit -> Cluster.results list table
 (** Ablation: static batching windows vs the AIMD-controlled adaptive
     window, on a burst-8 Zipf workload (coalescing pays) and a uniform
-    low-rate workload (any window only adds latency).  The adaptive
-    window should match or beat the best static window's wire-message
-    count on the burst workload while adding no latency on the
-    low-rate one. *)
+    low-rate workload (any window only adds latency). *)
 
-type attr_row = {
-  a_label : string;  (** e.g. ["loss=30% burst=8"] *)
-  a_ops : int;  (** stamped operations attributed *)
-  a_wall_mean : float;  (** mean wall latency over attributed ops *)
-  a_phase_means : (Obs.Attribution.phase * float) list;
-      (** mean time units per op per phase, in
-          {!Obs.Attribution.phases} order; sums to [a_wall_mean] up to
-          float error *)
-  a_ok_ops : int;
-  a_failed_ops : int;
-  a_audit_clean : bool;
-}
-
-val attribution_table : ?seed:int -> unit -> attr_row list
+val attribution_table :
+  ?seed:int -> unit -> (Obs.Attribution.breakdown list * Cluster.results) table
 (** Ablation: causal latency attribution across loss (0% vs 30%) and
     burst size (1 vs 8) on a 2-shard cluster with retries, a static
     batch window, and storage costs — each knob's latency cost lands
-    in its own phase (backoff under loss, batch-wait and fsync under
-    bursts) and every row's phases sum to its wall mean. *)
+    in its own phase, and every row's phases sum to its wall mean. *)
 
-type tune_row = {
-  t_mix : string;  (** "90/10" or "50/50" *)
-  t_env : string;  (** "uniform" or "slow-r4" *)
-  t_mode : string;
-      (** "majority", "optimized", "optimized+steer", "majority+steer" *)
-  t_strategy : string;  (** the shard's final strategy (base seed) *)
-  t_switches : int;  (** committed re-strategizes (base seed) *)
-  t_ok_ops : int;  (** summed over the seeds *)
-  t_failed_ops : int;
-  t_throughput : float;  (** ok ops per time unit, mean over seeds *)
-  t_read_mean : float;  (** mean over seeds of the read-latency mean *)
-  t_read_p99 : float;  (** mean over seeds of the read-latency p99 *)
-  t_audit_clean : bool;  (** every seed's audit clean *)
-}
-
-val tune_mixes : (string * float) list
-val tune_modes : string list
-
-val tune_spec_of_mode : string -> Cluster.tune_spec option
-(** The cluster tuning spec a mode name denotes ([None] = static
-    majority baseline). @raise Invalid_argument on an unknown mode. *)
-
-val tune_table : ?seed:int -> ?seeds:int -> unit -> tune_row list
+val tune_table : ?seed:int -> ?seeds:int -> unit -> Cluster.results list table
 (** Ablation: the workload-aware optimizer and queue-aware read
     steering vs. static majority, across read mixes (90/10, 50/50)
-    and environments (uniform, one slow replica), averaged over
-    [seeds] consecutive seeds.  Quorum targeting, fire-once policy —
-    the regime the analytic model scores. *)
+    and environments (uniform, one slow replica), one run per seed
+    (default 3).  Rows are labelled [env; mix; mode].
+    @raise Invalid_argument if [seeds < 1]. *)
+
+val txn_live : Cluster.results -> bool
+(** Some operation succeeds after the coordinator-kill script of
+    {!txn_table} heals. *)
+
+val txn_table : ?seeds:int -> unit -> Cluster.results list table
+(** Ablation: blocking 2PC vs Paxos Commit when two coordinators die
+    inside the commit window and the network heals at t=701, one row
+    per [mode; seed] for seeds 1..[seeds] (default 8).
+    @raise Invalid_argument if [seeds < 1]. *)

@@ -68,9 +68,8 @@ type msg =
 [@@lint.protocol]
 (* The [@@lint.protocol] attribute makes this type a static contract:
    `lint.exe analyze` verifies that the replica dispatch matches every
-   constructor without a wildcard and that the wire codec below can
-   carry every frame both ways — adding a frame without teaching every
-   side about it is a build-gate failure, not a silent drop. *)
+   constructor without a wildcard — adding a frame without teaching the
+   replica about it is a build-gate failure, not a silent drop. *)
 
 let rid = function
   | Query_req { rid; _ } | Query_rep { rid; _ } | Install_req { rid; _ }
@@ -106,284 +105,3 @@ let batching ~window : msg Rpc.Engine.batching =
     wrap = (fun ~rid reqs -> Batch_req { rid; reqs });
     unwrap = (function Batch_rep { reps; _ } -> Some reps | _ -> None);
   }
-
-(* ---------- wire codec ----------
-
-   The simulator delivers [msg] values in memory, so the store never
-   {e needed} a byte encoding — which is exactly how a new frame could
-   ship with no serialization story and fail the day the store talks
-   across a process boundary (or a trace tool wants to dump frames).
-   The codec below is that story, and the analyzer's totality pass
-   holds it to the same contract as the dispatch: [to_json] must match
-   every constructor wildcard-free, [of_json] must be able to produce
-   every constructor. *)
-
-let jint n = Obs.Json.Num (float_of_int n)
-
-let jctx = function
-  | None -> Obs.Json.Null
-  | Some cx ->
-      Obs.Json.Obj
-        [ ("op", Obs.Json.Str (Obs.Ctx.op cx)); ("parent", jint (Obs.Ctx.parent cx)) ]
-
-let jkv (k, v) = Obs.Json.List [ Obs.Json.Str k; jint v ]
-let jkvv (k, vn, v) = Obs.Json.List [ Obs.Json.Str k; jint vn; jint v ]
-
-let jaccepted = function
-  | None -> Obs.Json.Null
-  | Some (bal, commit, writes) ->
-      Obs.Json.Obj
-        [
-          ("bal", jint bal);
-          ("commit", Obs.Json.Bool commit);
-          ("writes", Obs.Json.List (List.map jkvv writes));
-        ]
-
-let[@lint.protocol_serialize] rec to_json (m : msg) : Obs.Json.t =
-  let frame name fields = Obs.Json.Obj (("frame", Obs.Json.Str name) :: fields) in
-  match m with
-  | Query_req { rid; key; ctx } ->
-      frame "query_req"
-        [ ("rid", jint rid); ("key", Obs.Json.Str key); ("ctx", jctx ctx) ]
-  | Query_rep { rid; key; vn; value } ->
-      frame "query_rep"
-        [
-          ("rid", jint rid); ("key", Obs.Json.Str key); ("vn", jint vn);
-          ("value", jint value);
-        ]
-  | Install_req { rid; key; vn; value; ctx } ->
-      frame "install_req"
-        [
-          ("rid", jint rid); ("key", Obs.Json.Str key); ("vn", jint vn);
-          ("value", jint value); ("ctx", jctx ctx);
-        ]
-  | Install_ack { rid; key } ->
-      frame "install_ack" [ ("rid", jint rid); ("key", Obs.Json.Str key) ]
-  | Batch_req { rid; reqs } ->
-      frame "batch_req"
-        [ ("rid", jint rid); ("reqs", Obs.Json.List (List.map to_json reqs)) ]
-  | Batch_rep { rid; reps } ->
-      frame "batch_rep"
-        [ ("rid", jint rid); ("reps", Obs.Json.List (List.map to_json reps)) ]
-  | Txn_prepare { rid; txid; writes; reads; acceptors; paxos; ctx } ->
-      frame "txn_prepare"
-        [
-          ("rid", jint rid);
-          ("txid", Obs.Json.Str txid);
-          ("writes", Obs.Json.List (List.map jkv writes));
-          ("reads", Obs.Json.List (List.map (fun r -> Obs.Json.Str r) reads));
-          ( "acceptors",
-            Obs.Json.List (List.map (fun a -> Obs.Json.Str a) acceptors) );
-          ("paxos", Obs.Json.Bool paxos);
-          ("ctx", jctx ctx);
-        ]
-  | Txn_vote { rid; txid; yes; kvs } ->
-      frame "txn_vote"
-        [
-          ("rid", jint rid);
-          ("txid", Obs.Json.Str txid);
-          ("yes", Obs.Json.Bool yes);
-          ("kvs", Obs.Json.List (List.map jkvv kvs));
-        ]
-  | Txn_p1a { rid; txid; bal } ->
-      frame "txn_p1a"
-        [ ("rid", jint rid); ("txid", Obs.Json.Str txid); ("bal", jint bal) ]
-  | Txn_p1b { rid; txid; bal; ok; accepted } ->
-      frame "txn_p1b"
-        [
-          ("rid", jint rid);
-          ("txid", Obs.Json.Str txid);
-          ("bal", jint bal);
-          ("ok", Obs.Json.Bool ok);
-          ("accepted", jaccepted accepted);
-        ]
-  | Txn_p2a { rid; txid; bal; commit; writes; ctx } ->
-      frame "txn_p2a"
-        [
-          ("rid", jint rid);
-          ("txid", Obs.Json.Str txid);
-          ("bal", jint bal);
-          ("commit", Obs.Json.Bool commit);
-          ("writes", Obs.Json.List (List.map jkvv writes));
-          ("ctx", jctx ctx);
-        ]
-  | Txn_p2b { rid; txid; bal; ok } ->
-      frame "txn_p2b"
-        [
-          ("rid", jint rid); ("txid", Obs.Json.Str txid); ("bal", jint bal);
-          ("ok", Obs.Json.Bool ok);
-        ]
-  | Txn_decide { rid; txid; commit; writes; ctx } ->
-      frame "txn_decide"
-        [
-          ("rid", jint rid);
-          ("txid", Obs.Json.Str txid);
-          ("commit", Obs.Json.Bool commit);
-          ("writes", Obs.Json.List (List.map jkvv writes));
-          ("ctx", jctx ctx);
-        ]
-  | Txn_decide_ack { rid; txid; applied } ->
-      frame "txn_decide_ack"
-        [
-          ("rid", jint rid); ("txid", Obs.Json.Str txid);
-          ("applied", Obs.Json.Bool applied);
-        ]
-
-let to_wire m = Obs.Json.to_string (to_json m)
-
-(* decoding helpers: each pins the exact shape and names the field in
-   its error, so a corrupt frame fails loudly with a usable message *)
-
-let ( let* ) = Result.bind
-
-let field name j =
-  match Obs.Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Fmt.str "missing field %S" name)
-
-let dint name j =
-  let* v = field name j in
-  match Obs.Json.to_float_opt v with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Fmt.str "field %S: expected a number" name)
-
-let dstr name j =
-  let* v = field name j in
-  match Obs.Json.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Fmt.str "field %S: expected a string" name)
-
-let dbool name j =
-  let* v = field name j in
-  match v with
-  | Obs.Json.Bool b -> Ok b
-  | _ -> Error (Fmt.str "field %S: expected a bool" name)
-
-let dlist name dec j =
-  let* v = field name j in
-  match Obs.Json.to_list v with
-  | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* x = dec item in
-          Ok (x :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-  | None -> Error (Fmt.str "field %S: expected a list" name)
-
-let dctx j =
-  match Obs.Json.member "ctx" j with
-  | None | Some Obs.Json.Null -> Ok None
-  | Some c ->
-      let* op = dstr "op" c in
-      let* parent = dint "parent" c in
-      Ok (Some (Obs.Ctx.make ~op ~parent))
-
-let dkv = function
-  | Obs.Json.List [ Obs.Json.Str k; v ] -> (
-      match Obs.Json.to_float_opt v with
-      | Some f -> Ok (k, int_of_float f)
-      | None -> Error "write pair: expected [key, int]")
-  | _ -> Error "write pair: expected [key, int]"
-
-let dkvv = function
-  | Obs.Json.List [ Obs.Json.Str k; vn; v ] -> (
-      match (Obs.Json.to_float_opt vn, Obs.Json.to_float_opt v) with
-      | Some vn, Some v -> Ok (k, int_of_float vn, int_of_float v)
-      | _ -> Error "kvv triple: expected [key, int, int]")
-  | _ -> Error "kvv triple: expected [key, int, int]"
-
-let dstr_item = function
-  | Obs.Json.Str s -> Ok s
-  | _ -> Error "expected a string"
-
-let daccepted j =
-  match Obs.Json.member "accepted" j with
-  | None | Some Obs.Json.Null -> Ok None
-  | Some a ->
-      let* bal = dint "bal" a in
-      let* commit = dbool "commit" a in
-      let* writes = dlist "writes" dkvv a in
-      Ok (Some (bal, commit, writes))
-
-let[@lint.protocol_deserialize] rec of_json (j : Obs.Json.t) :
-    (msg, string) result =
-  let* frame = dstr "frame" j in
-  let* rid = dint "rid" j in
-  match frame with
-  | "query_req" ->
-      let* key = dstr "key" j in
-      let* ctx = dctx j in
-      Ok (Query_req { rid; key; ctx })
-  | "query_rep" ->
-      let* key = dstr "key" j in
-      let* vn = dint "vn" j in
-      let* value = dint "value" j in
-      Ok (Query_rep { rid; key; vn; value })
-  | "install_req" ->
-      let* key = dstr "key" j in
-      let* vn = dint "vn" j in
-      let* value = dint "value" j in
-      let* ctx = dctx j in
-      Ok (Install_req { rid; key; vn; value; ctx })
-  | "install_ack" ->
-      let* key = dstr "key" j in
-      Ok (Install_ack { rid; key })
-  | "batch_req" ->
-      let* reqs = dlist "reqs" of_json j in
-      Ok (Batch_req { rid; reqs })
-  | "batch_rep" ->
-      let* reps = dlist "reps" of_json j in
-      Ok (Batch_rep { rid; reps })
-  | "txn_prepare" ->
-      let* txid = dstr "txid" j in
-      let* writes = dlist "writes" dkv j in
-      let* reads = dlist "reads" dstr_item j in
-      let* acceptors = dlist "acceptors" dstr_item j in
-      let* paxos = dbool "paxos" j in
-      let* ctx = dctx j in
-      Ok (Txn_prepare { rid; txid; writes; reads; acceptors; paxos; ctx })
-  | "txn_vote" ->
-      let* txid = dstr "txid" j in
-      let* yes = dbool "yes" j in
-      let* kvs = dlist "kvs" dkvv j in
-      Ok (Txn_vote { rid; txid; yes; kvs })
-  | "txn_p1a" ->
-      let* txid = dstr "txid" j in
-      let* bal = dint "bal" j in
-      Ok (Txn_p1a { rid; txid; bal })
-  | "txn_p1b" ->
-      let* txid = dstr "txid" j in
-      let* bal = dint "bal" j in
-      let* ok = dbool "ok" j in
-      let* accepted = daccepted j in
-      Ok (Txn_p1b { rid; txid; bal; ok; accepted })
-  | "txn_p2a" ->
-      let* txid = dstr "txid" j in
-      let* bal = dint "bal" j in
-      let* commit = dbool "commit" j in
-      let* writes = dlist "writes" dkvv j in
-      let* ctx = dctx j in
-      Ok (Txn_p2a { rid; txid; bal; commit; writes; ctx })
-  | "txn_p2b" ->
-      let* txid = dstr "txid" j in
-      let* bal = dint "bal" j in
-      let* ok = dbool "ok" j in
-      Ok (Txn_p2b { rid; txid; bal; ok })
-  | "txn_decide" ->
-      let* txid = dstr "txid" j in
-      let* commit = dbool "commit" j in
-      let* writes = dlist "writes" dkvv j in
-      let* ctx = dctx j in
-      Ok (Txn_decide { rid; txid; commit; writes; ctx })
-  | "txn_decide_ack" ->
-      let* txid = dstr "txid" j in
-      let* applied = dbool "applied" j in
-      Ok (Txn_decide_ack { rid; txid; applied })
-  | other -> Error (Fmt.str "unknown frame %S" other)
-
-let of_wire s =
-  match Obs.Json.parse s with
-  | Ok j -> of_json j
-  | Error e -> Error (Fmt.str "wire frame is not JSON: %s" e)

@@ -89,21 +89,3 @@ val ctx : msg -> Obs.Ctx.t option
 val batching : window:float -> msg Rpc.Engine.batching
 (** The engine batching hooks for this protocol (see
     {!Rpc.Engine.set_batching}). *)
-
-(** {1 Wire codec}
-
-    A frame-tagged JSON encoding of [msg], one object per frame with a
-    ["frame"] discriminator.  The serializer and deserializer are the
-    protocol's wire contract: the static analyzer (rule
-    [handler-totality]) proves both sides cover every constructor, so
-    adding a frame without teaching the codec is a build-gating lint
-    failure, not a silent drop. *)
-
-val to_json : msg -> Obs.Json.t
-val of_json : Obs.Json.t -> (msg, string) result
-
-val to_wire : msg -> string
-(** [to_wire m] is the canonical single-line JSON text of [to_json m]. *)
-
-val of_wire : string -> (msg, string) result
-(** Parse a wire frame back; [Error] names the first malformed field. *)

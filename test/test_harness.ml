@@ -529,6 +529,47 @@ let test_bisect_seed_range () =
     "none when nothing fails" None
     (Harness.Swarm.bisect_seed_range ~fails:(fun _ -> false) ~lo:0 ~hi:64)
 
+(* the CI artifact reads minimized[0].seed and .script back out of the
+   report: every field must survive Obs.Json.parse, escapes included *)
+let test_report_json_round_trip () =
+  let o =
+    {
+      Harness.Swarm.seed = 7;
+      script = Harness.Script.[ At (10.0, Crash "r0"); At (40.0, Heal) ];
+      violations = [ "read saw \"7\" \\ stale\nat t=3\001"; "plain" ];
+    }
+  in
+  let extra = "--shards 2" in
+  let report =
+    { Harness.Swarm.seeds = 25; seed0 = 100; failures = [ o ]; minimized = [ o ] }
+  in
+  match Obs.Json.parse (Harness.Swarm.report_json ~extra report) with
+  | Error e -> Alcotest.failf "report_json does not parse: %s" e
+  | Ok j ->
+      let num k j = Option.bind (Obs.Json.member k j) Obs.Json.to_float_opt in
+      let str k j = Option.bind (Obs.Json.member k j) Obs.Json.to_string_opt in
+      Alcotest.(check (option (float 0.0))) "seeds" (Some 25.0) (num "seeds" j);
+      Alcotest.(check (option (float 0.0))) "failing_seeds" (Some 1.0)
+        (num "failing_seeds" j);
+      let m =
+        match Option.bind (Obs.Json.member "minimized" j) Obs.Json.to_list with
+        | Some [ m ] -> m
+        | _ -> Alcotest.fail "expected one minimized outcome"
+      in
+      Alcotest.(check (option (float 0.0))) "minimized[0].seed" (Some 7.0)
+        (num "seed" m);
+      Alcotest.(check (option string)) "minimized[0].script"
+        (Some (Harness.Script.to_string o.script))
+        (str "script" m);
+      Alcotest.(check (option string)) "repro line"
+        (Some (Harness.Swarm.repro_line ~extra o))
+        (str "repro" m);
+      Alcotest.(check (option (list string))) "violations, escapes intact"
+        (Some o.violations)
+        (Option.map
+           (List.filter_map Obs.Json.to_string_opt)
+           (Option.bind (Obs.Json.member "violations" m) Obs.Json.to_list))
+
 let suites =
   [
     ( "harness.goldens",
@@ -577,5 +618,7 @@ let suites =
           test_swarm_finds_and_minimizes_planted_bug;
         Alcotest.test_case "seed-range bisection" `Quick
           test_bisect_seed_range;
+        Alcotest.test_case "report_json round-trips" `Quick
+          test_report_json_round_trip;
       ] );
   ]

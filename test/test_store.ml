@@ -166,37 +166,30 @@ let test_cluster_lossy_network () =
 (* ---------- experiment shapes ---------- *)
 
 let test_latency_shape () =
-  let rows = Store.Experiments.latency_table ~n:5 () in
-  let find name =
-    List.find (fun r -> r.Store.Experiments.strategy = name) rows
-  in
-  let rowa = find "read-one/write-all" and maj = find "majority" in
+  let t = Store.Experiments.latency_table ~n:5 () in
+  let _, rowa = Store.Experiments.find t [ "read-one/write-all" ]
+  and _, maj = Store.Experiments.find t [ "majority" ] in
   Alcotest.(check bool) "rowa reads faster" true
-    (rowa.Store.Experiments.read.Sim.Stats.mean
-    < maj.Store.Experiments.read.Sim.Stats.mean);
+    (rowa.Store.Cluster.reads.Sim.Stats.mean
+    < maj.Store.Cluster.reads.Sim.Stats.mean);
   Alcotest.(check bool) "majority writes faster" true
-    (maj.Store.Experiments.write.Sim.Stats.mean
-    < rowa.Store.Experiments.write.Sim.Stats.mean)
+    (maj.Store.Cluster.writes.Sim.Stats.mean
+    < rowa.Store.Cluster.writes.Sim.Stats.mean)
 
 let test_crossover_shape () =
-  let rows = Store.Experiments.crossover ~n:5 () in
-  let at f =
-    List.find
-      (fun (r : Store.Experiments.crossover_row) ->
-        r.Store.Experiments.read_fraction = f)
-      rows
-  in
+  let t = Store.Experiments.crossover ~n:5 () in
+  let winner f = Store.Experiments.cell t [ f ] "winner" in
   Alcotest.(check string) "write-heavy favours majority" "majority"
-    (at 0.0).Store.Experiments.winner;
+    (winner "0.00");
   Alcotest.(check string) "read-heavy favours rowa" "read-one/write-all"
-    (at 0.99).Store.Experiments.winner
+    (winner "0.99")
 
 let test_reconfig_shape () =
-  let rows = Store.Experiments.reconfig_experiment () in
+  let t = Store.Experiments.reconfig_experiment () in
   let rate phase =
-    match List.find_opt (fun r -> r.Store.Experiments.phase = phase) rows with
-    | Some r -> r.Store.Experiments.rate
-    | None -> Alcotest.failf "phase %s missing" phase
+    match Store.Experiments.find t [ phase ] with
+    | ok, failed -> float_of_int ok /. float_of_int (ok + failed)
+    | exception Not_found -> Alcotest.failf "phase %s missing" phase
   in
   Alcotest.(check bool) "healthy near-perfect" true (rate "A-healthy" > 0.98);
   Alcotest.(check bool) "failures hurt" true (rate "B-failed" < 0.8);
@@ -204,21 +197,21 @@ let test_reconfig_shape () =
     (rate "D-reconfigured" > 0.95)
 
 let test_gifford_rows () =
-  let rows = Store.Experiments.gifford_examples () in
+  let rows = (Store.Experiments.gifford_examples ()).Store.Experiments.rows in
   Alcotest.(check int) "three examples" 3 (List.length rows);
   List.iter
-    (fun g ->
+    (fun (labels, (strat, _)) ->
+      let ar, aw = Store.Strategy.availability strat ~p:0.9 in
       Alcotest.(check bool)
-        (g.Store.Experiments.label ^ " availabilities in [0,1]")
+        (List.hd labels ^ " availabilities in [0,1]")
         true
-        (g.read_avail_90 >= 0.0 && g.read_avail_90 <= 1.0
-        && g.write_avail_90 >= 0.0
-        && g.write_avail_90 <= 1.0))
+        (ar >= 0.0 && ar <= 1.0 && aw >= 0.0 && aw <= 1.0))
     rows;
   (* the read-optimized example reads faster than it writes *)
-  let g1 = List.hd rows in
+  let _, (_, g1) = List.hd rows in
   Alcotest.(check bool) "G1 reads cheaper" true
-    (g1.Store.Experiments.read_latency < g1.write_latency)
+    (g1.Store.Cluster.reads.Sim.Stats.mean
+    < g1.Store.Cluster.writes.Sim.Stats.mean)
 
 (* ---------- failure edge cases ---------- *)
 
@@ -321,15 +314,14 @@ let test_read_repair_fixes_stale () =
     (Store.Replica.lookup r2 "k")
 
 let test_read_repair_experiment_shape () =
-  match Store.Experiments.read_repair_experiment () with
-  | [ off; on ] ->
-      Alcotest.(check bool) "failures produce staleness" true
-        (off.Store.Experiments.staleness_mid > 0.1);
+  match (Store.Experiments.read_repair_experiment ()).Store.Experiments.rows with
+  | [ (_, (off_mid, off_end, _)); (_, (_, on_end, on_repairs)) ] ->
+      Alcotest.(check bool) "failures produce staleness" true (off_mid > 0.1);
       Alcotest.(check bool) "without repair, staleness persists" true
-        (off.staleness_end >= off.staleness_mid -. 0.01);
+        (off_end >= off_mid -. 0.01);
       Alcotest.(check bool) "with repair, staleness vanishes" true
-        (on.Store.Experiments.staleness_end < 0.05);
-      Alcotest.(check bool) "repairs were sent" true (on.repairs_sent > 0)
+        (on_end < 0.05);
+      Alcotest.(check bool) "repairs were sent" true (on_repairs > 0)
   | _ -> Alcotest.fail "expected two rows"
 
 (* analytic availability is monotone in p for every strategy *)
@@ -459,26 +451,27 @@ let suites = suites @ [ nemesis_suite ]
 
 let test_optimal_dominates_classics () =
   List.iter
-    (fun (r : Store.Experiments.optimum_row) ->
+    (fun (labels, (_, (score, rowa, majority))) ->
+      let at = String.concat " " labels in
       Alcotest.(check bool)
-        (Fmt.str "p=%.2f f=%.2f: optimum >= rowa" r.Store.Experiments.p
-           r.read_fraction)
+        (Fmt.str "p f = %s: optimum >= rowa" at)
         true
-        (r.score +. 1e-9 >= r.rowa_score);
+        (score +. 1e-9 >= rowa);
       Alcotest.(check bool)
-        (Fmt.str "p=%.2f f=%.2f: optimum >= majority" r.Store.Experiments.p
-           r.read_fraction)
+        (Fmt.str "p f = %s: optimum >= majority" at)
         true
-        (r.score +. 1e-9 >= r.majority_score))
+        (score +. 1e-9 >= majority))
     (Store.Experiments.optimal_configurations ~ps:[ 0.8; 0.9 ]
        ~fractions:[ 0.1; 0.9 ] ())
+      .Store.Experiments.rows
 
 let test_optimal_thresholds_legal () =
   List.iter
-    (fun (r : Store.Experiments.optimum_row) ->
-      let total = List.fold_left ( + ) 0 r.Store.Experiments.votes in
-      Alcotest.(check int) "minimal legality" (total + 1) (r.r + r.w))
+    (fun (_, ((votes, r, w), _)) ->
+      let total = List.fold_left ( + ) 0 votes in
+      Alcotest.(check int) "minimal legality" (total + 1) (r + w))
     (Store.Experiments.optimal_configurations ~ps:[ 0.9 ] ~fractions:[ 0.5 ] ())
+      .Store.Experiments.rows
 
 let optimal_suite =
   ( "store.optimal",
@@ -527,12 +520,14 @@ let test_minimal_quorums () =
     (List.length (Store.Strategy.minimal_write_quorums rowa))
 
 let test_load_shape () =
-  let rows = Store.Experiments.load_table () in
-  let find name mode =
-    List.find
-      (fun (r : Store.Experiments.load_row) ->
-        r.strategy_name = name && r.mode = mode)
-      rows
+  let t = Store.Experiments.load_table () in
+  let find name mode = List.hd (Store.Experiments.find t [ name; mode ]) in
+  let messages name mode = (find name mode).Store.Cluster.net.Sim.Net.sent in
+  let imbalance name mode =
+    Store.Experiments.replica_imbalance (find name mode)
+  in
+  let read_mean name mode =
+    (find name mode).Store.Cluster.reads.Sim.Stats.mean
   in
   (* targeting cuts messages *)
   List.iter
@@ -540,20 +535,19 @@ let test_load_shape () =
       Alcotest.(check bool)
         (name ^ ": targeted uses fewer messages")
         true
-        ((find name "targeted").messages < (find name "broadcast").messages))
+        (messages name "targeted" < messages name "broadcast"))
     [ "majority-6"; "grid-2x3"; "primary-weighted" ];
   (* the weighted scheme hot-spots its big site under targeting;
      majority and grid stay (near) flat *)
   Alcotest.(check bool) "primary-weighted hot-spots" true
-    ((find "primary-weighted" "targeted").load_imbalance > 1.8);
+    (imbalance "primary-weighted" "targeted" > 1.8);
   Alcotest.(check bool) "majority stays flat" true
-    ((find "majority-6" "targeted").load_imbalance < 1.3);
+    (imbalance "majority-6" "targeted" < 1.3);
   Alcotest.(check bool) "grid stays flat" true
-    ((find "grid-2x3" "targeted").load_imbalance < 1.3);
+    (imbalance "grid-2x3" "targeted" < 1.3);
   (* broadcast wins mean read latency (quorum-wide hedging) *)
   Alcotest.(check bool) "broadcast reads faster" true
-    ((find "majority-6" "broadcast").read_mean
-    < (find "majority-6" "targeted").read_mean)
+    (read_mean "majority-6" "broadcast" < read_mean "majority-6" "targeted")
 
 let load_suite =
   ( "store.load",
