@@ -10,8 +10,12 @@
 
 module Prng = Qc_util.Prng
 
+(* An all-float record is stored flat, so advancing the clock does not
+   box the time, as a float field of [t] would. *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable now : float;
+  clock : clock;
   queue : (unit -> unit) Heap.t;
   mutable seq : int;
   rng : Prng.t;
@@ -21,7 +25,7 @@ type t = {
 
 let create ~seed =
   {
-    now = 0.0;
+    clock = { now = 0.0 };
     queue = Heap.create ();
     seq = 0;
     rng = Prng.create seed;
@@ -29,7 +33,7 @@ let create ~seed =
     tracer = Obs.Trace.create ~capacity:0 ~enabled:false ();
   }
 
-let now t = t.now
+let now t = t.clock.now
 let rng t = t.rng
 let executed_events t = t.executed
 let tracer t = t.tracer
@@ -38,11 +42,13 @@ let tracer t = t.tracer
     virtual time. *)
 let attach_tracer t tr =
   t.tracer <- tr;
-  Obs.Trace.set_clock tr (fun () -> t.now)
+  Obs.Trace.set_clock tr (fun () -> t.clock.now)
 
-(** [schedule t ~delay f] runs [f] at [now + delay] (clamped to now). *)
+(** [schedule t ~delay f] runs [f] at [now + delay] (a negative delay
+    is clamped to now, a NaN one rejected). *)
 let schedule t ~delay (f : unit -> unit) =
-  let time = t.now +. Float.max 0.0 delay in
+  if Float.is_nan delay then invalid_arg "Sim.Core.schedule: NaN delay";
+  let time = t.clock.now +. if delay > 0.0 then delay else 0.0 in
   t.seq <- t.seq + 1;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.instant t.tracer ~cat:"sim" ~name:"schedule" ~track:"sim"
@@ -54,23 +60,23 @@ let schedule t ~delay (f : unit -> unit) =
     [until]. *)
 let run ?(until = infinity) ?(max_events = max_int) t =
   let trace_on = Obs.Trace.enabled t.tracer in
+  let q = t.queue in
   let rec loop () =
-    if t.executed >= max_events then ()
-    else
-      match Heap.peek t.queue with
-      | None -> ()
-      | Some (time, _, _) when time > until -> t.now <- until
-      | Some _ -> (
-          match Heap.pop t.queue with
-          | Some (time, seq, f) ->
-              t.now <- time;
-              t.executed <- t.executed + 1;
-              if trace_on then
-                Obs.Trace.instant t.tracer ~cat:"sim" ~name:"exec" ~track:"sim"
-                  ~args:[ ("seq", Obs.Trace.Int seq) ]
-                  ();
-              f ();
-              loop ()
-          | None -> ())
+    if t.executed < max_events && not (Heap.is_empty q) then begin
+      let time = Heap.min_time q in
+      if time > until then t.clock.now <- until
+      else begin
+        let seq = Heap.min_seq q in
+        let f = Heap.take q in
+        t.clock.now <- time;
+        t.executed <- t.executed + 1;
+        if trace_on then
+          Obs.Trace.instant t.tracer ~cat:"sim" ~name:"exec" ~track:"sim"
+            ~args:[ ("seq", Obs.Trace.Int seq) ]
+            ();
+        f ();
+        loop ()
+      end
+    end
   in
   loop ()

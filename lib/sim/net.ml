@@ -44,12 +44,20 @@ type link_filter = {
   mutable filter_dropped : int;  (** messages this filter swallowed *)
 }
 
+(* One record per node name, so a send costs one string lookup per
+   endpoint.  A delivery reads [up] and [handler] when it fires, so a
+   crash, recovery or [register] between send and delivery counts. *)
+type 'msg node = {
+  name : string;
+  mutable up : bool;
+  mutable handler : (src:string -> 'msg -> unit) option;
+}
+
 type 'msg t = {
   sim : Core.t;
   latency : latency;
   mutable loss : float;
-  handlers : (string, src:string -> 'msg -> unit) Hashtbl.t;
-  up : (string, bool) Hashtbl.t;
+  nodes : (string, 'msg node) Hashtbl.t;
   cut_links : (string * string, bool) Hashtbl.t;
   filters : (string * string, link_filter) Hashtbl.t;
   mutable sent : int;
@@ -71,6 +79,16 @@ let uniform_latency ~lo ~hi : latency =
 let lognormal_latency ~mu ~sigma : latency =
  fun rng ~src:_ ~dst:_ -> Prng.lognormal rng ~mu ~sigma
 
+(* The node named [n], created down and without a handler on first
+   use: a name never declared to [create] behaves as a crashed node. *)
+let node t n =
+  match Hashtbl.find t.nodes n with
+  | d -> d
+  | exception Not_found ->
+      let d = { name = n; up = false; handler = None } in
+      Hashtbl.add t.nodes n d;
+      d
+
 let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
     ?(loss = 0.0) () : 'msg t =
   let t =
@@ -78,8 +96,7 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       sim;
       latency;
       loss;
-      handlers = Hashtbl.create 16;
-      up = Hashtbl.create 16;
+      nodes = Hashtbl.create 16;
       cut_links = Hashtbl.create 16;
       filters = Hashtbl.create 16;
       sent = 0;
@@ -93,28 +110,31 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       drop_filtered = 0;
     }
   in
-  List.iter (fun n -> Hashtbl.replace t.up n true) nodes;
+  List.iter (fun n -> (node t n).up <- true) nodes;
   t
 
 let sim t = t.sim
 let tracer t = Core.tracer t.sim
 
-let register t ~node handler = Hashtbl.replace t.handlers node handler
+let register t ~node:n handler = (node t n).handler <- Some handler
 let set_loss t p = t.loss <- p
 
-let is_up t node = Option.value ~default:false (Hashtbl.find_opt t.up node)
+let is_up t n =
+  match Hashtbl.find t.nodes n with
+  | d -> d.up
+  | exception Not_found -> false
 
-let crash t node =
-  Hashtbl.replace t.up node false;
+let crash t n =
+  (node t n).up <- false;
   let tr = tracer t in
   if Obs.Trace.enabled tr then
-    Obs.Trace.instant tr ~cat:"net" ~name:"crash" ~track:node ()
+    Obs.Trace.instant tr ~cat:"net" ~name:"crash" ~track:n ()
 
-let recover t node =
-  Hashtbl.replace t.up node true;
+let recover t n =
+  (node t n).up <- true;
   let tr = tracer t in
   if Obs.Trace.enabled tr then
-    Obs.Trace.instant tr ~cat:"net" ~name:"recover" ~track:node ()
+    Obs.Trace.instant tr ~cat:"net" ~name:"recover" ~track:n ()
 
 let cut_link t a b =
   Hashtbl.replace t.cut_links (a, b) true;
@@ -202,10 +222,15 @@ let send t ~src ~dst ?(payloads = 1) (msg : 'msg) =
       ();
   (* reason checks in the original short-circuit order, so the PRNG
      draws exactly when it always did; the link filter slots in after
-     the cut check and touches the PRNG only on filtered links *)
+     the cut check and touches the PRNG only on filtered links; the
+     (src, dst) tables are consulted only while they hold an entry, so
+     fault-free sends build no tuple keys *)
   if not (is_up t src) then drop t ~src ~dst Sender_down
-  else if link_cut t src dst then drop t ~src ~dst Link_cut
+  else if Hashtbl.length t.cut_links > 0 && link_cut t src dst then
+    drop t ~src ~dst Link_cut
   else if
+    Hashtbl.length t.filters > 0
+    &&
     match Hashtbl.find_opt t.filters (src, dst) with
     | Some f when filter_fires t f ->
         f.filter_dropped <- f.filter_dropped + 1;
@@ -214,24 +239,23 @@ let send t ~src ~dst ?(payloads = 1) (msg : 'msg) =
   then drop t ~src ~dst Filtered
   else if Prng.float rng < t.loss then drop t ~src ~dst Loss
   else
+    let d = node t dst in
     let delay = t.latency rng ~src ~dst in
     Core.schedule t.sim ~delay (fun () ->
-        if is_up t dst then (
-          match Hashtbl.find_opt t.handlers dst with
-          | Some h ->
-              t.delivered <- t.delivered + 1;
-              t.payload_delivered <- t.payload_delivered + payloads;
-              if Obs.Trace.enabled tr then
-                Obs.Trace.instant tr ~cat:"net" ~name:"deliver" ~track:dst
-                  ~args:
-                    [
-                      ("src", Obs.Trace.Str src);
-                      ("latency", Obs.Trace.Float delay);
-                    ]
-                  ();
-              h ~src msg
-          | None -> drop t ~src ~dst Dest_down)
-        else drop t ~src ~dst Dest_down)
+        match d.handler with
+        | Some h when d.up ->
+            t.delivered <- t.delivered + 1;
+            t.payload_delivered <- t.payload_delivered + payloads;
+            if Obs.Trace.enabled tr then
+              Obs.Trace.instant tr ~cat:"net" ~name:"deliver" ~track:d.name
+                ~args:
+                  [
+                    ("src", Obs.Trace.Str src);
+                    ("latency", Obs.Trace.Float delay);
+                  ]
+                ();
+            h ~src msg
+        | _ -> drop t ~src ~dst:d.name Dest_down)
 
 type counters = {
   sent : int;

@@ -35,7 +35,11 @@ val tracer : 'msg t -> Obs.Trace.t
 (** The simulator's tracer — for layers that only hold the network. *)
 
 val register : 'msg t -> node:string -> (src:string -> 'msg -> unit) -> unit
-(** Install the node's message handler (replaces any previous one). *)
+(** Install the node's message handler (replaces any previous one).
+    Deliveries look the handler up when they fire, so a message sent
+    before [register] but delivered after it reaches the handler.  A
+    name not passed to [create] is a node that is down until
+    {!recover}: sends to it are [Dest_down] drops. *)
 
 val set_loss : 'msg t -> float -> unit
 (** Change the loss probability mid-run (e.g. a lossy episode). *)

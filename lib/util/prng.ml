@@ -6,23 +6,28 @@
     We deliberately avoid [Stdlib.Random] because its state is global
     and its algorithm is not stable across OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer: an [int64] record field
+   would be boxed, so every draw would allocate. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* One splitmix64 step: advance by the golden-gamma constant and mix. *)
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 (** [bits t] returns 62 uniformly random non-negative bits. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 (** [int t n] is uniform on [0, n). Requires [n > 0]. *)
 let int t n =
@@ -30,7 +35,7 @@ let int t n =
   bits t mod n
 
 (** [float t] is uniform on [0, 1). *)
-let float t =
+let[@inline] float t =
   let mantissa = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int mantissa /. 9007199254740992.0 (* 2^53 *)
 

@@ -40,6 +40,98 @@ let prop_heap_sorted =
       in
       drain neg_infinity)
 
+(* Model-based: random interleavings of push / pop / take, with times
+   from a four-value set so ties are frequent, checked step by step
+   against a list sorted by (time, seq).  [min_time] / [min_seq] must
+   agree with [peek], and every read of an empty heap must say so. *)
+type heap_op = Push of float | Pop | Take
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> Push t) (oneofl [ 0.0; 1.0; 2.0; infinity ]));
+        (1, return Pop);
+        (1, return Take);
+      ])
+
+let heap_op_print = function
+  | Push t -> Fmt.str "push %g" t
+  | Pop -> "pop"
+  | Take -> "take"
+
+let prop_heap_model =
+  QCheck.Test.make ~count:300 ~name:"heap matches a sorted-list model"
+    QCheck.(make ~print:(Print.list heap_op_print) Gen.(list heap_op_gen))
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let by_key (t1, s1, _) (t2, s2, _) =
+        match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+      in
+      let empty_raises f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
+      in
+      let agrees model =
+        Sim.Heap.length h = List.length model
+        && Sim.Heap.peek h = (match model with [] -> None | e :: _ -> Some e)
+        &&
+        match model with
+        | [] ->
+            empty_raises (fun () -> Sim.Heap.min_time h)
+            && empty_raises (fun () -> Sim.Heap.min_seq h)
+        | (t, s, _) :: _ ->
+            Float.equal (Sim.Heap.min_time h) t && Sim.Heap.min_seq h = s
+      in
+      let rec go seq model = function
+        | [] -> true
+        | op :: rest -> (
+            match (op, model) with
+            | Push t, _ ->
+                Sim.Heap.push h t seq seq;
+                let model = List.merge by_key model [ (t, seq, seq) ] in
+                agrees model && go (seq + 1) model rest
+            | Pop, [] -> Sim.Heap.pop h = None && go seq model rest
+            | Pop, e :: model ->
+                Sim.Heap.pop h = Some e && agrees model && go seq model rest
+            | Take, [] ->
+                empty_raises (fun () -> Sim.Heap.take h) && go seq model rest
+            | Take, (_, _, v) :: model ->
+                Sim.Heap.take h = v && agrees model && go seq model rest)
+      in
+      go 0 [] ops)
+
+(* A value the heap gave back must not stay reachable from it — also
+   when the heap empties, and for entries that moved through the slot
+   being vacated. *)
+let test_heap_releases_values () =
+  let h = Sim.Heap.create () in
+  let w = Weak.create 4 in
+  let push i t =
+    let v = ref i in
+    Weak.set w i (Some v);
+    Sim.Heap.push h t i v
+  in
+  let released i =
+    Gc.full_major ();
+    not (Weak.check w i)
+  in
+  push 0 1.0;
+  push 1 2.0;
+  push 2 3.0;
+  ignore (Sys.opaque_identity (Sim.Heap.pop h));
+  ignore (Sys.opaque_identity (Sim.Heap.take h));
+  push 3 4.0;
+  ignore (Sys.opaque_identity (Sim.Heap.pop h));
+  Alcotest.(check (list bool))
+    "taken values released, the live one kept" [ true; true; true; false ]
+    (List.init 4 released);
+  ignore (Sys.opaque_identity (Sim.Heap.take h));
+  Alcotest.(check bool) "heap empty" true (Sim.Heap.is_empty h);
+  Alcotest.(check bool) "last value released" true (released 3);
+  push 0 1.0;
+  ignore (Sys.opaque_identity (Sim.Heap.pop h));
+  Alcotest.(check bool) "popped to empty: released" true (released 0)
+
 (* ---------- clock ---------- *)
 
 let test_sim_time_advances () =
@@ -60,6 +152,20 @@ let test_sim_until () =
   Sim.Core.run ~until:5.0 sim;
   Alcotest.(check bool) "not fired" false !fired;
   Alcotest.(check (float 0.001)) "clock at bound" 5.0 (Sim.Core.now sim)
+
+let test_sim_nan_delay () =
+  let sim = Sim.Core.create ~seed:1 in
+  Alcotest.check_raises "NaN delay rejected"
+    (Invalid_argument "Sim.Core.schedule: NaN delay") (fun () ->
+      Sim.Core.schedule sim ~delay:Float.nan ignore);
+  let order = ref [] in
+  Sim.Core.schedule sim ~delay:infinity (fun () -> order := "inf" :: !order);
+  Sim.Core.schedule sim ~delay:(-1.0) (fun () -> order := "now" :: !order);
+  Sim.Core.run ~until:1e9 sim;
+  Alcotest.(check (list string)) "infinity waits" [ "now" ] !order;
+  Sim.Core.run sim;
+  Alcotest.(check (list string)) "then runs" [ "inf"; "now" ] !order;
+  Alcotest.(check int) "two events" 2 (Sim.Core.executed_events sim)
 
 (* ---------- network ---------- *)
 
@@ -326,6 +432,82 @@ let test_drop_loss_counted () =
   Alcotest.(check int) "loss drop" 1 c.Sim.Net.drop_loss;
   Alcotest.(check int) "total" 1 c.Sim.Net.dropped
 
+(* ---------- node records: semantics pinned across the rewrite ---------- *)
+
+let test_net_late_register () =
+  let sim, net = mk_net () in
+  let got = ref [] in
+  Sim.Net.send net ~src:"a" ~dst:"b" 7;
+  Sim.Net.register net ~node:"b" (fun ~src msg -> got := (src, msg) :: !got);
+  Sim.Core.run sim;
+  Alcotest.(check (list (pair string int))) "delivered" [ ("a", 7) ] !got
+
+let test_net_undeclared_node () =
+  let sim, net = mk_net () in
+  let got = ref 0 and at_b = ref 0 in
+  Sim.Net.register net ~node:"z" (fun ~src:_ _ -> incr got);
+  Sim.Net.register net ~node:"b" (fun ~src:_ _ -> incr at_b);
+  Alcotest.(check bool) "undeclared is down" false (Sim.Net.is_up net "z");
+  Alcotest.(check bool) "unknown is down" false (Sim.Net.is_up net "nowhere");
+  Sim.Net.send net ~src:"a" ~dst:"z" 1;
+  Sim.Net.send net ~src:"a" ~dst:"nowhere" 2;
+  Sim.Core.run sim;
+  let c = Sim.Net.counters net in
+  Alcotest.(check int) "no delivery" 0 !got;
+  Alcotest.(check int) "sent counted" 2 c.Sim.Net.sent;
+  Alcotest.(check int) "dest_down drops" 2 c.Sim.Net.drop_dest_down;
+  Sim.Net.recover net "z";
+  Alcotest.(check bool) "recovered" true (Sim.Net.is_up net "z");
+  Sim.Net.send net ~src:"a" ~dst:"z" 3;
+  Sim.Net.send net ~src:"z" ~dst:"b" 4;
+  Sim.Core.run sim;
+  Alcotest.(check int) "delivered after recover" 1 !got;
+  Alcotest.(check int) "recovered node sends" 1 !at_b;
+  Sim.Net.crash net "z";
+  Alcotest.(check bool) "crashed" false (Sim.Net.is_up net "z");
+  Sim.Net.send net ~src:"a" ~dst:"z" 5;
+  Sim.Net.send net ~src:"z" ~dst:"a" 6;
+  Sim.Core.run sim;
+  let c = Sim.Net.counters net in
+  Alcotest.(check int) "no delivery after crash" 1 !got;
+  Alcotest.(check int) "dest_down" 3 c.Sim.Net.drop_dest_down;
+  Alcotest.(check int) "sender_down" 1 c.Sim.Net.drop_sender_down
+
+(* Sends at 0, 10, 20, 30, 40; a cut at 5 healed at 15, a filter at 25
+   cleared at 35: exactly the sends at 10 and 30 are lost. *)
+let test_net_faults_mid_run () =
+  let sim, net = mk_net () in
+  let got = ref [] in
+  Sim.Net.register net ~node:"b" (fun ~src:_ msg -> got := msg :: !got);
+  let at time f = Sim.Core.schedule sim ~delay:time f in
+  List.iter
+    (fun i ->
+      at (float_of_int (10 * i)) (fun () -> Sim.Net.send net ~src:"a" ~dst:"b" i))
+    [ 0; 1; 2; 3; 4 ];
+  at 5.0 (fun () -> Sim.Net.cut_link net "a" "b");
+  at 15.0 (fun () -> Sim.Net.heal_all_links net);
+  at 25.0 (fun () -> Sim.Net.set_link_filter net ~src:"a" ~dst:"b" Sim.Net.Drop_all);
+  at 35.0 (fun () -> Sim.Net.clear_link_filters net);
+  Sim.Core.run sim;
+  let c = Sim.Net.counters net in
+  Alcotest.(check (list int)) "delivered" [ 0; 2; 4 ] (List.rev !got);
+  Alcotest.(check int) "link_cut" 1 c.Sim.Net.drop_link_cut;
+  Alcotest.(check int) "filtered" 1 c.Sim.Net.drop_filtered;
+  Alcotest.(check bool) "no cut left" false (Sim.Net.link_cut net "a" "b");
+  Alcotest.(check int) "no filter left" 0
+    (List.length (Sim.Net.filtered_links net))
+
+let test_net_filtered_links_sorted () =
+  let _, net = mk_net () in
+  List.iter
+    (fun (src, dst) -> Sim.Net.set_link_filter net ~src ~dst (Sim.Net.Drop_first 2))
+    [ ("b", "a"); ("a", "c"); ("a", "b"); ("c", "a"); ("b", "c") ];
+  Sim.Net.clear_link_filter net ~src:"c" ~dst:"a";
+  Alcotest.(check (list (pair string string)))
+    "sorted by link"
+    [ ("a", "b"); ("a", "c"); ("b", "a"); ("b", "c") ]
+    (List.map (fun (link, _, _) -> link) (Sim.Net.filtered_links net))
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -337,11 +519,16 @@ let suites =
         Alcotest.test_case "orders by time" `Quick test_heap_ordering;
         Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
         qcheck prop_heap_sorted;
+        qcheck prop_heap_model;
+        Alcotest.test_case "taken values are released" `Quick
+          test_heap_releases_values;
       ] );
     ( "sim.core",
       [
         Alcotest.test_case "time advances with events" `Quick test_sim_time_advances;
         Alcotest.test_case "run until bound" `Quick test_sim_until;
+        Alcotest.test_case "NaN delay rejected, infinity allowed" `Quick
+          test_sim_nan_delay;
       ] );
     ( "sim.net",
       [
@@ -354,6 +541,14 @@ let suites =
         Alcotest.test_case "determinism" `Quick test_sim_determinism;
         Alcotest.test_case "drop reasons attributed" `Quick test_drop_reasons;
         Alcotest.test_case "loss drops counted" `Quick test_drop_loss_counted;
+        Alcotest.test_case "handler registered in flight" `Quick
+          test_net_late_register;
+        Alcotest.test_case "undeclared node is down until recovered" `Quick
+          test_net_undeclared_node;
+        Alcotest.test_case "cut and filter installed mid-run" `Quick
+          test_net_faults_mid_run;
+        Alcotest.test_case "filtered links sorted" `Quick
+          test_net_filtered_links_sorted;
       ] );
     ( "sim.failure",
       [ Alcotest.test_case "availability matches spec" `Quick test_failure_availability ]
