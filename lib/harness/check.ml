@@ -119,15 +119,40 @@ let txn_committed a ~txid ~started ~now ~reads ~writes =
     }
     :: a.acked
 
+(* The audit's per-key index: the decided versions of the key and the
+   acked writes to it. *)
+type key_index = {
+  mutable chain : (int * int) list;
+      (** (vn, writer node) of every decided write, newest first *)
+  by_vn : (int, int * int) Hashtbl.t;
+      (** vn -> (value, writer node); the last insert wins, as the
+          newest-first chain's first match would *)
+  mutable acked_w : (float * int) list;
+      (** (completed, vn) of the acked writes, in acked order *)
+}
+
 (** Run the end-of-run transaction checks, appending to the violation
     log: acked ⊆ decided, per-key version uniqueness across decided
     commits, read validity (every read snapshot names a version some
     decided commit installed, with its value), recency (an acked
     commit is visible to every acked transaction that starts later),
     and acyclicity of the serialization graph (ww edges by version
-    order, wr read-from edges, rw anti-dependency edges). *)
+    order, wr read-from edges, rw anti-dependency edges).
+
+    Decided transactions become graph nodes [0 .. n-1], numbered in
+    txid order; each key's index is built once, so a read costs one
+    scan of its key's acked writes and decided versions. *)
 let txn_check a =
   let acked = List.rev a.acked in
+  let index : (string, key_index) Hashtbl.t = Hashtbl.create 64 in
+  let key_index k =
+    match Hashtbl.find_opt index k with
+    | Some ix -> ix
+    | None ->
+        let ix = { chain = []; by_vn = Hashtbl.create 4; acked_w = [] } in
+        Hashtbl.replace index k ix;
+        ix
+  in
   (* acked commits must have been decided, with the acked write set *)
   List.iter
     (fun r ->
@@ -138,139 +163,125 @@ let txn_check a =
             txn_note a "acked txn %s: acked writes differ from decided"
               r.t_txid)
     acked;
+  (* consing while walking the newest-first log leaves each key's
+     acked writes in acked order *)
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (k, vn, _) ->
+          let ix = key_index k in
+          ix.acked_w <- (r.t_completed, vn) :: ix.acked_w)
+        (List.rev r.t_writes))
+    a.acked;
   (* committed versions per key, each installed by exactly one txn *)
-  let versions : (string, (int * int * string) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
   let decided =
     (* lint: order-insensitive *)
     Hashtbl.fold (fun txid w acc -> (txid, w) :: acc) a.decided_w []
     |> List.sort (fun (x, _) (y, _) -> String.compare x y)
   in
-  List.iter
-    (fun (txid, writes) ->
+  let n = List.length decided in
+  (* arrays longer than a minor-heap block start from immediate values
+     and are filled in place: [Array.make]/[Array.of_list]/[Array.map]
+     with a young initial element force a minor collection *)
+  let txid_of = Array.make n "" in
+  let node : (string, int) Hashtbl.t = Hashtbl.create n in
+  let written = ref [] in
+  List.iteri
+    (fun i (txid, writes) ->
+      txid_of.(i) <- txid;
+      Hashtbl.replace node txid i;
       List.iter
         (fun (k, vn, v) ->
-          let r =
-            match Hashtbl.find_opt versions k with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.replace versions k r;
-                r
-          in
-          (match
-             List.find_opt (fun (vn', _, _) -> vn' = vn) !r
-           with
-          | Some (_, _, other) ->
+          let ix = key_index k in
+          if ix.chain = [] then written := ix :: !written;
+          (match Hashtbl.find_opt ix.by_vn vn with
+          | Some (_, j) ->
               txn_note a "duplicate version %d of %s (txns %s and %s)" vn k
-                other txid
+                txid_of.(j) txid
           | None -> ());
-          r := (vn, v, txid) :: !r)
+          Hashtbl.replace ix.by_vn vn (v, i);
+          ix.chain <- (vn, i) :: ix.chain)
         writes)
     decided;
-  let writer k vn =
-    match Hashtbl.find_opt versions k with
-    | None -> None
-    | Some r -> List.find_opt (fun (vn', _, _) -> vn' = vn) !r
-  in
-  (* read validity + recency *)
+  (* serialization graph over decided commits (reads known only for
+     acked ones): ww by version order, wr read-from, rw
+     anti-dependency; a cycle breaks serializability *)
+  let succs = Array.make n [] in
+  let edge x y = if x <> y then succs.(x) <- y :: succs.(x) in
+  List.iter
+    (fun ix ->
+      let rec ww = function
+        | (_, t1) :: ((_, t2) :: _ as rest) ->
+            edge t1 t2;
+            ww rest
+        | _ -> ()
+      in
+      ww (List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) ix.chain))
+    !written;
+  (* read validity + recency, and the read's wr/rw edges.  The graph
+     is over decided commits, so the reads of an acked transaction
+     that was never decided add no edges. *)
   List.iter
     (fun r ->
+      let reader = Hashtbl.find_opt node r.t_txid in
       List.iter
         (fun (k, vn, v) ->
+          let ix = Hashtbl.find_opt index k in
+          let writer =
+            Option.bind ix (fun ix -> Hashtbl.find_opt ix.by_vn vn)
+          in
           (if vn = 0 then begin
              if v <> 0 then
                txn_note a "txn %s read unwritten %s as %d" r.t_txid k v
            end
            else
-             match writer k vn with
+             match writer with
              | None ->
                  txn_note a "txn %s read %s at unknown version %d" r.t_txid k
                    vn
-             | Some (_, v', _) ->
+             | Some (v', _) ->
                  if v' <> v then
                    txn_note a "corrupt txn read of %s: vn %d has %d, read %d"
                      k vn v' v);
-          List.iter
-            (fun w ->
-              if w.t_completed <= r.t_started then
-                List.iter
-                  (fun (k', wvn, _) ->
-                    if String.equal k' k && vn < wvn then
-                      txn_note a
-                        "stale txn read of %s: vn %d < committed vn %d" k vn
-                        wvn)
-                  w.t_writes)
-            acked)
-        r.t_reads)
-    acked;
-  (* serialization graph over decided commits (reads known only for
-     acked ones): ww by version order, wr read-from, rw
-     anti-dependency; a cycle breaks serializability *)
-  let succs : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  let nodes = List.map fst decided in
-  List.iter (fun n -> Hashtbl.replace succs n (ref [])) nodes;
-  let edge x y =
-    if not (String.equal x y) then
-      match Hashtbl.find_opt succs x with
-      | Some r -> if not (List.exists (String.equal y) !r) then r := y :: !r
-      | None -> ()
-  in
-  let keys =
-    (* lint: order-insensitive *)
-    Hashtbl.fold (fun k _ acc -> k :: acc) versions []
-    |> List.sort String.compare
-  in
-  List.iter
-    (fun k ->
-      let chain =
-        List.sort
-          (fun (a', _, _) (b, _, _) -> Int.compare a' b)
-          !(Hashtbl.find versions k)
-      in
-      let rec ww = function
-        | (_, _, t1) :: ((_, _, t2) :: _ as rest) ->
-            edge t1 t2;
-            ww rest
-        | _ -> ()
-      in
-      ww chain)
-    keys;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (k, vn, _) ->
-          (* wr: the version's writer happens before the reader *)
-          (match writer k vn with
-          | Some (_, _, w) -> edge w r.t_txid
-          | None -> ());
-          (* rw: the reader happens before every later writer *)
-          match Hashtbl.find_opt versions k with
+          match ix with
           | None -> ()
-          | Some vr ->
+          | Some ix -> (
               List.iter
-                (fun (vn', _, w') -> if vn' > vn then edge r.t_txid w')
-                !vr)
+                (fun (completed, wvn) ->
+                  if completed <= r.t_started && vn < wvn then
+                    txn_note a "stale txn read of %s: vn %d < committed vn %d"
+                      k vn wvn)
+                ix.acked_w;
+              match reader with
+              | None -> ()
+              | Some x ->
+                  (* wr: the version's writer happens before the reader *)
+                  (match writer with Some (_, w) -> edge w x | None -> ());
+                  (* rw: the reader happens before every later writer *)
+                  List.iter
+                    (fun (vn', w') -> if vn' > vn then edge x w')
+                    ix.chain))
         r.t_reads)
     acked;
-  (* DFS cycle detection, nodes in sorted order for determinism *)
-  let color : (string, [ `Grey | `Black ]) Hashtbl.t = Hashtbl.create 64 in
+  (* DFS cycle detection: nodes and successors in txid order, so the
+     reported node is deterministic *)
+  let color = Array.make n `White in
   let cycle = ref None in
-  let rec visit n =
-    match Hashtbl.find_opt color n with
-    | Some `Black -> ()
-    | Some `Grey -> if !cycle = None then cycle := Some n
-    | None ->
-        Hashtbl.replace color n `Grey;
-        (match Hashtbl.find_opt succs n with
-        | Some r -> List.iter visit (List.sort String.compare !r)
-        | None -> ());
-        Hashtbl.replace color n `Black
+  let rec visit i =
+    match color.(i) with
+    | `Black -> ()
+    | `Grey -> if !cycle = None then cycle := Some i
+    | `White ->
+        color.(i) <- `Grey;
+        List.iter visit (List.sort_uniq Int.compare succs.(i));
+        color.(i) <- `Black
   in
-  List.iter visit nodes;
+  for i = 0 to n - 1 do
+    visit i
+  done;
   match !cycle with
-  | Some n -> txn_note a "serialization graph cycle through txn %s" n
+  | Some i ->
+      txn_note a "serialization graph cycle through txn %s" txid_of.(i)
   | None -> ()
 
 let txn_violations a = a.txn_violations

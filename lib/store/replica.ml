@@ -68,6 +68,20 @@ type rec_lead = {
   mutable l_live : bool;  (** false once nacked, superseded, or done *)
 }
 
+(** Everything one replica knows about one transaction, so a
+    transaction message costs a single table lookup. *)
+type txn = {
+  mutable prepared : txn_entry option;  (** in doubt here *)
+  mutable decided : (bool * (string * int * int) list) option;
+      (** (commit?, writes) — retained so late prepares, ballots and
+          retransmissions are answered with the decision *)
+  mutable promised : int;  (** acceptor: highest promised ballot *)
+  mutable accepted : (int * bool * (string * int * int) list) option;
+      (** acceptor: highest accepted (ballot, commit?, writes);
+          dropped once decided *)
+  mutable leading : rec_lead option;  (** the recovery round led here *)
+}
+
 type t = {
   name : string;
   data : (string, int * int) Hashtbl.t;  (** key -> (vn, value) *)
@@ -82,14 +96,7 @@ type t = {
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   (* ---- cross-shard transaction state ---- *)
   locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
-  prepared : (string, txn_entry) Hashtbl.t;  (** txid -> in-doubt entry *)
-  decided : (string, bool * (string * int * int) list) Hashtbl.t;
-      (** txid -> (commit?, writes) — retained so late prepares,
-          ballots and retransmissions are answered with the decision *)
-  promised : (string, int) Hashtbl.t;  (** acceptor: highest promised ballot *)
-  accepted : (string, int * bool * (string * int * int) list) Hashtbl.t;
-      (** acceptor: highest accepted (ballot, commit?, writes) *)
-  leading : (string, rec_lead) Hashtbl.t;  (** recovery rounds this replica leads *)
+  txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;  (** set at attach; recovery timers *)
@@ -132,11 +139,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     m_fsyncs;
     m_queue_depth;
     locks = Hashtbl.create 16;
-    prepared = Hashtbl.create 16;
-    decided = Hashtbl.create 16;
-    promised = Hashtbl.create 16;
-    accepted = Hashtbl.create 16;
-    leading = Hashtbl.create 4;
+    txns = Hashtbl.create 16;
     txn_recovery_delay;
     txn_recovery_attempts;
     txn_sim = None;
@@ -164,9 +167,28 @@ let apply t ~vn ~key ~value =
 
 let set_on_decided t f = t.on_decided <- Some f
 
+(* the transaction's record, created on first sight *)
+let txn t txid =
+  match Hashtbl.find_opt t.txns txid with
+  | Some x -> x
+  | None ->
+      let x =
+        {
+          prepared = None;
+          decided = None;
+          promised = 0;
+          accepted = None;
+          leading = None;
+        }
+      in
+      Hashtbl.replace t.txns txid x;
+      x
+
 let in_doubt t =
   (* lint: order-insensitive *)
-  Hashtbl.fold (fun txid _ acc -> txid :: acc) t.prepared []
+  Hashtbl.fold
+    (fun txid x acc -> if Option.is_some x.prepared then txid :: acc else acc)
+    t.txns []
   |> List.sort String.compare
 
 let locked_keys t =
@@ -193,14 +215,17 @@ let txn_trace t ~name ~txid ~extra =
    their decided versions on commit, release the footprint locks.
    Returns whether a prepared entry was resolved — commit quorums
    count only such acks, because only they certify an install. *)
-let txn_apply_decision t ~txid ~commit ~writes =
-  if not (Hashtbl.mem t.decided txid) then begin
-    Hashtbl.replace t.decided txid (commit, writes);
+let txn_apply_decision t x ~txid ~commit ~writes =
+  if Option.is_none x.decided then begin
+    x.decided <- Some (commit, writes);
+    (* a decided register answers every ballot from [decided]; the
+       accepted value is dead weight for the rest of the run *)
+    x.accepted <- None;
     match t.on_decided with
     | Some f -> f ~txid ~commit ~writes
     | None -> ()
   end;
-  match Hashtbl.find_opt t.prepared txid with
+  match x.prepared with
   | None -> false
   | Some e ->
       if commit then
@@ -218,54 +243,44 @@ let txn_apply_decision t ~txid ~commit ~writes =
           | Some owner when String.equal owner txid -> Hashtbl.remove t.locks k
           | _ -> ())
         (txn_footprint e);
-      Hashtbl.remove t.prepared txid;
-      (match Hashtbl.find_opt t.leading txid with
-      | Some lead -> lead.l_live <- false
-      | None -> ());
+      x.prepared <- None;
+      (match x.leading with Some lead -> lead.l_live <- false | None -> ());
       true
 
 (* Acceptor logic on the per-transaction decision register.  Ballot 0
    belongs to the coordinator (phase 1 skipped); recovery leaders use
    ballots > 0 unique to (attempt, leader).  A decided register
    short-circuits to the decision. *)
-let acceptor_p1 t ~txid ~bal =
-  match Hashtbl.find_opt t.decided txid with
+let acceptor_p1 x ~bal =
+  match x.decided with
   | Some (commit, writes) -> `Decided (commit, writes)
   | None ->
-      let promised =
-        Option.value ~default:0 (Hashtbl.find_opt t.promised txid)
-      in
-      if bal >= promised then begin
-        Hashtbl.replace t.promised txid bal;
-        `P1b (true, Hashtbl.find_opt t.accepted txid)
+      if bal >= x.promised then begin
+        x.promised <- bal;
+        `P1b (true, x.accepted)
       end
       else `P1b (false, None)
 
-let acceptor_p2 t ~txid ~bal ~commit ~writes =
-  match Hashtbl.find_opt t.decided txid with
+let acceptor_p2 x ~bal ~commit ~writes =
+  match x.decided with
   | Some (c, ws) -> `Decided (c, ws)
   | None ->
-      let promised =
-        Option.value ~default:0 (Hashtbl.find_opt t.promised txid)
-      in
-      if bal >= promised then begin
-        Hashtbl.replace t.promised txid bal;
-        Hashtbl.replace t.accepted txid (bal, commit, writes);
+      if bal >= x.promised then begin
+        x.promised <- bal;
+        x.accepted <- Some (bal, commit, writes);
         `P2b true
       end
       else `P2b false
 
 (* Apply the decision locally (releasing our locks) and tell every
    other participant — the learn broadcast after a chosen value. *)
-let broadcast_decision t ~txid ~commit ~writes =
+let broadcast_decision t x ~txid ~commit ~writes =
   let acceptors =
-    match Hashtbl.find_opt t.prepared txid with
-    | Some e -> e.e_acceptors
-    | None -> []
+    match x.prepared with Some e -> e.e_acceptors | None -> []
   in
   txn_trace t ~name:"txn.decide" ~txid
     ~extra:[ ("commit", Obs.Trace.Str (string_of_bool commit)) ];
-  ignore (txn_apply_decision t ~txid ~commit ~writes : bool);
+  ignore (txn_apply_decision t x ~txid ~commit ~writes : bool);
   match t.txn_send with
   | None -> ()
   | Some send ->
@@ -278,21 +293,21 @@ let broadcast_decision t ~txid ~commit ~writes =
 (* Phase-2b bookkeeping of a recovery round this replica leads: a
    majority of the register's acceptors accepting [l_val] makes it
    chosen — broadcast it. *)
-let lead_on_p2b t ~src ~txid ~bal ~ok =
-  match Hashtbl.find_opt t.leading txid with
+let lead_on_p2b t x ~src ~txid ~bal ~ok =
+  match x.leading with
   | Some lead when lead.l_live && lead.l_bal = bal && lead.l_phase = `Two ->
       if not ok then lead.l_live <- false
       else begin
         if not (List.exists (String.equal src) lead.l_acks) then
           lead.l_acks <- src :: lead.l_acks;
-        match Hashtbl.find_opt t.prepared txid with
+        match x.prepared with
         | None -> lead.l_live <- false
         | Some e ->
             let n = List.length e.e_acceptors in
             if List.length lead.l_acks >= (n / 2) + 1 then begin
               lead.l_live <- false;
               let commit, writes = lead.l_val in
-              broadcast_decision t ~txid ~commit ~writes
+              broadcast_decision t x ~txid ~commit ~writes
             end
       end
   | _ -> ()
@@ -300,8 +315,8 @@ let lead_on_p2b t ~src ~txid ~bal ~ok =
 (* Phase-1b bookkeeping: on a majority of promises, propose the
    highest accepted value seen — or Abort if the register is free
    (the Gray–Lamport rule: a missed vote aborts). *)
-let lead_on_p1b t ~src ~txid ~bal ~ok ~accepted =
-  match Hashtbl.find_opt t.leading txid with
+let lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted =
+  match x.leading with
   | Some lead when lead.l_live && lead.l_bal = bal && lead.l_phase = `One ->
       if not ok then lead.l_live <- false
       else begin
@@ -314,7 +329,7 @@ let lead_on_p1b t ~src ~txid ~bal ~ok ~accepted =
               | _ -> lead.l_best <- accepted)
           | None -> ()
         end;
-        match Hashtbl.find_opt t.prepared txid with
+        match x.prepared with
         | None -> lead.l_live <- false
         | Some e ->
             let n = List.length e.e_acceptors in
@@ -326,11 +341,12 @@ let lead_on_p1b t ~src ~txid ~bal ~ok ~accepted =
                 | None -> (false, [])
               in
               lead.l_val <- (commit, writes);
-              (match acceptor_p2 t ~txid ~bal ~commit ~writes with
+              (match acceptor_p2 x ~bal ~commit ~writes with
               | `Decided (c, ws) ->
                   lead.l_live <- false;
-                  broadcast_decision t ~txid ~commit:c ~writes:ws
-              | `P2b self_ok -> lead_on_p2b t ~src:t.name ~txid ~bal ~ok:self_ok);
+                  broadcast_decision t x ~txid ~commit:c ~writes:ws
+              | `P2b self_ok ->
+                  lead_on_p2b t x ~src:t.name ~txid ~bal ~ok:self_ok);
               if lead.l_live then
                 match t.txn_send with
                 | None -> ()
@@ -348,7 +364,7 @@ let lead_on_p1b t ~src ~txid ~bal ~ok ~accepted =
 
 (* One recovery attempt: a fresh ballot unique to (attempt, this
    leader), phase 1 to every acceptor (self first, synchronously). *)
-let start_recovery t ~txid (e : txn_entry) ~my_index =
+let start_recovery t x ~txid (e : txn_entry) ~my_index =
   let bal = (e.e_attempt * (List.length e.e_acceptors + 1)) + my_index + 1 in
   txn_trace t ~name:"txn.recover" ~txid ~extra:[ ("bal", Obs.Trace.Int bal) ];
   let lead =
@@ -362,12 +378,13 @@ let start_recovery t ~txid (e : txn_entry) ~my_index =
       l_live = true;
     }
   in
-  Hashtbl.replace t.leading txid lead;
-  (match acceptor_p1 t ~txid ~bal with
+  x.leading <- Some lead;
+  (match acceptor_p1 x ~bal with
   | `Decided (commit, writes) ->
       lead.l_live <- false;
-      broadcast_decision t ~txid ~commit ~writes
-  | `P1b (ok, accepted) -> lead_on_p1b t ~src:t.name ~txid ~bal ~ok ~accepted);
+      broadcast_decision t x ~txid ~commit ~writes
+  | `P1b (ok, accepted) ->
+      lead_on_p1b t x ~src:t.name ~txid ~bal ~ok ~accepted);
   if lead.l_live then
     match t.txn_send with
     | None -> ()
@@ -382,11 +399,11 @@ let start_recovery t ~txid (e : txn_entry) ~my_index =
    exponentially spaced, staggered by the replica's acceptor index so
    concurrent leaders rarely duel, bounded attempts so the event queue
    always drains. *)
-let rec arm_recovery t ~txid =
+let rec arm_recovery t x ~txid =
   match t.txn_sim with
   | None -> ()
   | Some sim -> (
-      match Hashtbl.find_opt t.prepared txid with
+      match x.prepared with
       | None -> ()
       | Some e ->
           let my_index =
@@ -403,13 +420,13 @@ let rec arm_recovery t ~txid =
           in
           Sim.Core.schedule sim ~delay (fun () ->
               if
-                Hashtbl.mem t.prepared txid
-                && (not (Hashtbl.mem t.decided txid))
+                Option.is_some x.prepared
+                && Option.is_none x.decided
                 && e.e_attempt < t.txn_recovery_attempts
               then begin
                 e.e_attempt <- e.e_attempt + 1;
-                start_recovery t ~txid e ~my_index;
-                arm_recovery t ~txid
+                start_recovery t x ~txid e ~my_index;
+                arm_recovery t x ~txid
               end))
 
 (* Drain the apply queue through the storage device: take a group
@@ -594,14 +611,15 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
             ([ ("txid", Obs.Trace.Str txid); ("rid", Obs.Trace.Int rid) ]
             @ ctx_args ctx)
           ();
-      match Hashtbl.find_opt t.decided txid with
+      let x = txn t txid in
+      match x.decided with
       | Some (commit, dwrites) ->
           (* already resolved (a recovery finished before this
              retransmission): answer with the decision *)
           reply
             (Protocol.Txn_decide { rid; txid; commit; writes = dwrites; ctx = None })
       | None -> (
-          match Hashtbl.find_opt t.prepared txid with
+          match x.prepared with
           | Some e ->
               (* duplicate prepare: re-send the identical vote *)
               reply (Protocol.Txn_vote { rid; txid; yes = true; kvs = e.e_kvs })
@@ -631,16 +649,17 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                       (k, vn, v))
                     footprint
                 in
-                Hashtbl.replace t.prepared txid
-                  {
-                    e_writes = writes;
-                    e_reads = reads;
-                    e_kvs = kvs;
-                    e_acceptors = acceptors;
-                    e_paxos = paxos;
-                    e_attempt = 0;
-                  };
-                if paxos then arm_recovery t ~txid;
+                x.prepared <-
+                  Some
+                    {
+                      e_writes = writes;
+                      e_reads = reads;
+                      e_kvs = kvs;
+                      e_acceptors = acceptors;
+                      e_paxos = paxos;
+                      e_attempt = 0;
+                    };
+                if paxos then arm_recovery t x ~txid;
                 reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
               end))
   | Protocol.Txn_decide { rid; txid; commit; writes; ctx } ->
@@ -653,22 +672,27 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
              ]
             @ ctx_args ctx)
           ();
-      let applied = txn_apply_decision t ~txid ~commit ~writes in
+      let applied = txn_apply_decision t (txn t txid) ~txid ~commit ~writes in
       reply (Protocol.Txn_decide_ack { rid; txid; applied })
   | Protocol.Txn_p1a { rid; txid; bal } -> (
-      match acceptor_p1 t ~txid ~bal with
+      match acceptor_p1 (txn t txid) ~bal with
       | `Decided (commit, writes) ->
           reply (Protocol.Txn_decide { rid; txid; commit; writes; ctx = None })
       | `P1b (ok, accepted) ->
           reply (Protocol.Txn_p1b { rid; txid; bal; ok; accepted }))
   | Protocol.Txn_p2a { rid; txid; bal; commit; writes; ctx = _ } -> (
-      match acceptor_p2 t ~txid ~bal ~commit ~writes with
+      match acceptor_p2 (txn t txid) ~bal ~commit ~writes with
       | `Decided (c, ws) ->
           reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws; ctx = None })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
-  | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } ->
-      lead_on_p1b t ~src ~txid ~bal ~ok ~accepted
-  | Protocol.Txn_p2b { txid; bal; ok; _ } -> lead_on_p2b t ~src ~txid ~bal ~ok
+  | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
+      match Hashtbl.find_opt t.txns txid with
+      | Some x -> lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted
+      | None -> ())
+  | Protocol.Txn_p2b { txid; bal; ok; _ } -> (
+      match Hashtbl.find_opt t.txns txid with
+      | Some x -> lead_on_p2b t x ~src ~txid ~bal ~ok
+      | None -> ())
   | Protocol.Txn_decide_ack { txid; _ } ->
       (* a participant acking our recovery broadcast — nothing to do *)
       ignore txid

@@ -59,6 +59,20 @@ type rec_lead = {
 }
 (** Recovery-leader state for one in-doubt transaction. *)
 
+type txn = {
+  mutable prepared : txn_entry option;  (** in doubt here *)
+  mutable decided : (bool * (string * int * int) list) option;
+      (** (commit?, writes) — answers late prepares, ballots and
+          retransmissions with the decision *)
+  mutable promised : int;  (** acceptor: highest promised ballot *)
+  mutable accepted : (int * bool * (string * int * int) list) option;
+      (** acceptor: highest accepted (ballot, commit?, writes);
+          dropped once decided *)
+  mutable leading : rec_lead option;  (** the recovery round led here *)
+}
+(** Everything one replica knows about one transaction, so a
+    transaction message costs a single table lookup. *)
+
 type t = {
   name : string;
   data : (string, int * int) Hashtbl.t;
@@ -72,13 +86,7 @@ type t = {
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
-  prepared : (string, txn_entry) Hashtbl.t;  (** txid -> in-doubt entry *)
-  decided : (string, bool * (string * int * int) list) Hashtbl.t;
-      (** txid -> (commit?, writes) — answers late ballots and
-          retransmissions with the decision *)
-  promised : (string, int) Hashtbl.t;
-  accepted : (string, int * bool * (string * int * int) list) Hashtbl.t;
-  leading : (string, rec_lead) Hashtbl.t;
+  txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;

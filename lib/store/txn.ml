@@ -115,7 +115,7 @@ let txn_instant t ~name ~txid ~extra =
 let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
   let n = t.next_txn in
   t.next_txn <- n + 1;
-  let txid = Fmt.str "%s#t%d" t.name n in
+  let txid = t.name ^ "#t" ^ string_of_int n in
   let started = Core.now t.sim in
   let wkeys = List.map fst writes in
   let by_shard_w = Router.route_many t.router wkeys in

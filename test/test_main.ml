@@ -5,4 +5,5 @@ let () =
    @ Test_sim.suites @ Test_store.suites @ Test_adt.suites @ Test_vp.suites
    @ Test_obs.suites @ Test_rpc.suites @ Test_shard.suites
    @ Test_pipeline.suites @ Test_attr.suites @ Test_lint.suites
-   @ Test_harness.suites @ Test_txn.suites @ Test_tune.suites)
+   @ Test_harness.suites @ Test_audit.suites @ Test_txn.suites
+   @ Test_tune.suites)

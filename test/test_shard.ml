@@ -82,6 +82,33 @@ let test_key_index () =
   check "alpha" None (Router.key_index "alpha");
   check "" None (Router.key_index "")
 
+(* The workload's key names are the contract [Router.key_index]
+   parses: "k" followed by the decimal index, so the [`Range] map puts
+   key i in shard [i * n_shards / n_keys] and sends the rest through
+   the hash map. *)
+let test_key_name_contract () =
+  for i = 0 to 1023 do
+    let k = Store.Workload.key_name i in
+    Alcotest.(check string) "k<i>" ("k" ^ string_of_int i) k;
+    Alcotest.(check (option int)) k (Some i) (Router.key_index k)
+  done;
+  List.iter
+    (fun (n_shards, n_keys) ->
+      let range = Router.shard_fn `Range ~n_shards ~n_keys in
+      let hash = Router.shard_fn `Hash ~n_shards ~n_keys in
+      for i = 0 to 1023 do
+        let k = Store.Workload.key_name i in
+        Alcotest.(check int)
+          (Fmt.str "%s over %d shards, %d keys" k n_shards n_keys)
+          (if i < n_keys then i * n_shards / n_keys else hash k)
+          (range k)
+      done)
+    [ (1, 16); (3, 256); (4, 256); (4, 1000); (7, 100) ];
+  let range = Router.shard_fn `Range ~n_shards:3 ~n_keys:256 in
+  Alcotest.(check (list int)) "3 range shards over 256 keys"
+    [ 0; 0; 1; 1; 2; 2 ]
+    (List.map range [ "k0"; "k85"; "k86"; "k170"; "k171"; "k255" ])
+
 (* ---------- batch frames ---------- *)
 
 let test_replica_batch_round_trip () =
@@ -351,6 +378,8 @@ let suites =
         Alcotest.test_case "hash scheme spreads keys" `Quick test_hash_spreads;
         Alcotest.test_case "key_index parses numeric suffixes" `Quick
           test_key_index;
+        Alcotest.test_case "key_name is the contract key_index parses"
+          `Quick test_key_name_contract;
         Alcotest.test_case "route_many groups by shard" `Quick
           test_route_many_groups;
         Alcotest.test_case "default runs match pre-router traces" `Slow

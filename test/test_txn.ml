@@ -160,6 +160,133 @@ let test_replica_acceptor_ballots () =
   | P.Txn_p1b { ok = true; accepted = Some (2, true, [ ("k", 1, 5) ]); _ } -> ()
   | _ -> Alcotest.fail "accepted value reported")
 
+(* ---------- the per-transaction record's semantics ---------- *)
+
+let prepare ?(paxos = false) ?(acceptors = [ "r0" ]) ~rid txid =
+  P.Txn_prepare
+    {
+      rid;
+      txid;
+      writes = [ ("k0", 7) ];
+      reads = [ "k1" ];
+      acceptors;
+      paxos;
+      ctx = None;
+    }
+
+let decide ~rid txid =
+  P.Txn_decide
+    { rid; txid; commit = true; writes = [ ("k0", 1, 7) ]; ctx = None }
+
+let check_idle name r =
+  Alcotest.(check (list string)) (name ^ ": nothing in doubt") []
+    (Replica.in_doubt r);
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": nothing locked") [] (Replica.locked_keys r)
+
+(* A replica that never saw the prepare is still a full acceptor of
+   the decision register, holds no lock for it, and learns the
+   decision (hook included) without installing anything. *)
+let test_acceptor_without_prepare () =
+  let r = Replica.create ~name:"r0" () in
+  let hook = ref [] in
+  Replica.set_on_decided r (fun ~txid ~commit ~writes:_ ->
+      hook := (txid, commit) :: !hook);
+  (match handle r (P.Txn_p1a { rid = 1; txid = "t"; bal = 1 }) with
+  | P.Txn_p1b { ok = true; accepted = None; _ } -> ()
+  | _ -> Alcotest.fail "unprepared txid promises");
+  (match
+     handle r
+       (P.Txn_p2a
+          {
+            rid = 2;
+            txid = "t";
+            bal = 1;
+            commit = true;
+            writes = [ ("k0", 1, 7) ];
+            ctx = None;
+          })
+   with
+  | P.Txn_p2b { ok = true; _ } -> ()
+  | _ -> Alcotest.fail "unprepared txid accepts");
+  check_idle "acceptor only" r;
+  (match handle r (decide ~rid:3 "t") with
+  | P.Txn_decide_ack { applied = false; _ } -> ()
+  | _ -> Alcotest.fail "an unprepared decide is acked unapplied");
+  Alcotest.(check (list (pair string bool))) "hook fired" [ ("t", true) ] !hook;
+  Alcotest.(check (pair int int)) "nothing installed" (0, 0)
+    (Replica.lookup r "k0");
+  (match
+     handle r
+       (P.Txn_p2a
+          { rid = 4; txid = "t"; bal = 9; commit = false; writes = []; ctx = None })
+   with
+  | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
+  | _ -> Alcotest.fail "a decided register answers 2a with the decision");
+  (match handle r (P.Txn_p1a { rid = 5; txid = "t"; bal = 9 }) with
+  | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
+  | _ -> Alcotest.fail "a decided register answers 1a with the decision");
+  check_idle "after decision" r
+
+(* A decision that overtakes its prepare: the late prepare is answered
+   with the decision and takes no lock. *)
+let test_decide_before_prepare () =
+  let r = Replica.create ~name:"r0" () in
+  (match handle r (decide ~rid:1 "c0#t0") with
+  | P.Txn_decide_ack { applied = false; _ } -> ()
+  | _ -> Alcotest.fail "early decide acked unapplied");
+  (match handle r (prepare ~paxos:true ~rid:2 "c0#t0") with
+  | P.Txn_decide
+      { rid = 2; txid = "c0#t0"; commit = true; writes = [ ("k0", 1, 7) ]; _ } ->
+      ()
+  | _ -> Alcotest.fail "late prepare answered with the decision");
+  check_idle "late prepare" r;
+  (* another transaction can lock the same keys straight away *)
+  (match handle r (prepare ~rid:3 "c0#t1") with
+  | P.Txn_vote { yes = true; _ } -> ()
+  | _ -> Alcotest.fail "footprint free for the next transaction");
+  (match
+     handle r
+       (P.Txn_decide
+          { rid = 4; txid = "c0#t1"; commit = false; writes = []; ctx = None })
+   with
+  | P.Txn_decide_ack { applied = true; _ } -> ()
+  | _ -> Alcotest.fail "abort resolves the prepared entry");
+  check_idle "after abort" r
+
+(* In Paxos-Commit mode a prepare arms a recovery timer; once the
+   decision is in, the timer's firing must do nothing — no ballot, no
+   message.  The undecided control run shows the timer does fire. *)
+let test_recovery_timer_after_decision () =
+  let run ~decided =
+    let sim = Core.create ~seed:1 in
+    let net = Sim.Net.create ~sim ~nodes:[ "r0"; "r1"; "r2" ] () in
+    let r = Replica.create ~name:"r0" ~txn_recovery_attempts:1 () in
+    Replica.attach r ~net;
+    (match
+       handle r
+         (prepare ~paxos:true ~acceptors:[ "r0"; "r1"; "r2" ] ~rid:1 "t")
+     with
+    | P.Txn_vote { yes = true; _ } -> ()
+    | _ -> Alcotest.fail "yes vote");
+    if decided then
+      (match handle r (decide ~rid:2 "t") with
+      | P.Txn_decide_ack { applied = true; _ } -> ()
+      | _ -> Alcotest.fail "applied ack");
+    Core.run sim;
+    ((Sim.Net.counters net).Sim.Net.sent, r)
+  in
+  let sent, r = run ~decided:false in
+  Alcotest.(check int) "undecided: recovery sends phase 1a to both peers" 2
+    sent;
+  Alcotest.(check (list string)) "undecided: still in doubt" [ "t" ]
+    (Replica.in_doubt r);
+  let sent, r = run ~decided:true in
+  Alcotest.(check int) "decided: the timer is a no-op" 0 sent;
+  check_idle "decided" r;
+  Alcotest.(check (pair int int)) "decided: installed" (1, 7)
+    (Replica.lookup r "k0")
+
 (* ---------- end-to-end over the cluster ---------- *)
 
 let txn_params ~mode ~seed ?(script = []) ?(n_clients = 3) ?(retries = 2) () =
@@ -307,6 +434,12 @@ let suites =
           test_replica_abort_releases;
         Alcotest.test_case "acceptor ballot discipline" `Quick
           test_replica_acceptor_ballots;
+        Alcotest.test_case "acceptor for an unprepared txid" `Quick
+          test_acceptor_without_prepare;
+        Alcotest.test_case "decide before prepare" `Quick
+          test_decide_before_prepare;
+        Alcotest.test_case "recovery timer after the decision" `Quick
+          test_recovery_timer_after_decision;
         Alcotest.test_case "cluster txn smoke (both modes)" `Slow
           test_txn_cluster_smoke;
         Alcotest.test_case "coordinator-kill ablation: 2PC blocks, Paxos not"
