@@ -11,6 +11,10 @@
     instants.  Seeded runs of legacy configurations digest identically
     before and after the script refactor; golden tests pin this.
 
+    The crash storm runs in the background ({!Sim.Core.background}):
+    it never keeps a run going once the workload's own events are
+    done.
+
     Timed generic steps are new behaviour and emit their own
     ["nemesis.step"] instants; they drive node health through
     {!Sim.Failure} injector handles so up/down time stays accounted. *)
@@ -200,8 +204,7 @@ let install (env : 'msg env) (script : Script.t) : Sim.Failure.t list =
           List.iter
             (fun node ->
               let inj =
-                Sim.Failure.attach ~sim:env.sim ~net:env.net ~node ~spec
-                  ~until:1e9 ()
+                Sim.Failure.attach ~sim:env.sim ~net:env.net ~node ~spec ()
               in
               stochastic := inj :: !stochastic)
             (replicas env))

@@ -36,7 +36,8 @@ type step =
           later, for [cycles] cycles; seeded from the run seed *)
   | Crash_storm of Sim.Failure.spec
       (** the legacy [failures] nemesis: exponential crash/recover
-          processes on every replica *)
+          processes on every replica, in the background — they run
+          only while the workload still has events pending *)
 
 type t = step list
 

@@ -1,11 +1,12 @@
 (** The shared replication RPC engine — see the interface for the
     contract.  The hot path (default policy) is deliberately identical
     to the historical hand-rolled clients: one pending-table insert,
-    one deadline timer armed at [start_op], one send wave in target
-    order, one "reply" instant per dispatched reply.  Retry, backoff
-    and hedge timers only ever get scheduled when the policy asks for
-    them, so enabling the engine does not move a single PRNG draw or
-    heap entry in existing seeded runs. *)
+    one deadline timer armed at [start_op] and cancelled at
+    [finish_op], one send wave in target order, one "reply" instant per
+    dispatched reply.  Retry, backoff and hedge timers only ever get
+    scheduled when the policy asks for them, so enabling the engine
+    does not move a single PRNG draw or heap entry in existing seeded
+    runs. *)
 
 module Core = Sim.Core
 module Net = Sim.Net
@@ -29,6 +30,7 @@ type op = {
   mutable o_live : bool;
   o_started : float;
   mutable o_calls : packed_call list;
+  mutable o_deadline : Core.timer;  (** cancelled when the op finishes *)
   o_ctx : Obs.Ctx.t option;
       (** causal trace context: when present, the engine stamps the
           op's attempt spans, reply/hedge instants and batch-queue
@@ -54,6 +56,9 @@ and 'msg call = {
   on_exhausted : unit -> unit;
   mutable span : Obs.Trace.span option;  (** current attempt span *)
   pol : Policy.t;  (** policy captured at call start *)
+  mutable timer : Core.timer;
+      (** the pending attempt or retry timer — never both at once *)
+  mutable hedge : Core.timer;  (** the pending hedge timer *)
 }
 
 type 'msg t = {
@@ -321,6 +326,8 @@ let end_attempt_span t (c : 'msg call) ~outcome =
 let close_call t (c : 'msg call) ~outcome =
   if not c.closed then begin
     c.closed <- true;
+    Core.cancel t.sim c.timer;
+    Core.cancel t.sim c.hedge;
     (* remove only our own binding: a caller may reuse the rid for a
        successor call registered before this one closes *)
     (match Hashtbl.find_opt t.pending c.rid with
@@ -333,13 +340,19 @@ let close_call t (c : 'msg call) ~outcome =
 
 let start_op ?ctx t ~timeout ~on_timeout =
   let op =
-    { o_live = true; o_started = Core.now t.sim; o_calls = []; o_ctx = ctx }
+    {
+      o_live = true;
+      o_started = Core.now t.sim;
+      o_calls = [];
+      o_deadline = Core.no_timer;
+      o_ctx = ctx;
+    }
   in
-  Core.schedule t.sim ~delay:timeout (fun () ->
-      if op.o_live then begin
+  (* [finish_op] cancels the deadline, so it only fires on a live op *)
+  op.o_deadline <-
+    Core.timer t.sim ~delay:timeout (fun () ->
         Obs.Metrics.inc t.m_op_timeouts;
-        on_timeout ()
-      end);
+        on_timeout ());
   op
 
 let op_live op = op.o_live
@@ -349,6 +362,7 @@ let op_ctx op = op.o_ctx
 let finish_op t op =
   if op.o_live then begin
     op.o_live <- false;
+    Core.cancel t.sim op.o_deadline;
     List.iter
       (fun (Call c) -> close_call t c ~outcome:"abandoned")
       op.o_calls;
@@ -367,50 +381,53 @@ let send_range t (c : 'msg call) lo hi =
 
 let rec arm_attempt_timer t (c : 'msg call) =
   if c.pol.Policy.max_attempts > 1 then
-    Core.schedule t.sim ~delay:c.pol.Policy.attempt_timeout (fun () ->
-        if call_live c then
-          if c.attempt >= c.pol.Policy.max_attempts then begin
-            end_attempt_span t c ~outcome:"exhausted";
-            Obs.Metrics.inc t.m_exhausted;
-            c.on_exhausted ()
-          end
-          else begin
-            end_attempt_span t c ~outcome:"timeout";
-            let next = c.attempt + 1 in
-            let delay =
-              Policy.retry_delay c.pol ~attempt:next ~u:(Prng.float t.rng)
-            in
-            Core.schedule t.sim ~delay (fun () ->
-                if call_live c then begin
-                  c.attempt <- next;
-                  Obs.Metrics.inc t.m_retries;
-                  begin_attempt_span t c;
-                  send_range t c 0 c.sent_upto;
-                  arm_attempt_timer t c
-                end)
-          end)
+    c.timer <-
+      Core.timer t.sim ~delay:c.pol.Policy.attempt_timeout (fun () ->
+          if call_live c then
+            if c.attempt >= c.pol.Policy.max_attempts then begin
+              end_attempt_span t c ~outcome:"exhausted";
+              Obs.Metrics.inc t.m_exhausted;
+              c.on_exhausted ()
+            end
+            else begin
+              end_attempt_span t c ~outcome:"timeout";
+              let next = c.attempt + 1 in
+              let delay =
+                Policy.retry_delay c.pol ~attempt:next ~u:(Prng.float t.rng)
+              in
+              c.timer <-
+                Core.timer t.sim ~delay (fun () ->
+                    if call_live c then begin
+                      c.attempt <- next;
+                      Obs.Metrics.inc t.m_retries;
+                      begin_attempt_span t c;
+                      send_range t c 0 c.sent_upto;
+                      arm_attempt_timer t c
+                    end)
+            end)
 
 let arm_hedge_timer t (c : 'msg call) =
   match c.pol.Policy.hedge_delay with
   | Some d when c.sent_upto < Array.length c.targets ->
-      Core.schedule t.sim ~delay:d (fun () ->
-          if call_live c && c.sent_upto < Array.length c.targets then begin
-            Obs.Metrics.inc t.m_hedges;
-            let tr = tracer t in
-            if Obs.Trace.enabled tr then
-              Obs.Trace.instant tr ~cat:t.cat ~name:"hedge" ~track:t.name
-                ~args:
-                  ([
-                     ("rid", Obs.Trace.Int c.rid);
-                     ( "extra",
-                       Obs.Trace.Int (Array.length c.targets - c.sent_upto) );
-                   ]
-                  @ ctx_args c)
-                ();
-            let lo = c.sent_upto in
-            c.sent_upto <- Array.length c.targets;
-            send_range t c lo c.sent_upto
-          end)
+      c.hedge <-
+        Core.timer t.sim ~delay:d (fun () ->
+            if call_live c && c.sent_upto < Array.length c.targets then begin
+              Obs.Metrics.inc t.m_hedges;
+              let tr = tracer t in
+              if Obs.Trace.enabled tr then
+                Obs.Trace.instant tr ~cat:t.cat ~name:"hedge" ~track:t.name
+                  ~args:
+                    ([
+                       ("rid", Obs.Trace.Int c.rid);
+                       ( "extra",
+                         Obs.Trace.Int (Array.length c.targets - c.sent_upto) );
+                     ]
+                    @ ctx_args c)
+                  ();
+              let lo = c.sent_upto in
+              c.sent_upto <- Array.length c.targets;
+              send_range t c lo c.sent_upto
+            end)
   | _ -> ()
 
 let call t ~op ?rid ~targets ?fanout ~make ~on_reply
@@ -436,6 +453,8 @@ let call t ~op ?rid ~targets ?fanout ~make ~on_reply
       on_exhausted;
       span = None;
       pol = t.policy;
+      timer = Core.no_timer;
+      hedge = Core.no_timer;
     }
   in
   Hashtbl.replace t.pending rid c;

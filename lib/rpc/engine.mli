@@ -25,8 +25,11 @@
     {2 Hygiene invariant}
 
     Every completed or timed-out operation removes all of its pending
-    entries and closes its open attempt spans: after the simulator
-    drains, [pending_count] is [0].  Tests assert this. *)
+    entries, closes its open attempt spans and cancels its timers (the
+    deadline, and every call's attempt, retry and hedge timers): after
+    the simulator drains, [pending_count] is [0], and a finished
+    operation leaves no event in the simulator's queue.  Tests assert
+    this. *)
 
 type verdict =
   | Continue  (** keep gathering replies *)
@@ -149,9 +152,10 @@ val op_ctx : op -> Obs.Ctx.t option
     into request frames. *)
 
 val finish_op : 'msg t -> op -> unit
-(** Mark the operation dead and drop its outstanding calls from the
-    pending table, closing their attempt spans.  Idempotent; late
-    replies and timers for the operation become no-ops. *)
+(** Mark the operation dead, cancel its deadline, and drop its
+    outstanding calls from the pending table, closing their attempt
+    spans and cancelling their timers.  Idempotent; late replies for
+    the operation become no-ops. *)
 
 val call :
   'msg t ->

@@ -66,22 +66,30 @@ let up_fraction t ~now =
   if total <= 0.0 then 1.0 else t.up_time /. total
 
 (** Attach the classic stochastic crash/recover process for [node] to
-    the network, running until virtual time [until]; returns the
-    injector handle.  Durations draw from the simulation's own PRNG,
-    so identical seeds give identical schedules. *)
-let attach ~(sim : Core.t) ~(net : 'msg Net.t) ~node ~(spec : spec) ~until () =
+    the network; returns the injector handle.  With [until] the phases
+    are foreground events and stop at that virtual time; without it
+    they run in the background, for as long as the run has foreground
+    work.  Durations draw from the simulation's own PRNG, so identical
+    seeds give identical schedules. *)
+let attach ~(sim : Core.t) ~(net : 'msg Net.t) ~node ~(spec : spec) ?until ()
+    =
   let rng = Core.rng sim in
   let t = create ~node ~now:(Core.now sim) () in
+  let at, until =
+    match until with
+    | Some u -> (Core.schedule sim, u)
+    | None -> (Core.background sim, infinity)
+  in
   let rec up_phase () =
     let dt = Prng.exponential rng ~mean:spec.mtbf in
-    Core.schedule sim ~delay:dt (fun () ->
+    at ~delay:dt (fun () ->
         if Core.now sim < until then begin
           set_health t ~net ~now:(Core.now sim) ~up:false;
           down_phase ()
         end)
   and down_phase () =
     let dt = Prng.exponential rng ~mean:spec.mttr in
-    Core.schedule sim ~delay:dt (fun () ->
+    at ~delay:dt (fun () ->
         if Core.now sim < until then begin
           set_health t ~net ~now:(Core.now sim) ~up:true;
           up_phase ()

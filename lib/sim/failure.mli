@@ -35,9 +35,12 @@ val up_fraction : t -> now:float -> float
     long stochastic runs this converges to {!availability}. *)
 
 val attach :
-  sim:Core.t -> net:'msg Net.t -> node:string -> spec:spec -> until:float ->
+  sim:Core.t -> net:'msg Net.t -> node:string -> spec:spec -> ?until:float ->
   unit -> t
-(** Attach the stochastic crash/recover process for the node, running
-    until the given virtual time; returns the injector handle.
-    Durations draw from the simulation's PRNG — identical seeds give
-    identical schedules. *)
+(** Attach the stochastic crash/recover process for the node; returns
+    the injector handle.  With [until] the process is foreground work
+    that stops at that virtual time; without it the process runs in
+    the background ({!Core.background}) for as long as the run has
+    foreground work, and never keeps a run going by itself.  Durations
+    draw from the simulation's PRNG — identical seeds give identical
+    schedules. *)

@@ -143,6 +143,9 @@ type results = {
   shards : shard_stat list;  (** per-shard operations and load *)
   audit_violations : string list;
   duration : float;
+      (** virtual time of the run's last foreground event: its last
+          live message, storage write or timer (cancelled timers and
+          background fault processes do not count) *)
   installs : int;  (** installs processed across every replica *)
   fsyncs : int;
       (** fsyncs across every replica's storage device ([0] without

@@ -52,6 +52,8 @@ type txn_entry = {
           replicas, canonical order) *)
   e_paxos : bool;  (** recovery armed (Paxos-Commit mode) *)
   mutable e_attempt : int;  (** recovery attempts launched so far *)
+  mutable e_timer : Sim.Core.timer;
+      (** the armed recovery timer, cancelled when the entry resolves *)
 }
 
 (** Recovery-leader state for one in-doubt transaction: a Paxos round
@@ -97,6 +99,10 @@ type t = {
   (* ---- cross-shard transaction state ---- *)
   locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
   txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
+  mutable doubt : string array;
+  mutable n_doubt : int;
+      (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
+          [prepared] entry, unordered *)
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;  (** set at attach; recovery timers *)
@@ -140,6 +146,8 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     m_queue_depth;
     locks = Hashtbl.create 16;
     txns = Hashtbl.create 16;
+    doubt = [||];
+    n_doubt = 0;
     txn_recovery_delay;
     txn_recovery_attempts;
     txn_sim = None;
@@ -184,12 +192,30 @@ let txn t txid =
       Hashtbl.replace t.txns txid x;
       x
 
+(* The in-doubt index: a txid joins at prepare and leaves at resolve,
+   swapped out by the last one.  It holds only the transactions
+   prepared here right now, so the scan is short, and nothing is
+   allocated per transaction beyond the occasional doubling. *)
+let doubt_add t txid =
+  if t.n_doubt = Array.length t.doubt then begin
+    let a = Array.make (max 8 (2 * t.n_doubt)) "" in
+    Array.blit t.doubt 0 a 0 t.n_doubt;
+    t.doubt <- a
+  end;
+  t.doubt.(t.n_doubt) <- txid;
+  t.n_doubt <- t.n_doubt + 1
+
+let rec doubt_remove t txid i =
+  if i < t.n_doubt then
+    if String.equal t.doubt.(i) txid then begin
+      t.n_doubt <- t.n_doubt - 1;
+      t.doubt.(i) <- t.doubt.(t.n_doubt);
+      t.doubt.(t.n_doubt) <- ""
+    end
+    else doubt_remove t txid (i + 1)
+
 let in_doubt t =
-  (* lint: order-insensitive *)
-  Hashtbl.fold
-    (fun txid x acc -> if Option.is_some x.prepared then txid :: acc else acc)
-    t.txns []
-  |> List.sort String.compare
+  List.sort String.compare (Array.to_list (Array.sub t.doubt 0 t.n_doubt))
 
 let locked_keys t =
   (* lint: order-insensitive *)
@@ -244,6 +270,10 @@ let txn_apply_decision t x ~txid ~commit ~writes =
           | _ -> ())
         (txn_footprint e);
       x.prepared <- None;
+      doubt_remove t txid 0;
+      (match t.txn_sim with
+      | Some sim -> Sim.Core.cancel sim e.e_timer
+      | None -> ());
       (match x.leading with Some lead -> lead.l_live <- false | None -> ());
       true
 
@@ -418,16 +448,15 @@ let rec arm_recovery t x ~txid =
             *. (1.0 +. (0.25 *. float_of_int my_index))
             *. (2.0 ** float_of_int e.e_attempt)
           in
-          Sim.Core.schedule sim ~delay (fun () ->
-              if
-                Option.is_some x.prepared
-                && Option.is_none x.decided
-                && e.e_attempt < t.txn_recovery_attempts
-              then begin
-                e.e_attempt <- e.e_attempt + 1;
-                start_recovery t x ~txid e ~my_index;
-                arm_recovery t x ~txid
-              end))
+          (* resolving the entry cancels the timer, so it only fires
+             while the transaction is in doubt here *)
+          e.e_timer <-
+            Sim.Core.timer sim ~delay (fun () ->
+                if e.e_attempt < t.txn_recovery_attempts then begin
+                  e.e_attempt <- e.e_attempt + 1;
+                  start_recovery t x ~txid e ~my_index;
+                  arm_recovery t x ~txid
+                end))
 
 (* Drain the apply queue through the storage device: take a group
    (the whole queue under group commit, one install otherwise), apply
@@ -658,7 +687,9 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                       e_acceptors = acceptors;
                       e_paxos = paxos;
                       e_attempt = 0;
+                      e_timer = Sim.Core.no_timer;
                     };
+                doubt_add t txid;
                 if paxos then arm_recovery t x ~txid;
                 reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
               end))

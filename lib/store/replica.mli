@@ -44,6 +44,8 @@ type txn_entry = {
           replicas, canonical order) *)
   e_paxos : bool;  (** recovery armed (Paxos-Commit mode) *)
   mutable e_attempt : int;  (** recovery attempts launched so far *)
+  mutable e_timer : Sim.Core.timer;
+      (** the armed recovery timer, cancelled when the entry resolves *)
 }
 (** A prepared (in-doubt) transaction: the shard-local write set and
     locked footprint of a yes-vote, held until the decision. *)
@@ -87,6 +89,11 @@ type t = {
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
   txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
+  mutable doubt : string array;
+  mutable n_doubt : int;
+      (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
+          [prepared] entry, unordered — kept at prepare and at
+          resolve *)
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;

@@ -19,7 +19,7 @@ let qcheck t =
    the equivalent script.  The shape matches the pre-refactor capture
    runs: 3 replicas/shard, 3 clients, range sharding, targeted
    quorums, retries + hedging. *)
-let scenario ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
+let scenario ?failures ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
   let p =
     {
       Store.Cluster.default_params with
@@ -43,9 +43,9 @@ let scenario ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
     if as_script then
       {
         p with
-        script = Script.of_legacy ?partitions ?shard_kill ();
+        script = Script.of_legacy ?failures ?partitions ?shard_kill ();
       }
-    else { p with partitions; shard_kill }
+    else { p with partitions; shard_kill; failures }
   in
   let r = Store.Cluster.run p in
   let trace = Obs.Export.jsonl r.Store.Cluster.trace in
@@ -53,20 +53,50 @@ let scenario ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
 
 (* Digest + trace-digest pairs captured from the pre-refactor inline
    nemesis code.  Both the legacy params and the script expression of
-   the same schedule must reproduce them byte for byte. *)
+   the same schedule must reproduce them byte for byte.  Re-pinned once
+   when finished ops began cancelling their timers: only [duration]
+   moved, and each trace is the old one minus the cancelled timers'
+   [sim/exec] instants. *)
 let partition_goldens =
   [
-    (42, ("996422eaca9bdbce4098ccbbf4752aa2", "ce53a76fe9882f846050f3602482093e"));
-    (7, ("07f93266c9ba094b265e77af4a80d6ee", "a06ae485674bb184a82d6795430d66f0"));
-    (101, ("c56e6d787ef362468a3d0a42d51b417a", "e1f235cea3e57c74eb5306c924945c94"));
+    (42, ("996422eaca9bdbce4098ccbbf4752aa2", "df305d1603da7f873a5cc2aaa7e92e88"));
+    (7, ("07f93266c9ba094b265e77af4a80d6ee", "62450e8a138da1209614e20c3dc3f2a7"));
+    (101, ("c56e6d787ef362468a3d0a42d51b417a", "e548e37be1c0cc9e076d10e6fd52b705"));
   ]
 
 let shard_kill_goldens =
   [
-    (42, ("41954ac462a10edb38bbf63f3b5271a3", "f842c829a3255bc20f883c4ce7b1b9f5"));
-    (7, ("61e446bbb9ff87d39bb35d848ef40e90", "229359e3973594292c0579154f9e62ad"));
-    (101, ("47035a312265f8e64df44e7446464ab5", "b06e472b1a8f8fae5fa9ed549885ebe8"));
+    (42, ("393e7983fa52b5f8f01eba49f924bf5c", "e135300427690044dc93815c4897f012"));
+    (7, ("61e446bbb9ff87d39bb35d848ef40e90", "de3e2b2a888ef0accf23124fc4267f27"));
+    (101, ("47035a312265f8e64df44e7446464ab5", "66d88863d9ebf855ba3e3c01ecf80d84"));
   ]
+
+(* The crash storm runs in the background, so a run ends with its
+   workload: its digest is pinned here like the others.  Against the
+   run that drained the storm to t = 1e9, only [duration] differs. *)
+let crash_storm_goldens =
+  [
+    (42, "2b9c3ad23f90e0736c7d83ac4e17adb7");
+    (7, "39c52f1bb995470c713f43215e34cace");
+    (101, "1c9025e8497ae30b07faf736bf1bd325");
+  ]
+
+let test_crash_storm_goldens () =
+  List.iter
+    (fun (seed, expected) ->
+      let run as_script =
+        scenario
+          ~failures:{ Sim.Failure.mtbf = 300.0; mttr = 60.0 }
+          ~seed ~n_shards:1 ~as_script ~partitions:None ~shard_kill:None ()
+      in
+      let legacy = run false and scripted = run true in
+      Alcotest.(check (pair string string))
+        (Fmt.str "crash storm seed %d: legacy = script" seed)
+        legacy scripted;
+      Alcotest.(check string)
+        (Fmt.str "crash storm seed %d: golden" seed)
+        expected (fst legacy))
+    crash_storm_goldens
 
 let test_partition_storm_goldens () =
   List.iter
@@ -100,11 +130,10 @@ let test_shard_kill_goldens () =
         [ false; true ])
     shard_kill_goldens
 
-(* The crash storm runs the simulation out to the injectors' horizon,
-   so the cluster-level golden lives in the capture tool, not the
-   suite.  This sim-level check pins the same property cheaply: the
-   legacy attach loop and the Crash_storm interpreter produce
-   bit-identical health schedules. *)
+(* The legacy attach loop and the Crash_storm interpreter produce
+   bit-identical health schedules.  Both run the storm in the
+   background, so each side schedules the same foreground horizon event
+   at t = 50,000 to keep the run going that long. *)
 let test_crash_storm_equivalence () =
   let spec = { Sim.Failure.mtbf = 300.0; mttr = 60.0 } in
   let nodes = [ "r0"; "r1"; "r2" ] in
@@ -113,11 +142,10 @@ let test_crash_storm_equivalence () =
     let tr = Obs.Trace.create ~capacity:65536 ~enabled:true () in
     Core.attach_tracer sim tr;
     let net = (Net.create ~sim ~nodes () : unit Net.t) in
+    Core.schedule sim ~delay:50_000.0 ignore;
     let injectors =
       if legacy then
-        List.map
-          (fun node -> Sim.Failure.attach ~sim ~net ~node ~spec ~until:1e9 ())
-          nodes
+        List.map (fun node -> Sim.Failure.attach ~sim ~net ~node ~spec ()) nodes
       else
         Harness.Run.install
           {
@@ -130,12 +158,15 @@ let test_crash_storm_equivalence () =
           (Script.of_failures spec)
     in
     Core.run ~until:50_000.0 sim;
+    Alcotest.(check (float 0.0)) "ran to the horizon" 50_000.0 (Core.now sim);
     ( List.map
         (fun i -> (Sim.Failure.node i, Sim.Failure.transitions i))
         injectors,
       Digest.to_hex (Digest.string (Obs.Export.jsonl tr)) )
   in
   let legacy = run true and scripted = run false in
+  Alcotest.(check bool) "the storm ran" true
+    (List.for_all (fun (_, n) -> n > 100) (fst legacy));
   Alcotest.(check (pair (list (pair string int)) string))
     "identical health schedule and trace" legacy scripted
 
@@ -578,6 +609,8 @@ let suites =
           test_partition_storm_goldens;
         Alcotest.test_case "shard kill: legacy = script = golden" `Slow
           test_shard_kill_goldens;
+        Alcotest.test_case "crash storm: legacy = script = golden" `Quick
+          test_crash_storm_goldens;
         Alcotest.test_case "crash storm: legacy = script (sim level)" `Quick
           test_crash_storm_equivalence;
       ] );

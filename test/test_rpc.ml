@@ -17,9 +17,9 @@ type msg = Req of int | Rep of int | Batch of int * msg list
 let rid_of = function Req r | Rep r | Batch (r, _) -> r
 let servers = List.init 5 (fun i -> Fmt.str "s%d" i)
 
-let make_world ~seed ?policy ?(loss = 0.0) () =
+let make_world ~seed ?policy ?(loss = 0.0) ?latency () =
   let sim = Core.create ~seed in
-  let net = Net.create ~sim ~nodes:("c" :: servers) ~loss () in
+  let net = Net.create ~sim ~nodes:("c" :: servers) ?latency ~loss () in
   List.iter
     (fun s ->
       Net.register net ~node:s (fun ~src msg ->
@@ -91,6 +91,36 @@ let test_deadline_cleans_pending () =
   Alcotest.(check int)
     "pending table drained after timeout" 0
     (Engine.pending_count eng)
+
+(* A finished op cancels its timers, so it leaves nothing in the event
+   queue and the run ends at the completion — with the deadline, the
+   attempt timer, the retry timer or the hedge timer still ahead of
+   it.  Latency is a fixed 3, so the one reply lands at t = 6. *)
+let test_finished_op_leaves_no_event () =
+  List.iter
+    (fun (label, policy) ->
+      let sim, _net, eng =
+        make_world ~seed:6 ~policy
+          ~latency:(Net.uniform_latency ~lo:3.0 ~hi:3.0)
+          ()
+      in
+      let outcome = gather ~sim ~eng ~k:1 ~fanout:1 ~timeout:1000.0 () in
+      Core.run sim;
+      match !outcome with
+      | `Ok t ->
+          Alcotest.(check (float 0.0)) (label ^ ": completed") 6.0 t;
+          Alcotest.(check (float 0.0))
+            (label ^ ": the run ends at the completion") t (Core.now sim);
+          Alcotest.(check int) (label ^ ": nothing pending") 0
+            (Core.pending sim)
+      | _ -> Alcotest.fail (label ^ ": expected a reply"))
+    [
+      ("deadline", Policy.default);
+      ("attempt timer", Policy.with_retries 2 ~attempt_timeout:10.0);
+      ( "retry timer",
+        Policy.with_retries 2 ~attempt_timeout:2.0 ~backoff:5.0 ~jitter:0.0 );
+      ("hedge timer", Policy.with_hedge 50.0);
+    ]
 
 (* ---------- retries ---------- *)
 
@@ -361,6 +391,8 @@ let suites =
     ( "rpc.engine",
       [
         Alcotest.test_case "fire-once quorum gather" `Quick test_fire_once_quorum;
+        Alcotest.test_case "a finished op leaves no event" `Quick
+          test_finished_op_leaves_no_event;
         Alcotest.test_case "deadline cleans pending" `Quick
           test_deadline_cleans_pending;
         Alcotest.test_case "no quorum: deterministic exhaustion" `Quick

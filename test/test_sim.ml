@@ -132,6 +132,123 @@ let test_heap_releases_values () =
   ignore (Sys.opaque_identity (Sim.Heap.pop h));
   Alcotest.(check bool) "popped to empty: released" true (released 0)
 
+(* Model-based, with handles: random push / take / cancel sequences,
+   where a cancel names any handle issued so far — live, already taken,
+   already cancelled (so repeated), or one whose slot a later push
+   reused.  A cancel must remove exactly the live entry it names and
+   report whether it did; the heap must agree with the sorted list at
+   every step and drain in its order. *)
+type cancel_op = CPush of float | CTake | CCancel of int
+
+let cancel_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> CPush t) (oneofl [ 0.0; 1.0; 2.0; 3.0 ]));
+        (1, return CTake);
+        (2, map (fun i -> CCancel i) (int_bound 1000));
+      ])
+
+let cancel_op_print = function
+  | CPush t -> Fmt.str "push %g" t
+  | CTake -> "take"
+  | CCancel i -> Fmt.str "cancel #%d" i
+
+let prop_heap_cancel_model =
+  QCheck.Test.make ~count:500 ~name:"heap with cancel matches a sorted list"
+    QCheck.(make ~print:(Print.list cancel_op_print) Gen.(list cancel_op_gen))
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let by_key (t1, s1) (t2, s2) =
+        match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+      in
+      let agrees model =
+        Sim.Heap.length h = List.length model
+        &&
+        match model with
+        | [] -> Sim.Heap.is_empty h
+        | (t, s) :: _ ->
+            Float.equal (Sim.Heap.min_time h) t && Sim.Heap.min_seq h = s
+      in
+      (* issued handles, newest first, with the seq each was issued for *)
+      let rec go seq issued model = function
+        | [] ->
+            let rec drain = function
+              | [] -> Sim.Heap.is_empty h
+              | (_, s) :: rest -> Sim.Heap.take h = s && drain rest
+            in
+            drain model
+        | CPush t :: rest ->
+            let hd = Sim.Heap.add h t seq seq in
+            let model = List.merge by_key model [ (t, seq) ] in
+            agrees model && go (seq + 1) ((hd, seq) :: issued) model rest
+        | CTake :: rest -> (
+            match model with
+            | [] -> go seq issued model rest
+            | (_, s) :: model ->
+                Sim.Heap.take h = s && agrees model && go seq issued model rest)
+        | CCancel i :: rest ->
+            if issued = [] then go seq issued model rest
+            else
+              let hd, s = List.nth issued (i mod List.length issued) in
+              let live = List.exists (fun (_, s') -> s' = s) model in
+              let model = List.filter (fun (_, s') -> s' <> s) model in
+              Sim.Heap.cancel h hd = live && agrees model
+              && go seq issued model rest
+      in
+      go 0 [] [] ops)
+
+(* A slot freed by a take or a cancel is reused by the next push; the
+   old handle must stay stale, and a cancelled value must be released
+   like a taken one. *)
+let test_heap_stale_handles () =
+  let h = Sim.Heap.create () in
+  let w = Weak.create 1 in
+  let a = Sim.Heap.add h 1.0 0 (ref 0) in
+  Alcotest.(check int) "taken" 0 !(Sim.Heap.take h);
+  let v = ref 1 in
+  Weak.set w 0 (Some v);
+  let b = Sim.Heap.add h 2.0 1 v in
+  Alcotest.(check bool) "the slot was reused" true
+    ((a :> int) land 0xffff = (b :> int) land 0xffff);
+  Alcotest.(check bool) "stale handle: no-op" false (Sim.Heap.cancel h a);
+  Alcotest.(check int) "the new entry survives" 1 (Sim.Heap.length h);
+  Alcotest.(check bool) "none: no-op" false (Sim.Heap.cancel h Sim.Heap.none);
+  Alcotest.(check bool) "live handle cancels" true (Sim.Heap.cancel h b);
+  Alcotest.(check bool) "repeated cancel: no-op" false (Sim.Heap.cancel h b);
+  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled value released" false (Weak.check w 0)
+
+(* The event path allocates nothing: add, cancel and take on a heap
+   that already has its capacity.  The times are boxed up front: a
+   float passed to a function that is not inlined across modules (as
+   in the dev profile, which compiles opaquely) is boxed by the caller,
+   which is not the heap's cost. *)
+let test_heap_no_alloc () =
+  let h = Sim.Heap.create () in
+  for i = 0 to 127 do
+    Sim.Heap.push h (float_of_int i) i ()
+  done;
+  for _ = 0 to 63 do
+    Sim.Heap.take h
+  done;
+  let times = Array.init 97 (fun i -> ref (float_of_int i)) in
+  let seq = ref 128 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    incr seq;
+    let a = Sim.Heap.add h !(times.(!seq mod 97)) !seq () in
+    incr seq;
+    Sim.Heap.push h !(times.(!seq mod 89)) !seq ();
+    ignore (Sim.Heap.cancel h a : bool);
+    Sim.Heap.take h
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Fmt.str "%.0f words over 10k rounds" words)
+    true (words < 100.0)
+
 (* ---------- clock ---------- *)
 
 let test_sim_time_advances () =
@@ -166,6 +283,69 @@ let test_sim_nan_delay () =
   Sim.Core.run sim;
   Alcotest.(check (list string)) "then runs" [ "inf"; "now" ] !order;
   Alcotest.(check int) "two events" 2 (Sim.Core.executed_events sim)
+
+(* Timers: a cancelled timer never runs and no longer counts as
+   pending; cancelling one that ran, or cancelling twice, does nothing
+   and leaves the count alone. *)
+let test_core_timers () =
+  let sim = Sim.Core.create ~seed:1 in
+  let fired = ref [] in
+  let tm name d = Sim.Core.timer sim ~delay:d (fun () -> fired := name :: !fired) in
+  let a = tm "a" 1.0 and b = tm "b" 2.0 and c = tm "c" 3.0 in
+  Alcotest.(check int) "three pending" 3 (Sim.Core.pending sim);
+  Sim.Core.cancel sim b;
+  Sim.Core.cancel sim b;
+  Sim.Core.cancel sim Sim.Core.no_timer;
+  Alcotest.(check int) "cancelled once" 2 (Sim.Core.pending sim);
+  Sim.Core.run ~until:1.5 sim;
+  Sim.Core.cancel sim a;
+  Alcotest.(check int) "a ran; cancelling it after is a no-op" 1
+    (Sim.Core.pending sim);
+  Sim.Core.run sim;
+  Sim.Core.cancel sim c;
+  Alcotest.(check (list string)) "b never ran" [ "a"; "c" ] (List.rev !fired);
+  Alcotest.(check int) "nothing pending" 0 (Sim.Core.pending sim);
+  Alcotest.(check int) "two events ran" 2 (Sim.Core.executed_events sim);
+  Alcotest.(check (float 0.0)) "the run ended at c" 3.0 (Sim.Core.now sim)
+
+(* Background events run interleaved with foreground ones, in key
+   order, but never keep a run going: it ends with the last foreground
+   event, also under [~until]. *)
+let test_core_background () =
+  let sim = Sim.Core.create ~seed:1 in
+  let order = ref [] in
+  let rec tick n =
+    Sim.Core.background sim ~delay:1.0 (fun () ->
+        order := Fmt.str "bg%d" n :: !order;
+        tick (n + 1))
+  in
+  tick 1;
+  Sim.Core.schedule sim ~delay:2.5 (fun () -> order := "fg" :: !order);
+  Alcotest.(check int) "one foreground event" 1 (Sim.Core.pending sim);
+  Sim.Core.run ~until:100.0 sim;
+  Alcotest.(check (list string)) "interleaved, then stop"
+    [ "bg1"; "bg2"; "fg" ] (List.rev !order);
+  Alcotest.(check (float 0.0)) "the clock stays at the last event" 2.5
+    (Sim.Core.now sim);
+  Sim.Core.run sim;
+  Alcotest.(check int) "background alone runs nothing" 3
+    (Sim.Core.executed_events sim);
+  (* a crash storm without a horizon is background work too *)
+  let net = Sim.Net.create ~sim ~nodes:[ "n" ] () in
+  let inj =
+    Sim.Failure.attach ~sim ~net ~node:"n"
+      ~spec:{ Sim.Failure.mtbf = 1.0; mttr = 1.0 }
+      ()
+  in
+  Sim.Core.run sim;
+  Alcotest.(check int) "no transitions without foreground work" 0
+    (Sim.Failure.transitions inj);
+  Sim.Core.schedule sim ~delay:1000.0 ignore;
+  Sim.Core.run sim;
+  Alcotest.(check bool) "transitions while foreground work is pending" true
+    (Sim.Failure.transitions inj > 100);
+  Alcotest.(check (float 0.0)) "ended at the foreground horizon" 1002.5
+    (Sim.Core.now sim)
 
 (* ---------- network ---------- *)
 
@@ -522,6 +702,11 @@ let suites =
         qcheck prop_heap_model;
         Alcotest.test_case "taken values are released" `Quick
           test_heap_releases_values;
+        qcheck prop_heap_cancel_model;
+        Alcotest.test_case "stale, repeated and reused-slot handles" `Quick
+          test_heap_stale_handles;
+        Alcotest.test_case "add, cancel and take allocate nothing" `Quick
+          test_heap_no_alloc;
       ] );
     ( "sim.core",
       [
@@ -529,6 +714,10 @@ let suites =
         Alcotest.test_case "run until bound" `Quick test_sim_until;
         Alcotest.test_case "NaN delay rejected, infinity allowed" `Quick
           test_sim_nan_delay;
+        Alcotest.test_case "timers: cancel, stale and repeated cancel" `Quick
+          test_core_timers;
+        Alcotest.test_case "background events never keep a run going" `Quick
+          test_core_background;
       ] );
     ( "sim.net",
       [

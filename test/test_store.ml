@@ -134,6 +134,48 @@ let test_cluster_audit_clean () =
         Some { Sim.Failure.mtbf = 300.0; mttr = 60.0 } );
     ]
 
+(* A crash storm runs in the background: the run ends with its
+   workload — within one op timeout of the last completion (a late
+   reply or a storage write may still land) — instead of draining the
+   storm to a far horizon.  Both the legacy knob and the script. *)
+let test_crash_storm_run_ends_with_workload () =
+  let spec = { Sim.Failure.mtbf = 300.0; mttr = 60.0 } in
+  List.iter
+    (fun (label, failures, script) ->
+      List.iter
+        (fun seed ->
+          let p =
+            {
+              Store.Cluster.default_params with
+              failures;
+              script;
+              seed;
+              workload =
+                { Store.Workload.default_spec with ops_per_client = 150 };
+            }
+          in
+          let r = Store.Cluster.run p in
+          let last =
+            List.fold_left
+              (fun acc (t, _) -> Float.max acc t)
+              0.0 r.Store.Cluster.completions
+          in
+          Alcotest.(check int)
+            (Fmt.str "%s seed %d: every op completed" label seed)
+            (p.n_clients * 150)
+            (List.length r.Store.Cluster.completions);
+          Alcotest.(check bool)
+            (Fmt.str "%s seed %d: ends at %g, last completion %g" label seed
+               r.Store.Cluster.duration last)
+            true
+            (r.Store.Cluster.duration >= last
+            && r.Store.Cluster.duration <= last +. p.timeout))
+        [ 1; 2; 3 ])
+    [
+      ("failures", Some spec, []);
+      ("script", None, Harness.Script.of_failures spec);
+    ]
+
 let test_cluster_grid_needs_matching_n () =
   (* grid 2x3 needs 6 replicas *)
   let r =
@@ -363,6 +405,8 @@ let suites =
       [
         Alcotest.test_case "audit clean across regimes" `Slow
           test_cluster_audit_clean;
+        Alcotest.test_case "a crash-storm run ends with its workload" `Quick
+          test_crash_storm_run_ends_with_workload;
         Alcotest.test_case "grid cluster" `Quick test_cluster_grid_needs_matching_n;
         Alcotest.test_case "lossy network" `Quick test_cluster_lossy_network;
       ] );

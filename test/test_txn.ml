@@ -287,6 +287,100 @@ let test_recovery_timer_after_decision () =
   Alcotest.(check (pair int int)) "decided: installed" (1, 7)
     (Replica.lookup r "k0")
 
+(* Resolving a prepared entry cancels its recovery timer, so a decided
+   transaction leaves nothing in the event queue; the in-doubt set
+   stays sorted whatever the prepare order, and a repeated decision
+   changes nothing. *)
+let test_decision_cancels_recovery_timer () =
+  let sim = Core.create ~seed:1 in
+  let net = Sim.Net.create ~sim ~nodes:[ "r0"; "r1"; "r2" ] () in
+  let r = Replica.create ~name:"r0" () in
+  Replica.attach r ~net;
+  let prep ?(paxos = true) rid txid key =
+    match
+      handle r
+        (P.Txn_prepare
+           {
+             rid;
+             txid;
+             writes = [ (key, rid) ];
+             reads = [];
+             acceptors = [ "r0"; "r1"; "r2" ];
+             paxos;
+             ctx = None;
+           })
+    with
+    | P.Txn_vote { yes = true; _ } -> ()
+    | _ -> Alcotest.fail "yes vote"
+  in
+  let dec rid txid key =
+    ignore
+      (handle r
+         (P.Txn_decide
+            { rid; txid; commit = true; writes = [ (key, 1, rid) ]; ctx = None }))
+  in
+  prep 1 "t2" "a";
+  prep 2 "t0" "b";
+  prep 3 "t1" "c";
+  Alcotest.(check int) "one recovery timer per prepare" 3 (Core.pending sim);
+  Alcotest.(check (list string)) "in doubt, sorted" [ "t0"; "t1"; "t2" ]
+    (Replica.in_doubt r);
+  dec 4 "t0" "b";
+  dec 5 "t0" "b";
+  Alcotest.(check int) "decided: its timer is gone" 2 (Core.pending sim);
+  Alcotest.(check (list string)) "t0 resolved" [ "t1"; "t2" ]
+    (Replica.in_doubt r);
+  dec 6 "t2" "a";
+  dec 7 "t1" "c";
+  prep ~paxos:false 8 "t3" "d";
+  Alcotest.(check int) "two-phase commit arms no timer" 0 (Core.pending sim);
+  dec 9 "t3" "d";
+  Core.run sim;
+  Alcotest.(check int) "no event ran" 0 (Core.executed_events sim);
+  check_idle "all decided" r
+
+(* End to end: once a Paxos Commit transaction is decided and its
+   messages delivered, no timer is left — the run ends long before the
+   recovery delay (150) or the transaction deadline (400). *)
+let test_decided_txn_leaves_no_event () =
+  let sim = Core.create ~seed:3 in
+  let groups =
+    Array.init 3 (fun s -> Array.init 3 (fun i -> Fmt.str "s%d:r%d" s i))
+  in
+  let names = Array.to_list groups |> List.concat_map Array.to_list in
+  let net = Sim.Net.create ~sim ~nodes:(names @ [ "c0" ]) () in
+  let replicas =
+    List.map
+      (fun name ->
+        let r = Replica.create ~name () in
+        Replica.attach r ~net;
+        r)
+      names
+  in
+  let router =
+    Store.Router.create ~name:"c0" ~sim ~net ~groups
+      ~strategies:(Array.make 3 (Store.Strategy.majority 3))
+      ~scheme:`Range ~n_keys:30 ()
+  in
+  Store.Router.attach router;
+  let coord = Store.Txn.create ~name:"c0" ~sim ~router ~mode:`Paxos () in
+  let outcome = ref None in
+  ignore
+    (Store.Txn.execute coord
+       ~writes:[ ("k0", 1); ("k15", 2); ("k29", 3) ]
+       ~on_done:(fun ~committed ~reads:_ ~writes:_ ~latency:_ ->
+         outcome := Some committed)
+       ()
+      : string);
+  Core.run sim;
+  Alcotest.(check (option bool)) "committed" (Some true) !outcome;
+  List.iter (fun r -> check_idle r.Replica.name r) replicas;
+  Alcotest.(check int) "nothing pending" 0 (Core.pending sim);
+  Alcotest.(check bool)
+    (Fmt.str "the run ended at t = %g, before any timer" (Core.now sim))
+    true
+    (Core.now sim < 150.0)
+
 (* ---------- end-to-end over the cluster ---------- *)
 
 let txn_params ~mode ~seed ?(script = []) ?(n_clients = 3) ?(retries = 2) () =
@@ -404,9 +498,9 @@ let test_txn_liveness_after_heal () =
    deliberate behaviour change lands. *)
 let golden_digests =
   [
-    (101, "92243b5b820d0eca83ed90b69ab9cc49");
-    (102, "d8086a9d4f0227d5802d65e2d8cbd01d");
-    (103, "e9bdefb3a972afbabc2bc1030d860546");
+    (101, "ebea320266d5a1bce01b7bd725f35527");
+    (102, "862a0945f7a77115e9bb1b57551979f5");
+    (103, "54267175f76019bf85a026f913c25f7b");
   ]
 
 let test_txn_digest_golden () =
@@ -440,6 +534,10 @@ let suites =
           test_decide_before_prepare;
         Alcotest.test_case "recovery timer after the decision" `Quick
           test_recovery_timer_after_decision;
+        Alcotest.test_case "the decision cancels the recovery timer" `Quick
+          test_decision_cancels_recovery_timer;
+        Alcotest.test_case "a decided transaction leaves no event" `Quick
+          test_decided_txn_leaves_no_event;
         Alcotest.test_case "cluster txn smoke (both modes)" `Slow
           test_txn_cluster_smoke;
         Alcotest.test_case "coordinator-kill ablation: 2PC blocks, Paxos not"
