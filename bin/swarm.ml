@@ -28,16 +28,6 @@ type shape = {
          so the fuzzer audits runs that re-strategize mid-flight *)
 }
 
-(* mirror Cluster.run's naming so generated scripts target real nodes *)
-let groups_of shape =
-  if shape.shards = 1 then
-    [| Array.init shape.replicas (fun i -> Fmt.str "r%d" i) |]
-  else
-    Array.init shape.shards (fun s ->
-        Array.init shape.replicas (fun i -> Fmt.str "s%d:r%d" s i))
-
-let client_names shape = List.init shape.clients (fun i -> Fmt.str "c%d" i)
-
 (* read-1/write-1 quorums do not intersect: the planted bug used by
    the CI canary to prove the swarm catches real violations *)
 let unsafe_strategy n =
@@ -45,47 +35,47 @@ let unsafe_strategy n =
     ~read_ok:(fun m -> Store.Strategy.popcount m >= 1)
     ~write_ok:(fun m -> Store.Strategy.popcount m >= 1)
 
-let run_one shape ~seed script =
-  let r =
-    Store.Cluster.run
+let params_of shape ~seed script =
+  {
+    Store.Cluster.default_params with
+    n_replicas = shape.replicas;
+    n_clients = shape.clients;
+    n_shards = shape.shards;
+    strategy =
+      (if shape.unsafe then unsafe_strategy else Store.Strategy.majority);
+    targeting = `Quorum;
+    policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
+    workload =
       {
-        Store.Cluster.default_params with
-        n_replicas = shape.replicas;
-        n_clients = shape.clients;
-        n_shards = shape.shards;
-        strategy =
-          (if shape.unsafe then unsafe_strategy else Store.Strategy.majority);
-        targeting = `Quorum;
-        policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
-        workload =
+        Store.Workload.default_spec with
+        ops_per_client = shape.ops;
+        read_fraction = 0.5;
+      };
+    seed;
+    script;
+    txns =
+      Option.map
+        (fun mode ->
+          (* timescales matched to the 300-unit script horizon:
+             the default 400-unit coordinator deadline and 150-unit
+             recovery base would leave post-fault lock releases
+             later than the last scripted heal, failing liveness on
+             workload exhaustion rather than on a real bug *)
           {
-            Store.Workload.default_spec with
-            ops_per_client = shape.ops;
-            read_fraction = 0.5;
-          };
-        seed;
-        script;
-        txns =
-          Option.map
-            (fun mode ->
-              (* timescales matched to the 300-unit script horizon:
-                 the default 400-unit coordinator deadline and 150-unit
-                 recovery base would leave post-fault lock releases
-                 later than the last scripted heal, failing liveness on
-                 workload exhaustion rather than on a real bug *)
-              {
-                Store.Cluster.default_txn_spec with
-                commit_mode = mode;
-                txns_per_client = max 4 (shape.ops / 2);
-                txn_timeout = 80.0;
-                txn_retries = 3;
-                recovery_delay = 40.0;
-              })
-            shape.txn;
-        tune =
-          (if shape.tune then Some Store.Cluster.default_tune_spec else None);
-      }
-  in
+            Store.Cluster.default_txn_spec with
+            commit_mode = mode;
+            txns_per_client = max 4 (shape.ops / 2);
+            txn_timeout = 80.0;
+            txn_retries = 3;
+            recovery_delay = 40.0;
+          })
+        shape.txn;
+    tune =
+      (if shape.tune then Some Store.Cluster.default_tune_spec else None);
+  }
+
+let run_one shape ~seed script =
+  let r = Store.Cluster.run (params_of shape ~seed script) in
   let audit = r.Store.Cluster.audit_violations in
   let audit =
     (* Paxos Commit is the non-blocking protocol: any transaction still
@@ -121,8 +111,12 @@ let run_one shape ~seed script =
 let gen_for shape ~seed =
   Harness.Gen.script
     ~txn:(shape.txn <> None)
-    (Prng.create seed) ~groups:(groups_of shape)
-    ~clients:(client_names shape) ~horizon:300.0
+    (Prng.create seed)
+    ~groups:
+      (Store.Cluster.group_names ~n_shards:shape.shards
+         ~n_replicas:shape.replicas)
+    ~clients:(Store.Cluster.client_names shape.clients)
+    ~horizon:300.0
 
 let extra_flags shape =
   Fmt.str "--shards %d --replicas %d --clients %d --ops %d%s%s%s" shape.shards
@@ -133,7 +127,22 @@ let extra_flags shape =
     | Some m -> " --txn " ^ Store.Txn.mode_label m)
     (if shape.tune then " --tune" else "")
 
+(* a shape the cluster rejects is bad input: one line, exit 2; so is
+   one with fewer than 2 replicas, which generated scripts may
+   partition *)
+let with_valid shape ~seed script k =
+  let n = shape.shards * shape.replicas in
+  match Store.Cluster.validate (params_of shape ~seed script) with
+  | Error e ->
+      Fmt.epr "swarm: %s@." e;
+      2
+  | Ok () when n < 2 ->
+      Fmt.epr "swarm: a shape needs >= 2 replicas in all (got %d)@." n;
+      2
+  | Ok () -> k ()
+
 let sweep shape seeds seed0 max_failures json_path =
+  with_valid shape ~seed:seed0 [] @@ fun () ->
   (* fail fast on a structurally broken configuration: fuzzing a
      known-illegal quorum system would only report it slowly *)
   (if not shape.unsafe then
@@ -181,22 +190,18 @@ let repro shape seed script_str =
   | Error e ->
       Fmt.epr "cannot parse script: %s@." e;
       2
-  | Ok script -> (
-      match Script.validate script with
-      | Error e ->
-          Fmt.epr "invalid script: %s@." e;
-          2
-      | Ok () ->
-          let violations = run_one shape ~seed script in
-          Fmt.pr "seed %d, script: %s@." seed (Script.to_string script);
-          if violations = [] then begin
-            Fmt.pr "audit clean — violation did not reproduce@.";
-            0
-          end
-          else begin
-            List.iter (fun v -> Fmt.pr "violation: %s@." v) violations;
-            1
-          end)
+  | Ok script ->
+      with_valid shape ~seed script @@ fun () ->
+      let violations = run_one shape ~seed script in
+      Fmt.pr "seed %d, script: %s@." seed (Script.to_string script);
+      if violations = [] then begin
+        Fmt.pr "audit clean — violation did not reproduce@.";
+        0
+      end
+      else begin
+        List.iter (fun v -> Fmt.pr "violation: %s@." v) violations;
+        1
+      end
 
 (* ---------- CLI ---------- *)
 

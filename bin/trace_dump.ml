@@ -28,6 +28,14 @@
 
 open Cmdliner
 
+(* params the cluster rejects are bad input: one line, exit 2 *)
+let with_valid params k =
+  match Store.Cluster.validate params with
+  | Error e ->
+      Fmt.epr "trace_dump: %s@." e;
+      2
+  | Ok () -> k ()
+
 (* ---------- dump (the default command) ---------- *)
 
 let run_dump seed replicas clients ops loss partitions capacity format out
@@ -46,21 +54,21 @@ let run_dump seed replicas clients ops loss partitions capacity format out
             | Error e -> Error (Fmt.str "corrupt trace %s: %s" path e)))
     | None ->
         let tracer = Obs.Trace.create ~capacity () in
-        (* the store/net/sim layers: a seeded cluster run *)
-        let results =
-          Store.Cluster.run
-            {
-              Store.Cluster.default_params with
-              n_replicas = replicas;
-              n_clients = clients;
-              workload =
-                { Store.Workload.default_spec with ops_per_client = ops };
-              loss;
-              partitions;
-              seed;
-              tracer = Some tracer;
-            }
+        let params =
+          {
+            Store.Cluster.default_params with
+            n_replicas = replicas;
+            n_clients = clients;
+            workload = { Store.Workload.default_spec with ops_per_client = ops };
+            loss;
+            partitions;
+            seed;
+            tracer = Some tracer;
+          }
         in
+        Result.bind (Store.Cluster.validate params) @@ fun () ->
+        (* the store/net/sim layers: a seeded cluster run *)
+        let results = Store.Cluster.run params in
         (* the ioa layer: a short system-B action trail through the
            harness *)
         (if not no_ioa then
@@ -213,36 +221,37 @@ let dump_term =
 let run_attribution seed replicas clients ops loss shards burst batch_window
     storage_cost fsync_cost json out =
   let tracer = Obs.Trace.create ~capacity:262144 ~enabled:true () in
-  let results =
-    Store.Cluster.run
-      {
-        Store.Cluster.default_params with
-        n_replicas = replicas;
-        n_clients = clients;
-        n_shards = shards;
-        loss;
-        seed;
-        tracer = Some tracer;
-        trace_ctx = true;
-        batch_window;
-        storage_cost;
-        fsync_cost;
-        policy =
-          {
-            Rpc.Policy.default with
-            max_attempts = 3;
-            attempt_timeout = 25.0;
-            backoff = 2.0;
-          };
-        workload =
-          {
-            Store.Workload.default_spec with
-            ops_per_client = ops;
-            zipf_s = 1.1;
-            burst;
-          };
-      }
+  let params =
+    {
+      Store.Cluster.default_params with
+      n_replicas = replicas;
+      n_clients = clients;
+      n_shards = shards;
+      loss;
+      seed;
+      tracer = Some tracer;
+      trace_ctx = true;
+      batch_window;
+      storage_cost;
+      fsync_cost;
+      policy =
+        {
+          Rpc.Policy.default with
+          max_attempts = 3;
+          attempt_timeout = 25.0;
+          backoff = 2.0;
+        };
+      workload =
+        {
+          Store.Workload.default_spec with
+          ops_per_client = ops;
+          zipf_s = 1.1;
+          burst;
+        };
+    }
   in
+  with_valid params @@ fun () ->
+  let results = Store.Cluster.run params in
   let events = Obs.Trace.events tracer in
   let bs = Obs.Attribution.of_events events in
   (* self-check: the decomposition must be exact — every operation's
@@ -378,6 +387,8 @@ let run_invariance seeds replicas clients ops loss shards burst batch_window
     }
   in
   let digest p = Store.Cluster.digest (Store.Cluster.run p) in
+  (* validity does not depend on the seed *)
+  with_valid (base 0) @@ fun () ->
   let failures = ref 0 in
   List.iter
     (fun seed ->

@@ -108,9 +108,7 @@ let make_world ~n_shards ~scheme ~storage =
   Core.attach_tracer sim tracer;
   let metrics = Obs.Metrics.create () in
   let groups =
-    Array.init n_shards (fun s ->
-        Array.init replicas_per_shard (fun i ->
-            if n_shards = 1 then Fmt.str "r%d" i else Fmt.str "s%d:r%d" s i))
+    Store.Cluster.group_names ~n_shards ~n_replicas:replicas_per_shard
   in
   let replica_names = List.concat_map Array.to_list (Array.to_list groups) in
   let net =
@@ -628,9 +626,10 @@ let () =
                match Harness.Script.of_string text with
                | Error e -> Fmt.pr "invalid script: %s@." e
                | Ok script -> (
-                   match Harness.Script.validate script with
+                   let n_shards = Array.length !w.groups in
+                   match Harness.Script.validate ~n_shards script with
                    | Error e -> Fmt.pr "invalid script: %s@." e
-                   | Ok () -> (
+                   | Ok () ->
                        let env =
                          {
                            Harness.Run.sim = !w.sim;
@@ -640,19 +639,12 @@ let () =
                            seed = 7;
                          }
                        in
-                       (* shard references can still be out of range for
-                          this world's layout; install checks eagerly *)
-                       try
-                         ignore
-                           (Harness.Run.install env script
-                             : Sim.Failure.t list);
-                         !w.nemesis <-
-                           !w.nemesis @ [ (Core.now !w.sim, script) ];
-                         Fmt.pr
-                           "installed %d step(s) relative to t=%.1f: %a@."
-                           (List.length script) (Core.now !w.sim)
-                           Harness.Script.pp script
-                       with Invalid_argument e -> Fmt.pr "%s@." e)));
+                       ignore
+                         (Harness.Run.install env script : Sim.Failure.t list);
+                       !w.nemesis <- !w.nemesis @ [ (Core.now !w.sim, script) ];
+                       Fmt.pr "installed %d step(s) relative to t=%.1f: %a@."
+                         (List.length script) (Core.now !w.sim)
+                         Harness.Script.pp script));
             loop ()
         | [ "script" ] ->
             (match !w.nemesis with

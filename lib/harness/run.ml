@@ -62,11 +62,8 @@ let install_storm env ~mean ~cycles =
           let k = 1 + Prng.int nrng (n_total_replicas - 1) in
           let side_a = List.filteri (fun i _ -> i < k) shuffled in
           let side_b = List.filteri (fun i _ -> i >= k) shuffled in
-          (* clients land on a random side *)
-          let client_side, other_side =
-            if Prng.bool nrng then (side_a, side_b) else (side_b, side_a)
-          in
-          ignore client_side;
+          (* clients land on a random side, cut off from the other *)
+          let other_side = if Prng.bool nrng then side_b else side_a in
           if Obs.Trace.enabled tracer then
             Obs.Trace.instant tracer ~cat:"store" ~name:"nemesis.partition"
               ~track:"nemesis"
@@ -89,12 +86,6 @@ let install_storm env ~mean ~cycles =
   nemesis cycles
 
 (* ---------- generic timed actions ---------- *)
-
-let shard_group env what s =
-  if s < 0 || s >= Array.length env.groups then
-    invalid_arg
-      (Fmt.str "Harness.Run.install: %s shard %d out of range" what s)
-  else env.groups.(s)
 
 let fire env injector (action : Script.action) =
   let { sim; net; _ } = env in
@@ -133,11 +124,11 @@ let fire env injector (action : Script.action) =
   | Script.Link_clear { src; dst } -> Net.clear_link_filter net ~src ~dst
   | Script.Loss p -> Net.set_loss net p
   | Script.Pause_shard s ->
-      Array.iter (fun r -> Net.crash net r) (shard_group env "pause" s)
+      Array.iter (fun r -> Net.crash net r) env.groups.(s)
   | Script.Resume_shard s ->
-      Array.iter (fun r -> Net.recover net r) (shard_group env "resume" s)
+      Array.iter (fun r -> Net.recover net r) env.groups.(s)
   | Script.Kill_shard s ->
-      let group = shard_group env "kill" s in
+      let group = env.groups.(s) in
       if Obs.Trace.enabled tracer then
         Obs.Trace.instant tracer ~cat:"store" ~name:"nemesis.shard_kill"
           ~track:"nemesis"
@@ -151,22 +142,11 @@ let fire env injector (action : Script.action) =
     under a [Crash_storm], one per node a scripted [Crash]/[Recover]
     touches), so callers can inspect realized up-fractions. *)
 let install (env : 'msg env) (script : Script.t) : Sim.Failure.t list =
-  (match Script.validate script with
+  (* shard references included: a bad index fails at install, not
+     minutes into a run *)
+  (match Script.validate ~n_shards:(Array.length env.groups) script with
   | Ok () -> ()
   | Error e -> invalid_arg (Fmt.str "Harness.Run.install: %s" e));
-  (* validate shard references eagerly — a bad index should fail at
-     install, not minutes into a run *)
-  List.iter
-    (function
-      | Script.At (_, (Script.Pause_shard s | Script.Resume_shard s))
-        when s >= Array.length env.groups ->
-          invalid_arg
-            (Fmt.str "Harness.Run.install: shard %d out of range" s)
-      | Script.At (_, Script.Kill_shard s) when s >= Array.length env.groups ->
-          invalid_arg
-            (Fmt.str "Harness.Run.install: shard %d out of range" s)
-      | _ -> ())
-    script;
   let scripted : (string, Sim.Failure.t) Hashtbl.t = Hashtbl.create 4 in
   let scripted_order = ref [] in
   let injector node =

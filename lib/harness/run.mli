@@ -30,4 +30,4 @@ val install : 'msg env -> Script.t -> Sim.Failure.t list
     scripted [Crash]/[Recover] — for up-fraction inspection.
 
     @raise Invalid_argument on a script that fails {!Script.validate}
-    or references a shard out of range. *)
+    against the environment's shard count. *)

@@ -215,7 +215,7 @@ let valid_name n =
        (fun c -> not (List.mem c [ ' '; ','; '/'; '>'; ';'; '@' ]))
        n
 
-let validate_action = function
+let validate_action ~n_shards = function
   | Partition sides ->
       if List.length sides < 2 then Error "partition needs >= 2 sides"
       else if List.exists (fun side -> side = []) sides then
@@ -247,13 +247,16 @@ let validate_action = function
   | Loss p ->
       if p >= 0.0 && p < 1.0 then Ok () else Error "loss must be in [0, 1)"
   | Pause_shard s | Resume_shard s | Kill_shard s ->
-      if s >= 0 then Ok () else Error "shard index must be >= 0"
+      if s < 0 then Error "shard index must be >= 0"
+      else if s >= n_shards then
+        Error (Fmt.str "shard %d out of range (%d shards)" s n_shards)
+      else Ok ()
 
-let validate_step = function
+let validate_step ~n_shards = function
   | At (t, a) ->
       if not (Float.is_finite t && t >= 0.0) then
         Error (Fmt.str "step time must be finite and >= 0 (got %s)" (float_str t))
-      else validate_action a
+      else validate_action ~n_shards a
   | Bipartition_storm { mean; cycles } ->
       if not (Float.is_finite mean && mean > 0.0) then
         Error "storm mean must be > 0"
@@ -264,11 +267,11 @@ let validate_step = function
       then Ok ()
       else Error "faults mtbf and mttr must be > 0"
 
-let validate (s : t) =
+let validate ~n_shards (s : t) =
   let rec go i = function
     | [] -> Ok ()
     | step :: rest -> (
-        match validate_step step with
+        match validate_step ~n_shards step with
         | Ok () -> go (i + 1) rest
         | Error e -> Error (Fmt.str "step %d (%s): %s" i (step_label step) e))
   in

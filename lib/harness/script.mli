@@ -50,9 +50,10 @@ val pp : t Fmt.t
 val of_string : string -> (t, string) result
 (** Parse the printed form; [to_string] and [of_string] round-trip. *)
 
-val validate : t -> (unit, string) result
+val validate : n_shards:int -> t -> (unit, string) result
 (** Well-formedness: finite non-negative times, disjoint non-empty
-    partition sides, probabilities in range, legal node names. *)
+    partition sides, probabilities in range, legal node names, and
+    shard indices in [0, n_shards). *)
 
 val of_partitions : float -> t
 (** The legacy [partitions = Some mean] knob as a script. *)

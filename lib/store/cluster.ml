@@ -1,145 +1,79 @@
-(** Wiring: build a complete simulated cluster — replicas, clients,
-    network, failure injectors — run a workload, and collect metrics
-    plus a consistency audit.
+(* Wiring: build a complete simulated cluster — replicas, clients,
+   network, fault script — drive a workload through it, and collect
+   metrics plus a consistency audit.  The field docs of [params] and
+   [results] live in cluster.mli.
 
-    The audit exploits the single-writer-per-key discipline of
-    {!Workload}: per key, completed writes carry strictly increasing
-    version numbers, and every successful read must return a version
-    at least as new as the newest write completed before the read
-    began, with the value that was actually written at that version.
-    Quorum intersection is exactly what makes this hold across
-    failures; a configuration without intersection (or a protocol bug)
-    fails the audit.  Sharding does not weaken it: quorums intersect
-    per key inside the key's own replica group, so the audit runs
-    unchanged over any shard count.  The audit state machine itself
-    lives in {!Harness.Check} so nemesis tests and the seed swarm
-    share it.
+   [run] builds the world once and hands it to one driver: [drive_ops]
+   (single-key reads and writes, in bursts) or [drive_txns] (multi-key
+   transactions through {!Txn} coordinators).  Every finished op and
+   every final transaction outcome bumps one [finished] count, and
+   [drained ()] compares it with the workload's size: the health
+   sampler and the tuner both stop polling once it holds, so the event
+   queue drains.  [validate] makes every parameter check; [run] raises
+   on what it rejects.  DESIGN.md §20.
 
-    Fault injection goes through the {!Harness.Script} DSL: the
-    [failures]/[partitions]/[shard_kill] params are thin legacy
-    constructors compiled onto the script ({!Harness.Script.of_legacy})
-    and interpreted by {!Harness.Run} — byte-identically to the old
-    inline nemesis code — and [script] appends arbitrary scripted
-    steps on top.
-
-    Each client is a {!Router} over [n_shards] replica groups of
-    [n_replicas] each.  The defaults — one shard, no batching, burst 1
-    — construct and schedule exactly the historical single-group
-    cluster, byte for byte. *)
+   The audits live in {!Harness.Check}: the single-writer-per-key
+   state machine for single-key runs, the multi-key serializability
+   checks for transaction runs.  Fault injection goes through the
+   {!Harness.Script} DSL: the [failures]/[partitions]/[shard_kill]
+   params compile onto a script ({!Harness.Script.of_legacy}) and
+   [script] appends arbitrary steps. *)
 
 module Prng = Qc_util.Prng
 module Core = Sim.Core
 module Net = Sim.Net
 
 type params = {
-  n_replicas : int;  (** per shard *)
+  n_replicas : int;
   n_clients : int;
-  strategy : int -> Strategy.t;  (** from n_replicas, per shard *)
+  strategy : int -> Strategy.t;
   workload : Workload.spec;
   latency : Net.latency;
   loss : float;
   timeout : float;
-  failures : Sim.Failure.spec option;  (** applied to every replica *)
+  failures : Sim.Failure.spec option;
   targeting : Client.targeting;
   policy : Rpc.Policy.t;
-      (** per-request retry/backoff/hedging policy of every client *)
   partitions : float option;
-      (** nemesis: every ~[mean] time units, cut the replica set along
-          a random bipartition (clients stay connected to one random
-          side), heal it half a period later — operations may fail but
-          the audit must stay clean (quorum intersection at work) *)
   seed : int;
   trace_capacity : int;
-      (** ring-buffer size of the run's tracer; 0 disables tracing *)
   tracer : Obs.Trace.t option;
-      (** use this tracer instead of creating one — e.g. to collect
-          several runs, or a cluster run plus an IOA run, in one
-          trace; overrides [trace_capacity] *)
   n_shards : int;
-      (** replica groups the keyspace is split across (default 1 — the
-          historical single-group cluster) *)
-  shard_scheme : Router.scheme;  (** key → shard map (default [`Hash]) *)
+  shard_scheme : Router.scheme;
   batch_window : float option;
-      (** multi-key batching window of every client engine; [None]
-          (default) sends every request unbatched, byte-identically to
-          historical runs *)
   shard_kill : (int * float) option;
-      (** targeted-failure nemesis: crash every replica of shard [s]
-          at time [at] for the rest of the run — the blast-radius
-          experiment (only the killed shard's keys become
-          unavailable) *)
   storage_cost : float;
-      (** per-write latency of every replica's storage device; with
-          [fsync_cost] both zero (the default) no device is attached
-          and installs stay synchronous — byte-identical runs *)
-  fsync_cost : float;  (** per-fsync latency of every replica's device *)
+  fsync_cost : float;
   group_commit : bool;
-      (** with storage attached: drain the apply queue a whole group
-          per fsync (default) vs one install per fsync (the naive
-          baseline of the io ablation) *)
   adaptive_window : Rpc.Window.config option;
-      (** AIMD-controlled batching window of every client engine
-          (takes precedence over [batch_window]); [None] (default)
-          keeps the static window, byte-identically *)
   trace_ctx : bool;
-      (** stamp every operation with a causal trace context (op id +
-          parent span) carried through engine and protocol frames to
-          the replicas — the raw material of [Obs.Attribution]; off by
-          default because the stamps change the trace byte stream *)
   health_window : float option;
-      (** attach an [Obs.Health] monitor with this rolling window and
-          sample it every half-window while the workload runs; [None]
-          (default) attaches nothing and schedules nothing *)
   script : Harness.Script.t;
-      (** scripted fault schedule installed on top of the legacy
-          nemesis knobs (which compile onto the same interpreter);
-          times are relative to the run start.  [[]] (default) adds
-          nothing — byte-identical runs *)
   txns : txn_spec option;
-      (** run a cross-shard transaction workload instead of the
-          single-key op loop: each client issues multi-key
-          transactions through a {!Txn} coordinator, the audit
-          switches to the multi-key serializability checks, and the
-          results gain transaction counts plus the blocked
-          (in-doubt) set.  [None] (default) changes nothing —
-          byte-identical runs *)
   tune : tune_spec option;
-      (** workload-aware quorum tuning: per-shard reply-latency EWMAs
-          and queue probes feed queue-aware read steering
-          ({!Client.probe}) and a periodic optimizer that
-          re-strategizes each shard through {!Autotune} (joint-
-          strategy transition + key migration — DESIGN.md §16).
-          [None] (default) changes nothing — byte-identical runs.
-          The optimizer half only runs on single-key workloads
-          ([txns = None]); steering applies wherever the shard
-          clients issue quorum-targeted reads *)
 }
 
 and txn_spec = {
   txns_per_client : int;
-  keys_per_txn : int;  (** footprint size (distinct keys) *)
-  txn_read_fraction : float;  (** fraction of the footprint read-only *)
-  commit_mode : Txn.mode;  (** [`Two_phase] or [`Paxos] *)
-  txn_timeout : float;  (** per-transaction coordinator deadline *)
+  keys_per_txn : int;
+  txn_read_fraction : float;
+  commit_mode : Txn.mode;
+  txn_timeout : float;
   txn_retries : int;
-      (** re-executions of a failed transaction (each a fresh txid) *)
   recovery_delay : float;
-      (** replica in-doubt recovery timer base (Paxos-Commit mode) *)
 }
 
 and tune_spec = {
-  optimize : bool;  (** run the periodic per-shard strategy optimizer *)
-  tune_epoch : float;  (** optimizer period (simulated time) *)
-  steer : bool;  (** queue-aware read steering on the shard clients *)
-  queue_weight : float;  (** steering cost per queued apply entry *)
-  ewma_alpha : float;  (** reply-latency tracker blend weight *)
+  optimize : bool;
+  tune_epoch : float;
+  steer : bool;
+  queue_weight : float;
+  ewma_alpha : float;
   p_alive : float;
-      (** assumed per-replica alive probability for the availability
-          floors of the optimizer's model *)
-  min_read_avail : float;  (** read-availability admission floor *)
-  min_write_avail : float;  (** write-availability admission floor *)
-  w_load : float;  (** objective weight on peak load *)
-  w_latency : float;  (** objective weight on expected op latency *)
+  min_read_avail : float;
+  min_write_avail : float;
+  w_load : float;
+  w_latency : float;
 }
 
 let default_params =
@@ -198,12 +132,7 @@ let default_tune_spec =
     w_latency = 0.05;
   }
 
-type shard_stat = {
-  shard : int;
-  ok_ops : int;
-  failed_ops : int;
-  load : int;  (** queries + installs over the shard's replicas *)
-}
+type shard_stat = { shard : int; ok_ops : int; failed_ops : int; load : int }
 
 type results = {
   reads : Sim.Stats.summary;
@@ -214,56 +143,365 @@ type results = {
   failed_writes : int;
   net : Net.counters;
   replica_loads : (string * int) list;
-      (** queries + installs processed per replica — the "load"
-          dimension quorum targeting tunes *)
-  shards : shard_stat list;  (** per-shard operations and load *)
+  shards : shard_stat list;
   audit_violations : string list;
   duration : float;
-      (** virtual time of the run's last foreground event: its last
-          live message, storage write or timer (cancelled timers and
-          background fault processes do not count) *)
-  installs : int;  (** installs processed across every replica *)
+  installs : int;
   fsyncs : int;
-      (** fsyncs across every replica's storage device ([0] without
-          storage) — [fsyncs / installs] is the amortization the io
-          ablation measures *)
   trace : Obs.Trace.t;
-      (** the run's trace — export with [Obs.Export], query with
-          [Obs.Query]; empty unless tracing was enabled *)
   metrics : Obs.Metrics.t;
-      (** the shared registry of every replica and client counter *)
   health : Obs.Health.snapshot list;
-      (** every health sample taken during the run, chronological —
-          empty unless [health_window] was set *)
   completions : (float * bool) list;
-      (** chronological [(finished_at, ok)] of every completed
-          operation — the input of
-          {!Harness.Check.liveness_after_heal}; not part of the digest
-          (it is derivable from the traced run) *)
-  txn_run : bool;  (** the run used a transaction workload *)
-  ok_txns : int;  (** client-acked commits *)
-  failed_txns : int;  (** aborted / timed-out attempts (after retries) *)
-  txn_latency : Sim.Stats.summary;  (** acked-commit latencies *)
+  txn_run : bool;
+  ok_txns : int;
+  failed_txns : int;
+  txn_latency : Sim.Stats.summary;
   blocked_txns : string list;
-      (** txids still prepared-but-undecided at some replica when the
-          run drained — in-doubt forever; the blocking-2PC metric *)
-  decided_txns : int;  (** distinct committed decisions (≥ ok_txns) *)
-  tune_run : bool;  (** the run had quorum tuning enabled *)
+  decided_txns : int;
+  tune_run : bool;
   strategy_switches : (float * int * string) list;
-      (** chronological [(committed_at, shard, strategy_name)] of
-          every re-strategize the optimizer completed (joint
-          transition + migration included) *)
   shard_strategies : string list;
-      (** each shard's strategy name at the end of the run, in shard
-          order — the initial strategy when nothing switched *)
 }
 
 let availability r =
   let ok = r.ok_reads + r.ok_writes and bad = r.failed_reads + r.failed_writes in
   if ok + bad = 0 then nan else float_of_int ok /. float_of_int (ok + bad)
 
+(* ---------- names and parameters ---------- *)
+
+(* one shard keeps the flat names (r0, r1, ...); several qualify them
+   with the shard (s0:r0, ...) *)
+let group_names ~n_shards ~n_replicas =
+  if n_shards = 1 then
+    [| Array.init n_replicas (fun i -> "r" ^ string_of_int i) |]
+  else
+    Array.init n_shards (fun s ->
+        let prefix = "s" ^ string_of_int s ^ ":r" in
+        Array.init n_replicas (fun i -> prefix ^ string_of_int i))
+
+let client_name ci = "c" ^ string_of_int ci
+let client_names n = List.init n client_name
+
+(* the legacy fault knobs compiled onto the script DSL, in the order
+   the pre-script nemesis installed them (failures, partitions, shard
+   kill), then the scripted steps *)
+let script_of p =
+  Harness.Script.of_legacy ?failures:p.failures ?partitions:p.partitions
+    ?shard_kill:p.shard_kill ()
+  @ p.script
+
+let validate p =
+  let positive x = Float.is_finite x && Float.compare x 0.0 > 0 in
+  let non_negative x = Float.is_finite x && Float.compare x 0.0 >= 0 in
+  let fail fmt = Fmt.kstr (fun e -> Error e) fmt in
+  let within what = Result.map_error (fun e -> what ^ ": " ^ e) in
+  let script = script_of p in
+  let storm =
+    List.exists
+      (function Harness.Script.Bipartition_storm _ -> true | _ -> false)
+      script
+  in
+  if p.n_shards < 1 then fail "n_shards must be >= 1 (got %d)" p.n_shards
+  else if p.n_replicas < 1 then
+    fail "n_replicas must be >= 1 (got %d)" p.n_replicas
+  else if p.n_clients < 0 then fail "n_clients must be >= 0 (got %d)" p.n_clients
+  else if not (Float.compare p.loss 0.0 >= 0 && Float.compare p.loss 1.0 < 0)
+  then fail "loss must be in [0, 1) (got %g)" p.loss
+  else if not (Float.compare p.timeout 0.0 > 0) then
+    fail "timeout must be > 0 (got %g)" p.timeout
+  else if not (non_negative p.storage_cost) then
+    fail "storage_cost must be finite and >= 0 (got %g)" p.storage_cost
+  else if not (non_negative p.fsync_cost) then
+    fail "fsync_cost must be finite and >= 0 (got %g)" p.fsync_cost
+  else if storm && p.n_shards * p.n_replicas < 2 then
+    (* a bipartition needs a replica on each side *)
+    fail "a partition storm needs >= 2 replicas (got %d)"
+      (p.n_shards * p.n_replicas)
+  else
+    match (p.batch_window, p.health_window, p.txns, p.tune) with
+    | Some w, _, _, _ when not (non_negative w) ->
+        fail "batch_window must be finite and >= 0 (got %g)" w
+    | _, Some w, _, _ when not (positive w) ->
+        fail "health_window must be positive (got %g)" w
+    | _, _, Some t, _ when t.keys_per_txn < 1 ->
+        fail "keys_per_txn must be >= 1 (got %d)" t.keys_per_txn
+    | _, _, _, Some t when not (positive t.tune_epoch) ->
+        fail "tune_epoch must be positive (got %g)" t.tune_epoch
+    | _ ->
+        let ( let* ) = Result.bind in
+        let* () = within "policy" (Rpc.Policy.validate p.policy) in
+        let* () =
+          match p.adaptive_window with
+          | Some c -> within "adaptive_window" (Rpc.Window.validate c)
+          | None -> Ok ()
+        in
+        within "script" (Harness.Script.validate ~n_shards:p.n_shards script)
+
+(* ---------- the world and its drivers ---------- *)
+
+(* The built cluster the drivers and the tuner work against. *)
+type world = {
+  p : params;
+  sim : Core.t;
+  replicas : Replica.t array array;
+  strategies : Strategy.t array;  (** each shard's current strategy *)
+  shard_of : string -> int;
+  clients : Router.t list;  (** in client order *)
+  z : Workload.zipf;
+  wrng : Prng.t;  (** the workload's draws: think times, ops, footprints *)
+  shard_reads : int array;
+  shard_writes : int array;
+      (** per-shard finished reads and writes: the live mix the
+          optimizer feeds on *)
+}
+
+(* Closed loop per client: think, then issue a burst of operations
+   concurrently and wait for the whole burst (burst 1 is the strictly
+   closed loop).  Single-writer-per-key holds between bursts but not
+   within one, so a repeated write to a key in the same burst is
+   demoted to a read and same-key writes never race.  [op_done] does
+   the bookkeeping of every finished read and write. *)
+let drive_ops w ~audit ~op_done =
+  let spec = w.p.workload in
+  let read c key ~k =
+    let started = Core.now w.sim in
+    Router.read c ~key ~on_done:(fun ~ok ~vn ~value ~latency ->
+        if ok then Harness.Check.read_ok audit ~key ~started ~vn ~value;
+        op_done ~key ~read:true ~ok ~latency;
+        k ())
+  in
+  let write c key v ~k =
+    Router.write c ~key ~value:v ~on_done:(fun ~ok ~vn ~value:_ ~latency ->
+        if ok then
+          Harness.Check.write_ok audit ~key ~vn ~value:v ~now:(Core.now w.sim);
+        op_done ~key ~read:false ~ok ~latency;
+        k ())
+  in
+  let burst = max 1 spec.Workload.burst in
+  let rec issue ci c remaining op_counter =
+    if remaining > 0 then
+      let think = Prng.exponential w.wrng ~mean:spec.Workload.think_time in
+      Core.schedule w.sim ~delay:think (fun () ->
+          let b = min burst remaining in
+          let outstanding = ref b in
+          let k () =
+            decr outstanding;
+            if !outstanding = 0 then issue ci c (remaining - b) (op_counter + b)
+          in
+          (* draw op j, then issue it *)
+          let writes = ref [] in
+          for j = 0 to b - 1 do
+            match
+              Workload.next_op spec w.z w.wrng ~ci ~n_clients:w.p.n_clients
+                ~op_counter:(op_counter + j)
+            with
+            | Workload.Write (key, v)
+              when not (List.exists (String.equal key) !writes) ->
+                writes := key :: !writes;
+                write c key v ~k
+            | Workload.Read key | Workload.Write (key, _) -> read c key ~k
+          done)
+  in
+  List.iteri (fun ci c -> issue ci c spec.Workload.ops_per_client ci) w.clients
+
+(* Closed loop per client of multi-key transactions through a {!Txn}
+   coordinator: a distinct-key Zipf footprint each, with bounded
+   retries (each a fresh txid) spaced by think-time draws.
+   [attempted] sees every attempt's outcome, [finished] every
+   transaction's final one. *)
+let drive_txns w spec ~audit ~attempted ~finished =
+  let think () =
+    Prng.exponential w.wrng ~mean:w.p.workload.Workload.think_time
+  in
+  let n_reads =
+    int_of_float (spec.txn_read_fraction *. float_of_int spec.keys_per_txn)
+  in
+  List.iteri
+    (fun ci c ->
+      let coord =
+        Txn.create ~name:(client_name ci) ~sim:w.sim ~router:c
+          ~mode:spec.commit_mode ~timeout:spec.txn_timeout ()
+      in
+      let rec next remaining =
+        if remaining > 0 then
+          Core.schedule w.sim ~delay:(think ()) (fun () ->
+              (* a distinct-key Zipf footprint (bounded redraws) *)
+              let keys = ref [] and have = ref 0 and tries = ref 0 in
+              let cap = 100 * spec.keys_per_txn in
+              while !have < spec.keys_per_txn && !tries < cap do
+                incr tries;
+                let k = Workload.key_name (Workload.sample w.z w.wrng) in
+                if not (List.exists (String.equal k) !keys) then begin
+                  keys := k :: !keys;
+                  incr have
+                end
+              done;
+              let keys = List.rev !keys in
+              let reads = List.filteri (fun i _ -> i < n_reads) keys in
+              let wkeys = List.filteri (fun i _ -> i >= n_reads) keys in
+              let txn_no = spec.txns_per_client - remaining in
+              let writes =
+                List.mapi
+                  (fun j k -> (k, ((ci + 1) * 1_000_000) + (txn_no * 1000) + j))
+                  wkeys
+              in
+              let rec attempt retries_left =
+                let started = Core.now w.sim in
+                (* the footprint is nonempty, so on_done fires from a
+                   scheduled reply or timeout — never inside execute —
+                   and the txid cell is filled before it runs *)
+                let txid = ref "" in
+                txid :=
+                  Txn.execute coord ~reads ~writes
+                    ~on_done:(fun ~committed ~reads:rsnap ~writes:wset
+                                  ~latency ->
+                      attempted committed;
+                      if committed then begin
+                        Harness.Check.txn_committed audit ~txid:!txid ~started
+                          ~now:(Core.now w.sim) ~reads:rsnap ~writes:wset;
+                        finished ~ok:true ~latency;
+                        next (remaining - 1)
+                      end
+                      else if retries_left > 0 then
+                        Core.schedule w.sim ~delay:(think ()) (fun () ->
+                            attempt (retries_left - 1))
+                      else begin
+                        finished ~ok:false ~latency;
+                        next (remaining - 1)
+                      end)
+                    ()
+              in
+              attempt spec.txn_retries)
+      in
+      next spec.txns_per_client)
+    w.clients
+
+(* Workload-aware quorum tuning (DESIGN.md §16): per-shard latency
+   trackers and queue probes on every client for queue-aware read
+   steering, and — when [optimize] — a periodic optimizer that
+   re-strategizes shards until the workload has [drained]. *)
+let tune w spec ~optimize ~drained ~switches =
+  let p = w.p in
+  let ewmas =
+    Array.init p.n_shards (fun _ ->
+        Tune.Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
+  in
+  List.iter
+    (fun c ->
+      for s = 0 to p.n_shards - 1 do
+        Router.set_probe c ~shard:s
+          (Some
+             {
+               Client.ewma = ewmas.(s);
+               queue_depth =
+                 (fun i -> float_of_int (Replica.queue_depth w.replicas.(s).(i)));
+               queue_weight = spec.queue_weight;
+               steer = spec.steer;
+             })
+      done)
+    w.clients;
+  if optimize && not (drained ()) then begin
+    let config =
+      {
+        Tune.Model.w_load = spec.w_load;
+        w_latency = spec.w_latency;
+        min_read_availability = spec.min_read_avail;
+        min_write_availability = spec.min_write_avail;
+      }
+    in
+    let all_keys = List.init p.workload.Workload.n_keys Workload.key_name in
+    let migrator = List.hd w.clients in
+    let transitioning = Array.make p.n_shards false in
+    let set_shard_strategy s st =
+      List.iter (fun c -> Router.set_strategy c ~shard:s st) w.clients
+    in
+    (* Re-strategize shard [s]: move every client to the joint strategy
+       (quorums of both old and new — reads still cover data at rest,
+       writes already land on new-strategy quorums), migrate each of
+       the shard's keys by reading its newest version and re-installing
+       it at a joint write quorum, then — after the op deadline has
+       fenced out anything issued under the old strategy — commit the
+       new one.  Any migration failure aborts back to the old strategy,
+       which joint quorums also satisfy. *)
+    let begin_transition s next_s =
+      let current = w.strategies.(s) in
+      let j = Autotune.joint current next_s in
+      if Strategy.legal j then begin
+        transitioning.(s) <- true;
+        let started = Core.now w.sim in
+        set_shard_strategy s j;
+        let keys = List.filter (fun k -> w.shard_of k = s) all_keys in
+        let pending = ref (List.length keys) in
+        let failed = ref false in
+        let commit () =
+          let fence = started +. p.timeout -. Core.now w.sim in
+          Core.schedule w.sim ~delay:(Float.max 0.0 fence) (fun () ->
+              set_shard_strategy s next_s;
+              w.strategies.(s) <- next_s;
+              switches := (Core.now w.sim, s, next_s.Strategy.name) :: !switches;
+              transitioning.(s) <- false)
+        in
+        let abort () =
+          set_shard_strategy s current;
+          transitioning.(s) <- false
+        in
+        let key_done () =
+          decr pending;
+          if !pending = 0 then if !failed then abort () else commit ()
+        in
+        if keys = [] then commit ()
+        else
+          List.iter
+            (fun key ->
+              Router.read migrator ~key ~on_done:(fun ~ok ~vn ~value ~latency:_ ->
+                  if not ok then begin
+                    failed := true;
+                    key_done ()
+                  end
+                  else if vn = 0 then key_done ()
+                  else
+                    Router.install migrator ~key ~vn ~value
+                      ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency:_ ->
+                        if not ok then failed := true;
+                        key_done ())))
+            keys
+      end
+    in
+    let rec tick () =
+      Core.schedule w.sim ~delay:spec.tune_epoch (fun () ->
+          if not (drained ()) then begin
+            for s = 0 to p.n_shards - 1 do
+              if not transitioning.(s) then begin
+                let reads = w.shard_reads.(s) and writes = w.shard_writes.(s) in
+                let f =
+                  if reads + writes = 0 then p.workload.Workload.read_fraction
+                  else float_of_int reads /. float_of_int (reads + writes)
+                in
+                match
+                  Autotune.choose ~config ~read_fraction:f ~p_alive:spec.p_alive
+                    ~lat:(Tune.Ewma.value ewmas.(s)) p.n_replicas
+                with
+                | Some { Autotune.strategy = next_s; _ }
+                  when Strategy.legal next_s
+                       && not
+                            (String.equal next_s.Strategy.name
+                               w.strategies.(s).Strategy.name) ->
+                    begin_transition s next_s
+                | _ -> ()
+              end
+            done;
+            tick ()
+          end)
+    in
+    tick ()
+  end
+
+(* ---------- the run ---------- *)
+
 let run (p : params) : results =
-  if p.n_shards < 1 then invalid_arg "Cluster.run: n_shards must be >= 1";
+  (match validate p with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Cluster.run: " ^ e));
   let sim = Core.create ~seed:p.seed in
   let tracer =
     match p.tracer with
@@ -274,32 +512,21 @@ let run (p : params) : results =
   in
   Core.attach_tracer sim tracer;
   let metrics = Obs.Metrics.create () in
-  (* one shard keeps the historical flat names (and seeded runs
-     byte-identical); several shards qualify them *)
-  let group_names =
-    if p.n_shards = 1 then
-      [| Array.init p.n_replicas (fun i -> Fmt.str "r%d" i) |]
-    else
-      Array.init p.n_shards (fun s ->
-          Array.init p.n_replicas (fun i -> Fmt.str "s%d:r%d" s i))
-  in
-  let replica_names =
-    Array.to_list group_names |> List.concat_map Array.to_list
-  in
-  let client_names = List.init p.n_clients (fun i -> Fmt.str "c%d" i) in
+  let groups = group_names ~n_shards:p.n_shards ~n_replicas:p.n_replicas in
+  let clients = client_names p.n_clients in
   let net =
-    Net.create ~sim ~nodes:(replica_names @ client_names) ~latency:p.latency
-      ~loss:p.loss ()
+    Net.create ~sim
+      ~nodes:(List.concat_map Array.to_list (Array.to_list groups) @ clients)
+      ~latency:p.latency ~loss:p.loss ()
   in
   (* a storage device per replica, but only when a cost is nonzero:
-     default runs attach nothing and schedule nothing new *)
+     otherwise installs stay synchronous and nothing is scheduled *)
   let storage_enabled = p.storage_cost > 0.0 || p.fsync_cost > 0.0 in
   let replicas =
     Array.mapi
       (fun s group ->
         let extra_labels =
-          if p.n_shards = 1 then []
-          else [ ("shard", string_of_int s) ]
+          if p.n_shards = 1 then [] else [ ("shard", string_of_int s) ]
         in
         Array.map
           (fun name ->
@@ -316,26 +543,22 @@ let run (p : params) : results =
                 (Option.map (fun s -> s.recovery_delay) p.txns)
               ~name ())
           group)
-      group_names
+      groups
   in
-  Array.iter (Array.iter (fun r -> Replica.attach r ~net)) replicas;
-  let strategy = p.strategy p.n_replicas in
-  let strategies = Array.make p.n_shards strategy in
+  let all_replicas = List.concat_map Array.to_list (Array.to_list replicas) in
+  List.iter (fun r -> Replica.attach r ~net) all_replicas;
+  let strategies = Array.make p.n_shards (p.strategy p.n_replicas) in
   let shard_of =
     Router.shard_fn p.shard_scheme ~n_shards:p.n_shards
       ~n_keys:p.workload.Workload.n_keys
   in
-  let read_lat = Sim.Stats.create () and write_lat = Sim.Stats.create () in
-  let ok_reads = ref 0 and failed_reads = ref 0 in
-  let ok_writes = ref 0 and failed_writes = ref 0 in
   (* the health monitor, when asked for: per-shard rolling windows fed
-     by every completed operation, with the apply-queue probe averaging
+     by every finished operation, with the apply-queue probe averaging
      over the shard's replicas *)
   let health_samples = ref [] in
   let health =
-    match p.health_window with
-    | None -> None
-    | Some w ->
+    Option.map
+      (fun window ->
         let queue_depth s =
           let g = replicas.(s) in
           let total =
@@ -343,504 +566,177 @@ let run (p : params) : results =
           in
           float_of_int total /. float_of_int (Array.length g)
         in
-        let h = Obs.Health.create ~window:w ~n_shards:p.n_shards ~queue_depth () in
+        let h =
+          Obs.Health.create ~window ~n_shards:p.n_shards ~queue_depth ()
+        in
         Obs.Health.subscribe h (fun snaps ->
             health_samples := List.rev_append snaps !health_samples);
-        Some h
+        h)
+      p.health_window
   in
-  let health_record ~shard ~read ~ok ~latency =
-    match health with
-    | Some h ->
-        Obs.Health.record h ~at:(Core.now sim) ~shard ~read ~ok ~latency
-    | None -> ()
+  let z =
+    Workload.zipf ~n:p.workload.Workload.n_keys ~s:p.workload.Workload.zipf_s
   in
-  let shard_ok = Array.make p.n_shards 0 in
-  let shard_failed = Array.make p.n_shards 0 in
-  (* per-shard read/write attempt counts — the live mix estimate the
-     optimizer feeds on (cheap to keep unconditionally) *)
-  let shard_reads = Array.make p.n_shards 0 in
-  let shard_writes = Array.make p.n_shards 0 in
-  (* audit state (the shared single-writer state machine) plus the
-     completion log liveness predicates consume *)
-  let audit = Harness.Check.audit () in
-  let completions = ref [] in
-  (* the multi-key audit of transaction runs, fed by every replica's
-     decision hook (authoritative — covers commits whose coordinator
-     died) and by client-acked commits *)
-  let txn_audit = Harness.Check.txn_audit () in
-  let ok_txns = ref 0 and failed_txns = ref 0 in
-  let txn_lat = Sim.Stats.create () in
-  (match p.txns with
-  | None -> ()
-  | Some _ ->
-      Array.iter
-        (Array.iter (fun r ->
-             Replica.set_on_decided r (fun ~txid ~commit ~writes ->
-                 Harness.Check.txn_decided txn_audit ~txid ~commit ~writes)))
-        replicas);
-  let z = Workload.zipf ~n:p.workload.Workload.n_keys ~s:p.workload.Workload.zipf_s in
-  let clients =
+  let routers =
     List.mapi
       (fun ci name ->
         let c =
-          Router.create ~name ~sim ~net ~groups:group_names ~strategies
+          Router.create ~name ~sim ~net ~groups ~strategies
             ~scheme:p.shard_scheme ~n_keys:p.workload.Workload.n_keys
-            ~timeout:p.timeout ~targeting:p.targeting
-            ~trace_ctx:p.trace_ctx ~policy:p.policy
-            ~seed:(p.seed + ci) ~metrics ?batch_window:p.batch_window
-            ?adaptive_window:p.adaptive_window ()
+            ~timeout:p.timeout ~targeting:p.targeting ~trace_ctx:p.trace_ctx
+            ~policy:p.policy ~seed:(p.seed + ci) ~metrics
+            ?batch_window:p.batch_window ?adaptive_window:p.adaptive_window ()
         in
         Router.attach c;
-        (ci, c))
-      client_names
-  in
-  let wrng = Prng.create (p.seed lxor 0xabcdef) in
-  (* one completed logical operation, with its audit bookkeeping;
-     [k] continues the client's loop *)
-  let run_read (c : Router.t) key ~k =
-    let started = Core.now sim in
-    Router.read c ~key ~on_done:(fun ~ok ~vn ~value ~latency ->
-        let s = shard_of key in
-        shard_reads.(s) <- shard_reads.(s) + 1;
-        health_record ~shard:s ~read:true ~ok ~latency;
-        if ok then begin
-          incr ok_reads;
-          shard_ok.(s) <- shard_ok.(s) + 1;
-          Sim.Stats.add read_lat latency;
-          Harness.Check.read_ok audit ~key ~started ~vn ~value
-        end
-        else begin
-          incr failed_reads;
-          shard_failed.(s) <- shard_failed.(s) + 1
-        end;
-        completions := (Core.now sim, ok) :: !completions;
-        k ())
-  in
-  let run_write (c : Router.t) key v ~k =
-    Router.write c ~key ~value:v ~on_done:(fun ~ok ~vn ~value:_ ~latency ->
-        let s = shard_of key in
-        shard_writes.(s) <- shard_writes.(s) + 1;
-        health_record ~shard:s ~read:false ~ok ~latency;
-        if ok then begin
-          incr ok_writes;
-          shard_ok.(s) <- shard_ok.(s) + 1;
-          Sim.Stats.add write_lat latency;
-          Harness.Check.write_ok audit ~key ~vn ~value:v ~now:(Core.now sim)
-        end
-        else begin
-          incr failed_writes;
-          shard_failed.(s) <- shard_failed.(s) + 1
-        end;
-        completions := (Core.now sim, ok) :: !completions;
-        k ())
-  in
-  (* closed-loop driver per client: think, then issue [burst]
-     operations concurrently and wait for the whole burst (burst 1 is
-     the historical strictly-closed loop, draw for draw) *)
-  let burst = max 1 p.workload.Workload.burst in
-  let rec issue ci (c : Router.t) remaining op_counter =
-    if remaining > 0 then
-      let think = Prng.exponential wrng ~mean:p.workload.Workload.think_time in
-      Core.schedule sim ~delay:think (fun () ->
-          if burst = 1 then
-            let k () = issue ci c (remaining - 1) (op_counter + 1) in
-            match
-              Workload.next_op p.workload z wrng ~ci ~n_clients:p.n_clients
-                ~op_counter
-            with
-            | Workload.Read key -> run_read c key ~k
-            | Workload.Write (key, v) -> run_write c key v ~k
-          else begin
-            let b = min burst remaining in
-            let ops =
-              List.init b (fun j ->
-                  Workload.next_op p.workload z wrng ~ci
-                    ~n_clients:p.n_clients ~op_counter:(op_counter + j))
-            in
-            (* single-writer-per-key holds between bursts but not
-               within one: demote a repeat write to the same key to a
-               read so concurrent same-key writes never race *)
-            let seen_writes = Hashtbl.create 4 in
-            let ops =
-              List.map
-                (function
-                  | Workload.Read _ as op -> op
-                  | Workload.Write (key, v) as op ->
-                      if Hashtbl.mem seen_writes key then Workload.Read key
-                      else begin
-                        Hashtbl.replace seen_writes key ();
-                        ignore v;
-                        op
-                      end)
-                ops
-            in
-            let outstanding = ref b in
-            let k () =
-              decr outstanding;
-              if !outstanding = 0 then issue ci c (remaining - b) (op_counter + b)
-            in
-            List.iter
-              (function
-                | Workload.Read key -> run_read c key ~k
-                | Workload.Write (key, v) -> run_write c key v ~k)
-              ops
-          end)
-  in
-  (* the transaction driver: a closed loop per client issuing
-     multi-key transactions through a coordinator, with bounded
-     retries (each a fresh txid) spaced by think-time draws *)
-  let run_txns spec =
-    if spec.keys_per_txn < 1 then
-      invalid_arg "Cluster.run: keys_per_txn must be >= 1";
-    let n_reads =
-      int_of_float
-        (spec.txn_read_fraction *. float_of_int spec.keys_per_txn)
-    in
-    List.iter
-      (fun (ci, c) ->
-        let coord =
-          Txn.create
-            ~name:(Fmt.str "c%d" ci)
-            ~sim ~router:c ~mode:spec.commit_mode ~timeout:spec.txn_timeout
-            ()
-        in
-        let rec next remaining =
-          if remaining > 0 then
-            let think =
-              Prng.exponential wrng ~mean:p.workload.Workload.think_time
-            in
-            Core.schedule sim ~delay:think (fun () ->
-                (* a distinct-key Zipf footprint (bounded redraws) *)
-                let keys = ref [] and have = ref 0 and tries = ref 0 in
-                let cap = 100 * spec.keys_per_txn in
-                while !have < spec.keys_per_txn && !tries < cap do
-                  incr tries;
-                  let k = Workload.key_name (Workload.sample z wrng) in
-                  if not (List.exists (String.equal k) !keys) then begin
-                    keys := k :: !keys;
-                    incr have
-                  end
-                done;
-                let keys = List.rev !keys in
-                let reads = List.filteri (fun i _ -> i < n_reads) keys in
-                let wkeys = List.filteri (fun i _ -> i >= n_reads) keys in
-                let txn_no = spec.txns_per_client - remaining in
-                let writes =
-                  List.mapi
-                    (fun j k ->
-                      (k, ((ci + 1) * 1_000_000) + (txn_no * 1000) + j))
-                    wkeys
-                in
-                let rec attempt retries_left =
-                  let started = Core.now sim in
-                  (* the footprint is nonempty, so on_done fires from a
-                     scheduled reply or timeout — never inside execute —
-                     and the txid cell is filled before it runs *)
-                  let txid = ref "" in
-                  txid :=
-                    Txn.execute coord ~reads ~writes
-                      ~on_done:(fun ~committed ~reads:rsnap ~writes:wset
-                                    ~latency ->
-                        completions := (Core.now sim, committed) :: !completions;
-                        if committed then begin
-                          incr ok_txns;
-                          Sim.Stats.add txn_lat latency;
-                          Harness.Check.txn_committed txn_audit ~txid:!txid
-                            ~started ~now:(Core.now sim) ~reads:rsnap
-                            ~writes:wset;
-                          next (remaining - 1)
-                        end
-                        else if retries_left > 0 then
-                          Core.schedule sim
-                            ~delay:
-                              (Prng.exponential wrng
-                                 ~mean:p.workload.Workload.think_time)
-                            (fun () -> attempt (retries_left - 1))
-                        else begin
-                          incr failed_txns;
-                          next (remaining - 1)
-                        end)
-                      ()
-                in
-                attempt spec.txn_retries)
-        in
-        next spec.txns_per_client)
+        c)
       clients
   in
-  (match p.txns with
-  | None ->
-      List.iter
-        (fun (ci, c) -> issue ci c p.workload.Workload.ops_per_client ci)
-        clients
-  | Some spec -> run_txns spec);
-  (* the health sampler: every half-window until the workload has
-     completed, so the event queue still drains *)
+  let w =
+    {
+      p;
+      sim;
+      replicas;
+      strategies;
+      shard_of;
+      clients = routers;
+      z;
+      wrng = Prng.create (p.seed lxor 0xabcdef);
+      shard_reads = Array.make p.n_shards 0;
+      shard_writes = Array.make p.n_shards 0;
+    }
+  in
+  (* completion bookkeeping shared by both drivers *)
+  let finished = ref 0 and completions = ref [] in
+  let complete ok = completions := (Core.now sim, ok) :: !completions in
+  let read_lat = Sim.Stats.create () and write_lat = Sim.Stats.create () in
+  let failed_reads = ref 0 and failed_writes = ref 0 in
+  let shard_ok = Array.make p.n_shards 0 in
+  let shard_failed = Array.make p.n_shards 0 in
+  let op_done ~key ~read ~ok ~latency =
+    let s = shard_of key in
+    let mix = if read then w.shard_reads else w.shard_writes in
+    mix.(s) <- mix.(s) + 1;
+    (match health with
+    | Some h ->
+        Obs.Health.record h ~at:(Core.now sim) ~shard:s ~read ~ok ~latency
+    | None -> ());
+    if ok then begin
+      shard_ok.(s) <- shard_ok.(s) + 1;
+      Sim.Stats.add (if read then read_lat else write_lat) latency
+    end
+    else begin
+      shard_failed.(s) <- shard_failed.(s) + 1;
+      incr (if read then failed_reads else failed_writes)
+    end;
+    incr finished;
+    complete ok
+  in
+  let audit = Harness.Check.audit () in
+  (* the multi-key audit is fed by every replica's decision hook
+     (authoritative — it covers commits whose coordinator died) and by
+     client-acked commits *)
+  let txn_audit = Harness.Check.txn_audit () in
+  let txn_lat = Sim.Stats.create () and failed_txns = ref 0 in
+  let per_client =
+    match p.txns with
+    | None ->
+        drive_ops w ~audit ~op_done;
+        p.workload.Workload.ops_per_client
+    | Some spec ->
+        List.iter
+          (fun r ->
+            Replica.set_on_decided r (fun ~txid ~commit ~writes ->
+                Harness.Check.txn_decided txn_audit ~txid ~commit ~writes))
+          all_replicas;
+        drive_txns w spec ~audit:txn_audit ~attempted:complete
+          ~finished:(fun ~ok ~latency ->
+            incr finished;
+            if ok then Sim.Stats.add txn_lat latency else incr failed_txns);
+        spec.txns_per_client
+  in
+  let total = p.n_clients * per_client in
+  let drained () = !finished >= total in
+  (* the health sampler: every half-window until the workload drains *)
   (match health with
-  | Some h ->
-      let total =
-        match p.txns with
-        | None -> p.n_clients * p.workload.Workload.ops_per_client
-        | Some spec -> p.n_clients * spec.txns_per_client
-      in
+  | Some h when not (drained ()) ->
       let period = Obs.Health.window h /. 2.0 in
-      let completed () =
-        match p.txns with
-        | None -> !ok_reads + !failed_reads + !ok_writes + !failed_writes
-        | Some _ -> !ok_txns + !failed_txns
-      in
       let rec tick () =
         Core.schedule sim ~delay:period (fun () ->
             ignore (Obs.Health.sample h ~at:(Core.now sim));
-            if completed () < total then tick ())
+            if not (drained ()) then tick ())
       in
-      if total > 0 then tick ()
-  | None -> ());
-  (* workload-aware quorum tuning: shared per-shard latency trackers
-     and queue probes on every shard client (queue-aware read
-     steering), plus — on single-key workloads — a periodic optimizer
-     that re-strategizes shards through a joint-strategy transition
-     with key migration, then a deadline-length fence before the new
-     quorums activate (DESIGN.md §16) *)
-  let strategy_switches = ref [] in
-  (match p.tune with
-  | None -> ()
-  | Some spec ->
-      if
-        not
-          (Float.is_finite spec.tune_epoch
-          && Float.compare spec.tune_epoch 0.0 > 0)
-      then invalid_arg "Cluster.run: tune_epoch must be positive";
-      let ewmas =
-        Array.init p.n_shards (fun _ ->
-            Tune.Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
-      in
-      List.iter
-        (fun (_, c) ->
-          for s = 0 to p.n_shards - 1 do
-            Router.set_probe c ~shard:s
-              (Some
-                 {
-                   Client.ewma = ewmas.(s);
-                   queue_depth =
-                     (fun i ->
-                       float_of_int (Replica.queue_depth replicas.(s).(i)));
-                   queue_weight = spec.queue_weight;
-                   steer = spec.steer;
-                 })
-          done)
-        clients;
-      match p.txns with
-      | Some _ -> () (* the optimizer drives single-key workloads only *)
-      | None ->
-          if spec.optimize && p.n_clients > 0 then begin
-            let config =
-              {
-                Tune.Model.w_load = spec.w_load;
-                w_latency = spec.w_latency;
-                min_read_availability = spec.min_read_avail;
-                min_write_availability = spec.min_write_avail;
-              }
-            in
-            let total = p.n_clients * p.workload.Workload.ops_per_client in
-            let completed () =
-              !ok_reads + !failed_reads + !ok_writes + !failed_writes
-            in
-            let all_keys =
-              List.init p.workload.Workload.n_keys Workload.key_name
-            in
-            let migrator = snd (List.hd clients) in
-            let transitioning = Array.make p.n_shards false in
-            let set_shard_strategy s st =
-              List.iter
-                (fun (_, c) -> Router.set_strategy c ~shard:s st)
-                clients
-            in
-            (* Re-strategize shard [s]: move every client to the joint
-               strategy (quorums of both old and new — reads still
-               cover data at rest, writes already land on new-strategy
-               quorums), migrate each of the shard's keys by reading
-               its newest version and re-installing it at a joint
-               write quorum, then — after the op deadline has fenced
-               out anything issued under the old strategy — commit the
-               new one.  Any migration failure aborts back to the old
-               strategy, which joint quorums also satisfy. *)
-            let begin_transition s next_s =
-              let current = strategies.(s) in
-              let j = Autotune.joint current next_s in
-              if Strategy.legal j then begin
-                transitioning.(s) <- true;
-                let started = Core.now sim in
-                set_shard_strategy s j;
-                let keys = List.filter (fun k -> shard_of k = s) all_keys in
-                let pending = ref (List.length keys) in
-                let failed = ref false in
-                let commit () =
-                  let fence = started +. p.timeout -. Core.now sim in
-                  Core.schedule sim ~delay:(Float.max 0.0 fence) (fun () ->
-                      set_shard_strategy s next_s;
-                      strategies.(s) <- next_s;
-                      strategy_switches :=
-                        (Core.now sim, s, next_s.Strategy.name)
-                        :: !strategy_switches;
-                      transitioning.(s) <- false)
-                in
-                let abort () =
-                  set_shard_strategy s current;
-                  transitioning.(s) <- false
-                in
-                let key_done () =
-                  decr pending;
-                  if !pending = 0 then if !failed then abort () else commit ()
-                in
-                if keys = [] then commit ()
-                else
-                  List.iter
-                    (fun key ->
-                      Router.read migrator ~key
-                        ~on_done:(fun ~ok ~vn ~value ~latency:_ ->
-                          if not ok then begin
-                            failed := true;
-                            key_done ()
-                          end
-                          else if vn = 0 then key_done ()
-                          else
-                            Router.install migrator ~key ~vn ~value
-                              ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency:_ ->
-                                if not ok then failed := true;
-                                key_done ())))
-                    keys
-              end
-            in
-            let rec tick () =
-              Core.schedule sim ~delay:spec.tune_epoch (fun () ->
-                  if completed () < total then begin
-                    for s = 0 to p.n_shards - 1 do
-                      if not transitioning.(s) then begin
-                        let reads = shard_reads.(s)
-                        and writes = shard_writes.(s) in
-                        let f =
-                          if reads + writes = 0 then
-                            p.workload.Workload.read_fraction
-                          else
-                            float_of_int reads /. float_of_int (reads + writes)
-                        in
-                        match
-                          Autotune.choose ~config ~read_fraction:f
-                            ~p_alive:spec.p_alive
-                            ~lat:(Tune.Ewma.value ewmas.(s))
-                            p.n_replicas
-                        with
-                        | Some { Autotune.strategy = next_s; _ }
-                          when Strategy.legal next_s
-                               && not
-                                    (String.equal next_s.Strategy.name
-                                       strategies.(s).Strategy.name) ->
-                            begin_transition s next_s
-                        | _ -> ()
-                      end
-                    done;
-                    tick ()
-                  end)
-            in
-            if total > 0 then tick ()
-          end);
-  (* fault injection: the legacy knobs compile onto the script DSL (in
-     the order the inline nemesis code installed them — failures,
-     partitions, shard kill — which byte-identical replay depends on)
-     and any extra scripted steps ride on top *)
-  (match p.shard_kill with
-  | Some (s, _) when s < 0 || s >= p.n_shards ->
-      invalid_arg (Fmt.str "Cluster.run: shard_kill shard %d out of range" s)
+      tick ()
   | _ -> ());
-  let env =
-    {
-      Harness.Run.sim;
-      net;
-      groups = group_names;
-      clients = client_names;
-      seed = p.seed;
-    }
-  in
-  let script =
-    Harness.Script.of_legacy ?failures:p.failures ?partitions:p.partitions
-      ?shard_kill:p.shard_kill ()
-    @ p.script
-  in
-  ignore (Harness.Run.install env script : Sim.Failure.t list);
+  (* the optimizer drives single-key workloads only *)
+  let switches = ref [] in
+  Option.iter
+    (fun spec ->
+      tune w spec ~optimize:(spec.optimize && Option.is_none p.txns) ~drained
+        ~switches)
+    p.tune;
+  let env = { Harness.Run.sim; net; groups; clients; seed = p.seed } in
+  ignore (Harness.Run.install env (script_of p) : Sim.Failure.t list);
   Core.run sim;
-  (* transaction epilogue: run the end-of-run multi-key checks and
-     collect the in-doubt (blocked) set across every replica *)
-  let blocked =
+  let blocked_txns, audit_violations =
     match p.txns with
-    | None -> []
+    | None -> ([], Harness.Check.violations audit)
     | Some _ ->
+        (* the end-of-run multi-key checks, and the in-doubt set *)
         Harness.Check.txn_check txn_audit;
-        Array.to_list replicas |> List.concat_map Array.to_list
-        |> List.concat_map Replica.in_doubt
-        |> List.sort_uniq String.compare
+        ( List.concat_map Replica.in_doubt all_replicas
+          |> List.sort_uniq String.compare,
+          Harness.Check.txn_violations txn_audit )
   in
-  let shard_stats =
-    List.init p.n_shards (fun s ->
-        {
-          shard = s;
-          ok_ops = shard_ok.(s);
-          failed_ops = shard_failed.(s);
-          load =
-            Array.fold_left
-              (fun acc r -> acc + Replica.load r)
-              0
-              replicas.(s);
-        })
-  in
+  let sum f rs = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  let reads = Sim.Stats.summarize read_lat in
+  let writes = Sim.Stats.summarize write_lat in
+  let txn_latency = Sim.Stats.summarize txn_lat in
   {
-    reads = Sim.Stats.summarize read_lat;
-    writes = Sim.Stats.summarize write_lat;
-    ok_reads = !ok_reads;
+    reads;
+    writes;
+    ok_reads = reads.Sim.Stats.count;
     failed_reads = !failed_reads;
-    ok_writes = !ok_writes;
+    ok_writes = writes.Sim.Stats.count;
     failed_writes = !failed_writes;
     net = Net.counters net;
     replica_loads =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.map (fun (r : Replica.t) -> (r.Replica.name, Replica.load r));
-    shards = shard_stats;
-    audit_violations =
-      (match p.txns with
-      | None -> Harness.Check.violations audit
-      | Some _ -> Harness.Check.txn_violations txn_audit);
+      List.map
+        (fun (r : Replica.t) -> (r.Replica.name, Replica.load r))
+        all_replicas;
+    shards =
+      List.init p.n_shards (fun s ->
+          {
+            shard = s;
+            ok_ops = shard_ok.(s);
+            failed_ops = shard_failed.(s);
+            load = sum Replica.load (Array.to_list replicas.(s));
+          });
+    audit_violations;
     duration = Core.now sim;
     installs =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.fold_left
-           (fun acc (r : Replica.t) -> acc + Obs.Metrics.value r.Replica.installs)
-           0;
-    fsyncs =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.fold_left (fun acc r -> acc + Replica.fsyncs r) 0;
+      sum
+        (fun (r : Replica.t) -> Obs.Metrics.value r.Replica.installs)
+        all_replicas;
+    fsyncs = sum Replica.fsyncs all_replicas;
     trace = tracer;
     metrics;
     health = List.rev !health_samples;
     completions = List.rev !completions;
-    txn_run = p.txns <> None;
-    ok_txns = !ok_txns;
+    txn_run = Option.is_some p.txns;
+    ok_txns = txn_latency.Sim.Stats.count;
     failed_txns = !failed_txns;
-    txn_latency = Sim.Stats.summarize txn_lat;
-    blocked_txns = blocked;
+    txn_latency;
+    blocked_txns;
     decided_txns = Harness.Check.txn_decided_count txn_audit;
-    tune_run = p.tune <> None;
-    strategy_switches = List.rev !strategy_switches;
+    tune_run = Option.is_some p.tune;
+    strategy_switches = List.rev !switches;
     shard_strategies =
       Array.to_list
         (Array.map (fun (s : Strategy.t) -> s.Strategy.name) strategies);
   }
 
-(** A stable digest of the run's simulation outcome — every
-    observable result except the observability side channels (trace,
-    metrics registry, health samples).  Floats render as hex ([%h]),
-    so equality is bit-equality: two runs digest equal iff the
-    simulation behaved identically.  This is what the tracing
-    non-interference check compares — enabling tracing or causal
-    stamping must never change the digest of a seeded run. *)
+(* Floats render as hex ([%h]), so equality is bit-equality: two runs
+   digest equal iff the simulation behaved identically. *)
 let digest (r : results) : string =
   let b = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string b) fmt in

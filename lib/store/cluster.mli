@@ -162,7 +162,7 @@ type results = {
           feed to {!Harness.Check.liveness_after_heal}; not digested *)
   txn_run : bool;  (** the run used a transaction workload *)
   ok_txns : int;  (** client-acked commits *)
-  failed_txns : int;  (** attempts exhausted of retries *)
+  failed_txns : int;  (** transactions whose every attempt failed *)
   txn_latency : Sim.Stats.summary;  (** acked-commit latencies *)
   blocked_txns : string list;
       (** txids still prepared-but-undecided at some replica when the
@@ -181,7 +181,27 @@ type results = {
 val availability : results -> float
 (** Fraction of operations that succeeded. *)
 
+val group_names : n_shards:int -> n_replicas:int -> string array array
+(** The replica names of a run, one row per shard: [r0 .. r{n-1}] with
+    one shard, [s{s}:r{i}] with several. *)
+
+val client_names : int -> string list
+(** The client names of a run: [c0 .. c{n-1}]. *)
+
+val validate : params -> (unit, string) result
+(** Every check {!run} makes: [n_shards], [n_replicas] >= 1,
+    [n_clients] >= 0, [loss] in \[0, 1), [timeout] > 0; [storage_cost],
+    [fsync_cost] and [batch_window] finite and >= 0; a positive
+    [health_window]; [keys_per_txn] >= 1; a positive [tune_epoch]; the
+    [policy] ({!Rpc.Policy.validate}) and [adaptive_window]
+    ({!Rpc.Window.validate}); and the fault script the params compile
+    to ({!Harness.Script.validate}, shard indices included), whose
+    partition storms need >= 2 replicas in all. *)
+
 val run : params -> results
+(** Build the cluster, drive the workload until it drains, and collect
+    the results.
+    @raise Invalid_argument on params {!validate} rejects. *)
 
 val digest : results -> string
 (** A stable digest of the run's simulation outcome — latency

@@ -205,7 +205,7 @@ let test_script_round_trip () =
         (Script.to_string parsed)
   | Error e -> Alcotest.failf "parse failed: %s" e);
   Alcotest.(check (result unit string)) "round-tripped script validates"
-    (Ok ()) (Script.validate s)
+    (Ok ()) (Script.validate ~n_shards:2 s)
 
 let prop_generated_scripts_round_trip =
   QCheck.Test.make ~count:100 ~name:"generated scripts round-trip and validate"
@@ -217,7 +217,7 @@ let prop_generated_scripts_round_trip =
           ~groups:[| [| "r0"; "r1"; "r2" |]; [| "s1:r0"; "s1:r1" |] |]
           ~clients:[ "c0"; "c1" ] ~horizon:400.0
       in
-      (match Script.validate s with
+      (match Script.validate ~n_shards:2 s with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "invalid generated script: %s" e);
       match Script.of_string (Script.to_string s) with
@@ -226,7 +226,7 @@ let prop_generated_scripts_round_trip =
 
 let test_script_validate_rejects () =
   let bad what s =
-    match Script.validate s with
+    match Script.validate ~n_shards:2 s with
     | Ok () -> Alcotest.failf "%s: expected a validation error" what
     | Error _ -> ()
   in
@@ -244,6 +244,8 @@ let test_script_validate_rejects () =
     ];
   bad "bad storm mean" [ Script.Bipartition_storm { mean = 0.0; cycles = 4 } ];
   bad "bad mtbf" [ Script.Crash_storm { Sim.Failure.mtbf = 0.0; mttr = 1.0 } ];
+  bad "shard out of range" [ Script.At (0.0, Script.Kill_shard 2) ];
+  bad "negative shard" [ Script.At (0.0, Script.Pause_shard (-1)) ];
   match Script.of_string "@5 warp r0" with
   | Ok _ -> Alcotest.fail "parsed an unknown action"
   | Error _ -> ()

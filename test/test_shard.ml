@@ -296,10 +296,7 @@ let test_route_many_groups () =
   List.iter
     (fun scheme ->
       let sim = Core.create ~seed:1 in
-      let groups =
-        Array.init 3 (fun s ->
-            Array.init 3 (fun i -> Fmt.str "s%d:r%d" s i))
-      in
+      let groups = Store.Cluster.group_names ~n_shards:3 ~n_replicas:3 in
       let nodes =
         (Array.to_list groups |> List.concat_map Array.to_list) @ [ "c0" ]
       in

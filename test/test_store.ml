@@ -176,6 +176,185 @@ let test_crash_storm_run_ends_with_workload () =
       ("script", None, Harness.Script.of_failures spec);
     ]
 
+(* Bursts of 8 over 4 keys and 4 clients: each client owns exactly one
+   key, so every write after a burst's first is demoted to a read.
+   Pinned so the burst loop's draw order and demotion stay exact. *)
+let test_burst_demotion_golden () =
+  let ops = 64 and burst = 8 in
+  let p =
+    {
+      Store.Cluster.default_params with
+      workload =
+        {
+          Store.Workload.default_spec with
+          ops_per_client = ops;
+          n_keys = 4;
+          read_fraction = 0.2;
+          burst;
+        };
+    }
+  in
+  let r = Store.Cluster.run p in
+  Alcotest.(check (list string))
+    "audit clean" [] r.Store.Cluster.audit_violations;
+  Alcotest.(check bool) "at most one write per client per burst" true
+    (r.Store.Cluster.ok_writes + r.Store.Cluster.failed_writes
+    <= p.n_clients * (ops / burst));
+  Alcotest.(check string) "digest pinned" "59eed452e17c851467842359f606114b"
+    (Store.Cluster.digest r)
+
+(* The health sampler's schedule: how many snapshots, and when the
+   last one was taken, on a single-key and on a transaction run. *)
+let test_health_schedule_pinned () =
+  let check label p count last_at =
+    let snaps = (Store.Cluster.run p).Store.Cluster.health in
+    let last =
+      List.fold_left (fun _ (s : Obs.Health.snapshot) -> s.at) nan snaps
+    in
+    Alcotest.(check (pair int string))
+      (label ^ ": snapshots, last at")
+      (count, last_at)
+      (List.length snaps, Fmt.str "%h" last)
+  in
+  let base =
+    {
+      Store.Cluster.default_params with
+      n_replicas = 3;
+      n_shards = 2;
+      health_window = Some 20.0;
+      workload = { Store.Workload.default_spec with ops_per_client = 40 };
+    }
+  in
+  check "single-key" base 104 "0x1.04p+9";
+  check "txn"
+    {
+      base with
+      txns = Some { Store.Cluster.default_txn_spec with txns_per_client = 10 };
+    }
+    68 "0x1.54p+8"
+
+(* [validate] rejects one bad value per check, and [run] raises with
+   the same message; the defaults and the benchmark's four workload
+   shapes pass. *)
+let test_validate () =
+  let module C = Store.Cluster in
+  let module S = Harness.Script in
+  let d = C.default_params in
+  let txns = C.default_txn_spec and tune = C.default_tune_spec in
+  let rejected =
+    [
+      ("n_shards", { d with n_shards = 0 });
+      ("n_replicas", { d with n_replicas = 0 });
+      ("n_clients", { d with n_clients = -1 });
+      ("loss = 1", { d with loss = 1.0 });
+      ("loss < 0", { d with loss = -0.1 });
+      ("loss nan", { d with loss = nan });
+      ("timeout", { d with timeout = 0.0 });
+      ("timeout nan", { d with timeout = nan });
+      ("storage_cost", { d with storage_cost = -1.0 });
+      ("fsync_cost", { d with fsync_cost = infinity });
+      ("batch_window", { d with batch_window = Some (-1.0) });
+      ("health_window", { d with health_window = Some 0.0 });
+      ( "policy",
+        { d with policy = { Rpc.Policy.default with Rpc.Policy.max_attempts = 0 } }
+      );
+      ( "adaptive_window",
+        {
+          d with
+          adaptive_window =
+            Some { Rpc.Window.default_config with Rpc.Window.busy = 0 };
+        } );
+      ("keys_per_txn", { d with txns = Some { txns with keys_per_txn = 0 } });
+      ("tune_epoch", { d with tune = Some { tune with tune_epoch = 0.0 } });
+      ("tune_epoch nan", { d with tune = Some { tune with tune_epoch = nan } });
+      ("script", { d with script = [ S.At (0.0, S.Loss 1.5) ] });
+      ( "script shard",
+        { d with n_shards = 2; script = [ S.At (1.0, S.Pause_shard 2) ] } );
+      ("shard_kill", { d with n_shards = 2; shard_kill = Some (2, 10.0) });
+      ("partitions", { d with partitions = Some 0.0 });
+      ( "failures",
+        { d with failures = Some { Sim.Failure.mtbf = 0.0; mttr = 1.0 } } );
+      ("partitions, 1 replica", { d with n_replicas = 1; partitions = Some 40.0 });
+      ( "script storm, 1 replica",
+        {
+          d with
+          n_replicas = 1;
+          script = [ S.Bipartition_storm { mean = 40.0; cycles = 4 } ];
+        } );
+    ]
+  in
+  List.iter
+    (fun (label, p) ->
+      match C.validate p with
+      | Ok () -> Alcotest.failf "%s: accepted" label
+      | Error e ->
+          Alcotest.check_raises
+            (label ^ ": run raises the same message")
+            (Invalid_argument ("Cluster.run: " ^ e))
+            (fun () -> ignore (C.run p)))
+    rejected;
+  (* the benchmark's four workload shapes *)
+  let wl = Store.Workload.default_spec in
+  let swarm seed =
+    {
+      d with
+      n_replicas = 3;
+      n_clients = 3;
+      n_shards = 4;
+      targeting = `Quorum;
+      policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
+      workload = { wl with ops_per_client = 40; read_fraction = 0.5 };
+      seed;
+      script =
+        Harness.Gen.script (Prng.create seed)
+          ~groups:(C.group_names ~n_shards:4 ~n_replicas:3)
+          ~clients:(C.client_names 3) ~horizon:300.0;
+    }
+  in
+  let accepted =
+    [
+      ("defaults", d);
+      ("one replica", { d with n_replicas = 1 });
+      ("kv_readmostly", { d with workload = { wl with ops_per_client = 500 } });
+      ( "kv_sharded_io",
+        {
+          d with
+          n_replicas = 3;
+          n_shards = 4;
+          shard_scheme = `Range;
+          workload =
+            {
+              wl with
+              ops_per_client = 500;
+              n_keys = 256;
+              zipf_s = 1.1;
+              read_fraction = 0.5;
+              burst = 8;
+            };
+          adaptive_window = Some Rpc.Window.default_config;
+          storage_cost = 0.05;
+          fsync_cost = 5.0;
+        } );
+      ( "txn_paxos",
+        {
+          d with
+          n_replicas = 3;
+          n_clients = 3;
+          n_shards = 3;
+          workload = { wl with n_keys = 256 };
+          txns = Some { txns with txns_per_client = 100; commit_mode = `Paxos };
+        } );
+    ]
+    @ List.map
+        (fun seed -> (Fmt.str "swarm_faults seed %d" seed, swarm seed))
+        [ 1; 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun (label, p) ->
+      Alcotest.(check (result unit string))
+        (label ^ " accepted") (Ok ()) (C.validate p))
+    accepted
+
 let test_cluster_grid_needs_matching_n () =
   (* grid 2x3 needs 6 replicas *)
   let r =
@@ -407,6 +586,11 @@ let suites =
           test_cluster_audit_clean;
         Alcotest.test_case "a crash-storm run ends with its workload" `Quick
           test_crash_storm_run_ends_with_workload;
+        Alcotest.test_case "burst demotion golden" `Quick
+          test_burst_demotion_golden;
+        Alcotest.test_case "health schedule pinned" `Quick
+          test_health_schedule_pinned;
+        Alcotest.test_case "validate" `Quick test_validate;
         Alcotest.test_case "grid cluster" `Quick test_cluster_grid_needs_matching_n;
         Alcotest.test_case "lossy network" `Quick test_cluster_lossy_network;
       ] );

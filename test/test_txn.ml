@@ -344,9 +344,7 @@ let test_decision_cancels_recovery_timer () =
    recovery delay (150) or the transaction deadline (400). *)
 let test_decided_txn_leaves_no_event () =
   let sim = Core.create ~seed:3 in
-  let groups =
-    Array.init 3 (fun s -> Array.init 3 (fun i -> Fmt.str "s%d:r%d" s i))
-  in
+  let groups = Cluster.group_names ~n_shards:3 ~n_replicas:3 in
   let names = Array.to_list groups |> List.concat_map Array.to_list in
   let net = Sim.Net.create ~sim ~nodes:(names @ [ "c0" ]) () in
   let replicas =
