@@ -360,19 +360,18 @@ let t_tune_choose =
            ~lat:(fun _ -> 1.0)
            5))
 
-let steer_masks =
-  Tune.Model.minimal_read_quorums (Store.Autotune.to_system majority7_mask)
+let steer_masks = (Store.Strategy.quorums majority7_mask `Read).minimal
 
 let steer_stats =
   {
-    Tune.Steer.latency = (fun i -> 1.0 +. (0.1 *. float_of_int i));
+    Store.Steer.latency = (fun i -> 1.0 +. (0.1 *. float_of_int i));
     queue = (fun i -> float_of_int (i mod 3));
     queue_weight = 2.0;
   }
 
 let t_tune_steer =
   Test.make ~name:"T2 steering pick (majority-7 quorums)"
-    (Staged.stage (fun () -> Tune.Steer.best steer_stats steer_masks))
+    (Staged.stage (fun () -> Store.Steer.best steer_stats steer_masks))
 
 let t_tuned_cluster =
   Test.make ~name:"T3 tuned cluster run (optimizer + steering)"

@@ -9,7 +9,9 @@
 
    Exit status: 0 when every audited run is clean, 1 when any
    violation was found (including a successful repro — reproducing a
-   violation is a failing exit so CI can gate on it). *)
+   violation is a failing exit so CI can gate on it), 2 on bad input:
+   a shape or script the cluster rejects, or (without --unsafe)
+   quorums that do not all intersect. *)
 
 module Prng = Qc_util.Prng
 module Script = Harness.Script
@@ -129,29 +131,38 @@ let extra_flags shape =
 
 (* a shape the cluster rejects is bad input: one line, exit 2; so is
    one with fewer than 2 replicas, which generated scripts may
-   partition *)
+   partition, and one whose quorums do not all intersect.  That static
+   gate checks the strategy the shards run, lowered onto a shard's
+   replica names; --unsafe skips it so the planted bug reaches the
+   audit. *)
 let with_valid shape ~seed script k =
+  let p = params_of shape ~seed script in
   let n = shape.shards * shape.replicas in
-  match Store.Cluster.validate (params_of shape ~seed script) with
+  let quorum_gate () =
+    let strategy = p.Store.Cluster.strategy shape.replicas in
+    let names =
+      Store.Cluster.group_names ~n_shards:shape.shards
+        ~n_replicas:shape.replicas
+    in
+    Result.bind (Store.Strategy.to_config strategy names.(0))
+      (Harness.Check.quorum_ok ~name:strategy.Store.Strategy.name)
+  in
+  match Store.Cluster.validate p with
   | Error e ->
       Fmt.epr "swarm: %s@." e;
       2
   | Ok () when n < 2 ->
       Fmt.epr "swarm: a shape needs >= 2 replicas in all (got %d)@." n;
       2
-  | Ok () -> k ()
+  | Ok () -> (
+      match if shape.unsafe then Ok () else quorum_gate () with
+      | Error e ->
+          Fmt.epr "swarm: static quorum gate: %s@." e;
+          2
+      | Ok () -> k ())
 
 let sweep shape seeds seed0 max_failures json_path =
   with_valid shape ~seed:seed0 [] @@ fun () ->
-  (* fail fast on a structurally broken configuration: fuzzing a
-     known-illegal quorum system would only report it slowly *)
-  (if not shape.unsafe then
-     let members = List.init shape.replicas (fun i -> Fmt.str "r%d" i) in
-     match
-       Harness.Check.quorum_ok ~name:"majority" (Quorum.Config.majority members)
-     with
-     | Ok () -> ()
-     | Error e -> Fmt.epr "static quorum gate: %s@." e);
   let run ~seed script = run_one shape ~seed script in
   let failures =
     Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures

@@ -50,7 +50,7 @@ let run_dump seed replicas clients ops loss partitions capacity format out
         | exception Sys_error e -> Error (Fmt.str "cannot read %s: %s" path e)
         | contents -> (
             match Obs.Export.parse_jsonl contents with
-            | Ok events -> Ok (`Events (filtered events))
+            | Ok events -> Ok (filtered events)
             | Error e -> Error (Fmt.str "corrupt trace %s: %s" path e)))
     | None ->
         let tracer = Obs.Trace.create ~capacity () in
@@ -77,27 +77,17 @@ let run_dump seed replicas clients ops loss partitions capacity format out
            | Error e -> Fmt.epr "warning: harness check failed: %s@." e);
         if with_metrics then
           Fmt.epr "%s" (Obs.Metrics.dump results.Store.Cluster.metrics);
-        if cat = None && track = None then Ok (`Tracer tracer)
-        else Ok (`Events (filtered (Obs.Trace.events tracer)))
+        Ok (filtered (Obs.Trace.events tracer))
   in
   match source with
   | Error e ->
       Fmt.epr "trace_dump: %s@." e;
       2
-  | Ok source -> (
-      let events =
-        match source with
-        | `Tracer tr -> Obs.Trace.events tr
-        | `Events evs -> evs
-      in
+  | Ok events -> (
       let contents =
-        match (format, source) with
-        (* the unfiltered live-tracer paths keep their historical
-           byte-for-byte exports *)
-        | `Chrome, `Tracer tr -> Obs.Export.chrome tr
-        | `Jsonl, `Tracer tr -> Obs.Export.jsonl tr
-        | `Chrome, `Events evs -> Obs.Export.chrome_of_events evs
-        | `Jsonl, `Events evs -> Obs.Export.jsonl_of_events evs
+        match format with
+        | `Chrome -> Obs.Export.chrome_of_events events
+        | `Jsonl -> Obs.Export.jsonl_of_events events
       in
       let validation =
         if not validate then Ok ()

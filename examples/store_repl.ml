@@ -203,30 +203,15 @@ let parse_storage = function
    the shell actually routes to. *)
 let lint_world w =
   let shard s =
-    let group = Store.Router.replicas w.router ~shard:s in
     let strat = Store.Router.strategy w.router ~shard:s in
-    let n = strat.Store.Strategy.n in
-    if Array.length group <> n then
-      Error
-        (Fmt.str "shard %d: %d replicas but strategy %s expects %d" s
-           (Array.length group) strat.Store.Strategy.name n)
-    else
-      let names_of mask =
-        List.filter_map
-          (fun i -> if mask land (1 lsl i) <> 0 then Some group.(i) else None)
-          (List.init n Fun.id)
-      in
-      let config =
-        Quorum.Config.make
-          ~read_quorums:
-            (List.map names_of (Store.Strategy.minimal_read_quorums strat))
-          ~write_quorums:
-            (List.map names_of (Store.Strategy.minimal_write_quorums strat))
-      in
-      Ok
-        (Lint.Quorum_check.check_config
-           ~name:(Fmt.str "shard%d:%s" s strat.Store.Strategy.name)
-           config)
+    let group = Store.Router.replicas w.router ~shard:s in
+    match Store.Strategy.to_config strat group with
+    | Error e -> Error (Fmt.str "shard %d: %s" s e)
+    | Ok config ->
+        Ok
+          (Lint.Quorum_check.check_config
+             ~name:(Fmt.str "shard%d:%s" s strat.Store.Strategy.name)
+             config)
   in
   let rec go s acc =
     if s >= Store.Router.n_shards w.router then Ok (List.rev acc)
@@ -738,7 +723,7 @@ let () =
                            current.Store.Strategy.name
                        then " (keep)"
                        else " (switch)");
-                    Fmt.pr "  predicted %a@." Tune.Model.pp_score score)
+                    Fmt.pr "  predicted %a@." Store.Autotune.pp_score score)
               snaps;
             loop ()
         | [ "metrics" ] ->

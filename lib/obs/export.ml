@@ -46,12 +46,7 @@ let jsonl_of_events (events : Trace.event list) : string =
     events;
   Buffer.contents buf
 
-let jsonl (t : Trace.t) : string =
-  let buf = Buffer.create 4096 in
-  Trace.iter t (fun e ->
-      Json.emit buf (jsonl_event e);
-      Buffer.add_char buf '\n');
-  Buffer.contents buf
+let jsonl (t : Trace.t) : string = jsonl_of_events (Trace.events t)
 
 (* ---------- JSONL import ---------- *)
 

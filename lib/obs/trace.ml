@@ -135,11 +135,6 @@ let with_span t ~cat ~name ?track ?(args = []) f =
 let events t =
   List.init t.len (fun i -> t.ring.((t.head + i) mod t.capacity))
 
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.ring.((t.head + i) mod t.capacity)
-  done
-
 let pp_arg ppf = function
   | Int i -> Fmt.int ppf i
   | Float f -> Fmt.pf ppf "%g" f

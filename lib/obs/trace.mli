@@ -80,7 +80,5 @@ val with_span :
 val events : t -> event list
 (** Emission order, oldest first. *)
 
-val iter : t -> (event -> unit) -> unit
-
 val pp_arg : arg Fmt.t
 val pp_event : event Fmt.t

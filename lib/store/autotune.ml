@@ -1,16 +1,139 @@
 (** Workload-aware strategy optimization: the candidate families, the
-    lowering of {!Strategy} onto {!Tune.Model}'s analytic
-    load/latency/availability model, and the per-shard chooser shared
-    by the cluster's re-strategizing epoch, the REPL's [tune] command,
-    and the [tables.exe tune] ablation. *)
+    analytic load/latency/availability model after "Read-Write Quorum
+    Systems Made Practical" (PAPERS.md), and the per-shard chooser
+    shared by the cluster's re-strategizing epoch, the REPL's [tune]
+    command, and the [tables.exe tune] ablation.
 
-let to_system (s : Strategy.t) : Tune.Model.system =
+    A strategy is scored against an observed workload (read fraction),
+    an assumed per-replica alive probability, and a per-replica
+    latency estimate (typically an {!Ewma} fed by live RPC replies):
+
+    - {b peak load} — the classic load of a quorum system: assuming
+      clients pick uniformly among the {e smallest} minimal quorums
+      (which is what {!Client}'s random targeting does), the expected
+      fraction of ops that touch each replica; the maximum over
+      replicas bounds attainable throughput.
+    - {b expected latency} — mean over the smallest minimal quorums of
+      the slowest member's latency estimate; writes pay a read-side
+      version query plus a write-side install.
+    - {b availability} — probability that some read (resp. write)
+      quorum is fully alive under independent replica failures. *)
+
+(* Per-replica probability of being touched by a uniform pick among
+   [masks].  Empty mask lists (an always-false side) yield zeros. *)
+let membership ~n masks =
+  let k = List.length masks in
+  Array.init n (fun i ->
+      if k = 0 then 0.0
+      else
+        let c =
+          List.fold_left
+            (fun acc q -> if q land (1 lsl i) <> 0 then acc + 1 else acc)
+            0 masks
+        in
+        float_of_int c /. float_of_int k)
+
+(* Mean over [masks] of the slowest member under [lat].  Summed in
+   ascending mask order (a right fold over the descending list), the
+   order the model's pinned outputs were computed in. *)
+let expected_max ~n ~lat masks =
+  match masks with
+  | [] -> infinity
+  | _ ->
+      let total =
+        List.fold_right
+          (fun q acc ->
+            let worst = ref neg_infinity in
+            for i = 0 to n - 1 do
+              if q land (1 lsl i) <> 0 then worst := Float.max !worst (lat i)
+            done;
+            acc +. !worst)
+          masks 0.0
+      in
+      total /. float_of_int (List.length masks)
+
+(* [Strategy.availability] rounded the scorer's way: each live-set's
+   probability is a product over replicas in index order, not
+   [p ** k *. (1 - p) ** (n - k)].  The two differ in the last bits,
+   and those bits decide admissibility when [p_alive] equals a floor:
+   at n = 3 and p = 0.99 primary-copy scores 0.98999999999999988 here
+   but exactly 0.99 there, and the defaults put both at 0.99.  Merging
+   either way changes pinned behaviour (the tuner's picks, or the
+   optimal-votes table's exact-tie winners), so both stay. *)
+let availability (s : Strategy.t) ~p =
+  if Float.compare p 0.0 < 0 || Float.compare p 1.0 > 0 then
+    invalid_arg "Autotune.score: p_alive must be in [0, 1]";
+  let read = ref 0.0 and write = ref 0.0 in
+  for m = 0 to Strategy.full s.Strategy.n do
+    let prob = ref 1.0 in
+    for i = 0 to s.Strategy.n - 1 do
+      prob := !prob *. (if m land (1 lsl i) <> 0 then p else 1.0 -. p)
+    done;
+    if s.Strategy.read_ok m then read := !read +. !prob;
+    if s.Strategy.write_ok m then write := !write +. !prob
+  done;
+  (!read, !write)
+
+type score = {
+  peak_load : float;
+  read_latency : float;
+  write_latency : float;
+  op_latency : float;
+  read_availability : float;
+  write_availability : float;
+}
+
+let score (s : Strategy.t) ~read_fraction ~p_alive ~lat =
+  if Float.compare read_fraction 0.0 < 0 || Float.compare read_fraction 1.0 > 0
+  then invalid_arg "Autotune.score: read_fraction must be in [0, 1]";
+  let f = read_fraction and n = s.Strategy.n in
+  let reads = (Strategy.quorums s `Read).smallest
+  and writes = (Strategy.quorums s `Write).smallest in
+  let rmem = membership ~n reads and wmem = membership ~n writes in
+  let peak = ref 0.0 in
+  for i = 0 to n - 1 do
+    (* reads touch a read quorum; writes touch a read quorum (version
+       query) and a write quorum (install) *)
+    let li = (f *. rmem.(i)) +. ((1.0 -. f) *. (rmem.(i) +. wmem.(i))) in
+    if Float.compare li !peak > 0 then peak := li
+  done;
+  let rl = expected_max ~n ~lat reads and wl = expected_max ~n ~lat writes in
+  let ra, wa = availability s ~p:p_alive in
   {
-    Tune.Model.name = s.Strategy.name;
-    n = s.Strategy.n;
-    read_ok = s.Strategy.read_ok;
-    write_ok = s.Strategy.write_ok;
+    peak_load = !peak;
+    read_latency = rl;
+    write_latency = wl;
+    op_latency = (f *. rl) +. ((1.0 -. f) *. (rl +. wl));
+    read_availability = ra;
+    write_availability = wa;
   }
+
+type config = {
+  w_load : float;
+  w_latency : float;
+  min_read_availability : float;
+  min_write_availability : float;
+}
+
+let default_config =
+  {
+    w_load = 1.0;
+    w_latency = 0.1;
+    min_read_availability = 0.99;
+    min_write_availability = 0.98;
+  }
+
+let admissible config sc =
+  Float.compare sc.read_availability config.min_read_availability >= 0
+  && Float.compare sc.write_availability config.min_write_availability >= 0
+
+let objective config sc =
+  (config.w_load *. sc.peak_load) +. (config.w_latency *. sc.op_latency)
+
+let pp_score ppf sc =
+  Fmt.pf ppf "load=%.3f lat(r/w/op)=%.2f/%.2f/%.2f avail(r/w)=%.4f/%.4f"
+    sc.peak_load sc.read_latency sc.write_latency sc.op_latency
+    sc.read_availability sc.write_availability
 
 (** The search space over [n] replicas.  Majority comes first so that
     objective ties resolve to the conservative baseline; the threshold
@@ -46,18 +169,23 @@ let candidates n =
   let trees = if n >= 4 then [ Strategy.tree ~groups:3 n ] else [] in
   (Strategy.majority n :: thresholds) @ grids @ trees @ [ Strategy.primary n ]
 
-type choice = { strategy : Strategy.t; score : Tune.Model.score }
+type choice = { strategy : Strategy.t; score : score }
 
-let choose ?config ~read_fraction ~p_alive ~lat n =
-  (* every candidate is gated through Strategy.legal before it can be
-     adopted — defense in depth on top of the model's own check *)
-  let cands = List.filter Strategy.legal (candidates n) in
-  match
-    Tune.Model.choose ?config ~read_fraction ~p_alive ~lat
-      (List.map to_system cands)
-  with
-  | None -> None
-  | Some (idx, score) -> Some { strategy = List.nth cands idx; score }
+let choose ?(config = default_config) ~read_fraction ~p_alive ~lat n =
+  let best = ref None in
+  List.iter
+    (fun strategy ->
+      if Strategy.legal strategy then begin
+        let score = score strategy ~read_fraction ~p_alive ~lat in
+        if admissible config score then begin
+          let obj = objective config score in
+          match !best with
+          | Some (_, b) when Float.compare obj b >= 0 -> ()
+          | _ -> best := Some ({ strategy; score }, obj)
+        end
+      end)
+    (candidates n);
+  Option.map fst !best
 
 (** The transitional strategy for re-strategizing [a] -> [b]: quorums
     must satisfy {e both} predicates, so joint reads see data at rest

@@ -1,9 +1,43 @@
 (** Workload-aware strategy optimization: candidate families over [n]
-    replicas, lowered onto {!Tune.Model}'s analytic model.  Shared by
-    the cluster's re-strategizing epoch, the REPL's [tune] command and
-    the [tables.exe tune] ablation. *)
+    replicas scored by an analytic load / latency / availability model
+    after "Read-Write Quorum Systems Made Practical" (PAPERS.md).
+    Shared by the cluster's re-strategizing epoch, the REPL's [tune]
+    command and the [tables.exe tune] ablation. *)
 
-val to_system : Strategy.t -> Tune.Model.system
+type score = {
+  peak_load : float;
+      (** max over replicas of expected touch probability per op *)
+  read_latency : float;
+  write_latency : float;
+  op_latency : float;
+      (** mix-weighted: [f * read + (1 - f) * (read + write)] — a write
+          pays the version query before the install *)
+  read_availability : float;
+  write_availability : float;
+}
+
+val score :
+  Strategy.t -> read_fraction:float -> p_alive:float -> lat:(int -> float) -> score
+(** Score under read fraction [f], per-replica alive probability, and
+    per-replica latency estimate [lat] (e.g. [Ewma.value]), over the
+    strategy's smallest minimal quorums. *)
+
+type config = {
+  w_load : float;
+  w_latency : float;
+  min_read_availability : float;
+  min_write_availability : float;
+}
+
+val default_config : config
+
+val admissible : config -> score -> bool
+(** Meets both availability floors. *)
+
+val objective : config -> score -> float
+(** [w_load * peak_load + w_latency * op_latency] — lower is better. *)
+
+val pp_score : score Fmt.t
 
 val candidates : int -> Strategy.t list
 (** Majority (first, so ties resolve conservatively), the full unit-
@@ -12,18 +46,18 @@ val candidates : int -> Strategy.t list
     the tree family at [n >= 4], and primary-copy.
     @raise Invalid_argument unless [n >= 1]. *)
 
-type choice = { strategy : Strategy.t; score : Tune.Model.score }
+type choice = { strategy : Strategy.t; score : score }
 
 val choose :
-  ?config:Tune.Model.config ->
+  ?config:config ->
   read_fraction:float ->
   p_alive:float ->
   lat:(int -> float) ->
   int ->
   choice option
-(** The objective-minimal legal, availability-admissible candidate
-    over [n] replicas — [None] if nothing meets the floors.  Every
-    candidate passes [Strategy.legal] before it can be returned. *)
+(** The objective-minimal {!Strategy.legal}, availability-admissible
+    candidate over [n] replicas; earlier candidates win ties.  [None]
+    if nothing meets the floors. *)
 
 val joint : Strategy.t -> Strategy.t -> Strategy.t
 (** The transitional strategy for re-strategizing [a] -> [b]: quorums

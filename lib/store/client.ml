@@ -39,7 +39,7 @@ type targeting = [ `Broadcast | `Quorum ]
     weight.  With [steer] off the tracker still learns — feeding the
     optimizer's latency model — but targeting stays random. *)
 type probe = {
-  ewma : Tune.Ewma.t;
+  ewma : Ewma.t;
   queue_depth : int -> float;
   queue_weight : float;
   steer : bool;
@@ -232,21 +232,11 @@ let targets_for t (strategy : Strategy.t) ~side =
   match t.targeting with
   | `Broadcast -> (Array.to_list t.replicas, None)
   | `Quorum ->
-      let masks =
-        match side with
-        | `Read -> Strategy.minimal_read_quorums strategy
-        | `Write -> Strategy.minimal_write_quorums strategy
-      in
       (* a latency-greedy client prefers the smallest quorums (fewest
          replies to wait for), random among ties — this is what makes
          load concentration visible for weighted schemes, whose small
          quorums all contain the big-vote site *)
-      let min_card =
-        List.fold_left (fun m q -> min m (Strategy.popcount q)) max_int masks
-      in
-      let smallest =
-        List.filter (fun q -> Strategy.popcount q = min_card) masks
-      in
+      let q = Strategy.quorums strategy side in
       let steered =
         (* queue-aware steering replaces the random pick on the read
            side only: reads are free to chase shallow queues, while
@@ -254,19 +244,19 @@ let targets_for t (strategy : Strategy.t) ~side =
            when a probe is absent, keeping default runs byte-equal) *)
         match (t.probe, side) with
         | Some pr, `Read when pr.steer ->
-            Tune.Steer.best
+            Steer.best
               {
-                Tune.Steer.latency = Tune.Ewma.value pr.ewma;
+                Steer.latency = Ewma.value pr.ewma;
                 queue = pr.queue_depth;
                 queue_weight = pr.queue_weight;
               }
-              masks
+              q.Strategy.minimal
         | _ -> None
       in
       let mask =
         match steered with
         | Some m -> m
-        | None -> Prng.choose t.rng smallest
+        | None -> Prng.choose t.rng q.Strategy.smallest
       in
       let members = ref [] and others = ref [] in
       Array.iteri
@@ -324,7 +314,7 @@ let observe_latency t (p : pending) i =
   match t.probe with
   | None -> ()
   | Some pr ->
-      Tune.Ewma.observe pr.ewma i (Core.now t.sim -. p.phase_started)
+      Ewma.observe pr.ewma i (Core.now t.sim -. p.phase_started)
 
 (* The quorum protocol itself: accumulate replies into the replica
    mask, complete phases when the strategy says the mask is a quorum,

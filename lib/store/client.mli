@@ -22,7 +22,7 @@ type targeting = [ `Broadcast | `Quorum ]
     learns from replies (feeding the optimizer's latency model) but
     targeting stays random. *)
 type probe = {
-  ewma : Tune.Ewma.t;
+  ewma : Ewma.t;
   queue_depth : int -> float;
   queue_weight : float;
   steer : bool;
@@ -116,7 +116,7 @@ val set_probe : t -> probe option -> unit
 (** Install (or remove) the steering probe.  With a probe present,
     every counted reply feeds the EWMA; with [steer] also true, reads
     in [`Quorum] targeting pick the minimal read quorum minimizing the
-    freshness-weighted cost (see {!Tune.Steer}) instead of a random
+    freshness-weighted cost (see {!Steer}) instead of a random
     smallest one.  The client's PRNG is not consulted on steered
     picks, and is untouched whenever the probe is [None]. *)
 

@@ -384,7 +384,7 @@ let tune w spec ~optimize ~drained ~switches =
   let p = w.p in
   let ewmas =
     Array.init p.n_shards (fun _ ->
-        Tune.Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
+        Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
   in
   List.iter
     (fun c ->
@@ -403,7 +403,7 @@ let tune w spec ~optimize ~drained ~switches =
   if optimize && not (drained ()) then begin
     let config =
       {
-        Tune.Model.w_load = spec.w_load;
+        Autotune.w_load = spec.w_load;
         w_latency = spec.w_latency;
         min_read_availability = spec.min_read_avail;
         min_write_availability = spec.min_write_avail;
@@ -479,13 +479,12 @@ let tune w spec ~optimize ~drained ~switches =
                 in
                 match
                   Autotune.choose ~config ~read_fraction:f ~p_alive:spec.p_alive
-                    ~lat:(Tune.Ewma.value ewmas.(s)) p.n_replicas
+                    ~lat:(Ewma.value ewmas.(s)) p.n_replicas
                 with
                 | Some { Autotune.strategy = next_s; _ }
-                  when Strategy.legal next_s
-                       && not
-                            (String.equal next_s.Strategy.name
-                               w.strategies.(s).Strategy.name) ->
+                  when not
+                         (String.equal next_s.Strategy.name
+                            w.strategies.(s).Strategy.name) ->
                     begin_transition s next_s
                 | _ -> ()
               end

@@ -113,8 +113,8 @@ let votes_label votes = String.concat "," (List.map string_of_int votes)
 (* the quorum-size columns of a (strategy, run) row *)
 let quorum_sizes =
   [
-    col "|rq|" 5 (fun ((s : Strategy.t), _) -> string_of_int s.min_read);
-    col "|wq|" 5 (fun ((s : Strategy.t), _) -> string_of_int s.min_write);
+    col "|rq|" 5 (fun (s, _) -> string_of_int (Strategy.min_read s));
+    col "|wq|" 5 (fun (s, _) -> string_of_int (Strategy.min_write s));
   ]
 
 (* replicas r0-r4 and one client c0 on a lognormal network, for the

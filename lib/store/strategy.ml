@@ -8,15 +8,19 @@
     here: read-one/write-all, majority, Gifford's weighted voting, and
     grid quorums; [primary] is the non-replicated baseline. *)
 
-module Prng = Qc_util.Prng
+type quorums = {
+  minimal : int list;
+  smallest : int list;
+  size : int;
+}
 
 type t = {
   name : string;
   n : int;
   read_ok : int -> bool;  (** does this replica set contain a read quorum? *)
   write_ok : int -> bool;
-  min_read : int;  (** size of the smallest read quorum *)
-  min_write : int;
+  reads : quorums Lazy.t;
+  writes : quorums Lazy.t;
 }
 
 let popcount m =
@@ -25,13 +29,24 @@ let popcount m =
 
 let full n = (1 lsl n) - 1
 
-(* smallest popcount among masks satisfying ok *)
-let min_quorum n ok =
-  let best = ref (n + 1) in
+(** All minimal quorums of one side as bitmasks, in descending mask
+    order (the client's random pick indexes into [smallest], so the
+    order is part of every seeded run).  Exponential enumeration
+    (n <= ~12), paid once per strategy and only when asked for. *)
+let quorums_of ok n =
+  let all = ref [] in
   for m = 1 to full n do
-    if ok m then best := min !best (popcount m)
+    if ok m then all := m :: !all
   done;
-  if !best > n then n else !best
+  let masks = !all in
+  let minimal =
+    List.filter
+      (fun q ->
+        not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
+      masks
+  in
+  let size = List.fold_left (fun acc q -> min acc (popcount q)) n minimal in
+  { minimal; smallest = List.filter (fun q -> popcount q = size) minimal; size }
 
 let make ~name ~n ~read_ok ~write_ok =
   {
@@ -39,23 +54,27 @@ let make ~name ~n ~read_ok ~write_ok =
     n;
     read_ok;
     write_ok;
-    min_read = min_quorum n read_ok;
-    min_write = min_quorum n write_ok;
+    reads = lazy (quorums_of read_ok n);
+    writes = lazy (quorums_of write_ok n);
   }
 
+let quorums t = function
+  | `Read -> Lazy.force t.reads
+  | `Write -> Lazy.force t.writes
+
+let min_read t = (Lazy.force t.reads).size
+let min_write t = (Lazy.force t.writes).size
+
 (** Sanity: every read quorum intersects every write quorum —
-    equivalently, no disjoint pair (r, w) with read_ok r and
-    write_ok w.  Exact check by enumeration (n <= ~12). *)
+    equivalently, no read quorum [r] (the empty set included) leaves a
+    write quorum inside its complement.  Exact check by enumeration
+    (n <= ~12). *)
 let legal t =
   let f = full t.n in
-  let ok = ref true in
-  for r = 1 to f do
-    if t.read_ok r then
-      let complement = f land lnot r in
-      (* any write quorum inside the complement would be disjoint *)
-      if t.write_ok complement then ok := false
-  done;
-  !ok
+  let rec go r =
+    r > f || ((not (t.read_ok r && t.write_ok (f land lnot r))) && go (r + 1))
+  in
+  go 0
 
 let rowa n =
   make ~name:"read-one/write-all" ~n
@@ -157,27 +176,19 @@ let availability t ~p =
   done;
   (!read, !write)
 
-(** All minimal read (resp. write) quorums as bitmasks — used by the
-    targeted-send client mode, which messages one quorum instead of
-    broadcasting.  Exponential enumeration (n <= ~12). *)
-let minimal_quorums ok n =
-  let all = ref [] in
-  for m = 1 to full n do
-    if ok m then all := m :: !all
-  done;
-  let masks = !all in
-  List.filter
-    (fun q ->
-      not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
-    masks
-
-let minimal_read_quorums t = minimal_quorums t.read_ok t.n
-let minimal_write_quorums t = minimal_quorums t.write_ok t.n
-
-(** The live-replica bitmask for a predicate of liveness. *)
-let mask_of_live ~n is_live =
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if is_live i then m := !m lor (1 lsl i)
-  done;
-  !m
+(** Lower onto an explicit {!Quorum.Config} whose quorums are the
+    minimal ones, replica [i] named [names.(i)] — the form the lint's
+    quorum checker verifies. *)
+let to_config t names =
+  if Array.length names <> t.n then
+    Error
+      (Fmt.str "%d replicas but strategy %s expects %d" (Array.length names)
+         t.name t.n)
+  else
+    let names_of mask =
+      List.filter_map
+        (fun i -> if mask land (1 lsl i) <> 0 then Some names.(i) else None)
+        (List.init t.n Fun.id)
+    in
+    let side s = List.map names_of (quorums t s).minimal in
+    Ok (Quorum.Config.make ~read_quorums:(side `Read) ~write_quorums:(side `Write))

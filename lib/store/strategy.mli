@@ -2,22 +2,38 @@
     practical-systems counterpart of {!Quorum.Config}, with exact
     analytic availability by enumeration. *)
 
-type t = {
+(** One side's quorums, enumerated once per strategy. *)
+type quorums = {
+  minimal : int list;
+      (** every minimal quorum as a bitmask, in descending mask order *)
+  smallest : int list;  (** the minimal quorums of least cardinality *)
+  size : int;  (** that cardinality; [n] when the side is never satisfied *)
+}
+
+type t = private {
   name : string;
   n : int;
   read_ok : int -> bool;  (** mask of replicas contains a read quorum? *)
   write_ok : int -> bool;
-  min_read : int;  (** size of the smallest read quorum *)
-  min_write : int;
+  reads : quorums Lazy.t;  (** forced on first use by {!quorums} *)
+  writes : quorums Lazy.t;
 }
 
 val popcount : int -> int
 val full : int -> int
 val make : name:string -> n:int -> read_ok:(int -> bool) -> write_ok:(int -> bool) -> t
 
+val quorums : t -> [ `Read | `Write ] -> quorums
+(** The side's minimal quorums, enumerated on the first call. *)
+
+val min_read : t -> int
+(** Size of the smallest read quorum ([n] if there is none). *)
+
+val min_write : t -> int
+
 val legal : t -> bool
-(** No disjoint (read-quorum, write-quorum) pair — exact check by
-    enumeration (n <= ~12). *)
+(** No disjoint (read-quorum, write-quorum) pair, the empty read set
+    included — exact check by enumeration (n <= ~12). *)
 
 val rowa : int -> t
 val majority : int -> t
@@ -43,9 +59,7 @@ val availability : t -> p:float -> float * float
 (** [(read, write)] probability a live quorum exists when each replica
     is independently alive with probability [p] — exact enumeration. *)
 
-val minimal_read_quorums : t -> int list
-(** All minimal read quorums, as bitmasks (for targeted sends). *)
-
-val minimal_write_quorums : t -> int list
-
-val mask_of_live : n:int -> (int -> bool) -> int
+val to_config : t -> string array -> (Quorum.Config.t, string) result
+(** The strategy's minimal quorums as a {!Quorum.Config} over replica
+    names ([names.(i)] is replica [i]) — what the lint's quorum checker
+    verifies.  [Error] when the name count is not [n]. *)

@@ -23,15 +23,15 @@ let test_strategy_legal () =
 
 let test_strategy_min_quorums () =
   let s = Strategy.rowa 5 in
-  Alcotest.(check int) "rowa min read" 1 s.Strategy.min_read;
-  Alcotest.(check int) "rowa min write" 5 s.Strategy.min_write;
+  Alcotest.(check int) "rowa min read" 1 (Strategy.min_read s);
+  Alcotest.(check int) "rowa min write" 5 (Strategy.min_write s);
   let m = Strategy.majority 5 in
-  Alcotest.(check int) "majority min read" 3 m.Strategy.min_read;
-  Alcotest.(check int) "majority min write" 3 m.Strategy.min_write;
+  Alcotest.(check int) "majority min read" 3 (Strategy.min_read m);
+  Alcotest.(check int) "majority min write" 3 (Strategy.min_write m);
   let g = Strategy.grid ~rows:2 ~cols:3 in
-  Alcotest.(check int) "grid min read = cols" 3 g.Strategy.min_read;
+  Alcotest.(check int) "grid min read = cols" 3 (Strategy.min_read g);
   (* one full row (3) + one per other row (1) *)
-  Alcotest.(check int) "grid min write" 4 g.Strategy.min_write
+  Alcotest.(check int) "grid min write" 4 (Strategy.min_write g)
 
 let test_strategy_weighted_rejects () =
   Alcotest.check_raises "r+w<=v"
@@ -73,9 +73,86 @@ let test_availability_ordering () =
       Alcotest.(check bool) "majority writes win" true (w_maj >= w_rowa))
     [ 0.5; 0.7; 0.9; 0.99 ]
 
-let test_mask_of_live () =
-  Alcotest.(check int) "mask" 0b101
-    (Strategy.mask_of_live ~n:3 (fun i -> i <> 1))
+(* Differential oracle for the cached quorum lists: a mask is a minimal
+   quorum iff it satisfies [ok] and no proper non-empty submask does,
+   listed from the full set down — the order the client's random pick
+   indexes.  Cardinalities and the pairwise intersection check are
+   recomputed here too, sharing nothing with [Strategy]. *)
+let bits m =
+  let c = ref 0 in
+  for i = 0 to 62 do
+    if m land (1 lsl i) <> 0 then incr c
+  done;
+  !c
+
+let brute_minimal ok n =
+  (* [s] walks the proper non-empty submasks of [m], largest first *)
+  let rec sub_ok m s = s <> 0 && (ok s || sub_ok m ((s - 1) land m)) in
+  let top = (1 lsl n) - 1 in
+  List.filter
+    (fun m -> ok m && not (sub_ok m ((m - 1) land m)))
+    (List.init top (fun i -> top - i))
+
+let check_cached_quorums (s : Strategy.t) =
+  let n = s.Strategy.n and name = s.Strategy.name in
+  List.iter
+    (fun (side, label, ok, min_size) ->
+      let q = Strategy.quorums s side in
+      let minimal = brute_minimal ok n in
+      let size = List.fold_left (fun acc m -> min acc (bits m)) n minimal in
+      Alcotest.(check (list int)) (name ^ label ^ " minimal") minimal
+        q.Strategy.minimal;
+      Alcotest.(check (list int))
+        (name ^ label ^ " smallest")
+        (List.filter (fun m -> bits m = size) minimal)
+        q.Strategy.smallest;
+      Alcotest.(check int) (name ^ label ^ " min size") size min_size)
+    [
+      (`Read, " read", s.Strategy.read_ok, Strategy.min_read s);
+      (`Write, " write", s.Strategy.write_ok, Strategy.min_write s);
+    ];
+  let top = (1 lsl n) - 1 and disjoint = ref false in
+  for r = 0 to top do
+    for w = 0 to top do
+      if r land w = 0 && s.Strategy.read_ok r && s.Strategy.write_ok w then
+        disjoint := true
+    done
+  done;
+  Alcotest.(check bool) (name ^ " legal") (not !disjoint) (Strategy.legal s);
+  match Strategy.to_config s (Array.init n (Fmt.str "r%d")) with
+  | Error e -> Alcotest.fail e
+  | Ok config ->
+      Alcotest.(check bool)
+        (name ^ " legal agrees with the lint")
+        (Lint.Quorum_check.accepts config)
+        (Strategy.legal s)
+
+let test_cached_quorums () =
+  let candidates = List.concat_map Store.Autotune.candidates [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let five = Store.Autotune.candidates 5 in
+  let joints =
+    List.concat_map (fun a -> List.map (Store.Autotune.joint a) five) five
+  in
+  let at_least_one n =
+    (* swarm's planted bug: read-1/write-1 quorums need not meet *)
+    Strategy.make ~name:"unsafe-1/1" ~n
+      ~read_ok:(fun m -> m <> 0)
+      ~write_ok:(fun m -> m <> 0)
+  in
+  let empty_read =
+    (* only the empty read set is a read quorum: illegal, and no
+       non-empty minimal read quorum exists *)
+    Strategy.make ~name:"empty-read" ~n:3
+      ~read_ok:(fun m -> m = 0)
+      ~write_ok:(fun m -> m = 7)
+  in
+  List.iter check_cached_quorums
+    (candidates @ joints @ [ at_least_one 3; at_least_one 5; empty_read ]);
+  Alcotest.(check bool) "unsafe-1/1 illegal" false
+    (Strategy.legal (at_least_one 3));
+  Alcotest.(check bool) "empty read set caught" false (Strategy.legal empty_read);
+  Alcotest.(check int) "unsatisfiable side sizes to n" 3
+    (Strategy.min_read empty_read)
 
 (* ---------- zipf ---------- *)
 
@@ -573,7 +650,8 @@ let suites =
         Alcotest.test_case "closed-form availability" `Quick
           test_availability_closed_forms;
         Alcotest.test_case "availability ordering" `Quick test_availability_ordering;
-        Alcotest.test_case "mask_of_live" `Quick test_mask_of_live;
+        Alcotest.test_case "cached quorums match enumeration" `Quick
+          test_cached_quorums;
       ] );
     ( "store.workload",
       [
@@ -735,7 +813,7 @@ let test_targeted_mode_consistent () =
 
 let test_minimal_quorums () =
   let s = Store.Strategy.majority 4 in
-  let qs = Store.Strategy.minimal_read_quorums s in
+  let qs = (Store.Strategy.quorums s `Read).minimal in
   (* all 3-of-4 subsets *)
   Alcotest.(check int) "C(4,3) minimal quorums" 4 (List.length qs);
   List.iter
@@ -743,9 +821,9 @@ let test_minimal_quorums () =
     qs;
   let rowa = Store.Strategy.rowa 4 in
   Alcotest.(check int) "rowa minimal reads are singletons" 4
-    (List.length (Store.Strategy.minimal_read_quorums rowa));
+    (List.length (Store.Strategy.quorums rowa `Read).minimal);
   Alcotest.(check int) "rowa minimal write is the full set" 1
-    (List.length (Store.Strategy.minimal_write_quorums rowa))
+    (List.length (Store.Strategy.quorums rowa `Write).minimal)
 
 let test_load_shape () =
   let t = Store.Experiments.load_table () in

@@ -1,4 +1,4 @@
-(* Tests for the tuning layer (lib/tune + Store.Autotune wiring):
+(* Tests for the tuning layer (Store.Ewma, Store.Steer, Store.Autotune):
    EWMA semantics, the tree strategy family, the analytic model's
    closed forms, optimizer properties (qcheck: every pick is legal and
    never worse than majority under the model's own objective),
@@ -8,9 +8,8 @@
 
 module Strategy = Store.Strategy
 module Autotune = Store.Autotune
-module Model = Tune.Model
-module Ewma = Tune.Ewma
-module Steer = Tune.Steer
+module Ewma = Store.Ewma
+module Steer = Store.Steer
 
 let feq = Alcotest.float 1e-9
 
@@ -80,7 +79,7 @@ let test_tree_9_matches_enumeration () =
     if not (Bool.equal expect (t.Strategy.write_ok m)) then
       Alcotest.failf "tree-3/9 write side disagrees on mask %d" m
   done;
-  Alcotest.(check int) "minimal quorum size is 4 of 9" 4 t.Strategy.min_read
+  Alcotest.(check int) "minimal quorum size is 4 of 9" 4 (Strategy.min_read t)
 
 let test_tree_validation () =
   let expect_invalid f =
@@ -95,58 +94,53 @@ let test_tree_validation () =
 (* ---------- the analytic model ---------- *)
 
 let test_model_majority_closed_forms () =
-  let s = Autotune.to_system (Strategy.majority 5) in
-  Alcotest.(check bool) "majority-5 legal" true (Model.legal s);
-  let sc = Model.score s ~read_fraction:1.0 ~p_alive:1.0 ~lat:(fun _ -> 1.0) in
+  let s = Strategy.majority 5 in
+  Alcotest.(check bool) "majority-5 legal" true (Strategy.legal s);
+  let sc = Autotune.score s ~read_fraction:1.0 ~p_alive:1.0 ~lat:(fun _ -> 1.0) in
   (* pure reads, smallest quorums have 3 of 5 members, uniform pick:
      every replica is touched with probability 3/5 *)
-  Alcotest.check feq "pure-read peak load is 3/5" 0.6 sc.Model.peak_load;
+  Alcotest.check feq "pure-read peak load is 3/5" 0.6 sc.Autotune.peak_load;
   Alcotest.check feq "perfect availability at p=1" 1.0
-    sc.Model.read_availability;
-  let sc0 = Model.score s ~read_fraction:0.0 ~p_alive:1.0 ~lat:(fun _ -> 1.0) in
+    sc.Autotune.read_availability;
+  let sc0 =
+    Autotune.score s ~read_fraction:0.0 ~p_alive:1.0 ~lat:(fun _ -> 1.0)
+  in
   (* pure writes touch a read quorum (version query) plus a write
      quorum (install): 3/5 + 3/5 *)
-  Alcotest.check feq "pure-write peak load is 6/5" 1.2 sc0.Model.peak_load
+  Alcotest.check feq "pure-write peak load is 6/5" 1.2 sc0.Autotune.peak_load
+
+(* every read quorum of one strategy meets every write quorum of
+   another — the cross-strategy check behind safe re-strategizing *)
+let cross_legal ~reads ~writes =
+  let reads = (Strategy.quorums reads `Read).minimal
+  and writes = (Strategy.quorums writes `Write).minimal in
+  List.for_all (fun r -> List.for_all (fun w -> r land w <> 0) writes) reads
+
+let r2w4 =
+  Strategy.make ~name:"read-2/write-4" ~n:5
+    ~read_ok:(fun m -> Strategy.popcount m >= 2)
+    ~write_ok:(fun m -> Strategy.popcount m >= 4)
 
 let test_model_cross_legal () =
-  let maj = Autotune.to_system (Strategy.majority 5) in
-  let r2w4 =
-    Autotune.to_system
-      (Strategy.make ~name:"read-2/write-4" ~n:5
-         ~read_ok:(fun m -> Strategy.popcount m >= 2)
-         ~write_ok:(fun m -> Strategy.popcount m >= 4))
-  in
-  let reads_of s = Model.minimal_read_quorums s in
-  let writes_of s = Model.minimal_write_quorums s in
+  let maj = Strategy.majority 5 in
   Alcotest.(check bool) "r2 reads meet w4 writes" true
-    (Model.cross_legal ~reads:(reads_of r2w4) ~writes:(writes_of r2w4));
+    (cross_legal ~reads:r2w4 ~writes:r2w4);
   (* the hazard the joint transition exists for: read-2 quorums do NOT
      all meet majority (write-3) quorums — switching without a
      migration would read stale data at rest *)
   Alcotest.(check bool) "r2 reads do not all meet majority writes" false
-    (Model.cross_legal ~reads:(reads_of r2w4) ~writes:(writes_of maj))
+    (cross_legal ~reads:r2w4 ~writes:maj)
 
 let test_joint_strategy () =
-  let a = Strategy.majority 5 in
-  let b =
-    Strategy.make ~name:"read-2/write-4" ~n:5
-      ~read_ok:(fun m -> Strategy.popcount m >= 2)
-      ~write_ok:(fun m -> Strategy.popcount m >= 4)
-  in
+  let a = Strategy.majority 5 and b = r2w4 in
   let j = Autotune.joint a b in
   Alcotest.(check bool) "joint is legal" true (Strategy.legal j);
   (* joint quorums satisfy both predicates, so they intersect the old
      strategy's quorums (covering data at rest) and the new one's *)
-  let sj = Autotune.to_system j in
-  let sa = Autotune.to_system a and sb = Autotune.to_system b in
   Alcotest.(check bool) "joint reads meet old writes" true
-    (Model.cross_legal
-       ~reads:(Model.minimal_read_quorums sj)
-       ~writes:(Model.minimal_write_quorums sa));
+    (cross_legal ~reads:j ~writes:a);
   Alcotest.(check bool) "new reads meet joint writes" true
-    (Model.cross_legal
-       ~reads:(Model.minimal_read_quorums sb)
-       ~writes:(Model.minimal_write_quorums sj))
+    (cross_legal ~reads:b ~writes:j)
 
 (* ---------- optimizer properties ---------- *)
 
@@ -169,7 +163,7 @@ let prop_optimizer_sound =
       let lat i = lats.(i) in
       let config =
         {
-          Model.default_config with
+          Autotune.default_config with
           min_read_availability = 0.0;
           min_write_availability = 0.0;
         }
@@ -180,12 +174,10 @@ let prop_optimizer_sound =
           if not (Strategy.legal strategy) then
             QCheck.Test.fail_reportf "illegal pick %s" strategy.Strategy.name;
           let maj =
-            Model.score
-              (Autotune.to_system (Strategy.majority n))
-              ~read_fraction ~p_alive ~lat
+            Autotune.score (Strategy.majority n) ~read_fraction ~p_alive ~lat
           in
-          Model.objective config score
-          <= Model.objective config maj +. 1e-9)
+          Autotune.objective config score
+          <= Autotune.objective config maj +. 1e-9)
 
 (* ---------- steering ---------- *)
 
