@@ -37,7 +37,6 @@ type pending = {
   key : string;
   op : Spec.op;
   mutable phase : phase;
-  mutable mask : int;
   mutable merged : Replica.entry list;
   mutable result : Spec.result;
   eop : Engine.op;
@@ -71,14 +70,6 @@ let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0) ?policy () =
 let set_policy t p = Engine.set_policy t.eng p
 let policy t = Engine.policy t.eng
 
-let replica_index t name =
-  let rec go i =
-    if i >= Array.length t.replicas then None
-    else if String.equal t.replicas.(i) name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let finish t (p : pending) ~ok =
   if Engine.op_live p.eop then begin
     Engine.finish_op t.eng p.eop;
@@ -88,22 +79,21 @@ let finish t (p : pending) ~ok =
 
 let gather t (p : pending) ~quorum_ok ~make ~on_quorum =
   ignore
-    (Engine.call t.eng ~op:p.eop ~targets:(Array.to_list t.replicas) ~make
-       ~on_reply:(fun ~src msg ->
-         match (msg, replica_index t src) with
-         | Replica.Entries { key; entries; _ }, Some i
+    (Engine.call t.eng ~op:p.eop ~targets:t.replicas ~make
+       ~on_reply:(fun ~member ~heard msg ->
+         let mask = heard lor (1 lsl member) in
+         match msg with
+         | Replica.Entries { key; entries; _ }
            when String.equal key p.key && p.phase = Initial ->
-             p.mask <- p.mask lor (1 lsl i);
              p.merged <- Replica.merge p.merged entries;
-             if quorum_ok p.mask then begin
+             if quorum_ok mask then begin
                on_quorum ();
                Engine.Done
              end
              else Engine.Continue
-         | Replica.Ack { key; _ }, Some i
+         | Replica.Ack { key; _ }
            when String.equal key p.key && p.phase = Final ->
-             p.mask <- p.mask lor (1 lsl i);
-             if quorum_ok p.mask then begin
+             if quorum_ok mask then begin
                on_quorum ();
                Engine.Done
              end
@@ -120,7 +110,6 @@ let compute_and_finalize t (p : pending) =
   if Spec.mutates p.op then begin
     let entry = { Replica.ts = Timestamp.fresh t.clock; op = p.op } in
     p.phase <- Final;
-    p.mask <- 0;
     p.merged <- Replica.merge p.merged [ entry ];
     let entries = p.merged in
     gather t p ~quorum_ok:t.strategy.Strategy.write_ok
@@ -144,7 +133,6 @@ let execute t ~key ~(op : Spec.op) ~on_done =
       key;
       op;
       phase = Initial;
-      mask = 0;
       merged = [];
       result = Spec.Unit;
       eop;

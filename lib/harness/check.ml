@@ -285,7 +285,6 @@ let txn_check a =
   | None -> ()
 
 let txn_violations a = a.txn_violations
-let txn_acked_count a = List.length a.acked
 let txn_decided_count a = Hashtbl.length a.decided_w
 
 (* ---------- static quorum sanity ---------- *)

@@ -58,7 +58,6 @@ val txn_check : txn_audit -> unit
 val txn_violations : txn_audit -> string list
 (** Violations so far, newest first. *)
 
-val txn_acked_count : txn_audit -> int
 val txn_decided_count : txn_audit -> int
 
 val quorum_ok : name:string -> Quorum.Config.t -> (unit, string) result

@@ -250,24 +250,6 @@ let observe (m : Metrics.t) (bs : breakdown list) : unit =
 
 let num_or_null v = if Float.is_nan v then Json.Null else Json.Num v
 
-let breakdown_to_json (b : breakdown) : Json.t =
-  Json.Obj
-    [
-      ("op", Json.Str b.op);
-      ("name", Json.Str b.op_name);
-      ("track", Json.Str b.track);
-      ( "shard",
-        match b.shard with Some s -> Json.Num (float_of_int s) | None -> Json.Null
-      );
-      ("ok", Json.Bool b.ok);
-      ("start", Json.Num b.start);
-      ("stop", Json.Num b.stop);
-      ("wall", Json.Num (wall b));
-      ( "phases",
-        Json.Obj
-          (List.map (fun (p, d) -> (phase_label p, Json.Num d)) b.by_phase) );
-    ]
-
 (** The machine-readable attribution report: op count and per-shard
     mean phase decomposition (time units per op). *)
 let report_to_json (bs : breakdown list) : Json.t =

@@ -46,8 +46,6 @@ val observe : Metrics.t -> breakdown list -> unit
     [shard]/[phase]) into the registry, in deterministic registration
     order. *)
 
-val breakdown_to_json : breakdown -> Json.t
-
 val report_to_json : breakdown list -> Json.t
 (** Machine-readable report: total op count plus per-shard op counts,
     mean wall latency, and mean phase decomposition. *)

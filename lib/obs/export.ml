@@ -214,7 +214,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_jsonl path t = write_file path (jsonl t)
 let write_chrome path t = write_file path (chrome t)
 
 (* ---------- well-formedness ---------- *)

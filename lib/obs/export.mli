@@ -17,7 +17,6 @@ val parse_jsonl : string -> (Trace.event list, string) result
 val chrome : Trace.t -> string
 val chrome_of_events : Trace.event list -> string
 
-val write_jsonl : string -> Trace.t -> unit
 val write_chrome : string -> Trace.t -> unit
 
 val check_chrome : string -> (unit, string) result

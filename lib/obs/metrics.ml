@@ -109,8 +109,6 @@ let observe (h : histogram) x =
 
 let hist_count (h : histogram) = h.count
 let hist_sum (h : histogram) = h.sum
-let hist_mean (h : histogram) =
-  if h.count = 0 then nan else h.sum /. float_of_int h.count
 
 (** (upper bound, count) pairs, the final pair with bound [infinity]. *)
 let bucket_counts (h : histogram) : (float * int) list =

@@ -31,7 +31,6 @@ val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
-val hist_mean : histogram -> float
 
 val bucket_counts : histogram -> (float * int) list
 (** (upper bound, count) pairs; the final bound is [infinity]. *)

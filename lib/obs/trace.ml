@@ -80,13 +80,6 @@ let length t = t.len
 let overwritten t = t.overwritten
 let capacity t = t.capacity
 
-let clear t =
-  t.len <- 0;
-  t.head <- 0;
-  t.next_seq <- 0;
-  t.next_span <- 1;
-  t.overwritten <- 0
-
 let push t ev =
   if t.len < t.capacity then begin
     t.ring.((t.head + t.len) mod t.capacity) <- ev;
@@ -127,10 +120,6 @@ let end_span t span ?ts ?(args = []) () =
     emit t ~cat:span.span_cat ~name:span.span_name ~track:span.span_track
       ~ph:E ~id:span.span_id ?ts ~args ()
 
-let with_span t ~cat ~name ?track ?(args = []) f =
-  let s = begin_span t ~cat ~name ?track ~args () in
-  Fun.protect ~finally:(fun () -> end_span t s ()) f
-
 (** Events in emission order, oldest first. *)
 let events t =
   List.init t.len (fun i -> t.ring.((t.head + i) mod t.capacity))
@@ -140,9 +129,3 @@ let pp_arg ppf = function
   | Float f -> Fmt.pf ppf "%g" f
   | Str s -> Fmt.pf ppf "%S" s
   | Bool b -> Fmt.bool ppf b
-
-let pp_event ppf e =
-  Fmt.pf ppf "#%d %.3f [%s] %s/%s %s%a" e.seq e.ts (phase_label e.ph) e.cat
-    e.name e.track
-    Fmt.(list ~sep:nop (fun ppf (k, v) -> Fmt.pf ppf " %s=%a" k pp_arg v))
-    e.args

@@ -56,8 +56,6 @@ val capacity : t -> int
 val overwritten : t -> int
 (** Events lost to ring-buffer wraparound. *)
 
-val clear : t -> unit
-
 val instant :
   t -> cat:string -> name:string -> ?track:string -> ?ts:float ->
   ?args:(string * arg) list -> unit -> unit
@@ -72,13 +70,7 @@ val begin_span :
 
 val end_span : t -> span -> ?ts:float -> ?args:(string * arg) list -> unit -> unit
 
-val with_span :
-  t -> cat:string -> name:string -> ?track:string ->
-  ?args:(string * arg) list -> (unit -> 'a) -> 'a
-(** Synchronous convenience: begin, run, end (even on exceptions). *)
-
 val events : t -> event list
 (** Emission order, oldest first. *)
 
 val pp_arg : arg Fmt.t
-val pp_event : event Fmt.t

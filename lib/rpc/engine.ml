@@ -2,11 +2,11 @@
     contract.  The hot path (default policy) is deliberately identical
     to the historical hand-rolled clients: one pending-table insert,
     one deadline timer armed at [start_op] and cancelled at
-    [finish_op], one send wave in target order, one "reply" instant per
-    dispatched reply.  Retry, backoff and hedge timers only ever get
-    scheduled when the policy asks for them, so enabling the engine
-    does not move a single PRNG draw or heap entry in existing seeded
-    runs. *)
+    [finish_op], one send wave in ascending member order, one "reply"
+    instant per dispatched reply.  Retry, backoff and hedge timers only
+    ever get scheduled when the policy asks for them, so enabling the
+    engine does not move a single PRNG draw or heap entry in existing
+    seeded runs. *)
 
 module Core = Sim.Core
 module Net = Sim.Net
@@ -47,12 +47,14 @@ and 'msg call = {
                     from a successor that reused its rid *)
   c_op : op;
   targets : string array;
-  heard : bool array;  (** per-target: a reply arrived (skip on resend) *)
-  mutable sent_upto : int;  (** targets.[0 .. sent_upto-1] have been sent *)
+      (** the replica group: bit [i] of a member mask is [targets.(i)] *)
+  first : int;  (** the first wave *)
+  mutable sent : int;  (** [first], and every member once hedged *)
+  mutable heard : int;  (** members that replied (skipped on resend) *)
   mutable attempt : int;  (** 1-based *)
   mutable closed : bool;
   make : int -> 'msg;
-  on_reply : src:string -> 'msg -> verdict;
+  on_reply : member:int -> heard:int -> 'msg -> verdict;
   on_exhausted : unit -> unit;
   mutable span : Obs.Trace.span option;  (** current attempt span *)
   pol : Policy.t;  (** policy captured at call start *)
@@ -357,7 +359,6 @@ let start_op ?ctx t ~timeout ~on_timeout =
 
 let op_live op = op.o_live
 let op_started op = op.o_started
-let op_ctx op = op.o_ctx
 
 let finish_op t op =
   if op.o_live then begin
@@ -373,9 +374,16 @@ let finish_op t op =
 
 let call_live (c : 'msg call) = (not c.closed) && c.c_op.o_live
 
-let send_range t (c : 'msg call) lo hi =
-  for i = lo to hi - 1 do
-    if not c.heard.(i) then
+let max_group = Sys.int_size - 1
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* Send to the members of [mask] not yet heard from, in ascending
+   member order. *)
+let send_to t (c : 'msg call) mask =
+  let mask = mask land lnot c.heard in
+  for i = 0 to Array.length c.targets - 1 do
+    if mask land (1 lsl i) <> 0 then
       dispatch t ?ctx:c.c_op.o_ctx ~dst:c.targets.(i) (c.make c.rid)
   done
 
@@ -401,17 +409,22 @@ let rec arm_attempt_timer t (c : 'msg call) =
                       c.attempt <- next;
                       Obs.Metrics.inc t.m_retries;
                       begin_attempt_span t c;
-                      send_range t c 0 c.sent_upto;
+                      (* the first wave before the hedge pool, as
+                         they first went out *)
+                      send_to t c c.first;
+                      send_to t c (c.sent land lnot c.first);
                       arm_attempt_timer t c
                     end)
             end)
 
 let arm_hedge_timer t (c : 'msg call) =
+  let all = (1 lsl Array.length c.targets) - 1 in
   match c.pol.Policy.hedge_delay with
-  | Some d when c.sent_upto < Array.length c.targets ->
+  | Some d when c.sent <> all ->
       c.hedge <-
         Core.timer t.sim ~delay:d (fun () ->
-            if call_live c && c.sent_upto < Array.length c.targets then begin
+            if call_live c then begin
+              let rest = all land lnot c.sent in
               Obs.Metrics.inc t.m_hedges;
               let tr = tracer t in
               if Obs.Trace.enabled tr then
@@ -419,23 +432,26 @@ let arm_hedge_timer t (c : 'msg call) =
                   ~args:
                     ([
                        ("rid", Obs.Trace.Int c.rid);
-                       ( "extra",
-                         Obs.Trace.Int (Array.length c.targets - c.sent_upto) );
+                       ("extra", Obs.Trace.Int (popcount rest));
                      ]
                     @ ctx_args c)
                   ();
-              let lo = c.sent_upto in
-              c.sent_upto <- Array.length c.targets;
-              send_range t c lo c.sent_upto
+              c.sent <- all;
+              send_to t c rest
             end)
   | _ -> ()
 
-let call t ~op ?rid ~targets ?fanout ~make ~on_reply
+let call t ~op ?rid ~targets ?first ~make ~on_reply
     ?(on_exhausted = fun () -> ()) () =
-  let rid = match rid with Some r -> r | None -> fresh_rid t in
-  let targets = Array.of_list targets in
   let n = Array.length targets in
-  let fanout = match fanout with Some f -> max 1 (min f n) | None -> n in
+  if n > max_group then
+    invalid_arg
+      (Printf.sprintf
+         "Rpc.Engine.call: %d targets, more than a %d-bit mask holds" n
+         max_group);
+  let rid = match rid with Some r -> r | None -> fresh_rid t in
+  let all = (1 lsl n) - 1 in
+  let first = match first with Some m -> m land all | None -> all in
   let stamp = t.next_stamp in
   t.next_stamp <- stamp + 1;
   let c =
@@ -444,8 +460,9 @@ let call t ~op ?rid ~targets ?fanout ~make ~on_reply
       stamp;
       c_op = op;
       targets;
-      heard = Array.make n false;
-      sent_upto = fanout;
+      first;
+      sent = first;
+      heard = 0;
       attempt = 1;
       closed = false;
       make;
@@ -460,17 +477,18 @@ let call t ~op ?rid ~targets ?fanout ~make ~on_reply
   Hashtbl.replace t.pending rid c;
   op.o_calls <- Call c :: op.o_calls;
   begin_attempt_span t c;
-  send_range t c 0 fanout;
+  send_to t c first;
   arm_attempt_timer t c;
   arm_hedge_timer t c;
   rid
 
 (* ---------- reply dispatch ---------- *)
 
-let target_index (c : 'msg call) src =
+(* [src]'s index in the call's group, or [-1] for a non-member *)
+let member_index (c : 'msg call) src =
   let rec go i =
-    if i >= Array.length c.targets then None
-    else if String.equal c.targets.(i) src then Some i
+    if i >= Array.length c.targets then -1
+    else if String.equal c.targets.(i) src then i
     else go (i + 1)
   in
   go 0
@@ -487,12 +505,14 @@ let handle_one t ~src msg =
             ([ ("rid", Obs.Trace.Int c.rid); ("from", Obs.Trace.Str src) ]
             @ ctx_args c)
           ();
-      (match target_index c src with
-      | Some i -> c.heard.(i) <- true
-      | None -> ());
-      match c.on_reply ~src msg with
-      | Continue -> ()
-      | Done -> close_call t c ~outcome:"done")
+      let i = member_index c src in
+      if i >= 0 then begin
+        let heard = c.heard in
+        c.heard <- heard lor (1 lsl i);
+        match c.on_reply ~member:i ~heard msg with
+        | Continue -> ()
+        | Done -> close_call t c ~outcome:"done"
+      end)
 
 (* Batch replies split into their per-key parts; each part dispatches
    against the pending table under its own original rid. *)

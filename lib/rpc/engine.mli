@@ -15,8 +15,8 @@
 
     - Under {!Policy.default} the engine schedules exactly one timer
       per operation (the deadline) and sends exactly one wave per
-      call, in target order — byte-identical to the historical
-      clients for any seed.
+      call, in ascending member order — byte-identical to the
+      historical clients for any seed.
     - Jitter draws come from the engine's {e own} PRNG (seeded at
       creation), never from the simulator's: enabling retries on one
       client cannot perturb message-loss or latency draws elsewhere,
@@ -147,47 +147,55 @@ val start_op :
 val op_live : op -> bool
 val op_started : op -> float
 
-val op_ctx : op -> Obs.Ctx.t option
-(** The causal stamp the operation was started with, for forwarding
-    into request frames. *)
-
 val finish_op : 'msg t -> op -> unit
 (** Mark the operation dead, cancel its deadline, and drop its
     outstanding calls from the pending table, closing their attempt
     spans and cancelling their timers.  Idempotent; late replies for
     the operation become no-ops. *)
 
+val max_group : int
+(** The widest replica group {!call} accepts: one bit per member in an
+    [int] mask, [Sys.int_size - 1] (62 on 64-bit hosts). *)
+
 val call :
   'msg t ->
   op:op ->
   ?rid:int ->
-  targets:string list ->
-  ?fanout:int ->
+  targets:string array ->
+  ?first:int ->
   make:(int -> 'msg) ->
-  on_reply:(src:string -> 'msg -> verdict) ->
+  on_reply:(member:int -> heard:int -> 'msg -> verdict) ->
   ?on_exhausted:(unit -> unit) ->
   unit ->
   int
-(** The quorum-gather combinator.  Sends [make rid] to the first
-    [fanout] of [targets] (default: all — broadcast), then accumulates
-    replies: each reply to this rid is handed to [on_reply], and the
-    call completes when it returns [Done].  Returns the rid.
+(** The quorum-gather combinator over the replica group [targets]: a
+    set of members is an [int] mask whose bit [i] stands for
+    [targets.(i)].  Sends [make rid] to the members of [first]
+    (default: all — broadcast) in ascending order, then accumulates
+    replies: each reply to this rid from a member [i] is handed to
+    [on_reply ~member:i ~heard] with [heard] the set of members heard
+    from {e before} this reply (so [heard land (1 lsl i) <> 0] marks a
+    duplicate, and [heard lor (1 lsl i)] is the set heard so far).  The
+    call completes when [on_reply] returns [Done].  Replies from
+    non-members are dropped.  Returns the rid.
 
     Under the engine's policy:
     - if [max_attempts > 1], an unfinished attempt times out after
-      [attempt_timeout] and is retried — the wave is retransmitted to
-      the targets not yet heard from, after an exponentially growing,
-      jittered backoff delay; when attempts are exhausted,
-      [on_exhausted] runs (default: keep waiting for the operation
-      deadline);
+      [attempt_timeout] and is retried — after an exponentially
+      growing, jittered backoff delay, the request is resent to the
+      members sent to but not yet heard from, the first wave's before
+      the hedged ones', each in ascending order; when attempts are
+      exhausted, [on_exhausted] runs (default: keep waiting for the
+      operation deadline);
     - if [hedge_delay] is [Some d], after [d] time units without
-      completion the request fans out to the remaining targets beyond
-      [fanout] — broadcast and targeted-quorum routing are the two
-      extremes ([fanout = |targets|] hedges nothing; [fanout] = one
-      minimal quorum with a small [d] approaches broadcast latency at
-      quorum message cost).
+      completion the request goes to the members outside [first], in
+      ascending order — broadcast and targeted-quorum routing are the
+      two extremes ([first] = all hedges nothing; [first] = one minimal
+      quorum with a small [d] approaches broadcast latency at quorum
+      message cost).
 
-    Replies are matched per target, so duplicate replies (e.g. to a
-    retransmission) reach [on_reply] but retransmissions skip targets
-    already heard from.  [on_reply] may start further calls or finish
-    the operation. *)
+    Duplicate replies (e.g. to a retransmission) reach [on_reply], but
+    retransmissions skip members already heard from.  [on_reply] may
+    start further calls or finish the operation.
+    @raise Invalid_argument if [targets] has more than {!max_group}
+    members. *)

@@ -24,7 +24,6 @@ let drop_reason_label = function
   | Loss -> "loss"
   | Filtered -> "filtered"
 
-let pp_drop_reason ppf r = Fmt.string ppf (drop_reason_label r)
 
 (** A per-link fault filter: what a directed link does to the messages
     crossing it.  [Drop_all] swallows everything (a one-way cut),
@@ -287,12 +286,3 @@ let counters (t : 'msg t) =
     drop_loss = t.drop_loss;
     drop_filtered = t.drop_filtered;
   }
-
-let drop_breakdown (c : counters) =
-  [
-    (Sender_down, c.drop_sender_down);
-    (Dest_down, c.drop_dest_down);
-    (Link_cut, c.drop_link_cut);
-    (Loss, c.drop_loss);
-    (Filtered, c.drop_filtered);
-  ]

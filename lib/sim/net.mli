@@ -11,7 +11,6 @@ type latency = Prng.t -> src:string -> dst:string -> float
 type drop_reason = Sender_down | Dest_down | Link_cut | Loss | Filtered
 
 val drop_reason_label : drop_reason -> string
-val pp_drop_reason : drop_reason Fmt.t
 
 type drop_spec = Drop_all | Drop_first of int | Drop_prob of float
 (** What a per-link fault filter does to messages crossing the link:
@@ -96,5 +95,3 @@ type counters = {
 }
 
 val counters : 'msg t -> counters
-
-val drop_breakdown : counters -> (drop_reason * int) list

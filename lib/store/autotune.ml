@@ -52,28 +52,6 @@ let expected_max ~n ~lat masks =
       in
       total /. float_of_int (List.length masks)
 
-(* [Strategy.availability] rounded the scorer's way: each live-set's
-   probability is a product over replicas in index order, not
-   [p ** k *. (1 - p) ** (n - k)].  The two differ in the last bits,
-   and those bits decide admissibility when [p_alive] equals a floor:
-   at n = 3 and p = 0.99 primary-copy scores 0.98999999999999988 here
-   but exactly 0.99 there, and the defaults put both at 0.99.  Merging
-   either way changes pinned behaviour (the tuner's picks, or the
-   optimal-votes table's exact-tie winners), so both stay. *)
-let availability (s : Strategy.t) ~p =
-  if Float.compare p 0.0 < 0 || Float.compare p 1.0 > 0 then
-    invalid_arg "Autotune.score: p_alive must be in [0, 1]";
-  let read = ref 0.0 and write = ref 0.0 in
-  for m = 0 to Strategy.full s.Strategy.n do
-    let prob = ref 1.0 in
-    for i = 0 to s.Strategy.n - 1 do
-      prob := !prob *. (if m land (1 lsl i) <> 0 then p else 1.0 -. p)
-    done;
-    if s.Strategy.read_ok m then read := !read +. !prob;
-    if s.Strategy.write_ok m then write := !write +. !prob
-  done;
-  (!read, !write)
-
 type score = {
   peak_load : float;
   read_latency : float;
@@ -86,6 +64,8 @@ type score = {
 let score (s : Strategy.t) ~read_fraction ~p_alive ~lat =
   if Float.compare read_fraction 0.0 < 0 || Float.compare read_fraction 1.0 > 0
   then invalid_arg "Autotune.score: read_fraction must be in [0, 1]";
+  if Float.compare p_alive 0.0 < 0 || Float.compare p_alive 1.0 > 0 then
+    invalid_arg "Autotune.score: p_alive must be in [0, 1]";
   let f = read_fraction and n = s.Strategy.n in
   let reads = (Strategy.quorums s `Read).smallest
   and writes = (Strategy.quorums s `Write).smallest in
@@ -98,7 +78,7 @@ let score (s : Strategy.t) ~read_fraction ~p_alive ~lat =
     if Float.compare li !peak > 0 then peak := li
   done;
   let rl = expected_max ~n ~lat reads and wl = expected_max ~n ~lat writes in
-  let ra, wa = availability s ~p:p_alive in
+  let ra, wa = Strategy.availability s ~p:p_alive in
   {
     peak_load = !peak;
     read_latency = rl;

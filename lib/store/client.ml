@@ -62,7 +62,6 @@ type pending = {
       (** when the current phase's requests went out — the baseline
           for per-replica reply-latency observations *)
   mutable rid : int;  (** current request id (changes at phase switch) *)
-  mutable mask : int;  (** bitmask of replicas heard from this phase *)
   mutable best_vn : int;
   mutable best_value : int;
   mutable replies : (int * int) list;  (** (replica index, vn) seen *)
@@ -216,21 +215,13 @@ let set_adaptive_window t cfg =
 
 let adaptive_window t = Engine.adaptive_window t.eng
 
-let replica_index t name =
-  let rec go i =
-    if i >= Array.length t.replicas then None
-    else if String.equal t.replicas.(i) name then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* Route per the targeting mode: all replicas (hedge pool empty), or
-   the members of one minimal quorum first with the rest as the
-   engine's hedge pool.  [strategy] is the issuing op's captured
-   strategy, not [t.strategy] — see [pending.strategy]. *)
-let targets_for t (strategy : Strategy.t) ~side =
+(* The first wave per the targeting mode: every replica (hedge pool
+   empty), or one minimal quorum with the rest as the engine's hedge
+   pool.  [strategy] is the issuing op's captured strategy, not
+   [t.strategy] — see [pending.strategy]. *)
+let first_wave t (strategy : Strategy.t) ~side =
   match t.targeting with
-  | `Broadcast -> (Array.to_list t.replicas, None)
+  | `Broadcast -> None
   | `Quorum ->
       (* a latency-greedy client prefers the smallest quorums (fewest
          replies to wait for), random among ties — this is what makes
@@ -253,19 +244,9 @@ let targets_for t (strategy : Strategy.t) ~side =
               q.Strategy.minimal
         | _ -> None
       in
-      let mask =
-        match steered with
-        | Some m -> m
-        | None -> Prng.choose t.rng q.Strategy.smallest
-      in
-      let members = ref [] and others = ref [] in
-      Array.iteri
-        (fun i r ->
-          if mask land (1 lsl i) <> 0 then members := r :: !members
-          else others := r :: !others)
-        t.replicas;
-      let members = List.rev !members in
-      (members @ List.rev !others, Some (List.length members))
+      match steered with
+      | Some _ -> steered
+      | None -> Some (Prng.choose t.rng q.Strategy.smallest)
 
 (* Push the newest (version, value) to the stale replicas a read saw.
    Fire-and-forget: repairs carry a fresh rid no pending entry ever
@@ -316,44 +297,42 @@ let observe_latency t (p : pending) i =
   | Some pr ->
       Ewma.observe pr.ewma i (Core.now t.sim -. p.phase_started)
 
-(* The quorum protocol itself: accumulate replies into the replica
-   mask, complete phases when the strategy says the mask is a quorum,
-   and switch a write from query to install under a fresh rid.  All
-   quorum checks consult [p.strategy], the op's captured strategy. *)
-let rec on_reply t (p : pending) ~src msg =
-  match (msg, replica_index t src) with
-  | Protocol.Query_rep { vn; value; key; _ }, Some i
-    when String.equal key p.key -> (
+(* The quorum protocol itself: complete phases when the strategy says
+   the replicas heard from (the engine's mask, plus this reply) form a
+   quorum, and switch a write from query to install under a fresh rid.
+   All quorum checks consult [p.strategy], the op's captured
+   strategy. *)
+let rec on_reply t (p : pending) ~member:i ~heard msg =
+  let mask = heard lor (1 lsl i) in
+  match msg with
+  | Protocol.Query_rep { vn; value; key; _ } when String.equal key p.key -> (
       observe_latency t p i;
-      let bit = 1 lsl i in
-      if p.mask land bit = 0 then begin
-        p.mask <- p.mask lor bit;
-        p.replies <- (i, vn) :: p.replies
-      end;
+      (* the first reply from [i] this phase; a duplicate may still
+         carry a newer version *)
+      if heard <> mask then p.replies <- (i, vn) :: p.replies;
       if vn > p.best_vn then begin
         p.best_vn <- vn;
         p.best_value <- value
       end;
       match p.phase with
       | PRead ->
-          if p.strategy.Strategy.read_ok p.mask then begin
+          if p.strategy.Strategy.read_ok mask then begin
             finish t p ~ok:true;
             Engine.Done
           end
           else Engine.Continue
       | PWrite_query value ->
-          if p.strategy.Strategy.read_ok p.mask then begin
+          if p.strategy.Strategy.read_ok mask then begin
             start_install t p ~value;
             Engine.Done
           end
           else Engine.Continue
       | PInstall -> Engine.Continue)
-  | Protocol.Install_ack { key; _ }, Some i when String.equal key p.key -> (
+  | Protocol.Install_ack { key; _ } when String.equal key p.key -> (
       observe_latency t p i;
       match p.phase with
       | PInstall ->
-          p.mask <- p.mask lor (1 lsl i);
-          if p.strategy.Strategy.write_ok p.mask then begin
+          if p.strategy.Strategy.write_ok mask then begin
             finish t p ~ok:true;
             Engine.Done
           end
@@ -361,8 +340,9 @@ let rec on_reply t (p : pending) ~src msg =
       | PRead | PWrite_query _ -> Engine.Continue)
   | _ -> Engine.Continue
 
-(* Move a write from the query phase to the install phase: a new rid,
-   a fresh reply mask, same pending record (latency spans both). *)
+(* Move a write from the query phase to the install phase: a new rid
+   (a new engine call, so a fresh set heard), same pending record
+   (latency spans both). *)
 and start_install t (p : pending) ~value =
   let rid = Engine.fresh_rid t.eng in
   let tr = tracer t in
@@ -373,7 +353,6 @@ and start_install t (p : pending) ~value =
   p.phase <- PInstall;
   p.phase_started <- Core.now t.sim;
   p.rid <- rid;
-  p.mask <- 0;
   let own =
     Option.value ~default:0 (Hashtbl.find_opt t.own_vns p.key)
   in
@@ -385,11 +364,10 @@ and start_install t (p : pending) ~value =
       Protocol.Install_req { rid; key = p.key; vn; value; ctx = p.ctx })
 
 and gather t (p : pending) ~rid ~side make =
-  let targets, fanout = targets_for t p.strategy ~side in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid ~targets ?fanout ~make
-       ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
-       ())
+    (Engine.call t.eng ~op:p.op ~rid ~targets:t.replicas
+       ?first:(first_wave t p.strategy ~side)
+       ~make ~on_reply:(on_reply t p) ())
 
 (** Attach the client's reply handler to the network. *)
 let attach t = Engine.attach t.eng
@@ -461,7 +439,6 @@ let start_op t ~key ~phase ~on_done =
       phase;
       phase_started = Core.now t.sim;
       rid;
-      mask = 0;
       best_vn = 0;
       best_value = 0;
       replies = [];
@@ -496,8 +473,6 @@ let install t ~key ~vn ~value ~on_done =
   p.best_vn <- vn;
   p.best_value <- value;
   ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid
-       ~targets:(Array.to_list t.replicas)
+    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:t.replicas
        ~make:(fun rid -> Protocol.Install_req { rid; key; vn; value; ctx = p.ctx })
-       ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
-       ())
+       ~on_reply:(on_reply t p) ())

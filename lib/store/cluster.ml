@@ -204,6 +204,9 @@ let validate p =
   if p.n_shards < 1 then fail "n_shards must be >= 1 (got %d)" p.n_shards
   else if p.n_replicas < 1 then
     fail "n_replicas must be >= 1 (got %d)" p.n_replicas
+  else if p.n_replicas > Rpc.Engine.max_group then
+    fail "n_replicas must be <= %d, the bits in a replica-set mask (got %d)"
+      Rpc.Engine.max_group p.n_replicas
   else if p.n_clients < 0 then fail "n_clients must be >= 0 (got %d)" p.n_clients
   else if not (Float.compare p.loss 0.0 >= 0 && Float.compare p.loss 1.0 < 0)
   then fail "loss must be in [0, 1) (got %g)" p.loss

@@ -190,7 +190,8 @@ val client_names : int -> string list
 
 val validate : params -> (unit, string) result
 (** Every check {!run} makes: [n_shards], [n_replicas] >= 1,
-    [n_clients] >= 0, [loss] in \[0, 1), [timeout] > 0; [storage_cost],
+    [n_replicas] <= {!Rpc.Engine.max_group} (a replica set is an [int]
+    mask), [n_clients] >= 0, [loss] in \[0, 1), [timeout] > 0; [storage_cost],
     [fsync_cost] and [batch_window] finite and >= 0; a positive
     [health_window]; [keys_per_txn] >= 1; a positive [tune_epoch]; the
     [policy] ({!Rpc.Policy.validate}) and [adaptive_window]

@@ -47,8 +47,3 @@ let known t i =
   if i < 0 || i >= Array.length t.seen then
     invalid_arg "Ewma.known: index out of range";
   t.seen.(i)
-
-let pp ppf t =
-  Fmt.pf ppf "ewma[%a]"
-    Fmt.(array ~sep:(any ",") (fmt "%.2f"))
-    t.values

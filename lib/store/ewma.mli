@@ -23,5 +23,3 @@ val value : t -> int -> float
 
 val known : t -> int -> bool
 (** Has this index been observed at least once? *)
-
-val pp : t Fmt.t

@@ -163,16 +163,18 @@ let primary n =
     With each replica independently alive with probability [p], the
     probability that some live quorum exists is the sum over all
     live-sets.  Exact enumeration, exponential in [n] (fine for the
-    paper-scale n <= 12). *)
+    paper-scale n <= 12).  A live-set's probability is a product over
+    the replicas in index order; its last bits decide the tuner's
+    admissibility when [p] equals an availability floor. *)
 let availability t ~p =
   let read = ref 0.0 and write = ref 0.0 in
   for m = 0 to full t.n do
-    let k = popcount m in
-    let prob =
-      (p ** float_of_int k) *. ((1.0 -. p) ** float_of_int (t.n - k))
-    in
-    if t.read_ok m then read := !read +. prob;
-    if t.write_ok m then write := !write +. prob
+    let prob = ref 1.0 in
+    for i = 0 to t.n - 1 do
+      prob := !prob *. (if m land (1 lsl i) <> 0 then p else 1.0 -. p)
+    done;
+    if t.read_ok m then read := !read +. !prob;
+    if t.write_ok m then write := !write +. !prob
   done;
   (!read, !write)
 

@@ -87,15 +87,6 @@ type part = {
   p_op : Engine.op;
 }
 
-let index_of arr src =
-  let n = Array.length arr in
-  let rec go i =
-    if i >= n then None
-    else if String.equal arr.(i) src then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let txn_instant t ~name ~txid ~extra =
   let tr = Core.tracer t.sim in
   if Obs.Trace.enabled tr then
@@ -200,20 +191,19 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
       List.iter
         (fun p ->
           let strategy = p.p_client.Client.strategy in
-          let replicas = p.p_client.Client.replicas in
+          (* only replicas that applied count, so not the engine's
+             set heard *)
           let mask = ref 0 in
           ignore
             (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:(Array.to_list replicas)
+               ~targets:p.p_client.Client.replicas
                ~make:(fun rid ->
                  Protocol.Txn_decide
                    { rid; txid; commit = true; writes = final_writes; ctx = None })
-               ~on_reply:(fun ~src msg ->
+               ~on_reply:(fun ~member ~heard:_ msg ->
                  match msg with
                  | Protocol.Txn_decide_ack { applied; _ } ->
-                     (match index_of replicas src with
-                     | Some i when applied -> mask := !mask lor (1 lsl i)
-                     | _ -> ());
+                     if applied then mask := !mask lor (1 lsl member);
                      if strategy.Strategy.write_ok !mask then begin
                        incr applied_done;
                        if !applied_done = total then
@@ -251,18 +241,19 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
       phase := `Register;
       List.iter
         (fun p ->
+          let replicas = p.p_client.Client.replicas in
           ignore
-            (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:(Array.to_list p.p_client.Client.replicas)
+            (Engine.call p.p_client.Client.eng ~op:p.p_op ~targets:replicas
                ~make:(fun rid ->
                  Protocol.Txn_p2a
                    { rid; txid; bal = 0; commit = true; writes = fw; ctx = None })
-               ~on_reply:(fun ~src msg ->
+               ~on_reply:(fun ~member ~heard:_ msg ->
                  match msg with
                  | Protocol.Txn_p2b { ok; bal = 0; _ } -> (
                      match !phase with
                      | `Register ->
-                         if ok then Hashtbl.replace p2b_acc src ();
+                         if ok then
+                           Hashtbl.replace p2b_acc replicas.(member) ();
                          if Hashtbl.length p2b_acc >= (n_acceptors / 2) + 1
                          then begin
                            start_apply fw;
@@ -312,15 +303,15 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
           { p_client = client; p_writes; p_reads; p_op })
         shards;
     (* the prepare round: one call per shard; complete at a vote
-       quorum (a read and write quorum of yes-votes) *)
+       quorum (a read and write quorum of yes-votes).  Every reply but
+       a yes-vote ends the call, so the set heard before a yes-vote
+       holds only yes-voters. *)
     List.iter
       (fun p ->
         let strategy = p.p_client.Client.strategy in
-        let replicas = p.p_client.Client.replicas in
-        let mask = ref 0 in
         ignore
           (Engine.call p.p_client.Client.eng ~op:p.p_op
-             ~targets:(Array.to_list replicas)
+             ~targets:p.p_client.Client.replicas
              ~make:(fun rid ->
                Protocol.Txn_prepare
                  {
@@ -332,7 +323,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
                    paxos = (t.mode = `Paxos);
                    ctx = None;
                  })
-             ~on_reply:(fun ~src msg ->
+             ~on_reply:(fun ~member ~heard msg ->
                match msg with
                | Protocol.Txn_vote { yes = false; _ } ->
                    (* a lock conflict: first no-vote aborts the txn *)
@@ -350,12 +341,10 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
                          | Some (vn', _) when vn' >= vn -> ()
                          | _ -> Hashtbl.replace snap k (vn, v))
                        kvs;
-                     (match index_of replicas src with
-                     | Some i -> mask := !mask lor (1 lsl i)
-                     | None -> ());
+                     let mask = heard lor (1 lsl member) in
                      if
-                       strategy.Strategy.read_ok !mask
-                       && strategy.Strategy.write_ok !mask
+                       strategy.Strategy.read_ok mask
+                       && strategy.Strategy.write_ok mask
                      then begin
                        incr prepared;
                        if !prepared = total then proceed_to_decision ();

@@ -26,7 +26,6 @@ type pending = {
   key : string;
   mutable rid : int;
   mutable phase : phase;
-  mutable awaiting : string list;  (** members still to acknowledge *)
   mutable vn : int;
   mutable value : int;
   op : Engine.op;
@@ -71,7 +70,10 @@ let finish t (p : pending) ~ok =
       ~latency:(Core.now t.sim -. Engine.op_started p.op)
   end
 
-let rec on_reply t (p : pending) ~src msg =
+(* [all] is the call's whole group: the write phases wait for every
+   view member *)
+let rec on_reply t (p : pending) ~all ~member ~heard msg =
+  let complete = heard lor (1 lsl member) = all in
   match msg with
   | Protocol.Nack _ ->
       t.nacked <- t.nacked + 1;
@@ -92,8 +94,7 @@ let rec on_reply t (p : pending) ~src msg =
              Taking the max over the whole view restores
              monotonicity. *)
           p.vn <- max p.vn vn;
-          p.awaiting <- List.filter (fun r -> r <> src) p.awaiting;
-          if p.awaiting = [] then begin
+          if complete then begin
             start_install t p ~value:value';
             Engine.Done
           end
@@ -102,8 +103,7 @@ let rec on_reply t (p : pending) ~src msg =
   | Protocol.Write_ack { key; _ } when String.equal key p.key -> (
       match p.phase with
       | PInstall ->
-          p.awaiting <- List.filter (fun r -> r <> src) p.awaiting;
-          if p.awaiting = [] then begin
+          if complete then begin
             finish t p ~ok:true;
             Engine.Done
           end
@@ -117,14 +117,19 @@ and start_install t (p : pending) ~value =
   p.rid <- rid;
   p.vn <- p.vn + 1;
   p.value <- value;
-  p.awaiting <- t.view.View.members;
+  gather t p ~rid (fun rid view ->
+      Protocol.Write_req { rid; view; key = p.key; vn = p.vn; value })
+
+(* One call to the current view's members, [first] (default: all)
+   first; [make] gets the rid and the view id. *)
+and gather t (p : pending) ~rid ?first make =
+  let members = Array.of_list t.view.View.members in
+  let all = (1 lsl Array.length members) - 1 in
   let view = t.view.View.id in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid ~targets:t.view.View.members
-       ~make:(fun rid ->
-         Protocol.Write_req { rid; view; key = p.key; vn = p.vn; value })
-       ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
-       ())
+    (Engine.call t.eng ~op:p.op ~rid ~targets:members ?first
+       ~make:(fun rid -> make rid view)
+       ~on_reply:(on_reply t p ~all) ())
 
 let attach t = Engine.attach t.eng
 
@@ -135,36 +140,21 @@ let start_op t ~key ~phase ~on_done =
     Engine.start_op t.eng ~timeout:t.timeout ~on_timeout:(fun () ->
         match !p_ref with None -> () | Some p -> finish t p ~ok:false)
   in
-  let p =
-    { key; rid; phase; awaiting = []; vn = 0; value = 0; op; on_done }
-  in
+  let p = { key; rid; phase; vn = 0; value = 0; op; on_done } in
   p_ref := Some p;
   p
 
-(* one random member of the current view *)
-let pick_member t = Prng.choose t.rng t.view.View.members
-
-(** Read: one round trip to a single view member; the other members
-    are the hedge pool (only contacted under a hedging policy). *)
+(** Read: one round trip to a single random view member; the other
+    members are the hedge pool (only contacted under a hedging
+    policy). *)
 let read t ~key ~on_done =
   let p = start_op t ~key ~phase:PRead ~on_done in
-  let first = pick_member t in
-  let rest = List.filter (fun r -> r <> first) t.view.View.members in
-  let view = t.view.View.id in
-  ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:(first :: rest) ~fanout:1
-       ~make:(fun rid -> Protocol.Read_req { rid; view; key })
-       ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
-       ())
+  let member = Prng.int t.rng (List.length t.view.View.members) in
+  gather t p ~rid:p.rid ~first:(1 lsl member) (fun rid view ->
+      Protocol.Read_req { rid; view; key })
 
 (** Write: version from every view member (see the note in [on_reply]
     about partially-failed installs), then install at every member. *)
 let write t ~key ~value ~on_done =
   let p = start_op t ~key ~phase:(PWrite_query value) ~on_done in
-  p.awaiting <- t.view.View.members;
-  let view = t.view.View.id in
-  ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:t.view.View.members
-       ~make:(fun rid -> Protocol.Read_req { rid; view; key })
-       ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
-       ())
+  gather t p ~rid:p.rid (fun rid view -> Protocol.Read_req { rid; view; key })

@@ -58,7 +58,6 @@ let create ~name ~sim ~net ~all_replicas ?(timeout = 50.0) ?policy () =
     timeout;
   }
 
-let set_policy t p = Engine.set_policy t.eng p
 let policy t = Engine.policy t.eng
 
 (* Merge collected replica states keeping the highest version per key. *)
@@ -94,21 +93,19 @@ let change_view t ~members ~on_done =
           | None -> ())
     in
     op_ref := Some op;
+    let targets = Array.of_list members in
+    let all = (1 lsl Array.length targets) - 1 in
     (* phase 2: install the new view and merged state at every member *)
     let install states =
       let merged = merge_states states in
-      let heard = Hashtbl.create 8 in
-      let awaiting = ref (List.length members) in
       ignore
-        (Engine.call t.eng ~op ~targets:members
+        (Engine.call t.eng ~op ~targets
            ~make:(fun rid ->
              Protocol.Install { rid; view_id; members; state = merged })
-           ~on_reply:(fun ~src msg ->
+           ~on_reply:(fun ~member ~heard msg ->
              match msg with
-             | Protocol.Install_ack _ when not (Hashtbl.mem heard src) ->
-                 Hashtbl.replace heard src ();
-                 decr awaiting;
-                 if !awaiting = 0 then begin
+             | Protocol.Install_ack _ ->
+                 if heard lor (1 lsl member) = all then begin
                    Engine.finish_op t.eng op;
                    t.current <- { View.id = view_id; members };
                    on_done ~ok:true t.current;
@@ -119,20 +116,16 @@ let change_view t ~members ~on_done =
            ())
     in
     (* phase 1: collect the full state of every proposed member *)
-    let heard = Hashtbl.create 8 in
-    let awaiting = ref (List.length members) in
     let states = ref [] in
     ignore
-      (Engine.call t.eng ~op ~targets:members
+      (Engine.call t.eng ~op ~targets
          ~make:(fun rid -> Protocol.State_req { rid })
-         ~on_reply:(fun ~src msg ->
+         ~on_reply:(fun ~member ~heard msg ->
            match msg with
-           | Protocol.State_rep { state; _ } when not (Hashtbl.mem heard src)
-             ->
-               Hashtbl.replace heard src ();
+           | Protocol.State_rep { state; _ }
+             when heard land (1 lsl member) = 0 ->
                states := state :: !states;
-               decr awaiting;
-               if !awaiting = 0 then begin
+               if heard lor (1 lsl member) = all then begin
                  install !states;
                  Engine.Done
                end

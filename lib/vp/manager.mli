@@ -22,7 +22,6 @@ val create :
     retries, backoff and hedging of the collect and install waves.
     @raise Invalid_argument on an invalid policy. *)
 
-val set_policy : t -> Rpc.Policy.t -> unit
 val policy : t -> Rpc.Policy.t
 
 val merge_states :

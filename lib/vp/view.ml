@@ -16,8 +16,6 @@ type t = { id : int; members : string list }
 
 let initial ~replicas = { id = 0; members = replicas }
 
-let is_member v node = List.mem node v.members
-
 (** Primary iff it contains a majority of the full replica set. *)
 let primary ~n_total v = 2 * List.length v.members > n_total
 

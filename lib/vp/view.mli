@@ -6,6 +6,5 @@
 type t = { id : int; members : string list }
 
 val initial : replicas:string list -> t
-val is_member : t -> string -> bool
 val primary : n_total:int -> t -> bool
 val pp : t Fmt.t

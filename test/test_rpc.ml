@@ -40,7 +40,7 @@ let make_world ~seed ?policy ?(loss = 0.0) ?latency () =
 
 (* One operation gathering [k] replies; resolves to `Ok completion
    time, `Exhausted (retries ran out), or `Timeout (deadline). *)
-let gather ~sim ~eng ~k ~timeout ?fanout ?(targets = servers) () =
+let gather ~sim ~eng ~k ~timeout ?first () =
   let outcome = ref `Pending in
   let op_ref = ref None in
   let op =
@@ -53,9 +53,9 @@ let gather ~sim ~eng ~k ~timeout ?fanout ?(targets = servers) () =
   op_ref := Some op;
   let got = ref 0 in
   ignore
-    (Engine.call eng ~op ~targets ?fanout
+    (Engine.call eng ~op ~targets:(Array.of_list servers) ?first
        ~make:(fun rid -> Req rid)
-       ~on_reply:(fun ~src:_ _ ->
+       ~on_reply:(fun ~member:_ ~heard:_ _ ->
          incr got;
          if !got >= k then begin
            Engine.finish_op eng op;
@@ -104,7 +104,7 @@ let test_finished_op_leaves_no_event () =
           ~latency:(Net.uniform_latency ~lo:3.0 ~hi:3.0)
           ()
       in
-      let outcome = gather ~sim ~eng ~k:1 ~fanout:1 ~timeout:1000.0 () in
+      let outcome = gather ~sim ~eng ~k:1 ~first:0b1 ~timeout:1000.0 () in
       Core.run sim;
       match !outcome with
       | `Ok t ->
@@ -169,23 +169,86 @@ let test_retry_succeeds_after_heal () =
 (* ---------- hedging ---------- *)
 
 let test_hedge_falls_back () =
-  (* fanout 1 aimed at a crashed server: without hedging the call
+  (* a first wave of s0 alone, which is down: without hedging the call
      stalls to the deadline; with a hedge delay the request fans out
      to the rest and completes *)
   let attempt policy =
     let sim, net, eng = make_world ~seed:5 ?policy () in
     Net.crash net "s0";
-    let outcome = gather ~sim ~eng ~k:1 ~timeout:60.0 ~fanout:1 () in
+    let outcome = gather ~sim ~eng ~k:1 ~timeout:60.0 ~first:0b1 () in
     Core.run sim;
     !outcome
   in
   (match attempt None with
   | `Timeout -> ()
-  | _ -> Alcotest.fail "fire-once fanout-1 at a dead server should stall");
+  | _ -> Alcotest.fail "a fire-once wave to one dead server should stall");
   match attempt (Some (Policy.with_hedge 5.0)) with
   | `Ok t ->
       Alcotest.(check bool) "hedged completion is prompt" true (t < 60.0)
   | _ -> Alcotest.fail "hedge should fall back to the live servers"
+
+(* The send order is part of the engine's contract: it fixes every
+   seeded run's network draws.  A call over five servers with first
+   wave {s1, s3}, a hedge at t = 5 and its one retry at t = 15: the
+   first wave goes out in ascending order, the hedge sends the rest in
+   ascending order, and the retry resends only the unheard members,
+   first-wave ones first.  s3 answers every request twice and both
+   copies reach [on_reply]; s2 answers once; s0, s1 and s4 never
+   answer.  Latency is a fixed 1 each way, so arrival order is send
+   order. *)
+let test_send_order_pinned () =
+  let sim = Core.create ~seed:1 in
+  let net =
+    Net.create ~sim ~nodes:("c" :: servers)
+      ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0)
+      ()
+  in
+  let received = ref [] in
+  List.iter
+    (fun s ->
+      Net.register net ~node:s (fun ~src msg ->
+          match msg with
+          | Req r ->
+              received := s :: !received;
+              let answers =
+                match s with "s3" -> 2 | "s2" -> 1 | _ -> 0
+              in
+              for _ = 1 to answers do
+                Net.send net ~src:s ~dst:src (Rep r)
+              done
+          | _ -> ()))
+    servers;
+  let policy =
+    Policy.with_hedge
+      ~base:
+        (Policy.with_retries 1 ~attempt_timeout:10.0 ~backoff:5.0 ~jitter:0.0)
+      5.0
+  in
+  let eng = Engine.create ~name:"c" ~sim ~net ~rid_of ~policy () in
+  Engine.attach eng;
+  let op =
+    Engine.start_op eng ~timeout:1000.0 ~on_timeout:(fun () -> ())
+  in
+  let replies = ref [] in
+  ignore
+    (Engine.call eng ~op ~targets:(Array.of_list servers) ~first:0b01010
+       ~make:(fun rid -> Req rid)
+       ~on_reply:(fun ~member ~heard _ ->
+         replies := (member, heard) :: !replies;
+         Engine.Continue)
+       ~on_exhausted:(fun () -> Engine.finish_op eng op)
+       ());
+  Core.run sim;
+  Alcotest.(check (list string))
+    "first wave, hedge, retry of the unheard"
+    [ "s1"; "s3"; "s0"; "s2"; "s4"; "s1"; "s0"; "s4" ]
+    (List.rev !received);
+  Alcotest.(check (list (pair int int)))
+    "every reply reaches on_reply, duplicates included, with the set \
+     heard before it"
+    [ (3, 0b00000); (3, 0b01000); (2, 0b01000) ]
+    (List.rev !replies);
+  Alcotest.(check int) "pending drained" 0 (Engine.pending_count eng)
 
 (* ---------- policy validation ---------- *)
 
@@ -211,7 +274,22 @@ let test_policy_validation () =
       ignore
         (Engine.create ~name:"c" ~sim ~net ~rid_of
            ~policy:{ Policy.default with Policy.max_attempts = 0 }
-           ()))
+           ()));
+  (* a call's group must fit in an int mask *)
+  let _sim, _net, eng = make_world ~seed:1 () in
+  let op = Engine.start_op eng ~timeout:10.0 ~on_timeout:(fun () -> ()) in
+  let call n =
+    Engine.call eng ~op ~targets:(Array.make n "s0")
+      ~make:(fun rid -> Req rid)
+      ~on_reply:(fun ~member:_ ~heard:_ _ -> Engine.Done)
+      ()
+  in
+  ignore (call Engine.max_group : int);
+  Alcotest.check_raises "Engine.call rejects a group wider than a mask"
+    (Invalid_argument
+       (Fmt.str "Rpc.Engine.call: %d targets, more than a %d-bit mask holds"
+          (Engine.max_group + 1) Engine.max_group))
+    (fun () -> ignore (call (Engine.max_group + 1) : int))
 
 let prop_retry_delay_bounds =
   QCheck.Test.make ~count:200 ~name:"retry_delay stays within jitter bounds"
@@ -401,6 +479,7 @@ let suites =
           test_retry_succeeds_after_heal;
         Alcotest.test_case "hedge falls back past a dead server" `Quick
           test_hedge_falls_back;
+        Alcotest.test_case "send order is pinned" `Quick test_send_order_pinned;
         Alcotest.test_case "policy validation" `Quick test_policy_validation;
         Alcotest.test_case "disabling batching mid-flight flushes the queue"
           `Quick test_disable_batching_mid_flight;

@@ -322,6 +322,8 @@ let test_validate () =
     [
       ("n_shards", { d with n_shards = 0 });
       ("n_replicas", { d with n_replicas = 0 });
+      ("n_replicas = 63", { d with n_replicas = 63 });
+      ("n_replicas = 64", { d with n_replicas = 64 });
       ("n_clients", { d with n_clients = -1 });
       ("loss = 1", { d with loss = 1.0 });
       ("loss < 0", { d with loss = -0.1 });
@@ -392,6 +394,7 @@ let test_validate () =
     [
       ("defaults", d);
       ("one replica", { d with n_replicas = 1 });
+      ("62 replicas", { d with n_replicas = 62 });
       ("kv_readmostly", { d with workload = { wl with ops_per_client = 500 } });
       ( "kv_sharded_io",
         {
