@@ -10,8 +10,9 @@
    Exit status: 0 when every audited run is clean, 1 when any
    violation was found (including a successful repro — reproducing a
    violation is a failing exit so CI can gate on it), 2 on bad input:
-   a shape or script the cluster rejects, or (without --unsafe)
-   quorums that do not all intersect. *)
+   a shape or script the cluster rejects, a shard wider than 12
+   replicas, or (without --unsafe) quorums that do not all
+   intersect. *)
 
 module Prng = Qc_util.Prng
 module Script = Harness.Script
@@ -129,12 +130,16 @@ let extra_flags shape =
     | Some m -> " --txn " ^ Store.Txn.mode_label m)
     (if shape.tune then " --tune" else "")
 
+(* the widest shard the static gate checks in a few seconds; each
+   replica more costs about 4x *)
+let max_gated_replicas = 12
+
 (* a shape the cluster rejects is bad input: one line, exit 2; so is
    one with fewer than 2 replicas, which generated scripts may
-   partition, and one whose quorums do not all intersect.  That static
-   gate checks the strategy the shards run, lowered onto a shard's
-   replica names; --unsafe skips it so the planted bug reaches the
-   audit. *)
+   partition, one wider than the static gate can check, and one whose
+   quorums do not all intersect.  That gate checks the strategy the
+   shards run, lowered onto a shard's replica names; --unsafe skips it
+   so the planted bug reaches the audit. *)
 let with_valid shape ~seed script k =
   let p = params_of shape ~seed script in
   let n = shape.shards * shape.replicas in
@@ -153,6 +158,12 @@ let with_valid shape ~seed script k =
       2
   | Ok () when n < 2 ->
       Fmt.epr "swarm: a shape needs >= 2 replicas in all (got %d)@." n;
+      2
+  | Ok () when shape.replicas > max_gated_replicas ->
+      Fmt.epr
+        "swarm: at most %d replicas per shard (got %d): the static quorum \
+         gate enumerates quorum sets, which grow exponentially@."
+        max_gated_replicas shape.replicas;
       2
   | Ok () -> (
       match if shape.unsafe then Ok () else quorum_gate () with
@@ -223,7 +234,10 @@ let shape_term =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Replica groups.")
   in
   let replicas =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replicas per shard.")
+    Arg.(
+      value & opt int 3
+      & info [ "replicas" ]
+          ~doc:(Fmt.str "Replicas per shard (at most %d)." max_gated_replicas))
   in
   let clients = Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Clients.") in
   let ops =

@@ -44,9 +44,6 @@ let entry t ~obj ~initial =
 let current_value e =
   match e.write_stack with (_, v) :: _ -> v | [] -> e.base
 
-(** The currently visible value of an object. *)
-let current_value_of t ~obj ~initial = current_value (entry t ~obj ~initial)
-
 (** Non-ancestor holders standing in the way of [who] acquiring a
     lock of the given kind — the empty list means the lock is free to
     take. *)

@@ -10,9 +10,6 @@ type t
 
 val create : unit -> t
 
-val current_value_of : t -> obj:string -> initial:Value.t -> Value.t
-(** The currently visible value (top of the version stack). *)
-
 val try_read :
   t -> obj:string -> initial:Value.t -> who:Txn.t -> (Value.t, Txn.t list) result
 (** Acquire a read lock and read; [Error holders] when blocked. *)

@@ -19,9 +19,6 @@ type t = { components : Component.t list }
 let compose components = { components }
 let components t = t.components
 
-let find_component t name =
-  List.find_opt (fun c -> String.equal (Component.name c) name) t.components
-
 (** The enabled output operations of the composition: the union of
     the components' enabled outputs. *)
 let enabled (t : t) : Action.t list =

@@ -10,7 +10,6 @@ val compose : Component.t list -> t
     rejected). *)
 
 val components : t -> Component.t list
-val find_component : t -> string -> Component.t option
 
 val enabled : t -> Action.t list
 (** The enabled output operations of the composition. *)

@@ -85,8 +85,6 @@ let is_ancestor (a : t) (t : t) =
   in
   prefix a t
 
-let is_descendant t a = is_ancestor a t
-
 (** [is_proper_ancestor a t] excludes the reflexive case. *)
 let is_proper_ancestor a t = is_ancestor a t && not (equal a t)
 

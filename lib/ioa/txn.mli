@@ -37,7 +37,6 @@ val depth : t -> int
 val is_ancestor : t -> t -> bool
 (** [is_ancestor a t]: reflexive ancestor relation. *)
 
-val is_descendant : t -> t -> bool
 val is_proper_ancestor : t -> t -> bool
 
 val lca : t -> t -> t

@@ -182,26 +182,3 @@ let render (snaps : snapshot list) : string =
            (cell "%.2f" s.queue_depth)))
     snaps;
   Buffer.contents buf
-
-(* ---------- JSON export ---------- *)
-
-let num_or_null v = if Float.is_nan v then Json.Null else Json.Num v
-
-let snapshot_to_json (s : snapshot) : Json.t =
-  Json.Obj
-    [
-      ("at", Json.Num s.at);
-      ("shard", Json.Num (float_of_int s.shard));
-      ("window", Json.Num s.window);
-      ("ops", Json.Num (float_of_int s.ops));
-      ("rate", num_or_null s.rate);
-      ("read_fraction", num_or_null s.read_fraction);
-      ("success_rate", num_or_null s.success_rate);
-      ("p99", num_or_null s.p99);
-      ("queue_depth", num_or_null s.queue_depth);
-    ]
-
-(** The machine-readable feed for the quorum optimizer: a JSON array
-    of snapshots, chronological. *)
-let to_json (snaps : snapshot list) : Json.t =
-  Json.List (List.map snapshot_to_json snaps)

@@ -1,8 +1,8 @@
 (** Rolling-window per-shard health monitoring on virtual time:
     record completed operations, sample snapshots (op rate, read
     fraction, success rate, p99, apply-queue depth), subscribe to the
-    sample feed, render a live table, export JSON for the quorum
-    optimizer.  Deterministic given the records and the probe. *)
+    sample feed, render a live table.  Deterministic given the records
+    and the probe. *)
 
 type snapshot = {
   at : float;  (** sample time *)
@@ -51,7 +51,3 @@ val render : snapshot list -> string
 (** Fixed-width table of one sampling round (the REPL's [top]);
     deterministic, so tests pin it. *)
 
-val snapshot_to_json : snapshot -> Json.t
-
-val to_json : snapshot list -> Json.t
-(** JSON array of snapshots — [nan]s export as [null]. *)

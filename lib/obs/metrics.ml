@@ -170,29 +170,3 @@ let dump t : string =
     (List.rev t.order);
   Fmt.flush ppf ();
   Buffer.contents buf
-
-(** Snapshot every instrument into counter-sample trace events (one
-    per counter/gauge, one per histogram count), stamped with the
-    tracer's clock. *)
-let snapshot t (tr : Trace.t) =
-  List.iter
-    (fun key ->
-      let track =
-        match List.assoc_opt "replica" key.labels with
-        | Some r -> r
-        | None -> (
-            match List.assoc_opt "client" key.labels with
-            | Some c -> c
-            | None -> "metrics")
-      in
-      match Hashtbl.find_opt t.tbl key with
-      | None -> ()
-      | Some (Counter c) ->
-          Trace.counter tr ~cat:"metrics" ~name:key.name ~track
-            ~value:(float_of_int c.c) ()
-      | Some (Gauge g) ->
-          Trace.counter tr ~cat:"metrics" ~name:key.name ~track ~value:g.g ()
-      | Some (Histogram h) ->
-          Trace.counter tr ~cat:"metrics" ~name:(key.name ^ ".count") ~track
-            ~value:(float_of_int h.count) ())
-    (List.rev t.order)

@@ -42,6 +42,3 @@ val quantile : histogram -> float -> float
 val dump : t -> string
 (** One line per instrument, registration order. *)
 
-val snapshot : t -> Trace.t -> unit
-(** Emit every instrument's current value as counter-sample trace
-    events. *)

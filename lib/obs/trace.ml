@@ -123,9 +123,3 @@ let end_span t span ?ts ?(args = []) () =
 (** Events in emission order, oldest first. *)
 let events t =
   List.init t.len (fun i -> t.ring.((t.head + i) mod t.capacity))
-
-let pp_arg ppf = function
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Str s -> Fmt.pf ppf "%S" s
-  | Bool b -> Fmt.bool ppf b

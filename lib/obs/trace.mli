@@ -73,4 +73,3 @@ val end_span : t -> span -> ?ts:float -> ?args:(string * arg) list -> unit -> un
 val events : t -> event list
 (** Emission order, oldest first. *)
 
-val pp_arg : arg Fmt.t

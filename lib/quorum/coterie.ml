@@ -135,7 +135,3 @@ let config_dominates (c1 : Config.t) (c2 : Config.t) =
   && covers_side c1.Config.read_quorums c2.Config.read_quorums
   && covers_side c1.Config.write_quorums c2.Config.write_quorums
 
-let pp ppf t =
-  Fmt.pf ppf "coterie{%a}"
-    Fmt.(list ~sep:(any " ") (box (list ~sep:(any ",") string)))
-    (List.map (quorum_of t.universe) t.quorums)

@@ -41,4 +41,3 @@ val config_dominates : Config.t -> Config.t -> bool
 (** Weak domination: [c1] can serve every operation [c2] can, on every
     liveness pattern, and they differ. *)
 
-val pp : t Fmt.t

@@ -27,15 +27,3 @@ let merge ~current written =
 
 let make ~(item : Item.t) ~name () : Component.t =
   Serial.Rw_object.make ~name ~initial:(Item.dm_initial item) ~merge ()
-
-(** Reconstruct a recon-DM's state from a schedule (cf.
-    {!Serial.Rw_object.data_after}). *)
-let state_after ~(item : Item.t) ~name sched =
-  match
-    Serial.Rw_object.data_after ~name ~initial:(Item.dm_initial item) ~merge
-      sched
-  with
-  | Value.Recon_state s -> s
-  | v ->
-      (* only reachable through a full-replacement write *)
-      { version = 0; data = v; generation = 0; config = item.Item.initial_config }

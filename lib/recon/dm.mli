@@ -10,6 +10,3 @@ val merge : current:Value.t -> Value.t -> Value.t
     update (generation, config); full [Recon_state] replaces. *)
 
 val make : item:Item.t -> name:string -> unit -> Component.t
-
-val state_after : item:Item.t -> name:string -> Schedule.t -> Value.recon_state
-(** Reconstruct the replica's state from a schedule. *)

@@ -29,7 +29,6 @@ type msg =
               order — the decision register's acceptor set, carried so
               a prepared replica can run recovery on its own *)
       paxos : bool;  (** arm the non-blocking recovery timer *)
-      ctx : Obs.Ctx.t option;
     }
   | Txn_vote of {
       rid : int;
@@ -54,7 +53,6 @@ type msg =
       bal : int;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
-      ctx : Obs.Ctx.t option;
     }
   | Txn_p2b of { rid : int; txid : string; bal : int; ok : bool }
   | Txn_decide of {
@@ -62,7 +60,6 @@ type msg =
       txid : string;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
-      ctx : Obs.Ctx.t option;
     }
   | Txn_decide_ack of { rid : int; txid : string; applied : bool }
 [@@lint.protocol]
@@ -85,17 +82,6 @@ let rid = function
   | Txn_decide { rid; _ }
   | Txn_decide_ack { rid; _ } ->
       rid
-
-let ctx = function
-  | Query_req { ctx; _ }
-  | Install_req { ctx; _ }
-  | Txn_prepare { ctx; _ }
-  | Txn_p2a { ctx; _ }
-  | Txn_decide { ctx; _ } ->
-      ctx
-  | Query_rep _ | Install_ack _ | Batch_req _ | Batch_rep _ | Txn_vote _
-  | Txn_p1a _ | Txn_p1b _ | Txn_p2b _ | Txn_decide_ack _ ->
-      None
 
 (** The engine batching hooks for this protocol — pass to
     [Rpc.Engine.set_batching] with the chosen window. *)

@@ -31,7 +31,6 @@ type msg =
               order — the decision register's acceptor set, carried so
               a prepared replica can run recovery on its own *)
       paxos : bool;  (** Paxos-Commit mode: arm the recovery timer *)
-      ctx : Obs.Ctx.t option;
     }
       (** phase 1 of commit: vote-request carrying the shard's
           footprint; a yes-vote locks the keys and snapshots their
@@ -61,7 +60,6 @@ type msg =
       bal : int;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
-      ctx : Obs.Ctx.t option;
     }
       (** Paxos phase 2a: the coordinator proposes at ballot 0, a
           recovery leader at its own higher ballot *)
@@ -71,7 +69,6 @@ type msg =
       txid : string;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
-      ctx : Obs.Ctx.t option;
     }
       (** the chosen (2PC: unilateral) decision — apply prepared
           writes, release locks *)
@@ -80,11 +77,6 @@ type msg =
           (commit quorums count only applied acks) *)
 
 val rid : msg -> int
-
-val ctx : msg -> Obs.Ctx.t option
-(** The causal stamp carried by a request frame, if any.  Replies and
-    batch frames carry none of their own (each request wrapped in a
-    batch keeps its own). *)
 
 val batching : window:float -> msg Rpc.Engine.batching
 (** The engine batching hooks for this protocol (see

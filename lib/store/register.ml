@@ -1,0 +1,89 @@
+(** The decision register of one transaction under Paxos Commit.  See
+    the interface for the protocol; this module is the one place its
+    rules are written down. *)
+
+type value = bool * (string * int * int) list
+type accepted = int * bool * (string * int * int) list
+
+type t = {
+  mutable promised : int;  (** highest promised ballot *)
+  mutable accepted : accepted option;
+      (** highest accepted value; dropped once decided *)
+  mutable decided : value option;
+}
+
+let create () = { promised = 0; accepted = None; decided = None }
+
+let decided t = t.decided
+
+let promise t ~bal =
+  match t.decided with
+  | Some v -> `Decided v
+  | None ->
+      if bal >= t.promised then begin
+        t.promised <- bal;
+        `P1b (true, t.accepted)
+      end
+      else `P1b (false, None)
+
+let accept t ~bal ~commit ~writes =
+  match t.decided with
+  | Some v -> `Decided v
+  | None ->
+      if bal >= t.promised then begin
+        t.promised <- bal;
+        t.accepted <- Some (bal, commit, writes);
+        `P2b true
+      end
+      else `P2b false
+
+let decide t ~commit ~writes =
+  match t.decided with
+  | Some _ -> false
+  | None ->
+      t.decided <- Some (commit, writes);
+      t.accepted <- None;
+      true
+
+let ballot ~attempt ~acceptors ~index =
+  (attempt * (acceptors + 1)) + index + 1
+
+let proposal = function Some (_, c, ws) -> (c, ws) | None -> (false, [])
+
+let higher cur incoming =
+  match (cur, incoming) with
+  | _, None -> cur
+  | Some (b, _, _), Some (a, _, _) when b >= a -> cur
+  | _ -> incoming
+
+let index acceptors name =
+  let rec go i = function
+    | [] -> -1
+    | a :: rest -> if String.equal a name then i else go (i + 1) rest
+  in
+  go 0 acceptors
+
+let send_all acceptors ~except send msg =
+  List.iter
+    (fun a -> if not (String.equal a except) then send ~dst:a msg)
+    acceptors
+
+(* one byte per acceptor: the set is the union of the participant
+   shards' groups, which can be wider than an int mask *)
+type tally = { seen : Bytes.t; need : int; mutable heard : int }
+
+let tally n = { seen = Bytes.make n '\000'; need = (n / 2) + 1; heard = 0 }
+
+let hear t i =
+  if
+    i >= 0
+    && i < Bytes.length t.seen
+    && Char.equal (Bytes.get t.seen i) '\000'
+  then begin
+    Bytes.set t.seen i '\001';
+    t.heard <- t.heard + 1;
+    true
+  end
+  else false
+
+let complete t = t.heard >= t.need

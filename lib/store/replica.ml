@@ -40,6 +40,17 @@ type pending = {
           when the install's group leaves the queue *)
 }
 
+(** Recovery-leader state for one in-doubt transaction: a Paxos round
+    at ballot [l_bal] on the transaction's decision register. *)
+type rec_lead = {
+  l_bal : int;
+  mutable l_phase : [ `One | `Two ];
+  mutable l_tally : Register.tally;  (** acceptors heard in this phase *)
+  mutable l_best : Register.accepted option;
+      (** highest accepted value reported in phase 1 *)
+  mutable l_live : bool;  (** false once nacked or done *)
+}
+
 (** A prepared (in-doubt) transaction: the shard-local write set and
     locked footprint of a yes-vote, held until the decision. *)
 type txn_entry = {
@@ -50,38 +61,19 @@ type txn_entry = {
   e_acceptors : string list;
       (** the decision register's acceptor set (all participant
           replicas, canonical order) *)
-  e_paxos : bool;  (** recovery armed (Paxos-Commit mode) *)
+  e_index : int;  (** this replica's index in [e_acceptors] *)
   mutable e_attempt : int;  (** recovery attempts launched so far *)
   mutable e_timer : Sim.Core.timer;
       (** the armed recovery timer, cancelled when the entry resolves *)
-}
-
-(** Recovery-leader state for one in-doubt transaction: a Paxos round
-    at ballot [l_bal] on the transaction's decision register. *)
-type rec_lead = {
-  l_bal : int;
-  mutable l_phase : [ `One | `Two ];
-  mutable l_heard : string list;  (** distinct phase-1b responders *)
-  mutable l_best : (int * bool * (string * int * int) list) option;
-      (** highest accepted value reported in phase 1 *)
-  mutable l_val : bool * (string * int * int) list;
-      (** the (commit, writes) proposed in phase 2 *)
-  mutable l_acks : string list;  (** distinct phase-2b responders *)
-  mutable l_live : bool;  (** false once nacked, superseded, or done *)
+  mutable e_lead : rec_lead option;
+      (** the recovery round led here; it ends with the entry *)
 }
 
 (** Everything one replica knows about one transaction, so a
     transaction message costs a single table lookup. *)
 type txn = {
+  reg : Register.t;  (** this replica's acceptor state and decision *)
   mutable prepared : txn_entry option;  (** in doubt here *)
-  mutable decided : (bool * (string * int * int) list) option;
-      (** (commit?, writes) — retained so late prepares, ballots and
-          retransmissions are answered with the decision *)
-  mutable promised : int;  (** acceptor: highest promised ballot *)
-  mutable accepted : (int * bool * (string * int * int) list) option;
-      (** acceptor: highest accepted (ballot, commit?, writes);
-          dropped once decided *)
-  mutable leading : rec_lead option;  (** the recovery round led here *)
 }
 
 type t = {
@@ -106,8 +98,8 @@ type t = {
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;  (** set at attach; recovery timers *)
-  mutable txn_send : (dst:string -> Protocol.msg -> unit) option;
-      (** set at attach; recovery-initiated sends *)
+  mutable txn_send : dst:string -> Protocol.msg -> unit;
+      (** recovery-initiated sends; a no-op until attach *)
   mutable on_decided :
     (txid:string -> commit:bool -> writes:(string * int * int) list -> unit)
     option;
@@ -151,7 +143,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     txn_recovery_delay;
     txn_recovery_attempts;
     txn_sim = None;
-    txn_send = None;
+    txn_send = (fun ~dst:_ _ -> ());
     on_decided = None;
   }
 
@@ -180,15 +172,7 @@ let txn t txid =
   match Hashtbl.find_opt t.txns txid with
   | Some x -> x
   | None ->
-      let x =
-        {
-          prepared = None;
-          decided = None;
-          promised = 0;
-          accepted = None;
-          leading = None;
-        }
-      in
+      let x = { reg = Register.create (); prepared = None } in
       Hashtbl.replace t.txns txid x;
       x
 
@@ -242,15 +226,10 @@ let txn_trace t ~name ~txid ~extra =
    Returns whether a prepared entry was resolved — commit quorums
    count only such acks, because only they certify an install. *)
 let txn_apply_decision t x ~txid ~commit ~writes =
-  if Option.is_none x.decided then begin
-    x.decided <- Some (commit, writes);
-    (* a decided register answers every ballot from [decided]; the
-       accepted value is dead weight for the rest of the run *)
-    x.accepted <- None;
-    match t.on_decided with
-    | Some f -> f ~txid ~commit ~writes
-    | None -> ()
-  end;
+  (if Register.decide x.reg ~commit ~writes then
+     match t.on_decided with
+     | Some f -> f ~txid ~commit ~writes
+     | None -> ());
   match x.prepared with
   | None -> false
   | Some e ->
@@ -274,33 +253,7 @@ let txn_apply_decision t x ~txid ~commit ~writes =
       (match t.txn_sim with
       | Some sim -> Sim.Core.cancel sim e.e_timer
       | None -> ());
-      (match x.leading with Some lead -> lead.l_live <- false | None -> ());
       true
-
-(* Acceptor logic on the per-transaction decision register.  Ballot 0
-   belongs to the coordinator (phase 1 skipped); recovery leaders use
-   ballots > 0 unique to (attempt, leader).  A decided register
-   short-circuits to the decision. *)
-let acceptor_p1 x ~bal =
-  match x.decided with
-  | Some (commit, writes) -> `Decided (commit, writes)
-  | None ->
-      if bal >= x.promised then begin
-        x.promised <- bal;
-        `P1b (true, x.accepted)
-      end
-      else `P1b (false, None)
-
-let acceptor_p2 x ~bal ~commit ~writes =
-  match x.decided with
-  | Some (c, ws) -> `Decided (c, ws)
-  | None ->
-      if bal >= x.promised then begin
-        x.promised <- bal;
-        x.accepted <- Some (bal, commit, writes);
-        `P2b true
-      end
-      else `P2b false
 
 (* Apply the decision locally (releasing our locks) and tell every
    other participant — the learn broadcast after a chosen value. *)
@@ -311,152 +264,111 @@ let broadcast_decision t x ~txid ~commit ~writes =
   txn_trace t ~name:"txn.decide" ~txid
     ~extra:[ ("commit", Obs.Trace.Str (string_of_bool commit)) ];
   ignore (txn_apply_decision t x ~txid ~commit ~writes : bool);
-  match t.txn_send with
-  | None -> ()
-  | Some send ->
-      List.iter
-        (fun a ->
-          if not (String.equal a t.name) then
-            send ~dst:a (Protocol.Txn_decide { rid = 0; txid; commit; writes; ctx = None }))
-        acceptors
+  Register.send_all acceptors ~except:t.name t.txn_send
+    (Protocol.Txn_decide { rid = 0; txid; commit; writes })
+
+(* The recovery round this replica leads, in the phase [phase] and at
+   ballot [bal], if it is still live and the transaction still in
+   doubt here. *)
+let leading x ~bal ~phase =
+  match x.prepared with
+  | Some ({ e_lead = Some lead; _ } as e)
+    when lead.l_live && lead.l_bal = bal && lead.l_phase = phase ->
+      Some (lead, e)
+  | _ -> None
+
+(* count [src] in the round's tally; [true] if it is a new acceptor *)
+let hear lead e ~src =
+  Register.hear lead.l_tally (Register.index e.e_acceptors src)
 
 (* Phase-2b bookkeeping of a recovery round this replica leads: a
-   majority of the register's acceptors accepting [l_val] makes it
-   chosen — broadcast it. *)
+   majority of the register's acceptors accepting the proposal makes
+   it chosen — broadcast it. *)
 let lead_on_p2b t x ~src ~txid ~bal ~ok =
-  match x.leading with
-  | Some lead when lead.l_live && lead.l_bal = bal && lead.l_phase = `Two ->
-      if not ok then lead.l_live <- false
-      else begin
-        if not (List.exists (String.equal src) lead.l_acks) then
-          lead.l_acks <- src :: lead.l_acks;
-        match x.prepared with
-        | None -> lead.l_live <- false
-        | Some e ->
-            let n = List.length e.e_acceptors in
-            if List.length lead.l_acks >= (n / 2) + 1 then begin
-              lead.l_live <- false;
-              let commit, writes = lead.l_val in
-              broadcast_decision t x ~txid ~commit ~writes
-            end
+  match leading x ~bal ~phase:`Two with
+  | None -> ()
+  | Some (lead, _) when not ok -> lead.l_live <- false
+  | Some (lead, e) ->
+      ignore (hear lead e ~src : bool);
+      if Register.complete lead.l_tally then begin
+        lead.l_live <- false;
+        let commit, writes = Register.proposal lead.l_best in
+        broadcast_decision t x ~txid ~commit ~writes
       end
-  | _ -> ()
 
-(* Phase-1b bookkeeping: on a majority of promises, propose the
-   highest accepted value seen — or Abort if the register is free
-   (the Gray–Lamport rule: a missed vote aborts). *)
+(* Phase-1b bookkeeping: on a majority of promises, accept the
+   register's proposal here and ask every other acceptor to. *)
 let lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted =
-  match x.leading with
-  | Some lead when lead.l_live && lead.l_bal = bal && lead.l_phase = `One ->
-      if not ok then lead.l_live <- false
-      else begin
-        if not (List.exists (String.equal src) lead.l_heard) then begin
-          lead.l_heard <- src :: lead.l_heard;
-          match accepted with
-          | Some (abal, _, _) -> (
-              match lead.l_best with
-              | Some (bbal, _, _) when bbal >= abal -> ()
-              | _ -> lead.l_best <- accepted)
-          | None -> ()
-        end;
-        match x.prepared with
-        | None -> lead.l_live <- false
-        | Some e ->
-            let n = List.length e.e_acceptors in
-            if List.length lead.l_heard >= (n / 2) + 1 then begin
-              lead.l_phase <- `Two;
-              let commit, writes =
-                match lead.l_best with
-                | Some (_, c, ws) -> (c, ws)
-                | None -> (false, [])
-              in
-              lead.l_val <- (commit, writes);
-              (match acceptor_p2 x ~bal ~commit ~writes with
-              | `Decided (c, ws) ->
-                  lead.l_live <- false;
-                  broadcast_decision t x ~txid ~commit:c ~writes:ws
-              | `P2b self_ok ->
-                  lead_on_p2b t x ~src:t.name ~txid ~bal ~ok:self_ok);
-              if lead.l_live then
-                match t.txn_send with
-                | None -> ()
-                | Some send ->
-                    List.iter
-                      (fun a ->
-                        if not (String.equal a t.name) then
-                          send ~dst:a
-                            (Protocol.Txn_p2a
-                               { rid = 0; txid; bal; commit; writes; ctx = None }))
-                      e.e_acceptors
-            end
+  match leading x ~bal ~phase:`One with
+  | None -> ()
+  | Some (lead, _) when not ok -> lead.l_live <- false
+  | Some (lead, e) ->
+      if hear lead e ~src then
+        lead.l_best <- Register.higher lead.l_best accepted;
+      if Register.complete lead.l_tally then begin
+        lead.l_phase <- `Two;
+        lead.l_tally <- Register.tally (List.length e.e_acceptors);
+        let commit, writes = Register.proposal lead.l_best in
+        (match Register.accept x.reg ~bal ~commit ~writes with
+        | `Decided (c, ws) ->
+            lead.l_live <- false;
+            broadcast_decision t x ~txid ~commit:c ~writes:ws
+        | `P2b self_ok -> lead_on_p2b t x ~src:t.name ~txid ~bal ~ok:self_ok);
+        if lead.l_live then
+          Register.send_all e.e_acceptors ~except:t.name t.txn_send
+            (Protocol.Txn_p2a { rid = 0; txid; bal; commit; writes })
       end
-  | _ -> ()
 
 (* One recovery attempt: a fresh ballot unique to (attempt, this
    leader), phase 1 to every acceptor (self first, synchronously). *)
-let start_recovery t x ~txid (e : txn_entry) ~my_index =
-  let bal = (e.e_attempt * (List.length e.e_acceptors + 1)) + my_index + 1 in
+let start_recovery t x ~txid e =
+  let n = List.length e.e_acceptors in
+  let bal =
+    Register.ballot ~attempt:e.e_attempt ~acceptors:n ~index:e.e_index
+  in
   txn_trace t ~name:"txn.recover" ~txid ~extra:[ ("bal", Obs.Trace.Int bal) ];
   let lead =
     {
       l_bal = bal;
       l_phase = `One;
-      l_heard = [];
+      l_tally = Register.tally n;
       l_best = None;
-      l_val = (false, []);
-      l_acks = [];
       l_live = true;
     }
   in
-  x.leading <- Some lead;
-  (match acceptor_p1 x ~bal with
+  e.e_lead <- Some lead;
+  (match Register.promise x.reg ~bal with
   | `Decided (commit, writes) ->
       lead.l_live <- false;
       broadcast_decision t x ~txid ~commit ~writes
   | `P1b (ok, accepted) ->
       lead_on_p1b t x ~src:t.name ~txid ~bal ~ok ~accepted);
   if lead.l_live then
-    match t.txn_send with
-    | None -> ()
-    | Some send ->
-        List.iter
-          (fun a ->
-            if not (String.equal a t.name) then
-              send ~dst:a (Protocol.Txn_p1a { rid = 0; txid; bal }))
-          e.e_acceptors
+    Register.send_all e.e_acceptors ~except:t.name t.txn_send
+      (Protocol.Txn_p1a { rid = 0; txid; bal })
 
 (* Arm (and re-arm) the recovery timer for an in-doubt transaction:
    exponentially spaced, staggered by the replica's acceptor index so
    concurrent leaders rarely duel, bounded attempts so the event queue
    always drains. *)
 let rec arm_recovery t x ~txid =
-  match t.txn_sim with
-  | None -> ()
-  | Some sim -> (
-      match x.prepared with
-      | None -> ()
-      | Some e ->
-          let my_index =
-            let rec idx i = function
-              | [] -> 0
-              | a :: rest -> if String.equal a t.name then i else idx (i + 1) rest
-            in
-            idx 0 e.e_acceptors
-          in
-          let delay =
-            t.txn_recovery_delay
-            *. (1.0 +. (0.25 *. float_of_int my_index))
-            *. (2.0 ** float_of_int e.e_attempt)
-          in
-          (* resolving the entry cancels the timer, so it only fires
-             while the transaction is in doubt here *)
-          e.e_timer <-
-            Sim.Core.timer sim ~delay (fun () ->
-                if e.e_attempt < t.txn_recovery_attempts then begin
-                  e.e_attempt <- e.e_attempt + 1;
-                  start_recovery t x ~txid e ~my_index;
-                  arm_recovery t x ~txid
-                end))
+  match (t.txn_sim, x.prepared) with
+  | None, _ | _, None -> ()
+  | Some sim, Some e ->
+      let delay =
+        t.txn_recovery_delay
+        *. (1.0 +. (0.25 *. float_of_int e.e_index))
+        *. (2.0 ** float_of_int e.e_attempt)
+      in
+      (* resolving the entry cancels the timer, so it only fires
+         while the transaction is in doubt here *)
+      e.e_timer <-
+        Sim.Core.timer sim ~delay (fun () ->
+            if e.e_attempt < t.txn_recovery_attempts then begin
+              e.e_attempt <- e.e_attempt + 1;
+              start_recovery t x ~txid e;
+              arm_recovery t x ~txid
+            end)
 
 (* Drain the apply queue through the storage device: take a group
    (the whole queue under group commit, one install otherwise), apply
@@ -633,20 +545,17 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                 part_done ())
           reqs
       end
-  | Protocol.Txn_prepare { rid; txid; writes; reads; acceptors; paxos; ctx } -> (
+  | Protocol.Txn_prepare { rid; txid; writes; reads; acceptors; paxos } -> (
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.prepare" ~track:t.name
-          ~args:
-            ([ ("txid", Obs.Trace.Str txid); ("rid", Obs.Trace.Int rid) ]
-            @ ctx_args ctx)
+          ~args:[ ("txid", Obs.Trace.Str txid); ("rid", Obs.Trace.Int rid) ]
           ();
       let x = txn t txid in
-      match x.decided with
+      match Register.decided x.reg with
       | Some (commit, dwrites) ->
           (* already resolved (a recovery finished before this
              retransmission): answer with the decision *)
-          reply
-            (Protocol.Txn_decide { rid; txid; commit; writes = dwrites; ctx = None })
+          reply (Protocol.Txn_decide { rid; txid; commit; writes = dwrites })
       | None -> (
           match x.prepared with
           | Some e ->
@@ -685,36 +594,36 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                       e_reads = reads;
                       e_kvs = kvs;
                       e_acceptors = acceptors;
-                      e_paxos = paxos;
+                      e_index = Register.index acceptors t.name;
                       e_attempt = 0;
                       e_timer = Sim.Core.no_timer;
+                      e_lead = None;
                     };
                 doubt_add t txid;
                 if paxos then arm_recovery t x ~txid;
                 reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
               end))
-  | Protocol.Txn_decide { rid; txid; commit; writes; ctx } ->
+  | Protocol.Txn_decide { rid; txid; commit; writes } ->
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.decide" ~track:t.name
           ~args:
-            ([
-               ("txid", Obs.Trace.Str txid);
-               ("commit", Obs.Trace.Str (string_of_bool commit));
-             ]
-            @ ctx_args ctx)
+            [
+              ("txid", Obs.Trace.Str txid);
+              ("commit", Obs.Trace.Str (string_of_bool commit));
+            ]
           ();
       let applied = txn_apply_decision t (txn t txid) ~txid ~commit ~writes in
       reply (Protocol.Txn_decide_ack { rid; txid; applied })
   | Protocol.Txn_p1a { rid; txid; bal } -> (
-      match acceptor_p1 (txn t txid) ~bal with
+      match Register.promise (txn t txid).reg ~bal with
       | `Decided (commit, writes) ->
-          reply (Protocol.Txn_decide { rid; txid; commit; writes; ctx = None })
+          reply (Protocol.Txn_decide { rid; txid; commit; writes })
       | `P1b (ok, accepted) ->
           reply (Protocol.Txn_p1b { rid; txid; bal; ok; accepted }))
-  | Protocol.Txn_p2a { rid; txid; bal; commit; writes; ctx = _ } -> (
-      match acceptor_p2 (txn t txid) ~bal ~commit ~writes with
+  | Protocol.Txn_p2a { rid; txid; bal; commit; writes } -> (
+      match Register.accept (txn t txid).reg ~bal ~commit ~writes with
       | `Decided (c, ws) ->
-          reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws; ctx = None })
+          reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
   | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
       match Hashtbl.find_opt t.txns txid with
@@ -747,7 +656,7 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
   (* recovery leadership needs a clock (timers) and a way to talk to
      peer replicas outside any client engine *)
   t.txn_sim <- Some (Sim.Net.sim net);
-  t.txn_send <- Some (fun ~dst msg -> Sim.Net.send net ~src:t.name ~dst msg);
+  t.txn_send <- (fun ~dst msg -> Sim.Net.send net ~src:t.name ~dst msg);
   Sim.Net.register net ~node:t.name (fun ~src msg ->
       serve t ~src ~tr msg ~reply:(fun rep ->
           match rep with

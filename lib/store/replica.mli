@@ -23,57 +23,13 @@
     operation's causal tree.  Unstamped frames trace byte-identically
     to before. *)
 
-type pending = {
-  p_vn : int;
-  p_key : string;
-  p_value : int;
-  p_ack : unit -> unit;  (** deliver the install ack (post-fsync) *)
-  p_ctx : Obs.Ctx.t option;  (** the originating operation's stamp *)
-  p_qspan : Obs.Trace.span option;
-      (** the [replica.queue] wait span, begun at enqueue and ended
-          when the install's group leaves the queue *)
-}
+type pending
+(** An install waiting in the apply queue. *)
 
-type txn_entry = {
-  e_writes : (string * int) list;  (** this shard's (key, value) writes *)
-  e_reads : string list;  (** this shard's read-only footprint *)
-  e_kvs : (string * int * int) list;
-      (** the (key, vn, value) snapshot the yes-vote carried *)
-  e_acceptors : string list;
-      (** the decision register's acceptor set (all participant
-          replicas, canonical order) *)
-  e_paxos : bool;  (** recovery armed (Paxos-Commit mode) *)
-  mutable e_attempt : int;  (** recovery attempts launched so far *)
-  mutable e_timer : Sim.Core.timer;
-      (** the armed recovery timer, cancelled when the entry resolves *)
-}
-(** A prepared (in-doubt) transaction: the shard-local write set and
-    locked footprint of a yes-vote, held until the decision. *)
-
-type rec_lead = {
-  l_bal : int;
-  mutable l_phase : [ `One | `Two ];
-  mutable l_heard : string list;
-  mutable l_best : (int * bool * (string * int * int) list) option;
-  mutable l_val : bool * (string * int * int) list;
-  mutable l_acks : string list;
-  mutable l_live : bool;
-}
-(** Recovery-leader state for one in-doubt transaction. *)
-
-type txn = {
-  mutable prepared : txn_entry option;  (** in doubt here *)
-  mutable decided : (bool * (string * int * int) list) option;
-      (** (commit?, writes) — answers late prepares, ballots and
-          retransmissions with the decision *)
-  mutable promised : int;  (** acceptor: highest promised ballot *)
-  mutable accepted : (int * bool * (string * int * int) list) option;
-      (** acceptor: highest accepted (ballot, commit?, writes);
-          dropped once decided *)
-  mutable leading : rec_lead option;  (** the recovery round led here *)
-}
-(** Everything one replica knows about one transaction, so a
-    transaction message costs a single table lookup. *)
+type txn
+(** Everything one replica knows about one transaction: its
+    {!Register} state and, while it is in doubt here, its prepared
+    entry and the recovery round it leads. *)
 
 type t = {
   name : string;
@@ -97,7 +53,7 @@ type t = {
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;
-  mutable txn_send : (dst:string -> Protocol.msg -> unit) option;
+  mutable txn_send : dst:string -> Protocol.msg -> unit;
   mutable on_decided :
     (txid:string -> commit:bool -> writes:(string * int * int) list -> unit)
     option;

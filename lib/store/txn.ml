@@ -85,6 +85,7 @@ type part = {
   p_writes : (string * int) list;
   p_reads : string list;
   p_op : Engine.op;
+  p_base : int;  (** index of the shard's first replica among the acceptors *)
 }
 
 let txn_instant t ~name ~txid ~extra =
@@ -120,7 +121,6 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
       (fun s -> Array.to_list (Router.replicas t.router ~shard:s))
       shards
   in
-  let n_acceptors = List.length acceptors in
   txn_instant t ~name:"txn.begin" ~txid
     ~extra:
       [
@@ -138,7 +138,6 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
     let live = ref true in
     let phase = ref `Prepare in
     let prepared = ref 0 in
-    let p2b_acc : (string, unit) Hashtbl.t = Hashtbl.create 8 in
     let applied_done = ref 0 in
     let parts = ref [] in
     let read_results () =
@@ -175,12 +174,11 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
       match !parts with
       | [] -> ()
       | p :: _ ->
-          List.iter
-            (fun a ->
-              Sim.Net.send p.p_client.Client.net ~src:t.name ~dst:a
-                (Protocol.Txn_decide
-                   { rid = 0; txid; commit = false; writes = []; ctx = None }))
-            acceptors
+          (* the coordinator is no acceptor: [except] skips nobody *)
+          Register.send_all acceptors ~except:t.name
+            (fun ~dst msg ->
+              Sim.Net.send p.p_client.Client.net ~src:t.name ~dst msg)
+            (Protocol.Txn_decide { rid = 0; txid; commit = false; writes = [] })
     in
     (* the decision wave: Txn_decide per shard, complete at a write
        quorum of applied acks per shard, then ack the client *)
@@ -199,7 +197,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
                ~targets:p.p_client.Client.replicas
                ~make:(fun rid ->
                  Protocol.Txn_decide
-                   { rid; txid; commit = true; writes = final_writes; ctx = None })
+                   { rid; txid; commit = true; writes = final_writes })
                ~on_reply:(fun ~member ~heard:_ msg ->
                  match msg with
                  | Protocol.Txn_decide_ack { applied; _ } ->
@@ -239,23 +237,24 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
        chooses the value *)
     let start_register fw =
       phase := `Register;
+      let accepts = Register.tally (List.length acceptors) in
       List.iter
         (fun p ->
-          let replicas = p.p_client.Client.replicas in
           ignore
-            (Engine.call p.p_client.Client.eng ~op:p.p_op ~targets:replicas
+            (Engine.call p.p_client.Client.eng ~op:p.p_op
+               ~targets:p.p_client.Client.replicas
                ~make:(fun rid ->
                  Protocol.Txn_p2a
-                   { rid; txid; bal = 0; commit = true; writes = fw; ctx = None })
+                   { rid; txid; bal = 0; commit = true; writes = fw })
                ~on_reply:(fun ~member ~heard:_ msg ->
                  match msg with
                  | Protocol.Txn_p2b { ok; bal = 0; _ } -> (
                      match !phase with
                      | `Register ->
                          if ok then
-                           Hashtbl.replace p2b_acc replicas.(member) ();
-                         if Hashtbl.length p2b_acc >= (n_acceptors / 2) + 1
-                         then begin
+                           ignore
+                             (Register.hear accepts (p.p_base + member) : bool);
+                         if Register.complete accepts then begin
                            start_apply fw;
                            Engine.Done
                          end
@@ -285,10 +284,14 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         conclude ~committed:false ~reads:[]
       end
     in
+    (* the shards' groups in order make up the acceptor set *)
+    let base = ref 0 in
     parts :=
       List.map
         (fun s ->
           let client = Router.client t.router ~shard:s in
+          let p_base = !base in
+          base := p_base + Array.length client.Client.replicas;
           let p_writes =
             match List.assoc_opt s by_shard_w with
             | Some ks -> List.map (fun k -> (k, List.assoc k writes)) ks
@@ -300,7 +303,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
           let p_op =
             Engine.start_op client.Client.eng ~timeout:t.timeout ~on_timeout
           in
-          { p_client = client; p_writes; p_reads; p_op })
+          { p_client = client; p_writes; p_reads; p_op; p_base })
         shards;
     (* the prepare round: one call per shard; complete at a vote
        quorum (a read and write quorum of yes-votes).  Every reply but
@@ -321,7 +324,6 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
                    reads = p.p_reads;
                    acceptors;
                    paxos = (t.mode = `Paxos);
-                   ctx = None;
                  })
              ~on_reply:(fun ~member ~heard msg ->
                match msg with

@@ -337,7 +337,6 @@ let rec gen_msg depth st : Protocol.msg =
           reads = gen_small_list gen_key st;
           acceptors = gen_small_list gen_id st;
           paxos = bool st;
-          ctx = gen_ctx st;
         }
   | 5 ->
       Protocol.Txn_vote
@@ -351,12 +350,12 @@ let rec gen_msg depth st : Protocol.msg =
   | 8 ->
       Protocol.Txn_p2a
         { rid; txid; bal; commit = bool st;
-          writes = gen_small_list gen_kvv st; ctx = gen_ctx st }
+          writes = gen_small_list gen_kvv st }
   | 9 -> Protocol.Txn_p2b { rid; txid; bal; ok = bool st }
   | 10 ->
       Protocol.Txn_decide
         { rid; txid; commit = bool st;
-          writes = gen_small_list gen_kvv st; ctx = gen_ctx st }
+          writes = gen_small_list gen_kvv st }
   | 11 -> Protocol.Txn_decide_ack { rid; txid; applied = bool st }
   | 12 -> Protocol.Batch_req { rid; reqs = gen_small_list (gen_msg (depth - 1)) st }
   | _ -> Protocol.Batch_rep { rid; reps = gen_small_list (gen_msg (depth - 1)) st }

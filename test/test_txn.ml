@@ -34,7 +34,6 @@ let test_replica_prepare_vote_decide () =
         reads = [ "k1" ];
         acceptors = [ "r0" ];
         paxos = false;
-        ctx = None;
       }
   in
   (* a yes-vote locks the footprint and snapshots versions *)
@@ -71,7 +70,6 @@ let test_replica_prepare_vote_decide () =
             txid = "c0#t0";
             commit = true;
             writes = [ ("k0", 4, 99) ];
-            ctx = None;
           })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
@@ -92,7 +90,6 @@ let test_replica_prepare_vote_decide () =
             txid = "c0#t0";
             commit = true;
             writes = [ ("k0", 4, 99) ];
-            ctx = None;
           })
    with
   | P.Txn_decide_ack { applied = false; _ } -> ()
@@ -114,7 +111,6 @@ let test_replica_abort_releases () =
             reads = [];
             acceptors = [ "r0" ];
             paxos = false;
-            ctx = None;
           })
    with
   | P.Txn_vote { yes = true; _ } -> ()
@@ -122,7 +118,7 @@ let test_replica_abort_releases () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 2; txid = "c0#t1"; commit = false; writes = []; ctx = None })
+          { rid = 2; txid = "c0#t1"; commit = false; writes = [] })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort ack");
@@ -143,7 +139,7 @@ let test_replica_acceptor_ballots () =
   (match
      handle r
        (P.Txn_p2a
-          { rid = 2; txid = "t"; bal = 1; commit = true; writes = []; ctx = None })
+          { rid = 2; txid = "t"; bal = 1; commit = true; writes = [] })
    with
   | P.Txn_p2b { ok = false; _ } -> ()
   | _ -> Alcotest.fail "lower ballot refused");
@@ -151,7 +147,7 @@ let test_replica_acceptor_ballots () =
   (match
      handle r
        (P.Txn_p2a
-          { rid = 3; txid = "t"; bal = 2; commit = true; writes = [ ("k", 1, 5) ]; ctx = None })
+          { rid = 3; txid = "t"; bal = 2; commit = true; writes = [ ("k", 1, 5) ] })
    with
   | P.Txn_p2b { ok = true; _ } -> ()
   | _ -> Alcotest.fail "promised ballot accepted");
@@ -171,12 +167,11 @@ let prepare ?(paxos = false) ?(acceptors = [ "r0" ]) ~rid txid =
       reads = [ "k1" ];
       acceptors;
       paxos;
-      ctx = None;
     }
 
 let decide ~rid txid =
   P.Txn_decide
-    { rid; txid; commit = true; writes = [ ("k0", 1, 7) ]; ctx = None }
+    { rid; txid; commit = true; writes = [ ("k0", 1, 7) ] }
 
 let check_idle name r =
   Alcotest.(check (list string)) (name ^ ": nothing in doubt") []
@@ -204,7 +199,6 @@ let test_acceptor_without_prepare () =
             bal = 1;
             commit = true;
             writes = [ ("k0", 1, 7) ];
-            ctx = None;
           })
    with
   | P.Txn_p2b { ok = true; _ } -> ()
@@ -219,7 +213,7 @@ let test_acceptor_without_prepare () =
   (match
      handle r
        (P.Txn_p2a
-          { rid = 4; txid = "t"; bal = 9; commit = false; writes = []; ctx = None })
+          { rid = 4; txid = "t"; bal = 9; commit = false; writes = [] })
    with
   | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
   | _ -> Alcotest.fail "a decided register answers 2a with the decision");
@@ -248,7 +242,7 @@ let test_decide_before_prepare () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 4; txid = "c0#t1"; commit = false; writes = []; ctx = None })
+          { rid = 4; txid = "c0#t1"; commit = false; writes = [] })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort resolves the prepared entry");
@@ -307,7 +301,6 @@ let test_decision_cancels_recovery_timer () =
              reads = [];
              acceptors = [ "r0"; "r1"; "r2" ];
              paxos;
-             ctx = None;
            })
     with
     | P.Txn_vote { yes = true; _ } -> ()
@@ -317,7 +310,7 @@ let test_decision_cancels_recovery_timer () =
     ignore
       (handle r
          (P.Txn_decide
-            { rid; txid; commit = true; writes = [ (key, 1, rid) ]; ctx = None }))
+            { rid; txid; commit = true; writes = [ (key, 1, rid) ] }))
   in
   prep 1 "t2" "a";
   prep 2 "t0" "b";
@@ -378,6 +371,112 @@ let test_decided_txn_leaves_no_event () =
     (Fmt.str "the run ended at t = %g, before any timer" (Core.now sim))
     true
     (Core.now sim < 150.0)
+
+(* One full recovery round led by a prepared replica, step by step:
+   phase 1a to the other acceptors in acceptor order, a duplicate 1b
+   counted once, 2a after a majority of 1b proposing the
+   highest-ballot value reported (here an Abort accepted at ballot 5,
+   over the leader's own ballot-0 Commit and a Commit at ballot 2),
+   the decision broadcast after a majority of 2b, and the decision
+   hook fired once.  The four peers are recorders on a
+   constant-latency network, so deliveries arrive in send order. *)
+let test_recovery_round () =
+  let acceptors = [ "r0"; "r1"; "r2"; "r3"; "r4" ] in
+  let sim = Core.create ~seed:1 in
+  let net =
+    Sim.Net.create ~sim ~nodes:acceptors
+      ~latency:(fun _ ~src:_ ~dst:_ -> 1.0)
+      ()
+  in
+  let r = Replica.create ~name:"r2" ~txn_recovery_attempts:1 () in
+  Replica.attach r ~net;
+  let log = ref [] in
+  List.iter
+    (fun peer ->
+      if peer <> "r2" then
+        Sim.Net.register net ~node:peer (fun ~src msg ->
+            let frame =
+              match msg with
+              | P.Txn_p1a { txid; bal; _ } -> Fmt.str "1a %s %d" txid bal
+              | P.Txn_p2a { txid; bal; commit; _ } ->
+                  Fmt.str "2a %s %d %b" txid bal commit
+              | P.Txn_decide { txid; commit; _ } ->
+                  Fmt.str "decide %s %b" txid commit
+              | _ -> "other"
+            in
+            log := Fmt.str "%s->%s %s" src peer frame :: !log))
+    acceptors;
+  let take () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  let hook = ref [] in
+  Replica.set_on_decided r (fun ~txid ~commit ~writes ->
+      hook := (txid, commit, writes) :: !hook);
+  let ws = [ ("k0", 1, 7) ] in
+  (match handle r (prepare ~paxos:true ~acceptors ~rid:1 "t") with
+  | P.Txn_vote { yes = true; _ } -> ()
+  | _ -> Alcotest.fail "yes vote");
+  (match
+     handle r
+       (P.Txn_p2a { rid = 2; txid = "t"; bal = 0; commit = true; writes = ws })
+   with
+  | P.Txn_p2b { ok = true; _ } -> ()
+  | _ -> Alcotest.fail "the coordinator's 2a is accepted");
+  Core.run sim;
+  (* ballot = attempt 1 * (5 + 1) + acceptor index 2 + 1 *)
+  Alcotest.(check (list string))
+    "1a to the other acceptors, in acceptor order"
+    [ "r2->r0 1a t 9"; "r2->r1 1a t 9"; "r2->r3 1a t 9"; "r2->r4 1a t 9" ]
+    (take ());
+  let from src msg =
+    Replica.serve r ~src ~tr:tr_off ~reply:(fun _ -> ()) msg;
+    Core.run sim
+  in
+  let p1b accepted =
+    P.Txn_p1b { rid = 0; txid = "t"; bal = 9; ok = true; accepted }
+  in
+  from "r0" (p1b (Some (5, false, [])));
+  from "r0" (p1b (Some (5, false, [])));
+  Alcotest.(check (list string)) "a duplicate 1b does not count twice" []
+    (take ());
+  from "r1" (p1b (Some (2, true, ws)));
+  Alcotest.(check (list string))
+    "2a after a majority of 1b, proposing the highest-ballot value"
+    [
+      "r2->r0 2a t 9 false";
+      "r2->r1 2a t 9 false";
+      "r2->r3 2a t 9 false";
+      "r2->r4 2a t 9 false";
+    ]
+    (take ());
+  let p2b = P.Txn_p2b { rid = 0; txid = "t"; bal = 9; ok = true } in
+  from "r3" p2b;
+  from "r3" p2b;
+  Alcotest.(check (list string)) "a duplicate 2b does not count twice" []
+    (take ());
+  Alcotest.(check int) "no decision before a majority of 2b" 0
+    (List.length !hook);
+  from "r4" p2b;
+  Alcotest.(check (list string))
+    "decision broadcast after a majority of 2b"
+    [
+      "r2->r0 decide t false";
+      "r2->r1 decide t false";
+      "r2->r3 decide t false";
+      "r2->r4 decide t false";
+    ]
+    (take ());
+  from "r0" p2b;
+  from "r1" (P.Txn_decide { rid = 0; txid = "t"; commit = false; writes = [] });
+  Alcotest.(check (list string)) "a late 2b or decision changes nothing" []
+    (take ());
+  Alcotest.(check (list (triple string bool (list (triple string int int)))))
+    "the decision hook fired once" [ ("t", false, []) ] !hook;
+  check_idle "after recovery" r;
+  Alcotest.(check (pair int int)) "the abort installs nothing" (0, 0)
+    (Replica.lookup r "k0")
 
 (* ---------- end-to-end over the cluster ---------- *)
 
@@ -452,6 +551,45 @@ let test_coordinator_kill_ablation () =
   Alcotest.(check int) "Paxos Commit leaves nothing in doubt" 0 blocked_paxos;
   Alcotest.(check int) "2PC audit stays clean (ambiguity-aware)" 0 dirty_2pc;
   Alcotest.(check int) "Paxos audit stays clean" 0 dirty_paxos
+
+(* The Paxos kill-script seeds whose prepared replicas run recovery
+   rounds, pinned, with the number of rounds each runs; and for both
+   commit modes, tracing on leaves the digest unchanged. *)
+let recovery_digests =
+  [
+    (11, "fc8824972979d13353d1e92e56469a8d", 1);
+    (12, "728cfd77e4ad001cf92e8dbd5c084206", 2);
+    (14, "19cdbd3aa485b2411cd79316b93cac35", 2);
+    (16, "0a82cfd2e73f09da8c4a181181d9e655", 1);
+  ]
+
+let test_recovery_digests () =
+  List.iter
+    (fun (seed, expect, rounds) ->
+      List.iter
+        (fun mode ->
+          let label = Fmt.str "seed %d %s" seed (Store.Txn.mode_label mode) in
+          let p = txn_params ~mode ~seed ~script:kill_script ~n_clients:3 () in
+          let off = Cluster.run p in
+          let on = Cluster.run { p with Cluster.trace_capacity = 1 lsl 20 } in
+          Alcotest.(check string)
+            (label ^ ": tracing on = off")
+            (Cluster.digest off) (Cluster.digest on);
+          Alcotest.(check int) (label ^ ": ring not overwritten") 0
+            (Obs.Trace.overwritten on.Cluster.trace);
+          if mode = `Paxos then begin
+            Alcotest.(check string) (label ^ " pinned") expect
+              (Cluster.digest off);
+            let recovers =
+              List.length
+                (List.filter
+                   (fun (e : Obs.Trace.event) -> e.name = "txn.recover")
+                   (Obs.Trace.events on.Cluster.trace))
+            in
+            Alcotest.(check int) (label ^ ": recovery rounds") rounds recovers
+          end)
+        [ `Two_phase; `Paxos ])
+    recovery_digests
 
 (* ---------- serializability under partitions (qcheck) ---------- *)
 
@@ -536,10 +674,13 @@ let suites =
           test_decision_cancels_recovery_timer;
         Alcotest.test_case "a decided transaction leaves no event" `Quick
           test_decided_txn_leaves_no_event;
+        Alcotest.test_case "a full recovery round" `Quick test_recovery_round;
         Alcotest.test_case "cluster txn smoke (both modes)" `Slow
           test_txn_cluster_smoke;
         Alcotest.test_case "coordinator-kill ablation: 2PC blocks, Paxos not"
           `Slow test_coordinator_kill_ablation;
+        Alcotest.test_case "recovery digests pinned, tracing-invariant" `Slow
+          test_recovery_digests;
         qcheck prop_txn_serializable_under_partitions;
         Alcotest.test_case "liveness after heal (paxos)" `Slow
           test_txn_liveness_after_heal;
