@@ -48,20 +48,22 @@ type t = {
   sim : Core.t;
   net : Replica.msg Net.t;
   eng : Replica.msg Engine.t;
-  replicas : string array;
+  group : Engine.group;  (** the replicas, resolved to node ids *)
   strategy : Strategy.t;
   clock : Timestamp.clock;
   timeout : float;
 }
 
 let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0) ?policy () =
+  let eng =
+    Engine.create ~name ~sim ~net ~rid_of:Replica.rid ?policy ~cat:"adt" ()
+  in
   {
     name;
     sim;
     net;
-    eng =
-      Engine.create ~name ~sim ~net ~rid_of:Replica.rid ?policy ~cat:"adt" ();
-    replicas;
+    eng;
+    group = Engine.group eng replicas;
     strategy;
     clock = Timestamp.clock ~id:name;
     timeout;
@@ -79,7 +81,7 @@ let finish t (p : pending) ~ok =
 
 let gather t (p : pending) ~quorum_ok ~make ~on_quorum =
   ignore
-    (Engine.call t.eng ~op:p.eop ~targets:t.replicas ~make
+    (Engine.call t.eng ~op:p.eop ~targets:t.group ~make
        ~on_reply:(fun ~member ~heard msg ->
          let mask = heard lor (1 lsl member) in
          match msg with

@@ -29,23 +29,33 @@ let note a fmt = Fmt.kstr (fun s -> a.violations <- s :: a.violations) fmt
 
 (** Check one successful read: [started] is when the read was issued,
     [vn]/[value] what it returned. *)
+(* The highest version among [writes] completed by [started] ([m] if
+   none is higher). *)
+let rec newest_by started m = function
+  | [] -> m
+  | e :: rest ->
+      newest_by started
+        (if e.completed_at <= started && e.vn > m then e.vn else m)
+        rest
+
+(* The write of version [vn], if any. *)
+let rec write_at vn = function
+  | [] -> None
+  | e :: rest -> if e.vn = vn then Some e else write_at vn rest
+
 let read_ok a ~key ~started ~vn ~value =
-  (* audit: newest write completed before we started *)
-  let prior =
-    List.filter
-      (fun e -> e.completed_at <= started)
-      (Option.value ~default:[] (Hashtbl.find_opt a.completed_writes key))
+  let writes =
+    match Hashtbl.find a.completed_writes key with
+    | l -> l
+    | exception Not_found -> []
   in
-  let newest = List.fold_left (fun m e -> max m e.vn) 0 prior in
+  (* audit: newest write completed before we started *)
+  let newest = newest_by started 0 writes in
   if vn < newest then
     note a "stale read of %s: returned vn %d < completed vn %d" key vn newest;
   (* the value must be what was written at that vn *)
   if vn > 0 then
-    match
-      List.find_opt
-        (fun e -> e.vn = vn)
-        (Option.value ~default:[] (Hashtbl.find_opt a.completed_writes key))
-    with
+    match write_at vn writes with
     | Some e when e.value <> value ->
         note a "corrupt read of %s: vn %d has %d, read %d" key vn e.value value
     | _ -> ()

@@ -14,7 +14,9 @@ type histogram = {
   bounds : float array;  (** upper bounds, ascending; a final +inf
                              bucket is implicit *)
   counts : int array;  (** length [Array.length bounds + 1] *)
-  mutable sum : float;
+  sum : float array;
+      (** one cell: a float field of this mixed record would box every
+          write *)
   mutable count : int;
 }
 
@@ -82,7 +84,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name : histogram =
         {
           bounds = Array.copy buckets;
           counts = Array.make (Array.length buckets + 1) 0;
-          sum = 0.0;
+          sum = [| 0.0 |];
           count = 0;
         }
       in
@@ -97,18 +99,21 @@ let value (c : counter) = c.c
 let set (g : gauge) x = g.g <- x
 let gauge_value (g : gauge) = g.g
 
-let bucket_index (h : histogram) x =
-  let n = Array.length h.bounds in
-  let rec go i = if i >= n then n else if x <= h.bounds.(i) then i else go (i + 1) in
-  go 0
-
+(* The first bucket whose bound is at least [x] (the +inf bucket for
+   anything above every bound, and for nan), found by a loop: it
+   allocates nothing. *)
 let observe (h : histogram) x =
-  h.counts.(bucket_index h x) <- h.counts.(bucket_index h x) + 1;
-  h.sum <- h.sum +. x;
+  let n = Array.length h.bounds in
+  let i = ref 0 in
+  while !i < n && not (x <= h.bounds.(!i)) do
+    incr i
+  done;
+  h.counts.(!i) <- h.counts.(!i) + 1;
+  h.sum.(0) <- h.sum.(0) +. x;
   h.count <- h.count + 1
 
 let hist_count (h : histogram) = h.count
-let hist_sum (h : histogram) = h.sum
+let hist_sum (h : histogram) = h.sum.(0)
 
 (** (upper bound, count) pairs, the final pair with bound [infinity]. *)
 let bucket_counts (h : histogram) : (float * int) list =
@@ -161,7 +166,7 @@ let dump t : string =
           Fmt.pf ppf "%s%a %g@." key.name pp_labels key.labels g.g
       | Some (Histogram h) ->
           Fmt.pf ppf "%s%a count=%d sum=%g%a@." key.name pp_labels key.labels
-            h.count h.sum
+            h.count h.sum.(0)
             Fmt.(
               list ~sep:nop (fun ppf (b, c) ->
                   if b = infinity then Fmt.pf ppf " le_inf=%d" c

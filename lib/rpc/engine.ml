@@ -14,6 +14,13 @@ module Prng = Qc_util.Prng
 
 type verdict = Continue | Done
 
+module Itbl = Hashtbl.Make (Int)
+
+(** A replica group: the members' names, for traces and callers, and
+    their node ids, which the send and reply paths use.  Bit [i] of a
+    member mask stands for member [i]. *)
+type group = { names : string array; ids : int array }
+
 (** Multi-key batching: how to wrap several outgoing requests for one
     destination into a single wire message, and how to recognise and
     split an incoming batch reply.  The window is the coalescing
@@ -46,8 +53,7 @@ and 'msg call = {
   stamp : int;  (** unique per call — distinguishes a closing call
                     from a successor that reused its rid *)
   c_op : op;
-  targets : string array;
-      (** the replica group: bit [i] of a member mask is [targets.(i)] *)
+  targets : group;
   first : int;  (** the first wave *)
   mutable sent : int;  (** [first], and every member once hedged *)
   mutable heard : int;  (** members that replied (skipped on resend) *)
@@ -65,6 +71,7 @@ and 'msg call = {
 
 type 'msg t = {
   name : string;
+  self : int;  (** [name]'s node id *)
   sim : Core.t;
   net : 'msg Net.t;
   rid_of : 'msg -> int;
@@ -75,7 +82,7 @@ type 'msg t = {
           cannot perturb loss/latency draws elsewhere *)
   mutable next_rid : int;
   mutable next_stamp : int;
-  pending : (int, 'msg call) Hashtbl.t;
+  pending : 'msg call Itbl.t;
   metrics : Obs.Metrics.t;
   labels : (string * string) list;
   m_retries : Obs.Metrics.counter;
@@ -86,8 +93,8 @@ type 'msg t = {
   mutable unbatch : ('msg -> 'msg list option) option;
       (** retained after batching is switched off, so batch replies
           still in flight keep unwrapping *)
-  mutable outq : (string * 'msg * Obs.Trace.span option) list;
-      (** reversed send queue; the span — present only for sends under
+  mutable outq : (int * 'msg * Obs.Trace.span option) list;
+      (** reversed send queue of (destination id, message, span); the span — present only for sends under
           a trace context — measures the batch-window wait *)
   mutable flush_armed : bool;
   mutable m_batch_size : Obs.Metrics.histogram option;
@@ -115,6 +122,7 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
   let labels = ("client", name) :: extra_labels in
   {
     name;
+    self = Net.id net name;
     sim;
     net;
     rid_of;
@@ -123,7 +131,7 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     rng = Prng.create seed;
     next_rid = 0;
     next_stamp = 0;
-    pending = Hashtbl.create 16;
+    pending = Itbl.create 16;
     metrics;
     labels;
     m_retries = Obs.Metrics.counter metrics ~labels "rpc.retries";
@@ -151,7 +159,7 @@ let fresh_rid t =
   t.next_rid <- rid + 1;
   rid
 
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Itbl.length t.pending
 let tracer t = Core.tracer t.sim
 
 (* ---------- batching ---------- *)
@@ -178,31 +186,31 @@ let flush t =
           (match t.m_batch_size with
           | Some h -> Obs.Metrics.observe h 1.0
           | None -> ());
-          Net.send t.net ~src:t.name ~dst m)
+          Net.send_id t.net ~src:t.self ~dst m)
         queued
   | Some b ->
       (* group per destination, preserving first-appearance order so
          the flush is deterministic *)
       let order = ref [] in
-      let by_dst : (string, 'msg list ref) Hashtbl.t = Hashtbl.create 8 in
+      let by_dst : 'msg list ref Itbl.t = Itbl.create 8 in
       List.iter
         (fun (dst, m, _) ->
-          match Hashtbl.find_opt by_dst dst with
+          match Itbl.find_opt by_dst dst with
           | Some l -> l := m :: !l
           | None ->
-              Hashtbl.replace by_dst dst (ref [ m ]);
+              Itbl.replace by_dst dst (ref [ m ]);
               order := dst :: !order)
         queued;
       let peak = ref 0 in
       List.iter
         (fun dst ->
-          let msgs = List.rev !(Hashtbl.find by_dst dst) in
+          let msgs = List.rev !(Itbl.find by_dst dst) in
           peak := max !peak (List.length msgs);
           (match t.m_batch_size with
           | Some h -> Obs.Metrics.observe h (float_of_int (List.length msgs))
           | None -> ());
           match msgs with
-          | [ m ] -> Net.send t.net ~src:t.name ~dst m
+          | [ m ] -> Net.send_id t.net ~src:t.self ~dst m
           | ms ->
               let rid = fresh_rid t in
               let tr = tracer t in
@@ -210,12 +218,12 @@ let flush t =
                 Obs.Trace.instant tr ~cat:t.cat ~name:"batch" ~track:t.name
                   ~args:
                     [
-                      ("dst", Obs.Trace.Str dst);
+                      ("dst", Obs.Trace.Str (Net.name t.net dst));
                       ("size", Obs.Trace.Int (List.length ms));
                       ("rid", Obs.Trace.Int rid);
                     ]
                   ();
-              Net.send t.net ~src:t.name ~dst ~payloads:(List.length ms)
+              Net.send_id t.net ~src:t.self ~dst ~payloads:(List.length ms)
                 (b.wrap ~rid ms))
         (List.rev !order);
       (* close the loop: the peak per-destination batch size tells the
@@ -235,7 +243,7 @@ let flush t =
    batch-window wait the attribution layer charges to the op. *)
 let dispatch t ?ctx ~dst msg =
   match t.batching with
-  | None -> Net.send t.net ~src:t.name ~dst msg
+  | None -> Net.send_id t.net ~src:t.self ~dst msg
   | Some b ->
       let sp =
         match ctx with
@@ -243,7 +251,9 @@ let dispatch t ?ctx ~dst msg =
             Some
               (Obs.Trace.begin_span (tracer t) ~cat:t.cat ~name:"batchq"
                  ~track:t.name
-                 ~args:(("dst", Obs.Trace.Str dst) :: Obs.Ctx.args cx)
+                 ~args:
+                   (("dst", Obs.Trace.Str (Net.name t.net dst))
+                   :: Obs.Ctx.args cx)
                  ())
         | _ -> None
       in
@@ -332,8 +342,8 @@ let close_call t (c : 'msg call) ~outcome =
     Core.cancel t.sim c.hedge;
     (* remove only our own binding: a caller may reuse the rid for a
        successor call registered before this one closes *)
-    (match Hashtbl.find_opt t.pending c.rid with
-    | Some c' when c'.stamp = c.stamp -> Hashtbl.remove t.pending c.rid
+    (match Itbl.find_opt t.pending c.rid with
+    | Some c' when c'.stamp = c.stamp -> Itbl.remove t.pending c.rid
     | _ -> ());
     end_attempt_span t c ~outcome
   end
@@ -376,15 +386,28 @@ let call_live (c : 'msg call) = (not c.closed) && c.c_op.o_live
 
 let max_group = Sys.int_size - 1
 
+let group t names =
+  let n = Array.length names in
+  if n > max_group then
+    invalid_arg
+      (Printf.sprintf
+         "Rpc.Engine.call: %d targets, more than a %d-bit mask holds" n
+         max_group);
+  { names; ids = Array.map (Net.id t.net) names }
+
+let group_names g = g.names
+let group_ids g = g.ids
+
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
 (* Send to the members of [mask] not yet heard from, in ascending
    member order. *)
 let send_to t (c : 'msg call) mask =
   let mask = mask land lnot c.heard in
-  for i = 0 to Array.length c.targets - 1 do
+  let ids = c.targets.ids in
+  for i = 0 to Array.length ids - 1 do
     if mask land (1 lsl i) <> 0 then
-      dispatch t ?ctx:c.c_op.o_ctx ~dst:c.targets.(i) (c.make c.rid)
+      dispatch t ?ctx:c.c_op.o_ctx ~dst:ids.(i) (c.make c.rid)
   done
 
 let rec arm_attempt_timer t (c : 'msg call) =
@@ -418,7 +441,7 @@ let rec arm_attempt_timer t (c : 'msg call) =
             end)
 
 let arm_hedge_timer t (c : 'msg call) =
-  let all = (1 lsl Array.length c.targets) - 1 in
+  let all = (1 lsl Array.length c.targets.ids) - 1 in
   match c.pol.Policy.hedge_delay with
   | Some d when c.sent <> all ->
       c.hedge <-
@@ -443,12 +466,7 @@ let arm_hedge_timer t (c : 'msg call) =
 
 let call t ~op ?rid ~targets ?first ~make ~on_reply
     ?(on_exhausted = fun () -> ()) () =
-  let n = Array.length targets in
-  if n > max_group then
-    invalid_arg
-      (Printf.sprintf
-         "Rpc.Engine.call: %d targets, more than a %d-bit mask holds" n
-         max_group);
+  let n = Array.length targets.ids in
   let rid = match rid with Some r -> r | None -> fresh_rid t in
   let all = (1 lsl n) - 1 in
   let first = match first with Some m -> m land all | None -> all in
@@ -474,7 +492,7 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply
       hedge = Core.no_timer;
     }
   in
-  Hashtbl.replace t.pending rid c;
+  Itbl.replace t.pending rid c;
   op.o_calls <- Call c :: op.o_calls;
   begin_attempt_span t c;
   send_to t c first;
@@ -484,17 +502,19 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply
 
 (* ---------- reply dispatch ---------- *)
 
-(* [src]'s index in the call's group, or [-1] for a non-member *)
+(* the node [src]'s index in the call's group, or [-1] for a
+   non-member *)
 let member_index (c : 'msg call) src =
+  let ids = c.targets.ids in
   let rec go i =
-    if i >= Array.length c.targets then -1
-    else if String.equal c.targets.(i) src then i
+    if i >= Array.length ids then -1
+    else if ids.(i) = src then i
     else go (i + 1)
   in
   go 0
 
 let handle_one t ~src msg =
-  match Hashtbl.find_opt t.pending (t.rid_of msg) with
+  match Itbl.find_opt t.pending (t.rid_of msg) with
   | None -> () (* stale reply for a finished or superseded call *)
   | Some c when not (call_live c) -> ()
   | Some c -> (
@@ -502,7 +522,10 @@ let handle_one t ~src msg =
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:t.cat ~name:"reply" ~track:t.name
           ~args:
-            ([ ("rid", Obs.Trace.Int c.rid); ("from", Obs.Trace.Str src) ]
+            ([
+               ("rid", Obs.Trace.Int c.rid);
+               ("from", Obs.Trace.Str (Net.name t.net src));
+             ]
             @ ctx_args c)
           ();
       let i = member_index c src in
@@ -516,13 +539,15 @@ let handle_one t ~src msg =
 
 (* Batch replies split into their per-key parts; each part dispatches
    against the pending table under its own original rid. *)
-let rec handle t ~src msg =
+let rec handle_id t ~src msg =
   match t.unbatch with
   | Some unwrap -> (
       match unwrap msg with
-      | Some inner -> List.iter (fun m -> handle t ~src m) inner
+      | Some inner -> List.iter (fun m -> handle_id t ~src m) inner
       | None -> handle_one t ~src msg)
   | None -> handle_one t ~src msg
 
+let handle t ~src msg = handle_id t ~src:(Net.id t.net src) msg
+
 let attach t =
-  Net.register t.net ~node:t.name (fun ~src msg -> handle t ~src msg)
+  Net.register_id t.net ~node:t.self (fun ~src msg -> handle_id t ~src msg)

@@ -87,10 +87,14 @@ val create :
 val attach : 'msg t -> unit
 (** Register the engine's reply dispatcher as [name]'s net handler. *)
 
+val handle_id : 'msg t -> src:int -> 'msg -> unit
+(** Dispatch one incoming message from the node with id [src] by hand —
+    for layers (e.g. a shard router) that own the node's net handler
+    and demultiplex to several engines.  Batch replies are split and
+    dispatched per part. *)
+
 val handle : 'msg t -> src:string -> 'msg -> unit
-(** Dispatch one incoming message by hand — for layers (e.g. a shard
-    router) that own the node's net handler and demultiplex to several
-    engines.  Batch replies are split and dispatched per part. *)
+(** {!handle_id} by the sender's name. *)
 
 val set_batching : 'msg t -> 'msg batching option -> unit
 (** Enable ([Some b]) or disable ([None]) multi-key batching for sends
@@ -157,11 +161,25 @@ val max_group : int
 (** The widest replica group {!call} accepts: one bit per member in an
     [int] mask, [Sys.int_size - 1] (62 on 64-bit hosts). *)
 
+type group
+(** A replica group resolved once: the members' names, and their node
+    ids on the engine's network, which {!call}'s sends and the reply
+    dispatch use.  Bit [i] of a member mask stands for member [i]. *)
+
+val group : 'msg t -> string array -> group
+(** The group of these members, in this order.  A name the network
+    does not know becomes a down node (see {!Sim.Net.id}).
+    @raise Invalid_argument if there are more than {!max_group}
+    members. *)
+
+val group_names : group -> string array
+val group_ids : group -> int array
+
 val call :
   'msg t ->
   op:op ->
   ?rid:int ->
-  targets:string array ->
+  targets:group ->
   ?first:int ->
   make:(int -> 'msg) ->
   on_reply:(member:int -> heard:int -> 'msg -> verdict) ->
@@ -169,15 +187,16 @@ val call :
   unit ->
   int
 (** The quorum-gather combinator over the replica group [targets]: a
-    set of members is an [int] mask whose bit [i] stands for
-    [targets.(i)].  Sends [make rid] to the members of [first]
+    set of members is an [int] mask whose bit [i] stands for member
+    [i].  Sends [make rid] to the members of [first]
     (default: all — broadcast) in ascending order, then accumulates
     replies: each reply to this rid from a member [i] is handed to
     [on_reply ~member:i ~heard] with [heard] the set of members heard
     from {e before} this reply (so [heard land (1 lsl i) <> 0] marks a
     duplicate, and [heard lor (1 lsl i)] is the set heard so far).  The
     call completes when [on_reply] returns [Done].  Replies from
-    non-members are dropped.  Returns the rid.
+    non-members are dropped: a reply's member is found by comparing
+    its sender's node id with the group's.  Returns the rid.
 
     Under the engine's policy:
     - if [max_attempts > 1], an unfinished attempt times out after
@@ -196,6 +215,4 @@ val call :
 
     Duplicate replies (e.g. to a retransmission) reach [on_reply], but
     retransmissions skip members already heard from.  [on_reply] may
-    start further calls or finish the operation.
-    @raise Invalid_argument if [targets] has more than {!max_group}
-    members. *)
+    start further calls or finish the operation. *)

@@ -43,20 +43,23 @@ type link_filter = {
   mutable filter_dropped : int;  (** messages this filter swallowed *)
 }
 
-(* One record per node name, so a send costs one string lookup per
-   endpoint.  A delivery reads [up] and [handler] when it fires, so a
-   crash, recovery or [register] between send and delivery counts. *)
+(* One record per node, at index [id] of the node table.  A delivery
+   reads [up] and [handler] when it fires, so a crash, recovery or
+   [register] between send and delivery counts. *)
 type 'msg node = {
   name : string;
   mutable up : bool;
-  mutable handler : (src:string -> 'msg -> unit) option;
+  mutable handler : (src:int -> 'msg -> unit) option;
 }
 
 type 'msg t = {
   sim : Core.t;
   latency : latency;
   mutable loss : float;
-  nodes : (string, 'msg node) Hashtbl.t;
+  mutable nodes : 'msg node array;
+      (** indexed by id; slots at [n_nodes] and beyond are spare *)
+  mutable n_nodes : int;
+  ids : (string, int) Hashtbl.t;  (** name -> id, for the string API *)
   cut_links : (string * string, bool) Hashtbl.t;
   filters : (string * string, link_filter) Hashtbl.t;
   mutable sent : int;
@@ -78,24 +81,43 @@ let uniform_latency ~lo ~hi : latency =
 let lognormal_latency ~mu ~sigma : latency =
  fun rng ~src:_ ~dst:_ -> Prng.lognormal rng ~mu ~sigma
 
-(* The node named [n], created down and without a handler on first
-   use: a name never declared to [create] behaves as a crashed node. *)
-let node t n =
-  match Hashtbl.find t.nodes n with
-  | d -> d
+(* The id of the node named [n], created down and without a handler
+   on first use: a name never declared to [create] behaves as a
+   crashed node. *)
+let id t n =
+  match Hashtbl.find t.ids n with
+  | i -> i
   | exception Not_found ->
-      let d = { name = n; up = false; handler = None } in
-      Hashtbl.add t.nodes n d;
-      d
+      let i = t.n_nodes in
+      if i = Array.length t.nodes then begin
+        let grown = Array.make (2 * i) t.nodes.(0) in
+        Array.blit t.nodes 0 grown 0 i;
+        t.nodes <- grown
+      end;
+      t.nodes.(i) <- { name = n; up = false; handler = None };
+      t.n_nodes <- i + 1;
+      Hashtbl.add t.ids n i;
+      i
+
+let node_of_id t i =
+  if i < 0 || i >= t.n_nodes then
+    invalid_arg (Printf.sprintf "Net: no node with id %d" i);
+  t.nodes.(i)
+
+let name t i = (node_of_id t i).name
+let node t n = t.nodes.(id t n)
 
 let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
     ?(loss = 0.0) () : 'msg t =
+  let spare = { name = ""; up = false; handler = None } in
   let t =
     {
       sim;
       latency;
       loss;
-      nodes = Hashtbl.create 16;
+      nodes = Array.make (max 1 (List.length nodes)) spare;
+      n_nodes = 0;
+      ids = Hashtbl.create 16;
       cut_links = Hashtbl.create 16;
       filters = Hashtbl.create 16;
       sent = 0;
@@ -115,12 +137,16 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
 let sim t = t.sim
 let tracer t = Core.tracer t.sim
 
-let register t ~node:n handler = (node t n).handler <- Some handler
+let register_id t ~node:i handler = (node_of_id t i).handler <- Some handler
+
+let register t ~node:n handler =
+  register_id t ~node:(id t n) (fun ~src msg -> handler ~src:(name t src) msg)
+
 let set_loss t p = t.loss <- p
 
 let is_up t n =
-  match Hashtbl.find t.nodes n with
-  | d -> d.up
+  match Hashtbl.find t.ids n with
+  | i -> t.nodes.(i).up
   | exception Not_found -> false
 
 let crash t n =
@@ -210,51 +236,58 @@ let drop t ~src ~dst reason =
     number of logical requests the message carries — 1 for ordinary
     messages, the batch size for batch frames — so experiments can
     report wire messages and logical payloads separately. *)
-let send t ~src ~dst ?(payloads = 1) (msg : 'msg) =
+let send_id t ~src ~dst ?(payloads = 1) (msg : 'msg) =
+  let s = node_of_id t src and d = node_of_id t dst in
   t.sent <- t.sent + 1;
   t.payload_sent <- t.payload_sent + payloads;
   let rng = Core.rng t.sim in
   let tr = tracer t in
   if Obs.Trace.enabled tr then
-    Obs.Trace.instant tr ~cat:"net" ~name:"send" ~track:src
-      ~args:[ ("dst", Obs.Trace.Str dst) ]
+    Obs.Trace.instant tr ~cat:"net" ~name:"send" ~track:s.name
+      ~args:[ ("dst", Obs.Trace.Str d.name) ]
       ();
   (* reason checks in the original short-circuit order, so the PRNG
      draws exactly when it always did; the link filter slots in after
      the cut check and touches the PRNG only on filtered links; the
      (src, dst) tables are consulted only while they hold an entry, so
      fault-free sends build no tuple keys *)
-  if not (is_up t src) then drop t ~src ~dst Sender_down
-  else if Hashtbl.length t.cut_links > 0 && link_cut t src dst then
-    drop t ~src ~dst Link_cut
+  if not s.up then drop t ~src:s.name ~dst:d.name Sender_down
+  else if Hashtbl.length t.cut_links > 0 && link_cut t s.name d.name then
+    drop t ~src:s.name ~dst:d.name Link_cut
   else if
     Hashtbl.length t.filters > 0
     &&
-    match Hashtbl.find_opt t.filters (src, dst) with
+    match Hashtbl.find_opt t.filters (s.name, d.name) with
     | Some f when filter_fires t f ->
         f.filter_dropped <- f.filter_dropped + 1;
         true
     | _ -> false
-  then drop t ~src ~dst Filtered
-  else if Prng.float rng < t.loss then drop t ~src ~dst Loss
+  then drop t ~src:s.name ~dst:d.name Filtered
+  else if Prng.float rng < t.loss then drop t ~src:s.name ~dst:d.name Loss
   else
-    let d = node t dst in
-    let delay = t.latency rng ~src ~dst in
+    let delay = t.latency rng ~src:s.name ~dst:d.name in
+    (* the closure captures the sender's id, not its record, and
+       reads the tracer back from [t]: names are looked up only when
+       traced or dropped *)
     Core.schedule t.sim ~delay (fun () ->
         match d.handler with
         | Some h when d.up ->
             t.delivered <- t.delivered + 1;
             t.payload_delivered <- t.payload_delivered + payloads;
+            let tr = tracer t in
             if Obs.Trace.enabled tr then
               Obs.Trace.instant tr ~cat:"net" ~name:"deliver" ~track:d.name
                 ~args:
                   [
-                    ("src", Obs.Trace.Str src);
+                    ("src", Obs.Trace.Str t.nodes.(src).name);
                     ("latency", Obs.Trace.Float delay);
                   ]
                 ();
             h ~src msg
-        | _ -> drop t ~src ~dst:d.name Dest_down)
+        | _ -> drop t ~src:t.nodes.(src).name ~dst:d.name Dest_down)
+
+let send t ~src ~dst ?payloads msg =
+  send_id t ~src:(id t src) ~dst:(id t dst) ?payloads msg
 
 type counters = {
   sent : int;

@@ -33,10 +33,31 @@ val sim : 'msg t -> Core.t
 val tracer : 'msg t -> Obs.Trace.t
 (** The simulator's tracer — for layers that only hold the network. *)
 
+(** {2 Node ids}
+
+    Every node has a dense [int] id, allocated in order of first use
+    (the names passed to {!create} take [0 .. n-1]).  The per-message
+    path — {!send_id}, {!register_id}'s handlers — works on ids; the
+    string entry points resolve names once and call it.  Faults
+    ({!crash}, {!cut_link}, filters) and traces stay keyed by name. *)
+
+val id : 'msg t -> string -> int
+(** The node's id.  A name not passed to {!create} becomes a node that
+    is down until {!recover}, exactly as a send to it would make it. *)
+
+val name : 'msg t -> int -> string
+(** The name of the node with this id.
+    @raise Invalid_argument for an id no node has. *)
+
+val register_id : 'msg t -> node:int -> (src:int -> 'msg -> unit) -> unit
+(** Install the node's message handler (replaces any previous one); the
+    handler receives the sender's id.  Deliveries look the handler up
+    when they fire, so a message sent before [register_id] but
+    delivered after it reaches the handler.
+    @raise Invalid_argument for an id no node has. *)
+
 val register : 'msg t -> node:string -> (src:string -> 'msg -> unit) -> unit
-(** Install the node's message handler (replaces any previous one).
-    Deliveries look the handler up when they fire, so a message sent
-    before [register] but delivered after it reaches the handler.  A
+(** {!register_id} by name, with the sender handed over by name.  A
     name not passed to [create] is a node that is down until
     {!recover}: sends to it are [Dest_down] drops. *)
 
@@ -71,13 +92,17 @@ val link_filter_drops : 'msg t -> src:string -> dst:string -> int
 val filtered_links : 'msg t -> ((string * string) * drop_spec * int) list
 (** Every installed filter with its drop counter, sorted by link. *)
 
-val send :
-  'msg t -> src:string -> dst:string -> ?payloads:int -> 'msg -> unit
+val send_id : 'msg t -> src:int -> dst:int -> ?payloads:int -> 'msg -> unit
 (** Dropped when the sender is down at send time, the destination is
     down at delivery time, the link is cut, or the loss coin fires.
     [payloads] (default 1) is the number of logical requests the
     message carries — batch frames pass their batch size so the
-    payload counters keep counting logical work. *)
+    payload counters keep counting logical work.
+    @raise Invalid_argument for an id no node has. *)
+
+val send :
+  'msg t -> src:string -> dst:string -> ?payloads:int -> 'msg -> unit
+(** {!send_id} by name. *)
 
 type counters = {
   sent : int;

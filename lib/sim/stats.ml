@@ -1,8 +1,9 @@
 (** Run-time statistics: latency samples with percentile summaries.
 
     Samples accumulate in a growable float array (no per-sample boxing
-    or list cells), sorting uses [Float.compare] (total order, correct
-    on every float), and percentiles follow the nearest-rank
+    or list cells), sorting is in [Float.compare] order (total, correct
+    on every float) and, like the mean, reads the flat array without
+    boxing a sample, and percentiles follow the nearest-rank
     definition: the p-th percentile of n sorted samples is the value
     at rank [ceil (p * n)] (1-based), computed with an epsilon guard
     so binary float noise cannot push the rank off by one. *)
@@ -58,9 +59,48 @@ let percentile_sorted sorted p =
     let rank = int_of_float (ceil ((p *. float_of_int n) -. 1e-9)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
+(* [x] sorts before [y] in [Float.compare] order (nan first).  The
+   comparison is specialised to floats, so the sort below never boxes
+   a sample, as a polymorphic [Array.sort] comparator would. *)
+let[@inline] before (x : float) y = Float.compare x y < 0
+
+(* Move [a.(i)] down the max-heap [a.(0 .. n-1)] to its place. *)
+let sift_down (a : float array) i n =
+  let x = a.(i) in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= n then sinking := false
+    else begin
+      let c = if l + 1 < n && before a.(l) a.(l + 1) then l + 1 else l in
+      if before x a.(c) then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  a.(!i) <- x
+
+(* In-place heapsort, ascending.  Elements [Float.compare] calls equal
+   are the same float (or zeros of either sign), so the result is the
+   one [Array.sort Float.compare] gives, up to the order of [0.0] and
+   [-0.0]. *)
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- top;
+    sift_down a 0 last
+  done
+
 let sorted_samples t =
   let a = Array.sub t.data 0 t.n in
-  Array.sort Float.compare a;
+  sort_floats a;
   a
 
 (** Nearest-rank percentile of the current samples. *)
@@ -81,9 +121,15 @@ let summarize t : summary =
       max = nan;
     }
   else
+    (* left to right, as a fold would add, so the mean is the same
+       float *)
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      sum := !sum +. a.(i)
+    done;
     {
       count = n;
-      mean = Array.fold_left ( +. ) 0.0 a /. float_of_int n;
+      mean = !sum /. float_of_int n;
       p50 = percentile_sorted a 0.50;
       p90 = percentile_sorted a 0.90;
       p95 = percentile_sorted a 0.95;

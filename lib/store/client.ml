@@ -64,7 +64,8 @@ type pending = {
   mutable rid : int;  (** current request id (changes at phase switch) *)
   mutable best_vn : int;
   mutable best_value : int;
-  mutable replies : (int * int) list;  (** (replica index, vn) seen *)
+  mutable replies : (int * int) list;
+      (** (replica index, vn) seen — kept only under [read_repair] *)
   op : Engine.op;  (** engine operation: liveness + overall deadline *)
   mutable span : Obs.Trace.span option;
       (** the operation's trace span, begun at [start_op] *)
@@ -79,7 +80,9 @@ type t = {
   sim : Core.t;
   net : Protocol.msg Net.t;
   eng : Protocol.msg Engine.t;
-  replicas : string array;
+  group : Engine.group;
+      (** the replicas, resolved to node ids once for every engine call
+          (the txn layer's too) *)
   mutable strategy : Strategy.t;
   mutable epoch : int;
       (** strategy generation — bumped by [set_strategy] so observers
@@ -166,7 +169,7 @@ let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0)
     sim;
     net;
     eng;
-    replicas;
+    group = Engine.group eng replicas;
     strategy;
     epoch = 0;
     probe = None;
@@ -257,7 +260,7 @@ let send_repairs t (p : pending) =
       if vn < p.best_vn then begin
         Obs.Metrics.inc t.repairs_sent;
         let rid = Engine.fresh_rid t.eng in
-        Net.send t.net ~src:t.name ~dst:t.replicas.(i)
+        Net.send t.net ~src:t.name ~dst:(Engine.group_names t.group).(i)
           (Protocol.Install_req
              {
                rid;
@@ -308,8 +311,8 @@ let rec on_reply t (p : pending) ~member:i ~heard msg =
   | Protocol.Query_rep { vn; value; key; _ } when String.equal key p.key -> (
       observe_latency t p i;
       (* the first reply from [i] this phase; a duplicate may still
-         carry a newer version *)
-      if heard <> mask then p.replies <- (i, vn) :: p.replies;
+         carry a newer version.  Only read repair reads the list. *)
+      if t.read_repair && heard <> mask then p.replies <- (i, vn) :: p.replies;
       if vn > p.best_vn then begin
         p.best_vn <- vn;
         p.best_value <- value
@@ -365,7 +368,7 @@ and start_install t (p : pending) ~value =
 
 and gather t (p : pending) ~rid ~side make =
   ignore
-    (Engine.call t.eng ~op:p.op ~rid ~targets:t.replicas
+    (Engine.call t.eng ~op:p.op ~rid ~targets:t.group
        ?first:(first_wave t p.strategy ~side)
        ~make ~on_reply:(on_reply t p) ())
 
@@ -473,6 +476,6 @@ let install t ~key ~vn ~value ~on_done =
   p.best_vn <- vn;
   p.best_value <- value;
   ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:t.replicas
+    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:t.group
        ~make:(fun rid -> Protocol.Install_req { rid; key; vn; value; ctx = p.ctx })
        ~on_reply:(on_reply t p) ())

@@ -33,7 +33,8 @@ type t = {
   sim : Core.t;
   net : Protocol.msg Net.t;
   eng : Protocol.msg Rpc.Engine.t;  (** the shared request engine *)
-  replicas : string array;
+  group : Rpc.Engine.group;
+      (** the replicas, by name and by node id (see {!Rpc.Engine.group}) *)
   mutable strategy : Strategy.t;
       (** swappable (reconfiguration) — prefer {!set_strategy}, which
           also bumps the generation *)

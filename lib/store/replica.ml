@@ -650,18 +650,20 @@ let handle_one t ~tr msg =
   serve t ~tr ~reply:(fun rep -> out := Some rep) msg;
   !out
 
-(** Attach the replica to the network. *)
+(** Attach the replica to the network: it is registered, and replies,
+    by node id; [serve] still gets the sender's name. *)
 let attach t ~(net : Protocol.msg Sim.Net.t) =
   let tr = Sim.Net.tracer net in
+  let self = Sim.Net.id net t.name in
   (* recovery leadership needs a clock (timers) and a way to talk to
      peer replicas outside any client engine *)
   t.txn_sim <- Some (Sim.Net.sim net);
   t.txn_send <- (fun ~dst msg -> Sim.Net.send net ~src:t.name ~dst msg);
-  Sim.Net.register net ~node:t.name (fun ~src msg ->
-      serve t ~src ~tr msg ~reply:(fun rep ->
+  Sim.Net.register_id net ~node:self (fun ~src msg ->
+      serve t ~src:(Sim.Net.name net src) ~tr msg ~reply:(fun rep ->
           match rep with
           | Protocol.Batch_rep { reps; _ } ->
-              Sim.Net.send net ~src:t.name ~dst:src
+              Sim.Net.send_id net ~src:self ~dst:src
                 ~payloads:(List.length reps)
                 rep
-          | rep -> Sim.Net.send net ~src:t.name ~dst:src rep))
+          | rep -> Sim.Net.send_id net ~src:self ~dst:src rep))

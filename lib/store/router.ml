@@ -69,7 +69,9 @@ type t = {
   shards : Client.t array;
   shard_of : string -> int;
   scheme : scheme;
-  owner : (string, int) Hashtbl.t;  (** replica name -> owning shard *)
+  owner : int array;
+      (** node id -> the shard whose group holds it, [-1] for a node in
+          no group; ids past its end are in no group either *)
 }
 
 let create ~name ~sim ~net ~(groups : string array array)
@@ -95,10 +97,11 @@ let create ~name ~sim ~net ~(groups : string array array)
           ?metrics ?shard ?batch_window ?adaptive_window ())
       groups
   in
-  let owner = Hashtbl.create 16 in
-  Array.iteri
-    (fun s group -> Array.iter (fun r -> Hashtbl.replace owner r s) group)
-    groups;
+  let ids = Array.map (fun c -> Rpc.Engine.group_ids c.Client.group) shards in
+  let owner =
+    Array.make (1 + Array.fold_left (Array.fold_left max) (-1) ids) (-1)
+  in
+  Array.iteri (fun s -> Array.iter (fun i -> owner.(i) <- s)) ids;
   { name; net; shards; shard_of = shard_fn scheme ~n_shards ~n_keys; scheme; owner }
 
 let n_shards t = Array.length t.shards
@@ -106,7 +109,7 @@ let shard_of t key = t.shard_of key
 let scheme t = t.scheme
 let client t ~shard = t.shards.(shard)
 let clients t = t.shards
-let replicas t ~shard = t.shards.(shard).Client.replicas
+let replicas t ~shard = Rpc.Engine.group_names t.shards.(shard).Client.group
 
 (** Attach the router as the node's net handler.  One shard delegates
     to the client's own attach (the historical path); several shards
@@ -116,10 +119,9 @@ let replicas t ~shard = t.shards.(shard).Client.replicas
 let attach t =
   if Array.length t.shards = 1 then Client.attach t.shards.(0)
   else
-    Net.register t.net ~node:t.name (fun ~src msg ->
-        match Hashtbl.find_opt t.owner src with
-        | Some s -> Client.handle t.shards.(s) ~src msg
-        | None -> ())
+    Net.register_id t.net ~node:(Net.id t.net t.name) (fun ~src msg ->
+        if src < Array.length t.owner && t.owner.(src) >= 0 then
+          Rpc.Engine.handle_id t.shards.(t.owner.(src)).Client.eng ~src msg)
 
 (** Group keys by owning shard: one (shard, keys) pair per shard that
     owns at least one of the input keys, shards in first-appearance

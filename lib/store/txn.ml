@@ -194,7 +194,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
           let mask = ref 0 in
           ignore
             (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:p.p_client.Client.replicas
+               ~targets:p.p_client.Client.group
                ~make:(fun rid ->
                  Protocol.Txn_decide
                    { rid; txid; commit = true; writes = final_writes })
@@ -242,7 +242,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         (fun p ->
           ignore
             (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:p.p_client.Client.replicas
+               ~targets:p.p_client.Client.group
                ~make:(fun rid ->
                  Protocol.Txn_p2a
                    { rid; txid; bal = 0; commit = true; writes = fw })
@@ -291,7 +291,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         (fun s ->
           let client = Router.client t.router ~shard:s in
           let p_base = !base in
-          base := p_base + Array.length client.Client.replicas;
+          base := p_base + Array.length (Engine.group_ids client.Client.group);
           let p_writes =
             match List.assoc_opt s by_shard_w with
             | Some ks -> List.map (fun k -> (k, List.assoc k writes)) ks
@@ -314,7 +314,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         let strategy = p.p_client.Client.strategy in
         ignore
           (Engine.call p.p_client.Client.eng ~op:p.p_op
-             ~targets:p.p_client.Client.replicas
+             ~targets:p.p_client.Client.group
              ~make:(fun rid ->
                Protocol.Txn_prepare
                  {

@@ -123,8 +123,8 @@ and start_install t (p : pending) ~value =
 (* One call to the current view's members, [first] (default: all)
    first; [make] gets the rid and the view id. *)
 and gather t (p : pending) ~rid ?first make =
-  let members = Array.of_list t.view.View.members in
-  let all = (1 lsl Array.length members) - 1 in
+  let members = Engine.group t.eng (Array.of_list t.view.View.members) in
+  let all = (1 lsl Array.length (Engine.group_ids members)) - 1 in
   let view = t.view.View.id in
   ignore
     (Engine.call t.eng ~op:p.op ~rid ~targets:members ?first

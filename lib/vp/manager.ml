@@ -93,8 +93,8 @@ let change_view t ~members ~on_done =
           | None -> ())
     in
     op_ref := Some op;
-    let targets = Array.of_list members in
-    let all = (1 lsl Array.length targets) - 1 in
+    let targets = Engine.group t.eng (Array.of_list members) in
+    let all = (1 lsl List.length members) - 1 in
     (* phase 2: install the new view and merged state at every member *)
     let install states =
       let merged = merge_states states in

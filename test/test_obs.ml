@@ -218,6 +218,39 @@ let test_histogram_buckets () =
     (Metrics.quantile h 0.99 = infinity);
   Alcotest.(check (float 0.0)) "q25" 1.0 (Metrics.quantile h 0.25)
 
+(* [observe] finds the bucket in one loop and keeps its sum unboxed:
+   the only allocation is the caller boxing the float it passes (2
+   words; each observation cost 16 before).  The dump format is pinned,
+   nan included (counted in the +inf bucket). *)
+let test_histogram_observe_words () =
+  let m = Metrics.create () in
+  let h =
+    Metrics.histogram m ~labels:[ ("op", "read") ] ~buckets:[| 1.0; 2.0; 5.0 |]
+      "lat"
+  in
+  let xs = Array.init 97 (fun i -> float_of_int i /. 8.0) in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Metrics.observe h xs.(i mod 97)
+  done;
+  let per_obs = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per observation" per_obs)
+    true (per_obs < 2.5);
+  let m = Metrics.create () in
+  let h =
+    Metrics.histogram m ~labels:[ ("op", "read") ] ~buckets:[| 1.0; 2.0; 5.0 |]
+      "lat"
+  in
+  List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 4.9; 5.0; 100.0 ];
+  Alcotest.(check string) "dump"
+    "lat{op=read} count=7 sum=114.9 le_1=2 le_2=2 le_5=2 le_inf=1\n"
+    (Metrics.dump m);
+  Metrics.observe h nan;
+  Alcotest.(check string) "nan lands in +inf"
+    "lat{op=read} count=8 sum=nan le_1=2 le_2=2 le_5=2 le_inf=2\n"
+    (Metrics.dump m)
+
 (* ---------- cluster wiring: determinism, balance, layers ---------- *)
 
 let traced_params seed =
@@ -419,6 +452,8 @@ let suites =
       [
         Alcotest.test_case "counters and gauges" `Quick test_metrics_counters;
         Alcotest.test_case "histogram bucket math" `Quick test_histogram_buckets;
+        Alcotest.test_case "observe boxes nothing; dump pinned" `Quick
+          test_histogram_observe_words;
       ] );
     ( "obs.cluster",
       [

@@ -53,7 +53,7 @@ let gather ~sim ~eng ~k ~timeout ?first () =
   op_ref := Some op;
   let got = ref 0 in
   ignore
-    (Engine.call eng ~op ~targets:(Array.of_list servers) ?first
+    (Engine.call eng ~op ~targets:(Engine.group eng (Array.of_list servers)) ?first
        ~make:(fun rid -> Req rid)
        ~on_reply:(fun ~member:_ ~heard:_ _ ->
          incr got;
@@ -231,7 +231,7 @@ let test_send_order_pinned () =
   in
   let replies = ref [] in
   ignore
-    (Engine.call eng ~op ~targets:(Array.of_list servers) ~first:0b01010
+    (Engine.call eng ~op ~targets:(Engine.group eng (Array.of_list servers)) ~first:0b01010
        ~make:(fun rid -> Req rid)
        ~on_reply:(fun ~member ~heard _ ->
          replies := (member, heard) :: !replies;
@@ -248,6 +248,38 @@ let test_send_order_pinned () =
      heard before it"
     [ (3, 0b00000); (3, 0b01000); (2, 0b01000) ]
     (List.rev !replies);
+  Alcotest.(check int) "pending drained" 0 (Engine.pending_count eng)
+
+(* A reply is matched to a member by its sender's node id: replies from
+   a node outside the group — a server the call never addressed, sent
+   over the network or handed over by id or by name — reach no
+   [on_reply]. *)
+let test_non_member_reply_ignored () =
+  let sim, net, eng = make_world ~seed:1 () in
+  let op_ref = ref None in
+  let op =
+    Engine.start_op eng ~timeout:50.0 ~on_timeout:(fun () ->
+        Option.iter (Engine.finish_op eng) !op_ref)
+  in
+  op_ref := Some op;
+  let group = Engine.group eng [| "s0"; "s1" |] in
+  Alcotest.(check (array int)) "group ids" [| Net.id net "s0"; Net.id net "s1" |]
+    (Engine.group_ids group);
+  let replies = ref [] in
+  let rid =
+    Engine.call eng ~op ~targets:group
+      ~make:(fun rid -> Req rid)
+      ~on_reply:(fun ~member ~heard:_ _ ->
+        replies := member :: !replies;
+        Engine.Continue)
+      ()
+  in
+  Engine.handle_id eng ~src:(Net.id net "s3") (Rep rid);
+  Engine.handle eng ~src:"s2" (Rep rid);
+  Net.send net ~src:"s4" ~dst:"c" (Rep rid);
+  Core.run sim;
+  Alcotest.(check (list int)) "only the members' replies" [ 0; 1 ]
+    (List.sort compare !replies);
   Alcotest.(check int) "pending drained" 0 (Engine.pending_count eng)
 
 (* ---------- policy validation ---------- *)
@@ -279,7 +311,7 @@ let test_policy_validation () =
   let _sim, _net, eng = make_world ~seed:1 () in
   let op = Engine.start_op eng ~timeout:10.0 ~on_timeout:(fun () -> ()) in
   let call n =
-    Engine.call eng ~op ~targets:(Array.make n "s0")
+    Engine.call eng ~op ~targets:(Engine.group eng (Array.make n "s0"))
       ~make:(fun rid -> Req rid)
       ~on_reply:(fun ~member:_ ~heard:_ _ -> Engine.Done)
       ()
@@ -480,6 +512,8 @@ let suites =
         Alcotest.test_case "hedge falls back past a dead server" `Quick
           test_hedge_falls_back;
         Alcotest.test_case "send order is pinned" `Quick test_send_order_pinned;
+        Alcotest.test_case "a non-member's reply is ignored" `Quick
+          test_non_member_reply_ignored;
         Alcotest.test_case "policy validation" `Quick test_policy_validation;
         Alcotest.test_case "disabling batching mid-flight flushes the queue"
           `Quick test_disable_batching_mid_flight;

@@ -362,6 +362,79 @@ let test_route_many_groups () =
           (Router.route_many r (List.init 12 Store.Workload.key_name)))
     [ `Hash; `Range ]
 
+(* The multi-shard router dispatches a reply by its source's node id:
+   to the shard whose group holds the source, and nowhere for a node in
+   no group.  Both shard engines start at rid 0, so a misrouted reply
+   would land on the other shard's pending read.  Replicas stay
+   unattached; the test plays their replies by hand. *)
+let test_router_reply_owner () =
+  let sim = Core.create ~seed:1 in
+  let tr = Obs.Trace.create ~capacity:4096 ~enabled:true () in
+  Core.attach_tracer sim tr;
+  let groups = Store.Cluster.group_names ~n_shards:2 ~n_replicas:3 in
+  let nodes =
+    (* x takes an id below the groups', y one above *)
+    ("x" :: (Array.to_list groups |> List.concat_map Array.to_list))
+    @ [ "c0"; "y" ]
+  in
+  let net =
+    Net.create ~sim ~nodes ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0) ()
+  in
+  let r =
+    Router.create ~name:"c0" ~sim ~net ~groups
+      ~strategies:(Array.make 2 (Store.Strategy.majority 3))
+      ~scheme:`Hash ~n_keys:16 ()
+  in
+  Router.attach r;
+  let key_of s =
+    List.find (fun k -> Router.shard_of r k = s) (List.init 16 Store.Workload.key_name)
+  in
+  let k0 = key_of 0 and k1 = key_of 1 in
+  let done_ = ref [] in
+  let read key =
+    Router.read r ~key ~on_done:(fun ~ok ~vn:_ ~value ~latency:_ ->
+        done_ := (key, ok, value) :: !done_)
+  in
+  read k0;
+  read k1;
+  let reply ~at ~src key value =
+    Core.schedule sim ~delay:at (fun () ->
+        Net.send net ~src ~dst:"c0"
+          (P.Query_rep { rid = 0; key; vn = 1; value }))
+  in
+  (* shard 1's replicas answer shard 1's read *)
+  reply ~at:1.0 ~src:"s1:r0" k1 11;
+  reply ~at:1.0 ~src:"s1:r1" k1 11;
+  (* two outsiders answer shard 0's read: ignored *)
+  reply ~at:2.0 ~src:"x" k0 99;
+  reply ~at:2.0 ~src:"y" k0 99;
+  Core.run ~until:5.0 sim;
+  Alcotest.(check (list (triple string bool int)))
+    "shard 1 completed, shard 0 still waiting" [ (k1, true, 11) ] !done_;
+  reply ~at:1.0 ~src:"s0:r2" k0 7;
+  reply ~at:1.0 ~src:"s0:r0" k0 7;
+  Core.run sim;
+  Alcotest.(check (list (triple string bool int)))
+    "shard 0 completed from its own replicas"
+    [ (k0, true, 7); (k1, true, 11) ]
+    !done_;
+  (* the engine traces every reply it dispatches: none came from x or y *)
+  let outsiders =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        String.equal e.name "reply"
+        && (List.mem ("from", Obs.Trace.Str "x") e.args
+           || List.mem ("from", Obs.Trace.Str "y") e.args))
+      (Obs.Trace.events tr)
+  in
+  Alcotest.(check int) "the outsiders' replies reached no engine" 0
+    (List.length outsiders);
+  Array.iter
+    (fun c ->
+      Alcotest.(check int) "pending drained" 0
+        (Rpc.Engine.pending_count c.Store.Client.eng))
+    (Router.clients r)
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -381,6 +454,8 @@ let suites =
           `Quick test_key_name_contract;
         Alcotest.test_case "route_many groups by shard" `Quick
           test_route_many_groups;
+        Alcotest.test_case "a reply goes to its source's shard" `Quick
+          test_router_reply_owner;
         Alcotest.test_case "default runs match pre-router traces" `Slow
           test_default_trace_golden;
       ] );

@@ -575,6 +575,54 @@ let prop_stats_merge_order_independent =
             && s1.Sim.Stats.p999 = s2.Sim.Stats.p999
             && s1.Sim.Stats.max = s2.Sim.Stats.max))
 
+(* The summary against a reference built on [Array.sort Float.compare]
+   and a left fold: bit-identical fields.  Samples are drawn from a
+   small set, so ties are common. *)
+let prop_stats_summary_matches_sort =
+  QCheck.Test.make ~count:200
+    ~name:"Stats.summarize equals an Array.sort reference, ties included"
+    QCheck.(list (map (fun i -> float_of_int i /. 4.0) (int_bound 40)))
+    (fun xs ->
+      let s = Sim.Stats.summarize (Sim.Stats.of_list xs) in
+      let a = Array.of_list xs in
+      Array.sort Float.compare a;
+      let n = Array.length a in
+      let rank p =
+        if p >= 1.0 then a.(n - 1)
+        else
+          let r = int_of_float (ceil ((p *. float_of_int n) -. 1e-9)) in
+          a.(max 0 (min (n - 1) (r - 1)))
+      in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      s.Sim.Stats.count = n
+      && (n = 0
+         || same s.Sim.Stats.mean
+              (Array.fold_left ( +. ) 0.0 a /. float_of_int n)
+            && same s.Sim.Stats.p50 (rank 0.50)
+            && same s.Sim.Stats.p90 (rank 0.90)
+            && same s.Sim.Stats.p95 (rank 0.95)
+            && same s.Sim.Stats.p99 (rank 0.99)
+            && same s.Sim.Stats.p999 (rank 0.999)
+            && same s.Sim.Stats.max a.(n - 1)))
+
+(* Summarizing reads the samples unboxed: the sorted copy is one
+   major-heap block, and sorting and the mean allocate nothing.  A
+   polymorphic [Array.sort] boxed every sample it compared (about
+   900,000 minor words here). *)
+let test_stats_summarize_no_boxing () =
+  let s = Sim.Stats.create () in
+  let rng = Qc_util.Prng.create 3 in
+  for _ = 1 to 10_000 do
+    Sim.Stats.add s (Float.round (100.0 *. Qc_util.Prng.float rng))
+  done;
+  let w0 = Gc.minor_words () in
+  let sum = Sim.Stats.summarize s in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "count" 10_000 sum.Sim.Stats.count;
+  Alcotest.(check bool)
+    (Fmt.str "%.0f minor words for 10,000 samples" words)
+    true (words < 1000.0)
+
 (* ---------- drop-reason accounting ---------- *)
 
 let test_drop_reasons () =
@@ -688,6 +736,157 @@ let test_net_filtered_links_sorted () =
     [ ("a", "b"); ("a", "c"); ("b", "a"); ("b", "c") ]
     (List.map (fun (link, _, _) -> link) (Sim.Net.filtered_links net))
 
+(* ---------- node ids ---------- *)
+
+let test_net_ids () =
+  let _, net = mk_net () in
+  Alcotest.(check (list int)) "declared names take 0 .. n-1" [ 0; 1 ]
+    [ Sim.Net.id net "a"; Sim.Net.id net "b" ];
+  Alcotest.(check int) "stable" 1 (Sim.Net.id net "b");
+  Alcotest.(check (list string)) "name inverts id" [ "a"; "b" ]
+    [ Sim.Net.name net 0; Sim.Net.name net 1 ];
+  let z = Sim.Net.id net "z" in
+  Alcotest.(check int) "an undeclared name gets the next id" 2 z;
+  Alcotest.(check string) "and keeps its name" "z" (Sim.Net.name net z);
+  Alcotest.(check bool) "undeclared is down" false (Sim.Net.is_up net "z");
+  Alcotest.check_raises "an id no node has"
+    (Invalid_argument "Net: no node with id 3") (fun () ->
+      ignore (Sim.Net.name net 3 : string))
+
+let test_net_id_undeclared_dest_down () =
+  let sim, net = mk_net () in
+  let got = ref 0 in
+  let a = Sim.Net.id net "a" and z = Sim.Net.id net "z" in
+  Sim.Net.register_id net ~node:z (fun ~src:_ _ -> incr got);
+  Sim.Net.send_id net ~src:a ~dst:z 1;
+  Sim.Core.run sim;
+  let c = Sim.Net.counters net in
+  Alcotest.(check int) "not delivered" 0 !got;
+  Alcotest.(check int) "a dest_down drop" 1 c.Sim.Net.drop_dest_down;
+  Sim.Net.recover net "z";
+  Sim.Net.send_id net ~src:a ~dst:z 2;
+  Sim.Core.run sim;
+  Alcotest.(check int) "delivered once recovered" 1 !got
+
+(* One random fault-and-send program, run twice under one seed: every
+   send by name, then each send by name or by id as the program says.
+   The handler log (time, src, dst, msg), the counters and the trace
+   (whose drop instants carry the reasons) must agree exactly. *)
+type net_op =
+  | Send of int * int * bool  (** src, dst, by id *)
+  | Crash of int
+  | Recover of int
+  | Cut of int * int
+  | Heal of int * int
+  | Filter of int * int * Sim.Net.drop_spec
+  | Unfilter of int * int
+
+let op_nodes = [| "a"; "b"; "c"; "d"; "z" |]
+
+let gen_net_op =
+  let open QCheck.Gen in
+  let node = int_bound 4 in
+  frequency
+    [
+      (8, map3 (fun s d by_id -> Send (s, d, by_id)) node node bool);
+      (1, map (fun n -> Crash n) node);
+      (2, map (fun n -> Recover n) node);
+      (1, map2 (fun a b -> Cut (a, b)) node node);
+      (1, map2 (fun a b -> Heal (a, b)) node node);
+      ( 1,
+        map3
+          (fun a b spec -> Filter (a, b, spec))
+          node node
+          (oneof
+             [
+               return Sim.Net.Drop_all;
+               map (fun n -> Sim.Net.Drop_first n) (int_bound 3);
+               map (fun p -> Sim.Net.Drop_prob p) (float_bound_inclusive 1.0);
+             ]) );
+      (1, map2 (fun a b -> Unfilter (a, b)) node node);
+    ]
+
+let run_net_program ~mixed prog =
+  let sim = Sim.Core.create ~seed:17 in
+  let tr = Obs.Trace.create ~capacity:65536 ~enabled:true () in
+  Sim.Core.attach_tracer sim tr;
+  let net =
+    Sim.Net.create ~sim ~nodes:[ "a"; "b"; "c"; "d" ]
+      ~latency:(Sim.Net.lognormal_latency ~mu:1.0 ~sigma:0.5)
+      ~loss:0.2 ()
+  in
+  let log = ref [] in
+  Array.iter
+    (fun n ->
+      if mixed then
+        Sim.Net.register_id net ~node:(Sim.Net.id net n) (fun ~src msg ->
+            log := (Sim.Core.now sim, Sim.Net.name net src, n, msg) :: !log)
+      else
+        Sim.Net.register net ~node:n (fun ~src msg ->
+            log := (Sim.Core.now sim, src, n, msg) :: !log))
+    op_nodes;
+  List.iteri
+    (fun i (at, op) ->
+      Sim.Core.schedule sim ~delay:at (fun () ->
+          let n = Array.get op_nodes in
+          match op with
+          | Send (s, d, by_id) ->
+              if mixed && by_id then
+                Sim.Net.send_id net ~src:(Sim.Net.id net (n s))
+                  ~dst:(Sim.Net.id net (n d)) i
+              else Sim.Net.send net ~src:(n s) ~dst:(n d) i
+          | Crash x -> Sim.Net.crash net (n x)
+          | Recover x -> Sim.Net.recover net (n x)
+          | Cut (x, y) -> Sim.Net.cut_link net (n x) (n y)
+          | Heal (x, y) -> Sim.Net.heal_link net (n x) (n y)
+          | Filter (x, y, spec) ->
+              Sim.Net.set_link_filter net ~src:(n x) ~dst:(n y) spec
+          | Unfilter (x, y) -> Sim.Net.clear_link_filter net ~src:(n x) ~dst:(n y)))
+    prog;
+  Sim.Core.run sim;
+  (List.rev !log, Sim.Net.counters net, Obs.Export.jsonl tr)
+
+let prop_net_by_name_equals_by_id =
+  QCheck.Test.make ~count:150
+    ~name:"Net: sends by name and by id deliver and drop alike"
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 80)
+            (pair (map float_of_int (int_bound 40)) gen_net_op)))
+    (fun prog ->
+      let log_a, counters_a, trace_a = run_net_program ~mixed:false prog in
+      let log_b, counters_b, trace_b = run_net_program ~mixed:true prog in
+      log_a = log_b && counters_a = counters_b && String.equal trace_a trace_b)
+
+(* One id-addressed send and its delivery, tracing off, measured over
+   1,000 sends and one drain: 11 words under the release profile — the
+   delivery closure (header, code pointer, arity word, and the network,
+   the destination's record, the payload count, the boxed delay, the
+   sender's id and the message) and the delay's own box — and 19 under
+   the dev profile the suite builds with, where nothing is inlined
+   across modules and the latency draw boxes its intermediates. *)
+let test_net_send_id_words () =
+  let sim, net = mk_net () in
+  let a = Sim.Net.id net "a" and b = Sim.Net.id net "b" in
+  let got = ref 0 in
+  Sim.Net.register_id net ~node:b (fun ~src:_ _ -> incr got);
+  (* grow the event heap to its working size first *)
+  for _ = 1 to 2000 do
+    Sim.Net.send_id net ~src:a ~dst:b 0
+  done;
+  Sim.Core.run sim;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Sim.Net.send_id net ~src:a ~dst:b 0
+  done;
+  Sim.Core.run sim;
+  let per_send = (Gc.minor_words () -. w0) /. 1000.0 in
+  Alcotest.(check int) "delivered" 3000 !got;
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per send and delivery" per_send)
+    true (per_send < 19.5)
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -738,6 +937,12 @@ let suites =
           test_net_faults_mid_run;
         Alcotest.test_case "filtered links sorted" `Quick
           test_net_filtered_links_sorted;
+        Alcotest.test_case "ids and names round-trip" `Quick test_net_ids;
+        Alcotest.test_case "an undeclared id is a down destination" `Quick
+          test_net_id_undeclared_dest_down;
+        Alcotest.test_case "send by id allocates its closure only" `Quick
+          test_net_send_id_words;
+        qcheck prop_net_by_name_equals_by_id;
       ] );
     ( "sim.failure",
       [ Alcotest.test_case "availability matches spec" `Quick test_failure_availability ]
@@ -754,5 +959,8 @@ let suites =
         Alcotest.test_case "merge mean is count-weighted" `Quick
           test_stats_merge_weighted_mean;
         qcheck prop_stats_merge_order_independent;
+        qcheck prop_stats_summary_matches_sort;
+        Alcotest.test_case "summarize does not box samples" `Quick
+          test_stats_summarize_no_boxing;
       ] );
   ]
