@@ -344,9 +344,9 @@ let () =
             List.iter
               (fun (r : Store.Replica.t) ->
                 let state =
-                  Hashtbl.fold
-                    (fun k (vn, v) acc -> Fmt.str "%s=<%d,%d>" k vn v :: acc)
-                    r.Store.Replica.data []
+                  List.map
+                    (fun (k, vn, v) -> Fmt.str "%s=<%d,%d>" k vn v)
+                    (Store.Replica.bindings r)
                 in
                 Fmt.pr "%-4s %s %s@." r.Store.Replica.name
                   (if Net.is_up !w.net r.Store.Replica.name then "up  "

@@ -14,16 +14,18 @@
     surface — they render into {!Store.Cluster.digest} — so their
     wording is frozen. *)
 
+module Strtbl = Qc_util.Strtbl
+
 type entry = { vn : int; value : int; completed_at : float }
 
 (** Audit state: per-key completed-write history plus the violation
     log (newest first, the historical order). *)
 type audit = {
-  completed_writes : (string, entry list) Hashtbl.t;
+  completed_writes : entry list Strtbl.t;
   mutable violations : string list;
 }
 
-let audit () = { completed_writes = Hashtbl.create 64; violations = [] }
+let audit () = { completed_writes = Strtbl.create 64; violations = [] }
 
 let note a fmt = Fmt.kstr (fun s -> a.violations <- s :: a.violations) fmt
 
@@ -45,7 +47,7 @@ let rec write_at vn = function
 
 let read_ok a ~key ~started ~vn ~value =
   let writes =
-    match Hashtbl.find a.completed_writes key with
+    match Strtbl.find a.completed_writes key with
     | l -> l
     | exception Not_found -> []
   in
@@ -64,7 +66,7 @@ let read_ok a ~key ~started ~vn ~value =
     of [value]. *)
 let write_ok a ~key ~vn ~value ~now =
   let prev =
-    Option.value ~default:[] (Hashtbl.find_opt a.completed_writes key)
+    try Strtbl.find a.completed_writes key with Not_found -> []
   in
   (* single-writer-per-key: versions must increase *)
   List.iter
@@ -72,7 +74,7 @@ let write_ok a ~key ~vn ~value ~now =
       if e.vn >= vn then
         note a "non-monotonic write to %s: vn %d after %d" key vn e.vn)
     prev;
-  Hashtbl.replace a.completed_writes key
+  Strtbl.replace a.completed_writes key
     ({ vn; value; completed_at = now } :: prev)
 
 let violations a = a.violations
@@ -95,26 +97,38 @@ type txn_report = {
     the recency check).  Acked is a subset of decided. *)
 type txn_audit = {
   mutable acked : txn_report list;  (** newest first *)
-  decided_w : (string, (string * int * int) list) Hashtbl.t;
+  decided_w : (string * int * int) list Strtbl.t;
       (** txid -> committed write set *)
   mutable txn_violations : string list;
 }
 
 let txn_audit () =
-  { acked = []; decided_w = Hashtbl.create 64; txn_violations = [] }
+  { acked = []; decided_w = Strtbl.create 64; txn_violations = [] }
 
 let txn_note a fmt =
   Fmt.kstr (fun s -> a.txn_violations <- s :: a.txn_violations) fmt
+
+(* Write-set equality: polymorphic [=] on (key, vn, value) lists,
+   with an early [true] for one physical list — every participant's
+   decision hook passes the decided list itself. *)
+let rec same_writes (a : (string * int * int) list) b =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | (k, vn, v) :: a', (k', vn', v') :: b' ->
+      String.equal k k' && vn = vn' && v = v' && same_writes a' b'
+  | _ -> false
 
 (** Record a decision learned at some replica.  Aborts are ignored;
     duplicate commit records (every participant fires the hook) must
     agree on the write set. *)
 let txn_decided a ~txid ~commit ~writes =
   if commit then
-    match Hashtbl.find_opt a.decided_w txid with
-    | None -> Hashtbl.replace a.decided_w txid writes
-    | Some prior ->
-        if prior <> writes then
+    match Strtbl.find a.decided_w txid with
+    | exception Not_found -> Strtbl.replace a.decided_w txid writes
+    | prior ->
+        if not (same_writes prior writes) then
           txn_note a "txn %s decided with two write sets" txid
 
 (** Record a client-acked commit. *)
@@ -154,22 +168,22 @@ type key_index = {
     scan of its key's acked writes and decided versions. *)
 let txn_check a =
   let acked = List.rev a.acked in
-  let index : (string, key_index) Hashtbl.t = Hashtbl.create 64 in
+  let index : key_index Strtbl.t = Strtbl.create 64 in
   let key_index k =
-    match Hashtbl.find_opt index k with
-    | Some ix -> ix
-    | None ->
+    match Strtbl.find index k with
+    | ix -> ix
+    | exception Not_found ->
         let ix = { chain = []; by_vn = Hashtbl.create 4; acked_w = [] } in
-        Hashtbl.replace index k ix;
+        Strtbl.replace index k ix;
         ix
   in
   (* acked commits must have been decided, with the acked write set *)
   List.iter
     (fun r ->
-      match Hashtbl.find_opt a.decided_w r.t_txid with
+      match Strtbl.find_opt a.decided_w r.t_txid with
       | None -> txn_note a "acked txn %s was never decided" r.t_txid
       | Some w ->
-          if w <> r.t_writes then
+          if not (same_writes w r.t_writes) then
             txn_note a "acked txn %s: acked writes differ from decided"
               r.t_txid)
     acked;
@@ -186,7 +200,7 @@ let txn_check a =
   (* committed versions per key, each installed by exactly one txn *)
   let decided =
     (* lint: order-insensitive *)
-    Hashtbl.fold (fun txid w acc -> (txid, w) :: acc) a.decided_w []
+    Strtbl.fold (fun txid w acc -> (txid, w) :: acc) a.decided_w []
     |> List.sort (fun (x, _) (y, _) -> String.compare x y)
   in
   let n = List.length decided in
@@ -194,12 +208,12 @@ let txn_check a =
      and are filled in place: [Array.make]/[Array.of_list]/[Array.map]
      with a young initial element force a minor collection *)
   let txid_of = Array.make n "" in
-  let node : (string, int) Hashtbl.t = Hashtbl.create n in
+  let node : int Strtbl.t = Strtbl.create n in
   let written = ref [] in
   List.iteri
     (fun i (txid, writes) ->
       txid_of.(i) <- txid;
-      Hashtbl.replace node txid i;
+      Strtbl.replace node txid i;
       List.iter
         (fun (k, vn, v) ->
           let ix = key_index k in
@@ -233,10 +247,10 @@ let txn_check a =
      that was never decided add no edges. *)
   List.iter
     (fun r ->
-      let reader = Hashtbl.find_opt node r.t_txid in
+      let reader = Strtbl.find_opt node r.t_txid in
       List.iter
         (fun (k, vn, v) ->
-          let ix = Hashtbl.find_opt index k in
+          let ix = Strtbl.find_opt index k in
           let writer =
             Option.bind ix (fun ix -> Hashtbl.find_opt ix.by_vn vn)
           in
@@ -295,7 +309,7 @@ let txn_check a =
   | None -> ()
 
 let txn_violations a = a.txn_violations
-let txn_decided_count a = Hashtbl.length a.decided_w
+let txn_decided_count a = Strtbl.length a.decided_w
 
 (* ---------- static quorum sanity ---------- *)
 

@@ -29,6 +29,11 @@ type txn_audit
 
 val txn_audit : unit -> txn_audit
 
+val same_writes :
+  (string * int * int) list -> (string * int * int) list -> bool
+(** Write-set equality: the same answer as polymorphic [=], with an
+    early [true] when both sides are one physical list. *)
+
 val txn_decided :
   txn_audit ->
   txid:string ->

@@ -11,12 +11,14 @@
     What is checked: every iteration ([List.iter]/[iteri]/[fold_left],
     [Array.iter]/[iteri] — resolved by uid, alias-proof) whose body
     acquires a lock — a [Hashtbl.replace]/[Hashtbl.add] into a table
-    whose name mentions "lock" — must iterate a collection {e
-    dominated by a canonical sort}: the collection expression is a
-    [List.sort_uniq]/[List.sort] application, or a variable whose
-    definition (followed through [let]-chains in the enclosing scope)
-    is one.  Releases ([Hashtbl.remove]) are free: dropping locks in
-    any order cannot deadlock.
+    whose name mentions "lock", or an assignment [c.lock <- txid] to a
+    mutable record field whose name mentions "lock" — must iterate a
+    collection {e dominated by a canonical sort}: the collection
+    expression is a [List.sort_uniq]/[List.sort] application, or a
+    variable whose definition (followed through [let]-chains in the
+    enclosing scope) is one.  Releases ([Hashtbl.remove], or a field
+    assignment of a constant such as [c.lock <- ""]) are free:
+    dropping locks in any order cannot deadlock.
 
     A finding line can be silenced with [(* lint: lockorder-ok *)]
     after review — e.g. a single-key loop that cannot interleave. *)
@@ -49,8 +51,15 @@ let positional args =
     (function Asttypes.Nolabel, Some e -> Some e | _ -> None)
     args
 
+(* A constant or a constant constructor ([""], [None]): what a field
+   assignment stores to release a lock, never a holder's identity. *)
+let releases (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_constant _ | Typedtree.Texp_construct (_, _, []) -> true
+  | _ -> false
+
 (* Does this function-argument body acquire a lock?  Returns the name
-   of the lock table if so. *)
+   of the lock table, or of the lock field, if so. *)
 let acquires (body : Typedtree.expression) : string option =
   let found = ref None in
   let expr (self : Tast_iterator.iterator) (e : Typedtree.expression) =
@@ -64,6 +73,9 @@ let acquires (body : Typedtree.expression) : string option =
                 if !found = None then found := Some n
             | _ -> ())
         | [] -> ())
+    | Typedtree.Texp_setfield (_, _, lbl, v)
+      when name_mentions_lock lbl.Types.lbl_name && not (releases v) ->
+        if !found = None then found := Some lbl.Types.lbl_name
     | _ -> ());
     Tast_iterator.default_iterator.expr self e
   in

@@ -9,9 +9,13 @@
       library code.  All randomness must flow through the seeded
       {!Qc_util.Prng} (the one exempt implementation file) and all
       time through the virtual clock [Sim.Core.now].
-    - {b hashtbl-order}: [Hashtbl.iter] / [Hashtbl.fold] — stdlib
-      hash-bucket order is implementation-defined, so any result built
-      by iteration can leak that order into traces and assertions.
+    - {b hashtbl-order}: [Hashtbl.iter] / [Hashtbl.fold], and [iter] /
+      [fold] of a functor-made table — the shared [Strtbl], however
+      qualified, or a module the file binds to a
+      [Hashtbl.Make]/[MakeSeeded] instance (or to an alias of one).
+      Stdlib hash-bucket order is implementation-defined, so any
+      result built by iteration can leak that order into traces and
+      assertions.
       Sites whose result is genuinely order-insensitive (counts,
       existential checks, per-entry mutation) are silenced with an
       explicit [(* lint: order-insensitive *)] pragma after review;
@@ -144,8 +148,66 @@ let poly_eq_names = [ "="; "<>"; "compare" ]
 type ctx = {
   file : string;
   exempt_effects : bool;
+  mutable tables : string list;
+      (** modules this file binds to a functor-made hash table *)
   mutable found : Report.finding list;
 }
+
+(* The shared string-keyed table module ([Qc_util.Strtbl]): its
+   iteration is flagged under any qualification. *)
+let shared_table = "Strtbl"
+
+(* Is the module at [path] a hash table whose [iter]/[fold] walk
+   buckets: [Hashtbl], one of the file's own functor-made [tables], or
+   the shared table under any qualification? *)
+let is_table ~tables path =
+  match List.rev path with
+  | [ "Hashtbl" ] -> true
+  | [ m ] when List.mem m tables -> true
+  | m :: _ -> String.equal m shared_table
+  | [] -> false
+
+(* [path] is [M.iter] or [M.fold] of a hash-table module [M] *)
+let table_iteration ~tables path =
+  match List.rev path with
+  | ("iter" | "fold") :: (_ :: _ as rev_m) -> is_table ~tables (List.rev rev_m)
+  | _ -> false
+
+(* The names of the modules a structure binds to a
+   [Hashtbl.Make]/[MakeSeeded] application or to an alias of a table,
+   at any depth ([let module] included), in source order so an alias
+   sees the bindings before it. *)
+let table_modules (ast : structure) =
+  let tables = ref [] in
+  let rec is_instance (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+        match strip_stdlib (Longident.flatten txt) with
+        | [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true
+        | _ -> false)
+    | Pmod_ident { txt; _ } ->
+        is_table ~tables:!tables (strip_stdlib (Longident.flatten txt))
+    | Pmod_constraint (me, _) -> is_instance me
+    | _ -> false
+  in
+  let bind name me =
+    match name with
+    | Some name when is_instance me -> tables := name :: !tables
+    | _ -> ()
+  in
+  let module_binding (self : Ast_iterator.iterator) (mb : module_binding) =
+    bind mb.pmb_name.txt mb.pmb_expr;
+    Ast_iterator.default_iterator.module_binding self mb
+  in
+  let expr (self : Ast_iterator.iterator) (e : expression) =
+    (match e.pexp_desc with
+    | Pexp_letmodule (name, me, _) -> bind name.txt me
+    | _ -> ());
+    Ast_iterator.default_iterator.expr self e
+  in
+  let it = { Ast_iterator.default_iterator with module_binding; expr } in
+  it.Ast_iterator.structure it ast;
+  !tables
 
 let add ctx ~(loc : Location.t) rule msg =
   let p = loc.Location.loc_start in
@@ -175,7 +237,7 @@ let check_ident ctx ~loc path =
       add ctx ~loc rule_effect
         "Sys.time: wall-clock reads are banned in library code — use \
          Sim.Core.now (virtual time)"
-  | [ "Hashtbl"; ("iter" | "fold") ] ->
+  | _ when table_iteration ~tables:ctx.tables path ->
       add ctx ~loc rule_hashtbl
         (Fmt.str "%s: hash-bucket iteration order is implementation-defined \
                   and must not escape — sort the result at the boundary, or \
@@ -297,7 +359,7 @@ let lint_file ?exempt_effects path : Report.finding list =
   let exempt_effects =
     match exempt_effects with Some e -> e | None -> default_exempt path
   in
-  let ctx = { file = path; exempt_effects; found = [] } in
+  let ctx = { file = path; exempt_effects; tables = []; found = [] } in
   let pragmas =
     match read_file path with
     | source -> scan_pragmas source
@@ -307,6 +369,7 @@ let lint_file ?exempt_effects path : Report.finding list =
   in
   (match Pparse.parse_implementation ~tool_name:"lint" path with
   | ast ->
+      ctx.tables <- table_modules ast;
       let it = iterator ctx in
       it.Ast_iterator.structure it ast
   | exception e ->

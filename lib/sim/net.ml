@@ -59,7 +59,7 @@ type 'msg t = {
   mutable nodes : 'msg node array;
       (** indexed by id; slots at [n_nodes] and beyond are spare *)
   mutable n_nodes : int;
-  ids : (string, int) Hashtbl.t;  (** name -> id, for the string API *)
+  ids : int Qc_util.Strtbl.t;  (** name -> id, for the string API *)
   cut_links : (string * string, bool) Hashtbl.t;
   filters : (string * string, link_filter) Hashtbl.t;
   mutable sent : int;
@@ -85,7 +85,7 @@ let lognormal_latency ~mu ~sigma : latency =
    on first use: a name never declared to [create] behaves as a
    crashed node. *)
 let id t n =
-  match Hashtbl.find t.ids n with
+  match Qc_util.Strtbl.find t.ids n with
   | i -> i
   | exception Not_found ->
       let i = t.n_nodes in
@@ -96,7 +96,7 @@ let id t n =
       end;
       t.nodes.(i) <- { name = n; up = false; handler = None };
       t.n_nodes <- i + 1;
-      Hashtbl.add t.ids n i;
+      Qc_util.Strtbl.add t.ids n i;
       i
 
 let node_of_id t i =
@@ -117,7 +117,7 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       loss;
       nodes = Array.make (max 1 (List.length nodes)) spare;
       n_nodes = 0;
-      ids = Hashtbl.create 16;
+      ids = Qc_util.Strtbl.create 16;
       cut_links = Hashtbl.create 16;
       filters = Hashtbl.create 16;
       sent = 0;
@@ -145,7 +145,7 @@ let register t ~node:n handler =
 let set_loss t p = t.loss <- p
 
 let is_up t n =
-  match Hashtbl.find t.ids n with
+  match Qc_util.Strtbl.find t.ids n with
   | i -> t.nodes.(i).up
   | exception Not_found -> false
 

@@ -102,7 +102,7 @@ type t = {
           share a name still mint unique ids *)
   mutable next_op : int;  (** per-client operation sequence number *)
   rng : Prng.t;  (** quorum choice in [`Quorum] mode *)
-  own_vns : (string, int) Hashtbl.t;
+  own_vns : int Qc_util.Strtbl.t;
       (** highest version this client has ever issued per key.  A
           write that times out after installing at a minority leaves
           residue at its version; the next write's read quorum need
@@ -180,7 +180,7 @@ let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0)
     shard;
     next_op = 0;
     rng = Prng.create seed;
-    own_vns = Hashtbl.create 16;
+    own_vns = Qc_util.Strtbl.create 16;
     repairs_sent;
     ops_ok;
     ops_failed;
@@ -356,11 +356,9 @@ and start_install t (p : pending) ~value =
   p.phase <- PInstall;
   p.phase_started <- Core.now t.sim;
   p.rid <- rid;
-  let own =
-    Option.value ~default:0 (Hashtbl.find_opt t.own_vns p.key)
-  in
+  let own = try Qc_util.Strtbl.find t.own_vns p.key with Not_found -> 0 in
   let vn = max p.best_vn own + 1 in
-  Hashtbl.replace t.own_vns p.key vn;
+  Qc_util.Strtbl.replace t.own_vns p.key vn;
   p.best_vn <- vn;
   p.best_value <- value;
   gather t p ~rid ~side:`Write (fun rid ->

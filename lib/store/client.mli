@@ -54,7 +54,7 @@ type t = {
           mint unique ids *)
   mutable next_op : int;  (** per-client operation sequence number *)
   rng : Qc_util.Prng.t;
-  own_vns : (string, int) Hashtbl.t;
+  own_vns : int Qc_util.Strtbl.t;
       (** highest version issued per key — the single writer never
           reuses a version, even past a timed-out install that left
           residue at a minority (the coordinator-timestamp role) *)

@@ -3,7 +3,9 @@
     state of Section 3.1 — and answers queries and installs.  An
     install only overwrites when the incoming version number is at
     least the stored one, making retransmissions and stale
-    retries harmless.
+    retries harmless.  The pair lives in one mutable cell per key,
+    beside the key's transaction lock, so a message touching a key
+    looks it up once.
 
     Work is counted through [Obs.Metrics] counters labelled with the
     replica name — pass a shared registry to [create] to aggregate a
@@ -28,6 +30,13 @@
     delays acks, it never weakens what an ack asserts.  Setting
     [group_commit] to false degrades the queue to one install (and one
     fsync) per drain — the naive-fsync baseline of the io ablation. *)
+
+module Strtbl = Qc_util.Strtbl
+
+(** One key's state: the DM pair, and the txid holding the key's
+    lock ([""] when free).  A key's cell, once made, stays in the
+    table for the replica's life, so a prepared entry may hold it. *)
+type cell = { mutable vn : int; mutable value : int; mutable lock : string }
 
 type pending = {
   p_vn : int;
@@ -55,7 +64,8 @@ type rec_lead = {
     locked footprint of a yes-vote, held until the decision. *)
 type txn_entry = {
   e_writes : (string * int) list;  (** this shard's (key, value) writes *)
-  e_reads : string list;  (** this shard's read-only footprint *)
+  e_cells : (string * cell) list;
+      (** the locked footprint, sorted by key, with each key's cell *)
   e_kvs : (string * int * int) list;
       (** the (key, vn, value) snapshot the yes-vote carried *)
   e_acceptors : string list;
@@ -78,7 +88,7 @@ type txn = {
 
 type t = {
   name : string;
-  data : (string, int * int) Hashtbl.t;  (** key -> (vn, value) *)
+  data : cell Strtbl.t;  (** key -> its (vn, value) and lock *)
   queries : Obs.Metrics.counter;
   installs : Obs.Metrics.counter;
   storage : Sim.Storage.t option;
@@ -89,8 +99,7 @@ type t = {
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   (* ---- cross-shard transaction state ---- *)
-  locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
-  txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
+  txns : txn Strtbl.t;  (** txid -> this replica's record *)
   mutable doubt : string array;
   mutable n_doubt : int;
       (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
@@ -127,7 +136,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
   in
   {
     name;
-    data = Hashtbl.create 64;
+    data = Strtbl.create 64;
     queries = Obs.Metrics.counter metrics ~labels "store.replica.queries";
     installs = Obs.Metrics.counter metrics ~labels "store.replica.installs";
     storage;
@@ -136,8 +145,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     draining = false;
     m_fsyncs;
     m_queue_depth;
-    locks = Hashtbl.create 16;
-    txns = Hashtbl.create 16;
+    txns = Strtbl.create 16;
     doubt = [||];
     n_doubt = 0;
     txn_recovery_delay;
@@ -147,8 +155,37 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     on_decided = None;
   }
 
+(* the state every key starts in; never mutated, never in [data] *)
+let fresh = { vn = 0; value = 0; lock = "" }
+
+(* the key's cell, or [fresh] if it has none — for reading only *)
+let find t key = try Strtbl.find t.data key with Not_found -> fresh
+
+(* the key's cell, made on first use *)
+let cell t key =
+  try Strtbl.find t.data key
+  with Not_found ->
+    let c = { vn = 0; value = 0; lock = "" } in
+    Strtbl.add t.data key c;
+    c
+
 let lookup t key =
-  Option.value ~default:(0, 0) (Hashtbl.find_opt t.data key)
+  let c = find t key in
+  (c.vn, c.value)
+
+(* every (key, cell), sorted by key *)
+let cells t =
+  (* lint: order-insensitive *)
+  Strtbl.fold (fun k c acc -> (k, c) :: acc) t.data []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* A cell holds a value once an install moved it off the initial
+   (0, 0); a cell made only to hold a lock does not. *)
+let bindings t =
+  List.filter_map
+    (fun (k, c) ->
+      if c.vn = 0 && c.value = 0 then None else Some (k, c.vn, c.value))
+    (cells t)
 
 (** Queries + installs handled — the "load" dimension quorum targeting
     tunes. *)
@@ -159,9 +196,13 @@ let fsyncs t =
 
 let queue_depth t = Queue.length t.queue
 
-let apply t ~vn ~key ~value =
-  let cur_vn, _ = lookup t key in
-  if vn >= cur_vn then Hashtbl.replace t.data key (vn, value)
+let install c ~vn ~value =
+  if vn >= c.vn then begin
+    c.vn <- vn;
+    c.value <- value
+  end
+
+let apply t ~vn ~key ~value = install (cell t key) ~vn ~value
 
 (* ---------- cross-shard transactions ---------- *)
 
@@ -169,12 +210,11 @@ let set_on_decided t f = t.on_decided <- Some f
 
 (* the transaction's record, created on first sight *)
 let txn t txid =
-  match Hashtbl.find_opt t.txns txid with
-  | Some x -> x
-  | None ->
-      let x = { reg = Register.create (); prepared = None } in
-      Hashtbl.replace t.txns txid x;
-      x
+  try Strtbl.find t.txns txid
+  with Not_found ->
+    let x = { reg = Register.create (); prepared = None } in
+    Strtbl.add t.txns txid x;
+    x
 
 (* The in-doubt index: a txid joins at prepare and leaves at resolve,
    swapped out by the last one.  It holds only the transactions
@@ -202,11 +242,9 @@ let in_doubt t =
   List.sort String.compare (Array.to_list (Array.sub t.doubt 0 t.n_doubt))
 
 let locked_keys t =
-  (* lint: order-insensitive *)
-  Hashtbl.fold (fun k txid acc -> (k, txid) :: acc) t.locks []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let txn_footprint e = List.map fst e.e_writes @ e.e_reads
+  List.filter_map
+    (fun (k, c) -> if String.equal c.lock "" then None else Some (k, c.lock))
+    (cells t)
 
 (* the sim tracer, when the replica is attached — recovery runs on
    timers, outside [serve]'s tracer argument *)
@@ -219,6 +257,11 @@ let txn_trace t ~name ~txid ~extra =
         Obs.Trace.instant tr ~cat:"store" ~name ~track:t.name
           ~args:(("txid", Obs.Trace.Str txid) :: extra)
           ()
+
+(* the cell of [k] in a prepared footprint that holds it *)
+let rec cell_of k = function
+  | (k', c) :: rest -> if String.equal k k' then c else cell_of k rest
+  | [] -> raise Not_found
 
 (* Learn (idempotently) the transaction's decision: record it, fire
    the decision hook once, install this shard's prepared writes at
@@ -239,15 +282,12 @@ let txn_apply_decision t x ~txid ~commit ~writes =
             match List.find_opt (fun (k', _, _) -> String.equal k' k) writes with
             | Some (_, vn, value) ->
                 Obs.Metrics.inc t.installs;
-                apply t ~vn ~key:k ~value
+                install (cell_of k e.e_cells) ~vn ~value
             | None -> ())
           e.e_writes;
       List.iter
-        (fun k ->
-          match Hashtbl.find_opt t.locks k with
-          | Some owner when String.equal owner txid -> Hashtbl.remove t.locks k
-          | _ -> ())
-        (txn_footprint e);
+        (fun (_, c) -> if String.equal c.lock txid then c.lock <- "")
+        e.e_cells;
       x.prepared <- None;
       doubt_remove t txid 0;
       (match t.txn_sim with
@@ -459,8 +499,8 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
             ([ ("key", Obs.Trace.Str key); ("rid", Obs.Trace.Int rid) ]
             @ ctx_args ctx)
           ();
-      let vn, value = lookup t key in
-      reply (Protocol.Query_rep { rid; key; vn; value })
+      let c = find t key in
+      reply (Protocol.Query_rep { rid; key; vn = c.vn; value = c.value })
   | Protocol.Install_req { rid; key; vn; value; ctx } -> (
       Obs.Metrics.inc t.installs;
       if Obs.Trace.enabled tr then
@@ -565,33 +605,30 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
               (* canonical order: two-phase locking stays deadlock-free
                  only if every multi-key acquisition walks one global
                  key order (the lock-order lint proves this shape) *)
-              let footprint =
-                List.sort_uniq String.compare (List.map fst writes @ reads)
+              let cells =
+                List.sort_uniq
+                  (fun (a, _) (b, _) -> String.compare a b)
+                  (List.fold_left
+                     (fun acc (k, _) -> (k, cell t k) :: acc)
+                     (List.map (fun k -> (k, cell t k)) reads)
+                     writes)
               in
               let conflict =
                 List.exists
-                  (fun k ->
-                    match Hashtbl.find_opt t.locks k with
-                    | Some owner -> not (String.equal owner txid)
-                    | None -> false)
-                  footprint
+                  (fun (_, c) ->
+                    not (String.equal c.lock "" || String.equal c.lock txid))
+                  cells
               in
               if conflict then
                 reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
               else begin
-                List.iter (fun k -> Hashtbl.replace t.locks k txid) footprint;
-                let kvs =
-                  List.map
-                    (fun k ->
-                      let vn, v = lookup t k in
-                      (k, vn, v))
-                    footprint
-                in
+                List.iter (fun (_, c) -> c.lock <- txid) cells;
+                let kvs = List.map (fun (k, c) -> (k, c.vn, c.value)) cells in
                 x.prepared <-
                   Some
                     {
                       e_writes = writes;
-                      e_reads = reads;
+                      e_cells = cells;
                       e_kvs = kvs;
                       e_acceptors = acceptors;
                       e_index = Register.index acceptors t.name;
@@ -626,11 +663,11 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
           reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
   | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
-      match Hashtbl.find_opt t.txns txid with
+      match Strtbl.find_opt t.txns txid with
       | Some x -> lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted
       | None -> ())
   | Protocol.Txn_p2b { txid; bal; ok; _ } -> (
-      match Hashtbl.find_opt t.txns txid with
+      match Strtbl.find_opt t.txns txid with
       | Some x -> lead_on_p2b t x ~src ~txid ~bal ~ok
       | None -> ())
   | Protocol.Txn_decide_ack { txid; _ } ->

@@ -26,6 +26,11 @@
 type pending
 (** An install waiting in the apply queue. *)
 
+type cell
+(** One key's state: its (vn, value) pair and the txid holding its
+    transaction lock.  A prepared transaction keeps its footprint's
+    cells, so its decision and lock release look nothing up. *)
+
 type txn
 (** Everything one replica knows about one transaction: its
     {!Register} state and, while it is in doubt here, its prepared
@@ -33,7 +38,7 @@ type txn
 
 type t = {
   name : string;
-  data : (string, int * int) Hashtbl.t;
+  data : cell Qc_util.Strtbl.t;  (** key -> its cell *)
   queries : Obs.Metrics.counter;
   installs : Obs.Metrics.counter;
   storage : Sim.Storage.t option;
@@ -43,8 +48,7 @@ type t = {
   mutable draining : bool;  (** a group is at the device right now *)
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
-  locks : (string, string) Hashtbl.t;  (** key -> txid holding its lock *)
-  txns : (string, txn) Hashtbl.t;  (** txid -> this replica's record *)
+  txns : txn Qc_util.Strtbl.t;  (** txid -> this replica's record *)
   mutable doubt : string array;
   mutable n_doubt : int;
       (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
@@ -82,6 +86,17 @@ val create :
     attempts so the event queue always drains. *)
 
 val lookup : t -> string -> int * int
+(** The key's (vn, value); [(0, 0)] for a key never installed here. *)
+
+val apply : t -> vn:int -> key:string -> value:int -> unit
+(** Install [(vn, value)] at [key] directly, if [vn] is at least the
+    stored version — the effect of a storage-free [Install_req], with
+    no counter, trace or reply.  For tests that seed replica state. *)
+
+val bindings : t -> (string * int * int) list
+(** The (key, vn, value) of every key an install moved off the
+    initial [(0, 0)], sorted by key.  A key that was only ever locked
+    is not among them. *)
 
 val load : t -> int
 (** Queries + installs handled. *)

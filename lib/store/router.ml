@@ -128,20 +128,17 @@ let attach t =
     order, each shard's keys in input order.  No deduplication — a key
     given twice appears twice.  The txn layer's footprint split. *)
 let route_many t keys =
-  let buckets : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* each shard's keys, newest first; a shard joins [order] with its
+     first key *)
+  let buckets = Array.make (Array.length t.shards) [] in
   let order = ref [] in
   List.iter
     (fun key ->
       let s = t.shard_of key in
-      match Hashtbl.find_opt buckets s with
-      | Some r -> r := key :: !r
-      | None ->
-          Hashtbl.replace buckets s (ref [ key ]);
-          order := s :: !order)
+      (match buckets.(s) with [] -> order := s :: !order | _ :: _ -> ());
+      buckets.(s) <- key :: buckets.(s))
     keys;
-  List.rev_map
-    (fun s -> (s, List.rev !(Hashtbl.find buckets s)))
-    !order
+  List.rev_map (fun s -> (s, List.rev buckets.(s))) !order
 
 let read t ~key ~on_done =
   Client.read t.shards.(t.shard_of key) ~key ~on_done

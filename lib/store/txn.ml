@@ -88,6 +88,48 @@ type part = {
   p_base : int;  (** index of the shard's first replica among the acceptors *)
 }
 
+(* The merged prepare-time snapshot of one attempt, over its footprint
+   (write keys, then read keys; a repeated key counts at its first
+   position [i]): the highest (vn, value) any yes-vote carried for the
+   key, at [vals.(2i)] and [vals.(2i+1)], vn [-1] until one has.  A
+   footprint has a handful of keys, so a scan beats hashing. *)
+type snap = { keys : string array; vals : int array }
+
+let snap_create wkeys reads =
+  let nw = List.length wkeys in
+  let n = nw + List.length reads in
+  let keys = Array.make n "" in
+  List.iteri (fun i k -> keys.(i) <- k) wkeys;
+  List.iteri (fun i k -> keys.(nw + i) <- k) reads;
+  { keys; vals = Array.make (2 * n) (-1) }
+
+(* twice the position of [k] from [i] on; -2 for a key outside the
+   footprint *)
+let rec snap_from keys k i =
+  if i = Array.length keys then -2
+  else if String.equal keys.(i) k then 2 * i
+  else snap_from keys k (i + 1)
+
+let snap_at s k = snap_from s.keys k 0
+
+(* a vote's (vn, value) for [k]: kept if newer than what the snapshot
+   holds — each key lives on one shard, so the newest vote wins *)
+let snap_note s k ~vn ~value =
+  let j = snap_at s k in
+  if j >= 0 && vn > s.vals.(j) then begin
+    s.vals.(j) <- vn;
+    s.vals.(j + 1) <- value
+  end
+
+(* the snapshot's version of [k], 0 if no vote carried one *)
+let snap_vn s k =
+  let j = snap_at s k in
+  if j < 0 then 0 else max 0 s.vals.(j)
+
+let snap_kv s k =
+  let j = snap_at s k in
+  if j < 0 || s.vals.(j) < 0 then (k, 0, 0) else (k, s.vals.(j), s.vals.(j + 1))
+
 let txn_instant t ~name ~txid ~extra =
   let tr = Core.tracer t.sim in
   if Obs.Trace.enabled tr then
@@ -132,22 +174,13 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
     txid
   end
   else begin
-    (* merged prepare-time snapshot: key -> highest (vn, value) seen
-       across the vote quorums (each key lives on exactly one shard) *)
-    let snap : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
+    let snap = snap_create wkeys reads in
     let live = ref true in
     let phase = ref `Prepare in
     let prepared = ref 0 in
     let applied_done = ref 0 in
     let parts = ref [] in
-    let read_results () =
-      List.map
-        (fun k ->
-          match Hashtbl.find_opt snap k with
-          | Some (vn, v) -> (k, vn, v)
-          | None -> (k, 0, 0))
-        reads
-    in
+    let read_results () = List.map (snap_kv snap) reads in
     let finish_all () =
       List.iter
         (fun p -> Engine.finish_op p.p_client.Client.eng p.p_op)
@@ -224,13 +257,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         else conclude ~committed:false ~reads:[]
     in
     let final_writes () =
-      List.map
-        (fun (k, v) ->
-          let vn =
-            match Hashtbl.find_opt snap k with Some (vn, _) -> vn | None -> 0
-          in
-          (k, vn + 1, v))
-        writes
+      List.map (fun (k, v) -> (k, snap_vn snap k + 1, v)) writes
     in
     (* ballot-0 phase 2: propose Commit to every acceptor (one call
        per shard so replies demultiplex); a majority of accepts
@@ -338,10 +365,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
                    if !phase <> `Prepare then Engine.Done
                    else begin
                      List.iter
-                       (fun (k, vn, v) ->
-                         match Hashtbl.find_opt snap k with
-                         | Some (vn', _) when vn' >= vn -> ()
-                         | _ -> Hashtbl.replace snap k (vn, v))
+                       (fun (k, vn, value) -> snap_note snap k ~vn ~value)
                        kvs;
                      let mask = heard lor (1 lsl member) in
                      if

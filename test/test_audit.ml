@@ -481,6 +481,25 @@ let test_generator_coverage () =
   done;
   Alcotest.(check int) "all nine kinds generated" 9 (Hashtbl.length seen)
 
+(* The audit's typed write-set equality agrees with polymorphic [=] on
+   random write sets (a small key/version/value pool, so equal sets
+   come up), on one physical list, and on lists sharing a tail. *)
+let prop_same_writes =
+  let ws =
+    QCheck.(
+      small_list
+        (triple (oneofl [ "k0"; "k1"; "k2" ]) (int_range 0 2) (int_range 0 2)))
+  in
+  QCheck.Test.make ~count:1000 ~name:"same_writes agrees with ="
+    QCheck.(triple ws ws ws)
+    (fun (a, b, tl) ->
+      let same = Check.same_writes in
+      same a b = (a = b)
+      && same a a
+      && same (a @ tl) (b @ tl) = (a = b)
+      && same (List.rev_append a tl) (List.rev_append b tl)
+         = (List.rev_append a tl = List.rev_append b tl))
+
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
@@ -504,5 +523,6 @@ let suites =
         Alcotest.test_case "generator reaches every kind" `Quick
           test_generator_coverage;
         qcheck prop_matches_oracle;
+        qcheck prop_same_writes;
       ] );
   ]

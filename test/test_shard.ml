@@ -362,6 +362,50 @@ let test_route_many_groups () =
           (Router.route_many r (List.init 12 Store.Workload.key_name)))
     [ `Hash; `Range ]
 
+(* The Hashtbl-bucket [route_many] the shard-indexed one replaced: the
+   reference of the differential below. *)
+let route_many_buckets r keys =
+  let buckets : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
+  let order = ref [] in
+  List.iter
+    (fun key ->
+      let s = Router.shard_of r key in
+      match Hashtbl.find_opt buckets s with
+      | Some l -> l := key :: !l
+      | None ->
+          Hashtbl.replace buckets s (ref [ key ]);
+          order := s :: !order)
+    keys;
+  List.rev_map (fun s -> (s, List.rev !(Hashtbl.find buckets s))) !order
+
+(* Same shards in the same order, same keys in the same order,
+   duplicates kept — over 1 to 5 shards, both schemes, keys drawn from
+   a small pool (so repeats are common) that mixes numbered keys inside
+   and outside the range partition with unnumbered ones. *)
+let prop_route_many_matches_buckets =
+  QCheck.Test.make ~count:200 ~name:"route_many = Hashtbl-bucket split"
+    QCheck.(
+      triple (int_range 1 5) bool (small_list (int_range 0 44)))
+    (fun (n_shards, hash, picks) ->
+      let sim = Core.create ~seed:1 in
+      let groups = Store.Cluster.group_names ~n_shards ~n_replicas:1 in
+      let nodes =
+        (Array.to_list groups |> List.concat_map Array.to_list) @ [ "c0" ]
+      in
+      let net = Net.create ~sim ~nodes () in
+      let r =
+        Router.create ~name:"c0" ~sim ~net ~groups
+          ~strategies:(Array.make n_shards (Store.Strategy.majority 1))
+          ~scheme:(if hash then `Hash else `Range) ~n_keys:30 ()
+      in
+      let keys =
+        List.map
+          (fun i ->
+            if i < 40 then Store.Workload.key_name i else Fmt.str "x%d" i)
+          picks
+      in
+      Router.route_many r keys = route_many_buckets r keys)
+
 (* The multi-shard router dispatches a reply by its source's node id:
    to the shard whose group holds the source, and nowhere for a node in
    no group.  Both shard engines start at rid 0, so a misrouted reply
@@ -454,6 +498,7 @@ let suites =
           `Quick test_key_name_contract;
         Alcotest.test_case "route_many groups by shard" `Quick
           test_route_many_groups;
+        qcheck prop_route_many_matches_buckets;
         Alcotest.test_case "a reply goes to its source's shard" `Quick
           test_router_reply_owner;
         Alcotest.test_case "default runs match pre-router traces" `Slow

@@ -568,7 +568,7 @@ let test_install_primitive () =
 (* stale installs (lower version) must not clobber newer data *)
 let test_stale_install_ignored () =
   let r = Store.Replica.create ~name:"r" () in
-  Hashtbl.replace r.Store.Replica.data "k" (5, 50);
+  Store.Replica.apply r ~key:"k" ~vn:5 ~value:50;
   (* simulate a direct stale install via the protocol handler: use a
      small net *)
   let sim = Sim.Core.create ~seed:5 in
@@ -590,9 +590,9 @@ let test_read_repair_fixes_stale () =
   List.iter (fun r -> Store.Replica.attach r ~net) replicas;
   (* r2 is stale by hand *)
   let r0 = List.nth replicas 0 and r2 = List.nth replicas 2 in
-  Hashtbl.replace r0.Store.Replica.data "k" (5, 50);
-  Hashtbl.replace (List.nth replicas 1).Store.Replica.data "k" (5, 50);
-  Hashtbl.replace r2.Store.Replica.data "k" (2, 20);
+  Store.Replica.apply r0 ~key:"k" ~vn:5 ~value:50;
+  Store.Replica.apply (List.nth replicas 1) ~key:"k" ~vn:5 ~value:50;
+  Store.Replica.apply r2 ~key:"k" ~vn:2 ~value:20;
   let client =
     Store.Client.create ~name:"c0" ~sim ~net
       ~replicas:(Array.of_list replica_names)

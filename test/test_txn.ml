@@ -127,6 +127,74 @@ let test_replica_abort_releases () =
   Alcotest.(check (list (pair string string)))
     "unlocked" [] (Replica.locked_keys r)
 
+(* One cell per key holds the version, the value and the lock: a
+   read-only key that was never written can be locked, a conflicting
+   prepare gets a no-vote and takes no lock, a decision releases only
+   its own transaction's locks, and a key that was only ever locked
+   holds no value — [bindings], what the store REPL's [dump] prints,
+   never lists it. *)
+let test_replica_key_cells () =
+  let r = Replica.create ~name:"r0" () in
+  Replica.apply r ~key:"k0" ~vn:2 ~value:20;
+  let prepare rid txid writes reads =
+    handle r
+      (P.Txn_prepare
+         { rid; txid; writes; reads; acceptors = [ "r0" ]; paxos = false })
+  in
+  let decide rid txid commit writes =
+    match handle r (P.Txn_decide { rid; txid; commit; writes }) with
+    | P.Txn_decide_ack { applied; _ } -> applied
+    | _ -> Alcotest.fail "expected a decide ack"
+  in
+  let locks = Alcotest.(list (pair string string)) in
+  let kvs = Alcotest.(list (triple string int int)) in
+  (match prepare 1 "t1" [ ("k0", 5) ] [ "k9" ] with
+  | P.Txn_vote { yes = true; kvs = got; _ } ->
+      Alcotest.check kvs "the never-written key reads (0, 0)"
+        [ ("k0", 2, 20); ("k9", 0, 0) ]
+        got
+  | _ -> Alcotest.fail "expected a yes vote");
+  (match prepare 2 "t2" [ ("k1", 7) ] [ "k9" ] with
+  | P.Txn_vote { yes = false; kvs = []; _ } -> ()
+  | _ -> Alcotest.fail "expected a no vote on the locked read key");
+  (match prepare 3 "t3" [ ("k2", 1) ] [] with
+  | P.Txn_vote { yes = true; _ } -> ()
+  | _ -> Alcotest.fail "expected a yes vote on a free key");
+  Alcotest.check locks "the refused prepare took no lock"
+    [ ("k0", "t1"); ("k2", "t3"); ("k9", "t1") ]
+    (Replica.locked_keys r);
+  Alcotest.(check (list string)) "in doubt" [ "t1"; "t3" ] (Replica.in_doubt r);
+  Alcotest.(check (pair int int)) "lookup of a locked, unwritten key" (0, 0)
+    (Replica.lookup r "k9");
+  Alcotest.check kvs "a lock is not a value" [ ("k0", 2, 20) ]
+    (Replica.bindings r);
+  Alcotest.(check bool) "the refused txn has nothing to decide" false
+    (decide 4 "t2" false []);
+  Alcotest.check locks "its decision releases nobody's lock"
+    [ ("k0", "t1"); ("k2", "t3"); ("k9", "t1") ]
+    (Replica.locked_keys r);
+  (* the decided write set spans shards: only this shard's key lands *)
+  Alcotest.(check bool) "commit applied" true
+    (decide 5 "t1" true [ ("k0", 3, 5); ("k7", 1, 70) ]);
+  Alcotest.check locks "commit releases only t1's locks" [ ("k2", "t3") ]
+    (Replica.locked_keys r);
+  Alcotest.(check (list string)) "t1 resolved" [ "t3" ] (Replica.in_doubt r);
+  Alcotest.(check (pair int int)) "installed" (3, 5) (Replica.lookup r "k0");
+  Alcotest.(check (pair int int)) "another shard's write" (0, 0)
+    (Replica.lookup r "k7");
+  Alcotest.check kvs "dump after commit" [ ("k0", 3, 5) ] (Replica.bindings r);
+  Alcotest.(check bool) "abort applied" true (decide 6 "t3" false []);
+  Alcotest.check locks "abort releases t3's lock" [] (Replica.locked_keys r);
+  Alcotest.(check (list string)) "nothing in doubt" [] (Replica.in_doubt r);
+  Alcotest.(check (pair int int)) "abort installs nothing" (0, 0)
+    (Replica.lookup r "k2");
+  Alcotest.check kvs "dump after abort" [ ("k0", 3, 5) ] (Replica.bindings r);
+  (* the released read key is free again *)
+  match prepare 7 "t4" [ ("k9", 1) ] [] with
+  | P.Txn_vote { yes = true; kvs = got; _ } ->
+      Alcotest.check kvs "relocked after release" [ ("k9", 0, 0) ] got
+  | _ -> Alcotest.fail "expected a yes vote once k9 is free"
+
 (* Paxos acceptor logic on the decision register: promises are
    monotone, accepted values surface in phase 1, decided registers
    short-circuit. *)
@@ -662,6 +730,8 @@ let suites =
           test_replica_prepare_vote_decide;
         Alcotest.test_case "abort releases locks" `Quick
           test_replica_abort_releases;
+        Alcotest.test_case "one cell per key: version, value, lock" `Quick
+          test_replica_key_cells;
         Alcotest.test_case "acceptor ballot discipline" `Quick
           test_replica_acceptor_ballots;
         Alcotest.test_case "acceptor for an unprepared txid" `Quick

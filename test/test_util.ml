@@ -1,4 +1,4 @@
-(* Tests for the deterministic PRNG. *)
+(* Tests for the deterministic PRNG and the shared string table. *)
 
 module Prng = Qc_util.Prng
 
@@ -89,6 +89,23 @@ let test_split_independent () =
   let ys = List.init 10 (fun _ -> Prng.int c2 1_000_000) in
   Alcotest.(check bool) "children differ" true (xs <> ys)
 
+(* [Strtbl] fills buckets, and so iterates, exactly as a polymorphic
+   [Hashtbl] would: its hash is [Hashtbl.hash] on strings, and the same
+   bindings inserted in the same order fold in the same order. *)
+let prop_strtbl_matches_hashtbl =
+  QCheck.Test.make ~count:300 ~name:"Strtbl hashes and folds like Hashtbl"
+    QCheck.(small_list (pair small_printable_string small_nat))
+    (fun kvs ->
+      let t = Qc_util.Strtbl.create 4 and h = Hashtbl.create 4 in
+      List.iter
+        (fun (k, v) ->
+          Qc_util.Strtbl.replace t k v;
+          Hashtbl.replace h k v)
+        kvs;
+      List.for_all (fun (k, _) -> String.hash k = Hashtbl.hash k) kvs
+      && Qc_util.Strtbl.fold (fun k v acc -> (k, v) :: acc) t []
+         = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
 let suites =
   [
     ( "util.prng",
@@ -105,5 +122,11 @@ let suites =
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "subset probability" `Quick test_subset_probability;
         Alcotest.test_case "split independence" `Quick test_split_independent;
+      ] );
+    ( "util.strtbl",
+      [
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 0x5eed |])
+          prop_strtbl_matches_hashtbl;
       ] );
   ]
