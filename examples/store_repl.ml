@@ -275,6 +275,21 @@ let () =
       ~shard:(Store.Router.shard_of !w.router key)
       ~read ~ok ~latency
   in
+  (* Fault commands may name only the world's own nodes: [Net] would
+     take any other name for a new node, down until recovered. *)
+  let with_nodes names f =
+    let nodes =
+      List.concat_map Array.to_list (Array.to_list !w.groups) @ [ "client" ]
+    in
+    match
+      List.find_opt
+        (fun n -> not (List.exists (String.equal n) nodes))
+        names
+    with
+    | None -> f ()
+    | Some bad ->
+        Fmt.pr "unknown node %s (nodes: %s)@." bad (String.concat " " nodes)
+  in
   let rec loop () =
     match In_channel.input_line stdin with
     | None -> ()
@@ -325,20 +340,24 @@ let () =
                     else Fmt.pr "FAIL %s (no read quorum)@." key));
             loop ()
         | [ "crash"; node ] ->
-            Net.crash !w.net node;
-            Fmt.pr "crashed %s@." node;
+            with_nodes [ node ] (fun () ->
+                Net.crash !w.net node;
+                Fmt.pr "crashed %s@." node);
             loop ()
         | [ "recover"; node ] ->
-            Net.recover !w.net node;
-            Fmt.pr "recovered %s@." node;
+            with_nodes [ node ] (fun () ->
+                Net.recover !w.net node;
+                Fmt.pr "recovered %s@." node);
             loop ()
         | [ "cut"; a; b ] ->
-            Net.cut_link !w.net a b;
-            Fmt.pr "cut %s <-> %s@." a b;
+            with_nodes [ a; b ] (fun () ->
+                Net.cut_link !w.net a b;
+                Fmt.pr "cut %s <-> %s@." a b);
             loop ()
         | [ "heal"; a; b ] ->
-            Net.heal_link !w.net a b;
-            Fmt.pr "healed %s <-> %s@." a b;
+            with_nodes [ a; b ] (fun () ->
+                Net.heal_link !w.net a b;
+                Fmt.pr "healed %s <-> %s@." a b);
             loop ()
         | [ "dump" ] ->
             List.iter

@@ -212,7 +212,7 @@ let of_string s : (t, string) result =
 let valid_name n =
   n <> ""
   && String.for_all
-       (fun c -> not (List.mem c [ ' '; ','; '/'; '>'; ';'; '@' ]))
+       (function ' ' | ',' | '/' | '>' | ';' | '@' -> false | _ -> true)
        n
 
 let validate_action ~n_shards = function

@@ -25,24 +25,58 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
-type key = { name : string; labels : labels }
+(* A registry key carries its hash, computed once when the key is made
+   (a fold of [String.hash] over the name and the canonical labels), so
+   neither a lookup nor a rehash of the growing table hashes a string
+   again. *)
+type key = { name : string; labels : labels; hash : int }
+
+module Ktbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.hash = b.hash
+    && String.equal a.name b.name
+    && List.equal
+         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
+         a.labels b.labels
+
+  let hash k = k.hash
+end)
 
 type t = {
-  tbl : (key, instrument) Hashtbl.t;
-  mutable order : key list;  (** reverse registration order *)
+  tbl : instrument Ktbl.t;
+  mutable order : (key * instrument) list;  (** reverse registration order *)
 }
 
-let create () = { tbl = Hashtbl.create 32; order = [] }
+let create () = { tbl = Ktbl.create 32; order = [] }
 
 let compare_label (k1, v1) (k2, v2) =
   let c = String.compare k1 k2 in
   if c <> 0 then c else String.compare v1 v2
 
-let canonical labels = List.sort compare_label labels
+(* Labels are almost always given sorted (or singly): keep those as
+   they are, and sort only the rest. *)
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare_label a b <= 0 && sorted rest
+  | [] | [ _ ] -> true
+
+let canonical labels =
+  if sorted labels then labels else List.sort compare_label labels
+
+let make_key name labels =
+  let labels = canonical labels in
+  let mix h x = (h * 31) + x in
+  let hash =
+    List.fold_left
+      (fun h (k, v) -> mix (mix h (String.hash k)) (String.hash v))
+      (String.hash name) labels
+  in
+  { name; labels; hash }
 
 let find_or_add t ~name ~labels make classify =
-  let key = { name; labels = canonical labels } in
-  match Hashtbl.find_opt t.tbl key with
+  let key = make_key name labels in
+  match Ktbl.find_opt t.tbl key with
   | Some i -> (
       match classify i with
       | Some v -> v
@@ -52,8 +86,8 @@ let find_or_add t ~name ~labels make classify =
                name))
   | None ->
       let v, i = make () in
-      Hashtbl.replace t.tbl key i;
-      t.order <- key :: t.order;
+      Ktbl.add t.tbl key i;
+      t.order <- (key, i) :: t.order;
       v
 
 let counter t ?(labels = []) name : counter =
@@ -157,14 +191,11 @@ let dump t : string =
   let buf = Buffer.create 256 in
   let ppf = Fmt.with_buffer buf in
   List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> ()
-      | Some (Counter c) ->
-          Fmt.pf ppf "%s%a %d@." key.name pp_labels key.labels c.c
-      | Some (Gauge g) ->
-          Fmt.pf ppf "%s%a %g@." key.name pp_labels key.labels g.g
-      | Some (Histogram h) ->
+    (fun (key, i) ->
+      match i with
+      | Counter c -> Fmt.pf ppf "%s%a %d@." key.name pp_labels key.labels c.c
+      | Gauge g -> Fmt.pf ppf "%s%a %g@." key.name pp_labels key.labels g.g
+      | Histogram h ->
           Fmt.pf ppf "%s%a count=%d sum=%g%a@." key.name pp_labels key.labels
             h.count h.sum.(0)
             Fmt.(

@@ -14,7 +14,16 @@ module Prng = Qc_util.Prng
 
 type verdict = Continue | Done
 
-module Itbl = Hashtbl.Make (Int)
+(* Int-keyed tables that hash a key as itself: rids are sequential and
+   node ids small, so buckets spread evenly without [Int.hash] (a
+   generic [caml_hash] call on OCaml 5.1).  Neither table is iterated,
+   so bucket order is never observed. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
 
 (** A replica group: the members' names, for traces and callers, and
     their node ids, which the send and reply paths use.  Bit [i] of a

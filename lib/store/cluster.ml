@@ -328,18 +328,9 @@ let drive_txns w spec ~audit ~attempted ~finished =
       let rec next remaining =
         if remaining > 0 then
           Core.schedule w.sim ~delay:(think ()) (fun () ->
-              (* a distinct-key Zipf footprint (bounded redraws) *)
-              let keys = ref [] and have = ref 0 and tries = ref 0 in
-              let cap = 100 * spec.keys_per_txn in
-              while !have < spec.keys_per_txn && !tries < cap do
-                incr tries;
-                let k = Workload.key_name (Workload.sample w.z w.wrng) in
-                if not (List.exists (String.equal k) !keys) then begin
-                  keys := k :: !keys;
-                  incr have
-                end
-              done;
-              let keys = List.rev !keys in
+              let keys =
+                Workload.footprint w.z w.wrng ~size:spec.keys_per_txn
+              in
               let reads = List.filteri (fun i _ -> i < n_reads) keys in
               let wkeys = List.filteri (fun i _ -> i >= n_reads) keys in
               let txn_no = spec.txns_per_client - remaining in

@@ -10,7 +10,10 @@
 
 module Prng = Qc_util.Prng
 
-type zipf = { cdf : float array }
+(* [names.(i)] is rank [i]'s key name, made on first use and kept for
+   the life of the world ([""] until then), so no operation formats a
+   key. *)
+type zipf = { cdf : float array; names : string array }
 
 (** Zipf(s) over [n] ranks, by inverse-CDF sampling. *)
 let zipf ~n ~s =
@@ -23,7 +26,7 @@ let zipf ~n ~s =
       acc := !acc +. (w /. total);
       cdf.(i) <- !acc)
     weights;
-  { cdf }
+  { cdf; names = Array.make n "" }
 
 let sample z rng =
   let u = Prng.float rng in
@@ -65,15 +68,40 @@ type op = Read of string | Write of string * int
 
 let key_name i = "k" ^ string_of_int i
 
+(* A write owner's fallback key can lie past the Zipf ranks (a client
+   index at or above [n_keys]): that one is made each time. *)
+let name z i =
+  if i >= Array.length z.names then key_name i
+  else
+    match z.names.(i) with
+    | "" ->
+        let k = key_name i in
+        z.names.(i) <- k;
+        k
+    | k -> k
+
 (** The next operation for [client] (index [ci] of [n_clients]):
     reads go anywhere; writes are restricted to keys this client owns
     (key index mod n_clients = ci). *)
 let next_op spec z rng ~ci ~n_clients ~op_counter : op =
   if Prng.float rng < spec.read_fraction then
-    Read (key_name (sample z rng))
+    Read (name z (sample z rng))
   else
     (* project the sampled key onto this client's ownership class *)
     let k = sample z rng in
     let k = k - (k mod n_clients) + ci in
     let k = if k < spec.n_keys then k else ci in
-    Write (key_name k, (op_counter * 1000) + ci)
+    Write (name z k, (op_counter * 1000) + ci)
+
+let footprint z rng ~size =
+  let keys = ref [] and have = ref 0 and tries = ref 0 in
+  let cap = 100 * size in
+  while !have < size && !tries < cap do
+    incr tries;
+    let k = name z (sample z rng) in
+    if not (List.exists (String.equal k) !keys) then begin
+      keys := k :: !keys;
+      incr have
+    end
+  done;
+  List.rev !keys

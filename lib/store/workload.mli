@@ -26,8 +26,20 @@ val default_spec : spec
 type op = Read of string | Write of string * int
 
 val key_name : int -> string
+(** The key of rank [i]: ["k"] then [i] in decimal. *)
+
+val name : zipf -> int -> string
+(** [key_name i], made on the first call for rank [i] and kept in the
+    [zipf] value: every later call returns the same string.  A rank
+    past the Zipf's [n] gets a fresh [key_name i] each time. *)
 
 val next_op :
   spec -> zipf -> Qc_util.Prng.t -> ci:int -> n_clients:int -> op_counter:int -> op
 (** The next operation for client [ci]: reads anywhere, writes only to
-    keys the client owns (key index mod n_clients = ci). *)
+    keys the client owns (key index mod n_clients = ci).  Keys come
+    from {!name}. *)
+
+val footprint : zipf -> Qc_util.Prng.t -> size:int -> string list
+(** [size] distinct keys in draw order, by Zipf draws with repeats
+    redrawn (at most [100 * size] draws, so a footprint can come out
+    short).  Keys come from {!name}. *)

@@ -251,6 +251,182 @@ let test_histogram_observe_words () =
     "lat{op=read} count=8 sum=nan le_1=2 le_2=2 le_5=2 le_inf=2\n"
     (Metrics.dump m)
 
+(* The registry against a reference: an association list keyed by
+   (name, sorted labels), in registration order.  A random sequence of
+   registrations, each followed by an update, with label lists given
+   in any order: a key registered again returns the very same
+   instrument, a new key a fresh one, a kind mismatch raises, and the
+   dump matches the reference's byte for byte. *)
+type model_inst =
+  | M_counter of Metrics.counter * int ref
+  | M_gauge of Metrics.gauge * float ref
+  | M_hist of Metrics.histogram * float list ref
+
+let label_pool =
+  [| ("op", "read"); ("op", "write"); ("replica", "r0"); ("client", "c1") |]
+
+let model_labels bits seed =
+  let a =
+    Array.of_list
+      (List.filteri
+         (fun i _ -> bits land (1 lsl i) <> 0)
+         (Array.to_list label_pool))
+  in
+  let st = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let model_dump order =
+  let labels = function
+    | [] -> ""
+    | l ->
+        "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l) ^ "}"
+  in
+  String.concat ""
+    (List.map
+       (fun ((name, l), inst) ->
+         match inst with
+         | M_counter (_, n) -> Printf.sprintf "%s%s %d\n" name (labels l) !n
+         | M_gauge (_, g) -> Printf.sprintf "%s%s %g\n" name (labels l) !g
+         | M_hist (_, xs) ->
+             let le b = List.length (List.filter (fun x -> x <= b) !xs) in
+             let buckets = Array.to_list Metrics.default_buckets in
+             let counts =
+               List.mapi
+                 (fun i b ->
+                   let below =
+                     if i = 0 then 0 else le (List.nth buckets (i - 1))
+                   in
+                   Printf.sprintf " le_%g=%d" b (le b - below))
+                 buckets
+             in
+             let top = le (List.nth buckets (List.length buckets - 1)) in
+             Printf.sprintf "%s%s count=%d sum=%g%s le_inf=%d\n" name (labels l)
+               (List.length !xs)
+               (List.fold_left ( +. ) 0.0 (List.rev !xs))
+               (String.concat "" counts)
+               (List.length !xs - top))
+       (List.rev order))
+
+let prop_registry_model =
+  QCheck.Test.make ~count:300 ~name:"registry matches an assoc-list model"
+    QCheck.(
+      list_of_size Gen.(0 -- 60)
+        (quad (int_bound 2) (int_bound 2) (int_bound 15)
+           (pair small_nat small_nat)))
+    (fun ops ->
+      let m = Metrics.create () in
+      let order = ref [] in
+      List.iter
+        (fun (kind, name, bits, (seed, amount)) ->
+          let name = [| "rpc.sent"; "rpc"; "lat" |].(name) in
+          let given = model_labels bits seed in
+          let key = (name, List.sort compare given) in
+          let register () =
+            match kind with
+            | 0 -> `C (Metrics.counter m ~labels:given name)
+            | 1 -> `G (Metrics.gauge m ~labels:given name)
+            | _ -> `H (Metrics.histogram m ~labels:given name)
+          in
+          match (List.assoc_opt key !order, kind) with
+          | None, _ -> (
+              let inst =
+                match register () with
+                | `C c -> M_counter (c, ref 0)
+                | `G g -> M_gauge (g, ref 0.0)
+                | `H h -> M_hist (h, ref [])
+              in
+              (* a new key's instrument is none of the earlier ones *)
+              List.iter
+                (fun (_, old) ->
+                  let same =
+                    match (old, inst) with
+                    | M_counter (a, _), M_counter (b, _) -> a == b
+                    | M_gauge (a, _), M_gauge (b, _) -> a == b
+                    | M_hist (a, _), M_hist (b, _) -> a == b
+                    | _ -> false
+                  in
+                  if same then QCheck.Test.fail_report "distinct keys shared")
+                !order;
+              order := (key, inst) :: !order;
+              match inst with
+              | M_counter (c, n) ->
+                  Metrics.inc ~by:amount c;
+                  n := !n + amount
+              | M_gauge (g, v) ->
+                  Metrics.set g (float_of_int amount);
+                  v := float_of_int amount
+              | M_hist (h, xs) ->
+                  Metrics.observe h (float_of_int amount *. 7.5);
+                  xs := (float_of_int amount *. 7.5) :: !xs)
+          | Some (M_counter (c, n)), 0 -> (
+              match register () with
+              | `C c' when c' == c ->
+                  Metrics.inc ~by:amount c';
+                  n := !n + amount
+              | _ -> QCheck.Test.fail_report "counter not shared")
+          | Some (M_gauge (g, v)), 1 -> (
+              match register () with
+              | `G g' when g' == g ->
+                  Metrics.set g' (float_of_int amount);
+                  v := float_of_int amount
+              | _ -> QCheck.Test.fail_report "gauge not shared")
+          | Some (M_hist (h, xs)), 2 -> (
+              match register () with
+              | `H h' when h' == h ->
+                  Metrics.observe h' (float_of_int amount *. 7.5);
+                  xs := (float_of_int amount *. 7.5) :: !xs
+              | _ -> QCheck.Test.fail_report "histogram not shared")
+          | Some _, _ -> (
+              match register () with
+              | exception Invalid_argument _ -> ()
+              | _ -> QCheck.Test.fail_report "kind mismatch accepted"))
+        ops;
+      String.equal (Metrics.dump m) (model_dump !order))
+
+(* The whole registry of a run, pinned by digest: every instrument a
+   cluster registers, in registration order, with its final value.
+   One default run, and one in the shape of the swarm_faults benchmark
+   (4 shards of 3, hedged retries, a generated fault script). *)
+let dump_digest p =
+  let r = Store.Cluster.run p in
+  Digest.to_hex (Digest.string (Metrics.dump r.Store.Cluster.metrics))
+
+let swarm_faults_params seed =
+  let groups =
+    Array.init 4 (fun s -> Array.init 3 (fun i -> Fmt.str "s%d:r%d" s i))
+  in
+  let clients = List.init 3 (fun i -> Fmt.str "c%d" i) in
+  {
+    Store.Cluster.default_params with
+    n_replicas = 3;
+    n_clients = 3;
+    n_shards = 4;
+    targeting = `Quorum;
+    policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
+    workload =
+      {
+        Store.Workload.default_spec with
+        ops_per_client = 40;
+        read_fraction = 0.5;
+      };
+    seed;
+    script =
+      Harness.Gen.script (Qc_util.Prng.create seed) ~groups ~clients
+        ~horizon:300.0;
+  }
+
+let test_cluster_dump_pinned () =
+  Alcotest.(check string) "default run" "844eb03a63d74d479b44f77e162cf0c8"
+    (dump_digest Store.Cluster.default_params);
+  Alcotest.(check string) "swarm_faults shape" "2cabb347986b18ca15a095fcc567c665"
+    (dump_digest (swarm_faults_params 7))
+
 (* ---------- cluster wiring: determinism, balance, layers ---------- *)
 
 let traced_params seed =
@@ -454,6 +630,9 @@ let suites =
         Alcotest.test_case "histogram bucket math" `Quick test_histogram_buckets;
         Alcotest.test_case "observe boxes nothing; dump pinned" `Quick
           test_histogram_observe_words;
+        qcheck prop_registry_model;
+        Alcotest.test_case "whole-cluster dumps pinned" `Quick
+          test_cluster_dump_pinned;
       ] );
     ( "obs.cluster",
       [

@@ -254,6 +254,74 @@ let test_send_order_pinned () =
    a node outside the group — a server the call never addressed, sent
    over the network or handed over by id or by name — reach no
    [on_reply]. *)
+(* More than 64 calls open at once, closed out of order, one rid
+   reused while its first call is still open, and replies to closed and
+   never-issued rids.  Dispatch follows a model of the pending table:
+   the latest call registered under a rid owns it until that call
+   closes, and a reply reaches the owner only while it is live. *)
+let test_many_open_calls () =
+  let sim = Core.create ~seed:9 in
+  let net = Net.create ~sim ~nodes:("c" :: servers) () in
+  List.iter (fun s -> Net.register net ~node:s (fun ~src:_ _ -> ())) servers;
+  let eng = Engine.create ~name:"c" ~sim ~net ~rid_of () in
+  let targets = Engine.group eng (Array.of_list servers) in
+  let n = 100 in
+  (* calls 0 .. n-1 take fresh rids; call n reuses call 10's *)
+  let ops = Array.make (n + 1) None and rids = Array.make (n + 1) 0 in
+  let live = Array.make (n + 1) true and heard = Array.make (n + 1) 0 in
+  let owner = Hashtbl.create 16 in
+  let got = ref [] and want = ref [] in
+  let open_call i ?rid () =
+    let op = Engine.start_op eng ~timeout:1e9 ~on_timeout:ignore in
+    ops.(i) <- Some op;
+    rids.(i) <-
+      Engine.call eng ~op ?rid ~targets ~first:0b1
+        ~make:(fun rid -> Req rid)
+        ~on_reply:(fun ~member ~heard _ ->
+          got := (i, member, heard) :: !got;
+          Engine.Continue)
+        ();
+    Hashtbl.replace owner rids.(i) i
+  in
+  for i = 0 to n - 1 do
+    open_call i ()
+  done;
+  open_call n ~rid:rids.(10) ();
+  Alcotest.(check int) "rid reused" rids.(10) rids.(n);
+  let reply rid member =
+    (match Hashtbl.find_opt owner rid with
+    | Some i when live.(i) ->
+        want := (i, member, heard.(i)) :: !want;
+        heard.(i) <- heard.(i) lor (1 lsl member)
+    | _ -> ());
+    Engine.handle eng ~src:(List.nth servers member) (Rep rid)
+  in
+  let close i =
+    Engine.finish_op eng (Option.get ops.(i));
+    live.(i) <- false;
+    if Hashtbl.find_opt owner rids.(i) = Some i then
+      Hashtbl.remove owner rids.(i)
+  in
+  for j = 0 to n do
+    reply rids.(j * 37 mod (n + 1)) (j mod 5)
+  done;
+  Alcotest.(check int) "open calls" n (Engine.pending_count eng);
+  for j = 0 to n do
+    let i = j * 59 mod (n + 1) in
+    close i;
+    reply rids.(i) 1;
+    reply rids.(j * 13 mod (n + 1)) (j mod 3);
+    reply (10_000 + j) 0;
+    Alcotest.(check int)
+      (Fmt.str "pending after closing call %d" i)
+      (Hashtbl.length owner)
+      (Engine.pending_count eng)
+  done;
+  Alcotest.(check int) "drained" 0 (Engine.pending_count eng);
+  Alcotest.(check bool) "replies dispatched" true (List.length !want > n);
+  Alcotest.(check (list (triple int int int)))
+    "dispatch follows the model" (List.rev !want) (List.rev !got)
+
 let test_non_member_reply_ignored () =
   let sim, net, eng = make_world ~seed:1 () in
   let op_ref = ref None in
@@ -514,6 +582,8 @@ let suites =
         Alcotest.test_case "send order is pinned" `Quick test_send_order_pinned;
         Alcotest.test_case "a non-member's reply is ignored" `Quick
           test_non_member_reply_ignored;
+        Alcotest.test_case "over 64 open calls, stale and reused rids" `Quick
+          test_many_open_calls;
         Alcotest.test_case "policy validation" `Quick test_policy_validation;
         Alcotest.test_case "disabling batching mid-flight flushes the queue"
           `Quick test_disable_batching_mid_flight;

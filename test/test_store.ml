@@ -176,6 +176,45 @@ let test_zipf_skew () =
   Alcotest.(check bool) "rank 0 much hotter than tail" true
     (hits.(0) > 5 * max 1 hits.(40))
 
+(* Within one world, every key an operation or a transaction footprint
+   names is [key_name] of its rank, and the same physical string each
+   time: ranks are named once.  A write owner's fallback past the ranks
+   (a client index at or above [n_keys]) is still [key_name]. *)
+let test_key_names_made_once () =
+  let module W = Store.Workload in
+  let n = 12 in
+  let spec = { W.default_spec with n_keys = n; read_fraction = 0.5 } in
+  let z = W.zipf ~n ~s:1.1 and rng = Prng.create 5 in
+  let ranks = List.init 16 Fun.id in
+  let rank k =
+    match List.find_opt (fun r -> String.equal k (W.key_name r)) ranks with
+    | Some r -> r
+    | None -> Alcotest.failf "key %S is no key_name" k
+  in
+  let check_key k =
+    let r = rank k in
+    if r < n then
+      Alcotest.(check bool)
+        (Fmt.str "%s is the world's one name for rank %d" k r)
+        true
+        (k == W.name z r)
+  in
+  for i = 0 to 999 do
+    match W.next_op spec z rng ~ci:(i mod 16) ~n_clients:16 ~op_counter:i with
+    | W.Read k | W.Write (k, _) -> check_key k
+  done;
+  for _ = 1 to 200 do
+    let keys = W.footprint z rng ~size:3 in
+    Alcotest.(check int) "three keys" 3 (List.length keys);
+    Alcotest.(check int) "distinct" 3
+      (List.length (List.sort_uniq String.compare keys));
+    List.iter check_key keys
+  done;
+  for r = 0 to n - 1 do
+    Alcotest.(check string) "name is key_name" (W.key_name r) (W.name z r)
+  done;
+  Alcotest.(check string) "past the ranks" "k15" (W.name z 15)
+
 (* ---------- cluster consistency audit ---------- *)
 
 let test_cluster_audit_clean () =
@@ -660,6 +699,8 @@ let suites =
       [
         Alcotest.test_case "zipf sampling range" `Quick test_zipf_monotone_cdf;
         Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
+        Alcotest.test_case "key names made once per rank" `Quick
+          test_key_names_made_once;
       ] );
     ( "store.cluster",
       [
