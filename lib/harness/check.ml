@@ -18,10 +18,17 @@ module Strtbl = Qc_util.Strtbl
 
 type entry = { vn : int; value : int; completed_at : float }
 
+(** A key's completed writes, newest first.  [ordered] holds while
+    their versions strictly decrease from the head — what a single
+    writer produces — so the first write completed by a given time
+    carries the highest version among those, and no write carries a
+    version above the head's. *)
+type history = { mutable writes : entry list; mutable ordered : bool }
+
 (** Audit state: per-key completed-write history plus the violation
     log (newest first, the historical order). *)
 type audit = {
-  completed_writes : entry list Strtbl.t;
+  completed_writes : history Strtbl.t;
   mutable violations : string list;
 }
 
@@ -40,24 +47,38 @@ let rec newest_by started m = function
         (if e.completed_at <= started && e.vn > m then e.vn else m)
         rest
 
-(* The write of version [vn], if any. *)
-let rec write_at vn = function
+(* [newest_by started 0] of an ordered history *)
+let rec newest_ordered started = function
+  | [] -> 0
+  | e :: rest ->
+      if e.completed_at <= started then max e.vn 0
+      else newest_ordered started rest
+
+(* The write of version [vn], if any; an ordered history stops at the
+   first older version. *)
+let rec write_at ~ordered vn = function
   | [] -> None
-  | e :: rest -> if e.vn = vn then Some e else write_at vn rest
+  | e :: rest ->
+      if e.vn = vn then Some e
+      else if ordered && e.vn < vn then None
+      else write_at ~ordered vn rest
+
+let no_history = { writes = []; ordered = true }
 
 let read_ok a ~key ~started ~vn ~value =
-  let writes =
-    match Strtbl.find a.completed_writes key with
-    | l -> l
-    | exception Not_found -> []
+  let h =
+    try Strtbl.find a.completed_writes key with Not_found -> no_history
   in
   (* audit: newest write completed before we started *)
-  let newest = newest_by started 0 writes in
+  let newest =
+    if h.ordered then newest_ordered started h.writes
+    else newest_by started 0 h.writes
+  in
   if vn < newest then
     note a "stale read of %s: returned vn %d < completed vn %d" key vn newest;
   (* the value must be what was written at that vn *)
   if vn > 0 then
-    match write_at vn writes with
+    match write_at ~ordered:h.ordered vn h.writes with
     | Some e when e.value <> value ->
         note a "corrupt read of %s: vn %d has %d, read %d" key vn e.value value
     | _ -> ()
@@ -65,17 +86,26 @@ let read_ok a ~key ~started ~vn ~value =
 (** Record one successful write completing at [now] with version [vn]
     of [value]. *)
 let write_ok a ~key ~vn ~value ~now =
-  let prev =
-    try Strtbl.find a.completed_writes key with Not_found -> []
+  let h =
+    try Strtbl.find a.completed_writes key
+    with Not_found ->
+      let h = { writes = []; ordered = true } in
+      Strtbl.add a.completed_writes key h;
+      h
   in
-  (* single-writer-per-key: versions must increase *)
-  List.iter
-    (fun e ->
-      if e.vn >= vn then
-        note a "non-monotonic write to %s: vn %d after %d" key vn e.vn)
-    prev;
-  Strtbl.replace a.completed_writes key
-    ({ vn; value; completed_at = now } :: prev)
+  (* single-writer-per-key: versions must increase — an ordered
+     history's head carries its highest version *)
+  (match h.writes with
+  | [] -> ()
+  | e :: _ when h.ordered && vn > e.vn -> ()
+  | prev ->
+      h.ordered <- false;
+      List.iter
+        (fun e ->
+          if e.vn >= vn then
+            note a "non-monotonic write to %s: vn %d after %d" key vn e.vn)
+        prev);
+  h.writes <- { vn; value; completed_at = now } :: h.writes
 
 let violations a = a.violations
 

@@ -14,10 +14,10 @@ module Prng = Qc_util.Prng
 
 type verdict = Continue | Done
 
-(* Int-keyed tables that hash a key as itself: rids are sequential and
-   node ids small, so buckets spread evenly without [Int.hash] (a
-   generic [caml_hash] call on OCaml 5.1).  Neither table is iterated,
-   so bucket order is never observed. *)
+(* The pending table, keyed by rid, hashes a key as itself: rids are
+   sequential, so buckets spread evenly without [Int.hash] (a generic
+   [caml_hash] call on OCaml 5.1).  It is never iterated, so bucket
+   order is never observed. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -102,10 +102,27 @@ type 'msg t = {
   mutable unbatch : ('msg -> 'msg list option) option;
       (** retained after batching is switched off, so batch replies
           still in flight keep unwrapping *)
-  mutable outq : (int * 'msg * Obs.Trace.span option) list;
-      (** reversed send queue of (destination id, message, span); the span — present only for sends under
-          a trace context — measures the batch-window wait *)
-  mutable flush_armed : bool;
+  (* The batch send queue, reused across flushes: entry [i < q_len] is
+     a message for node [q_dst.(i)].  A flush sends and vacates it. *)
+  mutable q_dst : int array;
+  mutable q_msg : 'msg array;
+  mutable q_len : int;
+  mutable q_spans : Obs.Trace.span list;
+      (** the open [batchq] spans of queued sends, newest first — only
+          sends under a trace context with tracing on have one; each
+          measures its send's batch-window wait *)
+  (* Flush scratch, indexed by node id: [mark.(d) = epoch] once this
+     flush has met [d]; [count.(d)] is then [d]'s part count and
+     [parts.(d)] its parts (built only for frames of two or more). *)
+  mutable epoch : int;
+  mutable mark : int array;
+  mutable count : int array;
+  mutable parts : 'msg list array;
+  mutable firsts : int array;
+      (** the queue index of each destination's first part, in
+          first-appearance order *)
+  mutable flush_timer : Core.timer;
+      (** the armed flush, or [Core.no_timer] *)
   mutable m_batch_size : Obs.Metrics.histogram option;
       (** created lazily on first enable — a never-batching engine
           registers no extra instruments *)
@@ -149,8 +166,16 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     m_op_timeouts = Obs.Metrics.counter metrics ~labels "rpc.op_timeouts";
     batching = None;
     unbatch = None;
-    outq = [];
-    flush_armed = false;
+    q_dst = [||];
+    q_msg = [||];
+    q_len = 0;
+    q_spans = [];
+    epoch = 0;
+    mark = [||];
+    count = [||];
+    parts = [||];
+    firsts = [||];
+    flush_timer = Core.no_timer;
     m_batch_size = None;
     wctl = None;
     m_window = None;
@@ -173,77 +198,114 @@ let tracer t = Core.tracer t.sim
 
 (* ---------- batching ---------- *)
 
+(* The filler of queue slots holding no message, which are never
+   read.  It is an immediate, so [q_msg] is always an ordinary block
+   array, never a flat float array, whatever ['msg] is; every access
+   to it here is polymorphic, so a float message is stored boxed. *)
+let vacant () : 'a = Obj.magic 0
+
+let grow a n fill =
+  let b = Array.make (max 16 (2 * n)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* make the per-node scratch cover node id [d] *)
+let cover t d =
+  if d >= Array.length t.mark then begin
+    let n = d + 1 in
+    t.mark <- grow t.mark n 0;
+    t.count <- grow t.count n 0;
+    t.parts <- grow t.parts n []
+  end
+
+let observe_size t n =
+  match t.m_batch_size with
+  | Some h -> Obs.Metrics.observe h (float_of_int n)
+  | None -> ()
+
+(* One frame per destination, destinations in order of first
+   appearance, each frame's parts in enqueue order; a single part
+   travels unwrapped.  Frame rids are drawn in that order. *)
+let send_frames t b n =
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
+  if Array.length t.firsts < n then t.firsts <- grow t.firsts n 0;
+  let ndst = ref 0 in
+  for i = 0 to n - 1 do
+    let d = t.q_dst.(i) in
+    cover t d;
+    if t.mark.(d) = epoch then t.count.(d) <- t.count.(d) + 1
+    else begin
+      t.mark.(d) <- epoch;
+      t.count.(d) <- 1;
+      t.firsts.(!ndst) <- i;
+      incr ndst
+    end
+  done;
+  (* back to front, so each part list comes out in enqueue order *)
+  for i = n - 1 downto 0 do
+    let d = t.q_dst.(i) in
+    if t.count.(d) > 1 then t.parts.(d) <- t.q_msg.(i) :: t.parts.(d)
+  done;
+  let peak = ref 0 in
+  for k = 0 to !ndst - 1 do
+    let first = t.firsts.(k) in
+    let dst = t.q_dst.(first) in
+    let size = t.count.(dst) in
+    if size > !peak then peak := size;
+    observe_size t size;
+    if size = 1 then Net.send_id t.net ~src:t.self ~dst t.q_msg.(first)
+    else begin
+      let ms = t.parts.(dst) in
+      t.parts.(dst) <- [];
+      let rid = fresh_rid t in
+      let tr = tracer t in
+      if Obs.Trace.enabled tr then
+        Obs.Trace.instant tr ~cat:t.cat ~name:"batch" ~track:t.name
+          ~args:
+            [
+              ("dst", Obs.Trace.Str (Net.name t.net dst));
+              ("size", Obs.Trace.Int size);
+              ("rid", Obs.Trace.Int rid);
+            ]
+          ();
+      Net.send_id t.net ~src:t.self ~dst ~payloads:size (b.wrap ~rid ms)
+    end
+  done;
+  (* close the loop: the peak per-destination batch size tells the
+     controller whether the window is earning its queue delay *)
+  match t.wctl with
+  | Some c ->
+      Window.observe c ~peak:!peak;
+      (match t.m_window with
+      | Some g -> Obs.Metrics.set g (Window.window c)
+      | None -> ())
+  | None -> ()
+
 let flush t =
-  t.flush_armed <- false;
-  let queued = List.rev t.outq in
-  t.outq <- [];
+  t.flush_timer <- Core.no_timer;
+  let n = t.q_len in
   (* close every batch-queue-wait span at the flush instant, before
      any send — all queued messages leave now *)
-  List.iter
-    (fun (_, _, sp) ->
-      match sp with
-      | Some sp -> Obs.Trace.end_span (tracer t) sp ()
-      | None -> ())
-    queued;
-  match t.batching with
+  (match t.q_spans with
+  | [] -> ()
+  | spans ->
+      t.q_spans <- [];
+      let tr = tracer t in
+      List.iter (fun sp -> Obs.Trace.end_span tr sp ()) (List.rev spans));
+  (match t.batching with
   | None ->
       (* batching switched off with sends still queued: let them go
-         out unwrapped rather than stranding them, each accounted as a
-         single-message frame *)
-      List.iter
-        (fun (dst, m, _) ->
-          (match t.m_batch_size with
-          | Some h -> Obs.Metrics.observe h 1.0
-          | None -> ());
-          Net.send_id t.net ~src:t.self ~dst m)
-        queued
-  | Some b ->
-      (* group per destination, preserving first-appearance order so
-         the flush is deterministic *)
-      let order = ref [] in
-      let by_dst : 'msg list ref Itbl.t = Itbl.create 8 in
-      List.iter
-        (fun (dst, m, _) ->
-          match Itbl.find_opt by_dst dst with
-          | Some l -> l := m :: !l
-          | None ->
-              Itbl.replace by_dst dst (ref [ m ]);
-              order := dst :: !order)
-        queued;
-      let peak = ref 0 in
-      List.iter
-        (fun dst ->
-          let msgs = List.rev !(Itbl.find by_dst dst) in
-          peak := max !peak (List.length msgs);
-          (match t.m_batch_size with
-          | Some h -> Obs.Metrics.observe h (float_of_int (List.length msgs))
-          | None -> ());
-          match msgs with
-          | [ m ] -> Net.send_id t.net ~src:t.self ~dst m
-          | ms ->
-              let rid = fresh_rid t in
-              let tr = tracer t in
-              if Obs.Trace.enabled tr then
-                Obs.Trace.instant tr ~cat:t.cat ~name:"batch" ~track:t.name
-                  ~args:
-                    [
-                      ("dst", Obs.Trace.Str (Net.name t.net dst));
-                      ("size", Obs.Trace.Int (List.length ms));
-                      ("rid", Obs.Trace.Int rid);
-                    ]
-                  ();
-              Net.send_id t.net ~src:t.self ~dst ~payloads:(List.length ms)
-                (b.wrap ~rid ms))
-        (List.rev !order);
-      (* close the loop: the peak per-destination batch size tells the
-         controller whether the window is earning its queue delay *)
-      (match t.wctl with
-      | Some c when queued <> [] ->
-          Window.observe c ~peak:!peak;
-          (match t.m_window with
-          | Some g -> Obs.Metrics.set g (Window.window c)
-          | None -> ())
-      | _ -> ())
+         out unwrapped, in enqueue order, rather than stranding them,
+         each accounted as a single-message frame *)
+      for i = 0 to n - 1 do
+        observe_size t 1;
+        Net.send_id t.net ~src:t.self ~dst:t.q_dst.(i) t.q_msg.(i)
+      done
+  | Some b -> if n > 0 then send_frames t b n);
+  (* the queue keeps no sent message reachable *)
+  Array.fill t.q_msg 0 n (vacant ());
+  t.q_len <- 0
 
 (* Every outgoing request funnels through here: with batching off it
    is exactly the historical [Net.send]; with batching on the send is
@@ -254,25 +316,30 @@ let dispatch t ?ctx ~dst msg =
   match t.batching with
   | None -> Net.send_id t.net ~src:t.self ~dst msg
   | Some b ->
-      let sp =
-        match ctx with
-        | Some cx when Obs.Trace.enabled (tracer t) ->
-            Some
-              (Obs.Trace.begin_span (tracer t) ~cat:t.cat ~name:"batchq"
-                 ~track:t.name
-                 ~args:
-                   (("dst", Obs.Trace.Str (Net.name t.net dst))
-                   :: Obs.Ctx.args cx)
-                 ())
-        | _ -> None
-      in
-      t.outq <- (dst, msg, sp) :: t.outq;
-      if not t.flush_armed then begin
-        t.flush_armed <- true;
+      (match ctx with
+      | Some cx when Obs.Trace.enabled (tracer t) ->
+          t.q_spans <-
+            Obs.Trace.begin_span (tracer t) ~cat:t.cat ~name:"batchq"
+              ~track:t.name
+              ~args:
+                (("dst", Obs.Trace.Str (Net.name t.net dst))
+                :: Obs.Ctx.args cx)
+              ()
+            :: t.q_spans
+      | _ -> ());
+      let i = t.q_len in
+      if i = Array.length t.q_dst then begin
+        t.q_dst <- grow t.q_dst (i + 1) 0;
+        t.q_msg <- grow t.q_msg (i + 1) (vacant ())
+      end;
+      t.q_dst.(i) <- dst;
+      t.q_msg.(i) <- msg;
+      t.q_len <- i + 1;
+      if i = 0 then begin
         let window =
           match t.wctl with Some c -> Window.window c | None -> b.window
         in
-        Core.schedule t.sim ~delay:window (fun () -> flush t)
+        t.flush_timer <- Core.timer t.sim ~delay:window (fun () -> flush t)
       end
 
 let batching t = t.batching
@@ -295,9 +362,13 @@ let set_batching t b =
   | None ->
       t.batching <- None;
       (* a mid-flight disable must not strand queued sends until the
-         already-armed timer fires: flush them now, unwrapped (the
-         orphaned timer later finds an empty queue and sends nothing) *)
-      if t.outq <> [] then flush t
+         armed timer fires: flush them now, unwrapped, and disarm the
+         timer, which would otherwise flush a queue enabled later
+         before that queue's own window ends *)
+      if t.q_len > 0 then begin
+        Core.cancel t.sim t.flush_timer;
+        flush t
+      end
 
 let set_adaptive_window t w =
   (match w with
@@ -513,14 +584,12 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply
 
 (* the node [src]'s index in the call's group, or [-1] for a
    non-member *)
-let member_index (c : 'msg call) src =
-  let ids = c.targets.ids in
-  let rec go i =
-    if i >= Array.length ids then -1
-    else if ids.(i) = src then i
-    else go (i + 1)
-  in
-  go 0
+let rec index_of ids src i =
+  if i >= Array.length ids then -1
+  else if ids.(i) = src then i
+  else index_of ids src (i + 1)
+
+let member_index (c : 'msg call) src = index_of c.targets.ids src 0
 
 let handle_one t ~src msg =
   match Itbl.find_opt t.pending (t.rid_of msg) with
@@ -552,9 +621,15 @@ let rec handle_id t ~src msg =
   match t.unbatch with
   | Some unwrap -> (
       match unwrap msg with
-      | Some inner -> List.iter (fun m -> handle_id t ~src m) inner
+      | Some parts -> handle_parts t ~src parts
       | None -> handle_one t ~src msg)
   | None -> handle_one t ~src msg
+
+and handle_parts t ~src = function
+  | [] -> ()
+  | m :: rest ->
+      handle_id t ~src m;
+      handle_parts t ~src rest
 
 let handle t ~src msg = handle_id t ~src:(Net.id t.net src) msg
 

@@ -102,8 +102,9 @@ val set_batching : 'msg t -> 'msg batching option -> unit
     path byte-identical to historical runs; enabling registers an
     [rpc.batch_size] histogram.  Disabling keeps the unwrap function,
     so batch replies still in flight complete normally, and flushes any
-    still-queued sends immediately (unwrapped) rather than stranding
-    them until the already-armed window timer.
+    still-queued sends immediately (unwrapped, in enqueue order) rather
+    than stranding them until the armed window timer, which it cancels:
+    sends queued after a later re-enable wait their own full window.
     @raise Invalid_argument if the window is negative or not finite. *)
 
 val batching : 'msg t -> 'msg batching option

@@ -42,7 +42,9 @@ type pending = {
   p_vn : int;
   p_key : string;
   p_value : int;
-  p_ack : unit -> unit;  (** deliver the install ack (post-fsync) *)
+  p_rid : int;
+  p_reply : Protocol.msg -> unit;
+      (** where the install ack goes, once its group is durable *)
   p_ctx : Obs.Ctx.t option;  (** the originating operation's stamp *)
   p_qspan : Obs.Trace.span option;
       (** the [replica.queue] wait span, begun at enqueue and ended
@@ -94,7 +96,12 @@ type t = {
   storage : Sim.Storage.t option;
       (** the replica's disk; [None] = free, synchronous installs *)
   group_commit : bool;  (** drain whole groups vs one install at a time *)
-  queue : pending Queue.t;  (** installs awaiting apply + fsync *)
+  mutable queue : pending list;
+      (** installs awaiting apply + fsync, newest first *)
+  mutable ready : pending list;
+      (** without group commit: installs taken off [queue], oldest
+          first, each waiting to be drained alone *)
+  mutable queued : int;  (** the length of [queue] and [ready] together *)
   mutable draining : bool;  (** a group is at the device right now *)
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
@@ -141,7 +148,9 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     installs = Obs.Metrics.counter metrics ~labels "store.replica.installs";
     storage;
     group_commit;
-    queue = Queue.create ();
+    queue = [];
+    ready = [];
+    queued = 0;
     draining = false;
     m_fsyncs;
     m_queue_depth;
@@ -194,7 +203,7 @@ let load t = Obs.Metrics.value t.queries + Obs.Metrics.value t.installs
 let fsyncs t =
   match t.storage with Some st -> Sim.Storage.fsyncs st | None -> 0
 
-let queue_depth t = Queue.length t.queue
+let queue_depth t = t.queued
 
 let install c ~vn ~value =
   if vn >= c.vn then begin
@@ -410,6 +419,60 @@ let rec arm_recovery t x ~txid =
               arm_recovery t x ~txid
             end)
 
+(* The next group off the apply queue, in arrival order: the whole
+   queue under group commit, its oldest install otherwise. *)
+let take_group t =
+  if t.group_commit then begin
+    let g = List.rev t.queue in
+    t.queue <- [];
+    t.queued <- 0;
+    g
+  end
+  else begin
+    (match t.ready with
+    | [] ->
+        t.ready <- List.rev t.queue;
+        t.queue <- []
+    | _ :: _ -> ());
+    match t.ready with
+    | p :: rest ->
+        t.ready <- rest;
+        t.queued <- t.queued - 1;
+        [ p ]
+    | [] -> []
+  end
+
+let rec sorted_by_vn = function
+  | a :: (b :: _ as rest) -> a.p_vn <= b.p_vn && sorted_by_vn rest
+  | _ -> true
+
+(* Within a group the store must step through versions monotonically
+   per key, whatever order the installs arrived in: apply in version
+   order, ties in arrival order. *)
+let rec apply_group t = function
+  | [] -> ()
+  | p :: rest ->
+      apply t ~vn:p.p_vn ~key:p.p_key ~value:p.p_value;
+      apply_group t rest
+
+let by_vn group =
+  if sorted_by_vn group then group
+  else List.stable_sort (fun a b -> Int.compare a.p_vn b.p_vn) group
+
+(* ack in arrival order *)
+let rec ack_group = function
+  | [] -> ()
+  | p :: rest ->
+      p.p_reply (Protocol.Install_ack { rid = p.p_rid; key = p.p_key });
+      ack_group rest
+
+let rec end_queue_spans tr = function
+  | [] -> ()
+  | { p_qspan = Some sp; _ } :: rest ->
+      Obs.Trace.end_span tr sp ();
+      end_queue_spans tr rest
+  | { p_qspan = None; _ } :: rest -> end_queue_spans tr rest
+
 (* Drain the apply queue through the storage device: take a group
    (the whole queue under group commit, one install otherwise), apply
    it in version order, fsync once, then ack every member — and go
@@ -420,68 +483,93 @@ let rec drain t ~(tr : Obs.Trace.t) =
   match t.storage with
   | None -> ()
   | Some st ->
-      if (not t.draining) && not (Queue.is_empty t.queue) then begin
+      if (not t.draining) && t.queued > 0 then begin
         t.draining <- true;
-        let group =
-          if t.group_commit then begin
-            let g = List.of_seq (Queue.to_seq t.queue) in
-            Queue.clear t.queue;
-            g
-          end
-          else [ Queue.pop t.queue ]
-        in
+        let size = if t.group_commit then t.queued else 1 in
+        let group = take_group t in
         (match t.m_queue_depth with
-        | Some h -> Obs.Metrics.observe h (float_of_int (List.length group))
+        | Some h -> Obs.Metrics.observe h (float_of_int size)
         | None -> ());
         (* the group leaves the queue now: close its wait spans *)
-        List.iter
-          (fun p ->
-            match p.p_qspan with
-            | Some sp -> Obs.Trace.end_span tr sp ()
-            | None -> ())
-          group;
-        (* one apply (and later fsync) span per stamped member — the
-           group shares the device round, but each operation's causal
-           tree needs its own interval *)
-        let stamped =
-          if Obs.Trace.enabled tr then
-            List.filter_map
-              (fun p -> Option.map (fun cx -> (p, cx)) p.p_ctx)
-              group
-          else []
+        end_queue_spans tr group;
+        let acked () =
+          (match t.m_fsyncs with Some c -> Obs.Metrics.inc c | None -> ());
+          ack_group group;
+          t.draining <- false;
+          drain t ~tr
         in
-        let span_for name (_, cx) =
-          Obs.Trace.begin_span tr ~cat:"store" ~name ~track:t.name
-            ~args:(Obs.Ctx.args cx) ()
-        in
-        let apply_spans = List.map (span_for "replica.apply") stamped in
-        (* apply in version order: within a group the store must step
-           through versions monotonically per key, whatever order the
-           installs arrived in *)
-        let ordered =
-          List.stable_sort (fun a b -> compare a.p_vn b.p_vn) group
-        in
-        Sim.Storage.submit st ~writes:(List.length group) (fun () ->
-            List.iter
-              (fun p -> apply t ~vn:p.p_vn ~key:p.p_key ~value:p.p_value)
-              ordered;
-            List.iter (fun sp -> Obs.Trace.end_span tr sp ()) apply_spans;
-            let fsync_spans = List.map (span_for "replica.fsync") stamped in
-            Sim.Storage.fsync st (fun () ->
-                (match t.m_fsyncs with
-                | Some c -> Obs.Metrics.inc c
-                | None -> ());
-                List.iter (fun sp -> Obs.Trace.end_span tr sp ()) fsync_spans;
-                (* ack in arrival order, only now that the group is
-                   durable *)
-                List.iter (fun p -> p.p_ack ()) group;
-                t.draining <- false;
-                drain t ~tr))
+        if Obs.Trace.enabled tr then drain_traced t st ~tr group ~size ~acked
+        else
+          Sim.Storage.submit st ~writes:size (fun () ->
+              apply_group t (by_vn group);
+              Sim.Storage.fsync st acked)
       end
+
+(* [drain]'s device round with tracing on: one apply and one fsync
+   span per stamped member — the group shares the device round, but
+   each operation's causal tree needs its own interval *)
+and drain_traced t st ~tr group ~size ~acked =
+  let stamped =
+    List.filter_map (fun p -> Option.map (fun cx -> (p, cx)) p.p_ctx) group
+  in
+  let span_for name (_, cx) =
+    Obs.Trace.begin_span tr ~cat:"store" ~name ~track:t.name
+      ~args:(Obs.Ctx.args cx) ()
+  in
+  let apply_spans = List.map (span_for "replica.apply") stamped in
+  Sim.Storage.submit st ~writes:size (fun () ->
+      apply_group t (by_vn group);
+      List.iter (fun sp -> Obs.Trace.end_span tr sp ()) apply_spans;
+      let fsync_spans = List.map (span_for "replica.fsync") stamped in
+      Sim.Storage.fsync st (fun () ->
+          List.iter (fun sp -> Obs.Trace.end_span tr sp ()) fsync_spans;
+          acked ()))
 
 (* a request's causal stamp, appended to the replica's instant args —
    empty (and allocation-free) for unstamped frames *)
 let ctx_args = function None -> [] | Some cx -> Obs.Ctx.args cx
+
+(* Answer a version query from applied state. *)
+let query t ~tr ~rid ~key ~ctx =
+  Obs.Metrics.inc t.queries;
+  if Obs.Trace.enabled tr then
+    Obs.Trace.instant tr ~cat:"store" ~name:"query" ~track:t.name
+      ~args:
+        ([ ("key", Obs.Trace.Str key); ("rid", Obs.Trace.Int rid) ]
+        @ ctx_args ctx)
+      ();
+  let c = find t key in
+  Protocol.Query_rep { rid; key; vn = c.vn; value = c.value }
+
+(* A batch frame being answered: one reply slot per part, in frame
+   order.  The frame answers once every part that will reply has
+   (pipelined installs make that asynchronous — the batch reply then
+   carries the whole group's acks after their shared fsync).  A slot
+   still holding the frame itself — never a reply — earned none. *)
+type frame = {
+  f_msg : Protocol.msg;
+  f_rid : int;
+  f_reply : Protocol.msg -> unit;
+  f_slots : Protocol.msg array;
+  mutable f_waiting : int;  (** parts yet to answer *)
+}
+
+let part_done fr =
+  fr.f_waiting <- fr.f_waiting - 1;
+  if fr.f_waiting = 0 then begin
+    let reps = ref [] in
+    for i = Array.length fr.f_slots - 1 downto 0 do
+      let rep = fr.f_slots.(i) in
+      if rep != fr.f_msg then reps := rep :: !reps
+    done;
+    fr.f_reply (Protocol.Batch_rep { rid = fr.f_rid; reps = !reps })
+  end
+
+let part_reply fr i rep =
+  fr.f_slots.(i) <- rep;
+  part_done fr
+
+let no_reply (_ : Protocol.msg) = ()
 
 (* Answer one request, delivering each reply through [reply] — possibly
    asynchronously (a pipelined install acks after its group's fsync; a
@@ -491,16 +579,7 @@ let ctx_args = function None -> [] | Some cx -> Obs.Ctx.args cx
 let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
     msg =
   match msg with
-  | Protocol.Query_req { rid; key; ctx } ->
-      Obs.Metrics.inc t.queries;
-      if Obs.Trace.enabled tr then
-        Obs.Trace.instant tr ~cat:"store" ~name:"query" ~track:t.name
-          ~args:
-            ([ ("key", Obs.Trace.Str key); ("rid", Obs.Trace.Int rid) ]
-            @ ctx_args ctx)
-          ();
-      let c = find t key in
-      reply (Protocol.Query_rep { rid; key; vn = c.vn; value = c.value })
+  | Protocol.Query_req { rid; key; ctx } -> reply (query t ~tr ~rid ~key ~ctx)
   | Protocol.Install_req { rid; key; vn; value; ctx } -> (
       Obs.Metrics.inc t.installs;
       if Obs.Trace.enabled tr then
@@ -527,16 +606,18 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                      ~track:t.name ~args:(Obs.Ctx.args cx) ())
             | _ -> None
           in
-          Queue.add
+          t.queue <-
             {
               p_vn = vn;
               p_key = key;
               p_value = value;
-              p_ack = (fun () -> reply (Protocol.Install_ack { rid; key }));
+              p_rid = rid;
+              p_reply = reply;
               p_ctx = ctx;
               p_qspan = qspan;
             }
-            t.queue;
+            :: t.queue;
+          t.queued <- t.queued + 1;
           drain t ~tr)
   | Protocol.Batch_req { rid; reqs } ->
       if Obs.Trace.enabled tr then
@@ -549,42 +630,16 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
           ();
       let n = List.length reqs in
       if n = 0 then reply (Protocol.Batch_rep { rid; reps = [] })
-      else begin
-        (* one reply slot per part, in frame order; the frame answers
-           once every part that will reply has (pipelined installs make
-           that asynchronous — the batch reply then carries the whole
-           group's acks after their shared fsync) *)
-        let slots = Array.make n None in
-        let remaining = ref n in
-        let part_done () =
-          decr remaining;
-          if !remaining = 0 then
-            reply
-              (Protocol.Batch_rep
-                 {
-                   rid;
-                   reps = List.filter_map Fun.id (Array.to_list slots);
-                 })
-        in
-        List.iteri
-          (fun i part ->
-            match part with
-            | Protocol.Query_req _ | Protocol.Install_req _
-            | Protocol.Batch_req _ | Protocol.Txn_prepare _
-            | Protocol.Txn_p1a _ | Protocol.Txn_p2a _ | Protocol.Txn_decide _
-              ->
-                serve t ~src ~tr part ~reply:(fun rep ->
-                    slots.(i) <- Some rep;
-                    part_done ())
-            | Protocol.Query_rep _ | Protocol.Install_ack _
-            | Protocol.Batch_rep _ | Protocol.Txn_vote _ | Protocol.Txn_p1b _
-            | Protocol.Txn_p2b _ | Protocol.Txn_decide_ack _ ->
-                (* non-requests earn no reply slot, as before — but a
-                   leader-side message still updates recovery state *)
-                serve t ~src ~tr part ~reply:(fun _ -> ());
-                part_done ())
-          reqs
-      end
+      else
+        serve_parts t ~src ~tr
+          {
+            f_msg = msg;
+            f_rid = rid;
+            f_reply = reply;
+            f_slots = Array.make n msg;
+            f_waiting = n;
+          }
+          0 reqs
   | Protocol.Txn_prepare { rid; txid; writes; reads; acceptors; paxos } -> (
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.prepare" ~track:t.name
@@ -676,6 +731,27 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
   | Protocol.Query_rep _ | Protocol.Install_ack _ | Protocol.Batch_rep _
   | Protocol.Txn_vote _ ->
       ()
+
+(* Serve a batch frame's parts from the [i]th on.  A query answers in
+   place; every other request answers through its slot, possibly
+   later. *)
+and serve_parts t ~src ~tr fr i = function
+  | [] -> ()
+  | part :: rest ->
+      (match part with
+      | Protocol.Query_req { rid; key; ctx } ->
+          part_reply fr i (query t ~tr ~rid ~key ~ctx)
+      | Protocol.Install_req _ | Protocol.Batch_req _ | Protocol.Txn_prepare _
+      | Protocol.Txn_p1a _ | Protocol.Txn_p2a _ | Protocol.Txn_decide _ ->
+          serve t ~src ~tr part ~reply:(part_reply fr i)
+      | Protocol.Query_rep _ | Protocol.Install_ack _ | Protocol.Batch_rep _
+      | Protocol.Txn_vote _ | Protocol.Txn_p1b _ | Protocol.Txn_p2b _
+      | Protocol.Txn_decide_ack _ ->
+          (* non-requests earn no reply slot — but a leader-side
+             message still updates recovery state *)
+          serve t ~src ~tr part ~reply:no_reply;
+          part_done fr);
+      serve_parts t ~src ~tr fr (i + 1) rest
 
 (* The synchronous view of [serve], for tests and layers that know the
    replica has no storage device: returns the reply if one was

@@ -44,7 +44,12 @@ type t = {
   storage : Sim.Storage.t option;
       (** the replica's disk; [None] = free, synchronous installs *)
   group_commit : bool;  (** drain whole groups vs one install at a time *)
-  queue : pending Queue.t;  (** installs awaiting apply + fsync *)
+  mutable queue : pending list;
+      (** installs awaiting apply + fsync, newest first *)
+  mutable ready : pending list;
+      (** without group commit: installs taken off [queue], oldest
+          first, each waiting to be drained alone *)
+  mutable queued : int;  (** the length of [queue] and [ready] together *)
   mutable draining : bool;  (** a group is at the device right now *)
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)

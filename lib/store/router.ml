@@ -29,24 +29,37 @@ let scheme_label = function `Hash -> "hash" | `Range -> "range"
    OCaml's 63-bit int.  Deliberately not [Hashtbl.hash]: the map is
    part of the system's observable behaviour and must never move
    under us. *)
-let fnv1a key =
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun ch ->
-      h := (!h lxor Char.code ch) * 0x100000001b3)
-    key;
-  !h land max_int
+let rec fnv1a_from key h i =
+  if i = String.length key then h land max_int
+  else fnv1a_from key ((h lxor Char.code key.[i]) * 0x100000001b3) (i + 1)
 
-(* The numeric suffix of a key named like "k12"; [None] when the key
-   does not end in digits. *)
-let key_index key =
+let fnv1a key = fnv1a_from key 0x3bf29ce484222325 0
+
+(* where the run of digits that ends [key.[0 .. i-1]] begins *)
+let rec digits_start key i =
+  if i > 0 && key.[i - 1] >= '0' && key.[i - 1] <= '9' then
+    digits_start key (i - 1)
+  else i
+
+let rec read_digits key acc i =
+  if i = String.length key then acc
+  else read_digits key ((10 * acc) + Char.code key.[i] - 48) (i + 1)
+
+(* The numeric suffix of a key named like "k12", or [-1] when the key
+   does not end in digits or the suffix overflows an int.  Up to 18
+   digits always fit, so they are read in place; a longer run (leading
+   zeros, or an overflow) goes through the standard parser. *)
+let suffix key =
   let n = String.length key in
-  let rec start i =
-    if i > 0 && key.[i - 1] >= '0' && key.[i - 1] <= '9' then start (i - 1)
-    else i
-  in
-  let s = start n in
-  if s >= n then None else int_of_string_opt (String.sub key s (n - s))
+  let s = digits_start key n in
+  if s >= n then -1
+  else if n - s > 18 then
+    match int_of_string_opt (String.sub key s (n - s)) with
+    | Some i -> i
+    | None -> -1
+  else read_digits key 0 s
+
+let key_index key = match suffix key with -1 -> None | i -> Some i
 
 (** The pure key → shard map for a scheme.  [n_keys] bounds the
     [`Range] partition (key indices [0 .. n_keys-1] split into
@@ -57,11 +70,10 @@ let shard_fn (scheme : scheme) ~n_shards ~n_keys : string -> int =
   match scheme with
   | `Hash -> fun key -> fnv1a key mod n_shards
   | `Range ->
-      fun key -> (
-        match key_index key with
-        | Some i when i >= 0 && i < n_keys && n_keys > 0 ->
-            i * n_shards / n_keys
-        | _ -> fnv1a key mod n_shards)
+      fun key ->
+        let i = suffix key in
+        if i >= 0 && i < n_keys then i * n_shards / n_keys
+        else fnv1a key mod n_shards
 
 type t = {
   name : string;

@@ -171,6 +171,23 @@ let test_digest_invariance () =
       Alcotest.(check string) (Fmt.str "seed %d: on = ctx" seed) on ctx)
     [ 42; 7; 101 ]
 
+(* The hostile shape pinned: simulation digest, JSONL trace and
+   metrics dump of one seed, captured before the engine's send queue,
+   the replica's batch reply slots and its apply queue were rewritten
+   for allocation. *)
+let test_hostile_run_pinned () =
+  let r = run_attr 42 in
+  Alcotest.(check int) "the trace ring kept every event" 0
+    (Trace.overwritten r.Store.Cluster.trace);
+  let s = Obs.Export.jsonl r.Store.Cluster.trace in
+  Alcotest.(check string) "simulation digest"
+    "1919f9430942af204d66ae92d639410b" (Store.Cluster.digest r);
+  Alcotest.(check int) "trace length" 1222038 (String.length s);
+  Alcotest.(check string) "trace md5" "c465cb856ca0ea55d55068d46bf5aab0"
+    (Digest.to_hex (Digest.string s));
+  Alcotest.(check string) "metrics dump md5" "36402225d60ac238f1bf2f46be62a299"
+    (Digest.to_hex (Digest.string (Obs.Metrics.dump r.Store.Cluster.metrics)))
+
 let test_cluster_health_sampler () =
   let r =
     Store.Cluster.run
@@ -242,6 +259,8 @@ let suites =
           test_batch_coalescing_linked;
         Alcotest.test_case "tracing changes no simulation outcome" `Quick
           test_digest_invariance;
+        Alcotest.test_case "hostile batched run pinned" `Quick
+          test_hostile_run_pinned;
       ] );
     ( "health",
       [

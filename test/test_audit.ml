@@ -500,6 +500,112 @@ let prop_same_writes =
       && same (List.rev_append a tl) (List.rev_append b tl)
          = (List.rev_append a tl = List.rev_append b tl))
 
+(* ---------- the single-key audit ---------- *)
+
+(* A verbatim copy of the single-key audit before it learned to stop
+   at the first older write: every write scans the key's whole history
+   for a version at least as high, and every read scans it for the
+   newest write completed by its start. *)
+module Reference_audit = struct
+  type entry = { vn : int; value : int; completed_at : float }
+  type t = { writes : (string, entry list) Hashtbl.t; mutable v : string list }
+
+  let create () = { writes = Hashtbl.create 8; v = [] }
+  let note a fmt = Fmt.kstr (fun s -> a.v <- s :: a.v) fmt
+  let history a key = Option.value ~default:[] (Hashtbl.find_opt a.writes key)
+
+  let rec newest_by started m = function
+    | [] -> m
+    | e :: rest ->
+        newest_by started
+          (if e.completed_at <= started && e.vn > m then e.vn else m)
+          rest
+
+  let rec write_at vn = function
+    | [] -> None
+    | e :: rest -> if e.vn = vn then Some e else write_at vn rest
+
+  let read_ok a ~key ~started ~vn ~value =
+    let writes = history a key in
+    let newest = newest_by started 0 writes in
+    if vn < newest then
+      note a "stale read of %s: returned vn %d < completed vn %d" key vn newest;
+    if vn > 0 then
+      match write_at vn writes with
+      | Some e when e.value <> value ->
+          note a "corrupt read of %s: vn %d has %d, read %d" key vn e.value
+            value
+      | _ -> ()
+
+  let write_ok a ~key ~vn ~value ~now =
+    let prev = history a key in
+    List.iter
+      (fun e ->
+        if e.vn >= vn then
+          note a "non-monotonic write to %s: vn %d after %d" key vn e.vn)
+      prev;
+    Hashtbl.replace a.writes key ({ vn; value; completed_at = now } :: prev)
+end
+
+type kv_ev =
+  | W of { key : string; vn : int; value : int; now : float }
+  | R of { key : string; started : float; vn : int; value : int }
+
+(* Histories that mostly follow the single-writer discipline (rising
+   versions, rising completion times) and sometimes break it: equal
+   and falling versions, completions out of order, versions <= 0, and
+   reads of any version with any value. *)
+let kv_history_gen =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b"; "c" ] in
+  let time = map (fun i -> float_of_int i /. 2.0) (0 -- 40) in
+  int_range 0 60 >>= fun n ->
+  let rec go i clock vn acc =
+    if i = n then return (List.rev acc)
+    else
+      frequency
+        [
+          (* a well-behaved write: next version, later completion *)
+          ( 5,
+            map2
+              (fun k dt ->
+                (W { key = k; vn = vn + 1; value = vn + 1; now = clock +. dt },
+                 clock +. dt, vn + 1))
+              key (0 -- 3 >|= float_of_int) );
+          (* a misbehaving write: any version, any time *)
+          ( 2,
+            map3
+              (fun k v t -> (W { key = k; vn = v; value = v * 7; now = t }, clock, vn))
+              key (-2 -- 12) time );
+          (* a read, started at any time, returning any version *)
+          ( 5,
+            map4
+              (fun k t v bad ->
+                (R { key = k; started = t; vn = v; value = (if bad then v + 1 else v) },
+                 clock, vn))
+              key time (-1 -- 14) (frequency [ (4, return false); (1, return true) ]) );
+        ]
+      >>= fun (ev, clock, vn) -> go (i + 1) clock vn (ev :: acc)
+  in
+  go 0 0.0 0 []
+
+let prop_single_key_audit_matches_reference =
+  QCheck.Test.make ~count:1500
+    ~name:"single-key audit reports what the full-scan audit reports"
+    (QCheck.make kv_history_gen)
+    (fun evs ->
+      let a = Check.audit () and r = Reference_audit.create () in
+      List.iter
+        (function
+          | W { key; vn; value; now } ->
+              Check.write_ok a ~key ~vn ~value ~now;
+              Reference_audit.write_ok r ~key ~vn ~value ~now
+          | R { key; started; vn; value } ->
+              Check.read_ok a ~key ~started ~vn ~value;
+              Reference_audit.read_ok r ~key ~started ~vn ~value)
+        evs;
+      Check.violations a = r.Reference_audit.v)
+
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
@@ -525,4 +631,6 @@ let suites =
         qcheck prop_matches_oracle;
         qcheck prop_same_writes;
       ] );
+    ( "harness.audit",
+      [ qcheck prop_single_key_audit_matches_reference ] );
   ]

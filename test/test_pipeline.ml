@@ -134,6 +134,70 @@ let test_apply_in_version_order () =
   Alcotest.(check (pair int int)) "highest version wins" (3, 30)
     (Store.Replica.lookup r "k")
 
+(* One batch frame mixing every kind of part: queries answer at once,
+   pipelined installs after their group's fsync, and non-requests
+   (stray replies, a phase-1b for an unknown transaction) earn no
+   slot.  The frame answers once, when its last replying part has,
+   with the replies in frame order.  An empty frame, and a frame of
+   non-requests only, answer at once with no parts. *)
+let test_batch_frame_mixed_parts () =
+  let sim, st, r, replies, install =
+    replica_world ~group_commit:true ~fsync_cost:3.0
+  in
+  let module P = Store.Protocol in
+  (* an install already at the device: the frame's installs queue
+     behind it and form the next group *)
+  install ~rid:1 ~vn:1;
+  let frame rid reqs =
+    Store.Replica.serve r ~tr:(Obs.Trace.create ~capacity:0 ~enabled:false ())
+      ~reply:(fun m -> replies := (m, Core.now sim) :: !replies)
+      (P.Batch_req { rid; reqs })
+  in
+  frame 10
+    [
+      P.Query_req { rid = 11; key = "k"; ctx = None };
+      P.Install_req { rid = 12; key = "k"; vn = 3; value = 30; ctx = None };
+      P.Query_rep { rid = 13; key = "k"; vn = 9; value = 9 };
+      P.Install_req { rid = 14; key = "j"; vn = 2; value = 20; ctx = None };
+      P.Txn_p1b { rid = 15; txid = "t"; bal = 1; ok = true; accepted = None };
+      P.Query_req { rid = 16; key = "j"; ctx = None };
+      P.Install_ack { rid = 17; key = "k" };
+    ];
+  frame 20 [];
+  frame 30 [ P.Query_rep { rid = 31; key = "k"; vn = 1; value = 1 } ];
+  (* both part-less frames answered in the instant they arrived *)
+  (match !replies with
+  | [ (P.Batch_rep { rid = 30; reps = [] }, t30);
+      (P.Batch_rep { rid = 20; reps = [] }, t20) ] ->
+      Alcotest.(check (pair (float 0.0) (float 0.0))) "at once" (0.0, 0.0)
+        (t20, t30)
+  | _ -> Alcotest.fail "expected two empty batch replies, nothing else");
+  Core.run sim;
+  let rep rid =
+    List.filter_map
+      (function
+        | (P.Batch_rep { rid = r; reps }, t) when r = rid -> Some (reps, t)
+        | _ -> None)
+      !replies
+  in
+  (match rep 10 with
+  | [ (reps, t) ] ->
+      (* the first install's fsync ends at 3; the frame's group at 6 *)
+      Alcotest.(check (float 1e-9)) "after the second group's fsync" 6.0 t;
+      Alcotest.(check bool) "replying parts, in frame order" true
+        (reps
+        = [
+            P.Query_rep { rid = 11; key = "k"; vn = 0; value = 0 };
+            P.Install_ack { rid = 12; key = "k" };
+            P.Install_ack { rid = 14; key = "j" };
+            P.Query_rep { rid = 16; key = "j"; vn = 0; value = 0 };
+          ])
+  | l -> Alcotest.failf "frame 10 answered %d times" (List.length l));
+  Alcotest.(check int) "two fsyncs" 2 (Storage.fsyncs st);
+  Alcotest.(check (pair int int)) "k installed" (3, 30) (Store.Replica.lookup r "k");
+  Alcotest.(check (pair int int)) "j installed" (2, 20) (Store.Replica.lookup r "j");
+  Alcotest.(check int) "queue empty" 0 (Store.Replica.queue_depth r)
+
 (* ---------- byte-identity with a zero-cost pipeline ---------- *)
 
 let test_zero_cost_pipeline_golden () =
@@ -166,6 +230,77 @@ let test_zero_cost_pipeline_golden () =
         md5
         (Digest.to_hex (Digest.string s)))
     Test_shard.golden
+
+(* ---------- the batched path, pinned ---------- *)
+
+(* A small run in the shape of perfbench's [kv_sharded_io]: range
+   shards, bursts of 8, the adaptive window, a storage device, causal
+   stamps on.  Its simulation digest, the JSONL trace and the metrics
+   dump (the [rpc.batch_size] and [replica.queue_depth] observations)
+   were captured before the send queue, the batch reply slots and the
+   apply queue were rewritten for allocation; any drift in frame
+   order, rids, payload counts or ack order changes one of them. *)
+let sharded_io_params ~group_commit =
+  {
+    Store.Cluster.default_params with
+    n_replicas = 3;
+    n_clients = 4;
+    n_shards = 4;
+    shard_scheme = `Range;
+    workload =
+      {
+        Store.Workload.default_spec with
+        ops_per_client = 40;
+        n_keys = 256;
+        zipf_s = 1.1;
+        read_fraction = 0.5;
+        burst = 8;
+      };
+    adaptive_window = Some Window.default_config;
+    storage_cost = 0.05;
+    fsync_cost = 5.0;
+    group_commit;
+    seed = 7;
+    trace_capacity = 262144;
+    trace_ctx = true;
+  }
+
+(* (simulation digest, trace md5, trace length, metrics-dump md5) *)
+let pin_of (r : Store.Cluster.results) =
+  Alcotest.(check int) "the trace ring kept every event" 0
+    (Obs.Trace.overwritten r.Store.Cluster.trace);
+  let s = Obs.Export.jsonl r.Store.Cluster.trace in
+  ( Store.Cluster.digest r,
+    Digest.to_hex (Digest.string s),
+    String.length s,
+    Digest.to_hex (Digest.string (Obs.Metrics.dump r.Store.Cluster.metrics)) )
+
+let check_pin what (digest, md5, len, dump) (r : Store.Cluster.results) =
+  let digest', md5', len', dump' = pin_of r in
+  Alcotest.(check string) (what ^ ": simulation digest") digest digest';
+  Alcotest.(check int) (what ^ ": trace length") len len';
+  Alcotest.(check string) (what ^ ": trace md5") md5 md5';
+  Alcotest.(check string) (what ^ ": metrics dump md5") dump dump'
+
+let test_sharded_io_pinned () =
+  let r = Store.Cluster.run (sharded_io_params ~group_commit:true) in
+  Alcotest.(check (list string)) "audit clean" [] r.Store.Cluster.audit_violations;
+  check_pin "group commit"
+    ( "9878d1ff6e06375722d38095e6a9373a",
+      "ad542d8b5912c917549d83595ec09904",
+      985365,
+      "b6af32191c47081a33e2aae9ab9628e7" )
+    r
+
+let test_sharded_io_naive_pinned () =
+  let r = Store.Cluster.run (sharded_io_params ~group_commit:false) in
+  Alcotest.(check (list string)) "audit clean" [] r.Store.Cluster.audit_violations;
+  check_pin "one install per fsync"
+    ( "b6d1af819a06685ef5943e4837005d04",
+      "24979e7729974fcd38de65ed2df04b31",
+      1007545,
+      "4fb17fab779f555fa411a800fef8fb68" )
+    r
 
 (* ---------- cluster-level amortization ---------- *)
 
@@ -387,10 +522,16 @@ let suites =
           test_group_commit_amortizes_replica_level;
         Alcotest.test_case "groups apply in version order" `Quick
           test_apply_in_version_order;
+        Alcotest.test_case "a batch frame of mixed parts" `Quick
+          test_batch_frame_mixed_parts;
         Alcotest.test_case "zero-cost pipeline matches golden traces" `Slow
           test_zero_cost_pipeline_golden;
         Alcotest.test_case "group commit amortizes >= 2x cluster-wide" `Slow
           test_group_commit_amortizes_cluster_level;
+        Alcotest.test_case "batched group-commit run pinned" `Quick
+          test_sharded_io_pinned;
+        Alcotest.test_case "batched one-install-per-fsync run pinned" `Quick
+          test_sharded_io_naive_pinned;
         qcheck prop_pipeline_nemesis_audit_clean;
       ] );
     ( "rpc.window",

@@ -9,6 +9,7 @@ module Core = Sim.Core
 module Net = Sim.Net
 module Engine = Rpc.Engine
 module Policy = Rpc.Policy
+module Window = Rpc.Window
 
 (* ---------- a minimal echo protocol over Sim.Net ---------- *)
 
@@ -443,6 +444,183 @@ let test_disable_batching_mid_flight () =
   | _ -> Alcotest.fail "in-flight batch replies must still unwrap");
   Alcotest.(check int) "pending table drained" 0 (Engine.pending_count eng)
 
+(* ---------- batching: the flush timer ---------- *)
+
+(* A world whose sends all take exactly one time unit, and whose
+   servers only record what reaches them: (server id, message,
+   payloads, arrival time), newest first.  Equal latencies keep
+   arrival order equal to send order. *)
+let recording_world () =
+  let sim = Core.create ~seed:5 in
+  let net =
+    Net.create ~sim ~nodes:("c" :: servers)
+      ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0)
+      ()
+  in
+  let log = ref [] in
+  let seen = ref 0 in
+  List.iter
+    (fun s ->
+      let id = Net.id net s in
+      Net.register_id net ~node:id (fun ~src:_ msg ->
+          let p = (Net.counters net).Net.payload_delivered in
+          log := (id, msg, p - !seen, Core.now sim) :: !log;
+          seen := p))
+    servers;
+  let metrics = Obs.Metrics.create () in
+  let eng = Engine.create ~name:"c" ~sim ~net ~rid_of ~metrics () in
+  (sim, net, eng, metrics, log)
+
+(* one call to the members of [mask], under an op that only times out *)
+let send_masked ~eng ~group mask =
+  let op = ref None in
+  let o =
+    Engine.start_op eng ~timeout:500.0 ~on_timeout:(fun () ->
+        Option.iter (Engine.finish_op eng) !op)
+  in
+  op := Some o;
+  Engine.call eng ~op:o ~targets:group ~first:mask
+    ~make:(fun rid -> Req rid)
+    ~on_reply:(fun ~member:_ ~heard:_ _ -> Engine.Continue)
+    ()
+
+let test_reenabled_batching_waits_its_window () =
+  (* disabling batching flushes the queue; the flush timer armed
+     before must not survive to send a later queue before that queue's
+     own window ends *)
+  let sim, _net, eng, _m, log = recording_world () in
+  let group = Engine.group eng (Array.of_list servers) in
+  Engine.set_batching eng (Some (echo_batching ~window:100.0));
+  ignore (send_masked ~eng ~group 1 : int);
+  Core.schedule sim ~delay:5.0 (fun () -> Engine.set_batching eng None);
+  Core.schedule sim ~delay:10.0 (fun () ->
+      Engine.set_batching eng (Some (echo_batching ~window:100.0)));
+  Core.schedule sim ~delay:11.0 (fun () ->
+      ignore (send_masked ~eng ~group 1 : int);
+      ignore (send_masked ~eng ~group 1 : int));
+  Core.run sim;
+  match List.rev !log with
+  | [ (_, Req 0, 1, t0); (_, Batch (3, [ Req 1; Req 2 ]), 2, t1) ] ->
+      Alcotest.(check (float 1e-9)) "the disable flushed at once" 6.0 t0;
+      Alcotest.(check (float 1e-9)) "the new queue left after its window"
+        112.0 t1
+  | l -> Alcotest.failf "unexpected deliveries (%d)" (List.length l)
+
+(* A reference copy of the flush as it was first written, over the
+   queue in enqueue order: group per destination in first-appearance
+   order, one frame per destination (a single part unwrapped), frame
+   rids allocated from [next] in that order.  Returns the frames as
+   (dst, message, payloads), the [rpc.batch_size] observations, the
+   peak frame size and the next free rid.  With batching off every
+   queued send leaves alone, in enqueue order. *)
+let reference_flush ~batching ~next queued =
+  if not batching then
+    (List.map (fun (dst, m) -> (dst, m, 1)) queued,
+     List.map (fun _ -> 1.0) queued,
+     None,
+     next)
+  else begin
+    let order = ref [] in
+    let by_dst = Hashtbl.create 8 in
+    List.iter
+      (fun (dst, m) ->
+        match Hashtbl.find_opt by_dst dst with
+        | Some l -> l := m :: !l
+        | None ->
+            Hashtbl.replace by_dst dst (ref [ m ]);
+            order := dst :: !order)
+      queued;
+    let next = ref next and peak = ref 0 in
+    let frames, obs =
+      List.split
+        (List.map
+           (fun dst ->
+             let ms = List.rev !(Hashtbl.find by_dst dst) in
+             let n = List.length ms in
+             peak := max !peak n;
+             let frame =
+               match ms with
+               | [ m ] -> (dst, m, 1)
+               | ms ->
+                   let rid = !next in
+                   incr next;
+                   (dst, Batch (rid, ms), n)
+             in
+             (frame, float_of_int n))
+           (List.rev !order))
+    in
+    (frames, obs, (if queued = [] then None else Some !peak), !next)
+  end
+
+type round = Off | On | On_then_off
+
+let prop_flush_matches_reference =
+  let round =
+    QCheck.(
+      pair
+        (oneofl [ Off; On; On; On_then_off ])
+        (list_of_size Gen.(1 -- 14) (int_range 1 31)))
+  in
+  QCheck.Test.make ~count:150
+    ~name:"flush sends the frames, rids and sizes of the reference flush"
+    QCheck.(pair bool (list_of_size Gen.(1 -- 6) round))
+    (fun (adaptive, rounds) ->
+      let sim, _net, eng, metrics, log = recording_world () in
+      let group = Engine.group eng (Array.of_list servers) in
+      let ids = Engine.group_ids group in
+      let wcfg = { Window.default_config with initial = 0.5 } in
+      let wctl = Window.create wcfg and model_w = Window.create wcfg in
+      if adaptive then Engine.set_adaptive_window eng (Some wctl);
+      let b = echo_batching ~window:0.5 in
+      let next = ref 0 in
+      let buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |] in
+      let hist () =
+        Obs.Metrics.histogram metrics ~labels:[ ("client", "c") ] ~buckets
+          "rpc.batch_size"
+      in
+      let model_h =
+        Obs.Metrics.histogram (Obs.Metrics.create ()) ~buckets "model"
+      in
+      List.for_all
+        (fun (kind, masks) ->
+          log := [];
+          Engine.set_batching eng (if kind = Off then None else Some b);
+          let queued =
+            List.concat_map
+              (fun mask ->
+                let rid = send_masked ~eng ~group mask in
+                assert (rid = !next);
+                incr next;
+                List.filter_map
+                  (fun i ->
+                    if mask land (1 lsl i) <> 0 then Some (ids.(i), Req rid)
+                    else None)
+                  [ 0; 1; 2; 3; 4 ])
+              masks
+          in
+          if kind = On_then_off then Engine.set_batching eng None;
+          Core.run sim;
+          let frames, o, peak, next' =
+            reference_flush ~batching:(kind = On) ~next:!next queued
+          in
+          next := next';
+          if kind <> Off then List.iter (Obs.Metrics.observe model_h) o;
+          (match (kind, peak) with
+          | On, Some p when adaptive -> Window.observe model_w ~peak:p
+          | _ -> ());
+          let h = hist () in
+          let sent = List.rev_map (fun (d, m, p, _) -> (d, m, p)) !log in
+          sent = frames
+          && (kind = Off
+             || Obs.Metrics.hist_count h = Obs.Metrics.hist_count model_h
+                && Obs.Metrics.hist_sum h = Obs.Metrics.hist_sum model_h
+                && Obs.Metrics.bucket_counts h
+                   = Obs.Metrics.bucket_counts model_h)
+          && Window.window wctl = Window.window model_w
+          && Engine.fresh_rid eng = !next
+          && (incr next; true))
+        rounds)
+
 (* ---------- determinism with retries + loss ---------- *)
 
 let lossy_retry_run seed =
@@ -587,6 +765,9 @@ let suites =
         Alcotest.test_case "policy validation" `Quick test_policy_validation;
         Alcotest.test_case "disabling batching mid-flight flushes the queue"
           `Quick test_disable_batching_mid_flight;
+        Alcotest.test_case "re-enabled batching waits its own window" `Quick
+          test_reenabled_batching_waits_its_window;
+        qcheck prop_flush_matches_reference;
         qcheck prop_retry_delay_bounds;
         Alcotest.test_case "lossy retries are seed-deterministic" `Quick
           test_lossy_retry_deterministic;

@@ -82,6 +82,71 @@ let test_key_index () =
   check "alpha" None (Router.key_index "alpha");
   check "" None (Router.key_index "")
 
+(* The shard map as first written: FNV-1a through a closure and a
+   ref, and the digit suffix cut out and parsed by the standard
+   library.  The map is observable behaviour, so the router's must
+   equal these on every key. *)
+let reference_fnv1a key =
+  let h = ref 0x3bf29ce484222325 in
+  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x100000001b3) key;
+  !h land max_int
+
+let reference_key_index key =
+  let n = String.length key in
+  let rec start i =
+    if i > 0 && key.[i - 1] >= '0' && key.[i - 1] <= '9' then start (i - 1)
+    else i
+  in
+  let s = start n in
+  if s >= n then None else int_of_string_opt (String.sub key s (n - s))
+
+(* keys around the parser's edges: empty, no digits, non-digit tails,
+   leading zeros, and digit runs of 17 to 25 characters (an int holds
+   18 digits; 19 overflow past 4611686018427387903) *)
+let shard_key_gen =
+  let open QCheck.Gen in
+  let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+  let prefix = oneofl [ ""; "k"; "key"; "r-"; "k0"; "x9y" ] in
+  frequency
+    [
+      (1, return "");
+      (3, string_size ~gen:printable (0 -- 12));
+      (4, map2 ( ^ ) prefix ((1 -- 6) >>= digits));
+      (3, map2 ( ^ ) prefix (map (( ^ ) "000") ((0 -- 5) >>= digits)));
+      (4, map2 ( ^ ) prefix ((17 -- 25) >>= digits));
+      ( 2,
+        oneofl
+          [
+            "4611686018427387903";
+            "4611686018427387904";
+            "9223372036854775807";
+            "k999999999999999999";
+            "k000000000000000000000001";
+          ] );
+      (2, map2 (fun a b -> a ^ b ^ "z") prefix ((1 -- 20) >>= digits));
+    ]
+
+let prop_shard_map_matches_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"key_index and the hash map equal their first definitions"
+    (QCheck.make ~print:(Printf.sprintf "%S") shard_key_gen)
+    (fun key ->
+      Router.key_index key = reference_key_index key
+      && List.for_all
+           (fun n_shards ->
+             Router.shard_fn `Hash ~n_shards ~n_keys:0 key
+             = reference_fnv1a key mod n_shards)
+           [ 1; 4; 7; 1024; max_int ]
+      && List.for_all
+           (fun n_keys ->
+             let exp =
+               match reference_key_index key with
+               | Some i when i >= 0 && i < n_keys -> i * 4 / n_keys
+               | _ -> reference_fnv1a key mod 4
+             in
+             Router.shard_fn `Range ~n_shards:4 ~n_keys key = exp)
+           [ 0; 256; max_int ])
+
 (* The workload's key names are the contract [Router.key_index]
    parses: "k" followed by the decimal index, so the [`Range] map puts
    key i in shard [i * n_shards / n_keys] and sends the rest through
@@ -494,6 +559,7 @@ let suites =
         Alcotest.test_case "hash scheme spreads keys" `Quick test_hash_spreads;
         Alcotest.test_case "key_index parses numeric suffixes" `Quick
           test_key_index;
+        qcheck prop_shard_map_matches_reference;
         Alcotest.test_case "key_name is the contract key_index parses"
           `Quick test_key_name_contract;
         Alcotest.test_case "route_many groups by shard" `Quick
