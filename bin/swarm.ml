@@ -10,9 +10,9 @@
    Exit status: 0 when every audited run is clean, 1 when any
    violation was found (including a successful repro — reproducing a
    violation is a failing exit so CI can gate on it), 2 on bad input:
-   a shape or script the cluster rejects, a shard wider than 12
-   replicas, or (without --unsafe) quorums that do not all
-   intersect. *)
+   a sweep of fewer than one seed, a shape or script the cluster
+   rejects, a shard wider than 12 replicas, or (without --unsafe)
+   quorums that do not all intersect. *)
 
 module Prng = Qc_util.Prng
 module Script = Harness.Script
@@ -173,39 +173,43 @@ let with_valid shape ~seed script k =
       | Ok () -> k ())
 
 let sweep shape seeds seed0 max_failures json_path =
-  with_valid shape ~seed:seed0 [] @@ fun () ->
-  let run ~seed script = run_one shape ~seed script in
-  let failures =
-    Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures
-      ~progress:(fun ~seed ~failed ->
-        if failed then Fmt.pr "seed %d: VIOLATION@." seed)
-      ()
-  in
-  let minimized = List.map (Harness.Swarm.minimize ~run) failures in
-  let extra = extra_flags shape in
-  let report =
-    { Harness.Swarm.seeds; seed0; failures; minimized }
-  in
-  Fmt.pr "swept %d seeds from %d: %d failing@." seeds seed0
-    (List.length failures);
-  List.iter
-    (fun (m : Harness.Swarm.outcome) ->
-      Fmt.pr "@.seed %d minimized to %d step(s): %s@."
-        m.Harness.Swarm.seed
-        (List.length m.Harness.Swarm.script)
-        (Script.to_string m.Harness.Swarm.script);
-      List.iter (fun v -> Fmt.pr "  violation: %s@." v)
-        m.Harness.Swarm.violations;
-      Fmt.pr "  repro: %s@." (Harness.Swarm.repro_line ~extra m))
-    minimized;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Harness.Swarm.report_json ~extra report);
-      close_out oc;
-      Fmt.pr "report written to %s@." path);
-  if failures = [] then 0 else 1
+  if seeds < 1 then (
+    Fmt.epr "swarm: --seeds must be >= 1 (got %d)@." seeds;
+    2)
+  else
+    with_valid shape ~seed:seed0 [] @@ fun () ->
+    let run ~seed script = run_one shape ~seed script in
+    let failures =
+      Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures
+        ~progress:(fun ~seed ~failed ->
+          if failed then Fmt.pr "seed %d: VIOLATION@." seed)
+        ()
+    in
+    let minimized = List.map (Harness.Swarm.minimize ~run) failures in
+    let extra = extra_flags shape in
+    let report =
+      { Harness.Swarm.seeds; seed0; failures; minimized }
+    in
+    Fmt.pr "swept %d seeds from %d: %d failing@." seeds seed0
+      (List.length failures);
+    List.iter
+      (fun (m : Harness.Swarm.outcome) ->
+        Fmt.pr "@.seed %d minimized to %d step(s): %s@."
+          m.Harness.Swarm.seed
+          (List.length m.Harness.Swarm.script)
+          (Script.to_string m.Harness.Swarm.script);
+        List.iter (fun v -> Fmt.pr "  violation: %s@." v)
+          m.Harness.Swarm.violations;
+        Fmt.pr "  repro: %s@." (Harness.Swarm.repro_line ~extra m))
+      minimized;
+    (match json_path with
+    | None -> ()
+    | Some path ->
+        let oc = open_out path in
+        output_string oc (Harness.Swarm.report_json ~extra report);
+        close_out oc;
+        Fmt.pr "report written to %s@." path);
+    if failures = [] then 0 else 1
 
 let repro shape seed script_str =
   match Script.of_string script_str with

@@ -60,6 +60,7 @@ let run_dump seed replicas clients ops loss partitions capacity format out
             n_replicas = replicas;
             n_clients = clients;
             workload = { Store.Workload.default_spec with ops_per_client = ops };
+            trace_capacity = capacity;
             loss;
             partitions;
             seed;

@@ -18,11 +18,13 @@
      shards N [hash|range]
                         rebuild the world with N shards of 5 replicas
                         each (all state is reset)
-     batch W            coalesce per-replica requests over a W-unit window
+     batch W            coalesce per-replica requests over a fixed
+                        W-unit window (replaces an adaptive one)
      batch off          back to unbatched (the default)
+     batch              show the window the next flush waits
      window adaptive    AIMD-controlled batching window (replaces batch)
-     window off         remove the controller (batching stays at its
-                        current width)
+     window off         stop adapting: pin each shard's window at the
+                        width its controller reached (batching stays on)
      storage W F [naive|group]
                         rebuild the world with a storage device per
                         replica: W per-write cost, F per-fsync cost,
@@ -435,34 +437,44 @@ let () =
         | "batch" :: rest ->
             (match parse_batch rest with
             | Error e -> Fmt.pr "invalid batch: %s@." e
-            | Ok None -> (
-                match Store.Router.batch_window !w.router with
+            | Ok win ->
+                Option.iter
+                  (fun win ->
+                    Store.Router.set_batching !w.router
+                      (Option.map Rpc.Window.fixed win))
+                  win;
+                match Store.Router.batching !w.router with
                 | None -> Fmt.pr "batch: off@."
-                | Some win -> Fmt.pr "batch: window %g@." win)
-            | Ok (Some win) ->
-                Store.Router.set_batch_window !w.router win;
-                (match win with
-                | None -> Fmt.pr "batch: off@."
-                | Some win -> Fmt.pr "batch: window %g@." win));
+                | Some c -> Fmt.pr "batch: window %g@." (Rpc.Window.window c));
             loop ()
         | "window" :: rest ->
             (match rest with
             | [] -> (
-                match Store.Router.adaptive_window !w.router with
-                | Some c ->
+                match Store.Router.batching !w.router with
+                | Some c when (Rpc.Window.config c).min_window
+                              < (Rpc.Window.config c).max_window ->
                     Fmt.pr "window: adaptive, currently %g (%a)@."
                       (Rpc.Window.window c) Rpc.Window.pp_config
                       (Rpc.Window.config c)
-                | None -> Fmt.pr "window: static (see 'batch')@.")
+                | _ -> Fmt.pr "window: static (see 'batch')@.")
             | [ "adaptive" ] ->
-                Store.Router.set_adaptive_window !w.router
+                Store.Router.set_batching !w.router
                   (Some Rpc.Window.default_config);
                 Fmt.pr "window: adaptive (%a)@." Rpc.Window.pp_config
                   Rpc.Window.default_config
+            | [ "off" ] when Option.is_none (Store.Router.batching !w.router) ->
+                Fmt.pr "window: batching is off (see 'batch')@."
             | [ "off" ] ->
-                Store.Router.set_adaptive_window !w.router None;
-                Fmt.pr "window: controller removed (batching unchanged, see \
-                        'batch')@."
+                (* each shard keeps the width its own controller reached *)
+                Array.iter
+                  (fun c ->
+                    Option.iter
+                      (fun ctl ->
+                        Store.Client.set_batching c
+                          (Some (Rpc.Window.fixed (Rpc.Window.window ctl))))
+                      (Store.Client.batching c))
+                  (Store.Router.clients !w.router);
+                Fmt.pr "window: each shard pinned at its current width@."
             | _ -> Fmt.pr "usage: window [adaptive | off]@.");
             loop ()
         | "storage" :: rest ->

@@ -32,12 +32,11 @@ type group = { names : string array; ids : int array }
 
 (** Multi-key batching: how to wrap several outgoing requests for one
     destination into a single wire message, and how to recognise and
-    split an incoming batch reply.  The window is the coalescing
-    delay: the first enqueued send arms a flush timer, and everything
-    queued for the same destination before it fires travels in one
-    frame. *)
+    split an incoming batch reply.  The coalescing delay comes from
+    the {!Window.t} enabled with it: the first enqueued send arms a
+    flush timer, and everything queued for the same destination
+    before it fires travels in one frame. *)
 type 'msg batching = {
-  window : float;
   wrap : rid:int -> 'msg list -> 'msg;
   unwrap : 'msg -> 'msg list option;
 }
@@ -98,7 +97,10 @@ type 'msg t = {
   m_hedges : Obs.Metrics.counter;
   m_exhausted : Obs.Metrics.counter;
   m_op_timeouts : Obs.Metrics.counter;
-  mutable batching : 'msg batching option;
+  mutable batching : ('msg batching * Window.t) option;
+      (** the hooks, and the controller whose window is the flush
+          delay and which every flush feeds its peak per-destination
+          batch size; a static window is a pinned controller *)
   mutable unbatch : ('msg -> 'msg list option) option;
       (** retained after batching is switched off, so batch replies
           still in flight keep unwrapping *)
@@ -123,15 +125,10 @@ type 'msg t = {
           first-appearance order *)
   mutable flush_timer : Core.timer;
       (** the armed flush, or [Core.no_timer] *)
-  mutable m_batch_size : Obs.Metrics.histogram option;
-      (** created lazily on first enable — a never-batching engine
-          registers no extra instruments *)
-  mutable wctl : Window.t option;
-      (** adaptive window controller: when present, its current window
-          replaces the static [batching.window] as the flush delay, and
-          every flush feeds it the peak per-destination batch size *)
-  mutable m_window : Obs.Metrics.gauge option;
-      (** [rpc.window] — created lazily with the controller *)
+  mutable meters : (Obs.Metrics.histogram * Obs.Metrics.gauge) option;
+      (** [rpc.batch_size] and [rpc.window], registered together by
+          the first enable — a never-batching engine registers no
+          extra instruments *)
 }
 
 let check_policy p =
@@ -176,9 +173,7 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     parts = [||];
     firsts = [||];
     flush_timer = Core.no_timer;
-    m_batch_size = None;
-    wctl = None;
-    m_window = None;
+    meters = None;
   }
 
 let name t = t.name
@@ -219,14 +214,14 @@ let cover t d =
   end
 
 let observe_size t n =
-  match t.m_batch_size with
-  | Some h -> Obs.Metrics.observe h (float_of_int n)
+  match t.meters with
+  | Some (h, _) -> Obs.Metrics.observe h (float_of_int n)
   | None -> ()
 
 (* One frame per destination, destinations in order of first
    appearance, each frame's parts in enqueue order; a single part
    travels unwrapped.  Frame rids are drawn in that order. *)
-let send_frames t b n =
+let send_frames t b w n =
   t.epoch <- t.epoch + 1;
   let epoch = t.epoch in
   if Array.length t.firsts < n then t.firsts <- grow t.firsts n 0;
@@ -274,12 +269,9 @@ let send_frames t b n =
   done;
   (* close the loop: the peak per-destination batch size tells the
      controller whether the window is earning its queue delay *)
-  match t.wctl with
-  | Some c ->
-      Window.observe c ~peak:!peak;
-      (match t.m_window with
-      | Some g -> Obs.Metrics.set g (Window.window c)
-      | None -> ())
+  Window.observe w ~peak:!peak;
+  match t.meters with
+  | Some (_, g) -> Obs.Metrics.set g (Window.window w)
   | None -> ()
 
 let flush t =
@@ -302,7 +294,7 @@ let flush t =
         observe_size t 1;
         Net.send_id t.net ~src:t.self ~dst:t.q_dst.(i) t.q_msg.(i)
       done
-  | Some b -> if n > 0 then send_frames t b n);
+  | Some (b, w) -> if n > 0 then send_frames t b w n);
   (* the queue keeps no sent message reachable *)
   Array.fill t.q_msg 0 n (vacant ());
   t.q_len <- 0
@@ -315,7 +307,7 @@ let flush t =
 let dispatch t ?ctx ~dst msg =
   match t.batching with
   | None -> Net.send_id t.net ~src:t.self ~dst msg
-  | Some b ->
+  | Some (_, w) ->
       (match ctx with
       | Some cx when Obs.Trace.enabled (tracer t) ->
           t.q_spans <-
@@ -335,29 +327,25 @@ let dispatch t ?ctx ~dst msg =
       t.q_dst.(i) <- dst;
       t.q_msg.(i) <- msg;
       t.q_len <- i + 1;
-      if i = 0 then begin
-        let window =
-          match t.wctl with Some c -> Window.window c | None -> b.window
-        in
-        t.flush_timer <- Core.timer t.sim ~delay:window (fun () -> flush t)
-      end
+      if i = 0 then
+        t.flush_timer <-
+          Core.timer t.sim ~delay:(Window.window w) (fun () -> flush t)
 
 let batching t = t.batching
 
 let set_batching t b =
   match b with
-  | Some bb ->
-      if (not (Float.is_finite bb.window)) || bb.window < 0.0 then
-        invalid_arg "Rpc.Engine.set_batching: window must be finite and >= 0";
+  | Some (bb, w) ->
       t.unbatch <- Some bb.unwrap;
-      (match t.m_batch_size with
-      | Some _ -> ()
-      | None ->
-          t.m_batch_size <-
-            Some
-              (Obs.Metrics.histogram t.metrics ~labels:t.labels
-                 ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |]
-                 "rpc.batch_size"));
+      (* registering is idempotent: a re-enable gets the same pair *)
+      let h =
+        Obs.Metrics.histogram t.metrics ~labels:t.labels
+          ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |]
+          "rpc.batch_size"
+      in
+      let g = Obs.Metrics.gauge t.metrics ~labels:t.labels "rpc.window" in
+      Obs.Metrics.set g (Window.window w);
+      t.meters <- Some (h, g);
       t.batching <- b
   | None ->
       t.batching <- None;
@@ -369,20 +357,6 @@ let set_batching t b =
         Core.cancel t.sim t.flush_timer;
         flush t
       end
-
-let set_adaptive_window t w =
-  (match w with
-  | Some c ->
-      (match t.m_window with
-      | Some g -> Obs.Metrics.set g (Window.window c)
-      | None ->
-          let g = Obs.Metrics.gauge t.metrics ~labels:t.labels "rpc.window" in
-          Obs.Metrics.set g (Window.window c);
-          t.m_window <- Some g)
-  | None -> ());
-  t.wctl <- w
-
-let adaptive_window t = t.wctl
 
 (* Attempt spans exist to see retries and hedges; a fire-once call
    emits nothing, keeping default-policy traces byte-identical. *)

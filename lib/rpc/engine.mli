@@ -36,10 +36,6 @@ type verdict =
   | Done  (** the accumulated reply set satisfies the predicate *)
 
 type 'msg batching = {
-  window : float;
-      (** coalescing window in simulated time units; the first send
-          queued arms one flush timer, everything queued before it
-          fires shares the wave *)
   wrap : rid:int -> 'msg list -> 'msg;
       (** build the batch frame around [>= 2] requests for one
           destination; the rid is fresh and identifies the frame, the
@@ -51,9 +47,9 @@ type 'msg batching = {
 (** Multi-key batching (see {!set_batching}): distinct calls' requests
     to the same destination inside one window travel as a single wire
     message, and each wrapped reply still completes its own call
-    through the pending table.  Latency cost: up to [window] of queue
-    delay per request.  Message gain: one frame per destination per
-    window, however many keys are in flight. *)
+    through the pending table.  Latency cost: up to one window of
+    queue delay per request.  Message gain: one frame per destination
+    per window, however many keys are in flight. *)
 
 type 'msg t
 
@@ -96,29 +92,23 @@ val handle_id : 'msg t -> src:int -> 'msg -> unit
 val handle : 'msg t -> src:string -> 'msg -> unit
 (** {!handle_id} by the sender's name. *)
 
-val set_batching : 'msg t -> 'msg batching option -> unit
-(** Enable ([Some b]) or disable ([None]) multi-key batching for sends
-    issued after the call.  The default is off, which keeps the send
-    path byte-identical to historical runs; enabling registers an
-    [rpc.batch_size] histogram.  Disabling keeps the unwrap function,
-    so batch replies still in flight complete normally, and flushes any
-    still-queued sends immediately (unwrapped, in enqueue order) rather
-    than stranding them until the armed window timer, which it cancels:
-    sends queued after a later re-enable wait their own full window.
-    @raise Invalid_argument if the window is negative or not finite. *)
+val set_batching : 'msg t -> ('msg batching * Window.t) option -> unit
+(** Enable ([Some (b, w)]) or disable ([None]) multi-key batching for
+    sends issued after the call.  The controller [w] is the only
+    source of the coalescing delay: the first send queued arms one
+    flush timer at [Window.window w], and every flush reports its peak
+    per-destination batch size to {!Window.observe}.  A static window
+    is a controller pinned by {!Window.fixed}.  The default is off,
+    which keeps the send path byte-identical to historical runs; the
+    first enable registers an [rpc.batch_size] histogram and an
+    [rpc.window] gauge tracking [w]'s window.  Disabling keeps the
+    unwrap function, so batch replies still in flight complete
+    normally, and flushes any still-queued sends immediately
+    (unwrapped, in enqueue order) rather than stranding them until the
+    armed window timer, which it cancels: sends queued after a later
+    re-enable wait their own full window. *)
 
-val batching : 'msg t -> 'msg batching option
-
-val set_adaptive_window : 'msg t -> Window.t option -> unit
-(** Install ([Some c]) or remove ([None]) an adaptive window
-    controller.  While installed — and batching is enabled — the
-    controller's current window replaces the static [batching.window]
-    as the coalescing delay, and every flush reports its peak
-    per-destination batch size to {!Window.observe}; an [rpc.window]
-    gauge tracks the window.  Removing it falls back to the static
-    window. *)
-
-val adaptive_window : 'msg t -> Window.t option
+val batching : 'msg t -> ('msg batching * Window.t) option
 
 val name : 'msg t -> string
 val policy : 'msg t -> Policy.t

@@ -34,6 +34,8 @@ let default_config =
     busy = 4;
   }
 
+let fixed w = { default_config with min_window = w; max_window = w; initial = w }
+
 let validate c =
   let fin x = Float.is_finite x in
   if (not (fin c.min_window)) || c.min_window < 0.0 then

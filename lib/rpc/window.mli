@@ -1,12 +1,14 @@
 (** AIMD control of the engine's multi-key batching window.
 
-    Closes the loop the static window leaves open: each flush reports
-    the peak per-destination batch size it coalesced, and the
-    controller widens the window additively while frames are actually
-    forming (peak >= [busy]) and shrinks it multiplicatively when they
-    are not — bursts widen toward [max_window], idle traffic collapses
-    toward [min_window] (with the default [min_window = 0.0], to a
-    same-instant flush that adds no latency at all). *)
+    The controller is the engine's only source of the coalescing
+    delay: each flush reports the peak per-destination batch size it
+    coalesced, and the controller widens the window additively while
+    frames are actually forming (peak >= [busy]) and shrinks it
+    multiplicatively when they are not — bursts widen toward
+    [max_window], idle traffic collapses toward [min_window] (with the
+    default [min_window = 0.0], to a same-instant flush that adds no
+    latency at all).  A static window is a controller whose range is a
+    single point ({!fixed}). *)
 
 type config = {
   min_window : float;  (** floor; [0.0] = fire-immediately when idle *)
@@ -18,7 +20,13 @@ type config = {
 }
 
 val default_config : config
-(** [min 0, max 8, initial 0, +1.0, x0.5, busy >= 2]. *)
+(** [min 0, max 8, initial 0, +1.0, x0.5, busy >= 4]. *)
+
+val fixed : float -> config
+(** [fixed w] pins the window at [w]: [min_window = max_window =
+    initial = w], so {!observe} clamps every widening at [w] and snaps
+    every shrink back to it.  A static batching window is this
+    config. *)
 
 val validate : config -> (unit, string) result
 

@@ -120,9 +120,13 @@ type t = {
 
 let tracer t = Core.tracer t.sim
 
+let set_engine_batching eng cfg =
+  Engine.set_batching eng
+    (Option.map (fun c -> (Protocol.batching, Rpc.Window.create c)) cfg)
+
 let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0)
     ?(read_repair = false) ?(targeting = `Broadcast) ?(trace_ctx = false)
-    ?policy ?(seed = 1) ?metrics ?shard ?batch_window ?adaptive_window () =
+    ?policy ?(seed = 1) ?metrics ?shard ?window () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -153,17 +157,7 @@ let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0)
     Engine.create ~name ~sim ~net ~rid_of:Protocol.rid ?policy ~cat:"store"
       ~seed ~metrics ~extra_labels ()
   in
-  (* adaptive batching subsumes the static window: batching is enabled
-     at the controller's initial window and the controller takes over
-     the flush delay from there *)
-  (match (adaptive_window, batch_window) with
-  | Some cfg, _ ->
-      Engine.set_batching eng
-        (Some (Protocol.batching ~window:cfg.Rpc.Window.initial));
-      Engine.set_adaptive_window eng (Some (Rpc.Window.create cfg))
-  | None, Some w ->
-      Engine.set_batching eng (Some (Protocol.batching ~window:w))
-  | None, None -> ());
+  set_engine_batching eng window;
   {
     name;
     sim;
@@ -201,22 +195,8 @@ let epoch t = t.epoch
 let set_probe t pr = t.probe <- pr
 let probe t = t.probe
 
-let set_batch_window t w =
-  Engine.set_batching t.eng
-    (Option.map (fun window -> Protocol.batching ~window) w)
-
-let batch_window t =
-  Option.map (fun b -> b.Engine.window) (Engine.batching t.eng)
-
-let set_adaptive_window t cfg =
-  match cfg with
-  | Some c ->
-      Engine.set_batching t.eng
-        (Some (Protocol.batching ~window:c.Rpc.Window.initial));
-      Engine.set_adaptive_window t.eng (Some (Rpc.Window.create c))
-  | None -> Engine.set_adaptive_window t.eng None
-
-let adaptive_window t = Engine.adaptive_window t.eng
+let set_batching t cfg = set_engine_batching t.eng cfg
+let batching t = Option.map snd (Engine.batching t.eng)
 
 (* The first wave per the targeting mode: every replica (hedge pool
    empty), or one minimal quorum with the rest as the engine's hedge

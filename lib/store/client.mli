@@ -79,8 +79,7 @@ val create :
   ?seed:int ->
   ?metrics:Obs.Metrics.t ->
   ?shard:int ->
-  ?batch_window:float ->
-  ?adaptive_window:Rpc.Window.config ->
+  ?window:Rpc.Window.config ->
   unit ->
   t
 (** [metrics] defaults to a private registry; pass a shared one to
@@ -88,11 +87,8 @@ val create :
     fire-once) governs per-request retries, backoff and hedging.
     [shard] adds a [("shard", i)] label to the client's and engine's
     metrics — set by the router when several clients serve one logical
-    node.  [batch_window] enables multi-key batching on the engine
-    (see {!Rpc.Engine.set_batching}); off by default.
-    [adaptive_window] instead enables batching under an AIMD window
-    controller (see {!Rpc.Window}) and takes precedence over
-    [batch_window].
+    node.  [window] enables multi-key batching on the engine under a
+    controller of this config (see {!set_batching}); off by default.
     Every operation is traced as a span on the simulator's tracer
     (begin at issue, end at quorum/timeout), with reply / phase-switch
     / timeout instants in between.
@@ -130,24 +126,17 @@ val set_policy : t -> Rpc.Policy.t -> unit
 
 val policy : t -> Rpc.Policy.t
 
-val set_batch_window : t -> float option -> unit
-(** Enable ([Some window]) or disable ([None]) multi-key batching for
-    subsequently issued requests.
-    @raise Invalid_argument if the window is negative or not finite. *)
-
-val batch_window : t -> float option
-
-val set_adaptive_window : t -> Rpc.Window.config option -> unit
-(** Enable ([Some cfg]) adaptive batching — batching switches on at the
-    config's initial window and an AIMD controller takes over the flush
-    delay — or remove the controller ([None]), falling back to the
-    engine's static window (disable that too with
-    {!set_batch_window}).
+val set_batching : t -> Rpc.Window.config option -> unit
+(** Enable ([Some cfg]) or disable ([None]) multi-key batching for
+    subsequently issued requests.  Enabling installs a fresh controller
+    of [cfg] as the engine's only source of the coalescing delay (see
+    {!Rpc.Engine.set_batching}): {!Rpc.Window.default_config} adapts
+    the window, [Rpc.Window.fixed w] pins it at [w].
     @raise Invalid_argument if the config fails {!Rpc.Window.validate}. *)
 
-val adaptive_window : t -> Rpc.Window.t option
-(** The live controller, if one is installed — inspect its current
-    window with {!Rpc.Window.window}. *)
+val batching : t -> Rpc.Window.t option
+(** The live controller while batching is on — its
+    {!Rpc.Window.window} is the delay the next flush waits. *)
 
 val attach : t -> unit
 (** Install the client's reply handler on the network. *)

@@ -191,54 +191,79 @@ let script_of p =
   @ p.script
 
 let validate p =
-  let positive x = Float.is_finite x && Float.compare x 0.0 > 0 in
-  let non_negative x = Float.is_finite x && Float.compare x 0.0 >= 0 in
-  let fail fmt = Fmt.kstr (fun e -> Error e) fmt in
-  let within what = Result.map_error (fun e -> what ^ ": " ^ e) in
+  (* each check is [None] when it passes, formatting nothing; [a ||| b]
+     keeps the first failure *)
+  let ( ||| ) a b = match a with Some _ -> a | None -> b in
+  let fail fmt = Fmt.kstr Option.some fmt in
+  let at_least lo what v =
+    if v >= lo then None else fail "%s must be >= %d (got %d)" what lo v
+  and above_zero what x =
+    if x > 0.0 then None else fail "%s must be > 0 (got %g)" what x
+  and positive what x =
+    if Float.is_finite x && x > 0.0 then None
+    else fail "%s must be positive (got %g)" what x
+  and non_negative what x =
+    if Float.is_finite x && x >= 0.0 then None
+    else fail "%s must be finite and >= 0 (got %g)" what x
+  and fraction what x =
+    if x >= 0.0 && x <= 1.0 then None
+    else fail "%s must be in [0, 1] (got %g)" what x
+  and within what = function Ok () -> None | Error e -> fail "%s: %s" what e in
   let script = script_of p in
   let storm =
     List.exists
       (function Harness.Script.Bipartition_storm _ -> true | _ -> false)
       script
   in
-  if p.n_shards < 1 then fail "n_shards must be >= 1 (got %d)" p.n_shards
-  else if p.n_replicas < 1 then
-    fail "n_replicas must be >= 1 (got %d)" p.n_replicas
-  else if p.n_replicas > Rpc.Engine.max_group then
-    fail "n_replicas must be <= %d, the bits in a replica-set mask (got %d)"
-      Rpc.Engine.max_group p.n_replicas
-  else if p.n_clients < 0 then fail "n_clients must be >= 0 (got %d)" p.n_clients
-  else if not (Float.compare p.loss 0.0 >= 0 && Float.compare p.loss 1.0 < 0)
-  then fail "loss must be in [0, 1) (got %g)" p.loss
-  else if not (Float.compare p.timeout 0.0 > 0) then
-    fail "timeout must be > 0 (got %g)" p.timeout
-  else if not (non_negative p.storage_cost) then
-    fail "storage_cost must be finite and >= 0 (got %g)" p.storage_cost
-  else if not (non_negative p.fsync_cost) then
-    fail "fsync_cost must be finite and >= 0 (got %g)" p.fsync_cost
-  else if storm && p.n_shards * p.n_replicas < 2 then
+  (* an absent option is checked as its valid default *)
+  let wl = p.workload and n = p.n_replicas in
+  let txn = Option.value p.txns ~default:default_txn_spec in
+  match
+    at_least 1 "n_shards" p.n_shards
+    ||| at_least 1 "n_replicas" n
+    ||| (if n <= Rpc.Engine.max_group then None
+         else
+           fail
+             "n_replicas must be <= %d, the bits in a replica-set mask (got \
+              %d)"
+             Rpc.Engine.max_group n)
+    ||| at_least 0 "n_clients" p.n_clients
+    ||| (if p.loss >= 0.0 && p.loss < 1.0 then None
+         else fail "loss must be in [0, 1) (got %g)" p.loss)
+    ||| above_zero "timeout" p.timeout
+    ||| non_negative "storage_cost" p.storage_cost
+    ||| non_negative "fsync_cost" p.fsync_cost
     (* a bipartition needs a replica on each side *)
-    fail "a partition storm needs >= 2 replicas (got %d)"
-      (p.n_shards * p.n_replicas)
-  else
-    match (p.batch_window, p.health_window, p.txns, p.tune) with
-    | Some w, _, _, _ when not (non_negative w) ->
-        fail "batch_window must be finite and >= 0 (got %g)" w
-    | _, Some w, _, _ when not (positive w) ->
-        fail "health_window must be positive (got %g)" w
-    | _, _, Some t, _ when t.keys_per_txn < 1 ->
-        fail "keys_per_txn must be >= 1 (got %d)" t.keys_per_txn
-    | _, _, _, Some t when not (positive t.tune_epoch) ->
-        fail "tune_epoch must be positive (got %g)" t.tune_epoch
-    | _ ->
-        let ( let* ) = Result.bind in
-        let* () = within "policy" (Rpc.Policy.validate p.policy) in
-        let* () =
-          match p.adaptive_window with
-          | Some c -> within "adaptive_window" (Rpc.Window.validate c)
-          | None -> Ok ()
-        in
-        within "script" (Harness.Script.validate ~n_shards:p.n_shards script)
+    ||| (if (not storm) || p.n_shards * n >= 2 then None
+         else
+           fail "a partition storm needs >= 2 replicas (got %d)"
+             (p.n_shards * n))
+    ||| at_least 1 "n_keys" wl.n_keys
+    ||| (if Float.is_finite wl.zipf_s then None
+         else fail "zipf_s must be finite (got %g)" wl.zipf_s)
+    ||| fraction "read_fraction" wl.read_fraction
+    ||| non_negative "think_time" wl.think_time
+    ||| at_least 0 "ops_per_client" wl.ops_per_client
+    ||| at_least 1 "burst" wl.burst
+    ||| at_least 0 "trace_capacity" p.trace_capacity
+    ||| non_negative "batch_window" (Option.value p.batch_window ~default:0.0)
+    ||| positive "health_window" (Option.value p.health_window ~default:1.0)
+    ||| at_least 1 "keys_per_txn" txn.keys_per_txn
+    ||| at_least 0 "txns_per_client" txn.txns_per_client
+    ||| fraction "txn_read_fraction" txn.txn_read_fraction
+    ||| above_zero "txn_timeout" txn.txn_timeout
+    ||| at_least 0 "txn_retries" txn.txn_retries
+    ||| positive "recovery_delay" txn.recovery_delay
+    ||| positive "tune_epoch"
+          (Option.value p.tune ~default:default_tune_spec).tune_epoch
+    ||| within "policy" (Rpc.Policy.validate p.policy)
+    ||| within "adaptive_window"
+          (Option.fold p.adaptive_window ~none:(Ok ())
+             ~some:Rpc.Window.validate)
+    ||| within "script" (Harness.Script.validate ~n_shards:p.n_shards script)
+  with
+  | Some e -> Error e
+  | None -> Ok ()
 
 (* ---------- the world and its drivers ---------- *)
 
@@ -280,12 +305,11 @@ let drive_ops w ~audit ~op_done =
         op_done ~key ~read:false ~ok ~latency;
         k ())
   in
-  let burst = max 1 spec.Workload.burst in
   let rec issue ci c remaining op_counter =
     if remaining > 0 then
       let think = Prng.exponential w.wrng ~mean:spec.Workload.think_time in
       Core.schedule w.sim ~delay:think (fun () ->
-          let b = min burst remaining in
+          let b = min spec.Workload.burst remaining in
           let outstanding = ref b in
           let k () =
             decr outstanding;

@@ -40,8 +40,10 @@ type params = {
           the historical single-group cluster; byte-identical runs) *)
   shard_scheme : Router.scheme;  (** key → shard map (default [`Hash]) *)
   batch_window : float option;
-      (** multi-key batching window of every client engine ([None] =
-          off, the historical behaviour) *)
+      (** static multi-key batching window of every client engine,
+          run as a pinned controller ({!Rpc.Window.fixed}); [None] =
+          off, the historical behaviour, unless [adaptive_window] is
+          set *)
   shard_kill : (int * float) option;
       (** targeted-failure nemesis: crash every replica of shard [s]
           at time [at] for the rest of the run *)
@@ -54,8 +56,10 @@ type params = {
       (** with storage: a whole group per fsync (default) vs one
           install per fsync (the naive baseline) *)
   adaptive_window : Rpc.Window.config option;
-      (** AIMD-controlled batching window of every client engine
-          (takes precedence over [batch_window]; [None] = static) *)
+      (** AIMD-controlled batching window of every client engine.
+          When set it takes precedence over [batch_window];
+          {!Router.create} decides that, and is the only place that
+          does.  [None] leaves batching to [batch_window]. *)
   trace_ctx : bool;
       (** stamp every operation with a causal trace context carried
           through the engine and protocol frames to the replicas — the
@@ -189,15 +193,22 @@ val client_names : int -> string list
 (** The client names of a run: [c0 .. c{n-1}]. *)
 
 val validate : params -> (unit, string) result
-(** Every check {!run} makes: [n_shards], [n_replicas] >= 1,
-    [n_replicas] <= {!Rpc.Engine.max_group} (a replica set is an [int]
-    mask), [n_clients] >= 0, [loss] in \[0, 1), [timeout] > 0; [storage_cost],
-    [fsync_cost] and [batch_window] finite and >= 0; a positive
-    [health_window]; [keys_per_txn] >= 1; a positive [tune_epoch]; the
-    [policy] ({!Rpc.Policy.validate}) and [adaptive_window]
+(** Every check {!run} makes, in this order, reporting the first that
+    fails: [n_shards], [n_replicas] >= 1, [n_replicas] <=
+    {!Rpc.Engine.max_group} (a replica set is an [int] mask),
+    [n_clients] >= 0, [loss] in \[0, 1), [timeout] > 0;
+    [storage_cost] and [fsync_cost] finite and >= 0; >= 2 replicas in
+    all under partition storms; the workload's [n_keys] >= 1, a
+    finite [zipf_s], [read_fraction] in \[0, 1], [think_time] finite
+    and >= 0, [ops_per_client] >= 0 and [burst] >= 1;
+    [trace_capacity] >= 0; [batch_window] finite and >= 0; a positive
+    [health_window]; the transaction spec's [keys_per_txn] >= 1,
+    [txns_per_client] >= 0, [txn_read_fraction] in \[0, 1],
+    [txn_timeout] > 0, [txn_retries] >= 0 and a positive
+    [recovery_delay]; a positive [tune_epoch]; the [policy]
+    ({!Rpc.Policy.validate}) and [adaptive_window]
     ({!Rpc.Window.validate}); and the fault script the params compile
-    to ({!Harness.Script.validate}, shard indices included), whose
-    partition storms need >= 2 replicas in all. *)
+    to ({!Harness.Script.validate}, shard indices included). *)
 
 val run : params -> results
 (** Build the cluster, drive the workload until it drains, and collect

@@ -780,7 +780,7 @@ let io_table ?(seed = 42) () =
     The static window is a bet placed once: too small and bursts leave
     coalescing on the table, too large and a quiet client pays queue
     delay for frames that never form.  The AIMD controller moves the
-    bet every flush — peak per-destination batch size >= 2 widens the
+    bet every flush — peak per-destination batch size >= [busy] widens the
     window additively, an idle flush halves it toward zero.  The table
     runs both regimes: a burst-8 Zipf workload (where wide windows
     win the message economy) and a uniform low-rate workload (where

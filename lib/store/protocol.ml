@@ -84,10 +84,9 @@ let rid = function
       rid
 
 (** The engine batching hooks for this protocol — pass to
-    [Rpc.Engine.set_batching] with the chosen window. *)
-let batching ~window : msg Rpc.Engine.batching =
+    [Rpc.Engine.set_batching] with a window controller. *)
+let batching : msg Rpc.Engine.batching =
   {
-    Rpc.Engine.window;
-    wrap = (fun ~rid reqs -> Batch_req { rid; reqs });
+    Rpc.Engine.wrap = (fun ~rid reqs -> Batch_req { rid; reqs });
     unwrap = (function Batch_rep { reps; _ } -> Some reps | _ -> None);
   }

@@ -78,6 +78,6 @@ type msg =
 
 val rid : msg -> int
 
-val batching : window:float -> msg Rpc.Engine.batching
+val batching : msg Rpc.Engine.batching
 (** The engine batching hooks for this protocol (see
     {!Rpc.Engine.set_batching}). *)

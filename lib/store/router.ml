@@ -95,6 +95,11 @@ let create ~name ~sim ~net ~(groups : string array array)
   if n_shards < 1 then invalid_arg "Router.create: no shards";
   if Array.length strategies <> n_shards then
     invalid_arg "Router.create: one strategy per shard";
+  (* the one place the precedence of the two window params lives *)
+  let window =
+    if Option.is_some adaptive_window then adaptive_window
+    else Option.map Rpc.Window.fixed batch_window
+  in
   let shards =
     Array.mapi
       (fun s group ->
@@ -106,7 +111,7 @@ let create ~name ~sim ~net ~(groups : string array array)
           ~strategy:strategies.(s) ~timeout ~read_repair ~targeting ~trace_ctx
           ?policy
           ~seed:(seed + (7919 * s))
-          ?metrics ?shard ?batch_window ?adaptive_window ())
+          ?metrics ?shard ?window ())
       groups
   in
   let ids = Array.map (fun c -> Rpc.Engine.group_ids c.Client.group) shards in
@@ -164,15 +169,8 @@ let install t ~key ~vn ~value ~on_done =
 let set_policy t p = Array.iter (fun c -> Client.set_policy c p) t.shards
 let policy t = Client.policy t.shards.(0)
 
-let set_batch_window t w =
-  Array.iter (fun c -> Client.set_batch_window c w) t.shards
-
-let batch_window t = Client.batch_window t.shards.(0)
-
-let set_adaptive_window t cfg =
-  Array.iter (fun c -> Client.set_adaptive_window c cfg) t.shards
-
-let adaptive_window t = Client.adaptive_window t.shards.(0)
+let set_batching t w = Array.iter (fun c -> Client.set_batching c w) t.shards
+let batching t = Client.batching t.shards.(0)
 
 let set_strategy t ~shard s = Client.set_strategy t.shards.(shard) s
 let strategy t ~shard = t.shards.(shard).Client.strategy

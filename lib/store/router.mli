@@ -48,8 +48,11 @@ val create :
 (** One shard client per replica group (group [s] gets
     [strategies.(s)], seed [seed + 7919*s], and — when there is more
     than one shard — a [("shard", s)] metric label).  [n_keys] bounds
-    the [`Range] partition.  [adaptive_window] enables AIMD-controlled
-    batching on every shard (see {!Client.create}).  [trace_ctx]
+    the [`Range] partition.  [adaptive_window] enables batching under
+    an AIMD controller of that config on every shard; otherwise
+    [batch_window] [w] enables it under [Rpc.Window.fixed w] (see
+    {!Client.create}).  This is the one place where the adaptive
+    window takes precedence over the static one.  [trace_ctx]
     (default false) turns on causal trace stamping on every shard
     client — shard clients share the router's name, so sharded op ids
     embed the shard (["c0.s1#3"]; see {!Client.create}).
@@ -91,16 +94,13 @@ val set_policy : t -> Rpc.Policy.t -> unit
 
 val policy : t -> Rpc.Policy.t
 
-val set_batch_window : t -> float option -> unit
-(** Apply to every shard (see {!Client.set_batch_window}). *)
+val set_batching : t -> Rpc.Window.config option -> unit
+(** Apply to every shard, each with its own controller (see
+    {!Client.set_batching}).
+    @raise Invalid_argument if the config fails {!Rpc.Window.validate}. *)
 
-val batch_window : t -> float option
-
-val set_adaptive_window : t -> Rpc.Window.config option -> unit
-(** Apply to every shard (see {!Client.set_adaptive_window}). *)
-
-val adaptive_window : t -> Rpc.Window.t option
-(** Shard 0's live controller, if one is installed. *)
+val batching : t -> Rpc.Window.t option
+(** Shard 0's live controller while batching is on. *)
 
 val set_strategy : t -> shard:int -> Strategy.t -> unit
 (** Adopt a new strategy on the shard's client and bump its epoch;

@@ -185,7 +185,7 @@ let test_hostile_run_pinned () =
   Alcotest.(check int) "trace length" 1222038 (String.length s);
   Alcotest.(check string) "trace md5" "c465cb856ca0ea55d55068d46bf5aab0"
     (Digest.to_hex (Digest.string s));
-  Alcotest.(check string) "metrics dump md5" "36402225d60ac238f1bf2f46be62a299"
+  Alcotest.(check string) "metrics dump md5" "9c4f81a413323c6ac2432d329c0914ac"
     (Digest.to_hex (Digest.string (Obs.Metrics.dump r.Store.Cluster.metrics)))
 
 let test_cluster_health_sampler () =

@@ -409,7 +409,22 @@ let test_window_aimd_unit () =
   Alcotest.(check (float 0.0)) "decays all the way to the floor" 0.0
     (Window.window c);
   Alcotest.(check int) "widenings counted" 5 (Window.widenings c);
-  Alcotest.(check int) "shrinkings counted" 6 (Window.shrinkings c)
+  Alcotest.(check int) "shrinkings counted" 6 (Window.shrinkings c);
+  (* a fixed config is a pinned controller: busy or idle, the window
+     stays put, zero included *)
+  List.iter
+    (fun w ->
+      let c = Window.create (Window.fixed w) in
+      Alcotest.(check (float 0.0)) (Fmt.str "fixed %g starts there" w) w
+        (Window.window c);
+      List.iter
+        (fun peak ->
+          Window.observe c ~peak;
+          Alcotest.(check (float 0.0))
+            (Fmt.str "fixed %g after a peak of %d" w peak)
+            w (Window.window c))
+        [ 8; 8; 1; 0; 4; 100; 1; 1; 1; 1; 1; 3; 64 ])
+    [ 0.0; 0.5; 1.0; 3.0; 8.0 ]
 
 let test_window_validation () =
   let ok c = Alcotest.(check bool) "valid" true (Result.is_ok (Window.validate c)) in
@@ -424,6 +439,84 @@ let test_window_validation () =
   Alcotest.check_raises "create rejects invalid configs"
     (Invalid_argument "Rpc.Window.create: busy must be >= 1") (fun () ->
       ignore (Window.create { Window.default_config with Window.busy = 0 }))
+
+(* ---------- one batching setting: the router's window ---------- *)
+
+(* A one-shard router over five replicas, every hop exactly one time
+   unit: an unbatched read takes 2.0, a batched one 2.0 plus the
+   window its flush waited.  [read ()] runs one read to completion
+   and returns its latency. *)
+let unit_latency_router () =
+  let replicas = Array.init 5 (Fmt.str "r%d") in
+  let sim = Core.create ~seed:3 in
+  let net =
+    Net.create ~sim
+      ~nodes:("c" :: Array.to_list replicas)
+      ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0)
+      ()
+  in
+  Array.iter
+    (fun name -> Store.Replica.attach (Store.Replica.create ~name ()) ~net)
+    replicas;
+  let r =
+    Store.Router.create ~name:"c" ~sim ~net ~groups:[| replicas |]
+      ~strategies:[| Store.Strategy.majority 5 |]
+      ~scheme:`Hash ~n_keys:16 ()
+  in
+  Store.Router.attach r;
+  let read () =
+    let lat = ref nan in
+    Store.Router.read r ~key:"k1" ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency ->
+        if ok then lat := latency);
+    Core.run sim;
+    !lat
+  in
+  (r, read)
+
+let reported_window r =
+  match Store.Router.batching r with Some c -> Window.window c | None -> nan
+
+let test_fixed_window_replaces_adaptive () =
+  let r, read = unit_latency_router () in
+  Alcotest.(check (float 0.0)) "unbatched read" 2.0 (read ());
+  Store.Router.set_batching r
+    (Some { Window.default_config with initial = 5.0 });
+  Alcotest.(check (float 0.0)) "a read waits the controller's window" 7.0
+    (read ());
+  Store.Router.set_batching r (Some (Window.fixed 0.5));
+  Alcotest.(check (float 0.0)) "batching reports the fixed window" 0.5
+    (reported_window r);
+  Alcotest.(check (float 0.0)) "and a read waits exactly that" 2.5 (read ());
+  Store.Router.set_batching r None;
+  Alcotest.(check bool) "off reports no window" true
+    (Option.is_none (Store.Router.batching r));
+  Alcotest.(check (float 0.0)) "unbatched again" 2.0 (read ())
+
+let test_window_off_keeps_width () =
+  let r, read = unit_latency_router () in
+  (* at busy = 1 every flush widens: 0, 1, 2, then capped at 3 *)
+  Store.Router.set_batching r
+    (Some { Window.default_config with max_window = 3.0; busy = 1 });
+  let widening = List.init 4 (fun _ -> read ()) in
+  Alcotest.(check (list (float 0.0))) "the controller widens"
+    [ 2.0; 3.0; 4.0; 5.0 ] widening;
+  (* the store REPL's [window off]: pin every shard at the width its
+     controller reached *)
+  Array.iter
+    (fun c ->
+      Option.iter
+        (fun ctl ->
+          Store.Client.set_batching c
+            (Some (Window.fixed (Window.window ctl))))
+        (Store.Client.batching c))
+    (Store.Router.clients r);
+  Alcotest.(check (float 0.0)) "the reached width is kept" 3.0
+    (reported_window r);
+  Alcotest.(check (list (float 0.0))) "reads keep waiting it"
+    [ 5.0; 5.0; 5.0 ]
+    (List.init 3 (fun _ -> read ()));
+  Alcotest.(check (float 0.0)) "busy flushes no longer widen it" 3.0
+    (reported_window r)
 
 (* ---------- adaptive window: cluster-level acceptance ---------- *)
 
@@ -538,6 +631,10 @@ let suites =
       [
         Alcotest.test_case "aimd unit behaviour" `Quick test_window_aimd_unit;
         Alcotest.test_case "config validation" `Quick test_window_validation;
+        Alcotest.test_case "a fixed window replaces an adaptive one" `Quick
+          test_fixed_window_replaces_adaptive;
+        Alcotest.test_case "window off keeps the reached width" `Quick
+          test_window_off_keeps_width;
         Alcotest.test_case "adaptive window coalesces bursts" `Slow
           test_adaptive_window_coalesces_bursts;
         Alcotest.test_case "adaptive window is free on uniform load" `Slow

@@ -403,12 +403,14 @@ let prop_retry_delay_bounds =
 
 (* ---------- batching: mid-flight disable ---------- *)
 
-let echo_batching ~window =
+let echo_hooks =
   {
-    Engine.window;
-    wrap = (fun ~rid parts -> Batch (rid, parts));
+    Engine.wrap = (fun ~rid parts -> Batch (rid, parts));
     unwrap = (function Batch (_, parts) -> Some parts | _ -> None);
   }
+
+(* the hooks under a window pinned at [window] *)
+let echo_batching ~window = (echo_hooks, Window.create (Window.fixed window))
 
 let test_disable_batching_mid_flight () =
   (* two ops queue their sends under a window far beyond the op
@@ -511,8 +513,9 @@ let test_reenabled_batching_waits_its_window () =
    order, one frame per destination (a single part unwrapped), frame
    rids allocated from [next] in that order.  Returns the frames as
    (dst, message, payloads), the [rpc.batch_size] observations, the
-   peak frame size and the next free rid.  With batching off every
-   queued send leaves alone, in enqueue order. *)
+   peak frame size (which the window controller, and the [rpc.window]
+   gauge after it, must follow) and the next free rid.  With batching
+   off every queued send leaves alone, in enqueue order. *)
 let reference_flush ~batching ~next queued =
   if not batching then
     (List.map (fun (dst, m) -> (dst, m, 1)) queued,
@@ -568,15 +571,20 @@ let prop_flush_matches_reference =
       let sim, _net, eng, metrics, log = recording_world () in
       let group = Engine.group eng (Array.of_list servers) in
       let ids = Engine.group_ids group in
-      let wcfg = { Window.default_config with initial = 0.5 } in
+      let wcfg =
+        if adaptive then { Window.default_config with initial = 0.5 }
+        else Window.fixed 0.5
+      in
       let wctl = Window.create wcfg and model_w = Window.create wcfg in
-      if adaptive then Engine.set_adaptive_window eng (Some wctl);
-      let b = echo_batching ~window:0.5 in
+      let b = (echo_hooks, wctl) in
       let next = ref 0 in
       let buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |] in
       let hist () =
         Obs.Metrics.histogram metrics ~labels:[ ("client", "c") ] ~buckets
           "rpc.batch_size"
+      in
+      let gauge () =
+        Obs.Metrics.gauge metrics ~labels:[ ("client", "c") ] "rpc.window"
       in
       let model_h =
         Obs.Metrics.histogram (Obs.Metrics.create ()) ~buckets "model"
@@ -606,7 +614,7 @@ let prop_flush_matches_reference =
           next := next';
           if kind <> Off then List.iter (Obs.Metrics.observe model_h) o;
           (match (kind, peak) with
-          | On, Some p when adaptive -> Window.observe model_w ~peak:p
+          | On, Some p -> Window.observe model_w ~peak:p
           | _ -> ());
           let h = hist () in
           let sent = List.rev_map (fun (d, m, p, _) -> (d, m, p)) !log in
@@ -615,7 +623,8 @@ let prop_flush_matches_reference =
              || Obs.Metrics.hist_count h = Obs.Metrics.hist_count model_h
                 && Obs.Metrics.hist_sum h = Obs.Metrics.hist_sum model_h
                 && Obs.Metrics.bucket_counts h
-                   = Obs.Metrics.bucket_counts model_h)
+                   = Obs.Metrics.bucket_counts model_h
+                && Obs.Metrics.gauge_value (gauge ()) = Window.window wctl)
           && Window.window wctl = Window.window model_w
           && Engine.fresh_rid eng = !next
           && (incr next; true))

@@ -219,7 +219,8 @@ let test_engine_coalesces_burst () =
     let client =
       Store.Client.create ~name:"c" ~sim ~net
         ~replicas:(Array.of_list replica_names)
-        ~strategy:(Store.Strategy.majority 5) ?batch_window ()
+        ~strategy:(Store.Strategy.majority 5)
+        ?window:(Option.map Rpc.Window.fixed batch_window) ()
     in
     Store.Client.attach client;
     let ok = ref 0 in

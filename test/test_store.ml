@@ -350,13 +350,14 @@ let test_health_schedule_pinned () =
     68 "0x1.54p+8"
 
 (* [validate] rejects one bad value per check, and [run] raises with
-   the same message; the defaults and the benchmark's four workload
-   shapes pass. *)
+   the same message; the defaults, empty workloads and the benchmark's
+   four workload shapes pass. *)
 let test_validate () =
   let module C = Store.Cluster in
   let module S = Harness.Script in
   let d = C.default_params in
   let txns = C.default_txn_spec and tune = C.default_tune_spec in
+  let wl = Store.Workload.default_spec in
   let rejected =
     [
       ("n_shards", { d with n_shards = 0 });
@@ -382,7 +383,22 @@ let test_validate () =
           adaptive_window =
             Some { Rpc.Window.default_config with Rpc.Window.busy = 0 };
         } );
+      ("n_keys", { d with workload = { wl with n_keys = -3 } });
+      ("zipf_s", { d with workload = { wl with zipf_s = infinity } });
+      ("read_fraction", { d with workload = { wl with read_fraction = 1.5 } });
+      ("think_time", { d with workload = { wl with think_time = nan } });
+      ("ops_per_client", { d with workload = { wl with ops_per_client = -1 } });
+      ("burst", { d with workload = { wl with burst = 0 } });
+      ("trace_capacity", { d with trace_capacity = -1 });
       ("keys_per_txn", { d with txns = Some { txns with keys_per_txn = 0 } });
+      ( "txns_per_client",
+        { d with txns = Some { txns with txns_per_client = -1 } } );
+      ( "txn_read_fraction",
+        { d with txns = Some { txns with txn_read_fraction = -0.1 } } );
+      ("txn_timeout", { d with txns = Some { txns with txn_timeout = 0.0 } });
+      ("txn_retries", { d with txns = Some { txns with txn_retries = -1 } });
+      ( "recovery_delay",
+        { d with txns = Some { txns with recovery_delay = 0.0 } } );
       ("tune_epoch", { d with tune = Some { tune with tune_epoch = 0.0 } });
       ("tune_epoch nan", { d with tune = Some { tune with tune_epoch = nan } });
       ("script", { d with script = [ S.At (0.0, S.Loss 1.5) ] });
@@ -411,8 +427,7 @@ let test_validate () =
             (Invalid_argument ("Cluster.run: " ^ e))
             (fun () -> ignore (C.run p)))
     rejected;
-  (* the benchmark's four workload shapes *)
-  let wl = Store.Workload.default_spec in
+  (* the benchmark's four workload shapes, and its setup pass *)
   let swarm seed =
     {
       d with
@@ -434,6 +449,8 @@ let test_validate () =
       ("defaults", d);
       ("one replica", { d with n_replicas = 1 });
       ("62 replicas", { d with n_replicas = 62 });
+      ("no ops", { d with workload = { wl with ops_per_client = 0 } });
+      ("no txns", { d with txns = Some { txns with txns_per_client = 0 } });
       ("kv_readmostly", { d with workload = { wl with ops_per_client = 500 } });
       ( "kv_sharded_io",
         {
