@@ -111,6 +111,9 @@ let violations a = a.violations
 
 (* ---------- multi-key transaction audit ---------- *)
 
+module Txid = Qc_util.Txid
+module Inttbl = Qc_util.Inttbl
+
 type txn_report = {
   t_txid : string;
   t_started : float;
@@ -127,13 +130,20 @@ type txn_report = {
     the recency check).  Acked is a subset of decided. *)
 type txn_audit = {
   mutable acked : txn_report list;  (** newest first *)
-  decided_w : (string * int * int) list Strtbl.t;
-      (** txid -> committed write set *)
+  decided_w : (string * int * int) list Inttbl.t;
+      (** txid id -> committed write set *)
+  mutable decided : (Txid.t * (string * int * int) list) list;
+      (** the same decisions with their txids, newest first *)
   mutable txn_violations : string list;
 }
 
 let txn_audit () =
-  { acked = []; decided_w = Strtbl.create 64; txn_violations = [] }
+  {
+    acked = [];
+    decided_w = Inttbl.create 64;
+    decided = [];
+    txn_violations = [];
+  }
 
 let txn_note a fmt =
   Fmt.kstr (fun s -> a.txn_violations <- s :: a.txn_violations) fmt
@@ -152,14 +162,24 @@ let rec same_writes (a : (string * int * int) list) b =
 
 (** Record a decision learned at some replica.  Aborts are ignored;
     duplicate commit records (every participant fires the hook) must
-    agree on the write set. *)
-let txn_decided a ~txid ~commit ~writes =
-  if commit then
-    match Strtbl.find a.decided_w txid with
-    | exception Not_found -> Strtbl.replace a.decided_w txid writes
+    agree on the write set.  The participants of one decision usually
+    report it back to back, each with the txid and the decided list
+    the decision message carried: a repeat of the newest record is
+    then known without a lookup. *)
+let txn_decided a ~(txid : Txid.t) ~commit ~writes =
+  let repeat =
+    match a.decided with
+    | (t, w) :: _ -> t == txid && w == writes
+    | [] -> false
+  in
+  if commit && not repeat then
+    match Inttbl.find a.decided_w txid.id with
+    | exception Not_found ->
+        Inttbl.replace a.decided_w txid.id writes;
+        a.decided <- (txid, writes) :: a.decided
     | prior ->
         if not (same_writes prior writes) then
-          txn_note a "txn %s decided with two write sets" txid
+          txn_note a "txn %s decided with two write sets" txid.name
 
 (** Record a client-acked commit. *)
 let txn_committed a ~txid ~started ~now ~reads ~writes =
@@ -173,17 +193,26 @@ let txn_committed a ~txid ~started ~now ~reads ~writes =
     }
     :: a.acked
 
-(* The audit's per-key index: the decided versions of the key and the
-   acked writes to it. *)
+(* The audit's per-key index: the key's segments of the flat arrays
+   [txn_check] lays its acked and its decided writes out in. *)
 type key_index = {
-  mutable chain : (int * int) list;
-      (** (vn, writer node) of every decided write, newest first *)
-  by_vn : (int, int * int) Hashtbl.t;
-      (** vn -> (value, writer node); the last insert wins, as the
-          newest-first chain's first match would *)
-  mutable acked_w : (float * int) list;
-      (** (completed, vn) of the acked writes, in acked order *)
+  mutable acked_at : int;
+  mutable n_acked : int;  (** acked writes, in acked order *)
+  mutable dec_at : int;
+  mutable n_dec : int;  (** decided writes, in recording order *)
 }
+
+(* the first position in [lo, hi) of [order] whose version [vns.(_)]
+   is above [vn] ([above = false]: at least [vn]); [hi] if none is —
+   the segment is sorted by version *)
+let search order vns lo hi vn ~above =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let m = vns.(order.(mid)) in
+    if m > vn || ((not above) && m = vn) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 (** Run the end-of-run transaction checks, appending to the violation
     log: acked ⊆ decided, per-key version uniqueness across decided
@@ -194,8 +223,10 @@ type key_index = {
     order, wr read-from edges, rw anti-dependency edges).
 
     Decided transactions become graph nodes [0 .. n-1], numbered in
-    txid order; each key's index is built once, so a read costs one
-    scan of its key's acked writes and decided versions. *)
+    txid-name order.  Each key is indexed once: its acked writes and
+    its decided writes sit in one segment each of flat arrays, the
+    decided ones sorted by version, so a read finds its version by
+    binary search and its rw edges walk only newer versions. *)
 let txn_check a =
   let acked = List.rev a.acked in
   let index : key_index Strtbl.t = Strtbl.create 64 in
@@ -203,75 +234,139 @@ let txn_check a =
     match Strtbl.find index k with
     | ix -> ix
     | exception Not_found ->
-        let ix = { chain = []; by_vn = Hashtbl.create 4; acked_w = [] } in
+        let ix = { acked_at = 0; n_acked = 0; dec_at = 0; n_dec = 0 } in
         Strtbl.replace index k ix;
         ix
   in
-  (* acked commits must have been decided, with the acked write set *)
-  List.iter
-    (fun r ->
-      match Strtbl.find_opt a.decided_w r.t_txid with
-      | None -> txn_note a "acked txn %s was never decided" r.t_txid
-      | Some w ->
-          if not (same_writes w r.t_writes) then
-            txn_note a "acked txn %s: acked writes differ from decided"
-              r.t_txid)
-    acked;
-  (* consing while walking the newest-first log leaves each key's
-     acked writes in acked order *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (k, vn, _) ->
-          let ix = key_index k in
-          ix.acked_w <- (r.t_completed, vn) :: ix.acked_w)
-        (List.rev r.t_writes))
-    a.acked;
-  (* committed versions per key, each installed by exactly one txn *)
   let decided =
-    (* lint: order-insensitive *)
-    Strtbl.fold (fun txid w acc -> (txid, w) :: acc) a.decided_w []
-    |> List.sort (fun (x, _) (y, _) -> String.compare x y)
+    List.sort
+      (fun ((x : Txid.t), _) ((y : Txid.t), _) -> String.compare x.name y.name)
+      a.decided
   in
   let n = List.length decided in
   (* arrays longer than a minor-heap block start from immediate values
      and are filled in place: [Array.make]/[Array.of_list]/[Array.map]
      with a young initial element force a minor collection *)
   let txid_of = Array.make n "" in
+  let writes_of = Array.make n [] in
   let node : int Strtbl.t = Strtbl.create n in
-  let written = ref [] in
   List.iteri
-    (fun i (txid, writes) ->
-      txid_of.(i) <- txid;
-      Strtbl.replace node txid i;
-      List.iter
-        (fun (k, vn, v) ->
-          let ix = key_index k in
-          if ix.chain = [] then written := ix :: !written;
-          (match Hashtbl.find_opt ix.by_vn vn with
-          | Some (_, j) ->
-              txn_note a "duplicate version %d of %s (txns %s and %s)" vn k
-                txid_of.(j) txid
-          | None -> ());
-          Hashtbl.replace ix.by_vn vn (v, i);
-          ix.chain <- (vn, i) :: ix.chain)
-        writes)
+    (fun i ((txid : Txid.t), w) ->
+      txid_of.(i) <- txid.name;
+      writes_of.(i) <- w;
+      Strtbl.replace node txid.name i)
     decided;
+  (* acked commits must have been decided, with the acked write set *)
+  List.iter
+    (fun r ->
+      match Strtbl.find_opt node r.t_txid with
+      | None -> txn_note a "acked txn %s was never decided" r.t_txid
+      | Some i ->
+          if not (same_writes writes_of.(i) r.t_writes) then
+            txn_note a "acked txn %s: acked writes differ from decided"
+              r.t_txid)
+    acked;
+  (* count each key's writes, give each key its segments, then fill
+     them: acked writes in acked order, decided ones in recording
+     order (by node, then write-set order) *)
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (k, _, _) ->
+          let ix = key_index k in
+          ix.n_acked <- ix.n_acked + 1)
+        r.t_writes)
+    acked;
+  Array.iter
+    (List.iter (fun (k, _, _) ->
+         let ix = key_index k in
+         ix.n_dec <- ix.n_dec + 1))
+    writes_of;
+  let na = ref 0 and nd = ref 0 in
+  (* lint: order-insensitive *)
+  Strtbl.iter
+    (fun _ ix ->
+      ix.acked_at <- !na;
+      na := !na + ix.n_acked;
+      ix.n_acked <- 0;
+      ix.dec_at <- !nd;
+      nd := !nd + ix.n_dec;
+      ix.n_dec <- 0)
+    index;
+  let ack_vn = Array.make !na 0 and ack_done = Array.make !na 0.0 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (k, vn, _) ->
+          let ix = Strtbl.find index k in
+          let j = ix.acked_at + ix.n_acked in
+          ack_vn.(j) <- vn;
+          ack_done.(j) <- r.t_completed;
+          ix.n_acked <- ix.n_acked + 1)
+        r.t_writes)
+    acked;
+  let d_vn = Array.make !nd 0 and d_value = Array.make !nd 0 in
+  let d_node = Array.make !nd 0 and d_seq = Array.make !nd 0 in
+  let seq = ref 0 in
+  Array.iteri
+    (fun i ->
+      List.iter (fun (k, vn, v) ->
+          let ix = Strtbl.find index k in
+          let j = ix.dec_at + ix.n_dec in
+          d_vn.(j) <- vn;
+          d_value.(j) <- v;
+          d_node.(j) <- i;
+          d_seq.(j) <- !seq;
+          incr seq;
+          ix.n_dec <- ix.n_dec + 1))
+    writes_of;
+  (* [order]: each key's segment of decided writes sorted by version,
+     equal versions newest first — so a version's first entry is the
+     one recorded last, the writer a vn lookup finds *)
+  let order = Array.init !nd Fun.id in
+  (* lint: order-insensitive *)
+  Strtbl.iter
+    (fun _ ix ->
+      if ix.n_dec > 1 then
+        List.iteri
+          (fun j w -> order.(ix.dec_at + j) <- w)
+          (List.stable_sort
+             (fun x y ->
+               match Int.compare d_vn.(x) d_vn.(y) with
+               | 0 -> Int.compare y x
+               | c -> c)
+             (List.init ix.n_dec (fun j -> ix.dec_at + j))))
+    index;
+  (* committed versions per key, each installed by exactly one txn:
+     two writes of one version sit side by side in [order], newest
+     first, and each but the oldest found its predecessor when it was
+     recorded — report them in recording order *)
+  let dups = ref [] in
+  (* lint: order-insensitive *)
+  Strtbl.iter
+    (fun k ix ->
+      for j = ix.dec_at to ix.dec_at + ix.n_dec - 2 do
+        let w = order.(j) and prev = order.(j + 1) in
+        if d_vn.(w) = d_vn.(prev) then dups := (d_seq.(w), k, w, prev) :: !dups
+      done)
+    index;
+  List.iter
+    (fun (_, k, w, prev) ->
+      txn_note a "duplicate version %d of %s (txns %s and %s)" d_vn.(w) k
+        txid_of.(d_node.(prev)) txid_of.(d_node.(w)))
+    (List.sort (fun (x, _, _, _) (y, _, _, _) -> Int.compare x y) !dups);
   (* serialization graph over decided commits (reads known only for
      acked ones): ww by version order, wr read-from, rw
      anti-dependency; a cycle breaks serializability *)
   let succs = Array.make n [] in
   let edge x y = if x <> y then succs.(x) <- y :: succs.(x) in
-  List.iter
-    (fun ix ->
-      let rec ww = function
-        | (_, t1) :: ((_, t2) :: _ as rest) ->
-            edge t1 t2;
-            ww rest
-        | _ -> ()
-      in
-      ww (List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) ix.chain))
-    !written;
+  (* lint: order-insensitive *)
+  Strtbl.iter
+    (fun _ ix ->
+      for j = ix.dec_at to ix.dec_at + ix.n_dec - 2 do
+        edge d_node.(order.(j)) d_node.(order.(j + 1))
+      done)
+    index;
   (* read validity + recency, and the read's wr/rw edges.  The graph
      is over decided commits, so the reads of an acked transaction
      that was never decided add no edges. *)
@@ -281,65 +376,104 @@ let txn_check a =
       List.iter
         (fun (k, vn, v) ->
           let ix = Strtbl.find_opt index k in
+          (* the slot of the version's writer, -1 if none *)
           let writer =
-            Option.bind ix (fun ix -> Hashtbl.find_opt ix.by_vn vn)
+            match ix with
+            | None -> -1
+            | Some ix ->
+                let hi = ix.dec_at + ix.n_dec in
+                let j = search order d_vn ix.dec_at hi vn ~above:false in
+                if j < hi && d_vn.(order.(j)) = vn then order.(j) else -1
           in
           (if vn = 0 then begin
              if v <> 0 then
                txn_note a "txn %s read unwritten %s as %d" r.t_txid k v
            end
-           else
-             match writer with
-             | None ->
-                 txn_note a "txn %s read %s at unknown version %d" r.t_txid k
-                   vn
-             | Some (v', _) ->
-                 if v' <> v then
-                   txn_note a "corrupt txn read of %s: vn %d has %d, read %d"
-                     k vn v' v);
+           else if writer < 0 then
+             txn_note a "txn %s read %s at unknown version %d" r.t_txid k vn
+           else if d_value.(writer) <> v then
+             txn_note a "corrupt txn read of %s: vn %d has %d, read %d" k vn
+               d_value.(writer) v);
           match ix with
           | None -> ()
           | Some ix -> (
-              List.iter
-                (fun (completed, wvn) ->
-                  if completed <= r.t_started && vn < wvn then
-                    txn_note a "stale txn read of %s: vn %d < committed vn %d"
-                      k vn wvn)
-                ix.acked_w;
+              for j = ix.acked_at to ix.acked_at + ix.n_acked - 1 do
+                if ack_done.(j) <= r.t_started && vn < ack_vn.(j) then
+                  txn_note a "stale txn read of %s: vn %d < committed vn %d" k
+                    vn ack_vn.(j)
+              done;
               match reader with
               | None -> ()
               | Some x ->
                   (* wr: the version's writer happens before the reader *)
-                  (match writer with Some (_, w) -> edge w x | None -> ());
+                  if writer >= 0 then edge d_node.(writer) x;
                   (* rw: the reader happens before every later writer *)
-                  List.iter
-                    (fun (vn', w') -> if vn' > vn then edge x w')
-                    ix.chain))
+                  let hi = ix.dec_at + ix.n_dec in
+                  let newer = search order d_vn ix.dec_at hi vn ~above:true in
+                  for j = newer to hi - 1 do
+                    edge x d_node.(order.(j))
+                  done))
         r.t_reads)
     acked;
-  (* DFS cycle detection: nodes and successors in txid order, so the
-     reported node is deterministic *)
-  let color = Array.make n `White in
-  let cycle = ref None in
-  let rec visit i =
-    match color.(i) with
-    | `Black -> ()
-    | `Grey -> if !cycle = None then cycle := Some i
-    | `White ->
-        color.(i) <- `Grey;
-        List.iter visit (List.sort_uniq Int.compare succs.(i));
-        color.(i) <- `Black
+  (* Kahn's algorithm settles an acyclic graph — every clean run's —
+     in O(V + E): it peels off nodes left without predecessors until
+     none remain.  Only a graph it cannot empty runs the DFS that
+     names the cycle's node. *)
+  let indeg = Array.make n 0 in
+  Array.iter (List.iter (fun y -> indeg.(y) <- indeg.(y) + 1)) succs;
+  let queue = Array.make n 0 and queued = ref 0 in
+  let push y =
+    queue.(!queued) <- y;
+    incr queued
   in
   for i = 0 to n - 1 do
-    visit i
+    if indeg.(i) = 0 then push i
   done;
-  match !cycle with
-  | Some i ->
-      txn_note a "serialization graph cycle through txn %s" txid_of.(i)
-  | None -> ()
+  let head = ref 0 in
+  while !head < !queued do
+    List.iter
+      (fun y ->
+        indeg.(y) <- indeg.(y) - 1;
+        if indeg.(y) = 0 then push y)
+      succs.(queue.(!head));
+    incr head
+  done;
+  if !queued < n then begin
+    (* DFS cycle detection: nodes and successors in txid order, so the
+       reported node is deterministic.  A node's successors are
+       deduplicated with [mark] before the sort. *)
+    let color = Array.make n `White in
+    let mark = Array.make n (-1) in
+    let rec distinct i acc = function
+      | [] -> acc
+      | y :: rest ->
+          if mark.(y) = i then distinct i acc rest
+          else begin
+            mark.(y) <- i;
+            distinct i (y :: acc) rest
+          end
+    in
+    let cycle = ref None in
+    let rec visit i =
+      match color.(i) with
+      | `Black -> ()
+      | `Grey -> if !cycle = None then cycle := Some i
+      | `White ->
+          color.(i) <- `Grey;
+          List.iter visit (List.sort Int.compare (distinct i [] succs.(i)));
+          color.(i) <- `Black
+    in
+    for i = 0 to n - 1 do
+      visit i
+    done;
+    match !cycle with
+    | Some i ->
+        txn_note a "serialization graph cycle through txn %s" txid_of.(i)
+    | None -> ()
+  end
 
 let txn_violations a = a.txn_violations
-let txn_decided_count a = Strtbl.length a.decided_w
+let txn_decided_count a = Inttbl.length a.decided_w
 
 (* ---------- static quorum sanity ---------- *)
 

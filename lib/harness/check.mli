@@ -36,12 +36,13 @@ val same_writes :
 
 val txn_decided :
   txn_audit ->
-  txid:string ->
+  txid:Qc_util.Txid.t ->
   commit:bool ->
   writes:(string * int * int) list ->
   unit
-(** Record a decision learned at a replica.  Aborts are ignored;
-    duplicate commit records must agree on the write set. *)
+(** Record a decision learned at a replica, keyed by the txid's int.
+    Aborts are ignored; duplicate commit records must agree on the
+    write set. *)
 
 val txn_committed :
   txn_audit ->
@@ -51,14 +52,16 @@ val txn_committed :
   reads:(string * int * int) list ->
   writes:(string * int * int) list ->
   unit
-(** Record a client-acked commit with its prepare-time read snapshot
-    ((key, vn, value) per read) and installed writes. *)
+(** Record a client-acked commit, named by its txid's name, with its
+    prepare-time read snapshot ((key, vn, value) per read) and
+    installed writes. *)
 
 val txn_check : txn_audit -> unit
 (** Run the end-of-run checks, appending violations: acked ⊆ decided,
     per-key version uniqueness across decided commits, read validity,
     recency of acked commits, and acyclicity of the serialization
-    graph (ww/wr/rw edges). *)
+    graph (ww/wr/rw edges).  Decided transactions are matched to acked
+    ones, numbered and reported by their txid names. *)
 
 val txn_violations : txn_audit -> string list
 (** Violations so far, newest first. *)

@@ -14,16 +14,10 @@ module Prng = Qc_util.Prng
 
 type verdict = Continue | Done
 
-(* The pending table, keyed by rid, hashes a key as itself: rids are
-   sequential, so buckets spread evenly without [Int.hash] (a generic
-   [caml_hash] call on OCaml 5.1).  It is never iterated, so bucket
-   order is never observed. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k
-end)
+(* The pending table, keyed by rid: rids are sequential, so an int
+   table that hashes a key as itself spreads them evenly without
+   [Int.hash] (a generic [caml_hash] call on OCaml 5.1). *)
+module Itbl = Qc_util.Inttbl
 
 (** A replica group: the members' names, for traces and callers, and
     their node ids, which the send and reply paths use.  Bit [i] of a
@@ -455,14 +449,18 @@ let group_ids g = g.ids
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
 (* Send to the members of [mask] not yet heard from, in ascending
-   member order. *)
+   member order.  A message is immutable and [make] sees only the rid,
+   so the wave shares one. *)
 let send_to t (c : 'msg call) mask =
   let mask = mask land lnot c.heard in
-  let ids = c.targets.ids in
-  for i = 0 to Array.length ids - 1 do
-    if mask land (1 lsl i) <> 0 then
-      dispatch t ?ctx:c.c_op.o_ctx ~dst:ids.(i) (c.make c.rid)
-  done
+  if mask <> 0 then begin
+    let msg = c.make c.rid in
+    let ids = c.targets.ids in
+    for i = 0 to Array.length ids - 1 do
+      if mask land (1 lsl i) <> 0 then
+        dispatch t ?ctx:c.c_op.o_ctx ~dst:ids.(i) msg
+    done
+  end
 
 let rec arm_attempt_timer t (c : 'msg call) =
   if c.pol.Policy.max_attempts > 1 then

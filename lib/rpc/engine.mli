@@ -180,7 +180,9 @@ val call :
 (** The quorum-gather combinator over the replica group [targets]: a
     set of members is an [int] mask whose bit [i] stands for member
     [i].  Sends [make rid] to the members of [first]
-    (default: all — broadcast) in ascending order, then accumulates
+    (default: all — broadcast) in ascending order — one message per
+    send wave (first wave, retry, hedge), shared by its targets, so
+    [make] must not count on being called per target — then accumulates
     replies: each reply to this rid from a member [i] is handed to
     [on_reply ~member:i ~heard] with [heard] the set of members heard
     from {e before} this reply (so [heard land (1 lsl i) <> 0] marks a

@@ -249,6 +249,11 @@ let validate p =
     ||| non_negative "batch_window" (Option.value p.batch_window ~default:0.0)
     ||| positive "health_window" (Option.value p.health_window ~default:1.0)
     ||| at_least 1 "keys_per_txn" txn.keys_per_txn
+    (* a footprint draws distinct keys *)
+    ||| (if Option.is_none p.txns || txn.keys_per_txn <= wl.n_keys then None
+         else
+           fail "keys_per_txn must be <= n_keys (got %d > %d)"
+             txn.keys_per_txn wl.n_keys)
     ||| at_least 0 "txns_per_client" txn.txns_per_client
     ||| fraction "txn_read_fraction" txn.txn_read_fraction
     ||| above_zero "txn_timeout" txn.txn_timeout

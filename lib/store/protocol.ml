@@ -21,7 +21,7 @@ type msg =
   (* ---- cross-shard transactions (2PC / Paxos Commit) ---- *)
   | Txn_prepare of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       writes : (string * int) list;  (** this shard's write set *)
       reads : string list;  (** this shard's read-only footprint *)
       acceptors : string list;
@@ -32,16 +32,16 @@ type msg =
     }
   | Txn_vote of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       yes : bool;
       kvs : (string * int * int) list;
           (** the replica's current (key, vn, value) for each footprint
               key — the version query folded into the prepare round *)
     }
-  | Txn_p1a of { rid : int; txid : string; bal : int }
+  | Txn_p1a of { rid : int; txid : Qc_util.Txid.t; bal : int }
   | Txn_p1b of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       bal : int;
       ok : bool;
       accepted : (int * bool * (string * int * int) list) option;
@@ -49,19 +49,19 @@ type msg =
     }
   | Txn_p2a of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       bal : int;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
     }
-  | Txn_p2b of { rid : int; txid : string; bal : int; ok : bool }
+  | Txn_p2b of { rid : int; txid : Qc_util.Txid.t; bal : int; ok : bool }
   | Txn_decide of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
     }
-  | Txn_decide_ack of { rid : int; txid : string; applied : bool }
+  | Txn_decide_ack of { rid : int; txid : Qc_util.Txid.t; applied : bool }
 [@@lint.protocol]
 (* The [@@lint.protocol] attribute makes this type a static contract:
    `lint.exe analyze` verifies that the replica dispatch matches every

@@ -23,7 +23,7 @@ type msg =
       (** the replica's answers to a [Batch_req], echoing its rid *)
   | Txn_prepare of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       writes : (string * int) list;  (** this shard's write set *)
       reads : string list;  (** this shard's read-only footprint *)
       acceptors : string list;
@@ -37,18 +37,18 @@ type msg =
           versions *)
   | Txn_vote of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       yes : bool;
       kvs : (string * int * int) list;
           (** current (key, vn, value) per footprint key — the version
               query folded into the prepare round *)
     }
-  | Txn_p1a of { rid : int; txid : string; bal : int }
+  | Txn_p1a of { rid : int; txid : Qc_util.Txid.t; bal : int }
       (** Paxos phase 1a on the transaction's decision register (sent
           by a recovery leader at ballot > 0) *)
   | Txn_p1b of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       bal : int;
       ok : bool;
       accepted : (int * bool * (string * int * int) list) option;
@@ -56,23 +56,23 @@ type msg =
     }
   | Txn_p2a of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       bal : int;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
     }
       (** Paxos phase 2a: the coordinator proposes at ballot 0, a
           recovery leader at its own higher ballot *)
-  | Txn_p2b of { rid : int; txid : string; bal : int; ok : bool }
+  | Txn_p2b of { rid : int; txid : Qc_util.Txid.t; bal : int; ok : bool }
   | Txn_decide of {
       rid : int;
-      txid : string;
+      txid : Qc_util.Txid.t;
       commit : bool;
       writes : (string * int * int) list;  (** full write set, final vns *)
     }
       (** the chosen (2PC: unilateral) decision — apply prepared
           writes, release locks *)
-  | Txn_decide_ack of { rid : int; txid : string; applied : bool }
+  | Txn_decide_ack of { rid : int; txid : Qc_util.Txid.t; applied : bool }
       (** [applied] — the replica held a prepared entry and resolved it
           (commit quorums count only applied acks) *)
 

@@ -5,45 +5,61 @@
 type value = bool * (string * int * int) list
 type accepted = int * bool * (string * int * int) list
 
+(* The accepted and the decided value share one set of fields: a
+   decided register answers every ballot from its decision, so the
+   accepted value is never consulted again.  Keeping them in place
+   spares an option and a tuple per accept and per decision, in a
+   record that lives as long as the replica remembers the txid. *)
 type t = {
   mutable promised : int;  (** highest promised ballot *)
-  mutable accepted : accepted option;
-      (** highest accepted value; dropped once decided *)
-  mutable decided : value option;
+  mutable accepted_bal : int;
+      (** ballot of the highest accepted value; [-1] for none *)
+  mutable decided : bool;
+  mutable commit : bool;  (** the accepted, or else the decided, value *)
+  mutable writes : (string * int * int) list;
 }
 
-let create () = { promised = 0; accepted = None; decided = None }
+let create () =
+  {
+    promised = 0;
+    accepted_bal = -1;
+    decided = false;
+    commit = false;
+    writes = [];
+  }
 
-let decided t = t.decided
+let decided t = if t.decided then Some (t.commit, t.writes) else None
 
 let promise t ~bal =
-  match t.decided with
-  | Some v -> `Decided v
-  | None ->
-      if bal >= t.promised then begin
-        t.promised <- bal;
-        `P1b (true, t.accepted)
-      end
-      else `P1b (false, None)
+  if t.decided then `Decided (t.commit, t.writes)
+  else if bal >= t.promised then begin
+    t.promised <- bal;
+    `P1b
+      ( true,
+        if t.accepted_bal < 0 then None
+        else Some (t.accepted_bal, t.commit, t.writes) )
+  end
+  else `P1b (false, None)
 
 let accept t ~bal ~commit ~writes =
-  match t.decided with
-  | Some v -> `Decided v
-  | None ->
-      if bal >= t.promised then begin
-        t.promised <- bal;
-        t.accepted <- Some (bal, commit, writes);
-        `P2b true
-      end
-      else `P2b false
+  if t.decided then `Decided (t.commit, t.writes)
+  else if bal >= t.promised then begin
+    t.promised <- bal;
+    t.accepted_bal <- bal;
+    t.commit <- commit;
+    t.writes <- writes;
+    `P2b true
+  end
+  else `P2b false
 
 let decide t ~commit ~writes =
-  match t.decided with
-  | Some _ -> false
-  | None ->
-      t.decided <- Some (commit, writes);
-      t.accepted <- None;
-      true
+  if t.decided then false
+  else begin
+    t.decided <- true;
+    t.commit <- commit;
+    t.writes <- writes;
+    true
+  end
 
 let ballot ~attempt ~acceptors ~index =
   (attempt * (acceptors + 1)) + index + 1

@@ -32,11 +32,14 @@
     fsync) per drain — the naive-fsync baseline of the io ablation. *)
 
 module Strtbl = Qc_util.Strtbl
+module Inttbl = Qc_util.Inttbl
+module Txid = Qc_util.Txid
 
-(** One key's state: the DM pair, and the txid holding the key's
-    lock ([""] when free).  A key's cell, once made, stays in the
-    table for the replica's life, so a prepared entry may hold it. *)
-type cell = { mutable vn : int; mutable value : int; mutable lock : string }
+(** One key's state: the DM pair, and the id of the txid holding the
+    key's lock ([-1] when free; ids are never negative).  A key's
+    cell, once made, stays in the table for the replica's life, so a
+    prepared entry may hold it. *)
+type cell = { mutable vn : int; mutable value : int; mutable lock : int }
 
 type pending = {
   p_vn : int;
@@ -84,6 +87,7 @@ type txn_entry = {
 (** Everything one replica knows about one transaction, so a
     transaction message costs a single table lookup. *)
 type txn = {
+  txid : Txid.t;  (** as the first message naming it carried it *)
   reg : Register.t;  (** this replica's acceptor state and decision *)
   mutable prepared : txn_entry option;  (** in doubt here *)
 }
@@ -106,10 +110,10 @@ type t = {
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   (* ---- cross-shard transaction state ---- *)
-  txns : txn Strtbl.t;  (** txid -> this replica's record *)
-  mutable doubt : string array;
+  txns : txn Inttbl.t;  (** txid id -> this replica's record *)
+  mutable doubt : int array;
   mutable n_doubt : int;
-      (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
+      (** [doubt.(0 .. n_doubt-1)]: the txid ids whose record holds a
           [prepared] entry, unordered *)
   txn_recovery_delay : float;
   txn_recovery_attempts : int;
@@ -117,7 +121,7 @@ type t = {
   mutable txn_send : dst:string -> Protocol.msg -> unit;
       (** recovery-initiated sends; a no-op until attach *)
   mutable on_decided :
-    (txid:string -> commit:bool -> writes:(string * int * int) list -> unit)
+    (txid:Txid.t -> commit:bool -> writes:(string * int * int) list -> unit)
     option;
       (** fired once per transaction on the first locally learned
           decision — the audit's authoritative commit log *)
@@ -154,7 +158,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     draining = false;
     m_fsyncs;
     m_queue_depth;
-    txns = Strtbl.create 16;
+    txns = Inttbl.create 16;
     doubt = [||];
     n_doubt = 0;
     txn_recovery_delay;
@@ -165,7 +169,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
   }
 
 (* the state every key starts in; never mutated, never in [data] *)
-let fresh = { vn = 0; value = 0; lock = "" }
+let fresh = { vn = 0; value = 0; lock = -1 }
 
 (* the key's cell, or [fresh] if it has none — for reading only *)
 let find t key = try Strtbl.find t.data key with Not_found -> fresh
@@ -174,7 +178,7 @@ let find t key = try Strtbl.find t.data key with Not_found -> fresh
 let cell t key =
   try Strtbl.find t.data key
   with Not_found ->
-    let c = { vn = 0; value = 0; lock = "" } in
+    let c = { vn = 0; value = 0; lock = -1 } in
     Strtbl.add t.data key c;
     c
 
@@ -218,87 +222,121 @@ let apply t ~vn ~key ~value = install (cell t key) ~vn ~value
 let set_on_decided t f = t.on_decided <- Some f
 
 (* the transaction's record, created on first sight *)
-let txn t txid =
-  try Strtbl.find t.txns txid
+let txn t (txid : Txid.t) =
+  try Inttbl.find t.txns txid.id
   with Not_found ->
-    let x = { reg = Register.create (); prepared = None } in
-    Strtbl.add t.txns txid x;
+    let x = { txid; reg = Register.create (); prepared = None } in
+    Inttbl.replace t.txns txid.id x;
     x
+
+(* the name of a txid this replica has a record of *)
+let name_of t id = (Inttbl.find t.txns id).txid.name
 
 (* The in-doubt index: a txid joins at prepare and leaves at resolve,
    swapped out by the last one.  It holds only the transactions
    prepared here right now, so the scan is short, and nothing is
    allocated per transaction beyond the occasional doubling. *)
-let doubt_add t txid =
+let doubt_add t id =
   if t.n_doubt = Array.length t.doubt then begin
-    let a = Array.make (max 8 (2 * t.n_doubt)) "" in
+    let a = Array.make (max 8 (2 * t.n_doubt)) 0 in
     Array.blit t.doubt 0 a 0 t.n_doubt;
     t.doubt <- a
   end;
-  t.doubt.(t.n_doubt) <- txid;
+  t.doubt.(t.n_doubt) <- id;
   t.n_doubt <- t.n_doubt + 1
 
-let rec doubt_remove t txid i =
+let rec doubt_remove t id i =
   if i < t.n_doubt then
-    if String.equal t.doubt.(i) txid then begin
+    if t.doubt.(i) = id then begin
       t.n_doubt <- t.n_doubt - 1;
-      t.doubt.(i) <- t.doubt.(t.n_doubt);
-      t.doubt.(t.n_doubt) <- ""
+      t.doubt.(i) <- t.doubt.(t.n_doubt)
     end
-    else doubt_remove t txid (i + 1)
+    else doubt_remove t id (i + 1)
 
 let in_doubt t =
-  List.sort String.compare (Array.to_list (Array.sub t.doubt 0 t.n_doubt))
+  List.init t.n_doubt (fun i -> name_of t t.doubt.(i))
+  |> List.sort String.compare
 
 let locked_keys t =
   List.filter_map
-    (fun (k, c) -> if String.equal c.lock "" then None else Some (k, c.lock))
+    (fun (k, c) -> if c.lock < 0 then None else Some (k, name_of t c.lock))
     (cells t)
 
 (* the sim tracer, when the replica is attached — recovery runs on
    timers, outside [serve]'s tracer argument *)
-let txn_trace t ~name ~txid ~extra =
+let txn_tracer t =
   match t.txn_sim with
-  | None -> ()
-  | Some sim ->
-      let tr = Sim.Core.tracer sim in
-      if Obs.Trace.enabled tr then
-        Obs.Trace.instant tr ~cat:"store" ~name ~track:t.name
-          ~args:(("txid", Obs.Trace.Str txid) :: extra)
-          ()
+  | Some sim when Obs.Trace.enabled (Sim.Core.tracer sim) ->
+      Some (Sim.Core.tracer sim)
+  | _ -> None
+
+let txn_trace tr t ~name ~(txid : Txid.t) ~extra =
+  Obs.Trace.instant tr ~cat:"store" ~name ~track:t.name
+    ~args:(("txid", Obs.Trace.Str txid.name) :: extra)
+    ()
+
+(* A prepare's footprint as (key, cell) pairs, write keys then read
+   keys, consed in one pass — the sort that follows orders and
+   dedupes it. *)
+let rec footprint t acc writes reads =
+  match writes with
+  | (k, _) :: rest -> footprint t ((k, cell t k) :: acc) rest reads
+  | [] -> (
+      match reads with
+      | k :: rest -> footprint t ((k, cell t k) :: acc) [] rest
+      | [] -> acc)
+
+(* does a transaction other than [id] hold a lock in the footprint? *)
+let rec conflicts id = function
+  | [] -> false
+  | (_, c) :: rest -> (c.lock >= 0 && c.lock <> id) || conflicts id rest
 
 (* the cell of [k] in a prepared footprint that holds it *)
 let rec cell_of k = function
   | (k', c) :: rest -> if String.equal k k' then c else cell_of k rest
   | [] -> raise Not_found
 
+(* Install each of this shard's write keys at its version in the
+   whole decided write set [writes]. *)
+let rec install_writes t cells writes = function
+  | [] -> ()
+  | (k, _) :: rest ->
+      install_decided t cells k writes;
+      install_writes t cells writes rest
+
+and install_decided t cells k = function
+  | [] -> ()
+  | (k', vn, value) :: rest ->
+      if String.equal k k' then begin
+        Obs.Metrics.inc t.installs;
+        install (cell_of k cells) ~vn ~value
+      end
+      else install_decided t cells k rest
+
+(* release the footprint's locks the transaction [id] holds *)
+let rec unlock id = function
+  | [] -> ()
+  | (_, c) :: rest ->
+      if c.lock = id then c.lock <- -1;
+      unlock id rest
+
 (* Learn (idempotently) the transaction's decision: record it, fire
    the decision hook once, install this shard's prepared writes at
    their decided versions on commit, release the footprint locks.
    Returns whether a prepared entry was resolved — commit quorums
    count only such acks, because only they certify an install. *)
-let txn_apply_decision t x ~txid ~commit ~writes =
+let txn_apply_decision t x ~commit ~writes =
   (if Register.decide x.reg ~commit ~writes then
      match t.on_decided with
-     | Some f -> f ~txid ~commit ~writes
+     | Some f -> f ~txid:x.txid ~commit ~writes
      | None -> ());
   match x.prepared with
   | None -> false
   | Some e ->
-      if commit then
-        List.iter
-          (fun (k, _) ->
-            match List.find_opt (fun (k', _, _) -> String.equal k' k) writes with
-            | Some (_, vn, value) ->
-                Obs.Metrics.inc t.installs;
-                install (cell_of k e.e_cells) ~vn ~value
-            | None -> ())
-          e.e_writes;
-      List.iter
-        (fun (_, c) -> if String.equal c.lock txid then c.lock <- "")
-        e.e_cells;
+      if commit then install_writes t e.e_cells writes e.e_writes;
+      unlock x.txid.id e.e_cells;
       x.prepared <- None;
-      doubt_remove t txid 0;
+      doubt_remove t x.txid.id 0;
       (match t.txn_sim with
       | Some sim -> Sim.Core.cancel sim e.e_timer
       | None -> ());
@@ -306,15 +344,18 @@ let txn_apply_decision t x ~txid ~commit ~writes =
 
 (* Apply the decision locally (releasing our locks) and tell every
    other participant — the learn broadcast after a chosen value. *)
-let broadcast_decision t x ~txid ~commit ~writes =
+let broadcast_decision t x ~commit ~writes =
   let acceptors =
     match x.prepared with Some e -> e.e_acceptors | None -> []
   in
-  txn_trace t ~name:"txn.decide" ~txid
-    ~extra:[ ("commit", Obs.Trace.Str (string_of_bool commit)) ];
-  ignore (txn_apply_decision t x ~txid ~commit ~writes : bool);
+  (match txn_tracer t with
+  | Some tr ->
+      txn_trace tr t ~name:"txn.decide" ~txid:x.txid
+        ~extra:[ ("commit", Obs.Trace.Str (string_of_bool commit)) ]
+  | None -> ());
+  ignore (txn_apply_decision t x ~commit ~writes : bool);
   Register.send_all acceptors ~except:t.name t.txn_send
-    (Protocol.Txn_decide { rid = 0; txid; commit; writes })
+    (Protocol.Txn_decide { rid = 0; txid = x.txid; commit; writes })
 
 (* The recovery round this replica leads, in the phase [phase] and at
    ballot [bal], if it is still live and the transaction still in
@@ -333,7 +374,7 @@ let hear lead e ~src =
 (* Phase-2b bookkeeping of a recovery round this replica leads: a
    majority of the register's acceptors accepting the proposal makes
    it chosen — broadcast it. *)
-let lead_on_p2b t x ~src ~txid ~bal ~ok =
+let lead_on_p2b t x ~src ~bal ~ok =
   match leading x ~bal ~phase:`Two with
   | None -> ()
   | Some (lead, _) when not ok -> lead.l_live <- false
@@ -342,12 +383,12 @@ let lead_on_p2b t x ~src ~txid ~bal ~ok =
       if Register.complete lead.l_tally then begin
         lead.l_live <- false;
         let commit, writes = Register.proposal lead.l_best in
-        broadcast_decision t x ~txid ~commit ~writes
+        broadcast_decision t x ~commit ~writes
       end
 
 (* Phase-1b bookkeeping: on a majority of promises, accept the
    register's proposal here and ask every other acceptor to. *)
-let lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted =
+let lead_on_p1b t x ~src ~bal ~ok ~accepted =
   match leading x ~bal ~phase:`One with
   | None -> ()
   | Some (lead, _) when not ok -> lead.l_live <- false
@@ -361,21 +402,25 @@ let lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted =
         (match Register.accept x.reg ~bal ~commit ~writes with
         | `Decided (c, ws) ->
             lead.l_live <- false;
-            broadcast_decision t x ~txid ~commit:c ~writes:ws
-        | `P2b self_ok -> lead_on_p2b t x ~src:t.name ~txid ~bal ~ok:self_ok);
+            broadcast_decision t x ~commit:c ~writes:ws
+        | `P2b self_ok -> lead_on_p2b t x ~src:t.name ~bal ~ok:self_ok);
         if lead.l_live then
           Register.send_all e.e_acceptors ~except:t.name t.txn_send
-            (Protocol.Txn_p2a { rid = 0; txid; bal; commit; writes })
+            (Protocol.Txn_p2a { rid = 0; txid = x.txid; bal; commit; writes })
       end
 
 (* One recovery attempt: a fresh ballot unique to (attempt, this
    leader), phase 1 to every acceptor (self first, synchronously). *)
-let start_recovery t x ~txid e =
+let start_recovery t x e =
   let n = List.length e.e_acceptors in
   let bal =
     Register.ballot ~attempt:e.e_attempt ~acceptors:n ~index:e.e_index
   in
-  txn_trace t ~name:"txn.recover" ~txid ~extra:[ ("bal", Obs.Trace.Int bal) ];
+  (match txn_tracer t with
+  | Some tr ->
+      txn_trace tr t ~name:"txn.recover" ~txid:x.txid
+        ~extra:[ ("bal", Obs.Trace.Int bal) ]
+  | None -> ());
   let lead =
     {
       l_bal = bal;
@@ -389,25 +434,24 @@ let start_recovery t x ~txid e =
   (match Register.promise x.reg ~bal with
   | `Decided (commit, writes) ->
       lead.l_live <- false;
-      broadcast_decision t x ~txid ~commit ~writes
-  | `P1b (ok, accepted) ->
-      lead_on_p1b t x ~src:t.name ~txid ~bal ~ok ~accepted);
+      broadcast_decision t x ~commit ~writes
+  | `P1b (ok, accepted) -> lead_on_p1b t x ~src:t.name ~bal ~ok ~accepted);
   if lead.l_live then
     Register.send_all e.e_acceptors ~except:t.name t.txn_send
-      (Protocol.Txn_p1a { rid = 0; txid; bal })
+      (Protocol.Txn_p1a { rid = 0; txid = x.txid; bal })
 
 (* Arm (and re-arm) the recovery timer for an in-doubt transaction:
    exponentially spaced, staggered by the replica's acceptor index so
    concurrent leaders rarely duel, bounded attempts so the event queue
-   always drains. *)
-let rec arm_recovery t x ~txid =
+   always drains.  [ldexp 1.0 a] is [2.0 ** float a], bit for bit. *)
+let rec arm_recovery t x =
   match (t.txn_sim, x.prepared) with
   | None, _ | _, None -> ()
   | Some sim, Some e ->
       let delay =
         t.txn_recovery_delay
         *. (1.0 +. (0.25 *. float_of_int e.e_index))
-        *. (2.0 ** float_of_int e.e_attempt)
+        *. Float.ldexp 1.0 e.e_attempt
       in
       (* resolving the entry cancels the timer, so it only fires
          while the transaction is in doubt here *)
@@ -415,8 +459,8 @@ let rec arm_recovery t x ~txid =
         Sim.Core.timer sim ~delay (fun () ->
             if e.e_attempt < t.txn_recovery_attempts then begin
               e.e_attempt <- e.e_attempt + 1;
-              start_recovery t x ~txid e;
-              arm_recovery t x ~txid
+              start_recovery t x e;
+              arm_recovery t x
             end)
 
 (* The next group off the apply queue, in arrival order: the whole
@@ -643,7 +687,8 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
   | Protocol.Txn_prepare { rid; txid; writes; reads; acceptors; paxos } -> (
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.prepare" ~track:t.name
-          ~args:[ ("txid", Obs.Trace.Str txid); ("rid", Obs.Trace.Int rid) ]
+          ~args:
+            [ ("txid", Obs.Trace.Str txid.name); ("rid", Obs.Trace.Int rid) ]
           ();
       let x = txn t txid in
       match Register.decided x.reg with
@@ -663,21 +708,12 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
               let cells =
                 List.sort_uniq
                   (fun (a, _) (b, _) -> String.compare a b)
-                  (List.fold_left
-                     (fun acc (k, _) -> (k, cell t k) :: acc)
-                     (List.map (fun k -> (k, cell t k)) reads)
-                     writes)
+                  (footprint t [] writes reads)
               in
-              let conflict =
-                List.exists
-                  (fun (_, c) ->
-                    not (String.equal c.lock "" || String.equal c.lock txid))
-                  cells
-              in
-              if conflict then
+              if conflicts txid.id cells then
                 reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
               else begin
-                List.iter (fun (_, c) -> c.lock <- txid) cells;
+                List.iter (fun (_, c) -> c.lock <- txid.id) cells;
                 let kvs = List.map (fun (k, c) -> (k, c.vn, c.value)) cells in
                 x.prepared <-
                   Some
@@ -691,8 +727,8 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
                       e_timer = Sim.Core.no_timer;
                       e_lead = None;
                     };
-                doubt_add t txid;
-                if paxos then arm_recovery t x ~txid;
+                doubt_add t txid.id;
+                if paxos then arm_recovery t x;
                 reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
               end))
   | Protocol.Txn_decide { rid; txid; commit; writes } ->
@@ -700,11 +736,11 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.decide" ~track:t.name
           ~args:
             [
-              ("txid", Obs.Trace.Str txid);
+              ("txid", Obs.Trace.Str txid.name);
               ("commit", Obs.Trace.Str (string_of_bool commit));
             ]
           ();
-      let applied = txn_apply_decision t (txn t txid) ~txid ~commit ~writes in
+      let applied = txn_apply_decision t (txn t txid) ~commit ~writes in
       reply (Protocol.Txn_decide_ack { rid; txid; applied })
   | Protocol.Txn_p1a { rid; txid; bal } -> (
       match Register.promise (txn t txid).reg ~bal with
@@ -718,16 +754,16 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
           reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
   | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
-      match Strtbl.find_opt t.txns txid with
-      | Some x -> lead_on_p1b t x ~src ~txid ~bal ~ok ~accepted
+      match Inttbl.find_opt t.txns txid.id with
+      | Some x -> lead_on_p1b t x ~src ~bal ~ok ~accepted
       | None -> ())
   | Protocol.Txn_p2b { txid; bal; ok; _ } -> (
-      match Strtbl.find_opt t.txns txid with
-      | Some x -> lead_on_p2b t x ~src ~txid ~bal ~ok
+      match Inttbl.find_opt t.txns txid.id with
+      | Some x -> lead_on_p2b t x ~src ~bal ~ok
       | None -> ())
-  | Protocol.Txn_decide_ack { txid; _ } ->
+  | Protocol.Txn_decide_ack _ ->
       (* a participant acking our recovery broadcast — nothing to do *)
-      ignore txid
+      ()
   | Protocol.Query_rep _ | Protocol.Install_ack _ | Protocol.Batch_rep _
   | Protocol.Txn_vote _ ->
       ()
@@ -772,11 +808,28 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
      peer replicas outside any client engine *)
   t.txn_sim <- Some (Sim.Net.sim net);
   t.txn_send <- (fun ~dst msg -> Sim.Net.send net ~src:t.name ~dst msg);
+  (* one reply function per sender, made on its first request *)
+  let replies = ref [||] in
+  let reply_to src =
+    if src >= Array.length !replies then begin
+      let a = Array.make (2 * (src + 1)) no_reply in
+      Array.blit !replies 0 a 0 (Array.length !replies);
+      replies := a
+    end;
+    let f = !replies.(src) in
+    if f != no_reply then f
+    else begin
+      let f rep =
+        match rep with
+        | Protocol.Batch_rep { reps; _ } ->
+            Sim.Net.send_id net ~src:self ~dst:src
+              ~payloads:(List.length reps)
+              rep
+        | rep -> Sim.Net.send_id net ~src:self ~dst:src rep
+      in
+      !replies.(src) <- f;
+      f
+    end
+  in
   Sim.Net.register_id net ~node:self (fun ~src msg ->
-      serve t ~src:(Sim.Net.name net src) ~tr msg ~reply:(fun rep ->
-          match rep with
-          | Protocol.Batch_rep { reps; _ } ->
-              Sim.Net.send_id net ~src:self ~dst:src
-                ~payloads:(List.length reps)
-                rep
-          | rep -> Sim.Net.send_id net ~src:self ~dst:src rep))
+      serve t ~src:(Sim.Net.name net src) ~tr msg ~reply:(reply_to src))

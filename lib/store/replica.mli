@@ -27,9 +27,10 @@ type pending
 (** An install waiting in the apply queue. *)
 
 type cell
-(** One key's state: its (vn, value) pair and the txid holding its
-    transaction lock.  A prepared transaction keeps its footprint's
-    cells, so its decision and lock release look nothing up. *)
+(** One key's state: its (vn, value) pair and the id of the txid
+    holding its transaction lock.  A prepared transaction keeps its
+    footprint's cells, so its decision and lock release look nothing
+    up. *)
 
 type txn
 (** Everything one replica knows about one transaction: its
@@ -53,10 +54,10 @@ type t = {
   mutable draining : bool;  (** a group is at the device right now *)
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
-  txns : txn Qc_util.Strtbl.t;  (** txid -> this replica's record *)
-  mutable doubt : string array;
+  txns : txn Qc_util.Inttbl.t;  (** txid id -> this replica's record *)
+  mutable doubt : int array;
   mutable n_doubt : int;
-      (** [doubt.(0 .. n_doubt-1)]: the txids whose record holds a
+      (** [doubt.(0 .. n_doubt-1)]: the txid ids whose record holds a
           [prepared] entry, unordered — kept at prepare and at
           resolve *)
   txn_recovery_delay : float;
@@ -64,7 +65,10 @@ type t = {
   mutable txn_sim : Sim.Core.t option;
   mutable txn_send : dst:string -> Protocol.msg -> unit;
   mutable on_decided :
-    (txid:string -> commit:bool -> writes:(string * int * int) list -> unit)
+    (txid:Qc_util.Txid.t ->
+    commit:bool ->
+    writes:(string * int * int) list ->
+    unit)
     option;
 }
 
@@ -114,7 +118,10 @@ val queue_depth : t -> int
 
 val set_on_decided :
   t ->
-  (txid:string -> commit:bool -> writes:(string * int * int) list -> unit) ->
+  (txid:Qc_util.Txid.t ->
+  commit:bool ->
+  writes:(string * int * int) list ->
+  unit) ->
   unit
 (** Install the decision hook: fired exactly once per transaction, on
     the first locally learned decision (whether it arrived as a
@@ -122,11 +129,12 @@ val set_on_decided :
     short-circuit).  The audit's authoritative commit log. *)
 
 val in_doubt : t -> string list
-(** The txids of transactions prepared here but not yet decided —
-    blocked (in-doubt) transactions.  Sorted. *)
+(** The txid names of transactions prepared here but not yet decided
+    — blocked (in-doubt) transactions.  Sorted. *)
 
 val locked_keys : t -> (string * string) list
-(** The (key, owner-txid) pairs currently write-locked, sorted by key. *)
+(** The (key, owner's txid name) pairs currently write-locked, sorted
+    by key. *)
 
 val serve :
   t ->

@@ -140,23 +140,6 @@ let attach t =
         if src < Array.length t.owner && t.owner.(src) >= 0 then
           Rpc.Engine.handle_id t.shards.(t.owner.(src)).Client.eng ~src msg)
 
-(** Group keys by owning shard: one (shard, keys) pair per shard that
-    owns at least one of the input keys, shards in first-appearance
-    order, each shard's keys in input order.  No deduplication — a key
-    given twice appears twice.  The txn layer's footprint split. *)
-let route_many t keys =
-  (* each shard's keys, newest first; a shard joins [order] with its
-     first key *)
-  let buckets = Array.make (Array.length t.shards) [] in
-  let order = ref [] in
-  List.iter
-    (fun key ->
-      let s = t.shard_of key in
-      (match buckets.(s) with [] -> order := s :: !order | _ :: _ -> ());
-      buckets.(s) <- key :: buckets.(s))
-    keys;
-  List.rev_map (fun s -> (s, List.rev buckets.(s))) !order
-
 let read t ~key ~on_done =
   Client.read t.shards.(t.shard_of key) ~key ~on_done
 

@@ -65,12 +65,6 @@ val client : t -> shard:int -> Client.t
 val clients : t -> Client.t array
 val replicas : t -> shard:int -> string array
 
-val route_many : t -> string list -> (int * string list) list
-(** Group keys by owning shard: one (shard, keys) pair per shard that
-    owns at least one input key, shards in first-appearance order,
-    each shard's keys in input order, duplicates preserved.  The txn
-    layer's footprint split. *)
-
 val attach : t -> unit
 (** Install the router's reply handler: a single shard attaches its
     client directly (the historical path); several shards register a

@@ -29,9 +29,14 @@ val create :
 (** A coordinator issuing transactions as [name] (the router client's
     node, whose engines and reply routing it reuses).  [timeout]
     (default 400.0) is the overall per-transaction deadline.  [txn0]
-    (default 0) seeds the txid sequence — txids are
-    ["<name>#t<n>"], and replicas remember decided txids forever, so
-    a second coordinator over the same replicas must continue the
+    (default 0) seeds the txid sequence.  The [n]th transaction's
+    txid ({!Qc_util.Txid.make}) is built once per attempt and carried
+    by every message of it: an int, [coord lsl 32 lor n] with [coord]
+    the node id of [name], which the replicas, the lock holders and
+    the audit key by; and a name, ["<name>#t<n>"], rendered only in
+    traces, digests, audit messages, {!Replica.in_doubt} and
+    {!Replica.locked_keys}.  Replicas remember decided txids forever,
+    so a second coordinator over the same replicas must continue the
     sequence (see {!next_txn}) rather than restart it. *)
 
 val mode : t -> mode
@@ -54,7 +59,7 @@ val execute :
   unit ->
   string
 (** Run one transaction reading [reads] and writing [writes] (all
-    footprint keys must be distinct); returns its txid.  [on_done]
+    footprint keys must be distinct); returns its txid's name.  [on_done]
     fires exactly once: on commit, [reads] carries the prepare-time
     snapshot and [writes] the installed write set — (key, vn, value)
     triples.  [committed:false] covers abort, conflict and timeout,

@@ -21,11 +21,22 @@ type ev =
       writes : (string * int * int) list;
     }
 
+(* A history names its transactions; the decision hook keys them by
+   an int, so each name gets one, in order of first sight. *)
 let feed a evs =
+  let ids = Hashtbl.create 8 in
+  let txid name =
+    match Hashtbl.find_opt ids name with
+    | Some id -> { Qc_util.Txid.id; name }
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.replace ids name id;
+        { Qc_util.Txid.id; name }
+  in
   List.iter
     (function
-      | Decide { txid; commit; writes } ->
-          Check.txn_decided a ~txid ~commit ~writes
+      | Decide { txid = name; commit; writes } ->
+          Check.txn_decided a ~txid:(txid name) ~commit ~writes
       | Ack { txid; started; completed; reads; writes } ->
           Check.txn_committed a ~txid ~started ~now:completed ~reads ~writes)
     evs
@@ -366,13 +377,13 @@ end
 let txid_pool = [| "c0#t2"; "c0#t10"; "c1#t0"; "c10#t0"; "a"; "b"; "z" |]
 let key_pool = [| "k0"; "k1"; "k10"; "k2" |]
 
-let gen_history : ev list QCheck.Gen.t =
+let gen_history_of ~events ~vns : ev list QCheck.Gen.t =
   let open QCheck.Gen in
   let key = oneofa key_pool in
   let kvv ~vn = triple key vn (int_bound 2) in
   (* a write at version 0 never happens in a run, but the audit must
      still treat it as a version like any other *)
-  let writes = list_size (int_bound 3) (kvv ~vn:(int_bound 4)) in
+  let writes = list_size (int_bound 3) (kvv ~vn:(int_bound vns)) in
   let* base = array_size (return (Array.length txid_pool)) writes in
   let txn = int_bound (Array.length txid_pool - 1) in
   let drift i = frequency [ (4, return base.(i)); (1, writes) ] in
@@ -391,7 +402,7 @@ let gen_history : ev list QCheck.Gen.t =
               return (k, vn, v) );
         (* the initial version, almost always with its initial value *)
         (2, triple key (return 0) (frequency [ (5, return 0); (1, return 1) ]));
-        (1, kvv ~vn:(int_bound 5));
+        (1, kvv ~vn:(int_bound (vns + 1)));
       ]
   in
   let ev =
@@ -419,7 +430,9 @@ let gen_history : ev list QCheck.Gen.t =
                }) );
       ]
   in
-  list_size (int_bound 16) ev
+  list_size (int_bound events) ev
+
+let gen_history = gen_history_of ~events:16 ~vns:4
 
 let pp_kvs =
   let pp_kv ppf (k, vn, v) = Fmt.pf ppf "%s,%d,%d" k vn v in
@@ -441,6 +454,273 @@ let prop_matches_oracle =
   QCheck.Test.make ~count:2000 ~name:"indexed audit = quadratic oracle"
     arb_history (fun evs ->
       let got = audit evs and want = Oracle.run evs in
+      if got = want then true
+      else
+        QCheck.Test.fail_reportf "got:@\n%a@\nwant:@\n%a"
+          Fmt.(list ~sep:cut string) got
+          Fmt.(list ~sep:cut string) want)
+
+(* ---------- differential property against the per-key audit ---------- *)
+
+(* The string-keyed audit with a per-key chain and vn table that the
+   version-indexed one replaced, copied verbatim as the oracle: the
+   same violations in the same order, on the same histories. *)
+module Frozen = struct
+  module Strtbl = Qc_util.Strtbl
+
+  type txn_report = {
+    t_txid : string;
+    t_started : float;
+    t_completed : float;
+    t_reads : (string * int * int) list;  (** (key, vn, value) snapshot *)
+    t_writes : (string * int * int) list;  (** (key, vn, value) installed *)
+  }
+
+  (** Audit state for multi-key transaction histories.  Two sources
+      feed it: {e decided} commits (the replica-side decision hook —
+      authoritative, covers transactions whose coordinator died after
+      the decision was chosen) and {e acked} commits (the client saw
+      the commit complete — these carry the read snapshots and anchor
+      the recency check).  Acked is a subset of decided. *)
+  type txn_audit = {
+    mutable acked : txn_report list;  (** newest first *)
+    decided_w : (string * int * int) list Strtbl.t;
+        (** txid -> committed write set *)
+    mutable txn_violations : string list;
+  }
+
+  let txn_audit () =
+    { acked = []; decided_w = Strtbl.create 64; txn_violations = [] }
+
+  let txn_note a fmt =
+    Fmt.kstr (fun s -> a.txn_violations <- s :: a.txn_violations) fmt
+
+  (* Write-set equality: polymorphic [=] on (key, vn, value) lists,
+     with an early [true] for one physical list — every participant's
+     decision hook passes the decided list itself. *)
+  let rec same_writes (a : (string * int * int) list) b =
+    a == b
+    ||
+    match (a, b) with
+    | [], [] -> true
+    | (k, vn, v) :: a', (k', vn', v') :: b' ->
+        String.equal k k' && vn = vn' && v = v' && same_writes a' b'
+    | _ -> false
+
+  (** Record a decision learned at some replica.  Aborts are ignored;
+      duplicate commit records (every participant fires the hook) must
+      agree on the write set. *)
+  let txn_decided a ~txid ~commit ~writes =
+    if commit then
+      match Strtbl.find a.decided_w txid with
+      | exception Not_found -> Strtbl.replace a.decided_w txid writes
+      | prior ->
+          if not (same_writes prior writes) then
+            txn_note a "txn %s decided with two write sets" txid
+
+  (** Record a client-acked commit. *)
+  let txn_committed a ~txid ~started ~now ~reads ~writes =
+    a.acked <-
+      {
+        t_txid = txid;
+        t_started = started;
+        t_completed = now;
+        t_reads = reads;
+        t_writes = writes;
+      }
+      :: a.acked
+
+  (* The audit's per-key index: the decided versions of the key and the
+     acked writes to it. *)
+  type key_index = {
+    mutable chain : (int * int) list;
+        (** (vn, writer node) of every decided write, newest first *)
+    by_vn : (int, int * int) Hashtbl.t;
+        (** vn -> (value, writer node); the last insert wins, as the
+            newest-first chain's first match would *)
+    mutable acked_w : (float * int) list;
+        (** (completed, vn) of the acked writes, in acked order *)
+  }
+
+  (** Run the end-of-run transaction checks, appending to the violation
+      log: acked ⊆ decided, per-key version uniqueness across decided
+      commits, read validity (every read snapshot names a version some
+      decided commit installed, with its value), recency (an acked
+      commit is visible to every acked transaction that starts later),
+      and acyclicity of the serialization graph (ww edges by version
+      order, wr read-from edges, rw anti-dependency edges).
+
+      Decided transactions become graph nodes [0 .. n-1], numbered in
+      txid order; each key's index is built once, so a read costs one
+      scan of its key's acked writes and decided versions. *)
+  let txn_check a =
+    let acked = List.rev a.acked in
+    let index : key_index Strtbl.t = Strtbl.create 64 in
+    let key_index k =
+      match Strtbl.find index k with
+      | ix -> ix
+      | exception Not_found ->
+          let ix = { chain = []; by_vn = Hashtbl.create 4; acked_w = [] } in
+          Strtbl.replace index k ix;
+          ix
+    in
+    (* acked commits must have been decided, with the acked write set *)
+    List.iter
+      (fun r ->
+        match Strtbl.find_opt a.decided_w r.t_txid with
+        | None -> txn_note a "acked txn %s was never decided" r.t_txid
+        | Some w ->
+            if not (same_writes w r.t_writes) then
+              txn_note a "acked txn %s: acked writes differ from decided"
+                r.t_txid)
+      acked;
+    (* consing while walking the newest-first log leaves each key's
+       acked writes in acked order *)
+    List.iter
+      (fun r ->
+        List.iter
+          (fun (k, vn, _) ->
+            let ix = key_index k in
+            ix.acked_w <- (r.t_completed, vn) :: ix.acked_w)
+          (List.rev r.t_writes))
+      a.acked;
+    (* committed versions per key, each installed by exactly one txn *)
+    let decided =
+      (* lint: order-insensitive *)
+      Strtbl.fold (fun txid w acc -> (txid, w) :: acc) a.decided_w []
+      |> List.sort (fun (x, _) (y, _) -> String.compare x y)
+    in
+    let n = List.length decided in
+    (* arrays longer than a minor-heap block start from immediate values
+       and are filled in place: [Array.make]/[Array.of_list]/[Array.map]
+       with a young initial element force a minor collection *)
+    let txid_of = Array.make n "" in
+    let node : int Strtbl.t = Strtbl.create n in
+    let written = ref [] in
+    List.iteri
+      (fun i (txid, writes) ->
+        txid_of.(i) <- txid;
+        Strtbl.replace node txid i;
+        List.iter
+          (fun (k, vn, v) ->
+            let ix = key_index k in
+            if ix.chain = [] then written := ix :: !written;
+            (match Hashtbl.find_opt ix.by_vn vn with
+            | Some (_, j) ->
+                txn_note a "duplicate version %d of %s (txns %s and %s)" vn k
+                  txid_of.(j) txid
+            | None -> ());
+            Hashtbl.replace ix.by_vn vn (v, i);
+            ix.chain <- (vn, i) :: ix.chain)
+          writes)
+      decided;
+    (* serialization graph over decided commits (reads known only for
+       acked ones): ww by version order, wr read-from, rw
+       anti-dependency; a cycle breaks serializability *)
+    let succs = Array.make n [] in
+    let edge x y = if x <> y then succs.(x) <- y :: succs.(x) in
+    List.iter
+      (fun ix ->
+        let rec ww = function
+          | (_, t1) :: ((_, t2) :: _ as rest) ->
+              edge t1 t2;
+              ww rest
+          | _ -> ()
+        in
+        ww (List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) ix.chain))
+      !written;
+    (* read validity + recency, and the read's wr/rw edges.  The graph
+       is over decided commits, so the reads of an acked transaction
+       that was never decided add no edges. *)
+    List.iter
+      (fun r ->
+        let reader = Strtbl.find_opt node r.t_txid in
+        List.iter
+          (fun (k, vn, v) ->
+            let ix = Strtbl.find_opt index k in
+            let writer =
+              Option.bind ix (fun ix -> Hashtbl.find_opt ix.by_vn vn)
+            in
+            (if vn = 0 then begin
+               if v <> 0 then
+                 txn_note a "txn %s read unwritten %s as %d" r.t_txid k v
+             end
+             else
+               match writer with
+               | None ->
+                   txn_note a "txn %s read %s at unknown version %d" r.t_txid k
+                     vn
+               | Some (v', _) ->
+                   if v' <> v then
+                     txn_note a "corrupt txn read of %s: vn %d has %d, read %d"
+                       k vn v' v);
+            match ix with
+            | None -> ()
+            | Some ix -> (
+                List.iter
+                  (fun (completed, wvn) ->
+                    if completed <= r.t_started && vn < wvn then
+                      txn_note a "stale txn read of %s: vn %d < committed vn %d"
+                        k vn wvn)
+                  ix.acked_w;
+                match reader with
+                | None -> ()
+                | Some x ->
+                    (* wr: the version's writer happens before the reader *)
+                    (match writer with Some (_, w) -> edge w x | None -> ());
+                    (* rw: the reader happens before every later writer *)
+                    List.iter
+                      (fun (vn', w') -> if vn' > vn then edge x w')
+                      ix.chain))
+          r.t_reads)
+      acked;
+    (* DFS cycle detection: nodes and successors in txid order, so the
+       reported node is deterministic *)
+    let color = Array.make n `White in
+    let cycle = ref None in
+    let rec visit i =
+      match color.(i) with
+      | `Black -> ()
+      | `Grey -> if !cycle = None then cycle := Some i
+      | `White ->
+          color.(i) <- `Grey;
+          List.iter visit (List.sort_uniq Int.compare succs.(i));
+          color.(i) <- `Black
+    in
+    for i = 0 to n - 1 do
+      visit i
+    done;
+    match !cycle with
+    | Some i ->
+        txn_note a "serialization graph cycle through txn %s" txid_of.(i)
+    | None -> ()
+
+  let txn_violations a = a.txn_violations
+  let txn_decided_count a = Strtbl.length a.decided_w
+
+  let run evs =
+    let a = txn_audit () in
+    List.iter
+      (function
+        | Decide { txid; commit; writes } -> txn_decided a ~txid ~commit ~writes
+        | Ack { txid; started; completed; reads; writes } ->
+            txn_committed a ~txid ~started ~now:completed ~reads ~writes)
+      evs;
+    txn_check a;
+    List.rev (txn_violations a)
+end
+
+(* Long histories too, so a key's version index holds more than a few
+   entries and the binary searches take several steps. *)
+let arb_long_history =
+  QCheck.make
+    (gen_history_of ~events:80 ~vns:12)
+    ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "@\n") pp_ev))
+    ~shrink:QCheck.Shrink.list
+
+let prop_matches_frozen name arb =
+  QCheck.Test.make ~count:2000 ~name arb (fun evs ->
+      let got = audit evs and want = Frozen.run evs in
       if got = want then true
       else
         QCheck.Test.fail_reportf "got:@\n%a@\nwant:@\n%a"
@@ -629,6 +909,11 @@ let suites =
         Alcotest.test_case "generator reaches every kind" `Quick
           test_generator_coverage;
         qcheck prop_matches_oracle;
+        qcheck
+          (prop_matches_frozen "indexed audit = per-key audit" arb_history);
+        qcheck
+          (prop_matches_frozen "indexed audit = per-key audit, long histories"
+             arb_long_history);
         qcheck prop_same_writes;
       ] );
     ( "harness.audit",

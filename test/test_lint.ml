@@ -326,7 +326,10 @@ let rec gen_msg depth st : Protocol.msg =
   let open QCheck.Gen in
   let rid = int_bound 99 st in
   let key = gen_key st in
-  let txid = gen_id st in
+  let txid =
+    let name = gen_id st in
+    { Qc_util.Txid.id = Hashtbl.hash name; name }
+  in
   let bal = int_bound 5 st in
   match int_bound (if depth > 0 then 13 else 11) st with
   | 0 -> Protocol.Query_req { rid; key; ctx = gen_ctx st }

@@ -159,7 +159,14 @@ let test_batch_frame_mixed_parts () =
       P.Install_req { rid = 12; key = "k"; vn = 3; value = 30; ctx = None };
       P.Query_rep { rid = 13; key = "k"; vn = 9; value = 9 };
       P.Install_req { rid = 14; key = "j"; vn = 2; value = 20; ctx = None };
-      P.Txn_p1b { rid = 15; txid = "t"; bal = 1; ok = true; accepted = None };
+      P.Txn_p1b
+        {
+          rid = 15;
+          txid = { Qc_util.Txid.id = 0; name = "t" };
+          bal = 1;
+          ok = true;
+          accepted = None;
+        };
       P.Query_req { rid = 16; key = "j"; ctx = None };
       P.Install_ack { rid = 17; key = "k" };
     ];

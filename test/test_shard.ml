@@ -353,125 +353,6 @@ let test_default_trace_golden () =
         (Digest.to_hex (Digest.string s)))
     golden
 
-(* ---------- route_many: the txn layer's footprint split ---------- *)
-
-(* [route_many] must agree with [shard_of] key by key, keep shards in
-   first-appearance order, each shard's keys in input order, and
-   preserve duplicates — under both schemes *)
-let test_route_many_groups () =
-  List.iter
-    (fun scheme ->
-      let sim = Core.create ~seed:1 in
-      let groups = Store.Cluster.group_names ~n_shards:3 ~n_replicas:3 in
-      let nodes =
-        (Array.to_list groups |> List.concat_map Array.to_list) @ [ "c0" ]
-      in
-      let net =
-        Net.create ~sim ~nodes ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0) ()
-      in
-      let r =
-        Router.create ~name:"c0" ~sim ~net ~groups
-          ~strategies:(Array.make 3 (Store.Strategy.majority 3))
-          ~scheme ~n_keys:30 ()
-      in
-      let keys =
-        List.init 12 Store.Workload.key_name @ [ "k3"; "alpha"; "k3" ]
-      in
-      let split = Router.route_many r keys in
-      (* every key lands with its own shard, order and duplicates kept *)
-      let flattened =
-        List.concat_map (fun (s, ks) -> List.map (fun k -> (s, k)) ks) split
-      in
-      List.iter
-        (fun (s, k) ->
-          Alcotest.(check int)
-            (Fmt.str "%s agrees with shard_of (%s)" k
-               (Router.scheme_label scheme))
-            (Router.shard_of r k) s)
-        flattened;
-      Alcotest.(check (list string))
-        "all keys kept, per-shard input order"
-        (List.sort String.compare keys)
-        (List.sort String.compare (List.map snd flattened));
-      (* shards appear once each, in first-appearance order *)
-      let shard_order = List.map fst split in
-      Alcotest.(check (list int))
-        "shards listed once, in first-appearance order"
-        (List.fold_left
-           (fun acc k ->
-             let s = Router.shard_of r k in
-             if List.mem s acc then acc else acc @ [ s ])
-           [] keys)
-        shard_order;
-      (* within a shard, keys keep input order *)
-      List.iter
-        (fun (s, ks) ->
-          let expected =
-            List.filter (fun k -> Router.shard_of r k = s) keys
-          in
-          Alcotest.(check (list string))
-            (Fmt.str "shard %d keys in input order" s)
-            expected ks)
-        split;
-      (* under [`Range], a contiguous key run splits into contiguous
-         per-shard runs *)
-      if scheme = `Range then
-        List.iter
-          (fun (_, ks) ->
-            let idx = List.filter_map Router.key_index ks in
-            ignore
-              (List.fold_left
-                 (fun prev i ->
-                   Alcotest.(check bool) "contiguous run" true (i >= prev);
-                   i)
-                 (-1) idx))
-          (Router.route_many r (List.init 12 Store.Workload.key_name)))
-    [ `Hash; `Range ]
-
-(* The Hashtbl-bucket [route_many] the shard-indexed one replaced: the
-   reference of the differential below. *)
-let route_many_buckets r keys =
-  let buckets : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun key ->
-      let s = Router.shard_of r key in
-      match Hashtbl.find_opt buckets s with
-      | Some l -> l := key :: !l
-      | None ->
-          Hashtbl.replace buckets s (ref [ key ]);
-          order := s :: !order)
-    keys;
-  List.rev_map (fun s -> (s, List.rev !(Hashtbl.find buckets s))) !order
-
-(* Same shards in the same order, same keys in the same order,
-   duplicates kept — over 1 to 5 shards, both schemes, keys drawn from
-   a small pool (so repeats are common) that mixes numbered keys inside
-   and outside the range partition with unnumbered ones. *)
-let prop_route_many_matches_buckets =
-  QCheck.Test.make ~count:200 ~name:"route_many = Hashtbl-bucket split"
-    QCheck.(
-      triple (int_range 1 5) bool (small_list (int_range 0 44)))
-    (fun (n_shards, hash, picks) ->
-      let sim = Core.create ~seed:1 in
-      let groups = Store.Cluster.group_names ~n_shards ~n_replicas:1 in
-      let nodes =
-        (Array.to_list groups |> List.concat_map Array.to_list) @ [ "c0" ]
-      in
-      let net = Net.create ~sim ~nodes () in
-      let r =
-        Router.create ~name:"c0" ~sim ~net ~groups
-          ~strategies:(Array.make n_shards (Store.Strategy.majority 1))
-          ~scheme:(if hash then `Hash else `Range) ~n_keys:30 ()
-      in
-      let keys =
-        List.map
-          (fun i ->
-            if i < 40 then Store.Workload.key_name i else Fmt.str "x%d" i)
-          picks
-      in
-      Router.route_many r keys = route_many_buckets r keys)
-
 (* The multi-shard router dispatches a reply by its source's node id:
    to the shard whose group holds the source, and nowhere for a node in
    no group.  Both shard engines start at rid 0, so a misrouted reply
@@ -563,9 +444,6 @@ let suites =
         qcheck prop_shard_map_matches_reference;
         Alcotest.test_case "key_name is the contract key_index parses"
           `Quick test_key_name_contract;
-        Alcotest.test_case "route_many groups by shard" `Quick
-          test_route_many_groups;
-        qcheck prop_route_many_matches_buckets;
         Alcotest.test_case "a reply goes to its source's shard" `Quick
           test_router_reply_owner;
         Alcotest.test_case "default runs match pre-router traces" `Slow

@@ -391,6 +391,12 @@ let test_validate () =
       ("burst", { d with workload = { wl with burst = 0 } });
       ("trace_capacity", { d with trace_capacity = -1 });
       ("keys_per_txn", { d with txns = Some { txns with keys_per_txn = 0 } });
+      ( "keys_per_txn > n_keys",
+        {
+          d with
+          workload = { wl with n_keys = 2 };
+          txns = Some { txns with keys_per_txn = 3 };
+        } );
       ( "txns_per_client",
         { d with txns = Some { txns with txns_per_client = -1 } } );
       ( "txn_read_fraction",
@@ -451,6 +457,13 @@ let test_validate () =
       ("62 replicas", { d with n_replicas = 62 });
       ("no ops", { d with workload = { wl with ops_per_client = 0 } });
       ("no txns", { d with txns = Some { txns with txns_per_client = 0 } });
+      ("one key, no txn spec", { d with workload = { wl with n_keys = 1 } });
+      ( "keys_per_txn = n_keys",
+        {
+          d with
+          workload = { wl with n_keys = 3 };
+          txns = Some { txns with keys_per_txn = 3 };
+        } );
       ("kv_readmostly", { d with workload = { wl with ops_per_client = 500 } });
       ( "kv_sharded_io",
         {

@@ -12,6 +12,21 @@ module Cluster = Store.Cluster
 
 let tr_off = Obs.Trace.create ~capacity:0 ~enabled:false ()
 
+(* A hand-built message's txid: the name, with an int assigned on its
+   first use. *)
+let tx =
+  let ids = Hashtbl.create 8 in
+  fun name ->
+    let id =
+      match Hashtbl.find_opt ids name with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.replace ids name id;
+          id
+    in
+    { Qc_util.Txid.id; name }
+
 let handle r msg =
   match Replica.handle_one r ~tr:tr_off msg with
   | Some rep -> rep
@@ -29,7 +44,7 @@ let test_replica_prepare_vote_decide () =
     P.Txn_prepare
       {
         rid;
-        txid;
+        txid = tx txid;
         writes = [ ("k0", 99) ];
         reads = [ "k1" ];
         acceptors = [ "r0" ];
@@ -61,13 +76,13 @@ let test_replica_prepare_vote_decide () =
   (* commit installs at the decided version and releases the locks *)
   let decided = ref [] in
   Replica.set_on_decided r (fun ~txid ~commit ~writes:_ ->
-      decided := (txid, commit) :: !decided);
+      decided := (txid.Qc_util.Txid.name, commit) :: !decided);
   (match
      handle r
        (P.Txn_decide
           {
             rid = 5;
-            txid = "c0#t0";
+            txid = tx "c0#t0";
             commit = true;
             writes = [ ("k0", 4, 99) ];
           })
@@ -87,7 +102,7 @@ let test_replica_prepare_vote_decide () =
        (P.Txn_decide
           {
             rid = 6;
-            txid = "c0#t0";
+            txid = tx "c0#t0";
             commit = true;
             writes = [ ("k0", 4, 99) ];
           })
@@ -106,7 +121,7 @@ let test_replica_abort_releases () =
        (P.Txn_prepare
           {
             rid = 1;
-            txid = "c0#t1";
+            txid = tx "c0#t1";
             writes = [ ("k2", 7) ];
             reads = [];
             acceptors = [ "r0" ];
@@ -118,7 +133,7 @@ let test_replica_abort_releases () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 2; txid = "c0#t1"; commit = false; writes = [] })
+          { rid = 2; txid = tx "c0#t1"; commit = false; writes = [] })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort ack");
@@ -139,10 +154,17 @@ let test_replica_key_cells () =
   let prepare rid txid writes reads =
     handle r
       (P.Txn_prepare
-         { rid; txid; writes; reads; acceptors = [ "r0" ]; paxos = false })
+         {
+           rid;
+           txid = tx txid;
+           writes;
+           reads;
+           acceptors = [ "r0" ];
+           paxos = false;
+         })
   in
   let decide rid txid commit writes =
-    match handle r (P.Txn_decide { rid; txid; commit; writes }) with
+    match handle r (P.Txn_decide { rid; txid = tx txid; commit; writes }) with
     | P.Txn_decide_ack { applied; _ } -> applied
     | _ -> Alcotest.fail "expected a decide ack"
   in
@@ -200,14 +222,14 @@ let test_replica_key_cells () =
    short-circuit. *)
 let test_replica_acceptor_ballots () =
   let r = Replica.create ~name:"r0" () in
-  (match handle r (P.Txn_p1a { rid = 1; txid = "t"; bal = 2 }) with
+  (match handle r (P.Txn_p1a { rid = 1; txid = tx "t"; bal = 2 }) with
   | P.Txn_p1b { ok = true; accepted = None; _ } -> ()
   | _ -> Alcotest.fail "free register promises");
   (* a lower ballot is refused after the promise *)
   (match
      handle r
        (P.Txn_p2a
-          { rid = 2; txid = "t"; bal = 1; commit = true; writes = [] })
+          { rid = 2; txid = tx "t"; bal = 1; commit = true; writes = [] })
    with
   | P.Txn_p2b { ok = false; _ } -> ()
   | _ -> Alcotest.fail "lower ballot refused");
@@ -215,12 +237,18 @@ let test_replica_acceptor_ballots () =
   (match
      handle r
        (P.Txn_p2a
-          { rid = 3; txid = "t"; bal = 2; commit = true; writes = [ ("k", 1, 5) ] })
+          {
+            rid = 3;
+            txid = tx "t";
+            bal = 2;
+            commit = true;
+            writes = [ ("k", 1, 5) ];
+          })
    with
   | P.Txn_p2b { ok = true; _ } -> ()
   | _ -> Alcotest.fail "promised ballot accepted");
   (* a later phase 1 reports the accepted value *)
-  (match handle r (P.Txn_p1a { rid = 4; txid = "t"; bal = 7 }) with
+  (match handle r (P.Txn_p1a { rid = 4; txid = tx "t"; bal = 7 }) with
   | P.Txn_p1b { ok = true; accepted = Some (2, true, [ ("k", 1, 5) ]); _ } -> ()
   | _ -> Alcotest.fail "accepted value reported")
 
@@ -230,7 +258,7 @@ let prepare ?(paxos = false) ?(acceptors = [ "r0" ]) ~rid txid =
   P.Txn_prepare
     {
       rid;
-      txid;
+      txid = tx txid;
       writes = [ ("k0", 7) ];
       reads = [ "k1" ];
       acceptors;
@@ -239,7 +267,7 @@ let prepare ?(paxos = false) ?(acceptors = [ "r0" ]) ~rid txid =
 
 let decide ~rid txid =
   P.Txn_decide
-    { rid; txid; commit = true; writes = [ ("k0", 1, 7) ] }
+    { rid; txid = tx txid; commit = true; writes = [ ("k0", 1, 7) ] }
 
 let check_idle name r =
   Alcotest.(check (list string)) (name ^ ": nothing in doubt") []
@@ -254,8 +282,8 @@ let test_acceptor_without_prepare () =
   let r = Replica.create ~name:"r0" () in
   let hook = ref [] in
   Replica.set_on_decided r (fun ~txid ~commit ~writes:_ ->
-      hook := (txid, commit) :: !hook);
-  (match handle r (P.Txn_p1a { rid = 1; txid = "t"; bal = 1 }) with
+      hook := (txid.Qc_util.Txid.name, commit) :: !hook);
+  (match handle r (P.Txn_p1a { rid = 1; txid = tx "t"; bal = 1 }) with
   | P.Txn_p1b { ok = true; accepted = None; _ } -> ()
   | _ -> Alcotest.fail "unprepared txid promises");
   (match
@@ -263,7 +291,7 @@ let test_acceptor_without_prepare () =
        (P.Txn_p2a
           {
             rid = 2;
-            txid = "t";
+            txid = tx "t";
             bal = 1;
             commit = true;
             writes = [ ("k0", 1, 7) ];
@@ -281,11 +309,11 @@ let test_acceptor_without_prepare () =
   (match
      handle r
        (P.Txn_p2a
-          { rid = 4; txid = "t"; bal = 9; commit = false; writes = [] })
+          { rid = 4; txid = tx "t"; bal = 9; commit = false; writes = [] })
    with
   | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
   | _ -> Alcotest.fail "a decided register answers 2a with the decision");
-  (match handle r (P.Txn_p1a { rid = 5; txid = "t"; bal = 9 }) with
+  (match handle r (P.Txn_p1a { rid = 5; txid = tx "t"; bal = 9 }) with
   | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
   | _ -> Alcotest.fail "a decided register answers 1a with the decision");
   check_idle "after decision" r
@@ -299,7 +327,13 @@ let test_decide_before_prepare () =
   | _ -> Alcotest.fail "early decide acked unapplied");
   (match handle r (prepare ~paxos:true ~rid:2 "c0#t0") with
   | P.Txn_decide
-      { rid = 2; txid = "c0#t0"; commit = true; writes = [ ("k0", 1, 7) ]; _ } ->
+      {
+        rid = 2;
+        txid = { name = "c0#t0"; _ };
+        commit = true;
+        writes = [ ("k0", 1, 7) ];
+        _;
+      } ->
       ()
   | _ -> Alcotest.fail "late prepare answered with the decision");
   check_idle "late prepare" r;
@@ -310,7 +344,7 @@ let test_decide_before_prepare () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 4; txid = "c0#t1"; commit = false; writes = [] })
+          { rid = 4; txid = tx "c0#t1"; commit = false; writes = [] })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort resolves the prepared entry");
@@ -364,7 +398,7 @@ let test_decision_cancels_recovery_timer () =
         (P.Txn_prepare
            {
              rid;
-             txid;
+             txid = tx txid;
              writes = [ (key, rid) ];
              reads = [];
              acceptors = [ "r0"; "r1"; "r2" ];
@@ -378,7 +412,7 @@ let test_decision_cancels_recovery_timer () =
     ignore
       (handle r
          (P.Txn_decide
-            { rid; txid; commit = true; writes = [ (key, 1, rid) ] }))
+            { rid; txid = tx txid; commit = true; writes = [ (key, 1, rid) ] }))
   in
   prep 1 "t2" "a";
   prep 2 "t0" "b";
@@ -465,11 +499,11 @@ let test_recovery_round () =
         Sim.Net.register net ~node:peer (fun ~src msg ->
             let frame =
               match msg with
-              | P.Txn_p1a { txid; bal; _ } -> Fmt.str "1a %s %d" txid bal
+              | P.Txn_p1a { txid; bal; _ } -> Fmt.str "1a %s %d" txid.name bal
               | P.Txn_p2a { txid; bal; commit; _ } ->
-                  Fmt.str "2a %s %d %b" txid bal commit
+                  Fmt.str "2a %s %d %b" txid.name bal commit
               | P.Txn_decide { txid; commit; _ } ->
-                  Fmt.str "decide %s %b" txid commit
+                  Fmt.str "decide %s %b" txid.name commit
               | _ -> "other"
             in
             log := Fmt.str "%s->%s %s" src peer frame :: !log))
@@ -481,14 +515,15 @@ let test_recovery_round () =
   in
   let hook = ref [] in
   Replica.set_on_decided r (fun ~txid ~commit ~writes ->
-      hook := (txid, commit, writes) :: !hook);
+      hook := (txid.Qc_util.Txid.name, commit, writes) :: !hook);
   let ws = [ ("k0", 1, 7) ] in
   (match handle r (prepare ~paxos:true ~acceptors ~rid:1 "t") with
   | P.Txn_vote { yes = true; _ } -> ()
   | _ -> Alcotest.fail "yes vote");
   (match
      handle r
-       (P.Txn_p2a { rid = 2; txid = "t"; bal = 0; commit = true; writes = ws })
+       (P.Txn_p2a
+          { rid = 2; txid = tx "t"; bal = 0; commit = true; writes = ws })
    with
   | P.Txn_p2b { ok = true; _ } -> ()
   | _ -> Alcotest.fail "the coordinator's 2a is accepted");
@@ -503,7 +538,7 @@ let test_recovery_round () =
     Core.run sim
   in
   let p1b accepted =
-    P.Txn_p1b { rid = 0; txid = "t"; bal = 9; ok = true; accepted }
+    P.Txn_p1b { rid = 0; txid = tx "t"; bal = 9; ok = true; accepted }
   in
   from "r0" (p1b (Some (5, false, [])));
   from "r0" (p1b (Some (5, false, [])));
@@ -519,7 +554,7 @@ let test_recovery_round () =
       "r2->r4 2a t 9 false";
     ]
     (take ());
-  let p2b = P.Txn_p2b { rid = 0; txid = "t"; bal = 9; ok = true } in
+  let p2b = P.Txn_p2b { rid = 0; txid = tx "t"; bal = 9; ok = true } in
   from "r3" p2b;
   from "r3" p2b;
   Alcotest.(check (list string)) "a duplicate 2b does not count twice" []
@@ -537,7 +572,8 @@ let test_recovery_round () =
     ]
     (take ());
   from "r0" p2b;
-  from "r1" (P.Txn_decide { rid = 0; txid = "t"; commit = false; writes = [] });
+  from "r1"
+    (P.Txn_decide { rid = 0; txid = tx "t"; commit = false; writes = [] });
   Alcotest.(check (list string)) "a late 2b or decision changes nothing" []
     (take ());
   Alcotest.(check (list (triple string bool (list (triple string int int)))))
@@ -659,6 +695,27 @@ let test_recovery_digests () =
         [ `Two_phase; `Paxos ])
     recovery_digests
 
+(* One traced Paxos run under the kill script, pinned byte for byte:
+   its [txn.*] instants (begin, prepare, decide, recover, commit,
+   abort) carry the txid as rendered for traces, so the pin holds the
+   rendered names — and the recovery rounds that name them — fixed. *)
+let traced_kill_run =
+  ("3479dcc41bc8973f41aa1baa3f7bdd96", 1315851)
+
+let test_traced_kill_run_pinned () =
+  let p = txn_params ~mode:`Paxos ~seed:11 ~script:kill_script () in
+  let r = Cluster.run { p with Cluster.trace_capacity = 1 lsl 20 } in
+  let s = Obs.Export.jsonl r.Cluster.trace in
+  let md5, len = traced_kill_run in
+  Alcotest.(check (pair string int))
+    "seed 11 jsonl trace (md5, length) pinned" (md5, len)
+    (Digest.to_hex (Digest.string s), String.length s);
+  Alcotest.(check bool)
+    "the run traces a recovery round" true
+    (List.exists
+       (fun (e : Obs.Trace.event) -> e.name = "txn.recover")
+       (Obs.Trace.events r.Cluster.trace))
+
 (* ---------- serializability under partitions (qcheck) ---------- *)
 
 let prop_txn_serializable_under_partitions =
@@ -751,6 +808,8 @@ let suites =
           `Slow test_coordinator_kill_ablation;
         Alcotest.test_case "recovery digests pinned, tracing-invariant" `Slow
           test_recovery_digests;
+        Alcotest.test_case "traced kill-script run pinned" `Slow
+          test_traced_kill_run_pinned;
         qcheck prop_txn_serializable_under_partitions;
         Alcotest.test_case "liveness after heal (paxos)" `Slow
           test_txn_liveness_after_heal;
