@@ -356,17 +356,19 @@ let t_sharded_adaptive_window =
 let t_tune_choose =
   Test.make ~name:"T1 optimizer sweep (n=5 candidates)"
     (Staged.stage (fun () ->
-         Store.Autotune.choose ~read_fraction:0.9 ~p_alive:0.99
-           ~lat:(fun _ -> 1.0)
-           5))
+         Store.Autotune.choose ~read_fraction:0.9 ~lat:(fun _ -> 1.0) 5))
 
 let steer_masks = (Store.Strategy.quorums majority7_mask `Read).minimal
 
 let steer_stats =
+  let ewma = Store.Ewma.create ~n:7 in
+  for i = 0 to 6 do
+    Store.Ewma.observe ewma i (1.0 +. (0.1 *. float_of_int i))
+  done;
   {
-    Store.Steer.latency = (fun i -> 1.0 +. (0.1 *. float_of_int i));
-    queue = (fun i -> float_of_int (i mod 3));
-    queue_weight = 2.0;
+    Store.Steer.ewma;
+    queue_depth = (fun i -> float_of_int (i mod 3));
+    steer = true;
   }
 
 let t_tune_steer =

@@ -642,8 +642,10 @@ let () =
                match Harness.Script.of_string text with
                | Error e -> Fmt.pr "invalid script: %s@." e
                | Ok script -> (
-                   let n_shards = Array.length !w.groups in
-                   match Harness.Script.validate ~n_shards script with
+                   match
+                     Harness.Script.validate ~groups:!w.groups
+                       ~clients:[ "client" ] script
+                   with
                    | Error e -> Fmt.pr "invalid script: %s@." e
                    | Ok () ->
                        let env =
@@ -741,8 +743,7 @@ let () =
                   (if live then Fmt.str "%.2f" rf else "0.90 (assumed — no ops)")
                   snap.Obs.Health.ops;
                 match
-                  Store.Autotune.choose ~read_fraction:rf ~p_alive:0.99
-                    ~lat:(fun _ -> 1.0)
+                  Store.Autotune.choose ~read_fraction:rf ~lat:(fun _ -> 1.0)
                     replicas_per_shard
                 with
                 | None -> Fmt.pr "  optimizer: no admissible candidate@."

@@ -142,9 +142,9 @@ let fire env injector (action : Script.action) =
     under a [Crash_storm], one per node a scripted [Crash]/[Recover]
     touches), so callers can inspect realized up-fractions. *)
 let install (env : 'msg env) (script : Script.t) : Sim.Failure.t list =
-  (* shard references included: a bad index fails at install, not
-     minutes into a run *)
-  (match Script.validate ~n_shards:(Array.length env.groups) script with
+  (* node names and shard indices included: a bad one fails at
+     install, not minutes into a run *)
+  (match Script.validate ~groups:env.groups ~clients:env.clients script with
   | Ok () -> ()
   | Error e -> invalid_arg (Fmt.str "Harness.Run.install: %s" e));
   let scripted : (string, Sim.Failure.t) Hashtbl.t = Hashtbl.create 4 in

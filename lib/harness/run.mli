@@ -30,4 +30,4 @@ val install : 'msg env -> Script.t -> Sim.Failure.t list
     scripted [Crash]/[Recover] — for up-fraction inspection.
 
     @raise Invalid_argument on a script that fails {!Script.validate}
-    against the environment's shard count. *)
+    against the environment's groups and clients. *)

@@ -209,54 +209,69 @@ let of_string s : (t, string) result =
 
 (* ---------- validation ---------- *)
 
-let valid_name n =
-  n <> ""
-  && String.for_all
-       (function ' ' | ',' | '/' | '>' | ';' | '@' -> false | _ -> true)
-       n
+(* Name checks that allocate nothing on success (no closure, unlike
+   [Array.mem] or [List.exists]): every cluster run validates its
+   script. *)
+let rec in_group n g i =
+  i < Array.length g && (String.equal g.(i) n || in_group n g (i + 1))
 
-let validate_action ~n_shards = function
+let rec in_groups n groups s =
+  s < Array.length groups
+  && (in_group n groups.(s) 0 || in_groups n groups (s + 1))
+
+let rec in_list n = function
+  | [] -> false
+  | c :: rest -> String.equal c n || in_list n rest
+
+let node ~groups ~clients what n =
+  if in_groups n groups 0 || in_list n clients then Ok ()
+  else Error (Fmt.str "%sunknown node %S" what n)
+
+let rec nodes ~groups ~clients what = function
+  | [] -> Ok ()
+  | n :: rest -> (
+      match node ~groups ~clients what n with
+      | Ok () -> nodes ~groups ~clients what rest
+      | e -> e)
+
+let link ~groups ~clients what src dst =
+  match node ~groups ~clients what src with
+  | Ok () -> node ~groups ~clients what dst
+  | e -> e
+
+let validate_action ~groups ~clients = function
   | Partition sides ->
       if List.length sides < 2 then Error "partition needs >= 2 sides"
       else if List.exists (fun side -> side = []) sides then
         Error "partition sides must be non-empty"
-      else if
-        not (List.for_all (List.for_all valid_name) sides)
-      then Error "partition: invalid node name"
       else
         let all = List.concat sides in
         if List.length (List.sort_uniq String.compare all) <> List.length all
-        then
-          Error "partition sides must be disjoint"
-        else Ok ()
+        then Error "partition sides must be disjoint"
+        else nodes ~groups ~clients "partition: " all
   | Heal -> Ok ()
-  | Crash n | Recover n ->
-      if valid_name n then Ok () else Error (Fmt.str "invalid node name %S" n)
-  | Link_filter { src; dst; spec } ->
-      if not (valid_name src && valid_name dst) then
-        Error "filter: invalid node name"
-      else (
-        match spec with
-        | Net.Drop_first n when n < 0 -> Error "filter first count must be >= 0"
-        | Net.Drop_prob p when not (p >= 0.0 && p <= 1.0) ->
-            Error "filter probability must be in [0, 1]"
-        | _ -> Ok ())
-  | Link_clear { src; dst } ->
-      if valid_name src && valid_name dst then Ok ()
-      else Error "unfilter: invalid node name"
+  | Crash n | Recover n -> node ~groups ~clients "" n
+  | Link_filter { src; dst; spec } -> (
+      match spec with
+      | Net.Drop_first n when n < 0 -> Error "filter first count must be >= 0"
+      | Net.Drop_prob p when not (p >= 0.0 && p <= 1.0) ->
+          Error "filter probability must be in [0, 1]"
+      | _ -> link ~groups ~clients "filter: " src dst)
+  | Link_clear { src; dst } -> link ~groups ~clients "unfilter: " src dst
   | Loss p ->
       if p >= 0.0 && p < 1.0 then Ok () else Error "loss must be in [0, 1)"
   | Pause_shard s | Resume_shard s | Kill_shard s ->
+      let n_shards = Array.length groups in
       if s < 0 then Error "shard index must be >= 0"
       else if s >= n_shards then
         Error (Fmt.str "shard %d out of range (%d shards)" s n_shards)
       else Ok ()
 
-let validate_step ~n_shards = function
+let validate_step ~groups ~clients = function
   | At (t, a) ->
       if not (Float.is_finite t && t >= 0.0) then
         Error (Fmt.str "step time must be finite and >= 0 (got %s)" (float_str t))
-      else validate_action ~n_shards a
+      else validate_action ~groups ~clients a
   | Bipartition_storm { mean; cycles } ->
       if not (Float.is_finite mean && mean > 0.0) then
         Error "storm mean must be > 0"
@@ -267,11 +282,11 @@ let validate_step ~n_shards = function
       then Ok ()
       else Error "faults mtbf and mttr must be > 0"
 
-let validate ~n_shards (s : t) =
+let validate ~groups ~clients (s : t) =
   let rec go i = function
     | [] -> Ok ()
     | step :: rest -> (
-        match validate_step ~n_shards step with
+        match validate_step ~groups ~clients step with
         | Ok () -> go (i + 1) rest
         | Error e -> Error (Fmt.str "step %d (%s): %s" i (step_label step) e))
   in

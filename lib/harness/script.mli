@@ -50,10 +50,14 @@ val pp : t Fmt.t
 val of_string : string -> (t, string) result
 (** Parse the printed form; [to_string] and [of_string] round-trip. *)
 
-val validate : n_shards:int -> t -> (unit, string) result
-(** Well-formedness: finite non-negative times, disjoint non-empty
-    partition sides, probabilities in range, legal node names, and
-    shard indices in [0, n_shards). *)
+val validate :
+  groups:string array array -> clients:string list -> t -> (unit, string) result
+(** Well-formedness against a world of replica [groups] (one row per
+    shard) and [clients]: finite non-negative times, disjoint
+    non-empty partition sides, probabilities in range, every node a
+    [Crash], [Recover], [Partition] or link filter names one of the
+    world's replicas or clients, and shard indices in
+    [\[0, Array.length groups)]. *)
 
 val of_partitions : float -> t
 (** The legacy [partitions = Some mean] knob as a script. *)

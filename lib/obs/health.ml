@@ -67,19 +67,6 @@ let record t ~at ~shard ~read ~ok ~latency =
     { r_at = at; r_read = read; r_ok = ok; r_latency = latency }
     t.shards.(shard)
 
-(* records arrive in virtual-time order, so pruning pops from the
-   front until the window's left edge *)
-let prune q ~at ~window =
-  let cutoff = at -. window in
-  let rec go () =
-    match Queue.peek_opt q with
-    | Some r when r.r_at <= cutoff ->
-        ignore (Queue.pop q);
-        go ()
-    | _ -> ()
-  in
-  go ()
-
 let nearest_rank_p99 (latencies : float list) =
   match latencies with
   | [] -> nan
@@ -90,43 +77,10 @@ let nearest_rank_p99 (latencies : float list) =
       let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
       a.(max 0 (min (n - 1) (rank - 1)))
 
-let snapshot_shard t ~at shard =
-  let q = t.shards.(shard) in
-  prune q ~at ~window:t.hwindow;
-  let ops = Queue.length q in
-  let reads = ref 0 and oks = ref 0 and lats = ref [] in
-  Queue.iter
-    (fun r ->
-      if r.r_read then incr reads;
-      if r.r_ok then begin
-        incr oks;
-        lats := r.r_latency :: !lats
-      end)
-    q;
-  let f = float_of_int in
-  {
-    at;
-    shard;
-    window = t.hwindow;
-    ops;
-    rate = f ops /. t.hwindow;
-    read_fraction = (if ops = 0 then nan else f !reads /. f ops);
-    success_rate = (if ops = 0 then nan else f !oks /. f ops);
-    p99 = nearest_rank_p99 !lats;
-    queue_depth =
-      (match t.queue_depth with Some probe -> probe shard | None -> nan);
-  }
-
-(** One snapshot per shard (ascending), pruning the window as a side
-    effect and notifying every subscriber in subscription order. *)
-let sample t ~at =
-  let snaps = List.init t.n_shards (snapshot_shard t ~at) in
-  List.iter (fun f -> f snaps) (List.rev t.subs);
-  snaps
-
-(* Like [snapshot_shard] but pure: scans past stale records instead of
-   popping them and touches no subscriber — a read-only probe. *)
-let peek_shard t ~at shard =
+(* The shard's snapshot over its records newer than the window's left
+   edge.  Reads the queue only: stale records are skipped, not
+   popped. *)
+let summarize t ~at shard =
   let cutoff = at -. t.hwindow in
   let ops = ref 0 and reads = ref 0 and oks = ref 0 and lats = ref [] in
   Queue.iter
@@ -155,10 +109,31 @@ let peek_shard t ~at shard =
       (match t.queue_depth with Some probe -> probe shard | None -> nan);
   }
 
+(* records arrive in virtual-time order, so pruning pops from the
+   front up to the window's left edge *)
+let prune t ~at =
+  let cutoff = at -. t.hwindow in
+  Array.iter
+    (fun q ->
+      while
+        match Queue.peek_opt q with Some r -> r.r_at <= cutoff | None -> false
+      do
+        ignore (Queue.pop q)
+      done)
+    t.shards
+
 (** One snapshot per shard like {!sample}, but with no side effects:
     nothing pruned, no subscriber notified.  The read-only probe a
     tuning inspector uses between sampling rounds. *)
-let peek t ~at = List.init t.n_shards (peek_shard t ~at)
+let peek t ~at = List.init t.n_shards (summarize t ~at)
+
+(** One snapshot per shard (ascending), pruning the window first and
+    notifying every subscriber in subscription order. *)
+let sample t ~at =
+  prune t ~at;
+  let snaps = peek t ~at in
+  List.iter (fun f -> f snaps) (List.rev t.subs);
+  snaps
 
 (* ---------- rendering ---------- *)
 

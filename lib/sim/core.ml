@@ -85,13 +85,13 @@ let background t ~delay f = ignore (enqueue t ~delay ~bg:1 f : Heap.handle)
 let cancel t (tm : timer) =
   if Heap.cancel t.queue tm then t.foreground <- t.foreground - 1
 
-(** Run events in key order until no foreground event remains, virtual
-    time passes [until], or [max_events] have run. *)
-let run ?(until = infinity) ?(max_events = max_int) t =
+(** Run events in key order until no foreground event remains or
+    virtual time passes [until]. *)
+let run ?(until = infinity) t =
   let trace_on = Obs.Trace.enabled t.tracer in
   let q = t.queue in
   let rec loop () =
-    if t.executed < max_events && t.foreground > 0 then begin
+    if t.foreground > 0 then begin
       let time = Heap.min_time q in
       if time > until then t.clock.now <- until
       else begin

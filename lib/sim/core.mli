@@ -49,8 +49,8 @@ val background : t -> delay:float -> (unit -> unit) -> unit
 (** {!schedule} in the background: the event runs only if foreground
     work is still pending when its time comes. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Process events until no foreground event remains, virtual time
-    passes [until] (the clock then stops at [until]), or [max_events]
-    events have run.  When the foreground work runs out the clock stays
-    at the time of the last event run. *)
+val run : ?until:float -> t -> unit
+(** Process events until no foreground event remains or virtual time
+    passes [until] (the clock then stops at [until]).  When the
+    foreground work runs out the clock stays at the time of the last
+    event run. *)

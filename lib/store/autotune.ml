@@ -88,27 +88,21 @@ let score (s : Strategy.t) ~read_fraction ~p_alive ~lat =
     write_availability = wa;
   }
 
-type config = {
-  w_load : float;
-  w_latency : float;
-  min_read_availability : float;
-  min_write_availability : float;
-}
+(* The model's fixed inputs: every replica is assumed up with
+   probability [p_alive]; a candidate is admissible only if its read
+   and write availabilities meet the floors; admissible candidates are
+   ranked by [w_load * peak_load + w_latency * op_latency]. *)
+let p_alive = 0.99
+let min_read_availability = 0.99
+let min_write_availability = 0.98
+let w_load = 1.0
+let w_latency = 0.05
 
-let default_config =
-  {
-    w_load = 1.0;
-    w_latency = 0.1;
-    min_read_availability = 0.99;
-    min_write_availability = 0.98;
-  }
+let admissible sc =
+  Float.compare sc.read_availability min_read_availability >= 0
+  && Float.compare sc.write_availability min_write_availability >= 0
 
-let admissible config sc =
-  Float.compare sc.read_availability config.min_read_availability >= 0
-  && Float.compare sc.write_availability config.min_write_availability >= 0
-
-let objective config sc =
-  (config.w_load *. sc.peak_load) +. (config.w_latency *. sc.op_latency)
+let objective sc = (w_load *. sc.peak_load) +. (w_latency *. sc.op_latency)
 
 let pp_score ppf sc =
   Fmt.pf ppf "load=%.3f lat(r/w/op)=%.2f/%.2f/%.2f avail(r/w)=%.4f/%.4f"
@@ -151,14 +145,14 @@ let candidates n =
 
 type choice = { strategy : Strategy.t; score : score }
 
-let choose ?(config = default_config) ~read_fraction ~p_alive ~lat n =
+let choose ~read_fraction ~lat n =
   let best = ref None in
   List.iter
     (fun strategy ->
       if Strategy.legal strategy then begin
         let score = score strategy ~read_fraction ~p_alive ~lat in
-        if admissible config score then begin
-          let obj = objective config score in
+        if admissible score then begin
+          let obj = objective score in
           match !best with
           | Some (_, b) when Float.compare obj b >= 0 -> ()
           | _ -> best := Some ({ strategy; score }, obj)

@@ -22,20 +22,14 @@ val score :
     per-replica latency estimate [lat] (e.g. [Ewma.value]), over the
     strategy's smallest minimal quorums. *)
 
-type config = {
-  w_load : float;
-  w_latency : float;
-  min_read_availability : float;
-  min_write_availability : float;
-}
+val p_alive : float
+(** The per-replica alive probability {!choose} assumes: 0.99. *)
 
-val default_config : config
+val admissible : score -> bool
+(** Meets both availability floors: read >= 0.99, write >= 0.98. *)
 
-val admissible : config -> score -> bool
-(** Meets both availability floors. *)
-
-val objective : config -> score -> float
-(** [w_load * peak_load + w_latency * op_latency] — lower is better. *)
+val objective : score -> float
+(** [1.0 * peak_load + 0.05 * op_latency] — lower is better. *)
 
 val pp_score : score Fmt.t
 
@@ -48,16 +42,10 @@ val candidates : int -> Strategy.t list
 
 type choice = { strategy : Strategy.t; score : score }
 
-val choose :
-  ?config:config ->
-  read_fraction:float ->
-  p_alive:float ->
-  lat:(int -> float) ->
-  int ->
-  choice option
+val choose : read_fraction:float -> lat:(int -> float) -> int -> choice option
 (** The objective-minimal {!Strategy.legal}, availability-admissible
-    candidate over [n] replicas; earlier candidates win ties.  [None]
-    if nothing meets the floors. *)
+    candidate over [n] replicas, scored at {!p_alive}; earlier
+    candidates win ties.  [None] if nothing meets the floors. *)
 
 val joint : Strategy.t -> Strategy.t -> Strategy.t
 (** The transitional strategy for re-strategizing [a] -> [b]: quorums

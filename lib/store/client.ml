@@ -33,18 +33,6 @@ module Engine = Rpc.Engine
       availability at near-quorum message cost. *)
 type targeting = [ `Broadcast | `Quorum ]
 
-(** Live signals for queue-aware read steering, shared by every client
-    of a shard (so each one's EWMA sees all the shard's replies):
-    reply-latency tracker, apply-queue probe, and the steering cost
-    weight.  With [steer] off the tracker still learns — feeding the
-    optimizer's latency model — but targeting stays random. *)
-type probe = {
-  ewma : Ewma.t;
-  queue_depth : int -> float;
-  queue_weight : float;
-  steer : bool;
-}
-
 type phase =
   | PRead
   | PWrite_query of int  (** the value waiting to be installed *)
@@ -87,7 +75,7 @@ type t = {
   mutable epoch : int;
       (** strategy generation — bumped by [set_strategy] so observers
           can tell which configuration an op was issued under *)
-  mutable probe : probe option;  (** steering signals, [None] = off *)
+  mutable probe : Steer.t option;  (** steering signals, [None] = off *)
   timeout : float;
   read_repair : bool;
       (** when a read observes stale replicas among the replies, push
@@ -217,14 +205,8 @@ let first_wave t (strategy : Strategy.t) ~side =
            writes keep spreading installs (and the rng stays untouched
            when a probe is absent, keeping default runs byte-equal) *)
         match (t.probe, side) with
-        | Some pr, `Read when pr.steer ->
-            Steer.best
-              {
-                Steer.latency = Ewma.value pr.ewma;
-                queue = pr.queue_depth;
-                queue_weight = pr.queue_weight;
-              }
-              q.Strategy.minimal
+        | Some pr, `Read when pr.Steer.steer ->
+            Steer.best pr q.Strategy.minimal
         | _ -> None
       in
       match steered with
@@ -278,7 +260,7 @@ let observe_latency t (p : pending) i =
   match t.probe with
   | None -> ()
   | Some pr ->
-      Ewma.observe pr.ewma i (Core.now t.sim -. p.phase_started)
+      Ewma.observe pr.Steer.ewma i (Core.now t.sim -. p.phase_started)
 
 (* The quorum protocol itself: complete phases when the strategy says
    the replicas heard from (the engine's mask, plus this reply) form a

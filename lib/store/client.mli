@@ -16,18 +16,6 @@ module Net = Sim.Net
     the fallback pool). *)
 type targeting = [ `Broadcast | `Quorum ]
 
-(** Live signals for queue-aware read steering, shared by every client
-    of a shard: per-replica reply-latency EWMA, apply-queue probe, and
-    the steering cost weight.  With [steer = false] the tracker still
-    learns from replies (feeding the optimizer's latency model) but
-    targeting stays random. *)
-type probe = {
-  ewma : Ewma.t;
-  queue_depth : int -> float;
-  queue_weight : float;
-  steer : bool;
-}
-
 type t = {
   name : string;
   sim : Core.t;
@@ -39,7 +27,7 @@ type t = {
       (** swappable (reconfiguration) — prefer {!set_strategy}, which
           also bumps the generation *)
   mutable epoch : int;  (** strategy generation *)
-  mutable probe : probe option;  (** steering signals, [None] = off *)
+  mutable probe : Steer.t option;  (** steering signals, [None] = off *)
   timeout : float;
   read_repair : bool;
       (** reads push the newest (version, value) back to stale
@@ -109,7 +97,7 @@ val set_strategy : t -> Strategy.t -> unit
 
 val epoch : t -> int
 
-val set_probe : t -> probe option -> unit
+val set_probe : t -> Steer.t option -> unit
 (** Install (or remove) the steering probe.  With a probe present,
     every counted reply feeds the EWMA; with [steer] also true, reads
     in [`Quorum] targeting pick the minimal read quorum minimizing the
@@ -117,7 +105,7 @@ val set_probe : t -> probe option -> unit
     smallest one.  The client's PRNG is not consulted on steered
     picks, and is untouched whenever the probe is [None]. *)
 
-val probe : t -> probe option
+val probe : t -> Steer.t option
 
 val set_policy : t -> Rpc.Policy.t -> unit
 (** Swap the retry/hedge policy; applies to operations issued after

@@ -63,18 +63,7 @@ and txn_spec = {
   recovery_delay : float;
 }
 
-and tune_spec = {
-  optimize : bool;
-  tune_epoch : float;
-  steer : bool;
-  queue_weight : float;
-  ewma_alpha : float;
-  p_alive : float;
-  min_read_avail : float;
-  min_write_avail : float;
-  w_load : float;
-  w_latency : float;
-}
+and tune_spec = { optimize : bool; steer : bool }
 
 let default_params =
   {
@@ -118,19 +107,10 @@ let default_txn_spec =
     recovery_delay = 150.0;
   }
 
-let default_tune_spec =
-  {
-    optimize = true;
-    tune_epoch = 40.0;
-    steer = true;
-    queue_weight = 2.0;
-    ewma_alpha = 0.2;
-    p_alive = 0.99;
-    min_read_avail = 0.99;
-    min_write_avail = 0.98;
-    w_load = 1.0;
-    w_latency = 0.05;
-  }
+let default_tune_spec = { optimize = true; steer = true }
+
+(* the optimizer's period, in virtual time *)
+let tune_epoch = 40.0
 
 type shard_stat = { shard : int; ok_ops : int; failed_ops : int; load : int }
 
@@ -190,7 +170,8 @@ let script_of p =
     ?shard_kill:p.shard_kill ()
   @ p.script
 
-let validate p =
+(* Every check but the script's, which needs the world's names *)
+let check p ~script =
   (* each check is [None] when it passes, formatting nothing; [a ||| b]
      keeps the first failure *)
   let ( ||| ) a b = match a with Some _ -> a | None -> b in
@@ -209,7 +190,6 @@ let validate p =
     if x >= 0.0 && x <= 1.0 then None
     else fail "%s must be in [0, 1] (got %g)" what x
   and within what = function Ok () -> None | Error e -> fail "%s: %s" what e in
-  let script = script_of p in
   let storm =
     List.exists
       (function Harness.Script.Bipartition_storm _ -> true | _ -> false)
@@ -259,16 +239,25 @@ let validate p =
     ||| above_zero "txn_timeout" txn.txn_timeout
     ||| at_least 0 "txn_retries" txn.txn_retries
     ||| positive "recovery_delay" txn.recovery_delay
-    ||| positive "tune_epoch"
-          (Option.value p.tune ~default:default_tune_spec).tune_epoch
     ||| within "policy" (Rpc.Policy.validate p.policy)
     ||| within "adaptive_window"
           (Option.fold p.adaptive_window ~none:(Ok ())
              ~some:Rpc.Window.validate)
-    ||| within "script" (Harness.Script.validate ~n_shards:p.n_shards script)
   with
   | Some e -> Error e
   | None -> Ok ()
+
+(* last, against the names of a world [check] accepts *)
+let check_script script ~groups ~clients =
+  Harness.Script.validate ~groups ~clients script
+  |> Result.map_error (( ^ ) "script: ")
+
+let validate p =
+  let script = script_of p in
+  Result.bind (check p ~script) (fun () ->
+      check_script script
+        ~groups:(group_names ~n_shards:p.n_shards ~n_replicas:p.n_replicas)
+        ~clients:(client_names p.n_clients))
 
 (* ---------- the world and its drivers ---------- *)
 
@@ -403,35 +392,23 @@ let drive_txns w spec ~audit ~attempted ~finished =
    trackers and queue probes on every client for queue-aware read
    steering, and — when [optimize] — a periodic optimizer that
    re-strategizes shards until the workload has [drained]. *)
-let tune w spec ~optimize ~drained ~switches =
+let tune w ~steer ~optimize ~drained ~switches =
   let p = w.p in
-  let ewmas =
-    Array.init p.n_shards (fun _ ->
-        Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
-  in
+  let ewmas = Array.init p.n_shards (fun _ -> Ewma.create ~n:p.n_replicas) in
   List.iter
     (fun c ->
       for s = 0 to p.n_shards - 1 do
         Router.set_probe c ~shard:s
           (Some
              {
-               Client.ewma = ewmas.(s);
+               Steer.ewma = ewmas.(s);
                queue_depth =
                  (fun i -> float_of_int (Replica.queue_depth w.replicas.(s).(i)));
-               queue_weight = spec.queue_weight;
-               steer = spec.steer;
+               steer;
              })
       done)
     w.clients;
   if optimize && not (drained ()) then begin
-    let config =
-      {
-        Autotune.w_load = spec.w_load;
-        w_latency = spec.w_latency;
-        min_read_availability = spec.min_read_avail;
-        min_write_availability = spec.min_write_avail;
-      }
-    in
     let all_keys = List.init p.workload.Workload.n_keys Workload.key_name in
     let migrator = List.hd w.clients in
     let transitioning = Array.make p.n_shards false in
@@ -491,7 +468,7 @@ let tune w spec ~optimize ~drained ~switches =
       end
     in
     let rec tick () =
-      Core.schedule w.sim ~delay:spec.tune_epoch (fun () ->
+      Core.schedule w.sim ~delay:tune_epoch (fun () ->
           if not (drained ()) then begin
             for s = 0 to p.n_shards - 1 do
               if not transitioning.(s) then begin
@@ -501,8 +478,8 @@ let tune w spec ~optimize ~drained ~switches =
                   else float_of_int reads /. float_of_int (reads + writes)
                 in
                 match
-                  Autotune.choose ~config ~read_fraction:f ~p_alive:spec.p_alive
-                    ~lat:(Ewma.value ewmas.(s)) p.n_replicas
+                  Autotune.choose ~read_fraction:f ~lat:(Ewma.value ewmas.(s))
+                    p.n_replicas
                 with
                 | Some { Autotune.strategy = next_s; _ }
                   when not
@@ -521,9 +498,12 @@ let tune w spec ~optimize ~drained ~switches =
 (* ---------- the run ---------- *)
 
 let run (p : params) : results =
-  (match validate p with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Cluster.run: " ^ e));
+  let fail e = invalid_arg ("Cluster.run: " ^ e) in
+  let script = script_of p in
+  Result.iter_error fail (check p ~script);
+  let groups = group_names ~n_shards:p.n_shards ~n_replicas:p.n_replicas in
+  let clients = client_names p.n_clients in
+  Result.iter_error fail (check_script script ~groups ~clients);
   let sim = Core.create ~seed:p.seed in
   let tracer =
     match p.tracer with
@@ -534,8 +514,6 @@ let run (p : params) : results =
   in
   Core.attach_tracer sim tracer;
   let metrics = Obs.Metrics.create () in
-  let groups = group_names ~n_shards:p.n_shards ~n_replicas:p.n_replicas in
-  let clients = client_names p.n_clients in
   let net =
     Net.create ~sim
       ~nodes:(List.concat_map Array.to_list (Array.to_list groups) @ clients)
@@ -693,11 +671,13 @@ let run (p : params) : results =
   let switches = ref [] in
   Option.iter
     (fun spec ->
-      tune w spec ~optimize:(spec.optimize && Option.is_none p.txns) ~drained
+      tune w ~steer:spec.steer
+        ~optimize:(spec.optimize && Option.is_none p.txns)
+        ~drained
         ~switches)
     p.tune;
   let env = { Harness.Run.sim; net; groups; clients; seed = p.seed } in
-  ignore (Harness.Run.install env (script_of p) : Sim.Failure.t list);
+  ignore (Harness.Run.install env script : Sim.Failure.t list);
   Core.run sim;
   let blocked_txns, audit_violations =
     match p.txns with

@@ -102,18 +102,12 @@ and txn_spec = {
 }
 
 and tune_spec = {
-  optimize : bool;  (** run the periodic per-shard strategy optimizer *)
-  tune_epoch : float;  (** optimizer period (simulated time) *)
-  steer : bool;  (** queue-aware read steering on the shard clients *)
-  queue_weight : float;  (** steering cost per queued apply entry *)
-  ewma_alpha : float;  (** reply-latency tracker blend weight *)
-  p_alive : float;
-      (** assumed per-replica alive probability for the availability
-          floors of the optimizer's model *)
-  min_read_avail : float;  (** read-availability admission floor *)
-  min_write_avail : float;  (** write-availability admission floor *)
-  w_load : float;  (** objective weight on peak load *)
-  w_latency : float;  (** objective weight on expected op latency *)
+  optimize : bool;
+      (** run the per-shard strategy optimizer every 40 time units,
+          choosing with {!Autotune.choose} *)
+  steer : bool;
+      (** queue-aware read steering on the shard clients, at
+          {!Steer.queue_weight} *)
 }
 
 val default_params : params
@@ -123,9 +117,10 @@ val default_txn_spec : txn_spec
     400, 2 retries, recovery base 150. *)
 
 val default_tune_spec : tune_spec
-(** Optimizer on at epoch 40, steering on at queue weight 2, EWMA
-    alpha 0.2, availability floors 0.99/0.98 at assumed p = 0.99,
-    objective weights 1.0 load / 0.05 latency. *)
+(** Optimizer and steering both on.  The model's constants live with
+    the code that reads them: the 40-unit epoch here, the EWMA alpha
+    in {!Ewma}, the queue weight in {!Steer}, and the assumed
+    availability, floors and objective weights in {!Autotune}. *)
 
 type shard_stat = {
   shard : int;
@@ -202,13 +197,15 @@ val validate : params -> (unit, string) result
     finite [zipf_s], [read_fraction] in \[0, 1], [think_time] finite
     and >= 0, [ops_per_client] >= 0 and [burst] >= 1;
     [trace_capacity] >= 0; [batch_window] finite and >= 0; a positive
-    [health_window]; the transaction spec's [keys_per_txn] >= 1,
-    [txns_per_client] >= 0, [txn_read_fraction] in \[0, 1],
-    [txn_timeout] > 0, [txn_retries] >= 0 and a positive
-    [recovery_delay]; a positive [tune_epoch]; the [policy]
+    [health_window]; the transaction spec's [keys_per_txn] >= 1 (and
+    <= [n_keys] when [txns] is set), [txns_per_client] >= 0,
+    [txn_read_fraction] in \[0, 1], [txn_timeout] > 0, [txn_retries]
+    >= 0 and a positive [recovery_delay]; the [policy]
     ({!Rpc.Policy.validate}) and [adaptive_window]
-    ({!Rpc.Window.validate}); and the fault script the params compile
-    to ({!Harness.Script.validate}, shard indices included). *)
+    ({!Rpc.Window.validate}); and last, the fault script the params
+    compile to ({!Harness.Script.validate} against the run's
+    {!group_names} and {!client_names}: node names and shard indices
+    included). *)
 
 val run : params -> results
 (** Build the cluster, drive the workload until it drains, and collect

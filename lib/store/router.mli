@@ -107,6 +107,6 @@ val strategy : t -> shard:int -> Strategy.t
 val epoch : t -> shard:int -> int
 (** The shard's strategy generation. *)
 
-val set_probe : t -> shard:int -> Client.probe option -> unit
+val set_probe : t -> shard:int -> Steer.t option -> unit
 (** Install (or remove) the shard client's steering probe (see
     {!Client.set_probe}). *)

@@ -6,36 +6,35 @@
     quorum is its worst member, since a quorum completes only when its
     slowest reply lands.  Ties break deterministically by cardinality
     then by lowest mask, so steering never consults a PRNG — default
-    (probe-less) runs stay byte-identical. *)
+    (probe-less) runs stay byte-identical.  The queue weight is a
+    constant: every tuned run uses the same one. *)
 
-type stats = {
-  latency : int -> float;  (** recent reply latency per replica *)
-  queue : int -> float;  (** live apply-queue depth per replica *)
-  queue_weight : float;  (** cost units per queued entry *)
-}
+type t = { ewma : Ewma.t; queue_depth : int -> float; steer : bool }
 
-let replica_cost stats i =
-  stats.latency i +. (stats.queue_weight *. stats.queue i)
+(* the cost, in virtual time, of one queued apply entry *)
+let queue_weight = 2.0
 
-let cost stats mask =
+let replica_cost t i = Ewma.value t.ewma i +. (queue_weight *. t.queue_depth i)
+
+let cost t mask =
   let rec go i m acc =
     if m = 0 then acc
     else
       let acc =
-        if m land 1 <> 0 then Float.max acc (replica_cost stats i) else acc
+        if m land 1 <> 0 then Float.max acc (replica_cost t i) else acc
       in
       go (i + 1) (m lsr 1) acc
   in
   go 0 mask neg_infinity
 
-let best stats masks =
+let best t masks =
   match masks with
   | [] -> None
   | first :: rest ->
       let rec go bm bc bp = function
         | [] -> Some bm
         | q :: tl ->
-            let c = cost stats q in
+            let c = cost t q in
             let p = Strategy.popcount q in
             let better =
               let d = Float.compare c bc in
@@ -43,4 +42,4 @@ let best stats masks =
             in
             if better then go q c p tl else go bm bc bp tl
       in
-      go first (cost stats first) (Strategy.popcount first) rest
+      go first (cost t first) (Strategy.popcount first) rest

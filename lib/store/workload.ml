@@ -95,10 +95,15 @@ let next_op spec z rng ~ci ~n_clients ~op_counter : op =
 
 let footprint z rng ~size =
   let keys = ref [] and have = ref 0 and tries = ref 0 in
-  let cap = 100 * size in
-  while !have < size && !tries < cap do
+  let cap = 100 * size and n = Array.length z.names in
+  (* Zipf draws first; a tail too thin to draw from in time then gives
+     the lowest ranks not drawn yet with no further draw, so a later
+     draw never depends on whether a footprint had to be filled *)
+  while !have < size && !tries < cap + n do
+    let k =
+      if !tries < cap then name z (sample z rng) else name z (!tries - cap)
+    in
     incr tries;
-    let k = name z (sample z rng) in
     if not (List.exists (String.equal k) !keys) then begin
       keys := k :: !keys;
       incr have

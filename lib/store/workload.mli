@@ -40,6 +40,8 @@ val next_op :
     from {!name}. *)
 
 val footprint : zipf -> Qc_util.Prng.t -> size:int -> string list
-(** [size] distinct keys in draw order, by Zipf draws with repeats
-    redrawn (at most [100 * size] draws, so a footprint can come out
-    short).  Keys come from {!name}. *)
+(** [min size n] distinct keys over the Zipf's [n] ranks: Zipf draws
+    with repeats redrawn, in draw order, for at most [100 * size]
+    draws; then, if the footprint is still short, the lowest ranks not
+    drawn yet, in rank order, with no further draw.  Keys come from
+    {!name}. *)

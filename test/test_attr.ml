@@ -248,6 +248,60 @@ let test_health_render_pinned () =
             List.exists (String.equal "nan") (String.split_on_char ' ' line))
           (String.split_on_char '\n' later)))
 
+(* [peek] is [sample] without its side effects: at the same instant it
+   returns the same snapshots, it notifies no subscriber, and the
+   samples taken after it are those of a monitor never peeked at *)
+let test_health_peek () =
+  let monitor () =
+    let h =
+      Health.create ~window:50.0 ~n_shards:2
+        ~queue_depth:(fun s -> float_of_int (s + 1))
+        ()
+    in
+    let notified = ref 0 in
+    Health.subscribe h (fun _ -> incr notified);
+    (h, notified)
+  in
+  let record h ~at ~shard ~read ~ok =
+    Health.record h ~at ~shard ~read ~ok ~latency:(at /. 10.0)
+  in
+  let peeked = monitor () and plain = monitor () in
+  let feed ats =
+    List.iteri
+      (fun i at ->
+        List.iter
+          (fun (h, _) ->
+            record h ~at ~shard:(i mod 2) ~read:(i mod 3 <> 0) ~ok:(i mod 4 <> 1))
+          [ peeked; plain ])
+      ats
+  in
+  (* [compare], not [=]: an empty window's fractions are nan *)
+  let snaps =
+    Alcotest.testable (Fmt.of_to_string Health.render) (fun a b ->
+        compare a b = 0)
+  in
+  (* records at and before a window's left edge fall out of it *)
+  feed [ 10.0; 20.0; 50.0; 60.0; 70.0; 80.0; 90.0 ];
+  let p100 = Health.peek (fst peeked) ~at:100.0 in
+  Alcotest.(check int) "peek notifies no subscriber" 0 !(snd peeked);
+  let s100 = Health.sample (fst plain) ~at:100.0 in
+  Alcotest.check snaps "peek = sample at the same instant" s100 p100;
+  Alcotest.check snaps "a repeated peek is the same" p100
+    (Health.peek (fst peeked) ~at:100.0);
+  Alcotest.check snaps "the sample after a peek is unchanged" s100
+    (Health.sample (fst peeked) ~at:100.0);
+  feed [ 110.0; 120.0; 130.0 ];
+  ignore (Health.peek (fst peeked) ~at:135.0 : Health.snapshot list);
+  List.iter
+    (fun at ->
+      Alcotest.check snaps
+        (Fmt.str "later sample at %g unchanged" at)
+        (Health.sample (fst plain) ~at)
+        (Health.sample (fst peeked) ~at))
+    [ 140.0; 175.0; 500.0 ];
+  Alcotest.(check (pair int int)) "only samples notify" (4, 4)
+    (!(snd plain), !(snd peeked))
+
 let suites =
   [
     ( "attr",
@@ -267,5 +321,7 @@ let suites =
         Alcotest.test_case "cluster sampler snapshots" `Quick
           test_cluster_health_sampler;
         Alcotest.test_case "render pinned" `Quick test_health_render_pinned;
+        Alcotest.test_case "peek = sample, no side effects" `Quick
+          test_health_peek;
       ] );
   ]

@@ -172,6 +172,12 @@ let test_crash_storm_equivalence () =
 
 (* ---------- the script DSL ---------- *)
 
+(* the world the DSL tests validate against: two shards, two clients *)
+let validate =
+  Script.validate
+    ~groups:[| [| "r0"; "r1"; "r2" |]; [| "s1:r0"; "s1:r1" |] |]
+    ~clients:[ "c0"; "c1" ]
+
 let test_script_round_trip () =
   let s =
     [
@@ -205,7 +211,7 @@ let test_script_round_trip () =
         (Script.to_string parsed)
   | Error e -> Alcotest.failf "parse failed: %s" e);
   Alcotest.(check (result unit string)) "round-tripped script validates"
-    (Ok ()) (Script.validate ~n_shards:2 s)
+    (Ok ()) (validate s)
 
 let prop_generated_scripts_round_trip =
   QCheck.Test.make ~count:100 ~name:"generated scripts round-trip and validate"
@@ -217,7 +223,7 @@ let prop_generated_scripts_round_trip =
           ~groups:[| [| "r0"; "r1"; "r2" |]; [| "s1:r0"; "s1:r1" |] |]
           ~clients:[ "c0"; "c1" ] ~horizon:400.0
       in
-      (match Script.validate ~n_shards:2 s with
+      (match validate s with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "invalid generated script: %s" e);
       match Script.of_string (Script.to_string s) with
@@ -226,26 +232,43 @@ let prop_generated_scripts_round_trip =
 
 let test_script_validate_rejects () =
   let bad what s =
-    match Script.validate ~n_shards:2 s with
+    match validate s with
     | Ok () -> Alcotest.failf "%s: expected a validation error" what
     | Error _ -> ()
   in
   bad "negative time" [ Script.At (-1.0, Script.Heal) ];
   bad "overlapping sides"
-    [ Script.At (0.0, Script.Partition [ [ "a"; "b" ]; [ "b" ] ]) ];
-  bad "single side" [ Script.At (0.0, Script.Partition [ [ "a" ] ]) ];
+    [ Script.At (0.0, Script.Partition [ [ "r0"; "r1" ]; [ "r1" ] ]) ];
+  bad "single side" [ Script.At (0.0, Script.Partition [ [ "r0" ] ]) ];
   bad "loss out of range" [ Script.At (0.0, Script.Loss 1.5) ];
   bad "bad probability"
     [
       Script.At
         ( 0.0,
-          Script.Link_filter { src = "a"; dst = "b"; spec = Net.Drop_prob 2.0 }
+          Script.Link_filter { src = "c0"; dst = "r0"; spec = Net.Drop_prob 2.0 }
         );
     ];
   bad "bad storm mean" [ Script.Bipartition_storm { mean = 0.0; cycles = 4 } ];
   bad "bad mtbf" [ Script.Crash_storm { Sim.Failure.mtbf = 0.0; mttr = 1.0 } ];
   bad "shard out of range" [ Script.At (0.0, Script.Kill_shard 2) ];
   bad "negative shard" [ Script.At (0.0, Script.Pause_shard (-1)) ];
+  (* a node outside the world: each action that names nodes, with the
+     exact message for one of them *)
+  List.iter
+    (fun a ->
+      bad ("unknown node: " ^ Script.action_label a) [ Script.At (1.0, a) ])
+    [
+      Script.Crash "s0:r9";
+      Script.Recover "r9";
+      Script.Partition [ [ "r0" ]; [ "c0"; "x" ] ];
+      Script.Link_filter { src = "c9"; dst = "r0"; spec = Net.Drop_all };
+      Script.Link_filter { src = "c0"; dst = "s2:r0"; spec = Net.Drop_all };
+      Script.Link_clear { src = "r0"; dst = "" };
+    ];
+  Alcotest.(check (result unit string))
+    "unknown node message"
+    (Error {|step 1 (@1 recover r9): unknown node "r9"|})
+    (validate [ Script.At (0.0, Script.Heal); Script.At (1.0, Script.Recover "r9") ]);
   match Script.of_string "@5 warp r0" with
   | Ok _ -> Alcotest.fail "parsed an unknown action"
   | Error _ -> ()

@@ -215,6 +215,45 @@ let test_key_names_made_once () =
   done;
   Alcotest.(check string) "past the ranks" "k15" (W.name z 15)
 
+(* A footprint over a thin Zipf tail is still full: once the draws run
+   out it takes the lowest ranks not drawn yet.  The fill draws
+   nothing, so the drawn prefix and the stream after it match the
+   draw-only loop (copied here as it stood before the fill). *)
+let test_footprint_fills_thin_tail () =
+  let module W = Store.Workload in
+  let draw_only z rng ~size =
+    let keys = ref [] and have = ref 0 and tries = ref 0 in
+    while !have < size && !tries < 100 * size do
+      incr tries;
+      let k = W.name z (W.sample z rng) in
+      if not (List.mem k !keys) then begin
+        keys := k :: !keys;
+        incr have
+      end
+    done;
+    List.rev !keys
+  in
+  List.iter
+    (fun (n, size, s, count) ->
+      let z = W.zipf ~n ~s in
+      let rng = Prng.create 11 and rng' = Prng.create 11 in
+      for i = 1 to count do
+        let keys = W.footprint z rng ~size and drawn = draw_only z rng' ~size in
+        let what = Fmt.str "n=%d size=%d s=%g #%d" n size s i in
+        Alcotest.(check int) (what ^ ": full") size (List.length keys);
+        let fill =
+          List.init n W.key_name
+          |> List.filter (fun k -> not (List.mem k drawn))
+          |> List.filteri (fun j _ -> j < size - List.length drawn)
+        in
+        Alcotest.(check (list string))
+          (what ^ ": the draws, then the lowest ranks not drawn")
+          (drawn @ fill) keys;
+        Alcotest.(check (float 0.0)) (what ^ ": same stream after") (Prng.float rng')
+          (Prng.float rng)
+      done)
+    [ (256, 256, 2.0, 10); (16, 16, 2.0, 200); (16, 3, 0.9, 200) ]
+
 (* ---------- cluster consistency audit ---------- *)
 
 let test_cluster_audit_clean () =
@@ -405,9 +444,14 @@ let test_validate () =
       ("txn_retries", { d with txns = Some { txns with txn_retries = -1 } });
       ( "recovery_delay",
         { d with txns = Some { txns with recovery_delay = 0.0 } } );
-      ("tune_epoch", { d with tune = Some { tune with tune_epoch = 0.0 } });
-      ("tune_epoch nan", { d with tune = Some { tune with tune_epoch = nan } });
       ("script", { d with script = [ S.At (0.0, S.Loss 1.5) ] });
+      ("script node", { d with script = [ S.At (1.0, S.Crash "s0:r0") ] });
+      ( "script client",
+        {
+          d with
+          script =
+            [ S.At (1.0, S.Link_filter { src = "c4"; dst = "r0"; spec = Drop_all }) ];
+        } );
       ( "script shard",
         { d with n_shards = 2; script = [ S.At (1.0, S.Pause_shard 2) ] } );
       ("shard_kill", { d with n_shards = 2; shard_kill = Some (2, 10.0) });
@@ -455,6 +499,7 @@ let test_validate () =
       ("defaults", d);
       ("one replica", { d with n_replicas = 1 });
       ("62 replicas", { d with n_replicas = 62 });
+      ("tuned", { d with tune = Some tune });
       ("no ops", { d with workload = { wl with ops_per_client = 0 } });
       ("no txns", { d with txns = Some { txns with txns_per_client = 0 } });
       ("one key, no txn spec", { d with workload = { wl with n_keys = 1 } });
@@ -731,6 +776,8 @@ let suites =
         Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
         Alcotest.test_case "key names made once per rank" `Quick
           test_key_names_made_once;
+        Alcotest.test_case "footprint fills a thin tail" `Quick
+          test_footprint_fills_thin_tail;
       ] );
     ( "store.cluster",
       [

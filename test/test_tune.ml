@@ -1,7 +1,8 @@
 (* Tests for the tuning layer (Store.Ewma, Store.Steer, Store.Autotune):
    EWMA semantics, the tree strategy family, the analytic model's
-   closed forms, optimizer properties (qcheck: every pick is legal and
-   never worse than majority under the model's own objective),
+   closed forms, optimizer properties (qcheck: every pick is legal,
+   admissible and minimal among the admissible candidates under the
+   model's own objective),
    deterministic steering, byte-identical defaults (pinned digests +
    passive-instrumentation non-interference), and an end-to-end tuned
    cluster run whose audits stay clean across committed switches. *)
@@ -16,39 +17,28 @@ let feq = Alcotest.float 1e-9
 (* ---------- EWMA ---------- *)
 
 let test_ewma_seeding () =
-  let e = Ewma.create ~n:3 ~alpha:0.5 () in
+  let e = Ewma.create ~n:3 in
   Alcotest.(check bool) "unobserved is unknown" false (Ewma.known e 1);
-  Alcotest.check feq "unobserved reports init" 0.0 (Ewma.value e 1);
+  Alcotest.check feq "unobserved reports 0" 0.0 (Ewma.value e 1);
   Ewma.observe e 1 10.0;
   Alcotest.check feq "first observation seeds directly" 10.0 (Ewma.value e 1);
   Ewma.observe e 1 20.0;
-  Alcotest.check feq "then blends at alpha" 15.0 (Ewma.value e 1);
-  Ewma.observe e 1 15.0;
-  Alcotest.check feq "converges toward the stream" 15.0 (Ewma.value e 1);
+  Alcotest.check feq "then blends at alpha 0.2" 12.0 (Ewma.value e 1);
+  Ewma.observe e 1 12.0;
+  Alcotest.check feq "converges toward the stream" 12.0 (Ewma.value e 1);
   Alcotest.(check bool) "other indices untouched" false (Ewma.known e 0)
 
 let test_ewma_validation () =
-  let rejects f = Alcotest.check_raises "rejects" (Invalid_argument "x") f in
   let expect_invalid f =
     try
       f ();
       Alcotest.fail "expected Invalid_argument"
     with Invalid_argument _ -> ()
   in
-  ignore rejects;
-  expect_invalid (fun () -> ignore (Ewma.create ~n:0 ()));
-  expect_invalid (fun () -> ignore (Ewma.create ~n:2 ~alpha:0.0 ()));
-  expect_invalid (fun () -> ignore (Ewma.create ~n:2 ~alpha:1.5 ()));
-  let e = Ewma.create ~n:2 () in
+  expect_invalid (fun () -> ignore (Ewma.create ~n:0));
+  let e = Ewma.create ~n:2 in
   expect_invalid (fun () -> Ewma.observe e 2 1.0);
   expect_invalid (fun () -> ignore (Ewma.value e (-1)))
-
-let test_ewma_custom_init () =
-  let e = Ewma.create ~n:2 ~init:7.5 () in
-  Alcotest.check feq "init reported before any observation" 7.5
-    (Ewma.value e 0);
-  Ewma.observe e 0 1.0;
-  Alcotest.check feq "first observation overrides init" 1.0 (Ewma.value e 0)
 
 (* ---------- the tree strategy family ---------- *)
 
@@ -144,81 +134,88 @@ let test_joint_strategy () =
 
 (* ---------- optimizer properties ---------- *)
 
-(* every pick is a legal strategy, and under the model's own objective
-   (availability floors disabled so majority is always admissible) the
-   pick is never worse than static majority *)
+(* every pick is a legal, admissible candidate that no admissible
+   candidate beats under the model's own objective, and there is no
+   pick only when no candidate is admissible *)
 let prop_optimizer_sound =
-  QCheck.Test.make ~count:200 ~name:"optimizer legal and >= majority"
-    QCheck.(
-      triple (int_range 1 9)
-        (pair (int_range 0 100) (int_range 50 100))
-        (int_range 0 100_000))
-    (fun (n, (rf_pct, pa_pct), latseed) ->
+  QCheck.Test.make ~count:200
+    ~name:"optimizer legal and >= every admissible candidate"
+    QCheck.(triple (int_range 1 9) (int_range 0 100) (int_range 0 100_000))
+    (fun (n, rf_pct, latseed) ->
       let read_fraction = float_of_int rf_pct /. 100.0 in
-      let p_alive = float_of_int pa_pct /. 100.0 in
       let rng = Qc_util.Prng.create latseed in
       let lats =
         Array.init n (fun _ -> 0.5 +. (10.0 *. Qc_util.Prng.float rng))
       in
       let lat i = lats.(i) in
-      let config =
-        {
-          Autotune.default_config with
-          min_read_availability = 0.0;
-          min_write_availability = 0.0;
-        }
+      let admissible =
+        List.filter_map
+          (fun s ->
+            let sc =
+              Autotune.score s ~read_fraction ~p_alive:Autotune.p_alive ~lat
+            in
+            if Strategy.legal s && Autotune.admissible sc then Some sc
+            else None)
+          (Autotune.candidates n)
       in
-      match Autotune.choose ~config ~read_fraction ~p_alive ~lat n with
-      | None -> QCheck.Test.fail_report "no pick with floors disabled"
-      | Some { Autotune.strategy; score } ->
+      match (Autotune.choose ~read_fraction ~lat n, admissible) with
+      | None, [] -> true
+      | None, _ ->
+          QCheck.Test.fail_reportf "no pick among %d admissible candidates"
+            (List.length admissible)
+      | Some { Autotune.strategy; _ }, [] ->
+          QCheck.Test.fail_reportf "pick %s with no admissible candidate"
+            strategy.Strategy.name
+      | Some { Autotune.strategy; score }, _ ->
           if not (Strategy.legal strategy) then
             QCheck.Test.fail_reportf "illegal pick %s" strategy.Strategy.name;
-          let maj =
-            Autotune.score (Strategy.majority n) ~read_fraction ~p_alive ~lat
-          in
-          Autotune.objective config score
-          <= Autotune.objective config maj +. 1e-9)
+          if not (Autotune.admissible score) then
+            QCheck.Test.fail_reportf "inadmissible pick %s"
+              strategy.Strategy.name;
+          List.for_all
+            (fun sc -> Autotune.objective score <= Autotune.objective sc +. 1e-9)
+            admissible)
 
 (* ---------- steering ---------- *)
 
+(* a steering probe over [n] replicas whose tracker has seen
+   [lat i] from each *)
+let probe ~n ~lat ~queue =
+  let ewma = Ewma.create ~n in
+  for i = 0 to n - 1 do
+    Ewma.observe ewma i (lat i)
+  done;
+  { Steer.ewma; queue_depth = queue; steer = true }
+
 let test_steer_picks_cheapest () =
-  let stats =
-    {
-      Steer.latency = (fun i -> if i = 2 then 10.0 else 1.0);
-      queue = (fun _ -> 0.0);
-      queue_weight = 1.0;
-    }
+  let pr =
+    probe ~n:3 ~lat:(fun i -> if i = 2 then 10.0 else 1.0) ~queue:(fun _ -> 0.0)
   in
   (* pairs over 3 replicas: {0,1} avoids the slow replica 2 *)
   Alcotest.(check (option int))
     "avoids the slow member" (Some 0b011)
-    (Steer.best stats [ 0b011; 0b101; 0b110 ])
+    (Steer.best pr [ 0b011; 0b101; 0b110 ])
 
 let test_steer_queue_pressure () =
-  let stats =
-    {
-      Steer.latency = (fun _ -> 1.0);
-      queue = (fun i -> if i = 0 then 5.0 else 0.0);
-      queue_weight = 2.0;
-    }
+  let pr =
+    probe ~n:3 ~lat:(fun _ -> 1.0) ~queue:(fun i -> if i = 0 then 5.0 else 0.0)
   in
   Alcotest.(check (option int))
     "queue depth shifts the pick" (Some 0b110)
-    (Steer.best stats [ 0b011; 0b101; 0b110 ])
+    (Steer.best pr [ 0b011; 0b101; 0b110 ]);
+  Alcotest.check feq "each queued entry costs the queue weight"
+    (1.0 +. (5.0 *. Steer.queue_weight))
+    (Steer.replica_cost pr 0)
 
 let test_steer_deterministic_ties () =
-  let stats =
-    { Steer.latency = (fun _ -> 1.0); queue = (fun _ -> 0.0); queue_weight = 0.0 }
-  in
+  let pr = probe ~n:3 ~lat:(fun _ -> 1.0) ~queue:(fun _ -> 0.0) in
   (* all equal cost: smallest cardinality wins, then lowest mask — the
      same answer on every call, never a PRNG draw *)
   Alcotest.(check (option int))
     "cardinality then lowest mask" (Some 0b011)
-    (Steer.best stats [ 0b111; 0b110; 0b011; 0b101 ]);
-  Alcotest.(check (option int)) "empty is None" None (Steer.best stats []);
-  Alcotest.check feq "cost is the slowest member"
-    (1.0 +. 0.0)
-    (Steer.cost stats 0b101)
+    (Steer.best pr [ 0b111; 0b110; 0b011; 0b101 ]);
+  Alcotest.(check (option int)) "empty is None" None (Steer.best pr []);
+  Alcotest.check feq "cost is the slowest member" 1.0 (Steer.cost pr 0b101)
 
 (* ---------- byte-identical defaults ---------- *)
 
@@ -263,12 +260,7 @@ let test_passive_probes_non_interfering () =
       let plain = default_run seed in
       let probed =
         default_run
-          ~tune:
-            {
-              Store.Cluster.default_tune_spec with
-              optimize = false;
-              steer = false;
-            }
+          ~tune:{ Store.Cluster.optimize = false; steer = false }
           seed
       in
       Alcotest.(check bool) "probed run flagged" true
@@ -345,7 +337,6 @@ let suites =
       [
         Alcotest.test_case "seeding and blending" `Quick test_ewma_seeding;
         Alcotest.test_case "validation" `Quick test_ewma_validation;
-        Alcotest.test_case "custom init" `Quick test_ewma_custom_init;
       ] );
     ( "tune.tree",
       [
