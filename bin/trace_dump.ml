@@ -225,13 +225,7 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
       batch_window;
       storage_cost;
       fsync_cost;
-      policy =
-        {
-          Rpc.Policy.default with
-          max_attempts = 3;
-          attempt_timeout = 25.0;
-          backoff = 2.0;
-        };
+      policy = Store.Experiments.attribution_policy;
       workload =
         {
           Store.Workload.default_spec with

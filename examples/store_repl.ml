@@ -86,6 +86,9 @@ type world = {
   net : Store.Protocol.msg Net.t;
   replicas : Store.Replica.t list;
   router : Store.Router.t;
+  ewmas : Store.Ewma.t array;
+      (* per shard: the reply latency of each replica, learned by a
+         non-steering probe, as the cluster's tuner learns it *)
   health : Obs.Health.t;
   n_shards : int;
   scheme : Store.Router.scheme;
@@ -165,8 +168,29 @@ let make_world ~n_shards ~scheme ~storage =
         /. float_of_int (List.length depths)
   in
   let health = Obs.Health.create ~window:200.0 ~n_shards ~queue_depth () in
-  { sim; tracer; metrics; net; replicas; router; health; n_shards; scheme;
-    storage; groups; nemesis = [] }
+  let ewmas =
+    Array.init n_shards (fun _ -> Store.Ewma.create ~n:replicas_per_shard)
+  in
+  Array.iteri
+    (fun s ewma ->
+      let group = Store.Router.replicas router ~shard:s in
+      let replica i =
+        List.find
+          (fun (r : Store.Replica.t) ->
+            String.equal r.Store.Replica.name group.(i))
+          replicas
+      in
+      Store.Router.set_probe router ~shard:s
+        (Some
+           {
+             Store.Steer.ewma;
+             queue_depth =
+               (fun i -> float_of_int (Store.Replica.queue_depth (replica i)));
+             steer = false;
+           }))
+    ewmas;
+  { sim; tracer; metrics; net; replicas; router; ewmas; health; n_shards;
+    scheme; storage; groups; nemesis = [] }
 
 (* shards N [hash|range] — [Ok None] means "just show the layout" *)
 let parse_shards = function
@@ -451,11 +475,10 @@ let () =
             (match rest with
             | [] -> (
                 match Store.Router.batching !w.router with
-                | Some c when (Rpc.Window.config c).min_window
-                              < (Rpc.Window.config c).max_window ->
+                | Some c when Rpc.Window.config c = Rpc.Window.Adaptive ->
                     Fmt.pr "window: adaptive, currently %g (%a)@."
                       (Rpc.Window.window c) Rpc.Window.pp_config
-                      (Rpc.Window.config c)
+                      Rpc.Window.Adaptive
                 | _ -> Fmt.pr "window: static (see 'batch')@.")
             | [ "adaptive" ] ->
                 Store.Router.set_batching !w.router
@@ -743,7 +766,8 @@ let () =
                   (if live then Fmt.str "%.2f" rf else "0.90 (assumed — no ops)")
                   snap.Obs.Health.ops;
                 match
-                  Store.Autotune.choose ~read_fraction:rf ~lat:(fun _ -> 1.0)
+                  Store.Autotune.choose ~read_fraction:rf
+                    ~lat:(Store.Ewma.value !w.ewmas.(s))
                     replicas_per_shard
                 with
                 | None -> Fmt.pr "  optimizer: no admissible candidate@."

@@ -5,8 +5,6 @@
     log to a write quorum.  Runs on {!Rpc.Engine} for request
     mechanics, retries and hedging. *)
 
-val needs_initial : Spec.op -> bool
-
 type t
 
 val create :

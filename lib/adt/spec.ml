@@ -28,19 +28,6 @@ type op =
 
 type result = Unit | Value of int | Empty
 
-let pp_op ppf = function
-  | Inc n -> Fmt.pf ppf "inc(%d)" n
-  | Total -> Fmt.string ppf "total"
-  | Set n -> Fmt.pf ppf "set(%d)" n
-  | Get -> Fmt.string ppf "get"
-  | Enq n -> Fmt.pf ppf "enq(%d)" n
-  | Deq -> Fmt.string ppf "deq"
-
-let pp_result ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Value n -> Fmt.int ppf n
-  | Empty -> Fmt.string ppf "empty"
-
 (** Does the operation modify the abstract state (and therefore need
     to be logged), and does it observe it (and therefore need an
     initial read round)?

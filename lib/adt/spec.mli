@@ -13,9 +13,6 @@ type op =
 
 type result = Unit | Value of int | Empty
 
-val pp_op : op Fmt.t
-val pp_result : result Fmt.t
-
 val mutates : op -> bool
 (** Modifies the abstract state (must be logged). *)
 

@@ -81,9 +81,9 @@ type strategy = Qc_util.Prng.t -> Action.t list -> Action.t
 let uniform : strategy = fun rng actions -> Qc_util.Prng.choose rng actions
 
 (** A strategy biased toward completing work: REQUEST_COMMIT / COMMIT
-    operations are preferred with probability [bias], which keeps long
+    operations are preferred with probability 0.7, which keeps long
     random executions from ballooning the set of live transactions. *)
-let completion_biased ?(bias = 0.7) () : strategy =
+let completion_biased : strategy =
  fun rng actions ->
   let finishing =
     List.filter
@@ -95,7 +95,7 @@ let completion_biased ?(bias = 0.7) () : strategy =
   match finishing with
   | [] -> Qc_util.Prng.choose rng actions
   | _ ->
-      if Qc_util.Prng.float rng < bias then Qc_util.Prng.choose rng finishing
+      if Qc_util.Prng.float rng < 0.7 then Qc_util.Prng.choose rng finishing
       else Qc_util.Prng.choose rng actions
 
 type run_result = {

@@ -33,9 +33,9 @@ type strategy = Qc_util.Prng.t -> Action.t list -> Action.t
 
 val uniform : strategy
 
-val completion_biased : ?bias:float -> unit -> strategy
-(** Prefers REQUEST_COMMIT / COMMIT operations with probability
-    [bias], keeping long random executions from ballooning. *)
+val completion_biased : strategy
+(** Prefers REQUEST_COMMIT / COMMIT operations with probability 0.7,
+    keeping long random executions from ballooning. *)
 
 type run_result = {
   final : t;

@@ -4,7 +4,6 @@
     begin was lost to ring wraparound are dropped, so the export stays
     well-formed). *)
 
-val jsonl_event : Trace.event -> Json.t
 val jsonl : Trace.t -> string
 val jsonl_of_events : Trace.event list -> string
 

@@ -5,9 +5,8 @@
     into a snapshot — op rate, read fraction, success rate, p99
     latency (nearest-rank over the window's successful ops), and an
     instantaneous apply-queue depth probed from the caller-provided
-    hook.  Subscribers registered with {!subscribe} see every sample
-    — the feed a live dashboard (the REPL's [top]) or a
-    workload-aware quorum optimizer consumes.
+    hook.  The samples are the feed a live dashboard (the REPL's
+    [top]) or a run's result consumes.
 
     Deterministic: no wall clock, no allocation-order dependence —
     records arrive in virtual-time order and snapshots are pure
@@ -41,7 +40,6 @@ type t = {
   n_shards : int;
   queue_depth : (int -> float) option;
   shards : record Queue.t array;  (** per shard, in arrival order *)
-  mutable subs : (snapshot list -> unit) list;  (** reversed *)
 }
 
 let create ~window ~n_shards ?queue_depth () =
@@ -53,12 +51,10 @@ let create ~window ~n_shards ?queue_depth () =
     n_shards;
     queue_depth;
     shards = Array.init n_shards (fun _ -> Queue.create ());
-    subs = [];
   }
 
 let window t = t.hwindow
 let n_shards t = t.n_shards
-let subscribe t f = t.subs <- f :: t.subs
 
 let record t ~at ~shard ~read ~ok ~latency =
   if shard < 0 || shard >= t.n_shards then
@@ -122,18 +118,15 @@ let prune t ~at =
       done)
     t.shards
 
-(** One snapshot per shard like {!sample}, but with no side effects:
-    nothing pruned, no subscriber notified.  The read-only probe a
-    tuning inspector uses between sampling rounds. *)
+(** One snapshot per shard like {!sample}, but with no side effect:
+    nothing pruned.  The read-only probe a tuning inspector uses
+    between sampling rounds. *)
 let peek t ~at = List.init t.n_shards (summarize t ~at)
 
-(** One snapshot per shard (ascending), pruning the window first and
-    notifying every subscriber in subscription order. *)
+(** One snapshot per shard (ascending), pruning the window first. *)
 let sample t ~at =
   prune t ~at;
-  let snaps = peek t ~at in
-  List.iter (fun f -> f snaps) (List.rev t.subs);
-  snaps
+  peek t ~at
 
 (* ---------- rendering ---------- *)
 

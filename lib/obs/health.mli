@@ -1,7 +1,7 @@
 (** Rolling-window per-shard health monitoring on virtual time:
     record completed operations, sample snapshots (op rate, read
-    fraction, success rate, p99, apply-queue depth), subscribe to the
-    sample feed, render a live table.  Deterministic given the records
+    fraction, success rate, p99, apply-queue depth), render a live
+    table.  Deterministic given the records
     and the probe. *)
 
 type snapshot = {
@@ -38,14 +38,12 @@ val record :
 
 val sample : t -> at:float -> snapshot list
 (** One snapshot per shard (ascending), pruning records older than the
-    window and notifying every subscriber in subscription order. *)
+    window. *)
 
 val peek : t -> at:float -> snapshot list
 (** Like {!sample} but side-effect free: one snapshot per shard
-    without pruning the window or notifying subscribers.  What a
+    without pruning the window.  What a
     tuning inspector calls between sampling rounds. *)
-
-val subscribe : t -> (snapshot list -> unit) -> unit
 
 val render : snapshot list -> string
 (** Fixed-width table of one sampling round (the REPL's [top]);

@@ -14,7 +14,6 @@ val to_string : t -> string
 (** Compact, deterministic: identical trees give identical bytes. *)
 
 val emit : Buffer.t -> t -> unit
-val number_to_string : float -> string
 
 val parse : string -> (t, string) result
 

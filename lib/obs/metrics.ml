@@ -127,7 +127,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name : histogram =
 
 (* ---------- operations ---------- *)
 
-let inc ?(by = 1) (c : counter) = c.c <- c.c + by
+let inc (c : counter) = c.c <- c.c + 1
 let value (c : counter) = c.c
 
 let set (g : gauge) x = g.g <- x

@@ -22,7 +22,7 @@ val histogram : t -> ?labels:labels -> ?buckets:float array -> string -> histogr
 (** [buckets] are ascending upper bounds; an implicit +inf bucket
     catches the rest.  Default: 1, 2, 5, ..., 500 (latency-ish). *)
 
-val inc : ?by:int -> counter -> unit
+val inc : counter -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit

@@ -28,7 +28,6 @@ val filter_events :
 
 val durations : span list -> float list
 
-val find_arg : (string * Trace.arg) list -> string -> Trace.arg option
 val arg_int : (string * Trace.arg) list -> string -> int option
 val arg_str : (string * Trace.arg) list -> string -> string option
 val arg_bool : (string * Trace.arg) list -> string -> bool option

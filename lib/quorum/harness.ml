@@ -31,7 +31,7 @@ let abort_damped ?(abort_rate = 0.1) (base : System.strategy) :
 let run_b ?(max_steps = 20_000) ?(abort_rate = 0.1) ?tracer ~seed
     (d : Description.t) : System.run_result =
   let rng = Prng.create seed in
-  let strategy = abort_damped ~abort_rate (System.completion_biased ()) in
+  let strategy = abort_damped ~abort_rate System.completion_biased in
   System.run ~max_steps ~strategy ?tracer ~rng (System_b.build d)
 
 type report = {

@@ -9,7 +9,7 @@ let run ?(max_steps = 40_000) ?(abort_rate = 0.05) ~seed (d : Description.t) :
     System.run_result =
   let rng = Prng.create seed in
   let strategy =
-    Quorum.Harness.abort_damped ~abort_rate (System.completion_biased ())
+    Quorum.Harness.abort_damped ~abort_rate System.completion_biased
   in
   System.run ~max_steps ~strategy ~rng (System_b.build d)
 

@@ -63,7 +63,6 @@ and 'msg call = {
   mutable closed : bool;
   make : int -> 'msg;
   on_reply : member:int -> heard:int -> 'msg -> verdict;
-  on_exhausted : unit -> unit;
   mutable span : Obs.Trace.span option;  (** current attempt span *)
   pol : Policy.t;  (** policy captured at call start *)
   mutable timer : Core.timer;
@@ -465,12 +464,11 @@ let send_to t (c : 'msg call) mask =
 let rec arm_attempt_timer t (c : 'msg call) =
   if c.pol.Policy.max_attempts > 1 then
     c.timer <-
-      Core.timer t.sim ~delay:c.pol.Policy.attempt_timeout (fun () ->
+      Core.timer t.sim ~delay:Policy.attempt_timeout (fun () ->
           if call_live c then
             if c.attempt >= c.pol.Policy.max_attempts then begin
               end_attempt_span t c ~outcome:"exhausted";
-              Obs.Metrics.inc t.m_exhausted;
-              c.on_exhausted ()
+              Obs.Metrics.inc t.m_exhausted
             end
             else begin
               end_attempt_span t c ~outcome:"timeout";
@@ -516,8 +514,7 @@ let arm_hedge_timer t (c : 'msg call) =
             end)
   | _ -> ()
 
-let call t ~op ?rid ~targets ?first ~make ~on_reply
-    ?(on_exhausted = fun () -> ()) () =
+let call t ~op ?rid ~targets ?first ~make ~on_reply () =
   let n = Array.length targets.ids in
   let rid = match rid with Some r -> r | None -> fresh_rid t in
   let all = (1 lsl n) - 1 in
@@ -537,7 +534,6 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply
       closed = false;
       make;
       on_reply;
-      on_exhausted;
       span = None;
       pol = t.policy;
       timer = Core.no_timer;

@@ -174,7 +174,6 @@ val call :
   ?first:int ->
   make:(int -> 'msg) ->
   on_reply:(member:int -> heard:int -> 'msg -> verdict) ->
-  ?on_exhausted:(unit -> unit) ->
   unit ->
   int
 (** The quorum-gather combinator over the replica group [targets]: a
@@ -193,12 +192,12 @@ val call :
 
     Under the engine's policy:
     - if [max_attempts > 1], an unfinished attempt times out after
-      [attempt_timeout] and is retried — after an exponentially
-      growing, jittered backoff delay, the request is resent to the
-      members sent to but not yet heard from, the first wave's before
-      the hedged ones', each in ascending order; when attempts are
-      exhausted, [on_exhausted] runs (default: keep waiting for the
-      operation deadline);
+      {!Policy.attempt_timeout} and is retried — after an
+      exponentially growing, jittered backoff delay, the request is
+      resent to the members sent to but not yet heard from, the first
+      wave's before the hedged ones', each in ascending order; when
+      attempts are exhausted, the call ends its attempt span, counts
+      [rpc.exhausted] and waits for the operation deadline;
     - if [hedge_delay] is [Some d], after [d] time units without
       completion the request goes to the members outside [first], in
       ascending order — broadcast and targeted-quorum routing are the

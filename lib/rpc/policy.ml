@@ -2,73 +2,32 @@
     semantics.  The default is fire-once so that existing seeded runs
     are unchanged byte for byte. *)
 
-type t = {
-  max_attempts : int;
-  attempt_timeout : float;
-  backoff : float;
-  backoff_mult : float;
-  jitter : float;
-  hedge_delay : float option;
-}
+type t = { max_attempts : int; backoff : float; hedge_delay : float option }
 
-let default =
-  {
-    max_attempts = 1;
-    attempt_timeout = 25.0;
-    backoff = 5.0;
-    backoff_mult = 2.0;
-    jitter = 0.2;
-    hedge_delay = None;
-  }
-
+let attempt_timeout = 25.0
+let backoff_mult = 2.0
+let jitter = 0.2
+let default = { max_attempts = 1; backoff = 5.0; hedge_delay = None }
 let retries p = p.max_attempts - 1
-
-let with_retries ?attempt_timeout ?backoff ?backoff_mult ?jitter n =
-  {
-    default with
-    max_attempts = n + 1;
-    attempt_timeout =
-      Option.value ~default:default.attempt_timeout attempt_timeout;
-    backoff = Option.value ~default:default.backoff backoff;
-    backoff_mult = Option.value ~default:default.backoff_mult backoff_mult;
-    jitter = Option.value ~default:default.jitter jitter;
-  }
-
+let with_retries n = { default with max_attempts = n + 1 }
 let with_hedge ?(base = default) d = { base with hedge_delay = Some d }
 
-let finite_pos name v =
-  if Float.is_finite v && v > 0.0 then Ok ()
-  else Error (Fmt.str "%s must be a finite positive number (got %g)" name v)
-
 let validate p =
-  let ( let* ) = Result.bind in
-  let* () =
-    if p.max_attempts >= 1 then Ok ()
-    else Error (Fmt.str "max_attempts must be >= 1 (got %d)" p.max_attempts)
-  in
-  let* () = finite_pos "attempt_timeout" p.attempt_timeout in
-  let* () =
-    if Float.is_finite p.backoff && p.backoff >= 0.0 then Ok ()
-    else Error (Fmt.str "backoff must be finite and >= 0 (got %g)" p.backoff)
-  in
-  let* () =
-    if Float.is_finite p.backoff_mult && p.backoff_mult >= 1.0 then Ok ()
-    else
-      Error (Fmt.str "backoff_mult must be finite and >= 1 (got %g)" p.backoff_mult)
-  in
-  let* () =
-    if Float.is_finite p.jitter && p.jitter >= 0.0 && p.jitter < 1.0 then Ok ()
-    else Error (Fmt.str "jitter must be in [0, 1) (got %g)" p.jitter)
-  in
-  match p.hedge_delay with
-  | None -> Ok ()
-  | Some d -> finite_pos "hedge_delay" d
+  if p.max_attempts < 1 then
+    Error (Fmt.str "max_attempts must be >= 1 (got %d)" p.max_attempts)
+  else if not (Float.is_finite p.backoff && p.backoff >= 0.0) then
+    Error (Fmt.str "backoff must be finite and >= 0 (got %g)" p.backoff)
+  else
+    match p.hedge_delay with
+    | Some d when not (Float.is_finite d && d > 0.0) ->
+        Error (Fmt.str "hedge_delay must be a finite positive number (got %g)" d)
+    | _ -> Ok ()
 
 let retry_delay p ~attempt ~u =
-  let base = p.backoff *. (p.backoff_mult ** float_of_int (attempt - 2)) in
-  base *. (1.0 +. (p.jitter *. ((2.0 *. u) -. 1.0)))
+  let base = p.backoff *. (backoff_mult ** float_of_int (attempt - 2)) in
+  base *. (1.0 +. (jitter *. ((2.0 *. u) -. 1.0)))
 
 let pp ppf p =
   Fmt.pf ppf "retries=%d attempt_timeout=%g backoff=%gx%g jitter=%g hedge=%s"
-    (retries p) p.attempt_timeout p.backoff p.backoff_mult p.jitter
+    (retries p) attempt_timeout p.backoff backoff_mult jitter
     (match p.hedge_delay with None -> "off" | Some d -> Fmt.str "%g" d)

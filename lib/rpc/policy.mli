@@ -10,47 +10,42 @@
 type t = {
   max_attempts : int;
       (** total send waves per call; 1 = fire once (no retries) *)
-  attempt_timeout : float;
-      (** virtual time units before an unfinished attempt triggers a
-          retry; only armed when [max_attempts > 1] *)
   backoff : float;
-      (** extra delay before the second attempt; grows by
-          [backoff_mult] per further attempt *)
-  backoff_mult : float;  (** exponential backoff multiplier, >= 1 *)
-  jitter : float;
-      (** fraction in [0, 1): each backoff delay is scaled by a
-          deterministic factor in [1 - jitter, 1 + jitter] drawn from
-          the engine's own PRNG, so retry storms de-synchronize while
-          runs stay seed-reproducible *)
+      (** extra delay before the second attempt; doubles per further
+          attempt, jittered (see {!retry_delay}) *)
   hedge_delay : float option;
       (** after this delay without completion, fan the request out to
           every candidate beyond the initial wave; [None] disables
           hedging *)
 }
 
+val attempt_timeout : float
+(** Virtual time units before an unfinished attempt triggers a retry:
+    25.  Only armed when [max_attempts > 1]. *)
+
 val default : t
-(** Fire once: [max_attempts = 1], no hedging. *)
+(** Fire once: [max_attempts = 1], [backoff = 5], no hedging. *)
 
 val retries : t -> int
 (** [max_attempts - 1]. *)
 
-val with_retries :
-  ?attempt_timeout:float -> ?backoff:float -> ?backoff_mult:float ->
-  ?jitter:float -> int -> t
+val with_retries : int -> t
 (** [with_retries n] is [default] with [n] retries ([n + 1] attempts). *)
 
 val with_hedge : ?base:t -> float -> t
 (** [with_hedge d] enables hedging after [d] time units. *)
 
 val validate : t -> (unit, string) result
-(** Every numeric field finite and in range; the error names the
-    offending field. *)
+(** [max_attempts >= 1], [backoff] finite and [>= 0], [hedge_delay]
+    finite and positive; the error names the offending field. *)
 
 val retry_delay : t -> attempt:int -> u:float -> float
 (** Backoff delay scheduled before [attempt] (2-based), jittered by
     the uniform draw [u] in [0, 1):
-    [backoff * mult^(attempt - 2) * (1 + jitter * (2u - 1))].
-    Exposed pure so tests can pin the bounds. *)
+    [backoff * 2^(attempt - 2) * (1 + 0.2 * (2u - 1))].  The draw comes
+    from the engine's own PRNG, so retry storms de-synchronize while
+    runs stay seed-reproducible.  Exposed pure so tests can pin the
+    bounds. *)
 
 val pp : t Fmt.t
 (** One-line rendering, e.g.

@@ -2,33 +2,27 @@
 
     The controller is the engine's only source of the coalescing
     delay: each flush reports the peak per-destination batch size it
-    coalesced, and the controller widens the window additively while
-    frames are actually forming (peak >= [busy]) and shrinks it
-    multiplicatively when they are not — bursts widen toward
-    [max_window], idle traffic collapses toward [min_window] (with the
-    default [min_window = 0.0], to a same-instant flush that adds no
-    latency at all).  A static window is a controller whose range is a
-    single point ({!fixed}). *)
+    coalesced, and an adaptive controller widens the window additively
+    while frames are actually forming and shrinks it
+    multiplicatively when they are not — bursts widen toward the
+    ceiling, idle traffic collapses to a same-instant flush that
+    adds no latency at all.  A static window is a {!Fixed} controller,
+    which no flush moves. *)
 
-type config = {
-  min_window : float;  (** floor; [0.0] = fire-immediately when idle *)
-  max_window : float;  (** ceiling on the coalescing delay *)
-  initial : float;  (** starting window *)
-  add : float;  (** additive increase per busy flush *)
-  mult : float;  (** multiplicative decrease factor per idle flush *)
-  busy : int;  (** peak per-destination batch size that counts as busy *)
-}
+type config =
+  | Adaptive
+      (** AIMD from 0: +1 per busy flush (peak >= 4) up to 8, x0.5
+          per idle flush, snapping to 0 at or below 0.125 *)
+  | Fixed of float  (** the window, pinned; every flush waits it *)
 
 val default_config : config
-(** [min 0, max 8, initial 0, +1.0, x0.5, busy >= 4]. *)
+(** [Adaptive]. *)
 
 val fixed : float -> config
-(** [fixed w] pins the window at [w]: [min_window = max_window =
-    initial = w], so {!observe} clamps every widening at [w] and snaps
-    every shrink back to it.  A static batching window is this
-    config. *)
+(** [fixed w] is [Fixed w]. *)
 
 val validate : config -> (unit, string) result
+(** A fixed width must be finite and [>= 0]. *)
 
 type t
 
@@ -41,14 +35,15 @@ val window : t -> float
 val config : t -> config
 
 val observe : t -> peak:int -> unit
-(** Report one flush's peak per-destination batch size and adjust the
-    window: additive increase when [peak >= busy], multiplicative
-    decrease otherwise (snapping to [min_window] within epsilon). *)
+(** Report one flush's peak per-destination batch size.  An adaptive
+    window widens on a busy peak and shrinks on an idle one (see
+    {!Adaptive}); a fixed window stays put. *)
 
 val widenings : t -> int
-(** Busy flushes observed (additive increases). *)
+(** Busy flushes an adaptive window observed (additive increases). *)
 
 val shrinkings : t -> int
-(** Idle flushes observed (multiplicative decreases). *)
+(** Idle flushes an adaptive window observed (multiplicative
+    decreases). *)
 
 val pp_config : config Fmt.t

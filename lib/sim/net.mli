@@ -10,8 +10,6 @@ type latency = Prng.t -> src:string -> dst:string -> float
 
 type drop_reason = Sender_down | Dest_down | Link_cut | Loss | Filtered
 
-val drop_reason_label : drop_reason -> string
-
 type drop_spec = Drop_all | Drop_first of int | Drop_prob of float
 (** What a per-link fault filter does to messages crossing the link:
     swallow everything, swallow the next [n], or flip a per-message

@@ -16,7 +16,7 @@ module Net = Sim.Net
     the fallback pool). *)
 type targeting = [ `Broadcast | `Quorum ]
 
-type t = {
+type t = private {
   name : string;
   sim : Core.t;
   net : Protocol.msg Net.t;
@@ -24,7 +24,7 @@ type t = {
   group : Rpc.Engine.group;
       (** the replicas, by name and by node id (see {!Rpc.Engine.group}) *)
   mutable strategy : Strategy.t;
-      (** swappable (reconfiguration) — prefer {!set_strategy}, which
+      (** swappable (reconfiguration) through {!set_strategy}, which
           also bumps the generation *)
   mutable epoch : int;  (** strategy generation *)
   mutable probe : Steer.t option;  (** steering signals, [None] = off *)

@@ -555,7 +555,6 @@ let run (p : params) : results =
   (* the health monitor, when asked for: per-shard rolling windows fed
      by every finished operation, with the apply-queue probe averaging
      over the shard's replicas *)
-  let health_samples = ref [] in
   let health =
     Option.map
       (fun window ->
@@ -566,12 +565,7 @@ let run (p : params) : results =
           in
           float_of_int total /. float_of_int (Array.length g)
         in
-        let h =
-          Obs.Health.create ~window ~n_shards:p.n_shards ~queue_depth ()
-        in
-        Obs.Health.subscribe h (fun snaps ->
-            health_samples := List.rev_append snaps !health_samples);
-        h)
+        Obs.Health.create ~window ~n_shards:p.n_shards ~queue_depth ())
       p.health_window
   in
   let z =
@@ -657,12 +651,15 @@ let run (p : params) : results =
   let total = p.n_clients * per_client in
   let drained () = !finished >= total in
   (* the health sampler: every half-window until the workload drains *)
+  let health_samples = ref [] in
   (match health with
   | Some h when not (drained ()) ->
       let period = Obs.Health.window h /. 2.0 in
       let rec tick () =
         Core.schedule sim ~delay:period (fun () ->
-            ignore (Obs.Health.sample h ~at:(Core.now sim));
+            health_samples :=
+              List.rev_append (Obs.Health.sample h ~at:(Core.now sim))
+                !health_samples;
             if not (drained ()) then tick ())
       in
       tick ()

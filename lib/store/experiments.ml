@@ -299,7 +299,7 @@ let reconfig_experiment ?(seed = 53) () =
      client run with the new configuration *)
   Core.schedule sim ~delay:1200.0 (fun () ->
       phase := "C-migrating";
-      client.Client.strategy <- new_strategy;
+      Client.set_strategy client new_strategy;
       let rec migrate = function
         | [] -> phase := "D-reconfigured"
         | key :: rest ->
@@ -845,6 +845,8 @@ let window_table ?(seed = 42) () =
     instead of as an undifferentiated mean.  A row holds the run's
     per-operation breakdowns and the run. *)
 
+let attribution_policy = { Rpc.Policy.default with max_attempts = 3; backoff = 2.0 }
+
 let attribution_table ?(seed = 42) () =
   let row (loss_label, loss) (burst_label, burst) =
     let r =
@@ -860,13 +862,7 @@ let attribution_table ?(seed = 42) () =
           batch_window = Some 1.0;
           storage_cost = 0.05;
           fsync_cost = 2.0;
-          policy =
-            {
-              Rpc.Policy.default with
-              max_attempts = 3;
-              attempt_timeout = 25.0;
-              backoff = 2.0;
-            };
+          policy = attribution_policy;
           workload =
             {
               Workload.default_spec with

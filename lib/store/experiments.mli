@@ -138,6 +138,10 @@ val window_table : ?seed:int -> unit -> Cluster.results list table
     window, on a burst-8 Zipf workload (coalescing pays) and a uniform
     low-rate workload (any window only adds latency). *)
 
+val attribution_policy : Rpc.Policy.t
+(** Two retries after a backoff of 2: the policy of
+    {!attribution_table}'s runs and of [trace_dump.exe attribution]. *)
+
 val attribution_table :
   ?seed:int -> unit -> (Obs.Attribution.breakdown list * Cluster.results) table
 (** Ablation: causal latency attribution across loss (0% vs 30%) and

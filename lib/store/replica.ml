@@ -116,7 +116,6 @@ type t = {
       (** [doubt.(0 .. n_doubt-1)]: the txid ids whose record holds a
           [prepared] entry, unordered *)
   txn_recovery_delay : float;
-  txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;  (** set at attach; recovery timers *)
   mutable txn_send : dst:string -> Protocol.msg -> unit;
       (** recovery-initiated sends; a no-op until attach *)
@@ -128,7 +127,7 @@ type t = {
 }
 
 let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
-    ?(txn_recovery_delay = 150.0) ?(txn_recovery_attempts = 8) ~name () =
+    ?(txn_recovery_delay = 150.0) ~name () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -162,7 +161,6 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     doubt = [||];
     n_doubt = 0;
     txn_recovery_delay;
-    txn_recovery_attempts;
     txn_sim = None;
     txn_send = (fun ~dst:_ _ -> ());
     on_decided = None;
@@ -444,6 +442,8 @@ let start_recovery t x e =
    exponentially spaced, staggered by the replica's acceptor index so
    concurrent leaders rarely duel, bounded attempts so the event queue
    always drains.  [ldexp 1.0 a] is [2.0 ** float a], bit for bit. *)
+let txn_recovery_attempts = 8
+
 let rec arm_recovery t x =
   match (t.txn_sim, x.prepared) with
   | None, _ | _, None -> ()
@@ -457,7 +457,7 @@ let rec arm_recovery t x =
          while the transaction is in doubt here *)
       e.e_timer <-
         Sim.Core.timer sim ~delay (fun () ->
-            if e.e_attempt < t.txn_recovery_attempts then begin
+            if e.e_attempt < txn_recovery_attempts then begin
               e.e_attempt <- e.e_attempt + 1;
               start_recovery t x e;
               arm_recovery t x

@@ -37,7 +37,7 @@ type txn
     {!Register} state and, while it is in doubt here, its prepared
     entry and the recovery round it leads. *)
 
-type t = {
+type t = private {
   name : string;
   data : cell Qc_util.Strtbl.t;  (** key -> its cell *)
   queries : Obs.Metrics.counter;
@@ -61,7 +61,6 @@ type t = {
           [prepared] entry, unordered — kept at prepare and at
           resolve *)
   txn_recovery_delay : float;
-  txn_recovery_attempts : int;
   mutable txn_sim : Sim.Core.t option;
   mutable txn_send : dst:string -> Protocol.msg -> unit;
   mutable on_decided :
@@ -78,7 +77,6 @@ val create :
   ?storage:Sim.Storage.t ->
   ?group_commit:bool ->
   ?txn_recovery_delay:float ->
-  ?txn_recovery_attempts:int ->
   name:string ->
   unit ->
   t
@@ -91,8 +89,8 @@ val create :
     fsync.  Pipelined replicas additionally register [replica.fsync]
     and [replica.queue_depth] instruments.  [txn_recovery_delay]
     (default 150.0 sim-ms) times the first in-doubt recovery attempt
-    in Paxos-Commit mode; [txn_recovery_attempts] (default 8) bounds
-    attempts so the event queue always drains. *)
+    in Paxos-Commit mode; at most 8 attempts are made, so the event
+    queue always drains. *)
 
 val lookup : t -> string -> int * int
 (** The key's (vn, value); [(0, 0)] for a key never installed here. *)

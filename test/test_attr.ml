@@ -30,7 +30,6 @@ let attr_params seed =
       {
         Rpc.Policy.default with
         max_attempts = 3;
-        attempt_timeout = 25.0;
         backoff = 2.0;
       };
     workload =
@@ -248,19 +247,14 @@ let test_health_render_pinned () =
             List.exists (String.equal "nan") (String.split_on_char ' ' line))
           (String.split_on_char '\n' later)))
 
-(* [peek] is [sample] without its side effects: at the same instant it
-   returns the same snapshots, it notifies no subscriber, and the
-   samples taken after it are those of a monitor never peeked at *)
+(* [peek] is [sample] without its side effect: at the same instant it
+   returns the same snapshots, and the samples taken after it are those
+   of a monitor never peeked at *)
 let test_health_peek () =
   let monitor () =
-    let h =
-      Health.create ~window:50.0 ~n_shards:2
-        ~queue_depth:(fun s -> float_of_int (s + 1))
-        ()
-    in
-    let notified = ref 0 in
-    Health.subscribe h (fun _ -> incr notified);
-    (h, notified)
+    Health.create ~window:50.0 ~n_shards:2
+      ~queue_depth:(fun s -> float_of_int (s + 1))
+      ()
   in
   let record h ~at ~shard ~read ~ok =
     Health.record h ~at ~shard ~read ~ok ~latency:(at /. 10.0)
@@ -270,7 +264,7 @@ let test_health_peek () =
     List.iteri
       (fun i at ->
         List.iter
-          (fun (h, _) ->
+          (fun h ->
             record h ~at ~shard:(i mod 2) ~read:(i mod 3 <> 0) ~ok:(i mod 4 <> 1))
           [ peeked; plain ])
       ats
@@ -282,25 +276,22 @@ let test_health_peek () =
   in
   (* records at and before a window's left edge fall out of it *)
   feed [ 10.0; 20.0; 50.0; 60.0; 70.0; 80.0; 90.0 ];
-  let p100 = Health.peek (fst peeked) ~at:100.0 in
-  Alcotest.(check int) "peek notifies no subscriber" 0 !(snd peeked);
-  let s100 = Health.sample (fst plain) ~at:100.0 in
+  let p100 = Health.peek peeked ~at:100.0 in
+  let s100 = Health.sample plain ~at:100.0 in
   Alcotest.check snaps "peek = sample at the same instant" s100 p100;
   Alcotest.check snaps "a repeated peek is the same" p100
-    (Health.peek (fst peeked) ~at:100.0);
+    (Health.peek peeked ~at:100.0);
   Alcotest.check snaps "the sample after a peek is unchanged" s100
-    (Health.sample (fst peeked) ~at:100.0);
+    (Health.sample peeked ~at:100.0);
   feed [ 110.0; 120.0; 130.0 ];
-  ignore (Health.peek (fst peeked) ~at:135.0 : Health.snapshot list);
+  ignore (Health.peek peeked ~at:135.0 : Health.snapshot list);
   List.iter
     (fun at ->
       Alcotest.check snaps
         (Fmt.str "later sample at %g unchanged" at)
-        (Health.sample (fst plain) ~at)
-        (Health.sample (fst peeked) ~at))
-    [ 140.0; 175.0; 500.0 ];
-  Alcotest.(check (pair int int)) "only samples notify" (4, 4)
-    (!(snd plain), !(snd peeked))
+        (Health.sample plain ~at)
+        (Health.sample peeked ~at))
+    [ 140.0; 175.0; 500.0 ]
 
 let suites =
   [

@@ -187,8 +187,9 @@ let test_parse_jsonl_strict () =
 let test_metrics_counters () =
   let m = Metrics.create () in
   let c = Metrics.counter m ~labels:[ ("replica", "r0") ] "ops" in
-  Metrics.inc c;
-  Metrics.inc ~by:3 c;
+  for _ = 1 to 4 do
+    Metrics.inc c
+  done;
   Alcotest.(check int) "counter" 4 (Metrics.value c);
   (* same (name, labels) -> same instrument, any label order *)
   let c' = Metrics.counter m ~labels:[ ("replica", "r0") ] "ops" in
@@ -356,7 +357,7 @@ let prop_registry_model =
               order := (key, inst) :: !order;
               match inst with
               | M_counter (c, n) ->
-                  Metrics.inc ~by:amount c;
+                  for _ = 1 to amount do Metrics.inc c done;
                   n := !n + amount
               | M_gauge (g, v) ->
                   Metrics.set g (float_of_int amount);
@@ -367,7 +368,7 @@ let prop_registry_model =
           | Some (M_counter (c, n)), 0 -> (
               match register () with
               | `C c' when c' == c ->
-                  Metrics.inc ~by:amount c';
+                  for _ = 1 to amount do Metrics.inc c' done;
                   n := !n + amount
               | _ -> QCheck.Test.fail_report "counter not shared")
           | Some (M_gauge (g, v)), 1 -> (

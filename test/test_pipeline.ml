@@ -386,37 +386,31 @@ let prop_pipeline_nemesis_audit_clean =
 
 (* ---------- the AIMD window controller ---------- *)
 
+(* The adaptive constants, pinned: busy flushes (peak >= 4) widen the
+   window by 1 from 0 up to 8 and stop there; idle flushes halve it
+   and snap to 0 once it would fall to 0.125 or below. *)
 let test_window_aimd_unit () =
-  let c =
-    Window.create
-      {
-        Window.min_window = 0.0;
-        max_window = 4.0;
-        initial = 0.0;
-        add = 1.0;
-        mult = 0.5;
-        busy = 2;
-      }
+  let c = Window.create Window.default_config in
+  let after peaks =
+    List.map
+      (fun peak ->
+        Window.observe c ~peak;
+        Window.window c)
+      peaks
   in
-  Alcotest.(check (float 0.0)) "starts at initial" 0.0 (Window.window c);
-  Window.observe c ~peak:3;
-  Window.observe c ~peak:2;
-  Alcotest.(check (float 1e-9)) "additive increase" 2.0 (Window.window c);
-  Window.observe c ~peak:8;
-  Window.observe c ~peak:8;
-  Window.observe c ~peak:8;
-  Alcotest.(check (float 1e-9)) "capped at max" 4.0 (Window.window c);
-  Window.observe c ~peak:1;
-  Alcotest.(check (float 1e-9)) "multiplicative decrease" 2.0 (Window.window c);
-  Window.observe c ~peak:0;
-  Window.observe c ~peak:1;
-  Window.observe c ~peak:1;
-  Window.observe c ~peak:1;
-  Window.observe c ~peak:1;
-  Alcotest.(check (float 0.0)) "decays all the way to the floor" 0.0
-    (Window.window c);
-  Alcotest.(check int) "widenings counted" 5 (Window.widenings c);
-  Alcotest.(check int) "shrinkings counted" 6 (Window.shrinkings c);
+  Alcotest.(check (float 0.0)) "starts at 0" 0.0 (Window.window c);
+  Alcotest.(check (list (float 0.0))) "a peak below 4 is idle" [ 0.0; 0.0 ]
+    (after [ 3; 0 ]);
+  Alcotest.(check (list (float 0.0))) "busy flushes widen by 1, up to 8"
+    [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 8.0; 8.0 ]
+    (after [ 4; 5; 4; 100; 4; 4; 8; 4; 4; 64 ]);
+  Alcotest.(check (list (float 0.0))) "idle flushes halve, then snap to 0"
+    [ 4.0; 2.0; 1.0; 0.5; 0.25; 0.0; 0.0 ]
+    (after [ 3; 1; 0; 3; 2; 1; 3 ]);
+  Alcotest.(check (list (float 0.0))) "and widen again from 0" [ 1.0 ]
+    (after [ 4 ]);
+  Alcotest.(check int) "widenings counted" 11 (Window.widenings c);
+  Alcotest.(check int) "shrinkings counted" 9 (Window.shrinkings c);
   (* a fixed config is a pinned controller: busy or idle, the window
      stays put, zero included *)
   List.iter
@@ -437,22 +431,24 @@ let test_window_validation () =
   let ok c = Alcotest.(check bool) "valid" true (Result.is_ok (Window.validate c)) in
   let bad c = Alcotest.(check bool) "rejected" true (Result.is_error (Window.validate c)) in
   ok Window.default_config;
-  bad { Window.default_config with Window.min_window = -1.0 };
-  bad { Window.default_config with Window.max_window = nan };
-  bad { Window.default_config with Window.initial = 100.0 };
-  bad { Window.default_config with Window.add = 0.0 };
-  bad { Window.default_config with Window.mult = 1.0 };
-  bad { Window.default_config with Window.busy = 0 };
+  ok (Window.fixed 0.0);
+  ok (Window.fixed 8.0);
+  bad (Window.fixed (-1.0));
+  bad (Window.fixed nan);
+  bad (Window.fixed infinity);
   Alcotest.check_raises "create rejects invalid configs"
-    (Invalid_argument "Rpc.Window.create: busy must be >= 1") (fun () ->
-      ignore (Window.create { Window.default_config with Window.busy = 0 }))
+    (Invalid_argument
+       "Rpc.Window.create: a fixed window must be finite and >= 0 (got -1)")
+    (fun () -> ignore (Window.create (Window.fixed (-1.0))))
 
 (* ---------- one batching setting: the router's window ---------- *)
 
 (* A one-shard router over five replicas, every hop exactly one time
    unit: an unbatched read takes 2.0, a batched one 2.0 plus the
-   window its flush waited.  [read ()] runs one read to completion
-   and returns its latency. *)
+   window its flush waited.  [reads n] issues [n] reads at once, so
+   under batching they share one flush whose peak is [n], runs them
+   to completion and returns their latencies; [read ()] is one read's
+   latency. *)
 let unit_latency_router () =
   let replicas = Array.init 5 (Fmt.str "r%d") in
   let sim = Core.create ~seed:3 in
@@ -471,24 +467,28 @@ let unit_latency_router () =
       ~scheme:`Hash ~n_keys:16 ()
   in
   Store.Router.attach r;
-  let read () =
-    let lat = ref nan in
-    Store.Router.read r ~key:"k1" ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency ->
-        if ok then lat := latency);
+  let reads n =
+    let lats = Array.make n nan in
+    for i = 0 to n - 1 do
+      Store.Router.read r ~key:"k1"
+        ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency -> if ok then lats.(i) <- latency)
+    done;
     Core.run sim;
-    !lat
+    Array.to_list lats
   in
-  (r, read)
+  (r, reads, fun () -> List.hd (reads 1))
 
 let reported_window r =
   match Store.Router.batching r with Some c -> Window.window c | None -> nan
 
 let test_fixed_window_replaces_adaptive () =
-  let r, read = unit_latency_router () in
+  let r, reads, read = unit_latency_router () in
   Alcotest.(check (float 0.0)) "unbatched read" 2.0 (read ());
-  Store.Router.set_batching r
-    (Some { Window.default_config with initial = 5.0 });
-  Alcotest.(check (float 0.0)) "a read waits the controller's window" 7.0
+  Store.Router.set_batching r (Some Window.default_config);
+  (* four reads share a flush at width 0: a busy peak, so it widens *)
+  Alcotest.(check (list (float 0.0))) "a burst at the initial window"
+    [ 2.0; 2.0; 2.0; 2.0 ] (reads 4);
+  Alcotest.(check (float 0.0)) "a read waits the controller's window" 3.0
     (read ());
   Store.Router.set_batching r (Some (Window.fixed 0.5));
   Alcotest.(check (float 0.0)) "batching reports the fixed window" 0.5
@@ -500,11 +500,10 @@ let test_fixed_window_replaces_adaptive () =
   Alcotest.(check (float 0.0)) "unbatched again" 2.0 (read ())
 
 let test_window_off_keeps_width () =
-  let r, read = unit_latency_router () in
-  (* at busy = 1 every flush widens: 0, 1, 2, then capped at 3 *)
-  Store.Router.set_batching r
-    (Some { Window.default_config with max_window = 3.0; busy = 1 });
-  let widening = List.init 4 (fun _ -> read ()) in
+  let r, reads, _ = unit_latency_router () in
+  (* a burst of four is a busy flush, so each burst widens: 0, 1, 2, 3 *)
+  Store.Router.set_batching r (Some Window.default_config);
+  let widening = List.init 4 (fun _ -> List.hd (reads 4)) in
   Alcotest.(check (list (float 0.0))) "the controller widens"
     [ 2.0; 3.0; 4.0; 5.0 ] widening;
   (* the store REPL's [window off]: pin every shard at the width its
@@ -517,12 +516,12 @@ let test_window_off_keeps_width () =
             (Some (Window.fixed (Window.window ctl))))
         (Store.Client.batching c))
     (Store.Router.clients r);
-  Alcotest.(check (float 0.0)) "the reached width is kept" 3.0
+  Alcotest.(check (float 0.0)) "the reached width is kept" 4.0
     (reported_window r);
   Alcotest.(check (list (float 0.0))) "reads keep waiting it"
-    [ 5.0; 5.0; 5.0 ]
-    (List.init 3 (fun _ -> read ()));
-  Alcotest.(check (float 0.0)) "busy flushes no longer widen it" 3.0
+    [ 6.0; 6.0; 6.0 ]
+    (List.init 3 (fun _ -> List.hd (reads 4)));
+  Alcotest.(check (float 0.0)) "busy flushes no longer widen it" 4.0
     (reported_window r)
 
 (* ---------- adaptive window: cluster-level acceptance ---------- *)

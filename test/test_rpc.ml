@@ -40,7 +40,7 @@ let make_world ~seed ?policy ?(loss = 0.0) ?latency () =
   (sim, net, eng)
 
 (* One operation gathering [k] replies; resolves to `Ok completion
-   time, `Exhausted (retries ran out), or `Timeout (deadline). *)
+   time or `Timeout (deadline). *)
 let gather ~sim ~eng ~k ~timeout ?first () =
   let outcome = ref `Pending in
   let op_ref = ref None in
@@ -64,9 +64,6 @@ let gather ~sim ~eng ~k ~timeout ?first () =
            Engine.Done
          end
          else Engine.Continue)
-       ~on_exhausted:(fun () ->
-         Engine.finish_op eng op;
-         outcome := `Exhausted (Core.now sim))
        ());
   outcome
 
@@ -96,46 +93,54 @@ let test_deadline_cleans_pending () =
 (* A finished op cancels its timers, so it leaves nothing in the event
    queue and the run ends at the completion — with the deadline, the
    attempt timer, the retry timer or the hedge timer still ahead of
-   it.  Latency is a fixed 3, so the one reply lands at t = 6. *)
+   it.  Latency is a fixed [l], so the one reply lands at t = 2l: at 6
+   for l = 3, before the attempt times out at 25; at 26 for l = 13,
+   while the retry waits its backoff (due at 29 to 31). *)
 let test_finished_op_leaves_no_event () =
   List.iter
-    (fun (label, policy) ->
+    (fun (label, policy, l) ->
       let sim, _net, eng =
         make_world ~seed:6 ~policy
-          ~latency:(Net.uniform_latency ~lo:3.0 ~hi:3.0)
+          ~latency:(Net.uniform_latency ~lo:l ~hi:l)
           ()
       in
       let outcome = gather ~sim ~eng ~k:1 ~first:0b1 ~timeout:1000.0 () in
       Core.run sim;
       match !outcome with
       | `Ok t ->
-          Alcotest.(check (float 0.0)) (label ^ ": completed") 6.0 t;
+          Alcotest.(check (float 0.0)) (label ^ ": completed") (2.0 *. l) t;
           Alcotest.(check (float 0.0))
             (label ^ ": the run ends at the completion") t (Core.now sim);
           Alcotest.(check int) (label ^ ": nothing pending") 0
             (Core.pending sim)
       | _ -> Alcotest.fail (label ^ ": expected a reply"))
     [
-      ("deadline", Policy.default);
-      ("attempt timer", Policy.with_retries 2 ~attempt_timeout:10.0);
-      ( "retry timer",
-        Policy.with_retries 2 ~attempt_timeout:2.0 ~backoff:5.0 ~jitter:0.0 );
-      ("hedge timer", Policy.with_hedge 50.0);
+      ("deadline", Policy.default, 3.0);
+      ("attempt timer", Policy.with_retries 2, 3.0);
+      ("retry timer", Policy.with_retries 2, 13.0);
+      ("hedge timer", Policy.with_hedge 50.0, 3.0);
     ]
 
 (* ---------- retries ---------- *)
 
-let retry_policy =
-  Policy.with_retries 2 ~attempt_timeout:10.0 ~backoff:5.0 ~jitter:0.2
-
+(* The time the call runs out of attempts: its last attempt span ends
+   with outcome "exhausted".  The op itself then waits for its
+   deadline. *)
 let exhaust_time seed =
-  let sim, net, eng = make_world ~seed ~policy:retry_policy () in
+  let sim, net, eng = make_world ~seed ~policy:(Policy.with_retries 2) () in
+  let tr = Obs.Trace.create () in
+  Core.attach_tracer sim tr;
   List.iter (Net.crash net) servers;
   let outcome = gather ~sim ~eng ~k:3 ~timeout:1000.0 () in
   Core.run sim;
   Alcotest.(check int) "pending drained" 0 (Engine.pending_count eng);
-  match !outcome with
-  | `Exhausted t -> t
+  Alcotest.(check bool) "the op ends at its deadline" true (!outcome = `Timeout);
+  let exhausted (e : Obs.Trace.event) =
+    e.ph = Obs.Trace.E
+    && List.assoc_opt "outcome" e.args = Some (Obs.Trace.Str "exhausted")
+  in
+  match List.filter exhausted (Obs.Trace.events tr) with
+  | [ e ] -> e.ts
   | _ -> Alcotest.fail "expected exhaustion after max retries"
 
 let test_no_quorum_exhausts_deterministically () =
@@ -163,7 +168,7 @@ let test_retry_succeeds_after_heal () =
   (match attempt None with
   | `Timeout -> ()
   | _ -> Alcotest.fail "fire-once should miss the healed server");
-  match attempt (Some (Policy.with_retries 3 ~attempt_timeout:10.0)) with
+  match attempt (Some (Policy.with_retries 3)) with
   | `Ok _ -> ()
   | _ -> Alcotest.fail "retries should reach the healed server"
 
@@ -190,7 +195,8 @@ let test_hedge_falls_back () =
 
 (* The send order is part of the engine's contract: it fixes every
    seeded run's network draws.  A call over five servers with first
-   wave {s1, s3}, a hedge at t = 5 and its one retry at t = 15: the
+   wave {s1, s3}, a hedge at t = 5 and its one retry after the attempt
+   times out at t = 25 and backs off 4 to 6: the
    first wave goes out in ascending order, the hedge sends the rest in
    ascending order, and the retry resends only the unheard members,
    first-wave ones first.  s3 answers every request twice and both
@@ -219,17 +225,15 @@ let test_send_order_pinned () =
               done
           | _ -> ()))
     servers;
-  let policy =
-    Policy.with_hedge
-      ~base:
-        (Policy.with_retries 1 ~attempt_timeout:10.0 ~backoff:5.0 ~jitter:0.0)
-      5.0
-  in
+  let policy = Policy.with_hedge ~base:(Policy.with_retries 1) 5.0 in
   let eng = Engine.create ~name:"c" ~sim ~net ~rid_of ~policy () in
   Engine.attach eng;
+  let op_ref = ref None in
   let op =
-    Engine.start_op eng ~timeout:1000.0 ~on_timeout:(fun () -> ())
+    Engine.start_op eng ~timeout:1000.0 ~on_timeout:(fun () ->
+        Option.iter (Engine.finish_op eng) !op_ref)
   in
+  op_ref := Some op;
   let replies = ref [] in
   ignore
     (Engine.call eng ~op ~targets:(Engine.group eng (Array.of_list servers)) ~first:0b01010
@@ -237,7 +241,6 @@ let test_send_order_pinned () =
        ~on_reply:(fun ~member ~heard _ ->
          replies := (member, heard) :: !replies;
          Engine.Continue)
-       ~on_exhausted:(fun () -> Engine.finish_op eng op)
        ());
   Core.run sim;
   Alcotest.(check (list string))
@@ -356,11 +359,7 @@ let test_non_member_reply_ignored () =
 let test_policy_validation () =
   let bad p = Alcotest.(check bool) "rejected" true (Result.is_error p) in
   bad (Policy.validate { Policy.default with Policy.max_attempts = 0 });
-  bad (Policy.validate { Policy.default with Policy.attempt_timeout = 0.0 });
-  bad (Policy.validate { Policy.default with Policy.attempt_timeout = nan });
   bad (Policy.validate { Policy.default with Policy.backoff = -1.0 });
-  bad (Policy.validate { Policy.default with Policy.backoff_mult = 0.5 });
-  bad (Policy.validate { Policy.default with Policy.jitter = 1.0 });
   bad (Policy.validate { Policy.default with Policy.hedge_delay = Some 0.0 });
   Alcotest.(check bool) "default valid" true
     (Result.is_ok (Policy.validate Policy.default));
@@ -396,7 +395,7 @@ let prop_retry_delay_bounds =
   QCheck.Test.make ~count:200 ~name:"retry_delay stays within jitter bounds"
     QCheck.(pair (int_range 2 8) (float_bound_exclusive 1.0))
     (fun (attempt, u) ->
-      let p = Policy.with_retries 7 ~backoff:5.0 ~backoff_mult:2.0 ~jitter:0.2 in
+      let p = Policy.with_retries 7 in
       let d = Policy.retry_delay p ~attempt ~u in
       let base = 5.0 *. (2.0 ** float_of_int (attempt - 2)) in
       d >= base *. 0.8 -. 1e-9 && d <= base *. 1.2 +. 1e-9)
@@ -572,8 +571,7 @@ let prop_flush_matches_reference =
       let group = Engine.group eng (Array.of_list servers) in
       let ids = Engine.group_ids group in
       let wcfg =
-        if adaptive then { Window.default_config with initial = 0.5 }
-        else Window.fixed 0.5
+        if adaptive then Window.default_config else Window.fixed 0.5
       in
       let wctl = Window.create wcfg and model_w = Window.create wcfg in
       let b = (echo_hooks, wctl) in
@@ -634,8 +632,7 @@ let prop_flush_matches_reference =
 
 let lossy_retry_run seed =
   let sim, _net, eng =
-    make_world ~seed ~policy:(Policy.with_retries 2 ~attempt_timeout:8.0)
-      ~loss:0.3 ()
+    make_world ~seed ~policy:(Policy.with_retries 2) ~loss:0.3 ()
   in
   let results = ref [] in
   let rec issue n =
@@ -647,7 +644,6 @@ let lossy_retry_run seed =
                 (match !outcome with
                 | `Ok t -> Fmt.str "ok@%g" t
                 | `Timeout -> "timeout"
-                | `Exhausted t -> Fmt.str "exhausted@%g" t
                 | `Pending -> "pending")
                 :: !results;
               issue (n - 1)))

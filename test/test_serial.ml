@@ -273,7 +273,7 @@ let test_tiny_serial_system () =
   let sys = System.compose components in
   let r =
     System.run ~max_steps:1000
-      ~strategy:(System.completion_biased ())
+      ~strategy:System.completion_biased
       ~rng:(Qc_util.Prng.create 17) sys
   in
   Alcotest.(check bool) "quiescent" true r.System.quiescent;
@@ -367,7 +367,7 @@ let test_eager_system_end_to_end () =
   for seed = 1 to 20 do
     let r =
       System.run ~max_steps:1000
-        ~strategy:(System.completion_biased ())
+        ~strategy:System.completion_biased
         ~rng:(Qc_util.Prng.create seed)
         (System.compose components)
     in

@@ -416,12 +416,7 @@ let test_validate () =
       ( "policy",
         { d with policy = { Rpc.Policy.default with Rpc.Policy.max_attempts = 0 } }
       );
-      ( "adaptive_window",
-        {
-          d with
-          adaptive_window =
-            Some { Rpc.Window.default_config with Rpc.Window.busy = 0 };
-        } );
+      ("adaptive_window", { d with adaptive_window = Some (Rpc.Window.fixed nan) });
       ("n_keys", { d with workload = { wl with n_keys = -3 } });
       ("zipf_s", { d with workload = { wl with zipf_s = infinity } });
       ("read_fraction", { d with workload = { wl with read_fraction = 1.5 } });

@@ -352,12 +352,13 @@ let test_decide_before_prepare () =
 
 (* In Paxos-Commit mode a prepare arms a recovery timer; once the
    decision is in, the timer's firing must do nothing — no ballot, no
-   message.  The undecided control run shows the timer does fire. *)
+   message.  The undecided control run shows the timer does fire: all
+   8 recovery rounds, each a phase 1a to both peers. *)
 let test_recovery_timer_after_decision () =
   let run ~decided =
     let sim = Core.create ~seed:1 in
     let net = Sim.Net.create ~sim ~nodes:[ "r0"; "r1"; "r2" ] () in
-    let r = Replica.create ~name:"r0" ~txn_recovery_attempts:1 () in
+    let r = Replica.create ~name:"r0" () in
     Replica.attach r ~net;
     (match
        handle r
@@ -373,7 +374,7 @@ let test_recovery_timer_after_decision () =
     ((Sim.Net.counters net).Sim.Net.sent, r)
   in
   let sent, r = run ~decided:false in
-  Alcotest.(check int) "undecided: recovery sends phase 1a to both peers" 2
+  Alcotest.(check int) "undecided: recovery sends phase 1a to both peers" 16
     sent;
   Alcotest.(check (list string)) "undecided: still in doubt" [ "t" ]
     (Replica.in_doubt r);
@@ -481,7 +482,9 @@ let test_decided_txn_leaves_no_event () =
    over the leader's own ballot-0 Commit and a Commit at ballot 2),
    the decision broadcast after a majority of 2b, and the decision
    hook fired once.  The four peers are recorders on a
-   constant-latency network, so deliveries arrive in send order. *)
+   constant-latency network, so deliveries arrive in send order.  The
+   first recovery round starts at 225 (150 x 1.5 for acceptor index
+   2) and a second would start at 675, so the run stops in between. *)
 let test_recovery_round () =
   let acceptors = [ "r0"; "r1"; "r2"; "r3"; "r4" ] in
   let sim = Core.create ~seed:1 in
@@ -490,7 +493,7 @@ let test_recovery_round () =
       ~latency:(fun _ ~src:_ ~dst:_ -> 1.0)
       ()
   in
-  let r = Replica.create ~name:"r2" ~txn_recovery_attempts:1 () in
+  let r = Replica.create ~name:"r2" () in
   Replica.attach r ~net;
   let log = ref [] in
   List.iter
@@ -527,7 +530,7 @@ let test_recovery_round () =
    with
   | P.Txn_p2b { ok = true; _ } -> ()
   | _ -> Alcotest.fail "the coordinator's 2a is accepted");
-  Core.run sim;
+  Core.run ~until:300.0 sim;
   (* ballot = attempt 1 * (5 + 1) + acceptor index 2 + 1 *)
   Alcotest.(check (list string))
     "1a to the other acceptors, in acceptor order"
@@ -535,7 +538,7 @@ let test_recovery_round () =
     (take ());
   let from src msg =
     Replica.serve r ~src ~tr:tr_off ~reply:(fun _ -> ()) msg;
-    Core.run sim
+    Core.run ~until:(Core.now sim +. 2.0) sim
   in
   let p1b accepted =
     P.Txn_p1b { rid = 0; txid = tx "t"; bal = 9; ok = true; accepted }
