@@ -155,6 +155,19 @@ let t_sim_events =
          chain 10_000;
          Sim.Core.run sim))
 
+(* Every simulated message draws its latency from Prng.lognormal (a
+   128-layer ziggurat normal, then one exp); the bare uniform draw
+   beside it is the floor any draw pays. *)
+let draw_rng = Prng.create fixture_seed
+
+let t_lognormal_draw =
+  Test.make ~name:"S6 lognormal latency draw"
+    (Staged.stage (fun () -> Prng.lognormal draw_rng ~mu:1.0 ~sigma:0.5))
+
+let t_uniform_draw =
+  Test.make ~name:"S6 uniform draw"
+    (Staged.stage (fun () -> Prng.float draw_rng))
+
 let t_store_ops =
   Test.make ~name:"Q2 store: small cluster run"
     (Staged.stage (fun () ->
@@ -409,6 +422,8 @@ let all_tests =
     t_locks_cycle;
     t_mvto_cycle;
     t_sim_events;
+    t_lognormal_draw;
+    t_uniform_draw;
     t_store_ops;
     t_exhaustive;
     t_adt_merge;

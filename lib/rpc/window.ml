@@ -31,41 +31,30 @@ let validate = function
   | Fixed w when Float.is_finite w && w >= 0.0 -> Ok ()
   | Fixed w -> Error (Fmt.str "a fixed window must be finite and >= 0 (got %g)" w)
 
-type t = {
-  cfg : config;
-  mutable window : float;
-  mutable widenings : int;
-  mutable shrinkings : int;
-}
+type t = { cfg : config; mutable window : float }
 
 let create cfg =
   (match validate cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Rpc.Window.create: " ^ e));
   let window = match cfg with Adaptive -> 0.0 | Fixed w -> w in
-  { cfg; window; widenings = 0; shrinkings = 0 }
+  { cfg; window }
 
 let window t = t.window
 let config t = t.cfg
-let widenings t = t.widenings
-let shrinkings t = t.shrinkings
 
 let observe t ~peak =
   match t.cfg with
   | Fixed _ -> ()
   | Adaptive ->
-      if peak >= busy then begin
-        t.window <- Float.min max_window (t.window +. add);
-        t.widenings <- t.widenings + 1
-      end
+      if peak >= busy then t.window <- Float.min max_window (t.window +. add)
       else begin
         (* snap to 0 once the window shrinks well below the additive
            step: a window that small coalesces nothing the next
            widening wouldn't rebuild, and an idle client must really
            reach fire-immediately instead of decaying forever *)
         let w = t.window *. mult in
-        t.window <- (if w <= 0.125 *. add then 0.0 else w);
-        t.shrinkings <- t.shrinkings + 1
+        t.window <- (if w <= 0.125 *. add then 0.0 else w)
       end
 
 let pp_config ppf = function

@@ -39,11 +39,4 @@ val observe : t -> peak:int -> unit
     window widens on a busy peak and shrinks on an idle one (see
     {!Adaptive}); a fixed window stays put. *)
 
-val widenings : t -> int
-(** Busy flushes an adaptive window observed (additive increases). *)
-
-val shrinkings : t -> int
-(** Idle flushes an adaptive window observed (multiplicative
-    decreases). *)
-
 val pp_config : config Fmt.t

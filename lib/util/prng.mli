@@ -42,7 +42,23 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-(** Log-normally distributed (Box-Muller underneath). *)
+(** [exp (mu + sigma z)] for a standard normal [z], drawn by a
+    128-layer ziggurat (Marsaglia & Tsang 2000, Doornik's ZIGNOR
+    layout): exact in distribution, and on about 98.8 % of draws one
+    64-bit draw and one table lookup. *)
+
+(** The ziggurat's tables, read-only, for checking them. *)
+module Ziggurat : sig
+  val r : float
+  (** Where the tail starts: [edge 1]. *)
+
+  val v : float
+  (** Every layer's area under [exp (-x^2/2)]. *)
+
+  val edge : int -> float
+  (** [edge i], [0 <= i <= 128], is layer [i]'s right edge [x_i]:
+      decreasing from [edge 0 = v / exp (-r^2/2)] to [edge 128 = 0]. *)
+end
 
 val split : t -> t
 (** Derive an independent child generator; the parent advances. *)

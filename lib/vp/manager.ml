@@ -8,7 +8,9 @@
     2. collects the full state of every proposed member and merges it
        keeping the highest version per key — since the previous
        primary view wrote to all its members and any two majorities
-       intersect, the merge contains every committed write;
+       intersect, the merge contains every committed write (a member
+       serves no older view once it has sent its state, so no write
+       can complete in the old view behind the merge's back);
     3. installs the new view (fresh id) and merged state at every
        member, completing when all have acknowledged.
 
@@ -119,7 +121,7 @@ let change_view t ~members ~on_done =
     let states = ref [] in
     ignore
       (Engine.call t.eng ~op ~targets
-         ~make:(fun rid -> Protocol.State_req { rid })
+         ~make:(fun rid -> Protocol.State_req { rid; view_id })
          ~on_reply:(fun ~member ~heard msg ->
            match msg with
            | Protocol.State_rep { state; _ }

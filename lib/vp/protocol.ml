@@ -11,7 +11,9 @@ type msg =
   | Write_ack of { rid : int; key : string }
   | Nack of { rid : int; current_view : int }
       (** the replica is in a different view *)
-  | State_req of { rid : int }  (** view change: send your whole state *)
+  | State_req of { rid : int; view_id : int }
+      (** view change to [view_id]: send your whole state, and serve no
+          older view from now on *)
   | State_rep of { rid : int; state : (string * (int * int)) list }
   | Install of { rid : int; view_id : int; members : string list;
                  state : (string * (int * int)) list }
@@ -20,6 +22,6 @@ type msg =
 
 let rid = function
   | Read_req { rid; _ } | Read_rep { rid; _ } | Write_req { rid; _ }
-  | Write_ack { rid; _ } | Nack { rid; _ } | State_req { rid }
+  | Write_ack { rid; _ } | Nack { rid; _ } | State_req { rid; _ }
   | State_rep { rid; _ } | Install { rid; _ } | Install_ack { rid } ->
       rid

@@ -7,7 +7,7 @@ type msg =
   | Write_req of { rid : int; view : int; key : string; vn : int; value : int }
   | Write_ack of { rid : int; key : string }
   | Nack of { rid : int; current_view : int }
-  | State_req of { rid : int }
+  | State_req of { rid : int; view_id : int }
   | State_rep of { rid : int; state : (string * (int * int)) list }
   | Install of {
       rid : int;

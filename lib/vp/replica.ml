@@ -5,17 +5,27 @@
     request's view id matches the replica's; otherwise the replica
     NACKs, preventing a client stranded in an old view (e.g. on the
     minority side of a partition) from reading stale data or writing
-    where the primary view cannot see it. *)
+    where the primary view cannot see it.  Once a replica has sent its
+    state for a view change it NACKs its old view too: a write that
+    completed there after the state was collected would be missing from
+    the merged state the new view's other members install. *)
 
 type t = {
   name : string;
   data : (string, int * int) Hashtbl.t;
   mutable view : View.t;
+  mutable fence : int;
   mutable nacks : int;
 }
 
 let create ~name ~initial_view =
-  { name; data = Hashtbl.create 32; view = initial_view; nacks = 0 }
+  {
+    name;
+    data = Hashtbl.create 32;
+    view = initial_view;
+    fence = initial_view.View.id;
+    nacks = 0;
+  }
 
 let lookup t key = Option.value ~default:(0, 0) (Hashtbl.find_opt t.data key)
 
@@ -29,9 +39,10 @@ let state t =
 let attach t ~(net : Protocol.msg Sim.Net.t) =
   Sim.Net.register net ~node:t.name (fun ~src msg ->
       let reply m = Sim.Net.send net ~src:t.name ~dst:src m in
+      let stale view = view <> t.view.View.id || view < t.fence in
       match msg with
       | Protocol.Read_req { rid; view; key } ->
-          if view <> t.view.View.id then begin
+          if stale view then begin
             t.nacks <- t.nacks + 1;
             reply (Protocol.Nack { rid; current_view = t.view.View.id })
           end
@@ -39,7 +50,7 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
             let vn, value = lookup t key in
             reply (Protocol.Read_rep { rid; key; vn; value })
       | Protocol.Write_req { rid; view; key; vn; value } ->
-          if view <> t.view.View.id then begin
+          if stale view then begin
             t.nacks <- t.nacks + 1;
             reply (Protocol.Nack { rid; current_view = t.view.View.id })
           end
@@ -48,7 +59,8 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
             if vn >= cur_vn then Hashtbl.replace t.data key (vn, value);
             reply (Protocol.Write_ack { rid; key })
           end
-      | Protocol.State_req { rid } ->
+      | Protocol.State_req { rid; view_id } ->
+          t.fence <- max t.fence view_id;
           reply (Protocol.State_rep { rid; state = state t })
       | Protocol.Install { rid; view_id; members; state } ->
           (* adopt the new view; merge state keeping the newest version

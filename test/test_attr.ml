@@ -180,11 +180,11 @@ let test_hostile_run_pinned () =
     (Trace.overwritten r.Store.Cluster.trace);
   let s = Obs.Export.jsonl r.Store.Cluster.trace in
   Alcotest.(check string) "simulation digest"
-    "1919f9430942af204d66ae92d639410b" (Store.Cluster.digest r);
-  Alcotest.(check int) "trace length" 1222038 (String.length s);
-  Alcotest.(check string) "trace md5" "c465cb856ca0ea55d55068d46bf5aab0"
+    "ea6759f923e05e95853ba558214c39d5" (Store.Cluster.digest r);
+  Alcotest.(check int) "trace length" 1238826 (String.length s);
+  Alcotest.(check string) "trace md5" "da097599e160f726e161d10f7ed5dab7"
     (Digest.to_hex (Digest.string s));
-  Alcotest.(check string) "metrics dump md5" "9c4f81a413323c6ac2432d329c0914ac"
+  Alcotest.(check string) "metrics dump md5" "b299cf28cd7238fd8652912370fa43bc"
     (Digest.to_hex (Digest.string (Obs.Metrics.dump r.Store.Cluster.metrics)))
 
 let test_cluster_health_sampler () =

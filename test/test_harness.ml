@@ -59,16 +59,16 @@ let scenario ?failures ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
    [sim/exec] instants. *)
 let partition_goldens =
   [
-    (42, ("996422eaca9bdbce4098ccbbf4752aa2", "df305d1603da7f873a5cc2aaa7e92e88"));
-    (7, ("07f93266c9ba094b265e77af4a80d6ee", "62450e8a138da1209614e20c3dc3f2a7"));
-    (101, ("c56e6d787ef362468a3d0a42d51b417a", "e548e37be1c0cc9e076d10e6fd52b705"));
+    (42, ("6728d9e93e81fe0cffd103e6a4ad1e6b", "1bdb6ec08e414a696f10942b174e4cc0"));
+    (7, ("0e4817c182cf75ed9d9cbd6dffc77f43", "770e03c1a2e2f4e1606d603c8636c495"));
+    (101, ("4cb93e96d176ead71440355d464445e6", "ebf3fbb3a34065dba606cb64db6f2153"));
   ]
 
 let shard_kill_goldens =
   [
-    (42, ("393e7983fa52b5f8f01eba49f924bf5c", "e135300427690044dc93815c4897f012"));
-    (7, ("61e446bbb9ff87d39bb35d848ef40e90", "de3e2b2a888ef0accf23124fc4267f27"));
-    (101, ("47035a312265f8e64df44e7446464ab5", "66d88863d9ebf855ba3e3c01ecf80d84"));
+    (42, ("1de591abde4cbef81942f8b93ded9ee2", "03b537fa65b81266dccc1343211c0ea0"));
+    (7, ("a7f006d00e5896fb34136e1548cde8e2", "e6c369c9f9afeb33c076388c0a594c3d"));
+    (101, ("6dd2980d22abf13578c3968e14bd1a1d", "3d9a7da31b8e43406c21d5acdb3e2fe9"));
   ]
 
 (* The crash storm runs in the background, so a run ends with its
@@ -76,9 +76,9 @@ let shard_kill_goldens =
    run that drained the storm to t = 1e9, only [duration] differs. *)
 let crash_storm_goldens =
   [
-    (42, "2b9c3ad23f90e0736c7d83ac4e17adb7");
-    (7, "39c52f1bb995470c713f43215e34cace");
-    (101, "1c9025e8497ae30b07faf736bf1bd325");
+    (42, "ff5d2fddd599cb0950cddafdb869abba");
+    (7, "eb91719ddb40a2edd654e4099b9795aa");
+    (101, "9b6bcb40b951ef14ab1388212bd54375");
   ]
 
 let test_crash_storm_goldens () =

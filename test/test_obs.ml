@@ -423,9 +423,9 @@ let swarm_faults_params seed =
   }
 
 let test_cluster_dump_pinned () =
-  Alcotest.(check string) "default run" "844eb03a63d74d479b44f77e162cf0c8"
+  Alcotest.(check string) "default run" "8ce95f3b454cf601a085a38aa5bb2f90"
     (dump_digest Store.Cluster.default_params);
-  Alcotest.(check string) "swarm_faults shape" "2cabb347986b18ca15a095fcc567c665"
+  Alcotest.(check string) "swarm_faults shape" "4798c210a42ea3e474a1467c54a62ecf"
     (dump_digest (swarm_faults_params 7))
 
 (* ---------- cluster wiring: determinism, balance, layers ---------- *)

@@ -293,20 +293,20 @@ let test_sharded_io_pinned () =
   let r = Store.Cluster.run (sharded_io_params ~group_commit:true) in
   Alcotest.(check (list string)) "audit clean" [] r.Store.Cluster.audit_violations;
   check_pin "group commit"
-    ( "9878d1ff6e06375722d38095e6a9373a",
-      "ad542d8b5912c917549d83595ec09904",
-      985365,
-      "b6af32191c47081a33e2aae9ab9628e7" )
+    ( "5359f8f759bced1ffee6960c67fa8064",
+      "050575b5836ebb0a2daf3c7c3ee72bc6",
+      967785,
+      "7bc907966bc65f4ed8573519da867eae" )
     r
 
 let test_sharded_io_naive_pinned () =
   let r = Store.Cluster.run (sharded_io_params ~group_commit:false) in
   Alcotest.(check (list string)) "audit clean" [] r.Store.Cluster.audit_violations;
   check_pin "one install per fsync"
-    ( "b6d1af819a06685ef5943e4837005d04",
-      "24979e7729974fcd38de65ed2df04b31",
-      1007545,
-      "4fb17fab779f555fa411a800fef8fb68" )
+    ( "2d84ab21ef03ddfc8be6128923815155",
+      "727e11674127fb6824843c75188afdf2",
+      1002053,
+      "b67ff43ec4d531cac47ea95a29fe9ad1" )
     r
 
 (* ---------- cluster-level amortization ---------- *)
@@ -409,8 +409,6 @@ let test_window_aimd_unit () =
     (after [ 3; 1; 0; 3; 2; 1; 3 ]);
   Alcotest.(check (list (float 0.0))) "and widen again from 0" [ 1.0 ]
     (after [ 4 ]);
-  Alcotest.(check int) "widenings counted" 11 (Window.widenings c);
-  Alcotest.(check int) "shrinkings counted" 9 (Window.shrinkings c);
   (* a fixed config is a pinned controller: busy or idle, the window
      stays put, zero included *)
   List.iter

@@ -325,9 +325,9 @@ let prop_sharded_batched_partitions_audit_clean =
    draws or trace emission changes these strings.  Re-pinned once when
    finished ops began cancelling their deadlines: each trace is the
    old one minus the cancelled timers' [sim/exec] instants. *)
-let golden = [ (42, "c5293795c012429a068ee265d5abf13e", 318646);
-               (7, "eef8212d226c1cd13ec66ca53a2fbc84", 284475);
-               (101, "32de17ec9a0796bdaffaa20644e158cb", 278674) ]
+let golden = [ (42, "a5642c9cdcb3e602fe94b383f8620dbf", 301631);
+               (7, "cfa5131703c6f44223616b855cd3a8f5", 318607);
+               (101, "54e6a572e8f5402ba7f27727284d22cd", 278794) ]
 
 let test_default_trace_golden () =
   List.iter

@@ -355,7 +355,7 @@ let test_burst_demotion_golden () =
   Alcotest.(check bool) "at most one write per client per burst" true
     (r.Store.Cluster.ok_writes + r.Store.Cluster.failed_writes
     <= p.n_clients * (ops / burst));
-  Alcotest.(check string) "digest pinned" "59eed452e17c851467842359f606114b"
+  Alcotest.(check string) "digest pinned" "d0dde40b6cdae622ffa5cc72e64e8736"
     (Store.Cluster.digest r)
 
 (* The health sampler's schedule: how many snapshots, and when the
@@ -380,13 +380,13 @@ let test_health_schedule_pinned () =
       workload = { Store.Workload.default_spec with ops_per_client = 40 };
     }
   in
-  check "single-key" base 104 "0x1.04p+9";
+  check "single-key" base 112 "0x1.18p+9";
   check "txn"
     {
       base with
       txns = Some { Store.Cluster.default_txn_spec with txns_per_client = 10 };
     }
-    68 "0x1.54p+8"
+    66 "0x1.4ap+8"
 
 (* [validate] rejects one bad value per check, and [run] raises with
    the same message; the defaults, empty workloads and the benchmark's

@@ -226,9 +226,9 @@ let test_steer_deterministic_ties () =
    runs changes these. *)
 let golden_defaults =
   [
-    (42, "6709278406f394f62a94d750578776b2");
-    (7, "f4b6e587038731363312faafdc79a177");
-    (101, "9e901ef2879127cb3d8e1078a929516f");
+    (42, "4fd39eb95e3f2609c95a0fa599fea35c");
+    (7, "c3752ed6cbee4d13802c2b90e7c0af15");
+    (101, "232cf56f55bdc161d1cf903a6befae69");
   ]
 
 let default_run ?tune seed =

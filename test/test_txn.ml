@@ -661,13 +661,15 @@ let test_coordinator_kill_ablation () =
 
 (* The Paxos kill-script seeds whose prepared replicas run recovery
    rounds, pinned, with the number of rounds each runs; and for both
-   commit modes, tracing on leaves the digest unchanged. *)
+   commit modes, tracing on leaves the digest unchanged.  Seed 24 is
+   the first that runs two rounds. *)
 let recovery_digests =
   [
-    (11, "fc8824972979d13353d1e92e56469a8d", 1);
-    (12, "728cfd77e4ad001cf92e8dbd5c084206", 2);
-    (14, "19cdbd3aa485b2411cd79316b93cac35", 2);
-    (16, "0a82cfd2e73f09da8c4a181181d9e655", 1);
+    (12, "39cbc74ae85ee597e753bd58b054430a", 1);
+    (14, "e891e6560070160afeef44a4705e1fcd", 1);
+    (15, "c65ddbf3a629cdeb5be4b3a41875365c", 1);
+    (16, "2e481f451e6a4b3c73a586c0317d6f26", 1);
+    (24, "180a825722968c960b005d29c14aa6ef", 2);
   ]
 
 let test_recovery_digests () =
@@ -703,15 +705,15 @@ let test_recovery_digests () =
    abort) carry the txid as rendered for traces, so the pin holds the
    rendered names — and the recovery rounds that name them — fixed. *)
 let traced_kill_run =
-  ("3479dcc41bc8973f41aa1baa3f7bdd96", 1315851)
+  ("5b9dfe1d7dae0a5280f2a0f0f40f7c68", 1147192)
 
 let test_traced_kill_run_pinned () =
-  let p = txn_params ~mode:`Paxos ~seed:11 ~script:kill_script () in
+  let p = txn_params ~mode:`Paxos ~seed:12 ~script:kill_script () in
   let r = Cluster.run { p with Cluster.trace_capacity = 1 lsl 20 } in
   let s = Obs.Export.jsonl r.Cluster.trace in
   let md5, len = traced_kill_run in
   Alcotest.(check (pair string int))
-    "seed 11 jsonl trace (md5, length) pinned" (md5, len)
+    "seed 12 jsonl trace (md5, length) pinned" (md5, len)
     (Digest.to_hex (Digest.string s), String.length s);
   Alcotest.(check bool)
     "the run traces a recovery round" true
@@ -762,9 +764,9 @@ let test_txn_liveness_after_heal () =
    deliberate behaviour change lands. *)
 let golden_digests =
   [
-    (101, "ebea320266d5a1bce01b7bd725f35527");
-    (102, "862a0945f7a77115e9bb1b57551979f5");
-    (103, "54267175f76019bf85a026f913c25f7b");
+    (101, "35f45632e62379fe469e1d85414d65d9");
+    (102, "4c3c5d15d002b6fff6624df87ac84651");
+    (103, "87173aedaa92a6678f91a1751b5ef5ab");
   ]
 
 let test_txn_digest_golden () =

@@ -97,6 +97,41 @@ let test_stale_view_nacked () =
       Core.run sim;
       Alcotest.(check bool) "stale-view read fails" true !read_failed)
 
+(* A replica that has sent its state for a view change serves no
+   older view: a write completing there after the state was collected
+   would be missing from the merged state the new view installs
+   elsewhere.  Without the fence, a write finishing inside the healing
+   view change of E14 left r3/r4 a version behind (stale reads at 45
+   of seeds 1-300). *)
+let test_state_request_fences_old_view () =
+  let sim = Core.create ~seed:5 in
+  let net =
+    Net.create ~sim ~nodes:[ "r0"; "x" ]
+      ~latency:(Net.uniform_latency ~lo:1.0 ~hi:1.0)
+      ()
+  in
+  let view0 = Vp.View.initial ~replicas:[ "r0" ] in
+  let r0 = Vp.Replica.create ~name:"r0" ~initial_view:view0 in
+  Vp.Replica.attach r0 ~net;
+  let replies = ref [] in
+  Net.register net ~node:"x" (fun ~src:_ m -> replies := m :: !replies);
+  let send m = Net.send net ~src:"x" ~dst:"r0" m in
+  send (Vp.Protocol.Read_req { rid = 1; view = 0; key = "k" });
+  Core.run sim;
+  send (Vp.Protocol.State_req { rid = 2; view_id = 1 });
+  Core.run sim;
+  send (Vp.Protocol.Write_req { rid = 3; view = 0; key = "k"; vn = 1; value = 9 });
+  Core.run sim;
+  let nacked rid =
+    List.exists
+      (function Vp.Protocol.Nack { rid = r; _ } -> r = rid | _ -> false)
+      !replies
+  in
+  Alcotest.(check bool) "served before the view change" false (nacked 1);
+  Alcotest.(check bool) "old-view write NACKed after the state request" true
+    (nacked 3);
+  Alcotest.(check int) "write not applied" 0 (fst (Vp.Replica.lookup r0 "k"))
+
 (* ---------- the experiment shapes ---------- *)
 
 let test_experiment_shape () =
@@ -165,6 +200,8 @@ let suites =
         Alcotest.test_case "view change carries state" `Quick
           test_view_change_carries_state;
         Alcotest.test_case "stale view NACKed" `Quick test_stale_view_nacked;
+        Alcotest.test_case "state request fences the old view" `Quick
+          test_state_request_fences_old_view;
         Alcotest.test_case "state snapshot insertion-order free" `Quick
           test_state_insertion_order;
       ] );
