@@ -85,13 +85,15 @@ let run_one shape ~seed script =
        prepared-but-undecided once the script has quiesced is a bug.
        Under 2PC blocked transactions are the expected cost, not a
        violation — the ablation table quantifies them instead. *)
-    match (shape.txn, r.Store.Cluster.blocked_txns) with
-    | Some `Paxos, (_ :: _ as blocked) ->
-        audit
-        @ [ Fmt.str "paxos-commit left %d txn(s) blocked: %s"
-              (List.length blocked)
-              (String.concat "," blocked) ]
-    | _ -> audit
+    match shape.txn with
+    | Some `Paxos -> (
+        match
+          Harness.Check.blocked_after_heal ~script
+            ~blocked:r.Store.Cluster.blocked_txns
+        with
+        | Ok () -> audit
+        | Error e -> audit @ [ e ])
+    | Some `Two_phase | None -> audit
   in
   (* a 2PC run with transactions stranded in doubt is in the protocol's
      documented blocking regime: their locks legitimately starve later

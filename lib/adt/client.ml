@@ -39,7 +39,7 @@ type pending = {
   mutable phase : phase;
   mutable merged : Replica.entry list;
   mutable result : Spec.result;
-  eop : Engine.op;
+  eop : Replica.msg Engine.op;
   on_done : ok:bool -> result:Spec.result -> latency:float -> unit;
 }
 

@@ -513,3 +513,11 @@ let liveness_after_heal ~script ~completions : (unit, string) result =
              "no operation succeeded after the script healed at %.12g (%d \
               completions, all failed)"
              t (List.length after))
+
+let blocked_after_heal ~script ~blocked : (unit, string) result =
+  match (Script.quiesces_at script, blocked) with
+  | None, _ | Some _, [] -> Ok ()
+  | Some _, _ :: _ ->
+      Error
+        (Fmt.str "paxos-commit left %d txn(s) blocked: %s"
+           (List.length blocked) (String.concat "," blocked))

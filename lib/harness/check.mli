@@ -79,3 +79,12 @@ val liveness_after_heal :
     is the run's chronological [(finished_at, ok)] log.  Vacuously
     [Ok] when the script never settles or nothing completes after the
     heal. *)
+
+val blocked_after_heal :
+  script:Script.t -> blocked:string list -> (unit, string) result
+(** Paxos Commit's non-blocking claim: after a script that settles
+    ({!Script.quiesces_at}), no transaction is left prepared but
+    undecided.  [blocked] names the transactions in doubt at the end
+    of the run.  Vacuously [Ok] when the script never settles: a
+    partition that never heals may keep a replica from ever learning
+    the decision, and blocking there is expected. *)

@@ -35,10 +35,12 @@ type 'msg batching = {
   unwrap : 'msg -> 'msg list option;
 }
 
-type op = {
+type 'msg op = {
   mutable o_live : bool;
   o_started : float;
-  mutable o_calls : packed_call list;
+  mutable o_last : 'msg call;
+      (** the op's newest call, chained to the older ones through
+          [c_prev]; the engine's [none] ends the chain *)
   mutable o_deadline : Core.timer;  (** cancelled when the op finishes *)
   o_ctx : Obs.Ctx.t option;
       (** causal trace context: when present, the engine stamps the
@@ -48,13 +50,10 @@ type op = {
           traces byte-identical *)
 }
 
-and packed_call = Call : 'msg call -> packed_call
-
 and 'msg call = {
   rid : int;
-  stamp : int;  (** unique per call — distinguishes a closing call
-                    from a successor that reused its rid *)
-  c_op : op;
+  c_op : 'msg op;
+  c_prev : 'msg call;  (** the op's call started before this one *)
   targets : group;
   first : int;  (** the first wave *)
   mutable sent : int;  (** [first], and every member once hedged *)
@@ -82,8 +81,10 @@ type 'msg t = {
       (** jitter only — never the simulator's PRNG, so retry schedules
           cannot perturb loss/latency draws elsewhere *)
   mutable next_rid : int;
-  mutable next_stamp : int;
   pending : 'msg call Itbl.t;
+  none : 'msg call;
+      (** a closed call of a dead op, never pending: what a lookup of
+          an unbound rid returns, and the end of every op's chain *)
   metrics : Obs.Metrics.t;
   labels : (string * string) list;
   m_retries : Obs.Metrics.counter;
@@ -129,6 +130,36 @@ let check_policy p =
   | Ok () -> ()
   | Error e -> invalid_arg (Fmt.str "Rpc.Engine: invalid policy: %s" e)
 
+let none () =
+  let rec op =
+    {
+      o_live = false;
+      o_started = 0.0;
+      o_last = c;
+      o_deadline = Core.no_timer;
+      o_ctx = None;
+    }
+  and c =
+    {
+      rid = -1;
+      c_op = op;
+      c_prev = c;
+      targets = { names = [||]; ids = [||] };
+      first = 0;
+      sent = 0;
+      heard = 0;
+      attempt = 0;
+      closed = true;
+      make = (fun _ -> invalid_arg "Rpc.Engine: the none call");
+      on_reply = (fun ~member:_ ~heard:_ _ -> Done);
+      span = None;
+      pol = Policy.default;
+      timer = Core.no_timer;
+      hedge = Core.no_timer;
+    }
+  in
+  c
+
 let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     ?(seed = 1) ?metrics ?(extra_labels = []) () =
   check_policy policy;
@@ -146,8 +177,8 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     cat;
     rng = Prng.create seed;
     next_rid = 0;
-    next_stamp = 0;
     pending = Itbl.create 16;
+    none = none ();
     metrics;
     labels;
     m_retries = Obs.Metrics.counter metrics ~labels "rpc.retries";
@@ -389,9 +420,8 @@ let close_call t (c : 'msg call) ~outcome =
     Core.cancel t.sim c.hedge;
     (* remove only our own binding: a caller may reuse the rid for a
        successor call registered before this one closes *)
-    (match Itbl.find_opt t.pending c.rid with
-    | Some c' when c'.stamp = c.stamp -> Itbl.remove t.pending c.rid
-    | _ -> ());
+    if Itbl.find_or t.pending c.rid t.none == c then
+      Itbl.remove t.pending c.rid;
     end_attempt_span t c ~outcome
   end
 
@@ -402,7 +432,7 @@ let start_op ?ctx t ~timeout ~on_timeout =
     {
       o_live = true;
       o_started = Core.now t.sim;
-      o_calls = [];
+      o_last = t.none;
       o_deadline = Core.no_timer;
       o_ctx = ctx;
     }
@@ -417,14 +447,19 @@ let start_op ?ctx t ~timeout ~on_timeout =
 let op_live op = op.o_live
 let op_started op = op.o_started
 
+(* close [c] and the op's calls older than it, newest first *)
+let rec abandon t c =
+  if c != t.none then begin
+    close_call t c ~outcome:"abandoned";
+    abandon t c.c_prev
+  end
+
 let finish_op t op =
   if op.o_live then begin
     op.o_live <- false;
     Core.cancel t.sim op.o_deadline;
-    List.iter
-      (fun (Call c) -> close_call t c ~outcome:"abandoned")
-      op.o_calls;
-    op.o_calls <- []
+    abandon t op.o_last;
+    op.o_last <- t.none
   end
 
 (* ---------- calls ---------- *)
@@ -519,13 +554,11 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply () =
   let rid = match rid with Some r -> r | None -> fresh_rid t in
   let all = (1 lsl n) - 1 in
   let first = match first with Some m -> m land all | None -> all in
-  let stamp = t.next_stamp in
-  t.next_stamp <- stamp + 1;
   let c =
     {
       rid;
-      stamp;
       c_op = op;
+      c_prev = op.o_last;
       targets;
       first;
       sent = first;
@@ -541,7 +574,7 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply () =
     }
   in
   Itbl.replace t.pending rid c;
-  op.o_calls <- Call c :: op.o_calls;
+  op.o_last <- c;
   begin_attempt_span t c;
   send_to t c first;
   arm_attempt_timer t c;
@@ -559,29 +592,30 @@ let rec index_of ids src i =
 
 let member_index (c : 'msg call) src = index_of c.targets.ids src 0
 
+(* A reply whose rid is unbound finds [t.none], which is closed: it
+   is stale, its call finished or superseded. *)
 let handle_one t ~src msg =
-  match Itbl.find_opt t.pending (t.rid_of msg) with
-  | None -> () (* stale reply for a finished or superseded call *)
-  | Some c when not (call_live c) -> ()
-  | Some c -> (
-      let tr = tracer t in
-      if Obs.Trace.enabled tr then
-        Obs.Trace.instant tr ~cat:t.cat ~name:"reply" ~track:t.name
-          ~args:
-            ([
-               ("rid", Obs.Trace.Int c.rid);
-               ("from", Obs.Trace.Str (Net.name t.net src));
-             ]
-            @ ctx_args c)
-          ();
-      let i = member_index c src in
-      if i >= 0 then begin
-        let heard = c.heard in
-        c.heard <- heard lor (1 lsl i);
-        match c.on_reply ~member:i ~heard msg with
-        | Continue -> ()
-        | Done -> close_call t c ~outcome:"done"
-      end)
+  let c = Itbl.find_or t.pending (t.rid_of msg) t.none in
+  if call_live c then begin
+    let tr = tracer t in
+    if Obs.Trace.enabled tr then
+      Obs.Trace.instant tr ~cat:t.cat ~name:"reply" ~track:t.name
+        ~args:
+          ([
+             ("rid", Obs.Trace.Int c.rid);
+             ("from", Obs.Trace.Str (Net.name t.net src));
+           ]
+          @ ctx_args c)
+        ();
+    let i = member_index c src in
+    if i >= 0 then begin
+      let heard = c.heard in
+      c.heard <- heard lor (1 lsl i);
+      match c.on_reply ~member:i ~heard msg with
+      | Continue -> ()
+      | Done -> close_call t c ~outcome:"done"
+    end
+  end
 
 (* Batch replies split into their per-key parts; each part dispatches
    against the pending table under its own original rid. *)

@@ -53,7 +53,7 @@ type 'msg batching = {
 
 type 'msg t
 
-type op
+type 'msg op
 (** An operation context: one user-visible operation (which may span
     several calls — e.g. a write's version query then install), under
     a single overall deadline. *)
@@ -126,7 +126,11 @@ val pending_count : 'msg t -> int
 (** Outstanding calls in the pending table; [0] at quiescence. *)
 
 val start_op :
-  ?ctx:Obs.Ctx.t -> 'msg t -> timeout:float -> on_timeout:(unit -> unit) -> op
+  ?ctx:Obs.Ctx.t ->
+  'msg t ->
+  timeout:float ->
+  on_timeout:(unit -> unit) ->
+  'msg op
 (** Begin an operation and arm its overall deadline: after [timeout]
     time units, if the operation is still live, [on_timeout] runs (it
     should fail the operation and call {!finish_op}).
@@ -139,10 +143,10 @@ val start_op :
     no [ctx] (the default) the emitted events are byte-identical to
     historical runs. *)
 
-val op_live : op -> bool
-val op_started : op -> float
+val op_live : 'msg op -> bool
+val op_started : 'msg op -> float
 
-val finish_op : 'msg t -> op -> unit
+val finish_op : 'msg t -> 'msg op -> unit
 (** Mark the operation dead, cancel its deadline, and drop its
     outstanding calls from the pending table, closing their attempt
     spans and cancelling their timers.  Idempotent; late replies for
@@ -168,7 +172,7 @@ val group_ids : group -> int array
 
 val call :
   'msg t ->
-  op:op ->
+  op:'msg op ->
   ?rid:int ->
   targets:group ->
   ?first:int ->

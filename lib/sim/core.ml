@@ -74,7 +74,9 @@ let[@inline] enqueue t ~delay ~bg (f : unit -> unit) =
       ();
   Heap.add t.queue time ((t.seq lsl 1) lor bg) f
 
-let timer t ~delay f =
+(* inlined, so a delay computed at the call site reaches the queue
+   unboxed *)
+let[@inline] timer t ~delay f =
   let h = enqueue t ~delay ~bg:0 f in
   t.foreground <- t.foreground + 1;
   h

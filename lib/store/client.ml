@@ -54,7 +54,7 @@ type pending = {
   mutable best_value : int;
   mutable replies : (int * int) list;
       (** (replica index, vn) seen — kept only under [read_repair] *)
-  op : Engine.op;  (** engine operation: liveness + overall deadline *)
+  op : Protocol.msg Engine.op;  (** engine operation: liveness + overall deadline *)
   mutable span : Obs.Trace.span option;
       (** the operation's trace span, begun at [start_op] *)
   ctx : Obs.Ctx.t option;

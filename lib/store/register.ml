@@ -72,12 +72,12 @@ let higher cur incoming =
   | Some (b, _, _), Some (a, _, _) when b >= a -> cur
   | _ -> incoming
 
-let index acceptors name =
-  let rec go i = function
-    | [] -> -1
-    | a :: rest -> if String.equal a name then i else go (i + 1) rest
-  in
-  go 0 acceptors
+(* no local closure over [name]: a prepare computes its index *)
+let rec index_from i name = function
+  | [] -> -1
+  | a :: rest -> if String.equal a name then i else index_from (i + 1) name rest
+
+let index acceptors name = index_from 0 name acceptors
 
 let send_all acceptors ~except send msg =
   List.iter

@@ -35,11 +35,16 @@ module Strtbl = Qc_util.Strtbl
 module Inttbl = Qc_util.Inttbl
 module Txid = Qc_util.Txid
 
-(** One key's state: the DM pair, and the id of the txid holding the
-    key's lock ([-1] when free; ids are never negative).  A key's
-    cell, once made, stays in the table for the replica's life, so a
-    prepared entry may hold it. *)
-type cell = { mutable vn : int; mutable value : int; mutable lock : int }
+(** One key's state: its name, the DM pair, and the id of the txid
+    holding the key's lock ([-1] when free; ids are never negative).
+    A key's cell, once made, stays in the table for the replica's
+    life, so a prepared entry may hold it. *)
+type cell = {
+  key : string;
+  mutable vn : int;
+  mutable value : int;
+  mutable lock : int;
+}
 
 type pending = {
   p_vn : int;
@@ -69,8 +74,7 @@ type rec_lead = {
     locked footprint of a yes-vote, held until the decision. *)
 type txn_entry = {
   e_writes : (string * int) list;  (** this shard's (key, value) writes *)
-  e_cells : (string * cell) list;
-      (** the locked footprint, sorted by key, with each key's cell *)
+  e_cells : cell list;  (** the locked footprint's cells, sorted by key *)
   e_kvs : (string * int * int) list;
       (** the (key, vn, value) snapshot the yes-vote carried *)
   e_acceptors : string list;
@@ -167,7 +171,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
   }
 
 (* the state every key starts in; never mutated, never in [data] *)
-let fresh = { vn = 0; value = 0; lock = -1 }
+let fresh = { key = ""; vn = 0; value = 0; lock = -1 }
 
 (* the key's cell, or [fresh] if it has none — for reading only *)
 let find t key = try Strtbl.find t.data key with Not_found -> fresh
@@ -176,7 +180,7 @@ let find t key = try Strtbl.find t.data key with Not_found -> fresh
 let cell t key =
   try Strtbl.find t.data key
   with Not_found ->
-    let c = { vn = 0; value = 0; lock = -1 } in
+    let c = { key; vn = 0; value = 0; lock = -1 } in
     Strtbl.add t.data key c;
     c
 
@@ -184,18 +188,18 @@ let lookup t key =
   let c = find t key in
   (c.vn, c.value)
 
-(* every (key, cell), sorted by key *)
+(* every cell, sorted by key *)
 let cells t =
   (* lint: order-insensitive *)
-  Strtbl.fold (fun k c acc -> (k, c) :: acc) t.data []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Strtbl.fold (fun _ c acc -> c :: acc) t.data []
+  |> List.sort (fun a b -> String.compare a.key b.key)
 
 (* A cell holds a value once an install moved it off the initial
    (0, 0); a cell made only to hold a lock does not. *)
 let bindings t =
   List.filter_map
-    (fun (k, c) ->
-      if c.vn = 0 && c.value = 0 then None else Some (k, c.vn, c.value))
+    (fun c ->
+      if c.vn = 0 && c.value = 0 then None else Some (c.key, c.vn, c.value))
     (cells t)
 
 (** Queries + installs handled — the "load" dimension quorum targeting
@@ -257,7 +261,7 @@ let in_doubt t =
 
 let locked_keys t =
   List.filter_map
-    (fun (k, c) -> if c.lock < 0 then None else Some (k, name_of t c.lock))
+    (fun c -> if c.lock < 0 then None else Some (c.key, name_of t c.lock))
     (cells t)
 
 (* the sim tracer, when the replica is attached — recovery runs on
@@ -273,25 +277,42 @@ let txn_trace tr t ~name ~(txid : Txid.t) ~extra =
     ~args:(("txid", Obs.Trace.Str txid.name) :: extra)
     ()
 
-(* A prepare's footprint as (key, cell) pairs, write keys then read
-   keys, consed in one pass — the sort that follows orders and
-   dedupes it. *)
-let rec footprint t acc writes reads =
+(* [c] in its place among the key-sorted, duplicate-free [cells] *)
+let rec insert c = function
+  | [] -> [ c ]
+  | c' :: rest as cells ->
+      if c == c' then cells
+      else if String.compare c.key c'.key < 0 then c :: cells
+      else c' :: insert c rest
+
+(* A prepare's footprint, the cells of its write keys and then of its
+   read keys, each inserted into the key-sorted, duplicate-free list
+   [acc]: the canonical order [List.sort_uniq] would give, built
+   without the comparator closures a sort allocates per call. *)
+let[@lint.canonical_order] rec footprint t acc writes reads =
   match writes with
-  | (k, _) :: rest -> footprint t ((k, cell t k) :: acc) rest reads
+  | (k, _) :: rest -> footprint t (insert (cell t k) acc) rest reads
   | [] -> (
       match reads with
-      | k :: rest -> footprint t ((k, cell t k) :: acc) [] rest
+      | k :: rest -> footprint t (insert (cell t k) acc) [] rest
       | [] -> acc)
 
 (* does a transaction other than [id] hold a lock in the footprint? *)
 let rec conflicts id = function
   | [] -> false
-  | (_, c) :: rest -> (c.lock >= 0 && c.lock <> id) || conflicts id rest
+  | c :: rest -> (c.lock >= 0 && c.lock <> id) || conflicts id rest
+
+(* Lock a canonically ordered footprint for [id], in its order, and
+   snapshot it as a yes-vote's (key, vn, value) list. *)
+let rec lock_all id = function
+  | [] -> []
+  | c :: rest ->
+      c.lock <- id;
+      (c.key, c.vn, c.value) :: lock_all id rest
 
 (* the cell of [k] in a prepared footprint that holds it *)
 let rec cell_of k = function
-  | (k', c) :: rest -> if String.equal k k' then c else cell_of k rest
+  | c :: rest -> if String.equal k c.key then c else cell_of k rest
   | [] -> raise Not_found
 
 (* Install each of this shard's write keys at its version in the
@@ -314,7 +335,7 @@ and install_decided t cells k = function
 (* release the footprint's locks the transaction [id] holds *)
 let rec unlock id = function
   | [] -> ()
-  | (_, c) :: rest ->
+  | c :: rest ->
       if c.lock = id then c.lock <- -1;
       unlock id rest
 
@@ -705,16 +726,11 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
               (* canonical order: two-phase locking stays deadlock-free
                  only if every multi-key acquisition walks one global
                  key order (the lock-order lint proves this shape) *)
-              let cells =
-                List.sort_uniq
-                  (fun (a, _) (b, _) -> String.compare a b)
-                  (footprint t [] writes reads)
-              in
+              let cells = footprint t [] writes reads in
               if conflicts txid.id cells then
                 reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
               else begin
-                List.iter (fun (_, c) -> c.lock <- txid.id) cells;
-                let kvs = List.map (fun (k, c) -> (k, c.vn, c.value)) cells in
+                let kvs = lock_all txid.id cells in
                 x.prepared <-
                   Some
                     {
@@ -754,13 +770,13 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
           reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
   | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
-      match Inttbl.find_opt t.txns txid.id with
-      | Some x -> lead_on_p1b t x ~src ~bal ~ok ~accepted
-      | None -> ())
+      match Inttbl.find t.txns txid.id with
+      | x -> lead_on_p1b t x ~src ~bal ~ok ~accepted
+      | exception Not_found -> ())
   | Protocol.Txn_p2b { txid; bal; ok; _ } -> (
-      match Inttbl.find_opt t.txns txid.id with
-      | Some x -> lead_on_p2b t x ~src ~bal ~ok
-      | None -> ())
+      match Inttbl.find t.txns txid.id with
+      | x -> lead_on_p2b t x ~src ~bal ~ok
+      | exception Not_found -> ())
   | Protocol.Txn_decide_ack _ ->
       (* a participant acking our recovery broadcast — nothing to do *)
       ()

@@ -104,9 +104,9 @@ let acceptors t shards =
   if Router.n_shards t.router > Engine.max_group then build ()
   else
     let mask = List.fold_left (fun m s -> m lor (1 lsl s)) 0 shards in
-    match Qc_util.Inttbl.find_opt t.acceptor_sets mask with
-    | Some a -> a
-    | None ->
+    match Qc_util.Inttbl.find_or t.acceptor_sets mask [] with
+    | _ :: _ as a -> a
+    | [] ->
         let a = build () in
         Qc_util.Inttbl.replace t.acceptor_sets mask a;
         a
@@ -117,7 +117,7 @@ type part = {
   p_client : Client.t;
   p_writes : (string * int) list;
   p_reads : string list;
-  p_op : Engine.op;
+  p_op : Protocol.msg Engine.op;
   p_base : int;  (** index of the shard's first replica among the acceptors *)
   mutable p_strategy : Strategy.t;
       (** the shard's strategy when the current wave started *)
@@ -394,6 +394,20 @@ let rec on_shard s xs shards =
       if s' = s then x :: on_shard s xs shards else on_shard s xs shards
   | _ -> []
 
+(* [s] in its place in the ascending, duplicate-free [shards] *)
+let rec insert_shard s = function
+  | [] -> [ s ]
+  | s' :: rest as shards ->
+      if s < s' then s :: shards
+      else if s = s' then shards
+      else s' :: insert_shard s rest
+
+(* [shards] with every shard of [more]: the shard set without the
+   concatenation and the comparator closures of a sort *)
+let rec add_shards shards = function
+  | [] -> shards
+  | s :: more -> add_shards (insert_shard s shards) more
+
 (** Run one transaction: read [reads], write [writes] (keys must be
     distinct across the whole footprint).  [on_done] fires exactly
     once — [committed] with the snapshot the transaction read
@@ -410,7 +424,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
   let router = t.router in
   let w_shards = List.map (fun (k, _) -> Router.shard_of router k) writes in
   let r_shards = List.map (Router.shard_of router) reads in
-  let shards = List.sort_uniq Int.compare (w_shards @ r_shards) in
+  let shards = add_shards (add_shards [] w_shards) r_shards in
   (match traced t with
   | Some tr ->
       txn_instant t tr ~name:"txn.begin" ~txid

@@ -17,11 +17,11 @@ let rec find_in k = function
 
 let find t k = find_in k t.buckets.(index t.buckets k)
 
-let rec find_opt_in k = function
-  | Empty -> None
-  | Cons c -> if c.key = k then Some c.data else find_opt_in k c.next
+let rec find_or_in k default = function
+  | Empty -> default
+  | Cons c -> if c.key = k then c.data else find_or_in k default c.next
 
-let find_opt t k = find_opt_in k t.buckets.(index t.buckets k)
+let find_or t k default = find_or_in k default t.buckets.(index t.buckets k)
 
 (* move a chain's cells onto the doubled bucket array *)
 let rec relink buckets = function

@@ -21,7 +21,9 @@ val length : 'a t -> int
 val find : 'a t -> int -> 'a
 (** @raise Not_found if the key is unbound. *)
 
-val find_opt : 'a t -> int -> 'a option
+val find_or : 'a t -> int -> 'a -> 'a
+(** [find_or t k default] is [k]'s binding, or [default] if it has
+    none: a lookup that neither allocates an option nor raises. *)
 
 val replace : 'a t -> int -> 'a -> unit
 (** Bind the key, replacing its binding if it has one. *)

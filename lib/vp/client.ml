@@ -28,7 +28,7 @@ type pending = {
   mutable phase : phase;
   mutable vn : int;
   mutable value : int;
-  op : Engine.op;
+  op : Protocol.msg Engine.op;
   on_done : ok:bool -> vn:int -> value:int -> latency:float -> unit;
 }
 

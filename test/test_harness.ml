@@ -502,6 +502,28 @@ let test_liveness_after_heal () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "non-settling scripts are vacuous: %s" e
 
+(* Paxos Commit's blocking verdict, as the swarm applies it: a
+   transaction left in doubt is a violation once the script has
+   healed, and expected under a partition that never heals, which may
+   keep a replica from ever learning the decision. *)
+let test_blocked_after_heal () =
+  let script s =
+    match Script.of_string s with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let cut = "@189 partition s1:r1,s1:r2/s1:r0,c0,c1,c2" in
+  let never = script cut and heals = script (cut ^ "; @262.6 heal") in
+  let verdict script blocked =
+    match Harness.Check.blocked_after_heal ~script ~blocked with
+    | Ok () -> "ok"
+    | Error e -> e
+  in
+  Alcotest.(check string) "never heals: blocking expected" "ok"
+    (verdict never [ "c2#t10" ]);
+  Alcotest.(check string) "heals: blocking flagged"
+    "paxos-commit left 2 txn(s) blocked: c2#t10,c1#t15"
+    (verdict heals [ "c2#t10"; "c1#t15" ]);
+  Alcotest.(check string) "heals, nothing blocked" "ok" (verdict heals [])
+
 (* ---------- the seed swarm ---------- *)
 
 (* A deliberately broken strategy: read-1/write-1 quorums do not
@@ -667,6 +689,7 @@ let suites =
         Alcotest.test_case "static quorum gate" `Quick test_quorum_ok;
         Alcotest.test_case "liveness after heal" `Quick
           test_liveness_after_heal;
+        Alcotest.test_case "blocked after heal" `Quick test_blocked_after_heal;
       ] );
     ( "harness.swarm",
       [

@@ -247,6 +247,9 @@ let bad_golden =
     (bad_prefix ^ "hidden_random.ml", (5, "effect-taint"));
     (bad_prefix ^ "hidden_random.ml", (6, "effect-taint"));
     (bad_prefix ^ "hidden_random.ml", (7, "effect-taint"));
+    (bad_prefix ^ "recursive_locks.ml", (14, "lock-order"));
+    (bad_prefix ^ "recursive_locks.ml", (22, "lock-order"));
+    (bad_prefix ^ "recursive_locks.ml", (28, "lock-order"));
     (bad_prefix ^ "unsorted_cell_locks.ml", (8, "lock-order"));
     (bad_prefix ^ "unsorted_locks.ml", (8, "lock-order"));
     (bad_prefix ^ "wildcard_handler.ml", (7, "handler-totality"));
@@ -275,6 +278,9 @@ let test_analyze_rule_filters () =
   let only_lock = analyze ~only:[ "lock-order" ] bad_prefix in
   Alcotest.check file_line_rule "--only lock-order"
     [
+      (bad_prefix ^ "recursive_locks.ml", (14, "lock-order"));
+      (bad_prefix ^ "recursive_locks.ml", (22, "lock-order"));
+      (bad_prefix ^ "recursive_locks.ml", (28, "lock-order"));
       (bad_prefix ^ "unsorted_cell_locks.ml", (8, "lock-order"));
       (bad_prefix ^ "unsorted_locks.ml", (8, "lock-order"));
     ]
@@ -282,7 +288,7 @@ let test_analyze_rule_filters () =
   let without_taint = analyze ~exclude:[ "effect-taint" ] bad_prefix in
   Alcotest.(check bool) "--exclude effect-taint greens its canary" true
     (List.for_all (fun f -> f.Report.rule <> "effect-taint") without_taint);
-  Alcotest.(check int) "--exclude drops only that rule" 5
+  Alcotest.(check int) "--exclude drops only that rule" 8
     (List.length without_taint)
 
 (* Report determinism: any input permutation sorts to the same report,

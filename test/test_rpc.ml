@@ -743,6 +743,44 @@ let prop_nemesis_partitions_with_retries_audit_clean =
       | [] -> true
       | v :: _ -> QCheck.Test.fail_report v)
 
+(* Reply dispatch allocates nothing, counted with [Gc.minor_words] as
+   [util.prng]'s words per draw are: the pending-table lookups of a
+   reply that leaves its call open, of one that completes it (and so
+   closes it) and of a stale one (its op finished) build no option. *)
+let test_reply_words () =
+  let sim = Core.create ~seed:9 in
+  let net = Net.create ~sim ~nodes:("c" :: servers) () in
+  let eng = Engine.create ~name:"c" ~sim ~net ~rid_of () in
+  let targets = Engine.group eng (Array.of_list servers) in
+  let on_reply ~member:_ ~heard _ =
+    if heard = 0b11 then Engine.Done else Engine.Continue
+  in
+  let n = 100 in
+  let open_reply = ref 0.0 and done_reply = ref 0.0 and stale = ref 0.0 in
+  let words src msg =
+    let before = Gc.minor_words () in
+    Engine.handle eng ~src msg;
+    Gc.minor_words () -. before
+  in
+  for _ = 1 to n do
+    let op = Engine.start_op eng ~timeout:1e9 ~on_timeout:ignore in
+    let rid = Engine.call eng ~op ~targets ~make:(fun rid -> Req rid) ~on_reply () in
+    let rep = Rep rid in
+    open_reply := !open_reply +. words "s0" rep +. words "s1" rep;
+    done_reply := !done_reply +. words "s2" rep;
+    Alcotest.(check int) "the third reply closed the call" 0
+      (Engine.pending_count eng);
+    Engine.finish_op eng op;
+    stale := !stale +. words "s3" rep
+  done;
+  List.iter
+    (fun (what, w) -> Alcotest.(check (float 0.0)) what 0.0 (w /. float_of_int n))
+    [
+      ("words per reply leaving its call open", !open_reply /. 2.0);
+      ("words per reply completing its call", !done_reply);
+      ("words per stale reply", !stale);
+    ]
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -768,6 +806,8 @@ let suites =
         Alcotest.test_case "over 64 open calls, stale and reused rids" `Quick
           test_many_open_calls;
         Alcotest.test_case "policy validation" `Quick test_policy_validation;
+        Alcotest.test_case "reply dispatch allocates nothing" `Quick
+          test_reply_words;
         Alcotest.test_case "disabling batching mid-flight flushes the queue"
           `Quick test_disable_batching_mid_flight;
         Alcotest.test_case "re-enabled batching waits its own window" `Quick

@@ -781,6 +781,126 @@ let test_txn_digest_golden () =
         Alcotest.(check string) (Fmt.str "seed %d pinned" seed) expect digest)
     golden_digests
 
+(* ---------- the canonical footprint ---------- *)
+
+(* The prepare's footprint builder is the one the lock-order lint
+   trusts as a canonical sort ([@lint.canonical_order]): on any write
+   and read sets, duplicates included, the yes-vote lists exactly the
+   keys [List.sort_uniq] gives, in its order. *)
+let prop_footprint_is_sort_uniq =
+  let key = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 2)) in
+  let gen =
+    QCheck.Gen.(pair (list_size (0 -- 4) (pair key small_nat)) (list_size (0 -- 4) key))
+  in
+  let print =
+    QCheck.Print.(pair (list (pair string int)) (list string))
+  in
+  QCheck.Test.make ~count:500 ~name:"prepare footprint = List.sort_uniq"
+    (QCheck.make ~print gen) (fun (writes, reads) ->
+      let r = Replica.create ~name:"r0" () in
+      match
+        Replica.handle_one r ~tr:tr_off
+          (P.Txn_prepare
+             {
+               rid = 1;
+               txid = tx "f";
+               writes;
+               reads;
+               acceptors = [ "r0" ];
+               paxos = false;
+             })
+      with
+      | Some (P.Txn_vote { yes = true; kvs; _ }) ->
+          List.map (fun (k, _, _) -> k) kvs
+          = List.sort_uniq String.compare (List.map fst writes @ reads)
+      | _ -> false)
+
+(* ---------- allocation budgets ---------- *)
+
+(* Minor-heap words per message served, counted with [Gc.minor_words]
+   as [util.prng]'s words per draw are: the mean over [n] requests to
+   one replica, attached to a network so a Paxos prepare arms its
+   recovery timer, each served through [Replica.serve] with a reply
+   function that allocates nothing.  A count covers the replica's own
+   work and the reply it builds; a fresh txid's record (the txn
+   record, its register and its table cell, 14 words) is part of a
+   prepare's.  The counts repeat exactly; the prepare budgets sit
+   under four words above their counts and the others at theirs, so
+   one more tuple or closure per message fails any of them. *)
+let ignore_reply (_ : P.msg) = ()
+
+let serve_words ?(setup = fun _ _ -> ()) msg =
+  let n = 256 in
+  let sim = Core.create ~seed:1 in
+  let net = Sim.Net.create ~sim ~nodes:[ "r0"; "r1"; "r2" ] () in
+  let r = Replica.create ~name:"r0" () in
+  Replica.attach r ~net;
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    setup r i;
+    let m = msg i in
+    let before = Gc.minor_words () in
+    Replica.serve r ~tr:tr_off ~reply:ignore_reply m;
+    total := !total +. (Gc.minor_words () -. before)
+  done;
+  !total /. float_of_int n
+
+let alloc_txid i = { Qc_util.Txid.id = i; name = Fmt.str "c0#t%d" i }
+
+(* a Paxos prepare writing the first [keys] of c, b, a, unsorted *)
+let alloc_prepare ~keys i =
+  P.Txn_prepare
+    {
+      rid = i;
+      txid = alloc_txid i;
+      writes = List.filteri (fun j _ -> j < keys) [ ("c", i); ("b", i); ("a", i) ];
+      reads = [];
+      acceptors = [ "r0"; "r1"; "r2" ];
+      paxos = true;
+    }
+
+(* before round [i]: abort round [i - 1]'s transaction, freeing its
+   locks *)
+let abort_previous r i =
+  if i > 0 then
+    Replica.serve r ~tr:tr_off ~reply:ignore_reply
+      (P.Txn_decide
+         { rid = i; txid = alloc_txid (i - 1); commit = false; writes = [] })
+
+(* before round [i]: prepare round [i]'s transaction *)
+let prepare_first r i =
+  Replica.serve r ~tr:tr_off ~reply:ignore_reply
+    (alloc_prepare ~keys:1 i)
+
+let test_serve_words () =
+  let budget name ~words ~budget =
+    Alcotest.(check bool)
+      (Fmt.str "%s: %.2f words, budget %.0f" name words budget)
+      true (words <= budget)
+  in
+  let ws i = [ ("c", 1, i) ] in
+  budget "Txn_prepare, 1 key"
+    ~words:(serve_words ~setup:abort_previous (alloc_prepare ~keys:1))
+    ~budget:56.0;
+  budget "Txn_prepare, 3 keys"
+    ~words:(serve_words ~setup:abort_previous (alloc_prepare ~keys:3))
+    ~budget:76.0;
+  budget "Txn_p2a"
+    ~words:
+      (serve_words ~setup:prepare_first (fun i ->
+           P.Txn_p2a
+             { rid = i; txid = alloc_txid i; bal = 0; commit = true; writes = ws i }))
+    ~budget:5.0;
+  budget "Txn_decide"
+    ~words:
+      (serve_words ~setup:prepare_first (fun i ->
+           P.Txn_decide
+             { rid = i; txid = alloc_txid i; commit = true; writes = ws i }))
+    ~budget:4.0;
+  budget "Query_req"
+    ~words:(serve_words (fun i -> P.Query_req { rid = i; key = "a"; ctx = None }))
+    ~budget:5.0
+
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
@@ -807,6 +927,8 @@ let suites =
         Alcotest.test_case "a decided transaction leaves no event" `Quick
           test_decided_txn_leaves_no_event;
         Alcotest.test_case "a full recovery round" `Quick test_recovery_round;
+        qcheck prop_footprint_is_sort_uniq;
+        Alcotest.test_case "words per message served" `Quick test_serve_words;
         Alcotest.test_case "cluster txn smoke (both modes)" `Slow
           test_txn_cluster_smoke;
         Alcotest.test_case "coordinator-kill ablation: 2PC blocks, Paxos not"

@@ -151,20 +151,40 @@ let test_experiment_shape () =
     (rate "B-partitioned" < 0.9);
   Alcotest.(check bool) "primary view restores availability" true
     (rate "C-primary-view" > 0.85);
-  Alcotest.(check bool) "healed view near-perfect" true (rate "D-healed" > 0.95);
-  (* the read-one fast path: VP healthy reads at least as fast as
-     static majority reads *)
-  Alcotest.(check bool) "read-one at least as fast as majority" true
-    (c.vp_read_mean <= c.majority_read_mean +. 0.5)
+  Alcotest.(check bool) "healed view near-perfect" true (rate "D-healed" > 0.95)
 
+(* E14's read-latency claim, over a fixed set of seeds: is a VP read,
+   which asks one member of the view, at least as fast as a static
+   majority read?  It is not.  Under the default lognormal links a
+   read-one round trip is one draw of the sum of two lognormals (mean
+   2e^1.125 = 6.16), while a majority read waits for the third of five
+   round trips, nearer their median; seeds 41-45 measure 6.25 against
+   5.87.  The test pins the claim as false, so a model change that
+   makes it true shows up here and in EXPERIMENTS.md. *)
 let test_experiment_multi_seed () =
-  List.iter
-    (fun seed ->
-      let c = Vp.Experiments.compare ~seed () in
-      Alcotest.(check int)
-        (Fmt.str "seed %d: no stale reads" seed)
-        0 c.Vp.Experiments.stale_reads)
-    [ 41; 42; 43; 44; 45 ]
+  let seeds = [ 41; 42; 43; 44; 45 ] in
+  let runs =
+    List.map
+      (fun seed ->
+        let c = Vp.Experiments.compare ~seed () in
+        Alcotest.(check int)
+          (Fmt.str "seed %d: no stale reads" seed)
+          0 c.Vp.Experiments.stale_reads;
+        c)
+      seeds
+  in
+  let mean f =
+    List.fold_left (fun acc c -> acc +. f c) 0.0 runs
+    /. float_of_int (List.length runs)
+  in
+  let vp = mean (fun c -> c.Vp.Experiments.vp_read_mean)
+  and majority = mean (fun c -> c.Vp.Experiments.majority_read_mean) in
+  Alcotest.(check bool)
+    (Fmt.str
+       "E14 claim false: read-one (%.2f) slower than majority (%.2f) over \
+        seeds 41-45"
+       vp majority)
+    true (vp > majority)
 
 (* Regression for the determinism lint: [Replica.state] is a canonical
    snapshot — hash-bucket order must never leak, so any insertion
