@@ -5,8 +5,7 @@
      lint.exe quorum [--json FILE]
                                  static quorum-intersection check
      lint.exe analyze [OPTS]     whole-program passes over typedtrees
-                                 (effect taint, handler totality,
-                                 lock-order discipline)
+                                 (effect taint, lock-order discipline)
 
    Options:
      --json FILE      also write the findings as JSON

@@ -54,8 +54,8 @@
                         configuration (intersection, minimality,
                         non-domination) without touching the simulation
      lint static        run the whole-program analyzer over lib/
-                        (effect taint, handler totality, lock-order) —
-                        needs the .cmt files of a `dune build`
+                        (effect taint, lock-order) — needs the .cmt
+                        files of a `dune build`
      tune               per-shard strategy report: current strategy,
                         live read fraction over the health window, and
                         the workload-aware optimizer's pick with its
@@ -733,8 +733,7 @@ let () =
             loop ()
         | [ "lint"; "static" ] ->
             (* the whole-program passes (`lint.exe analyze`) over the
-               compiled lib/ tree: effect taint, handler totality,
-               lock-order discipline *)
+               compiled lib/ tree: effect taint, lock-order discipline *)
             (match
                Lint.Analyze.run ~build_dir:"_build/default"
                  ~src_prefixes:[ "lib/" ] ()

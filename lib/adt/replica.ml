@@ -50,7 +50,7 @@ let merge (a : entry list) (b : entry list) : entry list =
 
 let attach t ~(net : msg Sim.Net.t) =
   Sim.Net.register net ~node:t.name (fun ~src m ->
-      match m with
+      match[@warning "@4@8"] m with
       | Pull { rid; key } ->
           t.pulls <- t.pulls + 1;
           Sim.Net.send net ~src:t.name ~dst:src

@@ -2,9 +2,9 @@
     primitives — {!Sim.Net} link cuts and fault filters,
     {!Sim.Failure} injectors — against a running cluster environment.
 
-    Byte-identity contract: the two storm steps and [Kill_shard] are
-    the legacy nemesis knobs, and installing them reproduces the
-    pre-script code paths draw for draw — same PRNG streams (the
+    Byte-identity contract: the two storm steps are the legacy nemesis
+    knobs, and installing them reproduces the pre-script code paths
+    draw for draw — same PRNG streams (the
     bipartition storm derives its generator from [seed lxor 0x9a97],
     the crash storm draws from the simulation PRNG via
     {!Sim.Failure.attach}), same [Core.schedule] call order, same trace
@@ -90,15 +90,11 @@ let install_storm env ~mean ~cycles =
 let fire env injector (action : Script.action) =
   let { sim; net; _ } = env in
   let tracer = Core.tracer sim in
-  (match action with
-  (* the legacy shard-kill emits only its historical instant *)
-  | Script.Kill_shard _ -> ()
-  | _ ->
-      if Obs.Trace.enabled tracer then
-        Obs.Trace.instant tracer ~cat:"harness" ~name:"nemesis.step"
-          ~track:"nemesis"
-          ~args:[ ("step", Obs.Trace.Str (Script.action_label action)) ]
-          ());
+  if Obs.Trace.enabled tracer then
+    Obs.Trace.instant tracer ~cat:"harness" ~name:"nemesis.step"
+      ~track:"nemesis"
+      ~args:[ ("step", Obs.Trace.Str (Script.action_label action)) ]
+      ();
   match action with
   | Script.Partition sides ->
       let rec cut = function
@@ -127,14 +123,6 @@ let fire env injector (action : Script.action) =
       Array.iter (fun r -> Net.crash net r) env.groups.(s)
   | Script.Resume_shard s ->
       Array.iter (fun r -> Net.recover net r) env.groups.(s)
-  | Script.Kill_shard s ->
-      let group = env.groups.(s) in
-      if Obs.Trace.enabled tracer then
-        Obs.Trace.instant tracer ~cat:"store" ~name:"nemesis.shard_kill"
-          ~track:"nemesis"
-          ~args:[ ("shard", Obs.Trace.Int s) ]
-          ();
-      Array.iter (fun r -> Net.crash net r) group
 
 (** Install the script against the environment: timed steps schedule
     their actions, storms start their legacy processes.  Returns every

@@ -1,10 +1,10 @@
 (** The script interpreter: compile a {!Script.t} onto {!Sim.Net} and
     {!Sim.Failure} against a cluster environment.
 
-    Installing the legacy steps ([Bipartition_storm], [Crash_storm],
-    [Kill_shard]) reproduces the pre-script nemesis code paths draw
-    for draw — same PRNG streams, schedule call order and trace
-    instants — so seeded legacy runs digest identically.  Generic
+    Installing the legacy steps ([Bipartition_storm], [Crash_storm])
+    reproduces the pre-script nemesis code paths draw for draw — same
+    PRNG streams, schedule call order and trace instants — so seeded
+    legacy runs digest identically.  Generic
     timed steps are new behaviour and emit their own ["nemesis.step"]
     instants. *)
 

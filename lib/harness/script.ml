@@ -8,8 +8,8 @@
     [Cluster.params.partitions]) and the exponential crash/recover
     process ([Crash_storm], the former [failures]).  The legacy knobs
     are now thin constructors over scripts ({!of_partitions},
-    {!of_failures}, {!of_shard_kill}), and compiling them through the
-    interpreter reproduces the historical runs byte for byte.
+    {!of_failures}, {!of_shard_kill}); compiling the two storms through
+    the interpreter reproduces the historical runs byte for byte.
 
     Scripts print to and parse from a compact one-line format, so a
     failing fuzzer seed turns into a copy-pasteable repro:
@@ -34,10 +34,6 @@ type action =
   | Loss of float  (** set the network-wide loss probability *)
   | Pause_shard of int  (** crash every replica of the shard *)
   | Resume_shard of int  (** recover every replica of the shard *)
-  | Kill_shard of int
-      (** crash every replica of the shard for good (the legacy
-          [shard_kill] nemesis — no later resume is scheduled, though a
-          [Resume_shard] step may still revive it) *)
 
 type step =
   | At of float * action  (** fire the action at this virtual time *)
@@ -69,7 +65,6 @@ let action_label = function
   | Loss p -> Fmt.str "loss %s" (float_str p)
   | Pause_shard s -> Fmt.str "pause-shard %d" s
   | Resume_shard s -> Fmt.str "resume-shard %d" s
-  | Kill_shard s -> Fmt.str "kill-shard %d" s
 
 let step_label = function
   | At (t, a) -> Fmt.str "@%s %s" (float_str t) (action_label a)
@@ -120,11 +115,11 @@ let parse_link what s =
           String.sub s (i + 1) (String.length s - i - 1) )
   | _ -> Error (Fmt.str "%s must look like SRC>DST (got %S)" what s)
 
-let parse_kv what key s =
+let parse_kv parse what key s =
   let pre = key ^ "=" in
   let n = String.length pre in
   if String.length s > n && String.sub s 0 n = pre then
-    parse_float (Fmt.str "%s %s" what key) (String.sub s n (String.length s - n))
+    parse (Fmt.str "%s %s" what key) (String.sub s n (String.length s - n))
   else Error (Fmt.str "%s expects %s=VALUE (got %S)" what key s)
 
 let parse_action = function
@@ -153,9 +148,6 @@ let parse_action = function
   | [ "resume-shard"; s ] ->
       let* s = parse_int "resume-shard" s in
       Ok (Resume_shard s)
-  | [ "kill-shard"; s ] ->
-      let* s = parse_int "kill-shard" s in
-      Ok (Kill_shard s)
   | tokens ->
       Error (Fmt.str "unknown action %S" (String.concat " " tokens))
 
@@ -175,12 +167,12 @@ let parse_step s =
       let* mean, cycles =
         match args with
         | [ m ] ->
-            let* m = parse_kv "storm" "mean" m in
+            let* m = parse_kv parse_float "storm" "mean" m in
             Ok (m, 64)
         | [ m; c ] ->
-            let* m = parse_kv "storm" "mean" m in
-            let* c = parse_kv "storm" "cycles" c in
-            Ok (m, int_of_float c)
+            let* m = parse_kv parse_float "storm" "mean" m in
+            let* c = parse_kv parse_int "storm" "cycles" c in
+            Ok (m, c)
         | _ -> Error "storm expects mean=M [cycles=K]"
       in
       Ok (Some (Bipartition_storm { mean; cycles }))
@@ -188,8 +180,8 @@ let parse_step s =
       let* mtbf, mttr =
         match args with
         | [ a; b ] ->
-            let* a = parse_kv "faults" "mtbf" a in
-            let* b = parse_kv "faults" "mttr" b in
+            let* a = parse_kv parse_float "faults" "mtbf" a in
+            let* b = parse_kv parse_float "faults" "mttr" b in
             Ok (a, b)
         | _ -> Error "faults expects mtbf=A mttr=B"
       in
@@ -260,7 +252,7 @@ let validate_action ~groups ~clients = function
   | Link_clear { src; dst } -> link ~groups ~clients "unfilter: " src dst
   | Loss p ->
       if p >= 0.0 && p < 1.0 then Ok () else Error "loss must be in [0, 1)"
-  | Pause_shard s | Resume_shard s | Kill_shard s ->
+  | Pause_shard s | Resume_shard s ->
       let n_shards = Array.length groups in
       if s < 0 then Error "shard index must be >= 0"
       else if s >= n_shards then
@@ -296,7 +288,7 @@ let validate ~groups ~clients (s : t) =
 
 let of_partitions mean : t = [ Bipartition_storm { mean; cycles = 64 } ]
 let of_failures spec : t = [ Crash_storm spec ]
-let of_shard_kill (s, at) : t = [ At (at, Kill_shard s) ]
+let of_shard_kill (s, at) : t = [ At (at, Pause_shard s) ]
 
 (* Order matters for byte-identity: the pre-script cluster installed
    failures, then partitions, then shard_kill, so the compiled steps
@@ -309,8 +301,7 @@ let of_legacy ?failures ?partitions ?shard_kill () : t =
 (* ---------- shape queries ---------- *)
 
 let disruptive = function
-  | Partition _ | Crash _ | Link_filter _ | Pause_shard _ | Kill_shard _ ->
-      true
+  | Partition _ | Crash _ | Link_filter _ | Pause_shard _ -> true
   | Loss p -> p > 0.0
   | Heal | Recover _ | Link_clear _ | Resume_shard _ -> false
 
@@ -318,7 +309,7 @@ let disruptive = function
     — the last step is restorative ([Heal], [Recover], [Resume_shard],
     [Link_clear], [Loss 0]) and nothing disruptive or stochastic fires
     later.  [None] when the script never settles (storms, a
-    [Kill_shard], a [Crash] without a later [Recover]...). *)
+    [Pause_shard] or a [Crash] without a later resume or [Recover]...). *)
 let quiesces_at (s : t) : float option =
   let has_storm =
     List.exists

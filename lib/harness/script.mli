@@ -24,9 +24,6 @@ type action =
   | Loss of float  (** set the network-wide loss probability *)
   | Pause_shard of int  (** crash every replica of the shard *)
   | Resume_shard of int  (** recover every replica of the shard *)
-  | Kill_shard of int
-      (** crash every replica of the shard for good (the legacy
-          [shard_kill] nemesis) *)
 
 type step =
   | At of float * action  (** fire the action at this virtual time *)
@@ -66,7 +63,8 @@ val of_failures : Sim.Failure.spec -> t
 (** The legacy [failures = Some spec] knob as a script. *)
 
 val of_shard_kill : int * float -> t
-(** The legacy [shard_kill = Some (shard, at)] knob as a script. *)
+(** The legacy [shard_kill = Some (shard, at)] knob as a script: a
+    [Pause_shard] at [at] with no resume. *)
 
 val of_legacy :
   ?failures:Sim.Failure.spec ->
@@ -85,8 +83,8 @@ val quiesces_at : t -> float option
 (** The virtual time after which the script provably leaves the
     cluster healed: every disruptive step is undone by a later
     restorative one and nothing fires afterwards.  [None] when the
-    script never settles (storms, a [Kill_shard], a [Crash] without a
-    matching [Recover], ...). *)
+    script never settles (storms, a [Pause_shard] or a [Crash] without
+    a matching resume or [Recover], ...). *)
 
 val shrink : t -> t list
 (** Strictly smaller candidate scripts for failure minimization: each

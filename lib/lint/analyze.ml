@@ -2,10 +2,9 @@
 
     [run] loads every compiled unit under the build directory whose
     source lives under the requested prefixes (default [lib/]), builds
-    the call graph once, and runs the three passes:
+    the call graph once, and runs the two passes:
 
     - {!Taint} — interprocedural effect taint with call chains;
-    - {!Totality} — protocol handler/codec totality;
     - {!Lockorder} — canonical-sort domination of lock loops.
 
     Pragma scanning reuses the lexical scheme of the syntactic lint
@@ -15,7 +14,7 @@
     {!Report.sort}, so the text and JSON reports are byte-identical
     across runs. *)
 
-let all_rules = [ Taint.rule; Totality.rule; Lockorder.rule ]
+let all_rules = [ Taint.rule; Lockorder.rule ]
 
 (** Resolve a recorded source path against the build dir (dune copies
     sources into the build context, so [_build/default/lib/...] exists
@@ -62,7 +61,6 @@ let run ?(only = []) ?(exclude = []) ~build_dir ~src_prefixes () :
       in
       let findings =
         (if wanted Taint.rule then Taint.run ~graph ~pragmas_of else [])
-        @ (if wanted Totality.rule then Totality.run ~units ~pragmas_of else [])
         @ if wanted Lockorder.rule then Lockorder.run ~units ~pragmas_of else []
       in
       Ok (Report.sort findings)

@@ -23,10 +23,6 @@ val node : t -> string -> node option
 val nodes_in_order : t -> node list
 (** All nodes, in deterministic definition order. *)
 
-val pat_vars :
-  'k Typedtree.general_pattern -> (Ident.t * Location.t) list
-(** Variables bound by a binding pattern, in source order. *)
-
 val build : Typed.unit_info list -> t
 
 val callers : t -> (string, string list) Hashtbl.t

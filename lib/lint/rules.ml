@@ -54,7 +54,6 @@ let pragma_allowlist =
 let analyze_pragmas =
   [
     ("taint-ok", "effect-taint");
-    ("totality-ok", "handler-totality");
     ("lockorder-ok", "lock-order");
   ]
 

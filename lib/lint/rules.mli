@@ -28,7 +28,7 @@ val pragma_allowlist : (string * string) list
 
 val analyze_pragmas : (string * string) list
 (** Pragma token -> the whole-program analyze rule it silences
-    ([taint-ok], [totality-ok], [lockorder-ok]).  Known to the
+    ([taint-ok], [lockorder-ok]).  Known to the
     per-file lint (never [unknown-pragma] / [unused-pragma]); applied
     by {!Analyze}. *)
 

@@ -62,11 +62,11 @@ type msg =
       writes : (string * int * int) list;  (** full write set, final vns *)
     }
   | Txn_decide_ack of { rid : int; txid : Qc_util.Txid.t; applied : bool }
-[@@lint.protocol]
-(* The [@@lint.protocol] attribute makes this type a static contract:
-   `lint.exe analyze` verifies that the replica dispatch matches every
-   constructor without a wildcard — adding a frame without teaching the
-   replica about it is a build-gate failure, not a silent drop. *)
+(* A static contract: [Replica.serve] and [serve_parts] match this type
+   under [@warning "@4@8"], so a wildcard arm (fragile match, warning 4)
+   or a missing constructor (partial match, warning 8) fails the build —
+   adding a frame without teaching the replica about it is a compile
+   error, not a silent drop. *)
 
 let rid = function
   | Query_req { rid; _ } | Query_rep { rid; _ } | Install_req { rid; _ }

@@ -640,8 +640,10 @@ let no_reply (_ : Protocol.msg) = ()
    asynchronously (a pipelined install acks after its group's fsync; a
    batch frame replies when its last part has).  Non-requests get no
    reply.  [src] identifies the sender — recovery-leader bookkeeping
-   (phase-1b/2b quorum counting) needs it; request handling does not. *)
-let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
+   (phase-1b/2b quorum counting) needs it; request handling does not.
+   The warning attribute turns a wildcard arm or a missing frame, here
+   and in [serve_parts], into a compile error (see [Protocol.msg]). *)
+let[@warning "@4@8"] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
     msg =
   match msg with
   | Protocol.Query_req { rid; key; ctx } -> reply (query t ~tr ~rid ~key ~ctx)
@@ -787,7 +789,7 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
 (* Serve a batch frame's parts from the [i]th on.  A query answers in
    place; every other request answers through its slot, possibly
    later. *)
-and serve_parts t ~src ~tr fr i = function
+and[@warning "@4@8"] serve_parts t ~src ~tr fr i = function
   | [] -> ()
   | part :: rest ->
       (match part with

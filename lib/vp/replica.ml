@@ -40,7 +40,7 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
   Sim.Net.register net ~node:t.name (fun ~src msg ->
       let reply m = Sim.Net.send net ~src:t.name ~dst:src m in
       let stale view = view <> t.view.View.id || view < t.fence in
-      match msg with
+      match[@warning "@4@8"] msg with
       | Protocol.Read_req { rid; view; key } ->
           if stale view then begin
             t.nacks <- t.nacks + 1;
