@@ -110,8 +110,17 @@ let render ~label names =
       Fmt.pr "%s%-40s %s@." indent name (label t))
     names
 
+(* [figures.exe [fig1|fig2|both]]: exit 1 if the Theorem 10 check
+   fails, 2 on any other argument *)
 let () =
-  let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "both" in
+  let which =
+    match Array.to_list Sys.argv with
+    | [ _ ] -> "both"
+    | [ _; ("fig1" | "fig2" | "both" as w) ] -> w
+    | _ ->
+        Fmt.epr "usage: figures.exe [fig1|fig2|both]@.";
+        exit 2
+  in
   let d = description in
   let run = Quorum.Harness.run_b ~abort_rate:0.0 ~seed:2 d in
   let beta = run.System.schedule in
@@ -131,4 +140,6 @@ let () =
   (* the live proof: alpha replays on A *)
   match Quorum.Simulation.check d beta with
   | Ok _ -> Fmt.pr "Theorem 10 check on this run: OK@."
-  | Error e -> Fmt.pr "Theorem 10 check FAILED: %s@." e
+  | Error e ->
+      Fmt.pr "Theorem 10 check FAILED: %s@." e;
+      exit 1

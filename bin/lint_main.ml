@@ -4,8 +4,8 @@
      lint.exe [OPTS] PATH...     lint every .ml under PATHs (parse trees)
      lint.exe quorum [--json FILE]
                                  static quorum-intersection check
-     lint.exe analyze [OPTS]     whole-program passes over typedtrees
-                                 (effect taint, lock-order discipline)
+     lint.exe analyze [OPTS]     whole-program pass over typedtrees
+                                 (effect taint)
 
    Options:
      --json FILE      also write the findings as JSON
@@ -16,6 +16,9 @@
      --src PREFIX     analyze: only units whose source path starts with
                       PREFIX (repeatable; default lib/)
 
+   --only/--exclude must name rules of the chosen mode and leave it at
+   least one to run; --build/--src belong to analyze alone.
+
    Exit codes: 0 clean, 1 findings/violations, 2 usage or I/O error.
 
    The code lint walks parse trees (compiler-libs) for the three
@@ -24,8 +27,8 @@
    read/write and write/write intersection, minimality and
    non-domination for every shipped configuration family without
    running the simulator; the analyze subcommand reads the typedtrees
-   dune already produced and proves the interprocedural protocol
-   invariants.  See DESIGN.md sections 12 and 17. *)
+   dune already produced and traces banned effects through the call
+   graph.  See DESIGN.md sections 12 and 17. *)
 
 let usage () =
   Fmt.epr
@@ -45,7 +48,7 @@ type opts = {
   json : string option;
   only : string list;
   exclude : string list;
-  build : string;
+  build : string option;
   srcs : string list;  (** reversed; empty means default *)
   operands : string list;
 }
@@ -59,20 +62,19 @@ let parse_opts args =
     | "--only" :: rule :: rest -> go { o with only = rule :: o.only } rest
     | "--exclude" :: rule :: rest ->
         go { o with exclude = rule :: o.exclude } rest
-    | "--build" :: dir :: rest -> go { o with build = dir } rest
+    | "--build" :: dir :: rest -> go { o with build = Some dir } rest
     | "--src" :: prefix :: rest -> go { o with srcs = prefix :: o.srcs } rest
     | [ ("--json" | "--only" | "--exclude" | "--build" | "--src") ] ->
         usage ()
     | a :: rest -> go { o with operands = a :: o.operands } rest
   in
   go
-    { json = None; only = []; exclude = []; build = "_build/default";
-      srcs = []; operands = [] }
+    { json = None; only = []; exclude = []; build = None; srcs = [];
+      operands = [] }
     args
 
-(* every rule id either mode can emit — a typo'd --only RULE is a
-   usage error, not a silently-empty report *)
-let known_rules =
+(* the rule ids the per-file lint emits *)
+let lint_rules =
   [
     Lint.Rules.rule_effect;
     Lint.Rules.rule_hashtbl;
@@ -81,23 +83,26 @@ let known_rules =
     Lint.Rules.rule_unknown_pragma;
     Lint.Rules.rule_unused_pragma;
   ]
-  @ Lint.Analyze.all_rules
 
-let check_rules names =
+let wanted o rule =
+  (o.only = [] || List.mem rule o.only) && not (List.mem rule o.exclude)
+
+(* A filter must name rules of the mode that runs and leave it one to
+   run: otherwise a typo'd or foreign --only RULE, or a mode filtered
+   down to nothing, would report "clean" having checked nothing. *)
+let check_rules ~mode ~rules o =
   List.iter
     (fun r ->
-      if not (List.mem r known_rules) then begin
-        Fmt.epr "lint: unknown rule %S (known: %s)@." r
-          (String.concat ", " known_rules);
+      if not (List.mem r rules) then begin
+        Fmt.epr "lint: %s has no rule %S (its rules: %s)@." mode r
+          (String.concat ", " rules);
         exit 2
       end)
-    names
-
-let filter_findings ~only ~exclude findings =
-  List.filter
-    (fun (f : Lint.Report.finding) ->
-      (only = [] || List.mem f.rule only) && not (List.mem f.rule exclude))
-    findings
+    (o.only @ o.exclude);
+  if not (List.exists (wanted o) rules) then begin
+    Fmt.epr "lint: --only/--exclude leave %s no rule to run@." mode;
+    exit 2
+  end
 
 let report ~json ~label findings =
   Option.iter (fun file -> write_file file (Lint.Report.to_json findings)) json;
@@ -122,24 +127,31 @@ let run_quorum json =
   exit (if summary.Lint.Quorum_check.violations = [] then 0 else 1)
 
 let run_lint o =
-  check_rules (o.only @ o.exclude);
+  check_rules ~mode:"lint" ~rules:lint_rules o;
+  if o.build <> None || o.srcs <> [] then begin
+    Fmt.epr "lint: --build and --src apply to analyze only@.";
+    exit 2
+  end;
   match Lint.Rules.lint_paths o.operands with
   | Error e ->
       Fmt.epr "lint: %s@." e;
       exit 2
   | Ok findings ->
-      let findings = filter_findings ~only:o.only ~exclude:o.exclude findings in
+      let findings =
+        List.filter (fun (f : Lint.Report.finding) -> wanted o f.rule) findings
+      in
       report ~json:o.json ~label:(String.concat " " o.operands) findings
 
 let run_analyze o =
-  check_rules (o.only @ o.exclude);
+  check_rules ~mode:"analyze" ~rules:Lint.Analyze.all_rules o;
   if o.operands <> [] then usage ();
   let src_prefixes =
     match o.srcs with [] -> [ "lib/" ] | l -> List.rev l
   in
+  let build_dir = Option.value o.build ~default:"_build/default" in
   match
-    Lint.Analyze.run ~only:o.only ~exclude:o.exclude ~build_dir:o.build
-      ~src_prefixes ()
+    Lint.Analyze.run ~only:o.only ~exclude:o.exclude ~build_dir ~src_prefixes
+      ()
   with
   | Error e ->
       Fmt.epr "lint: %s@." e;
@@ -153,7 +165,9 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | "quorum" :: rest -> (
       match parse_opts rest with
-      | { operands = []; only = []; exclude = []; json; _ } -> run_quorum json
+      | { operands = []; only = []; exclude = []; build = None; srcs = [];
+          json } ->
+          run_quorum json
       | _ -> usage ())
   | "analyze" :: rest -> run_analyze (parse_opts rest)
   | args -> (

@@ -54,8 +54,8 @@
                         configuration (intersection, minimality,
                         non-domination) without touching the simulation
      lint static        run the whole-program analyzer over lib/
-                        (effect taint, lock-order) — needs the .cmt
-                        files of a `dune build`
+                        (effect taint) — needs the .cmt files of a
+                        `dune build`
      tune               per-shard strategy report: current strategy,
                         live read fraction over the health window, and
                         the workload-aware optimizer's pick with its
@@ -732,8 +732,8 @@ let () =
                      shard — decided-version uniqueness holds@.");
             loop ()
         | [ "lint"; "static" ] ->
-            (* the whole-program passes (`lint.exe analyze`) over the
-               compiled lib/ tree: effect taint, lock-order discipline *)
+            (* the whole-program pass (`lint.exe analyze`) over the
+               compiled lib/ tree: effect taint *)
             (match
                Lint.Analyze.run ~build_dir:"_build/default"
                  ~src_prefixes:[ "lib/" ] ()

@@ -2,19 +2,16 @@
 
     [run] loads every compiled unit under the build directory whose
     source lives under the requested prefixes (default [lib/]), builds
-    the call graph once, and runs the two passes:
-
-    - {!Taint} — interprocedural effect taint with call chains;
-    - {!Lockorder} — canonical-sort domination of lock loops.
+    the call graph once, and runs {!Taint}, the interprocedural effect
+    taint with call chains.
 
     Pragma scanning reuses the lexical scheme of the syntactic lint
-    ({!Rules.scan_pragma_lines}): each pass consults the pragma lines
-    of the file it is about to report on, through a shared per-file
-    cache.  Findings come back sorted and deduplicated by
-    {!Report.sort}, so the text and JSON reports are byte-identical
-    across runs. *)
+    ({!Rules.scan_pragma_lines}): the pass consults the pragma lines of
+    the file it is about to report on, through a per-file cache.
+    Findings come back sorted and deduplicated by {!Report.sort}, so
+    the text and JSON reports are byte-identical across runs. *)
 
-let all_rules = [ Taint.rule; Lockorder.rule ]
+let all_rules = [ Taint.rule ]
 
 (** Resolve a recorded source path against the build dir (dune copies
     sources into the build context, so [_build/default/lib/...] exists
@@ -41,7 +38,7 @@ let run ?(only = []) ?(exclude = []) ~build_dir ~src_prefixes () :
            (if List.length src_prefixes = 1 then "" else "es")
            (String.concat ", " src_prefixes))
     else begin
-      (* shared per-file pragma cache *)
+      (* per-file pragma cache *)
       let cache : (string, (int * string) list) Hashtbl.t = Hashtbl.create 32 in
       let pragmas_of src =
         match Hashtbl.find_opt cache src with
@@ -60,8 +57,7 @@ let run ?(only = []) ?(exclude = []) ~build_dir ~src_prefixes () :
         (only = [] || List.mem rule only) && not (List.mem rule exclude)
       in
       let findings =
-        (if wanted Taint.rule then Taint.run ~graph ~pragmas_of else [])
-        @ if wanted Lockorder.rule then Lockorder.run ~units ~pragmas_of else []
+        if wanted Taint.rule then Taint.run ~graph ~pragmas_of else []
       in
       Ok (Report.sort findings)
     end

@@ -1,9 +1,9 @@
 (** The whole-program analyzer ([lint.exe analyze]): loads typedtrees
-    from a build directory and runs the {!Taint} and {!Lockorder}
-    passes.  See DESIGN.md section 17. *)
+    from a build directory and runs the {!Taint} pass.  See DESIGN.md
+    section 17. *)
 
 val all_rules : string list
-(** The analyze rule ids: [effect-taint], [lock-order]. *)
+(** The analyze rule ids: [effect-taint]. *)
 
 val run :
   ?only:string list ->

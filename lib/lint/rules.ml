@@ -51,11 +51,7 @@ let pragma_allowlist =
     them as known (no [unknown-pragma]) and never reports them unused
     — whether they silence anything is the analyzer's question, not
     this file walk's. *)
-let analyze_pragmas =
-  [
-    ("taint-ok", "effect-taint");
-    ("lockorder-ok", "lock-order");
-  ]
+let analyze_pragmas = [ ("taint-ok", "effect-taint") ]
 
 (* ---------- pragma scanning (comments are not in the AST) ---------- *)
 

@@ -28,9 +28,8 @@ val pragma_allowlist : (string * string) list
 
 val analyze_pragmas : (string * string) list
 (** Pragma token -> the whole-program analyze rule it silences
-    ([taint-ok], [lockorder-ok]).  Known to the
-    per-file lint (never [unknown-pragma] / [unused-pragma]); applied
-    by {!Analyze}. *)
+    ([taint-ok]).  Known to the per-file lint (never [unknown-pragma] /
+    [unused-pragma]); applied by {!Analyze}. *)
 
 val default_exempt : string -> bool
 (** The one path allowed ambient effects: [lib/util/prng.ml]. *)

@@ -105,22 +105,3 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 let col_of (loc : Location.t) =
   loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol
-
-(** [resolves_to ~unit_ ~names e] holds when the identifier [e]
-    resolves (by uid — alias-proof) to [unit_.<one of names>]:
-    e.g. [module E = List let _ = E.iter] still resolves to
-    ["Stdlib__List", "iter"]. *)
-let resolves_to ~unit_ ~names (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, vd) -> (
-      match uid_unit vd.Types.val_uid with
-      | Some cu -> String.equal cu unit_ && List.mem (Path.last p) names
-      | None -> false)
-  | _ -> false
-
-(** Does an attribute list carry [lint.<name>]? *)
-let has_attr attrs name =
-  let target = "lint." ^ name in
-  List.exists
-    (fun (a : Parsetree.attribute) -> String.equal a.Parsetree.attr_name.Location.txt target)
-    attrs

@@ -20,12 +20,3 @@ val uid_unit : Shape.Uid.t -> string option
 
 val line_of : Location.t -> int
 val col_of : Location.t -> int
-
-val resolves_to :
-  unit_:string -> names:string list -> Typedtree.expression -> bool
-(** Whether an identifier expression resolves — by uid, so through any
-    module alias — to one of [names] defined in compilation unit
-    [unit_] (e.g. [~unit_:"Stdlib__List" ~names:["iter"]]). *)
-
-val has_attr : Parsetree.attributes -> string -> bool
-(** Whether an attribute list carries [lint.<name>]. *)

@@ -38,13 +38,105 @@ module Txid = Qc_util.Txid
 (** One key's state: its name, the DM pair, and the id of the txid
     holding the key's lock ([-1] when free; ids are never negative).
     A key's cell, once made, stays in the table for the replica's
-    life, so a prepared entry may hold it. *)
-type cell = {
-  key : string;
-  mutable vn : int;
-  mutable value : int;
-  mutable lock : int;
-}
+    life, so a prepared entry may hold it.
+
+    The lock discipline is this signature.  Outside [Cell] the fields
+    are read-only, so a lock is taken only by [lock_all], over a
+    [footprint]; and only [footprint] makes one (a [t list] does not
+    coerce to it), in key order without duplicates.  Every multi-key
+    acquisition thus walks one global key order, which keeps the
+    prepare's two-phase locking deadlock-free.  Any new lock must go
+    through here. *)
+module Cell : sig
+  type t = private {
+    key : string;
+    mutable vn : int;
+    mutable value : int;
+    mutable lock : int;
+  }
+
+  type footprint = private t list
+
+  val fresh : t
+  (** the state every key starts in; never mutated, never in a table *)
+
+  val get : t Strtbl.t -> string -> t
+  (** the key's cell, made on first use *)
+
+  val install : t -> vn:int -> value:int -> unit
+  (** overwrite the pair when [vn] is at least the stored one *)
+
+  val footprint :
+    t Strtbl.t -> (string * int) list -> string list -> footprint
+  (** the cells of the write keys, then of the read keys, sorted by
+      key and without duplicates *)
+
+  val lock_all : int -> footprint -> (string * int * int) list
+  (** lock every cell for the txid id, in order, and snapshot them as
+      a yes-vote's (key, vn, value) list *)
+
+  val unlock : int -> footprint -> unit
+  (** release the cells' locks the txid id holds *)
+end = struct
+  type t = {
+    key : string;
+    mutable vn : int;
+    mutable value : int;
+    mutable lock : int;
+  }
+
+  type footprint = t list
+
+  let fresh = { key = ""; vn = 0; value = 0; lock = -1 }
+
+  let get data key =
+    try Strtbl.find data key
+    with Not_found ->
+      let c = { key; vn = 0; value = 0; lock = -1 } in
+      Strtbl.add data key c;
+      c
+
+  let install c ~vn ~value =
+    if vn >= c.vn then begin
+      c.vn <- vn;
+      c.value <- value
+    end
+
+  (* [c] in its place among the key-sorted, duplicate-free [cells] *)
+  let rec insert c = function
+    | [] -> [ c ]
+    | c' :: rest as cells ->
+        if c == c' then cells
+        else if String.compare c.key c'.key < 0 then c :: cells
+        else c' :: insert c rest
+
+  (* Each cell is inserted into the key-sorted, duplicate-free [acc]:
+     the canonical order [List.sort_uniq] would give, built without
+     the comparator closures a sort allocates per call. *)
+  let rec build data acc writes reads =
+    match writes with
+    | (k, _) :: rest -> build data (insert (get data k) acc) rest reads
+    | [] -> (
+        match reads with
+        | k :: rest -> build data (insert (get data k) acc) [] rest
+        | [] -> acc)
+
+  let footprint data writes reads = build data [] writes reads
+
+  let rec lock_all id = function
+    | [] -> []
+    | c :: rest ->
+        c.lock <- id;
+        (c.key, c.vn, c.value) :: lock_all id rest
+
+  let rec unlock id = function
+    | [] -> ()
+    | c :: rest ->
+        if c.lock = id then c.lock <- -1;
+        unlock id rest
+end
+
+type cell = Cell.t
 
 type pending = {
   p_vn : int;
@@ -74,7 +166,7 @@ type rec_lead = {
     locked footprint of a yes-vote, held until the decision. *)
 type txn_entry = {
   e_writes : (string * int) list;  (** this shard's (key, value) writes *)
-  e_cells : cell list;  (** the locked footprint's cells, sorted by key *)
+  e_cells : Cell.footprint;  (** the locked footprint's cells *)
   e_kvs : (string * int * int) list;
       (** the (key, vn, value) snapshot the yes-vote carried *)
   e_acceptors : string list;
@@ -170,19 +262,8 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     on_decided = None;
   }
 
-(* the state every key starts in; never mutated, never in [data] *)
-let fresh = { key = ""; vn = 0; value = 0; lock = -1 }
-
-(* the key's cell, or [fresh] if it has none — for reading only *)
-let find t key = try Strtbl.find t.data key with Not_found -> fresh
-
-(* the key's cell, made on first use *)
-let cell t key =
-  try Strtbl.find t.data key
-  with Not_found ->
-    let c = { key; vn = 0; value = 0; lock = -1 } in
-    Strtbl.add t.data key c;
-    c
+(* the key's cell, or [Cell.fresh] if it has none — for reading only *)
+let find t key = try Strtbl.find t.data key with Not_found -> Cell.fresh
 
 let lookup t key =
   let c = find t key in
@@ -192,13 +273,13 @@ let lookup t key =
 let cells t =
   (* lint: order-insensitive *)
   Strtbl.fold (fun _ c acc -> c :: acc) t.data []
-  |> List.sort (fun a b -> String.compare a.key b.key)
+  |> List.sort (fun (a : cell) b -> String.compare a.key b.key)
 
 (* A cell holds a value once an install moved it off the initial
    (0, 0); a cell made only to hold a lock does not. *)
 let bindings t =
   List.filter_map
-    (fun c ->
+    (fun (c : cell) ->
       if c.vn = 0 && c.value = 0 then None else Some (c.key, c.vn, c.value))
     (cells t)
 
@@ -211,13 +292,7 @@ let fsyncs t =
 
 let queue_depth t = t.queued
 
-let install c ~vn ~value =
-  if vn >= c.vn then begin
-    c.vn <- vn;
-    c.value <- value
-  end
-
-let apply t ~vn ~key ~value = install (cell t key) ~vn ~value
+let apply t ~vn ~key ~value = Cell.install (Cell.get t.data key) ~vn ~value
 
 (* ---------- cross-shard transactions ---------- *)
 
@@ -261,7 +336,8 @@ let in_doubt t =
 
 let locked_keys t =
   List.filter_map
-    (fun c -> if c.lock < 0 then None else Some (c.key, name_of t c.lock))
+    (fun (c : cell) ->
+      if c.lock < 0 then None else Some (c.key, name_of t c.lock))
     (cells t)
 
 (* the sim tracer, when the replica is attached — recovery runs on
@@ -277,42 +353,14 @@ let txn_trace tr t ~name ~(txid : Txid.t) ~extra =
     ~args:(("txid", Obs.Trace.Str txid.name) :: extra)
     ()
 
-(* [c] in its place among the key-sorted, duplicate-free [cells] *)
-let rec insert c = function
-  | [] -> [ c ]
-  | c' :: rest as cells ->
-      if c == c' then cells
-      else if String.compare c.key c'.key < 0 then c :: cells
-      else c' :: insert c rest
-
-(* A prepare's footprint, the cells of its write keys and then of its
-   read keys, each inserted into the key-sorted, duplicate-free list
-   [acc]: the canonical order [List.sort_uniq] would give, built
-   without the comparator closures a sort allocates per call. *)
-let[@lint.canonical_order] rec footprint t acc writes reads =
-  match writes with
-  | (k, _) :: rest -> footprint t (insert (cell t k) acc) rest reads
-  | [] -> (
-      match reads with
-      | k :: rest -> footprint t (insert (cell t k) acc) [] rest
-      | [] -> acc)
-
 (* does a transaction other than [id] hold a lock in the footprint? *)
 let rec conflicts id = function
   | [] -> false
-  | c :: rest -> (c.lock >= 0 && c.lock <> id) || conflicts id rest
-
-(* Lock a canonically ordered footprint for [id], in its order, and
-   snapshot it as a yes-vote's (key, vn, value) list. *)
-let rec lock_all id = function
-  | [] -> []
-  | c :: rest ->
-      c.lock <- id;
-      (c.key, c.vn, c.value) :: lock_all id rest
+  | (c : cell) :: rest -> (c.lock >= 0 && c.lock <> id) || conflicts id rest
 
 (* the cell of [k] in a prepared footprint that holds it *)
 let rec cell_of k = function
-  | c :: rest -> if String.equal k c.key then c else cell_of k rest
+  | (c : cell) :: rest -> if String.equal k c.key then c else cell_of k rest
   | [] -> raise Not_found
 
 (* Install each of this shard's write keys at its version in the
@@ -328,16 +376,9 @@ and install_decided t cells k = function
   | (k', vn, value) :: rest ->
       if String.equal k k' then begin
         Obs.Metrics.inc t.installs;
-        install (cell_of k cells) ~vn ~value
+        Cell.install (cell_of k cells) ~vn ~value
       end
       else install_decided t cells k rest
-
-(* release the footprint's locks the transaction [id] holds *)
-let rec unlock id = function
-  | [] -> ()
-  | c :: rest ->
-      if c.lock = id then c.lock <- -1;
-      unlock id rest
 
 (* Learn (idempotently) the transaction's decision: record it, fire
    the decision hook once, install this shard's prepared writes at
@@ -352,8 +393,9 @@ let txn_apply_decision t x ~commit ~writes =
   match x.prepared with
   | None -> false
   | Some e ->
-      if commit then install_writes t e.e_cells writes e.e_writes;
-      unlock x.txid.id e.e_cells;
+      if commit then
+        install_writes t (e.e_cells :> cell list) writes e.e_writes;
+      Cell.unlock x.txid.id e.e_cells;
       x.prepared <- None;
       doubt_remove t x.txid.id 0;
       (match t.txn_sim with
@@ -725,14 +767,13 @@ let[@warning "@4@8"] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
               (* duplicate prepare: re-send the identical vote *)
               reply (Protocol.Txn_vote { rid; txid; yes = true; kvs = e.e_kvs })
           | None ->
-              (* canonical order: two-phase locking stays deadlock-free
-                 only if every multi-key acquisition walks one global
-                 key order (the lock-order lint proves this shape) *)
-              let cells = footprint t [] writes reads in
-              if conflicts txid.id cells then
+              (* two-phase locking over the key-ordered footprint:
+                 [Cell]'s signature makes that the only way to lock *)
+              let cells = Cell.footprint t.data writes reads in
+              if conflicts txid.id (cells :> cell list) then
                 reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
               else begin
-                let kvs = lock_all txid.id cells in
+                let kvs = Cell.lock_all txid.id cells in
                 x.prepared <-
                   Some
                     {

@@ -240,18 +240,12 @@ let file_line_rule = Alcotest.(list (pair string (pair int string)))
 let bad_prefix = "test/analyze_fixtures/bad/"
 let clean_prefix = "test/analyze_fixtures/clean/"
 
-(* Exact file:line golden findings for every planted bug — at least
-   one canary per pass. *)
+(* Exact file:line golden findings for every planted bug. *)
 let bad_golden =
   [
     (bad_prefix ^ "hidden_random.ml", (5, "effect-taint"));
     (bad_prefix ^ "hidden_random.ml", (6, "effect-taint"));
     (bad_prefix ^ "hidden_random.ml", (7, "effect-taint"));
-    (bad_prefix ^ "recursive_locks.ml", (14, "lock-order"));
-    (bad_prefix ^ "recursive_locks.ml", (22, "lock-order"));
-    (bad_prefix ^ "recursive_locks.ml", (28, "lock-order"));
-    (bad_prefix ^ "unsorted_cell_locks.ml", (8, "lock-order"));
-    (bad_prefix ^ "unsorted_locks.ml", (8, "lock-order"));
   ]
 
 let test_analyze_bad_golden () =
@@ -262,31 +256,20 @@ let test_analyze_clean_fixture () =
   Alcotest.check file_line_rule "clean mirror tree" []
     (summarize3 (analyze clean_prefix))
 
-(* The analyze gate itself: the repo's own lib/ tree passes both
-   whole-program passes. *)
+(* The analyze gate itself: the repo's own lib/ tree passes the
+   whole-program pass. *)
 let test_analyze_repo_clean () =
   match analyze "lib/" with
   | [] -> ()
   | findings -> Alcotest.failf "lib/ not clean:\n%s" (Report.to_text findings)
 
-(* --only / --exclude keep exactly the selected rules, and removing a
+(* --only / --exclude keep exactly the selected rules, and removing the
    pass makes its canary go green. *)
 let test_analyze_rule_filters () =
-  let only_lock = analyze ~only:[ "lock-order" ] bad_prefix in
-  Alcotest.check file_line_rule "--only lock-order"
-    [
-      (bad_prefix ^ "recursive_locks.ml", (14, "lock-order"));
-      (bad_prefix ^ "recursive_locks.ml", (22, "lock-order"));
-      (bad_prefix ^ "recursive_locks.ml", (28, "lock-order"));
-      (bad_prefix ^ "unsorted_cell_locks.ml", (8, "lock-order"));
-      (bad_prefix ^ "unsorted_locks.ml", (8, "lock-order"));
-    ]
-    (summarize3 only_lock);
-  let without_taint = analyze ~exclude:[ "effect-taint" ] bad_prefix in
-  Alcotest.(check bool) "--exclude effect-taint greens its canary" true
-    (List.for_all (fun f -> f.Report.rule <> "effect-taint") without_taint);
-  Alcotest.(check int) "--exclude drops only that rule" 5
-    (List.length without_taint)
+  Alcotest.check file_line_rule "--only effect-taint" bad_golden
+    (summarize3 (analyze ~only:[ "effect-taint" ] bad_prefix));
+  Alcotest.check file_line_rule "--exclude effect-taint greens its canary" []
+    (summarize3 (analyze ~exclude:[ "effect-taint" ] bad_prefix))
 
 (* Report determinism: any input permutation sorts to the same report,
    and duplicate findings collapse. *)

@@ -783,10 +783,11 @@ let test_txn_digest_golden () =
 
 (* ---------- the canonical footprint ---------- *)
 
-(* The prepare's footprint builder is the one the lock-order lint
-   trusts as a canonical sort ([@lint.canonical_order]): on any write
-   and read sets, duplicates included, the yes-vote lists exactly the
-   keys [List.sort_uniq] gives, in its order. *)
+(* The replica's [Cell.footprint] is the only maker of the lists
+   [Cell.lock_all] takes, so the deadlock-freedom of the prepare's two-phase locking
+   rests on its order: on any write and read sets, duplicates
+   included, the yes-vote lists exactly the keys [List.sort_uniq]
+   gives, in its order. *)
 let prop_footprint_is_sort_uniq =
   let key = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 2)) in
   let gen =
