@@ -1,23 +1,17 @@
-(* Determinism lint + static quorum checker + whole-program analyzer,
-   CI-gated.
+(* Determinism lint + static quorum checker, CI-gated.
 
      lint.exe [OPTS] PATH...     lint every .ml under PATHs (parse trees)
      lint.exe quorum [--json FILE]
                                  static quorum-intersection check
-     lint.exe analyze [OPTS]     whole-program pass over typedtrees
-                                 (effect taint)
 
    Options:
      --json FILE      also write the findings as JSON
      --only RULE      keep only findings of RULE (repeatable)
      --exclude RULE   drop findings of RULE (repeatable)
-     --build DIR      analyze: build dir holding .cmt files
-                      (default _build/default)
-     --src PREFIX     analyze: only units whose source path starts with
-                      PREFIX (repeatable; default lib/)
 
-   --only/--exclude must name rules of the chosen mode and leave it at
-   least one to run; --build/--src belong to analyze alone.
+   --only/--exclude must name lint rules and leave at least one to
+   run; quorum takes --json alone.  Any other operand starting with
+   "--" is a usage error, not a path.
 
    Exit codes: 0 clean, 1 findings/violations, 2 usage or I/O error.
 
@@ -26,30 +20,36 @@
    comparison) plus pragma hygiene; the quorum subcommand verifies
    read/write and write/write intersection, minimality and
    non-domination for every shipped configuration family without
-   running the simulator; the analyze subcommand reads the typedtrees
-   dune already produced and traces banned effects through the call
-   graph.  See DESIGN.md sections 12 and 17. *)
+   running the simulator.  See DESIGN.md section 12. *)
 
 let usage () =
   Fmt.epr
     "usage: lint.exe [--json FILE] [--only RULE] [--exclude RULE] PATH...@.\
-    \       lint.exe quorum [--json FILE]@.\
-    \       lint.exe analyze [--json FILE] [--build DIR] [--src PREFIX] \
-     [--only RULE] [--exclude RULE]@.";
+    \       lint.exe quorum [--json FILE]@.";
   exit 2
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+(* Open the --json report before any work, so an unwritable path is a
+   usage error at once rather than an exception after the report. *)
+let open_json = function
+  | None -> None
+  | Some path -> (
+      match open_out path with
+      | oc -> Some oc
+      | exception Sys_error e ->
+          Fmt.epr "lint: cannot write %s@." e;
+          exit 2)
+
+let write_json oc contents =
+  Option.iter
+    (fun oc ->
+      output_string oc contents;
+      close_out oc)
+    oc
 
 type opts = {
   json : string option;
   only : string list;
   exclude : string list;
-  build : string option;
-  srcs : string list;  (** reversed; empty means default *)
   operands : string list;
 }
 
@@ -62,16 +62,13 @@ let parse_opts args =
     | "--only" :: rule :: rest -> go { o with only = rule :: o.only } rest
     | "--exclude" :: rule :: rest ->
         go { o with exclude = rule :: o.exclude } rest
-    | "--build" :: dir :: rest -> go { o with build = Some dir } rest
-    | "--src" :: prefix :: rest -> go { o with srcs = prefix :: o.srcs } rest
-    | [ ("--json" | "--only" | "--exclude" | "--build" | "--src") ] ->
+    | [ ("--json" | "--only" | "--exclude") ] -> usage ()
+    | a :: _ when String.starts_with ~prefix:"--" a ->
+        Fmt.epr "lint: unknown option %s@." a;
         usage ()
     | a :: rest -> go { o with operands = a :: o.operands } rest
   in
-  go
-    { json = None; only = []; exclude = []; build = None; srcs = [];
-      operands = [] }
-    args
+  go { json = None; only = []; exclude = []; operands = [] } args
 
 (* the rule ids the per-file lint emits *)
 let lint_rules =
@@ -87,51 +84,35 @@ let lint_rules =
 let wanted o rule =
   (o.only = [] || List.mem rule o.only) && not (List.mem rule o.exclude)
 
-(* A filter must name rules of the mode that runs and leave it one to
-   run: otherwise a typo'd or foreign --only RULE, or a mode filtered
-   down to nothing, would report "clean" having checked nothing. *)
-let check_rules ~mode ~rules o =
+(* A filter must name lint rules and leave one to run: otherwise a
+   typo'd --only RULE, or a lint filtered down to nothing, would report
+   "clean" having checked nothing. *)
+let check_rules o =
   List.iter
     (fun r ->
-      if not (List.mem r rules) then begin
-        Fmt.epr "lint: %s has no rule %S (its rules: %s)@." mode r
-          (String.concat ", " rules);
+      if not (List.mem r lint_rules) then begin
+        Fmt.epr "lint: no rule %S (rules: %s)@." r
+          (String.concat ", " lint_rules);
         exit 2
       end)
     (o.only @ o.exclude);
-  if not (List.exists (wanted o) rules) then begin
-    Fmt.epr "lint: --only/--exclude leave %s no rule to run@." mode;
+  if not (List.exists (wanted o) lint_rules) then begin
+    Fmt.epr "lint: --only/--exclude leave no rule to run@.";
     exit 2
   end
 
-let report ~json ~label findings =
-  Option.iter (fun file -> write_file file (Lint.Report.to_json findings)) json;
-  if findings = [] then begin
-    Fmt.pr "lint: clean (%s)@." label;
-    exit 0
-  end
-  else begin
-    Fmt.pr "%s@." (Lint.Report.to_text findings);
-    Fmt.pr "lint: %d finding(s)@." (List.length findings);
-    exit 1
-  end
-
 let run_quorum json =
+  let oc = open_json json in
   let summary =
     match Lint.Quorum_check.run () with Ok s -> s | Error s -> s
   in
   Fmt.pr "%a" Lint.Quorum_check.pp_summary summary;
-  Option.iter
-    (fun file -> write_file file (Lint.Quorum_check.to_json summary))
-    json;
+  write_json oc (Lint.Quorum_check.to_json summary);
   exit (if summary.Lint.Quorum_check.violations = [] then 0 else 1)
 
 let run_lint o =
-  check_rules ~mode:"lint" ~rules:lint_rules o;
-  if o.build <> None || o.srcs <> [] then begin
-    Fmt.epr "lint: --build and --src apply to analyze only@.";
-    exit 2
-  end;
+  check_rules o;
+  let oc = open_json o.json in
   match Lint.Rules.lint_paths o.operands with
   | Error e ->
       Fmt.epr "lint: %s@." e;
@@ -140,36 +121,23 @@ let run_lint o =
       let findings =
         List.filter (fun (f : Lint.Report.finding) -> wanted o f.rule) findings
       in
-      report ~json:o.json ~label:(String.concat " " o.operands) findings
-
-let run_analyze o =
-  check_rules ~mode:"analyze" ~rules:Lint.Analyze.all_rules o;
-  if o.operands <> [] then usage ();
-  let src_prefixes =
-    match o.srcs with [] -> [ "lib/" ] | l -> List.rev l
-  in
-  let build_dir = Option.value o.build ~default:"_build/default" in
-  match
-    Lint.Analyze.run ~only:o.only ~exclude:o.exclude ~build_dir ~src_prefixes
-      ()
-  with
-  | Error e ->
-      Fmt.epr "lint: %s@." e;
-      exit 2
-  | Ok findings ->
-      report ~json:o.json
-        ~label:(Fmt.str "analyze %s" (String.concat " " src_prefixes))
-        findings
+      write_json oc (Lint.Report.to_json findings);
+      if findings = [] then begin
+        Fmt.pr "lint: clean (%s)@." (String.concat " " o.operands);
+        exit 0
+      end
+      else begin
+        Fmt.pr "%s@." (Lint.Report.to_text findings);
+        Fmt.pr "lint: %d finding(s)@." (List.length findings);
+        exit 1
+      end
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | "quorum" :: rest -> (
       match parse_opts rest with
-      | { operands = []; only = []; exclude = []; build = None; srcs = [];
-          json } ->
-          run_quorum json
+      | { operands = []; only = []; exclude = []; json } -> run_quorum json
       | _ -> usage ())
-  | "analyze" :: rest -> run_analyze (parse_opts rest)
   | args -> (
       match parse_opts args with
       | { operands = []; _ } -> usage ()

@@ -174,44 +174,54 @@ let with_valid shape ~seed script k =
           2
       | Ok () -> k ())
 
+(* sweep, minimize each failure, print the repro lines and write the
+   report to [json], opened by the caller *)
+let run_sweep shape ~seeds ~seed0 ~max_failures json =
+  let run ~seed script = run_one shape ~seed script in
+  let failures =
+    Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures
+      ~progress:(fun ~seed ~failed ->
+        if failed then Fmt.pr "seed %d: VIOLATION@." seed)
+      ()
+  in
+  let minimized = List.map (Harness.Swarm.minimize ~run) failures in
+  let extra = extra_flags shape in
+  let report = { Harness.Swarm.seeds; seed0; failures; minimized } in
+  Fmt.pr "swept %d seeds from %d: %d failing@." seeds seed0
+    (List.length failures);
+  List.iter
+    (fun (m : Harness.Swarm.outcome) ->
+      Fmt.pr "@.seed %d minimized to %d step(s): %s@."
+        m.Harness.Swarm.seed
+        (List.length m.Harness.Swarm.script)
+        (Script.to_string m.Harness.Swarm.script);
+      List.iter (fun v -> Fmt.pr "  violation: %s@." v)
+        m.Harness.Swarm.violations;
+      Fmt.pr "  repro: %s@." (Harness.Swarm.repro_line ~extra m))
+    minimized;
+  (match json with
+  | None -> ()
+  | Some (path, oc) ->
+      output_string oc (Harness.Swarm.report_json ~extra report);
+      close_out oc;
+      Fmt.pr "report written to %s@." path);
+  if failures = [] then 0 else 1
+
 let sweep shape seeds seed0 max_failures json_path =
   if seeds < 1 then (
     Fmt.epr "swarm: --seeds must be >= 1 (got %d)@." seeds;
     2)
+  else if max_failures < 1 then (
+    Fmt.epr "swarm: --max-failures must be >= 1 (got %d)@." max_failures;
+    2)
   else
     with_valid shape ~seed:seed0 [] @@ fun () ->
-    let run ~seed script = run_one shape ~seed script in
-    let failures =
-      Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures
-        ~progress:(fun ~seed ~failed ->
-          if failed then Fmt.pr "seed %d: VIOLATION@." seed)
-        ()
-    in
-    let minimized = List.map (Harness.Swarm.minimize ~run) failures in
-    let extra = extra_flags shape in
-    let report =
-      { Harness.Swarm.seeds; seed0; failures; minimized }
-    in
-    Fmt.pr "swept %d seeds from %d: %d failing@." seeds seed0
-      (List.length failures);
-    List.iter
-      (fun (m : Harness.Swarm.outcome) ->
-        Fmt.pr "@.seed %d minimized to %d step(s): %s@."
-          m.Harness.Swarm.seed
-          (List.length m.Harness.Swarm.script)
-          (Script.to_string m.Harness.Swarm.script);
-        List.iter (fun v -> Fmt.pr "  violation: %s@." v)
-          m.Harness.Swarm.violations;
-        Fmt.pr "  repro: %s@." (Harness.Swarm.repro_line ~extra m))
-      minimized;
-    (match json_path with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Harness.Swarm.report_json ~extra report);
-        close_out oc;
-        Fmt.pr "report written to %s@." path);
-    if failures = [] then 0 else 1
+    (* open the report before the sweep, so a bad path fails at once *)
+    match Option.map (fun path -> (path, open_out path)) json_path with
+    | exception Sys_error e ->
+        Fmt.epr "swarm: cannot write %s@." e;
+        2
+    | json -> run_sweep shape ~seeds ~seed0 ~max_failures json
 
 let repro shape seed script_str =
   match Script.of_string script_str with

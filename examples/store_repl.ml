@@ -53,9 +53,6 @@
      lint               statically check every shard's quorum
                         configuration (intersection, minimality,
                         non-domination) without touching the simulation
-     lint static        run the whole-program analyzer over lib/
-                        (effect taint) — needs the .cmt files of a
-                        `dune build`
      tune               per-shard strategy report: current strategy,
                         live read fraction over the health window, and
                         the workload-aware optimizer's pick with its
@@ -730,21 +727,6 @@ let () =
                   Fmt.pr
                     "txn: prepare (vote) quorums pairwise intersect on every \
                      shard — decided-version uniqueness holds@.");
-            loop ()
-        | [ "lint"; "static" ] ->
-            (* the whole-program pass (`lint.exe analyze`) over the
-               compiled lib/ tree: effect taint *)
-            (match
-               Lint.Analyze.run ~build_dir:"_build/default"
-                 ~src_prefixes:[ "lib/" ] ()
-             with
-            | Error e -> Fmt.pr "lint static: %s@." e
-            | Ok [] ->
-                Fmt.pr "lint static: clean (%s)@."
-                  (String.concat ", " Lint.Analyze.all_rules)
-            | Ok findings ->
-                Fmt.pr "%s@." (Lint.Report.to_text findings);
-                Fmt.pr "lint static: %d finding(s)@." (List.length findings));
             loop ()
         | [ "tune" ] ->
             (* side-effect-free peek: the sample feed (and `top`'s

@@ -5,10 +5,14 @@
     (golden trace digests) — these rules reject, before any run
     starts, the constructs that silently rot them:
 
-    - {b effect-ban}: [Random.*], [Unix.*] and [Sys.time] anywhere in
-      library code.  All randomness must flow through the seeded
-      {!Qc_util.Prng} (the one exempt implementation file) and all
-      time through the virtual clock [Sim.Core.now].
+    - {b effect-ban}: [Random.*], [Unix.*], [UnixLabels.*] and
+      [Sys.time] anywhere in library code, and any module path to
+      [Random], [Unix], [UnixLabels], [Sys] or [Stdlib] itself (an
+      alias, an [open], a local open, an [include], a functor argument
+      or a pack), which would let those effects in under another name.
+      All randomness must flow through the seeded {!Qc_util.Prng} (the
+      one exempt implementation file) and all time through the virtual
+      clock [Sim.Core.now].
     - {b hashtbl-order}: [Hashtbl.iter] / [Hashtbl.fold], and [iter] /
       [fold] of a functor-made table — the shared [Strtbl], however
       qualified, or a module the file binds to a
@@ -46,13 +50,6 @@ let pragma_allowlist =
     ("float-eq-ok", rule_float);
   ]
 
-(** Pragmas owned by the whole-program analyzer ([lint.exe analyze]):
-    token -> the analyze rule it silences.  The per-file lint accepts
-    them as known (no [unknown-pragma]) and never reports them unused
-    — whether they silence anything is the analyzer's question, not
-    this file walk's. *)
-let analyze_pragmas = [ ("taint-ok", "effect-taint") ]
-
 (* ---------- pragma scanning (comments are not in the AST) ---------- *)
 
 type pragma = { pline : int; pname : string; mutable used : bool }
@@ -89,7 +86,15 @@ let scan_pragmas source =
 
 open Parsetree
 
-let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path
+(* [Stdlib.X.f] and the compiled unit name [Stdlib__X.f] both mean
+   [X.f]; the bare path [Stdlib] becomes []. *)
+let strip_stdlib path =
+  let unit_name = function
+    | m :: rest when String.starts_with ~prefix:"Stdlib__" m ->
+        String.sub m 8 (String.length m - 8) :: rest
+    | path -> path
+  in
+  match path with "Stdlib" :: rest -> unit_name rest | path -> unit_name path
 
 let ident_path (e : expression) =
   match e.pexp_desc with
@@ -223,7 +228,7 @@ let check_ident ctx ~loc path =
         (Fmt.str "%s: ambient randomness breaks seeded reproducibility — \
                   draw through the seeded Qc_util.Prng"
            (String.concat "." path))
-  | "Unix" :: _ when not ctx.exempt_effects ->
+  | ("Unix" | "UnixLabels") :: _ when not ctx.exempt_effects ->
       add ctx ~loc rule_effect
         (Fmt.str "%s: real-world effects (wall clocks, processes, fds) are \
                   banned in library code — use the simulator's virtual time"
@@ -258,6 +263,23 @@ let check_apply ctx ~loc f args =
       | _ -> ())
   | _ -> ())
 
+(* A module path to a banned module, to [Sys] or to [Stdlib] itself
+   reaches the banned values under names [check_ident] cannot see
+   ([R.int], [int] under an open, [S.Random.int]); flag the path where
+   it enters.  Every alias, [open], local open, [include], functor
+   argument and pack names its module through a [Pmod_ident]. *)
+let check_module ctx ~loc path =
+  match path with
+  | ([] | [ "Sys" ] | ("Random" | "Unix" | "UnixLabels") :: _)
+    when not ctx.exempt_effects ->
+      let name = if path = [] then "Stdlib" else String.concat "." path in
+      add ctx ~loc rule_effect
+        (Fmt.str "module %s: an alias or open of this module reaches \
+                  Random, Unix or Sys.time under names the rule cannot \
+                  see — draw through Qc_util.Prng, read Sim.Core.now"
+           name)
+  | _ -> ()
+
 let iterator ctx =
   let expr (self : Ast_iterator.iterator) (e : expression) =
     (match e.pexp_desc with
@@ -267,7 +289,15 @@ let iterator ctx =
     | _ -> ());
     Ast_iterator.default_iterator.expr self e
   in
-  { Ast_iterator.default_iterator with expr }
+  let module_expr (self : Ast_iterator.iterator) (me : module_expr) =
+    (match me.pmod_desc with
+    | Pmod_ident { txt; _ } ->
+        check_module ctx ~loc:me.pmod_loc
+          (strip_stdlib (Longident.flatten txt))
+    | _ -> ());
+    Ast_iterator.default_iterator.module_expr self me
+  in
+  { Ast_iterator.default_iterator with expr; module_expr }
 
 (* ---------- pragma application ---------- *)
 
@@ -294,8 +324,7 @@ let apply_pragmas pragmas findings =
   let pragma_findings =
     List.filter_map
       (fun p ->
-        if List.mem_assoc p.pname analyze_pragmas then None
-        else if not (List.mem_assoc p.pname pragma_allowlist) then
+        if not (List.mem_assoc p.pname pragma_allowlist) then
           Some
             {
               Report.file = "";
@@ -304,9 +333,7 @@ let apply_pragmas pragmas findings =
               rule = rule_unknown_pragma;
               msg =
                 Fmt.str "unknown lint pragma %S — allowed: %s" p.pname
-                  (String.concat ", "
-                     (List.map fst pragma_allowlist
-                     @ List.map fst analyze_pragmas));
+                  (String.concat ", " (List.map fst pragma_allowlist));
             }
         else if not p.used then
           Some
@@ -338,15 +365,6 @@ let read_file path =
 let default_exempt path =
   Filename.basename path = "prng.ml"
   && Filename.basename (Filename.dirname path) = "util"
-
-(** The (line, token) pragmas of one source file — the lexical scan
-    shared with the whole-program analyzer, which anchors its own
-    findings to source lines and applies the same silencing scheme.
-    Unreadable files have no pragmas. *)
-let scan_pragma_lines path =
-  match read_file path with
-  | source -> List.map (fun p -> (p.pline, p.pname)) (scan_pragmas source)
-  | exception Sys_error _ -> []
 
 (** Lint one [.ml] file.  [exempt_effects] disables the effect-ban
     rule (defaults to the {!default_exempt} path test). *)

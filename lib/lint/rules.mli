@@ -2,9 +2,12 @@
     [Ast_iterator]) over the repo's own sources.
 
     Rules (ids in parentheses):
-    - effects ([effect-ban]): [Random.*], [Unix.*], [Sys.time] —
-      randomness must flow through the seeded {!Qc_util.Prng}, time
-      through the simulator's virtual clock;
+    - effects ([effect-ban]): [Random.*], [Unix.*], [UnixLabels.*],
+      [Sys.time], and any module path (alias, [open], local open,
+      [include], functor argument, pack) to [Random], [Unix],
+      [UnixLabels], [Sys] or [Stdlib] — randomness must flow through
+      the seeded {!Qc_util.Prng}, time through the simulator's virtual
+      clock;
     - iteration order ([hashtbl-order]): [Hashtbl.iter] /
       [Hashtbl.fold], whose bucket order is implementation-defined —
       sort at the boundary or silence with
@@ -26,18 +29,8 @@ val rule_unused_pragma : string
 val pragma_allowlist : (string * string) list
 (** Pragma token -> the rule it may silence. *)
 
-val analyze_pragmas : (string * string) list
-(** Pragma token -> the whole-program analyze rule it silences
-    ([taint-ok]).  Known to the per-file lint (never [unknown-pragma] /
-    [unused-pragma]); applied by {!Analyze}. *)
-
 val default_exempt : string -> bool
 (** The one path allowed ambient effects: [lib/util/prng.ml]. *)
-
-val scan_pragma_lines : string -> (int * string) list
-(** The (line, token) lint pragmas of one source file — the shared
-    lexical scan the analyzer uses to silence its own findings.
-    Unreadable files yield []. *)
 
 val lint_file : ?exempt_effects:bool -> string -> Report.finding list
 (** Lint one [.ml] file; [exempt_effects] defaults to

@@ -2,8 +2,9 @@
    known violation lines, pragma semantics, the reporters, and the
    static quorum-intersection checker — including a qcheck property
    tying the checker's independent bitmask legality test to
-   [Config.legal], and a static/dynamic cross-check against the
-   harness. *)
+   [Config.legal], a static/dynamic cross-check against the harness,
+   and a qcheck fuzz of the replica dispatch the compiler proves
+   total. *)
 
 module Report = Lint.Report
 module Rules = Lint.Rules
@@ -34,11 +35,15 @@ let check_fixture name expected =
 
 (* ---------- one fixture per rule, exact file:line ---------- *)
 
+(* Lines 4-6 name the effect directly; from line 11 on, each finding
+   is an escape form entering through a module path: an alias, a local
+   open, a let-open, the compiled unit name Stdlib__Random, Stdlib.Random,
+   an alias of Stdlib itself, open Sys and open Random. *)
 let test_effect_ban () =
   check_fixture "effect_ban.ml"
-    [
-      (4, Rules.rule_effect); (5, Rules.rule_effect); (6, Rules.rule_effect);
-    ]
+    (List.map
+       (fun line -> (line, Rules.rule_effect))
+       [ 4; 5; 6; 11; 13; 14; 15; 16; 17; 19; 21 ])
 
 let test_hashtbl_order () =
   check_fixture "hashtbl_order.ml"
@@ -82,7 +87,7 @@ let all_fixture_findings () =
 
 let test_lint_paths_walk () =
   let findings = all_fixture_findings () in
-  Alcotest.(check int) "total findings across fixtures" 16
+  Alcotest.(check int) "total findings across fixtures" 24
     (List.length findings);
   Alcotest.(check bool) "sorted and deduplicated" true
     (Report.sort findings = findings)
@@ -102,7 +107,7 @@ let test_reporters () =
     (contains ~affix:expect_line text && contains ~affix:Rules.rule_effect text);
   let json = Report.to_json findings in
   Alcotest.(check bool) "json report carries the count" true
-    (contains ~affix:"\"count\":16" json);
+    (contains ~affix:"\"count\":24" json);
   Alcotest.(check string) "json deterministic across runs" json
     (Report.to_json (all_fixture_findings ()))
 
@@ -212,80 +217,24 @@ let test_static_dynamic_cross_check () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "dynamic harness rejected seed %d: %s" seed e
 
-(* ---------- whole-program analyzer (lint.exe analyze) ---------- *)
+(* ---------- report determinism, replica dispatch fuzz ---------- *)
 
-module Analyze = Lint.Analyze
 module Protocol = Store.Protocol
 module Replica = Store.Replica
-
-(* The .cmt files live under the dune build context root, at paths
-   like lib/store/.store.objs/byte.  Under `dune runtest` the cwd is
-   _build/default/test (the root is one level up); under `dune exec`
-   from the project root it is the checkout itself. *)
-let build_root =
-  if Sys.file_exists (Filename.concat "_build" "default") then
-    Filename.concat "_build" "default"
-  else ".."
-
-let analyze ?only ?exclude prefix =
-  match Analyze.run ?only ?exclude ~build_dir:build_root ~src_prefixes:[ prefix ] () with
-  | Ok findings -> findings
-  | Error e -> Alcotest.failf "analyze %s: %s" prefix e
-
-let summarize3 findings =
-  List.map (fun f -> (f.Report.file, (f.Report.line, f.Report.rule))) findings
-
-let file_line_rule = Alcotest.(list (pair string (pair int string)))
-
-let bad_prefix = "test/analyze_fixtures/bad/"
-let clean_prefix = "test/analyze_fixtures/clean/"
-
-(* Exact file:line golden findings for every planted bug. *)
-let bad_golden =
-  [
-    (bad_prefix ^ "hidden_random.ml", (5, "effect-taint"));
-    (bad_prefix ^ "hidden_random.ml", (6, "effect-taint"));
-    (bad_prefix ^ "hidden_random.ml", (7, "effect-taint"));
-  ]
-
-let test_analyze_bad_golden () =
-  Alcotest.check file_line_rule "planted bugs, exact file:line" bad_golden
-    (summarize3 (analyze bad_prefix))
-
-let test_analyze_clean_fixture () =
-  Alcotest.check file_line_rule "clean mirror tree" []
-    (summarize3 (analyze clean_prefix))
-
-(* The analyze gate itself: the repo's own lib/ tree passes the
-   whole-program pass. *)
-let test_analyze_repo_clean () =
-  match analyze "lib/" with
-  | [] -> ()
-  | findings -> Alcotest.failf "lib/ not clean:\n%s" (Report.to_text findings)
-
-(* --only / --exclude keep exactly the selected rules, and removing the
-   pass makes its canary go green. *)
-let test_analyze_rule_filters () =
-  Alcotest.check file_line_rule "--only effect-taint" bad_golden
-    (summarize3 (analyze ~only:[ "effect-taint" ] bad_prefix));
-  Alcotest.check file_line_rule "--exclude effect-taint greens its canary" []
-    (summarize3 (analyze ~exclude:[ "effect-taint" ] bad_prefix))
 
 (* Report determinism: any input permutation sorts to the same report,
    and duplicate findings collapse. *)
 let test_report_shuffle_regression () =
-  let findings = analyze bad_prefix in
+  let findings = Rules.lint_file (fixture "effect_ban.ml") in
   let sorted = Report.sort findings in
   List.iteri
     (fun i seed ->
       let shuffled = Prng.shuffle (Prng.create seed) (findings @ findings) in
-      Alcotest.check file_line_rule
+      Alcotest.check line_rule
         (Fmt.str "shuffle %d resorts and dedupes" i)
-        (summarize3 sorted)
-        (summarize3 (Report.sort shuffled)))
+        (summarize sorted)
+        (summarize (Report.sort shuffled)))
     [ 1; 42; 0xbeef ]
-
-(* ---------- static verdict vs dynamic fuzz ---------- *)
 
 (* A generator over the full wire protocol, batches included.  The
    compiler proves [Replica.serve] total over [Protocol.msg] (its
@@ -393,17 +342,6 @@ let suites =
         Alcotest.test_case "text and json reporters" `Quick test_reporters;
         Alcotest.test_case "repo lib/ is lint-clean" `Quick
           test_repo_lib_clean;
-      ] );
-    ( "lint.analyze",
-      [
-        Alcotest.test_case "planted canaries, exact file:line" `Quick
-          test_analyze_bad_golden;
-        Alcotest.test_case "clean mirror tree is empty" `Quick
-          test_analyze_clean_fixture;
-        Alcotest.test_case "repo lib/ passes all passes" `Quick
-          test_analyze_repo_clean;
-        Alcotest.test_case "--only/--exclude rule filters" `Quick
-          test_analyze_rule_filters;
         Alcotest.test_case "report shuffle regression" `Quick
           test_report_shuffle_regression;
         qcheck prop_handler_total;
