@@ -10,9 +10,10 @@
    Exit status: 0 when every audited run is clean, 1 when any
    violation was found (including a successful repro — reproducing a
    violation is a failing exit so CI can gate on it), 2 on bad input:
-   a sweep of fewer than one seed, a shape or script the cluster
-   rejects, a shard wider than 12 replicas, or (without --unsafe)
-   quorums that do not all intersect. *)
+   a sweep of fewer than one seed, a shape with no client or no
+   operation to audit, a shape or script the cluster rejects, a shard
+   wider than 12 replicas, or (without --unsafe) a strategy whose read
+   and write quorums do not all intersect ([Store.Strategy.legal]). *)
 
 module Prng = Qc_util.Prng
 module Script = Harness.Script
@@ -132,47 +133,48 @@ let extra_flags shape =
     | Some m -> " --txn " ^ Store.Txn.mode_label m)
     (if shape.tune then " --tune" else "")
 
-(* the widest shard the static gate checks in a few seconds; each
-   replica more costs about 4x *)
+(* the widest shard a run sets up in well under a second: quorum
+   targeting enumerates the strategy's minimal quorums
+   ([Store.Strategy.quorums]), a filter quadratic in the quorum count
+   (one seed at 16 replicas spends about 1.5 s there) *)
 let max_gated_replicas = 12
 
 (* a shape the cluster rejects is bad input: one line, exit 2; so is
-   one with fewer than 2 replicas, which generated scripts may
-   partition, one wider than the static gate can check, and one whose
-   quorums do not all intersect.  That gate checks the strategy the
-   shards run, lowered onto a shard's replica names; --unsafe skips it
-   so the planted bug reaches the audit. *)
+   one with no client or no operation, which would audit nothing and
+   report clean, one with fewer than 2 replicas, which generated
+   scripts may partition, one wider than [max_gated_replicas], and one
+   whose strategy is not legal (some read quorum misses some write
+   quorum).  --unsafe skips that gate so the planted bug reaches the
+   audit. *)
 let with_valid shape ~seed script k =
   let p = params_of shape ~seed script in
   let n = shape.shards * shape.replicas in
-  let quorum_gate () =
-    let strategy = p.Store.Cluster.strategy shape.replicas in
-    let names =
-      Store.Cluster.group_names ~n_shards:shape.shards
-        ~n_replicas:shape.replicas
-    in
-    Result.bind (Store.Strategy.to_config strategy names.(0))
-      (Harness.Check.quorum_ok ~name:strategy.Store.Strategy.name)
-  in
+  let strategy = p.Store.Cluster.strategy shape.replicas in
   match Store.Cluster.validate p with
   | Error e ->
       Fmt.epr "swarm: %s@." e;
+      2
+  | Ok () when shape.clients < 1 ->
+      Fmt.epr "swarm: --clients must be >= 1 (got %d)@." shape.clients;
+      2
+  | Ok () when shape.ops < 1 ->
+      Fmt.epr "swarm: --ops must be >= 1 (got %d)@." shape.ops;
       2
   | Ok () when n < 2 ->
       Fmt.epr "swarm: a shape needs >= 2 replicas in all (got %d)@." n;
       2
   | Ok () when shape.replicas > max_gated_replicas ->
       Fmt.epr
-        "swarm: at most %d replicas per shard (got %d): the static quorum \
-         gate enumerates quorum sets, which grow exponentially@."
+        "swarm: at most %d replicas per shard (got %d): runs enumerate \
+         minimal quorums, a cost that grows exponentially@."
         max_gated_replicas shape.replicas;
       2
-  | Ok () -> (
-      match if shape.unsafe then Ok () else quorum_gate () with
-      | Error e ->
-          Fmt.epr "swarm: static quorum gate: %s@." e;
-          2
-      | Ok () -> k ())
+  | Ok () when (not shape.unsafe) && not (Store.Strategy.legal strategy) ->
+      Fmt.epr "swarm: strategy %s is not legal: some read quorum misses some \
+               write quorum@."
+        strategy.Store.Strategy.name;
+      2
+  | Ok () -> k ()
 
 (* sweep, minimize each failure, print the repro lines and write the
    report to [json], opened by the caller *)
@@ -253,7 +255,11 @@ let shape_term =
     Arg.(
       value & opt int 3
       & info [ "replicas" ]
-          ~doc:(Fmt.str "Replicas per shard (at most %d)." max_gated_replicas))
+          ~doc:
+            (Fmt.str
+               "Replicas per shard (at most %d: each run enumerates the \
+                strategy's minimal quorums)."
+               max_gated_replicas))
   in
   let clients = Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Clients.") in
   let ops =

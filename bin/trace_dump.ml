@@ -36,55 +36,84 @@ let with_valid params k =
       2
   | Ok () -> k ()
 
+(* -o's file is opened before any work, so a bad path is bad input
+   too: one line, exit 2, not a crash or a lost run at the end.  [k]
+   writes to the file, or to stdout without -o. *)
+let with_output out k =
+  match out with
+  | None -> k stdout
+  | Some path -> (
+      match open_out path with
+      | exception Sys_error e ->
+          Fmt.epr "trace_dump: cannot write %s@." e;
+          2
+      | oc ->
+          Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+          let code = k oc in
+          close_out oc;
+          code)
+
 (* ---------- dump (the default command) ---------- *)
 
 let run_dump seed replicas clients ops loss partitions capacity format out
     validate no_ioa with_metrics input cat track =
   let filtered events = Obs.Query.filter_events ?cat ?track events in
-  let source =
+  let params =
+    {
+      Store.Cluster.default_params with
+      n_replicas = replicas;
+      n_clients = clients;
+      workload = { Store.Workload.default_spec with ops_per_client = ops };
+      trace_capacity = capacity;
+      loss;
+      partitions;
+      seed;
+    }
+  in
+  (* strict import: any unreadable or corrupt line refuses the whole
+     dump — partial traces mislead more than they help.  The import is
+     read in full before -o is opened, so -o may name the input. *)
+  let imported =
     match input with
+    | None -> Ok None
     | Some path -> (
-        (* strict import: any unreadable or corrupt line refuses the
-           whole dump — partial traces mislead more than they help *)
         match In_channel.with_open_text path In_channel.input_all with
         | exception Sys_error e -> Error (Fmt.str "cannot read %s: %s" path e)
         | contents -> (
             match Obs.Export.parse_jsonl contents with
-            | Ok events -> Ok (filtered events)
+            | Ok events -> Ok (Some events)
             | Error e -> Error (Fmt.str "corrupt trace %s: %s" path e)))
-    | None ->
-        let tracer = Obs.Trace.create ~capacity () in
-        let params =
-          {
-            Store.Cluster.default_params with
-            n_replicas = replicas;
-            n_clients = clients;
-            workload = { Store.Workload.default_spec with ops_per_client = ops };
-            trace_capacity = capacity;
-            loss;
-            partitions;
-            seed;
-            tracer = Some tracer;
-          }
-        in
-        Result.bind (Store.Cluster.validate params) @@ fun () ->
-        (* the store/net/sim layers: a seeded cluster run *)
-        let results = Store.Cluster.run params in
-        (* the ioa layer: a short system-B action trail through the
-           harness *)
-        (if not no_ioa then
-           match Quorum.Harness.run_and_check ~max_steps:400 ~tracer ~seed () with
-           | Ok _ -> ()
-           | Error e -> Fmt.epr "warning: harness check failed: %s@." e);
-        if with_metrics then
-          Fmt.epr "%s" (Obs.Metrics.dump results.Store.Cluster.metrics);
-        Ok (filtered (Obs.Trace.events tracer))
   in
-  match source with
+  match imported with
   | Error e ->
       Fmt.epr "trace_dump: %s@." e;
       2
-  | Ok events -> (
+  | Ok imported -> (
+      (* an imported trace runs no cluster, so its params go unchecked *)
+      (if input = None then with_valid params else fun k -> k ()) @@ fun () ->
+      with_output out @@ fun oc ->
+      let events =
+        match imported with
+        | Some events -> filtered events
+        | None ->
+            (* the store/net/sim layers: a seeded cluster run *)
+            let tracer = Obs.Trace.create ~capacity () in
+            let results =
+              Store.Cluster.run
+                { params with Store.Cluster.tracer = Some tracer }
+            in
+            (* the ioa layer: a short system-B action trail through the
+               harness *)
+            (if not no_ioa then
+               match
+                 Quorum.Harness.run_and_check ~max_steps:400 ~tracer ~seed ()
+               with
+               | Ok _ -> ()
+               | Error e -> Fmt.epr "warning: harness check failed: %s@." e);
+            if with_metrics then
+              Fmt.epr "%s" (Obs.Metrics.dump results.Store.Cluster.metrics);
+            filtered (Obs.Trace.events tracer)
+      in
       let contents =
         match format with
         | `Chrome -> Obs.Export.chrome_of_events events
@@ -101,13 +130,11 @@ let run_dump seed replicas clients ops loss partitions capacity format out
               | Ok _ -> Obs.Query.check_balanced events)
       in
       match
-        match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc contents;
-            close_out oc;
-            Fmt.epr "wrote %d events to %s@." (List.length events) path
-        | None -> print_string contents
+        output_string oc contents;
+        flush oc;
+        Option.iter
+          (Fmt.epr "wrote %d events to %s@." (List.length events))
+          out
       with
       | exception Sys_error e ->
           Fmt.epr "cannot write trace: %s@." e;
@@ -236,6 +263,7 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
     }
   in
   with_valid params @@ fun () ->
+  with_output out @@ fun oc ->
   let results = Store.Cluster.run params in
   let events = Obs.Trace.events tracer in
   let bs = Obs.Attribution.of_events events in
@@ -267,14 +295,7 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
     1
   end
   else begin
-    let emit contents =
-      match out with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc contents;
-          close_out oc
-      | None -> print_string contents
-    in
+    let emit = output_string oc in
     if json then
       emit (Obs.Json.to_string (Obs.Attribution.report_to_json bs) ^ "\n")
     else begin
@@ -372,6 +393,11 @@ let run_invariance seeds replicas clients ops loss shards burst batch_window
     }
   in
   let digest p = Store.Cluster.digest (Store.Cluster.run p) in
+  (* checking no seed proves nothing *)
+  if seeds = [] then (
+    Fmt.epr "trace_dump: --seeds must name at least one seed@.";
+    2)
+  else
   (* validity does not depend on the seed *)
   with_valid (base 0) @@ fun () ->
   let failures = ref 0 in

@@ -51,8 +51,8 @@
                         nemesis @10 crash r0; @40 recover r0
      script             show every fault schedule installed so far
      lint               statically check every shard's quorum
-                        configuration (intersection, minimality,
-                        non-domination) without touching the simulation
+                        configuration (read/write intersection, smallest
+                        quorum sizes) without touching the simulation
      tune               per-shard strategy report: current strategy,
                         live read fraction over the health window, and
                         the workload-aware optimizer's pick with its
@@ -219,29 +219,20 @@ let parse_storage = function
       | _ -> Error "costs must be finite numbers >= 0")
   | _ -> Error "usage: storage [W F [naive|group] | off]"
 
-(* Statically verify every shard's live quorum configuration: lower
-   the bitmask strategy to an explicit {!Quorum.Config} over the
-   shard's replica names and run the lint's quorum checker on it —
-   the same verdicts `lint.exe quorum` computes, but against the world
-   the shell actually routes to. *)
+(* Statically verify every shard's live quorum configuration: the
+   strategy the shell actually routes to must be legal (every read
+   quorum meets every write quorum, {!Store.Strategy.legal}), reported
+   with its smallest read and write quorum sizes. *)
 let lint_world w =
-  let shard s =
-    let strat = Store.Router.strategy w.router ~shard:s in
-    let group = Store.Router.replicas w.router ~shard:s in
-    match Store.Strategy.to_config strat group with
-    | Error e -> Error (Fmt.str "shard %d: %s" s e)
-    | Ok config ->
-        Ok
-          (Lint.Quorum_check.check_config
-             ~name:(Fmt.str "shard%d:%s" s strat.Store.Strategy.name)
-             config)
-  in
-  let rec go s acc =
-    if s >= Store.Router.n_shards w.router then Ok (List.rev acc)
-    else
-      match shard s with Error e -> Error e | Ok v -> go (s + 1) (v :: acc)
-  in
-  go 0 []
+  List.init (Store.Router.n_shards w.router) (fun s ->
+      let strat = Store.Router.strategy w.router ~shard:s in
+      let legal = Store.Strategy.legal strat in
+      Fmt.pr "shard %d: %s n=%d, min read/write %d/%d, legal: %s@." s
+        strat.Store.Strategy.name strat.Store.Strategy.n
+        (Store.Strategy.min_read strat)
+        (Store.Strategy.min_write strat)
+        (if legal then "yes" else "NO");
+      legal)
 
 (* The transaction layer's extra static obligation, checked against
    the live world: commit-version uniqueness needs any two prepare
@@ -698,35 +689,26 @@ let () =
                   installed);
             loop ()
         | [ "lint" ] ->
-            (match lint_world !w with
-            | Error e -> Fmt.pr "lint: %s@." e
-            | Ok verdicts ->
-                List.iter
-                  (fun v -> Fmt.pr "%a@." Lint.Quorum_check.pp_verdict v)
-                  verdicts;
-                let ok v =
-                  v.Lint.Quorum_check.legal_rw
-                  && v.Lint.Quorum_check.minimize_preserves
-                in
-                if List.for_all ok verdicts then
-                  Fmt.pr "lint: %d shard configuration%s legal@."
-                    (List.length verdicts)
-                    (if List.length verdicts = 1 then "" else "s")
-                else Fmt.pr "lint: ILLEGAL shard configuration@.";
-                (* the transaction layer's extra obligation on the
-                   same live world *)
-                let txn_verdicts = txn_lint !w in
-                List.iter
-                  (fun (s, ok) ->
-                    if not ok then
-                      Fmt.pr
-                        "txn: shard %d has disjoint prepare (vote) quorums — \
-                         two transactions could commit the same version@." s)
-                  txn_verdicts;
-                if List.for_all snd txn_verdicts then
+            let legal = lint_world !w in
+            let n = List.length legal in
+            if List.for_all Fun.id legal then
+              Fmt.pr "lint: %d shard configuration%s legal@." n
+                (if n = 1 then "" else "s")
+            else Fmt.pr "lint: ILLEGAL shard configuration@.";
+            (* the transaction layer's extra obligation on the same
+               live world *)
+            let txn_verdicts = txn_lint !w in
+            List.iter
+              (fun (s, ok) ->
+                if not ok then
                   Fmt.pr
-                    "txn: prepare (vote) quorums pairwise intersect on every \
-                     shard — decided-version uniqueness holds@.");
+                    "txn: shard %d has disjoint prepare (vote) quorums — two \
+                     transactions could commit the same version@." s)
+              txn_verdicts;
+            if List.for_all snd txn_verdicts then
+              Fmt.pr
+                "txn: prepare (vote) quorums pairwise intersect on every shard \
+                 — decided-version uniqueness holds@.";
             loop ()
         | [ "tune" ] ->
             (* side-effect-free peek: the sample feed (and `top`'s

@@ -475,23 +475,6 @@ let txn_check a =
 let txn_violations a = a.txn_violations
 let txn_decided_count a = Inttbl.length a.decided_w
 
-(* ---------- static quorum sanity ---------- *)
-
-(** Does the configuration pass the static lint gate — legal
-    read/write intersection and a minimization that preserves it?
-    Swarm runs check this up front so a fuzzing campaign on a broken
-    configuration fails fast with a structural message rather than a
-    pile of stale reads. *)
-let quorum_ok ~name (config : Quorum.Config.t) : (unit, string) result =
-  let v = Lint.Quorum_check.check_config ~name config in
-  if not v.Lint.Quorum_check.legal_rw then
-    Error
-      (Fmt.str "%s: read/write quorums do not all intersect (R=%d, W=%d)" name
-         v.Lint.Quorum_check.n_read v.Lint.Quorum_check.n_write)
-  else if not v.Lint.Quorum_check.minimize_preserves then
-    Error (Fmt.str "%s: minimization does not preserve intersection" name)
-  else Ok ()
-
 (* ---------- liveness after heal ---------- *)
 
 (** After a script that provably settles ({!Script.quiesces_at}), the

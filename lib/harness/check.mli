@@ -68,10 +68,6 @@ val txn_violations : txn_audit -> string list
 
 val txn_decided_count : txn_audit -> int
 
-val quorum_ok : name:string -> Quorum.Config.t -> (unit, string) result
-(** Static gate: legal read/write intersection and
-    intersection-preserving minimization, via {!Lint.Quorum_check}. *)
-
 val liveness_after_heal :
   script:Script.t -> completions:(float * bool) list -> (unit, string) result
 (** After a script that settles ({!Script.quiesces_at}), at least one

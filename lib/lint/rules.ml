@@ -9,7 +9,9 @@
       [Sys.time] anywhere in library code, and any module path to
       [Random], [Unix], [UnixLabels], [Sys] or [Stdlib] itself (an
       alias, an [open], a local open, an [include], a functor argument
-      or a pack), which would let those effects in under another name.
+      or a pack), which would let those effects in under another name;
+      and every [external] declaration, which reaches the runtime's
+      primitives with no module path at all.
       All randomness must flow through the seeded {!Qc_util.Prng} (the
       one exempt implementation file) and all time through the virtual
       clock [Sim.Core.now].
@@ -280,6 +282,19 @@ let check_module ctx ~loc path =
            name)
   | _ -> ()
 
+(* An [external] binds a C primitive directly, with no module path
+   for the checks above to see ([caml_sys_random_seed],
+   [caml_sys_time]); every one is flagged, and a reviewed site is
+   silenced with [effect-ok]. *)
+let check_external ctx ~loc (vd : value_description) =
+  if not ctx.exempt_effects then
+    add ctx ~loc rule_effect
+      (Fmt.str "external %s = %S: a C primitive can reach entropy or the \
+                wall clock with no module path — review it and silence \
+                with (* lint: effect-ok *)"
+         vd.pval_name.txt
+         (match vd.pval_prim with p :: _ -> p | [] -> ""))
+
 let iterator ctx =
   let expr (self : Ast_iterator.iterator) (e : expression) =
     (match e.pexp_desc with
@@ -297,7 +312,13 @@ let iterator ctx =
     | _ -> ());
     Ast_iterator.default_iterator.module_expr self me
   in
-  { Ast_iterator.default_iterator with expr; module_expr }
+  let structure_item (self : Ast_iterator.iterator) (si : structure_item) =
+    (match si.pstr_desc with
+    | Pstr_primitive vd -> check_external ctx ~loc:si.pstr_loc vd
+    | _ -> ());
+    Ast_iterator.default_iterator.structure_item self si
+  in
+  { Ast_iterator.default_iterator with expr; module_expr; structure_item }
 
 (* ---------- pragma application ---------- *)
 

@@ -1,6 +1,6 @@
 (** Quorum strategies over [n] replicas, represented as predicates on
     bitmasks of replica indices.  This is the practical-systems
-    counterpart of {!Quorum.Config}: the paper's generalized
+    counterpart of [Quorum.Config]: the paper's generalized
     configurations instantiated for a replica set, with exact analytic
     availability by enumeration.
 
@@ -177,20 +177,3 @@ let availability t ~p =
     if t.write_ok m then write := !write +. !prob
   done;
   (!read, !write)
-
-(** Lower onto an explicit {!Quorum.Config} whose quorums are the
-    minimal ones, replica [i] named [names.(i)] — the form the lint's
-    quorum checker verifies. *)
-let to_config t names =
-  if Array.length names <> t.n then
-    Error
-      (Fmt.str "%d replicas but strategy %s expects %d" (Array.length names)
-         t.name t.n)
-  else
-    let names_of mask =
-      List.filter_map
-        (fun i -> if mask land (1 lsl i) <> 0 then Some names.(i) else None)
-        (List.init t.n Fun.id)
-    in
-    let side s = List.map names_of (quorums t s).minimal in
-    Ok (Quorum.Config.make ~read_quorums:(side `Read) ~write_quorums:(side `Write))

@@ -1,5 +1,5 @@
 (** Quorum strategies over [n] replicas as bitmask predicates — the
-    practical-systems counterpart of {!Quorum.Config}, with exact
+    practical-systems counterpart of [Quorum.Config], with exact
     analytic availability by enumeration. *)
 
 (** One side's quorums, enumerated once per strategy. *)
@@ -58,8 +58,3 @@ val primary : int -> t
 val availability : t -> p:float -> float * float
 (** [(read, write)] probability a live quorum exists when each replica
     is independently alive with probability [p] — exact enumeration. *)
-
-val to_config : t -> string array -> (Quorum.Config.t, string) result
-(** The strategy's minimal quorums as a {!Quorum.Config} over replica
-    names ([names.(i)] is replica [i]) — what the lint's quorum checker
-    verifies.  [Error] when the name count is not [n]. *)

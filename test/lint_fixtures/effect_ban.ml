@@ -1,6 +1,6 @@
 (* Fixture: effect-ban rule.  Violations at lines 4, 5 and 6; the
    pragma'd site at line 9 is silent; each escape form below is a
-   violation at the line where its module path enters. *)
+   violation where its module path enters, an external at its line. *)
 let bad_random () = Random.int 10
 let bad_unix () = Unix.gettimeofday ()
 let bad_time () = Sys.time ()
@@ -20,3 +20,4 @@ open Sys
 let clock () = time ()
 open Random
 let opened () = int 6
+external seed : unit -> int array = "caml_sys_random_seed"

@@ -473,22 +473,6 @@ let test_recover_across_installs () =
 
 (* ---------- check predicates ---------- *)
 
-let test_quorum_ok () =
-  (match
-     Harness.Check.quorum_ok ~name:"majority-3"
-       (Quorum.Config.majority [ "a"; "b"; "c" ])
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "majority should pass: %s" e);
-  match
-    Harness.Check.quorum_ok ~name:"disjoint"
-      (Quorum.Config.make
-         ~read_quorums:[ [ "a" ] ]
-         ~write_quorums:[ [ "b" ] ])
-  with
-  | Ok () -> Alcotest.fail "disjoint quorums should fail the static gate"
-  | Error _ -> ()
-
 let test_liveness_after_heal () =
   let script =
     match Script.of_string "@10 crash r0; @20 recover r0; @30 heal" with
@@ -699,7 +683,6 @@ let suites =
       ] );
     ( "harness.check",
       [
-        Alcotest.test_case "static quorum gate" `Quick test_quorum_ok;
         Alcotest.test_case "liveness after heal" `Quick
           test_liveness_after_heal;
         Alcotest.test_case "blocked after heal" `Quick test_blocked_after_heal;

@@ -43,7 +43,7 @@ let test_effect_ban () =
   check_fixture "effect_ban.ml"
     (List.map
        (fun line -> (line, Rules.rule_effect))
-       [ 4; 5; 6; 11; 13; 14; 15; 16; 17; 19; 21 ])
+       [ 4; 5; 6; 11; 13; 14; 15; 16; 17; 19; 21; 23 ])
 
 let test_hashtbl_order () =
   check_fixture "hashtbl_order.ml"
@@ -87,7 +87,7 @@ let all_fixture_findings () =
 
 let test_lint_paths_walk () =
   let findings = all_fixture_findings () in
-  Alcotest.(check int) "total findings across fixtures" 24
+  Alcotest.(check int) "total findings across fixtures" 25
     (List.length findings);
   Alcotest.(check bool) "sorted and deduplicated" true
     (Report.sort findings = findings)
@@ -107,7 +107,7 @@ let test_reporters () =
     (contains ~affix:expect_line text && contains ~affix:Rules.rule_effect text);
   let json = Report.to_json findings in
   Alcotest.(check bool) "json report carries the count" true
-    (contains ~affix:"\"count\":24" json);
+    (contains ~affix:"\"count\":25" json);
   Alcotest.(check string) "json deterministic across runs" json
     (Report.to_json (all_fixture_findings ()))
 
