@@ -155,6 +155,40 @@ let t_sim_events =
          chain 10_000;
          Sim.Core.run sim))
 
+(* The event queue under the kv_readmostly mix, with no simulator
+   around it: 17 live entries; each pop is followed by a push at a
+   lognormal delay (drawn ahead into a ring, so the row times the
+   queue, not the draw), and every 12 pops one timer is added at +100
+   and cancelled six pops later — 13 adds per 12 pops, as a delivery
+   schedules the next message and an op arms and cancels its
+   timeout.  One run is 12 pops. *)
+let queue_delays =
+  let rng = Prng.create fixture_seed in
+  Array.init 4096 (fun _ -> Prng.lognormal rng ~mu:1.0 ~sigma:0.5)
+
+let t_event_queue =
+  let q = Sim.Heap.create () and seq = ref 0 in
+  let push now =
+    Sim.Heap.push q (now +. queue_delays.(!seq land 4095)) !seq ();
+    incr seq
+  in
+  for _ = 1 to 17 do
+    push 0.0
+  done;
+  Test.make ~name:"simulator: event queue, kv_readmostly mix"
+    (Staged.stage (fun () ->
+         let timer = ref Sim.Heap.none in
+         for i = 0 to 11 do
+           let now = Sim.Heap.min_time q in
+           Sim.Heap.take q;
+           push now;
+           if i = 0 then begin
+             timer := Sim.Heap.add q (now +. 100.0) !seq ();
+             incr seq
+           end
+           else if i = 6 then ignore (Sim.Heap.cancel q !timer : bool)
+         done))
+
 (* Every simulated message draws its latency from Prng.lognormal (a
    128-layer ziggurat normal, then one exp); the bare uniform draw
    beside it is the floor any draw pays. *)
@@ -422,6 +456,7 @@ let all_tests =
     t_locks_cycle;
     t_mvto_cycle;
     t_sim_events;
+    t_event_queue;
     t_lognormal_draw;
     t_uniform_draw;
     t_store_ops;

@@ -76,6 +76,7 @@ let lint_rules =
     Lint.Rules.rule_effect;
     Lint.Rules.rule_hashtbl;
     Lint.Rules.rule_float;
+    Lint.Rules.rule_minmax;
     Lint.Rules.rule_parse;
     Lint.Rules.rule_unknown_pragma;
     Lint.Rules.rule_unused_pragma;

@@ -367,7 +367,7 @@ let step_write_tm t (n : node) (item : Item.t) (value : Value.t) =
         List.for_all (fun dm -> List.mem_assoc dm n.got) n.quorum_target
       then begin
         let vn =
-          List.fold_left (fun m (_, (vn, _)) -> max m vn) 0 n.got
+          List.fold_left (fun m (_, (vn, _)) -> Int.max m vn) 0 n.got
         in
         let wq = Prng.choose t.rng item.Item.config.Config.write_quorums in
         n.wphase <- WWriting;
@@ -524,7 +524,7 @@ let run ?(max_steps = 200_000) (t : t) : run_log =
       | [] -> ()
       | ns ->
           t.steps <- t.steps + 1;
-          t.peak_concurrency <- max t.peak_concurrency (live_top_levels t);
+          t.peak_concurrency <- Int.max t.peak_concurrency (live_top_levels t);
           (* random abort injection *)
           if Prng.float t.rng < t.abort_rate then begin
             let candidates =

@@ -99,7 +99,7 @@ let try_read t ~obj ~initial ~who : read_result =
       if (not v.committed) && not (Txn.equal v.writer_top top) then
         RBlock [ v.writer_top ]
       else begin
-        v.read_ts <- max v.read_ts ts;
+        v.read_ts <- Int.max v.read_ts ts;
         ROk v.value
       end
 

@@ -115,7 +115,7 @@ let check (d : Description.t) (log : Engine.run_log) :
               | None -> (dm, (0, i.Item.initial)))
             i.Item.dms
         in
-        let max_vn = List.fold_left (fun m (_, (vn, _)) -> max m vn) 0 dm_states in
+        let max_vn = List.fold_left (fun m (_, (vn, _)) -> Int.max m vn) 0 dm_states in
         let expected = Hashtbl.find items i.Item.name in
         let* () =
           let at_max = List.filter (fun (_, (vn, _)) -> vn = max_vn) dm_states in

@@ -51,7 +51,7 @@ let rec newest_by started m = function
 let rec newest_ordered started = function
   | [] -> 0
   | e :: rest ->
-      if e.completed_at <= started then max e.vn 0
+      if e.completed_at <= started then Int.max e.vn 0
       else newest_ordered started rest
 
 (* The write of version [vn], if any; an ordered history stops at the
@@ -205,7 +205,7 @@ type key_index = {
 (* the first position in [lo, hi) of [order] whose version [vns.(_)]
    is above [vn] ([above = false]: at least [vn]); [hi] if none is —
    the segment is sorted by version *)
-let search order vns lo hi vn ~above =
+let search (order : int array) (vns : int array) lo hi (vn : int) ~above =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in

@@ -31,6 +31,12 @@
       class of bug that forced the [Sim.Stats] rewrite onto
       [Float.compare] (nan, signed zeros, and polymorphic-compare
       cost).
+    - {b poly-minmax}: bare [min] / [max] (or [Stdlib.min] /
+      [Stdlib.max]), applied or passed as a value.  Unless inlined at
+      a known type they call the runtime's polymorphic [compare_val];
+      on ints [Int.min] / [Int.max] compile inline.  On floats
+      [Float.min] / [Float.max] differ on nan, so a float site writes
+      its comparison out.
 
     Pragmas come from a fixed allowlist; an unknown pragma name and a
     pragma that silences nothing are themselves findings, so stale
@@ -40,6 +46,7 @@
 let rule_effect = "effect-ban"
 let rule_hashtbl = "hashtbl-order"
 let rule_float = "float-compare"
+let rule_minmax = "poly-minmax"
 let rule_parse = "parse-error"
 let rule_unknown_pragma = "unknown-pragma"
 let rule_unused_pragma = "unused-pragma"
@@ -239,6 +246,11 @@ let check_ident ctx ~loc path =
       add ctx ~loc rule_effect
         "Sys.time: wall-clock reads are banned in library code — use \
          Sim.Core.now (virtual time)"
+  | [ ("min" | "max") as f ] ->
+      add ctx ~loc rule_minmax
+        (Fmt.str "polymorphic %s calls compare_val — use Int.%s (or the \
+                  type's own function), or write a float comparison out"
+           f f)
   | _ when table_iteration ~tables:ctx.tables path ->
       add ctx ~loc rule_hashtbl
         (Fmt.str "%s: hash-bucket iteration order is implementation-defined \

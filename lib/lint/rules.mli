@@ -15,6 +15,9 @@
     - float comparison ([float-compare]): polymorphic [=] / [<>] /
       [compare] on float expressions, and bare [compare] passed to a
       sort;
+    - polymorphic min/max ([poly-minmax]): bare [min] / [max], which
+      compare through the runtime's [compare_val] — use [Int.min] /
+      [Int.max] or the type's own function;
     - pragma hygiene ([unknown-pragma], [unused-pragma]): pragmas come
       from a fixed allowlist and must silence something;
     - unreadable/unparsable input ([parse-error]). *)
@@ -22,6 +25,7 @@
 val rule_effect : string
 val rule_hashtbl : string
 val rule_float : string
+val rule_minmax : string
 val rule_parse : string
 val rule_unknown_pragma : string
 val rule_unused_pragma : string

@@ -71,7 +71,7 @@ let nearest_rank_p99 (latencies : float list) =
       Array.sort Float.compare a;
       let n = Array.length a in
       let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
-      a.(max 0 (min (n - 1) (rank - 1)))
+      a.(Int.max 0 (Int.min (n - 1) (rank - 1)))
 
 (* The shard's snapshot over its records newer than the window's left
    edge.  Reads the queue only: stale records are skipped, not

@@ -166,7 +166,7 @@ let quantile (h : histogram) q =
   if h.count = 0 then nan
   else
     let target =
-      int_of_float (ceil (q *. float_of_int h.count -. 1e-9)) |> max 1
+      int_of_float (ceil (q *. float_of_int h.count -. 1e-9)) |> Int.max 1
     in
     let rec go i acc =
       if i >= Array.length h.counts then infinity

@@ -65,7 +65,7 @@ let create ?(capacity = 65536) ?(enabled = true) () =
     enabled = enabled && capacity > 0;
     clock = (fun () -> 0.0);
     capacity;
-    ring = Array.make (max capacity 1) dummy_event;
+    ring = Array.make (Int.max capacity 1) dummy_event;
     len = 0;
     head = 0;
     next_seq = 0;

@@ -42,7 +42,7 @@ let init_track (item : Item.t) =
   }
 
 let current_vn tr =
-  List.fold_left (fun m (_, vn) -> max m vn) 0 tr.last_write_vn
+  List.fold_left (fun m (_, vn) -> Int.max m vn) 0 tr.last_write_vn
 
 let fail fmt = Fmt.kstr (fun s -> Error s) fmt
 let ( let* ) = Result.bind
@@ -50,7 +50,7 @@ let ( let* ) = Result.bind
 (* Lemma 7 after any prefix. *)
 let check_lemma7 tr =
   let cv = current_vn tr in
-  let hi = List.fold_left (fun m (_, (vn, _)) -> max m vn) 0 tr.dm_state in
+  let hi = List.fold_left (fun m (_, (vn, _)) -> Int.max m vn) 0 tr.dm_state in
   if hi = cv then Ok ()
   else
     fail "Lemma 7 violated for %s: max DM vn %d <> current-vn %d"

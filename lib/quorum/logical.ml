@@ -65,7 +65,7 @@ let current_vn (item : Item.t) (sched : Schedule.t) : int =
         | _ -> acc)
       [] sched
   in
-  List.fold_left (fun m (_, vn) -> max m vn) 0 last
+  List.fold_left (fun m (_, vn) -> Int.max m vn) 0 last
 
 (** The (version, value) state of every DM of [item] after [sched]
     (recomputed from the schedule, initial = (0, i_x)). *)

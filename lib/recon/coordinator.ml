@@ -111,9 +111,9 @@ let query_complete st =
 let query_summary st =
   Value.Recon_state
     {
-      version = max st.best_vn 0;
+      version = Int.max st.best_vn 0;
       data = st.best_value;
-      generation = max st.best_gen 0;
+      generation = Int.max st.best_gen 0;
       config =
         (match st.best_config with
         | Some c -> c

@@ -49,7 +49,7 @@ let init_track (item : Item.t) =
   }
 
 let current_vn tr =
-  List.fold_left (fun m (_, s) -> max m s.Value.version) 0 tr.dm_state
+  List.fold_left (fun m (_, s) -> Int.max m s.Value.version) 0 tr.dm_state
 
 let current_config tr =
   let _, best =

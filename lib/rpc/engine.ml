@@ -224,7 +224,7 @@ let tracer t = Core.tracer t.sim
 let vacant () : 'a = Obj.magic 0
 
 let grow a n fill =
-  let b = Array.make (max 16 (2 * n)) fill in
+  let b = Array.make (Int.max 16 (2 * n)) fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
@@ -585,7 +585,7 @@ let call t ~op ?rid ~targets ?first ~make ~on_reply () =
 
 (* the node [src]'s index in the call's group, or [-1] for a
    non-member *)
-let rec index_of ids src i =
+let rec index_of (ids : int array) src i =
   if i >= Array.length ids then -1
   else if ids.(i) = src then i
   else index_of ids src (i + 1)

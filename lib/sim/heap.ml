@@ -60,15 +60,18 @@ let length h = h.size
 let is_empty h = h.size = 0
 
 (* The strict total order on keys.  Seqs are unique, so no two live
-   keys are equal; times are never NaN (Core.schedule rejects it). *)
+   keys are equal; times are never NaN (Core.schedule rejects it), so
+   [t1 <= t2] after [not (t1 < t2)] means equal times.  Two machine
+   compares: [Float.equal], which must also order NaN, compiles to a
+   dozen instructions. *)
 let[@inline] before (t1 : float) (s1 : int) t2 s2 =
-  t1 < t2 || (Float.equal t1 t2 && s1 < s2)
+  t1 < t2 || (t1 <= t2 && s1 < s2)
 
 (* Only called when full, so every old slot is live and the new
    positions get the new, free slots. *)
 let grow h =
   let n = h.size in
-  let cap = max 16 (2 * n) in
+  let cap = Int.max 16 (2 * n) in
   let times = Array.make cap 0.0
   and seqs = Array.make cap 0
   and slots = Array.init cap Fun.id
@@ -88,75 +91,79 @@ let grow h =
   h.gens <- gens;
   h.vals <- vals
 
-(* Move the entry at position [i] up to its place. *)
+(* The sifts below index [times], [seqs], [slots] and [pos] unchecked.
+   The four arrays (and [gens]) always share one length, the capacity;
+   [size] never exceeds it; every position a loop touches is below
+   [size]; and every slot is below the capacity, since [slots] is a
+   permutation of [0 .. capacity-1].  [vals] is polymorphic and stays
+   checked: nothing here reads it in a loop. *)
+
+(* Move the entry at position [i] up to its place.  Safe: [i] is below
+   [size] and each step goes to the parent, a smaller position. *)
 let sift_up h i =
   let times = h.times and seqs = h.seqs and slots = h.slots and pos = h.pos in
-  let t = times.(i) and s = seqs.(i) and sl = slots.(i) in
-  let i = ref i in
-  while !i > 0 && before t s times.((!i - 1) / 2) seqs.((!i - 1) / 2) do
+  let t = Array.unsafe_get times i
+  and s = Array.unsafe_get seqs i
+  and sl = Array.unsafe_get slots i in
+  let i = ref i and climbing = ref true in
+  while !climbing && !i > 0 do
     let p = (!i - 1) / 2 in
-    times.(!i) <- times.(p);
-    seqs.(!i) <- seqs.(p);
-    let ps = slots.(p) in
-    slots.(!i) <- ps;
-    pos.(ps) <- !i;
-    i := p
-  done;
-  times.(!i) <- t;
-  seqs.(!i) <- s;
-  slots.(!i) <- sl;
-  pos.(sl) <- !i
-
-(* Move the entry at position [i] down to its place among the first
-   [n] positions. *)
-let sift_down h i n =
-  let times = h.times and seqs = h.seqs and slots = h.slots and pos = h.pos in
-  let t = times.(i) and s = seqs.(i) and sl = slots.(i) in
-  let i = ref i and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= n then sifting := false
-    else begin
-      let r = l + 1 in
-      let c =
-        if r < n && before times.(r) seqs.(r) times.(l) seqs.(l) then r else l
-      in
-      if before times.(c) seqs.(c) t s then begin
-        times.(!i) <- times.(c);
-        seqs.(!i) <- seqs.(c);
-        let cs = slots.(c) in
-        slots.(!i) <- cs;
-        pos.(cs) <- !i;
-        i := c
-      end
-      else sifting := false
+    if before t s (Array.unsafe_get times p) (Array.unsafe_get seqs p) then begin
+      Array.unsafe_set times !i (Array.unsafe_get times p);
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      let ps = Array.unsafe_get slots p in
+      Array.unsafe_set slots !i ps;
+      Array.unsafe_set pos ps !i;
+      i := p
     end
+    else climbing := false
   done;
-  times.(!i) <- t;
-  seqs.(!i) <- s;
-  slots.(!i) <- sl;
-  pos.(sl) <- !i
+  Array.unsafe_set times !i t;
+  Array.unsafe_set seqs !i s;
+  Array.unsafe_set slots !i sl;
+  Array.unsafe_set pos sl !i
 
-(* The entry at position [i], in slot [sl], leaves: release its value,
-   retire its handle, fill the hole with the last entry and park the
-   freed slot just beyond the live positions. *)
+(* The entry at position [i], in slot [sl], leaves: release its value
+   and retire its handle.  Then, bottom-up, walk the hole it leaves
+   down to a leaf, each level promoting the smaller child with one
+   comparison; move the last entry into the hole and sift it up.  It
+   came from the bottom, so it rarely climbs far — a top-down sift
+   spends two comparisons per level taking it nearly as deep.  The
+   freed slot is parked just beyond the live positions.  Safe: with
+   [n] the new size, the hole and the children it takes are below [n],
+   and [n] itself is below the old size. *)
 let remove_at h i sl =
   h.vals.(sl) <- vacant ();
   h.gens.(sl) <- (h.gens.(sl) + 1) land gen_mask;
   let n = h.size - 1 in
   h.size <- n;
+  let times = h.times and seqs = h.seqs and slots = h.slots and pos = h.pos in
   if i < n then begin
-    let times = h.times and seqs = h.seqs and slots = h.slots in
-    times.(i) <- times.(n);
-    seqs.(i) <- seqs.(n);
-    let ls = slots.(n) in
-    slots.(i) <- ls;
-    h.pos.(ls) <- i;
-    slots.(n) <- sl;
-    let p = (i - 1) / 2 in
-    if i > 0 && before times.(i) seqs.(i) times.(p) seqs.(p) then sift_up h i
-    else sift_down h i n
-  end
+    let hole = ref i and l = ref ((2 * i) + 1) in
+    while !l < n do
+      let r = !l + 1 in
+      let c =
+        if
+          r < n
+          && before (Array.unsafe_get times r) (Array.unsafe_get seqs r)
+               (Array.unsafe_get times !l) (Array.unsafe_get seqs !l)
+        then r
+        else !l
+      in
+      Array.unsafe_set times !hole (Array.unsafe_get times c);
+      Array.unsafe_set seqs !hole (Array.unsafe_get seqs c);
+      let cs = Array.unsafe_get slots c in
+      Array.unsafe_set slots !hole cs;
+      Array.unsafe_set pos cs !hole;
+      hole := c;
+      l := (2 * c) + 1
+    done;
+    Array.unsafe_set times !hole (Array.unsafe_get times n);
+    Array.unsafe_set seqs !hole (Array.unsafe_get seqs n);
+    Array.unsafe_set slots !hole (Array.unsafe_get slots n);
+    sift_up h !hole
+  end;
+  Array.unsafe_set slots n sl
 
 let[@inline] add h time seq v =
   if h.size = Array.length h.times then grow h;

@@ -115,7 +115,7 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       sim;
       latency;
       loss;
-      nodes = Array.make (max 1 (List.length nodes)) spare;
+      nodes = Array.make (Int.max 1 (List.length nodes)) spare;
       n_nodes = 0;
       ids = Qc_util.Strtbl.create 16;
       cut_links = Hashtbl.create 16;

@@ -42,7 +42,7 @@ let of_list xs =
 (** Combine two sample sets (e.g. per-replica stats) into a fresh one;
     the inputs are not mutated. *)
 let merge a b =
-  let t = { data = Array.make (max 16 (a.n + b.n)) 0.0; n = a.n + b.n } in
+  let t = { data = Array.make (Int.max 16 (a.n + b.n)) 0.0; n = a.n + b.n } in
   Array.blit a.data 0 t.data 0 a.n;
   Array.blit b.data 0 t.data a.n b.n;
   t
@@ -57,57 +57,83 @@ let percentile_sorted sorted p =
   else if p >= 1.0 then sorted.(n - 1)
   else
     let rank = int_of_float (ceil ((p *. float_of_int n) -. 1e-9)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+    sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
 
 (* [x] sorts before [y] in [Float.compare] order (nan first).  The
    comparison is specialised to floats, so the sort below never boxes
    a sample, as a polymorphic [Array.sort] comparator would. *)
 let[@inline] before (x : float) y = Float.compare x y < 0
 
-(* Move [a.(i)] down the max-heap [a.(0 .. n-1)] to its place. *)
-let sift_down (a : float array) i n =
-  let x = a.(i) in
-  let i = ref i and sinking = ref true in
-  while !sinking do
-    let l = (2 * !i) + 1 in
-    if l >= n then sinking := false
-    else begin
-      let c = if l + 1 < n && before a.(l) a.(l + 1) then l + 1 else l in
-      if before x a.(c) then begin
-        a.(!i) <- a.(c);
-        i := c
-      end
-      else sinking := false
-    end
-  done;
-  a.(!i) <- x
+(* The length of the runs insertion sort makes before merging. *)
+let run = 8
 
-(* In-place heapsort, ascending.  Elements [Float.compare] calls equal
-   are the same float (or zeros of either sign), so the result is the
-   one [Array.sort Float.compare] gives, up to the order of [0.0] and
-   [-0.0]. *)
+(* Merge the sorted runs [s.(lo .. mid-1)] and [s.(mid .. hi-1)] into
+   [d.(lo .. hi-1)], taking from the left run on ties. *)
+let merge_runs (s : float array) (d : float array) lo mid hi =
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    let x = s.(!i) and y = s.(!j) in
+    if before y x then begin
+      d.(!k) <- y;
+      incr j
+    end
+    else begin
+      d.(!k) <- x;
+      incr i
+    end;
+    incr k
+  done;
+  Array.blit s !i d !k (mid - !i);
+  Array.blit s !j d (!k + mid - !i) (hi - !j)
+
+(* Stable bottom-up merge sort, ascending: insertion-sort runs of
+   [run] samples in place, then merge widths [run], [2 * run], ...
+   back and forth between [a] and one scratch array, and return
+   whichever holds the result.  Unlike a heapsort's sift, whose every
+   branch is a coin flip on random samples, a merge's branches follow
+   the runs.  Being stable, the result is the one
+   [Array.stable_sort Float.compare] gives, bit for bit (the order of
+   [0.0] and [-0.0] included). *)
 let sort_floats (a : float array) =
   let n = Array.length a in
-  for i = (n / 2) - 1 downto 0 do
-    sift_down a i n
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Int.min n (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref i in
+      while !j > !lo && before x a.(!j - 1) do
+        a.(!j) <- a.(!j - 1);
+        decr j
+      done;
+      a.(!j) <- x
+    done;
+    lo := hi
   done;
-  for last = n - 1 downto 1 do
-    let top = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- top;
-    sift_down a 0 last
-  done
+  let src = ref a and dst = ref a and width = ref run in
+  if n > run then dst := Array.create_float n;
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min n (!lo + !width) in
+      let hi = Int.min n (mid + !width) in
+      merge_runs s d !lo mid hi;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
 
-let sorted_samples t =
-  let a = Array.sub t.data 0 t.n in
-  sort_floats a;
-  a
+let sorted t = sort_floats (Array.sub t.data 0 t.n)
 
 (** Nearest-rank percentile of the current samples. *)
-let percentile t p = percentile_sorted (sorted_samples t) p
+let percentile t p = percentile_sorted (sorted t) p
 
 let summarize t : summary =
-  let a = sorted_samples t in
+  let a = sorted t in
   let n = Array.length a in
   if n = 0 then
     {

@@ -24,6 +24,10 @@ val of_list : float list -> t
 val merge : t -> t -> t
 (** Combine two sample sets (per-replica stats) into a fresh one. *)
 
+val sorted : t -> float array
+(** The samples in [Float.compare] order (nan first), as a fresh
+    array; equal samples keep the order they were added in. *)
+
 val percentile : t -> float -> float
 (** Nearest-rank: the value at rank [ceil (p * n)] of the sorted
     samples. *)

@@ -319,7 +319,7 @@ and start_install t (p : pending) ~value =
   p.phase_started <- Core.now t.sim;
   p.rid <- rid;
   let own = try Qc_util.Strtbl.find t.own_vns p.key with Not_found -> 0 in
-  let vn = max p.best_vn own + 1 in
+  let vn = Int.max p.best_vn own + 1 in
   Qc_util.Strtbl.replace t.own_vns p.key vn;
   p.best_vn <- vn;
   p.best_value <- value;

@@ -303,7 +303,7 @@ let drive_ops w ~audit ~op_done =
     if remaining > 0 then
       let think = Prng.exponential w.wrng ~mean:spec.Workload.think_time in
       Core.schedule w.sim ~delay:think (fun () ->
-          let b = min spec.Workload.burst remaining in
+          let b = Int.min spec.Workload.burst remaining in
           let outstanding = ref b in
           let k () =
             decr outstanding;

@@ -57,7 +57,7 @@ let mean f rs =
 
 let imbalance loads =
   let m = float_of_int (total Fun.id loads) /. float_of_int (List.length loads) in
-  if m > 0.0 then float_of_int (List.fold_left max 0 loads) /. m else nan
+  if m > 0.0 then float_of_int (List.fold_left Int.max 0 loads) /. m else nan
 
 let replica_imbalance (r : Cluster.results) = imbalance (List.map snd r.replica_loads)
 
@@ -321,7 +321,7 @@ let reconfig_experiment ?(seed = 53) () =
         col "ok" 8 (fun (ok, _) -> string_of_int ok);
         col "failed" 8 (fun (_, failed) -> string_of_int failed);
         col "rate" 8 (fun (ok, failed) ->
-            fixed 3 (float_of_int ok /. float_of_int (max 1 (ok + failed))));
+            fixed 3 (float_of_int ok /. float_of_int (Int.max 1 (ok + failed))));
       ];
     rows =
       List.filter_map
@@ -385,7 +385,7 @@ let read_repair_experiment ?(seed = 61) () =
         List.map
           (fun key ->
             let vns = List.map (fun r -> fst (Replica.lookup r key)) replicas in
-            let hi = List.fold_left max 0 vns in
+            let hi = List.fold_left Int.max 0 vns in
             if hi = 0 then 0.0
             else
               float_of_int (List.length (List.filter (fun v -> v < hi) vns))

@@ -69,7 +69,7 @@ let proposal = function Some (_, c, ws) -> (c, ws) | None -> (false, [])
 let higher cur incoming =
   match (cur, incoming) with
   | _, None -> cur
-  | Some (b, _, _), Some (a, _, _) when b >= a -> cur
+  | Some ((b : int), _, _), Some (a, _, _) when b >= a -> cur
   | _ -> incoming
 
 (* no local closure over [name]: a prepare computes its index *)

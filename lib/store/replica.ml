@@ -315,7 +315,7 @@ let name_of t id = (Inttbl.find t.txns id).txid.name
    allocated per transaction beyond the occasional doubling. *)
 let doubt_add t id =
   if t.n_doubt = Array.length t.doubt then begin
-    let a = Array.make (max 8 (2 * t.n_doubt)) 0 in
+    let a = Array.make (Int.max 8 (2 * t.n_doubt)) 0 in
     Array.blit t.doubt 0 a 0 t.n_doubt;
     t.doubt <- a
   end;

@@ -116,7 +116,7 @@ let create ~name ~sim ~net ~(groups : string array array)
   in
   let ids = Array.map (fun c -> Rpc.Engine.group_ids c.Client.group) shards in
   let owner =
-    Array.make (1 + Array.fold_left (Array.fold_left max) (-1) ids) (-1)
+    Array.make (1 + Array.fold_left (Array.fold_left Int.max) (-1) ids) (-1)
   in
   Array.iteri (fun s -> Array.iter (fun i -> owner.(i) <- s)) ids;
   { name; net; shards; shard_of = shard_fn scheme ~n_shards ~n_keys; scheme; owner }

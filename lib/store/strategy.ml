@@ -45,7 +45,7 @@ let quorums_of ok n =
         not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
       masks
   in
-  let size = List.fold_left (fun acc q -> min acc (popcount q)) n minimal in
+  let size = List.fold_left (fun acc q -> Int.min acc (popcount q)) n minimal in
   { minimal; smallest = List.filter (fun q -> popcount q = size) minimal; size }
 
 let make ~name ~n ~read_ok ~write_ok =

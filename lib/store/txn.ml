@@ -159,7 +159,7 @@ let rec snap_note snap = function
 (* the snapshot's version of [k], 0 if no vote carried one *)
 let rec snap_vn k = function
   | [] -> 0
-  | s :: rest -> if String.equal s.key k then max 0 s.vn else snap_vn k rest
+  | s :: rest -> if String.equal s.key k then Int.max 0 s.vn else snap_vn k rest
 
 (* the snapshot's (k, vn, value), (k, 0, 0) if no vote carried one *)
 let rec snap_kv snap k =
@@ -388,14 +388,14 @@ let on_timeout a () =
 
 (* the elements of [xs] whose shard (the same position of [shards])
    is [s], in order *)
-let rec on_shard s xs shards =
+let rec on_shard (s : int) xs shards =
   match (xs, shards) with
   | x :: xs, s' :: shards ->
       if s' = s then x :: on_shard s xs shards else on_shard s xs shards
   | _ -> []
 
 (* [s] in its place in the ascending, duplicate-free [shards] *)
-let rec insert_shard s = function
+let rec insert_shard (s : int) = function
   | [] -> [ s ]
   | s' :: rest as shards ->
       if s < s' then s :: shards

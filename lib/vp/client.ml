@@ -93,7 +93,7 @@ let rec on_reply t (p : pending) ~all ~member ~heard msg =
              there (non-monotonic histories, stale read-my-writes).
              Taking the max over the whole view restores
              monotonicity. *)
-          p.vn <- max p.vn vn;
+          p.vn <- Int.max p.vn vn;
           if complete then begin
             start_install t p ~value:value';
             Engine.Done

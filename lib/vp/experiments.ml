@@ -104,7 +104,7 @@ let run_vp ~seed : phase_row list * int * bool =
                       (Option.value ~default:[]
                          (Hashtbl.find_opt completed_writes key))
                   in
-                  let newest = List.fold_left (fun m (v, _) -> max m v) 0 prior in
+                  let newest = List.fold_left (fun m (v, _) -> Int.max m v) 0 prior in
                   if vn < newest then incr stale)
           end
           else begin

@@ -60,7 +60,7 @@ let attach t ~(net : Protocol.msg Sim.Net.t) =
             reply (Protocol.Write_ack { rid; key })
           end
       | Protocol.State_req { rid; view_id } ->
-          t.fence <- max t.fence view_id;
+          t.fence <- Int.max t.fence view_id;
           reply (Protocol.State_rep { rid; state = state t })
       | Protocol.Install { rid; view_id; members; state } ->
           (* adopt the new view; merge state keeping the newest version

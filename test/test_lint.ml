@@ -55,6 +55,10 @@ let test_float_eq () =
   check_fixture "float_eq.ml"
     [ (6, Rules.rule_float); (7, Rules.rule_float); (8, Rules.rule_float) ]
 
+let test_poly_minmax () =
+  check_fixture "poly_minmax.ml"
+    (List.map (fun line -> (line, Rules.rule_minmax)) [ 5; 6; 7; 8 ])
+
 let test_pragma_hygiene () =
   check_fixture "pragma_hygiene.ml"
     [ (4, Rules.rule_unknown_pragma); (7, Rules.rule_unused_pragma) ]
@@ -87,7 +91,7 @@ let all_fixture_findings () =
 
 let test_lint_paths_walk () =
   let findings = all_fixture_findings () in
-  Alcotest.(check int) "total findings across fixtures" 25
+  Alcotest.(check int) "total findings across fixtures" 29
     (List.length findings);
   Alcotest.(check bool) "sorted and deduplicated" true
     (Report.sort findings = findings)
@@ -107,7 +111,7 @@ let test_reporters () =
     (contains ~affix:expect_line text && contains ~affix:Rules.rule_effect text);
   let json = Report.to_json findings in
   Alcotest.(check bool) "json report carries the count" true
-    (contains ~affix:"\"count\":25" json);
+    (contains ~affix:"\"count\":29" json);
   Alcotest.(check string) "json deterministic across runs" json
     (Report.to_json (all_fixture_findings ()))
 
@@ -330,6 +334,7 @@ let suites =
         Alcotest.test_case "effect-ban fixture" `Quick test_effect_ban;
         Alcotest.test_case "hashtbl-order fixture" `Quick test_hashtbl_order;
         Alcotest.test_case "float-compare fixture" `Quick test_float_eq;
+        Alcotest.test_case "poly-minmax fixture" `Quick test_poly_minmax;
         Alcotest.test_case "pragma hygiene fixture" `Quick
           test_pragma_hygiene;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;

@@ -43,7 +43,11 @@ let prop_heap_sorted =
 (* Model-based: random interleavings of push / pop / take, with times
    from a four-value set so ties are frequent, checked step by step
    against a list sorted by (time, seq).  [min_time] / [min_seq] must
-   agree with [peek], and every read of an empty heap must say so. *)
+   agree with [peek], and every read of an empty heap must say so.
+   The deep variant runs 400-1,200 steps that push twice as often as
+   they remove, so the heap crosses its 16/32/64/128 capacity
+   doublings and pops walk a hole down many levels, with continuous
+   times mixed into the tie set. *)
 type heap_op = Push of float | Pop | Take
 
 let heap_op_gen =
@@ -55,14 +59,28 @@ let heap_op_gen =
         (1, return Take);
       ])
 
+(* times from a tie set half the time, from a continuum otherwise *)
+let deep_time_gen ties =
+  QCheck.Gen.(frequency [ (1, oneofl ties); (1, float_bound_inclusive 1000.0) ])
+
+let deep_heap_ops =
+  QCheck.Gen.(
+    list_size (int_range 400 1200)
+      (frequency
+         [
+           (4, map (fun t -> Push t) (deep_time_gen [ 0.0; 1.0; 2.0; infinity ]));
+           (1, return Pop);
+           (1, return Take);
+         ]))
+
 let heap_op_print = function
   | Push t -> Fmt.str "push %g" t
   | Pop -> "pop"
   | Take -> "take"
 
-let prop_heap_model =
-  QCheck.Test.make ~count:300 ~name:"heap matches a sorted-list model"
-    QCheck.(make ~print:(Print.list heap_op_print) Gen.(list heap_op_gen))
+let heap_model_prop ~count ~name ops_gen =
+  QCheck.Test.make ~count ~name
+    QCheck.(make ~print:(Print.list heap_op_print) ops_gen)
     (fun ops ->
       let h = Sim.Heap.create () in
       let by_key (t1, s1, _) (t2, s2, _) =
@@ -100,6 +118,15 @@ let prop_heap_model =
       in
       go 0 [] ops)
 
+let prop_heap_model =
+  heap_model_prop ~count:300 ~name:"heap matches a sorted-list model"
+    QCheck.Gen.(list heap_op_gen)
+
+let prop_heap_model_deep =
+  heap_model_prop ~count:60
+    ~name:"deep heap matches a sorted-list model past 128 entries"
+    deep_heap_ops
+
 (* A value the heap gave back must not stay reachable from it — also
    when the heap empties, and for entries that moved through the slot
    being vacated. *)
@@ -130,7 +157,33 @@ let test_heap_releases_values () =
   Alcotest.(check bool) "last value released" true (released 3);
   push 0 1.0;
   ignore (Sys.opaque_identity (Sim.Heap.pop h));
-  Alcotest.(check bool) "popped to empty: released" true (released 0)
+  Alcotest.(check bool) "popped to empty: released" true (released 0);
+  (* Deep enough that a take walks its hole down five levels and moves
+     the last entry up from a leaf, and a cancel does the same from
+     inside the heap: every value that left is released, every live
+     one kept, whichever positions the walks moved it through. *)
+  let n = 40 in
+  let w = Weak.create n in
+  let handles =
+    Array.init n (fun i ->
+        let v = ref i in
+        Weak.set w i (Some v);
+        Sim.Heap.add h (float_of_int ((i * 17) mod n)) i v)
+  in
+  let left = Array.make n false in
+  for _ = 1 to 10 do
+    left.(!(Sim.Heap.take h)) <- true
+  done;
+  for i = 0 to n - 1 do
+    if i mod 3 = 0 && Sim.Heap.cancel h handles.(i) then left.(i) <- true
+  done;
+  Gc.full_major ();
+  Alcotest.(check (array bool))
+    "taken and cancelled values released, live ones kept" left
+    (Array.init n (fun i -> not (Weak.check w i)));
+  Alcotest.(check int) "live entries"
+    (Array.fold_left (fun k l -> if l then k else k + 1) 0 left)
+    (Sim.Heap.length h)
 
 (* Model-based, with handles: random push / take / cancel sequences,
    where a cancel names any handle issued so far — live, already taken,
@@ -138,7 +191,12 @@ let test_heap_releases_values () =
    reused.  A cancel must remove exactly the live entry it names and
    report whether it did; the heap must agree with the sorted list at
    every step and drain in its order. *)
-type cancel_op = CPush of float | CTake | CCancel of int
+type cancel_op =
+  | CPush of float
+  | CTake
+  | CCancel of int
+  | CCancelTop  (** cancel the entry at the root *)
+  | CPushCancel  (** push past every key, then cancel it: the last position *)
 
 let cancel_op_gen =
   QCheck.Gen.(
@@ -153,10 +211,27 @@ let cancel_op_print = function
   | CPush t -> Fmt.str "push %g" t
   | CTake -> "take"
   | CCancel i -> Fmt.str "cancel #%d" i
+  | CCancelTop -> "cancel top"
+  | CPushCancel -> "push last, cancel it"
 
-let prop_heap_cancel_model =
-  QCheck.Test.make ~count:500 ~name:"heap with cancel matches a sorted list"
-    QCheck.(make ~print:(Print.list cancel_op_print) Gen.(list cancel_op_gen))
+(* The deep variant: 600-1,500 steps, pushing faster than they remove
+   so the heap crosses its capacity doublings, with cancels of the
+   root and of the last position next to cancels of any handle. *)
+let deep_cancel_ops =
+  QCheck.Gen.(
+    list_size (int_range 600 1500)
+      (frequency
+         [
+           (5, map (fun t -> CPush t) (deep_time_gen [ 0.0; 1.0; 2.0; 3.0 ]));
+           (1, return CTake);
+           (1, map (fun i -> CCancel i) (int_bound 1000));
+           (1, return CCancelTop);
+           (1, return CPushCancel);
+         ]))
+
+let heap_cancel_prop ~count ~name ops_gen =
+  QCheck.Test.make ~count ~name
+    QCheck.(make ~print:(Print.list cancel_op_print) ops_gen)
     (fun ops ->
       let h = Sim.Heap.create () in
       let by_key (t1, s1) (t2, s2) =
@@ -195,8 +270,31 @@ let prop_heap_cancel_model =
               let model = List.filter (fun (_, s') -> s' <> s) model in
               Sim.Heap.cancel h hd = live && agrees model
               && go seq issued model rest
+        | CCancelTop :: rest -> (
+            match model with
+            | [] -> go seq issued model rest
+            | (_, s) :: model ->
+                let hd, _ = List.find (fun (_, s') -> s' = s) issued in
+                Sim.Heap.cancel h hd && agrees model
+                && go seq issued model rest)
+        | CPushCancel :: rest ->
+            (* [infinity] with the newest seq is past every key, so the
+               entry stays at the last position *)
+            let hd = Sim.Heap.add h infinity seq seq in
+            Sim.Heap.length h = List.length model + 1
+            && Sim.Heap.cancel h hd && agrees model
+            && go (seq + 1) ((hd, seq) :: issued) model rest
       in
       go 0 [] [] ops)
+
+let prop_heap_cancel_model =
+  heap_cancel_prop ~count:500 ~name:"heap with cancel matches a sorted list"
+    QCheck.Gen.(list cancel_op_gen)
+
+let prop_heap_cancel_model_deep =
+  heap_cancel_prop ~count:60
+    ~name:"deep heap with cancel matches a sorted list past 128 entries"
+    deep_cancel_ops
 
 (* A slot freed by a take or a cancel is reused by the next push; the
    old handle must stay stale, and a cancelled value must be released
@@ -605,8 +703,43 @@ let prop_stats_summary_matches_sort =
             && same s.Sim.Stats.p999 (rank 0.999)
             && same s.Sim.Stats.max a.(n - 1)))
 
-(* Summarizing reads the samples unboxed: the sorted copy is one
-   major-heap block, and sorting and the mean allocate nothing.  A
+(* The merge sort against the stdlib, n from 0 to 5,000 (short arrays
+   half the time, so every run and merge boundary is crossed), with
+   nan, both zeros, both infinities and duplicates: equal under
+   [Float.compare] to [Array.sort Float.compare] at every index, and
+   bit for bit what the stable [Array.stable_sort] gives, which fixes
+   where each zero lands. *)
+let prop_stats_sort_differential =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ nan; 0.0; -0.0; infinity; neg_infinity ]);
+          (3, map (fun i -> float_of_int i /. 4.0) (int_range (-20) 20));
+          (3, float);
+        ])
+  in
+  let samples =
+    QCheck.Gen.(
+      frequency [ (1, int_bound 40); (1, int_bound 5000) ] >>= fun n ->
+      array_size (return n) sample)
+  in
+  QCheck.Test.make ~count:200
+    ~name:"Stats.sorted equals Array.sort Float.compare, nan and zeros"
+    QCheck.(make ~print:Print.(array float) samples)
+    (fun xs ->
+      let got = Sim.Stats.sorted (Sim.Stats.of_list (Array.to_list xs)) in
+      let by_sort = Array.copy xs and by_stable = Array.copy xs in
+      Array.sort Float.compare by_sort;
+      Array.stable_sort Float.compare by_stable;
+      let bits = Int64.bits_of_float in
+      Array.length got = Array.length xs
+      && Array.for_all2 (fun x y -> Float.compare x y = 0) got by_sort
+      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) got by_stable)
+
+(* Summarizing reads the samples unboxed: the sorted copy and the merge
+   sort's scratch are major-heap blocks, and sorting and the mean
+   allocate nothing else.  A
    polymorphic [Array.sort] boxed every sample it compared (about
    900,000 minor words here). *)
 let test_stats_summarize_no_boxing () =
@@ -902,6 +1035,8 @@ let suites =
         Alcotest.test_case "taken values are released" `Quick
           test_heap_releases_values;
         qcheck prop_heap_cancel_model;
+        qcheck prop_heap_model_deep;
+        qcheck prop_heap_cancel_model_deep;
         Alcotest.test_case "stale, repeated and reused-slot handles" `Quick
           test_heap_stale_handles;
         Alcotest.test_case "add, cancel and take allocate nothing" `Quick
@@ -960,6 +1095,7 @@ let suites =
           test_stats_merge_weighted_mean;
         qcheck prop_stats_merge_order_independent;
         qcheck prop_stats_summary_matches_sort;
+        qcheck prop_stats_sort_differential;
         Alcotest.test_case "summarize does not box samples" `Quick
           test_stats_summarize_no_boxing;
       ] );
