@@ -533,8 +533,7 @@ let dump_trace_if_asked () =
 
 (* machine-readable results, for CI artifacts: a stable little JSON
    document (a non-finite estimate becomes null) *)
-let write_json path ~quota rows =
-  let oc = open_out path in
+let write_json oc ~quota rows =
   output_string oc
     (Obs.Json.to_string
        (Obs.Json.Obj
@@ -557,9 +556,18 @@ let write_json path ~quota rows =
   output_string oc "\n";
   close_out oc
 
+(* A bad --quota or an unwritable --json is a usage error (exit 2)
+   before any work: a zero quota measures nothing, a non-finite or
+   negative one never ends, and a report path that fails only after
+   the whole selection has run wastes the run. *)
 let run_benchmarks only quota list_only json_file =
   let tests = select only in
-  if list_only then begin
+  if not (Float.is_finite quota && quota > 0.0) then begin
+    Fmt.epr "bench: --quota must be a finite number of seconds > 0 (got %g)@."
+      quota;
+    2
+  end
+  else if list_only then begin
     List.iter (fun t -> Fmt.pr "%s@." (test_name t)) tests;
     0
   end
@@ -567,36 +575,38 @@ let run_benchmarks only quota list_only json_file =
     Fmt.epr "no benchmark matches %s@." (Option.value ~default:"" only);
     1
   end
-  else begin
-    dump_trace_if_asked ();
-    let results = benchmark ~quota tests in
-    Fmt.pr "%-55s %18s@." "benchmark" "ns/run";
-    Fmt.pr "%s@." (String.make 74 '-');
-    let clock = Measure.label Instance.monotonic_clock in
-    let rows =
-      match Hashtbl.find_opt results clock with
-      | None -> []
-      | Some tbl ->
-          List.sort compare
-            (Hashtbl.fold
-               (fun name ols acc ->
-                 match Analyze.OLS.estimates ols with
-                 | Some [ est ] -> (name, est) :: acc
-                 | Some _ | None -> (name, nan) :: acc)
-               tbl [])
-    in
-    if rows = [] then Fmt.pr "no results@."
-    else
-      List.iter (fun (name, est) -> Fmt.pr "%-55s %18.1f@." name est) rows;
-    (match json_file with
-    | None -> ()
-    | Some path -> (
-        try
-          write_json path ~quota rows;
-          Fmt.epr "wrote %d benchmark results to %s@." (List.length rows) path
-        with Sys_error e -> Fmt.epr "cannot write %s: %s@." path e));
-    0
-  end
+  else
+    match Option.map (fun path -> (path, open_out path)) json_file with
+    | exception Sys_error e ->
+        Fmt.epr "bench: cannot write %s@." e;
+        2
+    | out ->
+        dump_trace_if_asked ();
+        let results = benchmark ~quota tests in
+        Fmt.pr "%-55s %18s@." "benchmark" "ns/run";
+        Fmt.pr "%s@." (String.make 74 '-');
+        let clock = Measure.label Instance.monotonic_clock in
+        let rows =
+          match Hashtbl.find_opt results clock with
+          | None -> []
+          | Some tbl ->
+              List.sort compare
+                (Hashtbl.fold
+                   (fun name ols acc ->
+                     match Analyze.OLS.estimates ols with
+                     | Some [ est ] -> (name, est) :: acc
+                     | Some _ | None -> (name, nan) :: acc)
+                   tbl [])
+        in
+        if rows = [] then Fmt.pr "no results@."
+        else
+          List.iter (fun (name, est) -> Fmt.pr "%-55s %18.1f@." name est) rows;
+        Option.iter
+          (fun (path, oc) ->
+            write_json oc ~quota rows;
+            Fmt.epr "wrote %d benchmark results to %s@." (List.length rows) path)
+          out;
+        0
 
 open Cmdliner
 

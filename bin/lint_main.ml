@@ -1,8 +1,6 @@
-(* Determinism lint + static quorum checker, CI-gated.
+(* Determinism lint, CI-gated.
 
      lint.exe [OPTS] PATH...     lint every .ml under PATHs (parse trees)
-     lint.exe quorum [--json FILE]
-                                 static quorum-intersection check
 
    Options:
      --json FILE      also write the findings as JSON
@@ -10,22 +8,19 @@
      --exclude RULE   drop findings of RULE (repeatable)
 
    --only/--exclude must name lint rules and leave at least one to
-   run; quorum takes --json alone.  Any other operand starting with
-   "--" is a usage error, not a path.
+   run.  Any other operand starting with "--" is a usage error, not a
+   path.
 
-   Exit codes: 0 clean, 1 findings/violations, 2 usage or I/O error.
+   Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-   The code lint walks parse trees (compiler-libs) for the three
-   determinism rules (effect ban, Hashtbl iteration order, float
-   comparison) plus pragma hygiene; the quorum subcommand verifies
-   read/write and write/write intersection, minimality and
-   non-domination for every shipped configuration family without
-   running the simulator.  See DESIGN.md section 12. *)
+   The lint walks parse trees (compiler-libs) for the four determinism
+   rules (effect ban, Hashtbl iteration order, float comparison,
+   polymorphic min/max) plus pragma hygiene.  See DESIGN.md
+   section 12. *)
 
 let usage () =
   Fmt.epr
-    "usage: lint.exe [--json FILE] [--only RULE] [--exclude RULE] PATH...@.\
-    \       lint.exe quorum [--json FILE]@.";
+    "usage: lint.exe [--json FILE] [--only RULE] [--exclude RULE] PATH...@.";
   exit 2
 
 (* Open the --json report before any work, so an unwritable path is a
@@ -102,15 +97,6 @@ let check_rules o =
     exit 2
   end
 
-let run_quorum json =
-  let oc = open_json json in
-  let summary =
-    match Lint.Quorum_check.run () with Ok s -> s | Error s -> s
-  in
-  Fmt.pr "%a" Lint.Quorum_check.pp_summary summary;
-  write_json oc (Lint.Quorum_check.to_json summary);
-  exit (if summary.Lint.Quorum_check.violations = [] then 0 else 1)
-
 let run_lint o =
   check_rules o;
   let oc = open_json o.json in
@@ -134,12 +120,6 @@ let run_lint o =
       end
 
 let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | "quorum" :: rest -> (
-      match parse_opts rest with
-      | { operands = []; only = []; exclude = []; json } -> run_quorum json
-      | _ -> usage ())
-  | args -> (
-      match parse_opts args with
-      | { operands = []; _ } -> usage ()
-      | o -> run_lint o)
+  match parse_opts (List.tl (Array.to_list Sys.argv)) with
+  | { operands = []; _ } -> usage ()
+  | o -> run_lint o

@@ -133,10 +133,11 @@ let extra_flags shape =
     | Some m -> " --txn " ^ Store.Txn.mode_label m)
     (if shape.tune then " --tune" else "")
 
-(* the widest shard a run sets up in well under a second: quorum
-   targeting enumerates the strategy's minimal quorums
-   ([Store.Strategy.quorums]), a filter quadratic in the quorum count
-   (one seed at 16 replicas spends about 1.5 s there) *)
+(* the widest shard swarm takes: quorum targeting enumerates the
+   strategy's minimal quorums ([Store.Strategy.quorums], n predicate
+   calls for each of the 2^n masks, a few ms at 16 replicas), and
+   [Strategy.legal] and the tuner's scoring enumerate 2^n too; the cap
+   stays 12 until quorum expressions (ROADMAP item 11) lift it *)
 let max_gated_replicas = 12
 
 (* a shape the cluster rejects is bad input: one line, exit 2; so is

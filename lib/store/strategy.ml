@@ -31,20 +31,22 @@ let full n = (1 lsl n) - 1
 
 (** All minimal quorums of one side as bitmasks, in descending mask
     order (the client's random pick indexes into [smallest], so the
-    order is part of every seeded run).  Exponential enumeration
-    (n <= ~12), paid once per strategy and only when asked for. *)
+    order is part of every seeded run).  [ok] is upward-closed, so a
+    mask is minimal iff it passes and dropping any one of its bits
+    fails: [n] predicate calls per mask, no scan of the other quorums.
+    Exponential enumeration, paid once per strategy and only when
+    asked for. *)
 let quorums_of ok n =
-  let all = ref [] in
-  for m = 1 to full n do
-    if ok m then all := m :: !all
-  done;
-  let masks = !all in
-  let minimal =
-    List.filter
-      (fun q ->
-        not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
-      masks
+  let rec drops_fail q b =
+    b >= n
+    || (q land (1 lsl b) = 0 || not (ok (q land lnot (1 lsl b))))
+       && drops_fail q (b + 1)
   in
+  let minimal = ref [] in
+  for m = 1 to full n do
+    if ok m && drops_fail m 0 then minimal := m :: !minimal
+  done;
+  let minimal = !minimal in
   let size = List.fold_left (fun acc q -> Int.min acc (popcount q)) n minimal in
   { minimal; smallest = List.filter (fun q -> popcount q = size) minimal; size }
 

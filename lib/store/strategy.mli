@@ -22,6 +22,9 @@ type t = private {
 val popcount : int -> int
 val full : int -> int
 val make : name:string -> n:int -> read_ok:(int -> bool) -> write_ok:(int -> bool) -> t
+(** [read_ok] and [write_ok] must be upward-closed (a superset of a
+    quorum is a quorum): {!quorums} finds a minimal quorum by testing
+    only its one-bit-smaller subsets. *)
 
 val quorums : t -> [ `Read | `Write ] -> quorums
 (** The side's minimal quorums, enumerated on the first call. *)

@@ -1,15 +1,9 @@
 (* Tests for the determinism lint (lib/lint): fixture sources with
-   known violation lines, pragma semantics, the reporters, and the
-   static quorum-intersection checker — including a qcheck property
-   tying the checker's independent bitmask legality test to
-   [Config.legal], a static/dynamic cross-check against the harness,
-   and a qcheck fuzz of the replica dispatch the compiler proves
-   total. *)
+   known violation lines, pragma semantics, the reporters, and a
+   qcheck fuzz of the replica dispatch the compiler proves total. *)
 
 module Report = Lint.Report
 module Rules = Lint.Rules
-module Qcheck = Lint.Quorum_check
-module Config = Quorum.Config
 module Prng = Qc_util.Prng
 
 let fixture name = Filename.concat "lint_fixtures" name
@@ -126,100 +120,6 @@ let test_repo_lib_clean () =
     | Ok [] -> ()
     | Ok findings -> Alcotest.failf "lib/ not clean:\n%s" (Report.to_text findings)
     | Error e -> Alcotest.failf "lint_paths lib/: %s" e
-
-(* ---------- static quorum checker ---------- *)
-
-let find_verdict summary name =
-  match
-    List.find_opt (fun v -> v.Qcheck.name = name) summary.Qcheck.verdicts
-  with
-  | Some v -> v
-  | None -> Alcotest.failf "no verdict named %s" name
-
-let opt_bool = Alcotest.(option bool)
-
-let test_quorum_checker_runs () =
-  match Qcheck.run () with
-  | Error s -> Alcotest.failf "violations:@ %a" Qcheck.pp_summary s
-  | Ok s ->
-      Alcotest.(check int) "catalog size" 131 s.Qcheck.checked;
-      Alcotest.(check (list string)) "no violations" [] s.Qcheck.violations;
-      List.iter
-        (fun v ->
-          Alcotest.(check bool)
-            (v.Qcheck.name ^ " read/write legal")
-            true v.Qcheck.legal_rw)
-        s.Qcheck.verdicts
-
-let test_quorum_checker_classics () =
-  match Qcheck.run () with
-  | Error s -> Alcotest.failf "violations:@ %a" Qcheck.pp_summary s
-  | Ok s ->
-      (* Majority coteries are non-dominated exactly at odd n
-         (Barbara & Garcia-Molina). *)
-      Alcotest.check opt_bool "majority-5 non-dominated" (Some true)
-        (find_verdict s "majority-5").Qcheck.nd;
-      Alcotest.check opt_bool "majority-4 dominated" (Some false)
-        (find_verdict s "majority-4").Qcheck.nd;
-      (* ROWA's write side {all} is a coterie but dominated for n>1. *)
-      Alcotest.check opt_bool "rowa-1 non-dominated" (Some true)
-        (find_verdict s "rowa-1").Qcheck.nd;
-      Alcotest.check opt_bool "rowa-3 dominated" (Some false)
-        (find_verdict s "rowa-3").Qcheck.nd;
-      (* RAOW: singleton write-quorums stop pairwise-intersecting for
-         n>1 — the paper's point that w/w intersection is not required
-         by the replica-consistency proof. *)
-      Alcotest.(check bool) "raow-3 write side not pairwise-intersecting"
-        false (find_verdict s "raow-3").Qcheck.ww_intersects;
-      Alcotest.(check bool) "grid-2x3 writes intersect" true
-        (find_verdict s "grid-2x3").Qcheck.ww_intersects
-
-let test_accepts_basic () =
-  Alcotest.(check bool) "majority accepted" true
-    (Qcheck.accepts (Config.majority [ "a"; "b"; "c"; "d"; "e" ]));
-  let disjoint =
-    Config.make ~read_quorums:[ [ "a" ] ] ~write_quorums:[ [ "b" ] ]
-  in
-  Alcotest.(check bool) "disjoint quorums rejected" false
-    (Qcheck.accepts disjoint)
-
-(* qcheck: the checker's independent bitmask legality test agrees with
-   the list-based [Config.legal] on random generated configurations
-   (always legal) and on broken mutants (never legal). *)
-let prop_accepts_iff_legal =
-  QCheck.Test.make ~count:200
-    ~name:"static accepts <=> Config.legal on random configs"
-    QCheck.(pair (int_range 0 100_000) (int_range 2 6))
-    (fun (seed, n) ->
-      let rng = Prng.create seed in
-      let dms = List.init n (fun i -> Fmt.str "d%d" i) in
-      let c = Quorum.Gen.config rng dms in
-      let broken =
-        Config.make
-          ~read_quorums:[ [ "zz" ] ]
-          ~write_quorums:c.Config.write_quorums
-      in
-      Qcheck.accepts c = Config.legal c
-      && Config.legal c
-      && Qcheck.accepts broken = Config.legal broken
-      && not (Qcheck.accepts broken))
-
-(* Static/dynamic cross-check: a description the static checker
-   accepts wholesale also survives the full dynamic harness (run the
-   system, check Lemmas 5-8 and Theorem 10). *)
-let test_static_dynamic_cross_check () =
-  let seed = 2026 in
-  let d = Quorum.Gen.description (Prng.create seed) in
-  List.iter
-    (fun (it : Quorum.Item.t) ->
-      Alcotest.(check bool)
-        (Fmt.str "item %s statically accepted" it.Quorum.Item.name)
-        true
-        (Qcheck.accepts it.Quorum.Item.config))
-    d.Quorum.Description.items;
-  match Quorum.Harness.run_and_check ~seed () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "dynamic harness rejected seed %d: %s" seed e
 
 (* ---------- report determinism, replica dispatch fuzz ---------- *)
 
@@ -350,16 +250,5 @@ let suites =
         Alcotest.test_case "report shuffle regression" `Quick
           test_report_shuffle_regression;
         qcheck prop_handler_total;
-      ] );
-    ( "lint.quorum",
-      [
-        Alcotest.test_case "checker runs clean" `Quick
-          test_quorum_checker_runs;
-        Alcotest.test_case "classic strategy verdicts" `Quick
-          test_quorum_checker_classics;
-        Alcotest.test_case "accepts basics" `Quick test_accepts_basic;
-        qcheck prop_accepts_iff_legal;
-        Alcotest.test_case "static/dynamic cross-check" `Quick
-          test_static_dynamic_cross_check;
       ] );
   ]

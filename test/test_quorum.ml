@@ -8,25 +8,142 @@ open Ioa
 module Config = Quorum.Config
 module Item = Quorum.Item
 module Prng = Qc_util.Prng
+module Coterie = Quorum.Coterie
+module Strategy = Store.Strategy
 
 (* ---------- configurations ---------- *)
 
-let dms5 = [ "d0"; "d1"; "d2"; "d3"; "d4" ]
+let dms n = List.init n (fun i -> Fmt.str "d%d" i)
 
-let test_config_legal_families () =
+(* The formal half's legality check and the store half's agree: the
+   store sees a configuration as one bit per member, each side the
+   predicate "the replica set holds one of its quorums". *)
+let halves_agree (c : Config.t) =
+  let u = Config.members c in
+  let holds qs m = List.exists (fun q -> Coterie.mask_of u q land lnot m = 0) qs in
+  Strategy.make ~name:"config" ~n:(List.length u) ~read_ok:(holds c.read_quorums)
+    ~write_ok:(holds c.write_quorums)
+  |> Strategy.legal |> Bool.equal (Config.legal c)
+
+(* Kumar's tree quorums from lists: a within-group majority from two of
+   three contiguous groups, bounds [g*n/3 .. (g+1)*n/3) as in
+   [Strategy.tree]. *)
+let tree_config n =
+  let majorities g =
+    let ms = List.filteri (fun i _ -> i >= g * n / 3 && i < (g + 1) * n / 3) (dms n) in
+    Config.subsets_of_size ((List.length ms / 2) + 1) ms
+  in
+  let pick acc g = List.concat_map (fun q -> List.map (( @ ) q) (majorities g)) acc in
+  let qs = List.concat_map (List.fold_left pick [ [] ]) [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ] ] in
+  Config.make ~read_quorums:qs ~write_quorums:qs
+
+(* Every family over small universes with what its construction
+   promises ([None]: nothing) for write/write intersection,
+   non-domination of the write coterie, and antichain sides; then 100
+   seeded samples of the random generator. *)
+let catalog =
+  let yes = Some true and any = None in
+  let weighted votes r w =
+    Config.weighted ~votes:(List.combine (dms (List.length votes)) votes)
+      ~read_threshold:r ~write_threshold:w
+  in
+  List.concat_map
+    (fun n ->
+      let u = dms n in
+      [ (* {U} is dominated by any smaller coterie once |U| > 1 *)
+        (Fmt.str "rowa-%d" n, yes, Some (n = 1), yes, Config.rowa u);
+        (* singleton writes stop meeting at n > 1: the generalization
+           beyond coteries the paper's algorithm allows *)
+        (Fmt.str "raow-%d" n, Some (n = 1), any, yes, Config.raow u);
+        (* majorities are non-dominated exactly at odd n *)
+        (Fmt.str "majority-%d" n, yes, Some (n mod 2 = 1), yes, Config.majority u) ])
+    [ 1; 2; 3; 4; 5; 6 ]
+  @ [ ("weighted-1.1.1-r2w2", yes, yes, yes, weighted [ 1; 1; 1 ] 2 2);
+      ("weighted-2.1.1-r2w3", yes, Some false, yes, weighted [ 2; 1; 1 ] 2 3);
+      ("weighted-3.2.1.1-r4w4", yes, any, yes, weighted [ 3; 2; 1; 1 ] 4 4) ]
+  @ List.map
+      (fun (r, c) ->
+        (Fmt.str "grid-%dx%d" r c, yes, any, any, Config.grid ~rows:r ~cols:c (dms (r * c))))
+      [ (1, 4); (4, 1); (2, 2); (2, 3); (3, 2); (3, 3) ]
+  @ List.map (fun n -> (Fmt.str "tree-3/%d" n, yes, any, yes, tree_config n)) [ 4; 5; 6; 9 ]
+  @ List.init 100 (fun seed ->
+        let rng = Prng.create seed in
+        let c = Quorum.Gen.config rng (dms (1 + Prng.int rng 5)) in
+        (Fmt.str "gen-seed%d" seed, any, any, any, c))
+
+(* Assert, on every catalog row, each [(what, promise, actual)] the row
+   promises something for. *)
+let check_catalog checks =
   List.iter
-    (fun (name, c) ->
-      Alcotest.(check bool) (name ^ " legal") true (Config.legal c))
-    [
-      ("rowa", Config.rowa dms5);
-      ("raow", Config.raow dms5);
-      ("majority", Config.majority dms5);
-      ( "weighted",
-        Config.weighted
-          ~votes:[ ("d0", 2); ("d1", 1); ("d2", 1) ]
-          ~read_threshold:2 ~write_threshold:3 );
-      ("grid", Config.grid ~rows:2 ~cols:2 [ "d0"; "d1"; "d2"; "d3" ]);
-    ]
+    (fun ((name, _, _, _, _) as row) ->
+      List.iter
+        (fun (what, promise, actual) ->
+          Option.iter (fun p -> Alcotest.(check bool) (name ^ " " ^ what) p actual) promise)
+        (checks row))
+    catalog
+
+let test_config_families () =
+  check_catalog (fun (_, _, _, antichain, c) ->
+      let u = Config.members c in
+      let is_antichain qs =
+        List.length (Coterie.minimize (List.map (Coterie.mask_of u) qs)) = List.length qs
+      in
+      [ ("legal", Some true, Config.legal c);
+        ("antichain", antichain, is_antichain c.read_quorums && is_antichain c.write_quorums) ])
+
+let test_classic_verdicts () =
+  check_catalog (fun (_, ww, nd, _, c) ->
+      let cot = Coterie.of_write_side c in
+      (* every non-domination promise comes with a write coterie *)
+      [ ("write/write intersection", ww, cot <> None);
+        ("non-dominated", nd, Option.fold ~none:false ~some:Coterie.non_dominated cot) ])
+
+let test_catalog_clean () =
+  Alcotest.(check int) "catalog size" 131 (List.length catalog);
+  check_catalog (fun (_, _, _, _, c) ->
+      let u = Config.members c and minimized = Coterie.minimize_config c in
+      let covered c mask =
+        let s = Coterie.quorum_of u mask in
+        (Config.read_covered c s, Config.write_covered c s)
+      in
+      let nd_iff_no_witness k =
+        Bool.equal (Coterie.non_dominated k) (Coterie.domination_witness k = None)
+      in
+      [ ( "nd iff no witness", Some true,
+          Option.fold ~none:true ~some:nd_iff_no_witness (Coterie.of_write_side c) );
+        ( "minimize_config keeps coverage", Some true,
+          List.for_all
+            (fun m -> covered c m = covered minimized m)
+            (List.init (1 lsl List.length u) Fun.id) ) ]);
+  (* the list-built tree family is the store's [Strategy.tree] *)
+  List.iter
+    (fun n ->
+      let masks = List.map (Coterie.mask_of (dms n)) (tree_config n).read_quorums in
+      let minimal side = (Strategy.quorums (Strategy.tree ~groups:3 n) side).minimal in
+      let expected = List.sort (Fun.flip Int.compare) masks in
+      Alcotest.(check (list int)) (Fmt.str "tree-3/%d read" n) expected (minimal `Read);
+      Alcotest.(check (list int)) (Fmt.str "tree-3/%d write" n) expected (minimal `Write))
+    [ 4; 5; 6; 9 ]
+
+let test_halves_agree () =
+  check_catalog (fun (_, _, _, _, c) ->
+      [ ("legal, both halves", Some true, Config.legal c && halves_agree c) ]);
+  let disjoint = Config.make ~read_quorums:[ [ "a" ] ] ~write_quorums:[ [ "b" ] ] in
+  Alcotest.(check bool) "disjoint quorums illegal, both halves" true
+    ((not (Config.legal disjoint)) && halves_agree disjoint)
+
+(* Static/dynamic cross-check: a description whose configurations are
+   all legal also survives the full dynamic harness (run the system,
+   check Lemmas 5-8 and Theorem 10). *)
+let test_static_dynamic_cross_check () =
+  let d = Quorum.Gen.description (Prng.create 2026) in
+  List.iter
+    (fun (it : Item.t) ->
+      Alcotest.(check bool) (it.name ^ " legal") true (Config.legal it.config))
+    d.Quorum.Description.items;
+  match Quorum.Harness.run_and_check ~seed:2026 () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "dynamic harness rejected seed 2026: %s" e
 
 let test_config_illegal () =
   let c =
@@ -60,7 +177,7 @@ let test_grid_dimensions () =
       ignore (Config.grid ~rows:2 ~cols:2 [ "a"; "b"; "c" ]))
 
 let test_majority_sizes () =
-  let c = Config.majority dms5 in
+  let c = Config.majority (dms 5) in
   List.iter
     (fun q -> Alcotest.(check int) "majority quorum size" 3 (List.length q))
     (c.Config.read_quorums @ c.Config.write_quorums)
@@ -71,9 +188,18 @@ let prop_gen_configs_legal =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Prng.create seed in
-      let n = 1 + Prng.int rng 5 in
-      let dms = List.init n (fun i -> Fmt.str "d%d" i) in
-      Config.legal (Quorum.Gen.config rng dms))
+      Config.legal (Quorum.Gen.config rng (dms (1 + Prng.int rng 5))))
+
+(* qcheck: both halves agree on generated configurations (always legal)
+   and on a mutant with a read quorum outside its members (never) *)
+let prop_halves_agree =
+  QCheck.Test.make ~count:200 ~name:"halves agree on random and broken configs"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let c = Quorum.Gen.config rng (dms (1 + Prng.int rng 5)) in
+      let broken = Config.make ~read_quorums:[ [ "zz" ] ] ~write_quorums:c.write_quorums in
+      halves_agree c && halves_agree broken && not (Config.legal broken))
 
 (* qcheck: weighted voting with r + w > v is always legal *)
 let prop_weighted_legal =
@@ -531,8 +657,13 @@ let suites =
   [
     ( "quorum.config",
       [
-        Alcotest.test_case "constructor families legal" `Quick
-          test_config_legal_families;
+        Alcotest.test_case "constructor families keep their promises" `Quick
+          test_config_families;
+        Alcotest.test_case "classic strategy verdicts" `Quick test_classic_verdicts;
+        Alcotest.test_case "catalog coterie checks run clean" `Quick test_catalog_clean;
+        Alcotest.test_case "halves agree on basics and catalog" `Quick test_halves_agree;
+        Alcotest.test_case "static/dynamic cross-check" `Quick
+          test_static_dynamic_cross_check;
         Alcotest.test_case "illegal configurations" `Quick test_config_illegal;
         Alcotest.test_case "coverage predicate" `Quick test_config_covered;
         Alcotest.test_case "weighted threshold validation" `Quick
@@ -540,6 +671,7 @@ let suites =
         Alcotest.test_case "grid dimension validation" `Quick test_grid_dimensions;
         Alcotest.test_case "majority quorum sizes" `Quick test_majority_sizes;
         qcheck prop_gen_configs_legal;
+        qcheck prop_halves_agree;
         qcheck prop_weighted_legal;
       ] );
     ( "quorum.description",
@@ -595,16 +727,12 @@ let suites =
 
 (* ---------- coterie theory ---------- *)
 
-module Coterie = Quorum.Coterie
-
 let u5 = [ "a"; "b"; "c"; "d"; "e" ]
 let u3 = [ "a"; "b"; "c" ]
+let maj3 = [ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ] ]
 
 let test_coterie_majority_nd () =
-  let c =
-    Coterie.make ~universe:u3
-      ~quorums:[ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ] ]
-  in
+  let c = Coterie.make ~universe:u3 ~quorums:maj3 in
   Alcotest.(check bool) "majority-3 is ND" true (Coterie.non_dominated c);
   Alcotest.(check bool) "no witness" true (Coterie.domination_witness c = None)
 
@@ -620,17 +748,12 @@ let test_coterie_all_dominated () =
 
 let test_coterie_singleton_nd () =
   let c = Coterie.make ~universe:u3 ~quorums:[ [ "a" ] ] in
-  Alcotest.(check bool) "primary-site coterie is ND" true
-    (Coterie.non_dominated c)
+  Alcotest.(check bool) "primary-site coterie is ND" true (Coterie.non_dominated c)
 
 let test_coterie_dominates () =
-  let majority =
-    Coterie.make ~universe:u3
-      ~quorums:[ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ] ]
-  in
+  let majority = Coterie.make ~universe:u3 ~quorums:maj3 in
   let all = Coterie.make ~universe:u3 ~quorums:[ u3 ] in
-  Alcotest.(check bool) "majority dominates write-all" true
-    (Coterie.dominates majority all);
+  Alcotest.(check bool) "majority dominates write-all" true (Coterie.dominates majority all);
   Alcotest.(check bool) "not vice versa" false (Coterie.dominates all majority)
 
 let test_coterie_minimize () =
@@ -649,41 +772,24 @@ let test_write_side_coterie () =
   Alcotest.(check bool) "majority write side is a coterie" true
     (Coterie.of_write_side (Config.majority u3) <> None);
   (* the generalized algorithm allows non-intersecting write quorums *)
-  let general =
-    Config.make
-      ~read_quorums:[ u3 ]
-      ~write_quorums:[ [ "a" ]; [ "b" ] ]
-  in
+  let general = Config.make ~read_quorums:[ u3 ] ~write_quorums:[ [ "a" ]; [ "b" ] ] in
   Alcotest.(check bool) "legal configuration" true (Config.legal general);
-  Alcotest.(check bool) "write side not a coterie" true
-    (Coterie.of_write_side general = None)
+  Alcotest.(check bool) "write side not a coterie" true (Coterie.of_write_side general = None)
 
 let test_config_domination () =
   (* read-all/write-one is weakly dominated by a config with the same
      write side but smaller read quorums *)
   let raow = Config.raow u3 in
-  let better =
-    Config.make
-      ~read_quorums:[ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ] ]
-      ~write_quorums:
-        [ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ] ]
-  in
+  let better = Config.make ~read_quorums:maj3 ~write_quorums:maj3 in
   (* majority dominates raow: majority read quorums are inside the
      read-all quorum, and raow's singleton writes... majority writes
      are NOT inside singletons, so majority does NOT dominate raow *)
   Alcotest.(check bool) "majority does not dominate raow" false
     (Coterie.config_dominates better raow);
   (* but adding redundant larger quorums IS dominated by the original *)
-  let padded =
-    Config.make
-      ~read_quorums:[ u3 ]
-      ~write_quorums:[ [ "a"; "b" ]; [ "a" ] ]
-  in
-  let tight =
-    Config.make ~read_quorums:[ [ "a" ]; u3 ] ~write_quorums:[ [ "a" ] ]
-  in
-  Alcotest.(check bool) "tight dominates padded" true
-    (Coterie.config_dominates tight padded)
+  let padded = Config.make ~read_quorums:[ u3 ] ~write_quorums:[ [ "a"; "b" ]; [ "a" ] ] in
+  let tight = Config.make ~read_quorums:[ [ "a" ]; u3 ] ~write_quorums:[ [ "a" ] ] in
+  Alcotest.(check bool) "tight dominates padded" true (Coterie.config_dominates tight padded)
 
 (* random weighted-voting write sides with w > v/2 are coteries *)
 let prop_weighted_write_coterie =

@@ -73,32 +73,26 @@ let test_availability_ordering () =
       Alcotest.(check bool) "majority writes win" true (w_maj >= w_rowa))
     [ 0.5; 0.7; 0.9; 0.99 ]
 
-(* Differential oracle for the cached quorum lists: a mask is a minimal
-   quorum iff it satisfies [ok] and no proper non-empty submask does,
-   listed from the full set down — the order the client's random pick
-   indexes.  Cardinalities and the pairwise intersection check are
-   recomputed here too, sharing nothing with [Strategy]. *)
-let bits m =
-  let c = ref 0 in
-  for i = 0 to 62 do
-    if m land (1 lsl i) <> 0 then incr c
-  done;
-  !c
+(* Differential oracle for the cached quorum lists: the quadratic
+   filter [Strategy.quorums] used before its per-bit test — a mask is
+   a minimal quorum iff it satisfies [ok] and no other satisfying mask
+   lies inside it — listed from the full set down, the order the
+   client's random pick indexes.  Cardinalities and the pairwise
+   intersection check are recomputed here too, sharing nothing with
+   [Strategy]. *)
+let rec bits m = if m = 0 then 0 else (m land 1) + bits (m lsr 1)
 
-let brute_minimal ok n =
-  (* [s] walks the proper non-empty submasks of [m], largest first *)
-  let rec sub_ok m s = s <> 0 && (ok s || sub_ok m ((s - 1) land m)) in
+let quadratic_minimal ok n =
   let top = (1 lsl n) - 1 in
-  List.filter
-    (fun m -> ok m && not (sub_ok m ((m - 1) land m)))
-    (List.init top (fun i -> top - i))
+  let masks = List.filter ok (List.init top (fun i -> top - i)) in
+  List.filter (fun q -> not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks)) masks
 
 let check_cached_quorums (s : Strategy.t) =
   let n = s.Strategy.n and name = s.Strategy.name in
   List.iter
     (fun (side, label, ok, min_size) ->
       let q = Strategy.quorums s side in
-      let minimal = brute_minimal ok n in
+      let minimal = quadratic_minimal ok n in
       let size = List.fold_left (fun acc m -> min acc (bits m)) n minimal in
       Alcotest.(check (list int)) (name ^ label ^ " minimal") minimal
         q.Strategy.minimal;
@@ -146,6 +140,19 @@ let test_cached_quorums () =
   Alcotest.(check bool) "empty read set caught" false (Strategy.legal empty_read);
   Alcotest.(check int) "unsatisfiable side sizes to n" 3
     (Strategy.min_read empty_read)
+
+(* qcheck: the same oracle on the shipped families and their joint
+   transition strategies, n <= 10 *)
+let prop_minimal_matches_quadratic =
+  QCheck.Test.make ~count:100 ~name:"minimal quorums match the quadratic filter"
+    QCheck.(triple (int_range 1 10) small_nat small_nat)
+    (fun (n, i, j) ->
+      let cs = Store.Autotune.candidates n in
+      let pick k = List.nth cs (k mod List.length cs) in
+      let matches s side ok = (Strategy.quorums s side).minimal = quadratic_minimal ok n in
+      List.for_all
+        (fun (s : Strategy.t) -> matches s `Read s.read_ok && matches s `Write s.write_ok)
+        [ pick i; Store.Autotune.joint (pick i) (pick j) ])
 
 (* ---------- zipf ---------- *)
 
@@ -757,6 +764,7 @@ let suites =
         Alcotest.test_case "availability ordering" `Quick test_availability_ordering;
         Alcotest.test_case "cached quorums match enumeration" `Quick
           test_cached_quorums;
+        qcheck prop_minimal_matches_quadratic;
       ] );
     ( "store.workload",
       [
