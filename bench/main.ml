@@ -57,7 +57,9 @@ let t_f2_build_system_a =
 let t_e5_wellformed =
   Test.make ~name:"E5 well-formedness check"
     (Staged.stage (fun () ->
-         Quorum.System_b.check_wellformed quorum_description quorum_schedule))
+         Wellformed.check
+           ~is_access:(Quorum.Description.is_access_b quorum_description)
+           quorum_schedule))
 
 let t_e7_e8_invariants =
   Test.make ~name:"E7-E8 invariant check"
@@ -67,7 +69,9 @@ let t_e7_e8_invariants =
 let t_e10_simulation =
   Test.make ~name:"E10 Theorem 10 simulation"
     (Staged.stage (fun () ->
-         Quorum.Simulation.check quorum_description quorum_schedule))
+         Quorum.Simulation.check
+           ~erase:(Quorum.Description.is_replica_access quorum_description)
+           quorum_description quorum_schedule))
 
 let t_e12_recon_invariants =
   Test.make ~name:"E12 recon invariant check"
@@ -77,7 +81,9 @@ let t_e12_recon_invariants =
 let t_e12_recon_simulation =
   Test.make ~name:"E12 recon simulation"
     (Staged.stage (fun () ->
-         Recon.Simulation.check recon_description recon_schedule))
+         Quorum.Simulation.check
+           ~erase:(Recon.Description.erased_in_projection recon_description)
+           recon_description.plain recon_schedule))
 
 let t_scheduler_step =
   Test.make ~name:"serial scheduler step"

@@ -124,7 +124,8 @@ let () =
   let d = description in
   let run = Quorum.Harness.run_b ~abort_rate:0.0 ~seed:2 d in
   let beta = run.System.schedule in
-  let alpha = Quorum.Simulation.project d beta in
+  let erase = Quorum.Description.is_replica_access d in
+  let alpha = Schedule.erase erase beta in
   if which = "fig1" || which = "both" then begin
     Fmt.pr "=== Figure 1: transaction tree of replicated system B ===@.";
     Fmt.pr "(x has replicas x1..x3 with majority quorums; y has y1, y2)@.@.";
@@ -138,7 +139,7 @@ let () =
     Fmt.pr "@."
   end;
   (* the live proof: alpha replays on A *)
-  match Quorum.Simulation.check d beta with
+  match Quorum.Simulation.check ~erase d beta with
   | Ok _ -> Fmt.pr "Theorem 10 check on this run: OK@."
   | Error e ->
       Fmt.pr "Theorem 10 check FAILED: %s@." e;

@@ -258,18 +258,15 @@ let exhaustive_table () =
           [ Quorum.Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1" ] ] ]
     in
     let rd =
-      {
-        Recon.Description.items = [ tiny_item ];
-        raw_objects = [];
-        root_script =
+      Recon.Description.make ~items:[ tiny_item ] ~raw_objects:[]
+        ~root_script:
           {
             Serial.User_txn.children = [ w 1 0 ];
             ordered = true;
             eager = false;
             returns = Serial.User_txn.return_nil;
-          };
-        max_recons_per_txn = 1;
-      }
+          }
+        ~max_recons_per_txn:1
     in
     ( [ "recon {d0}->{d1}, write + spy recon" ],
       Recon.Explore.check_description ~budget:5_000_000 rd )

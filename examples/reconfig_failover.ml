@@ -52,12 +52,8 @@ let () =
     }
   in
   let d =
-    {
-      Recon.Description.items = [ item ];
-      raw_objects = [];
-      root_script = script;
-      max_recons_per_txn = 2;
-    }
+    Recon.Description.make ~items:[ item ] ~raw_objects:[] ~root_script:script
+      ~max_recons_per_txn:2
   in
   let total_recons = ref 0 in
   for seed = 1 to 10 do

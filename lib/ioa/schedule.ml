@@ -14,11 +14,6 @@ let length = List.length
     paper's "restricted to" operator. *)
 let project (p : Action.t -> bool) (sched : t) : t = List.filter p sched
 
-(** [project_component c sched] is [sched|c]: the operations in [c]'s
-    signature. *)
-let project_component (c : Component.t) (sched : t) : t =
-  project (Component.has_action c) sched
-
 (** [project_txn t sched] keeps the operations about transaction [t]
     itself (not its descendants). *)
 let project_txn (t : Txn.t) (sched : t) : t =

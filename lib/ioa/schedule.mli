@@ -9,9 +9,6 @@ val length : t -> int
 val project : (Action.t -> bool) -> t -> t
 (** Keep the operations satisfying the predicate. *)
 
-val project_component : Component.t -> t -> t
-(** [sched|c]: the operations in [c]'s signature. *)
-
 val project_txn : Txn.t -> t -> t
 (** Operations about the given transaction itself. *)
 

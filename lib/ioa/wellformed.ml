@@ -136,8 +136,6 @@ type state = {
   objs : (string * Object_check.t) list;
 }
 
-let init ~is_access = { is_access; txns = Txn.Map.empty; objs = [] }
-
 let ( let* ) = Result.bind
 
 let txn_step st who a =
@@ -189,13 +187,10 @@ let step (st : state) (a : Action.t) : (state, string) result =
           Error (Fmt.str "return for %a delivered to access parent" Txn.pp t)
         else txn_step st p a
 
+let checker ~is_access =
+  { Checker.init = { is_access; txns = Txn.Map.empty; objs = [] }; step }
+
 (** [check ~is_access sched] validates a whole schedule; [Ok ()] means
     every primitive projection is well-formed. *)
 let check ~is_access (sched : Schedule.t) : (unit, string) result =
-  let rec go st = function
-    | [] -> Ok ()
-    | a :: rest ->
-        let* st = step st a in
-        go st rest
-  in
-  go (init ~is_access) sched
+  Result.map ignore (Checker.fold (checker ~is_access) sched)

@@ -26,13 +26,10 @@ type state
 (** Whole-schedule checker state: one projection checker per primitive
     encountered. *)
 
-val init : is_access:(Txn.t -> bool) -> state
-(** [is_access] is the system-type information saying which names are
-    accesses (handled by objects) in this system. *)
-
-val step : state -> Action.t -> (state, string) result
-(** Route one operation to every primitive whose signature contains
-    it. *)
+val checker : is_access:(Txn.t -> bool) -> state Checker.t
+(** Route each operation to every primitive whose signature contains
+    it.  [is_access] is the system-type information saying which names
+    are accesses (handled by objects) in this system. *)
 
 val check : is_access:(Txn.t -> bool) -> Schedule.t -> (unit, string) result
 (** Validate a whole schedule: every primitive projection well-formed. *)

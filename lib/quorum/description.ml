@@ -118,6 +118,23 @@ let validate (t : t) : (unit, string) result =
       | None -> fail "script access %a carries no object" Txn.pp a)
     (Ok ()) accesses
 
+(** The serial system every builder shares: the serial scheduler, the
+    user transactions, [components] (the builder's own objects and
+    managers), then the raw objects. *)
+let compose ~builder (t : t) components : System.t =
+  (match validate t with
+  | Ok () -> ()
+  | Error e -> invalid_arg (Fmt.str "%s: %s" builder e));
+  let txns =
+    Serial.User_txn.make_tree ~no_commit:true ~self:Txn.root t.root_script
+  in
+  let raws =
+    List.map
+      (fun (name, initial) -> Serial.Rw_object.make ~name ~initial ())
+      t.raw_objects
+  in
+  System.compose ((Serial.Scheduler.make () :: txns) @ components @ raws)
+
 (** All user-transaction names in the description (root included). *)
 let user_txns (t : t) : Txn.t list =
   let rec go self (s : Serial.User_txn.script) =

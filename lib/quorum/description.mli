@@ -17,7 +17,6 @@ type t = {
 
 val item : t -> string -> Item.t option
 val all_dm_names : t -> string list
-val raw_names : t -> string list
 
 (** How a transaction name is interpreted in system B. *)
 type role =
@@ -35,11 +34,18 @@ val is_access_a : t -> Txn.t -> bool
 (** Accesses of system A: the TM names and raw accesses. *)
 
 val is_replica_access : t -> Txn.t -> bool
-(** Exactly what the Theorem 10 projection erases. *)
+(** Exactly what the Theorem 10 projection erases in Section 3. *)
 
 val validate : t -> (unit, string) result
 (** Distinct names, pairwise-disjoint DM sets, disjoint namespaces,
     scripts referencing only known objects, legal configurations. *)
+
+val compose : builder:string -> t -> Component.t list -> System.t
+(** The serial system shared by every system built from the
+    description: the serial scheduler, the user transactions, the
+    given components, then the raw objects.
+    @raise Invalid_argument ["builder: reason"] on an invalid
+    description. *)
 
 val user_txns : t -> Txn.t list
 (** All user-transaction names (root included). *)

@@ -23,20 +23,22 @@ type stats = {
   violation : (Schedule.t * string) option;  (** first failure found *)
 }
 
-(** A prefix-incremental checker. *)
-type 'st checker = {
-  init : 'st;
-  step : 'st -> Action.t -> ('st, string) result;
-}
-
 exception Stop
 
-(** [run ~budget ~filter sys checker] walks every schedule of [sys]
-    whose operations pass [filter], stepping the checker along each
-    branch.  Stops at the first violation or after [budget] visited
-    prefixes. *)
-let run ?(budget = 1_000_000) ?(filter = fun _ -> true) (sys : System.t)
-    (checker : 'st checker) : stats =
+(** Filter dropping the serial scheduler's spontaneous ABORT
+    operations — shrinks the space drastically.  Only restricts
+    nondeterminism, so exhaustiveness is relative to abort-free
+    schedules; abort paths are covered by a second (smaller or
+    budgeted) walk and by the randomized harness. *)
+let no_aborts = function Action.Abort _ -> false | _ -> true
+
+(** [run ~budget ~include_aborts sys checker] walks every schedule of
+    [sys] (without the scheduler's spontaneous aborts unless
+    [include_aborts]), stepping the checker along each branch.  Stops
+    at the first violation or after [budget] visited prefixes. *)
+let run ?(budget = 1_000_000) ?(include_aborts = false) (sys : System.t)
+    (checker : 'st Checker.t) : stats =
+  let filter = if include_aborts then fun _ -> true else no_aborts in
   let prefixes = ref 0 and schedules = ref 0 in
   let violation = ref None in
   let rec dfs sys st sched =
@@ -73,30 +75,11 @@ let run ?(budget = 1_000_000) ?(filter = fun _ -> true) (sys : System.t)
     violation = !violation;
   }
 
-(** Filter dropping the serial scheduler's spontaneous ABORT
-    operations — shrinks the space drastically.  Only restricts
-    nondeterminism, so exhaustiveness is relative to abort-free
-    schedules; abort paths are covered by a second (smaller or
-    budgeted) walk and by the randomized harness. *)
-let no_aborts = function Action.Abort _ -> false | _ -> true
-
 (** Exhaustively validate well-formedness (Lemma 5) and the
     replication invariants (Lemmas 6-8) on every (optionally
     abort-free) schedule of system B for [d]. *)
 let check_description ?(budget = 1_000_000) ?(include_aborts = false)
     ?(max_attempts = 1) (d : Description.t) : stats =
-  let filter = if include_aborts then fun _ -> true else no_aborts in
-  let ( let* ) = Result.bind in
-  let checker =
-    {
-      init =
-        ( Wellformed.init ~is_access:(Description.is_access_b d),
-          Invariants.init d );
-      step =
-        (fun (wf, inv) a ->
-          let* wf = Wellformed.step wf a in
-          let* inv = Invariants.step inv a in
-          Ok (wf, inv));
-    }
-  in
-  run ~budget ~filter (System_b.build ~max_attempts d) checker
+  run ~budget ~include_aborts
+    (System_b.build ~max_attempts d)
+    (Harness.checker d (Invariants.checker d))

@@ -12,27 +12,16 @@ type stats = {
   violation : (Schedule.t * string) option;  (** first failure found *)
 }
 
-(** A prefix-incremental checker. *)
-type 'st checker = {
-  init : 'st;
-  step : 'st -> Action.t -> ('st, string) result;
-}
-
 val run :
-  ?budget:int ->
-  ?filter:(Action.t -> bool) ->
-  System.t ->
-  'st checker ->
-  stats
-(** Walk every schedule whose operations pass [filter], stopping at
-    the first violation or after [budget] visited prefixes. *)
-
-val no_aborts : Action.t -> bool
-(** Filter dropping the scheduler's spontaneous ABORTs (shrinks the
-    space drastically; restricts nondeterminism only). *)
+  ?budget:int -> ?include_aborts:bool -> System.t -> 'st Checker.t -> stats
+(** Walk every schedule, stopping at the first violation or after
+    [budget] visited prefixes.  Unless [include_aborts], the
+    scheduler's spontaneous ABORTs are left out (shrinks the space
+    drastically; restricts nondeterminism only). *)
 
 val check_description :
   ?budget:int -> ?include_aborts:bool -> ?max_attempts:int -> Description.t ->
   stats
-(** Exhaustively validate Lemmas 5-8 on every (optionally abort-free)
-    schedule of system B for the description. *)
+(** Exhaustively validate Lemmas 5-8 ({!Harness.checker}) on every
+    (optionally abort-free) schedule of system B for the
+    description. *)

@@ -8,31 +8,30 @@
 open Ioa
 module Prng = Qc_util.Prng
 
-(** Driver strategy that dampens the serial scheduler's spontaneous
-    aborts: with probability [1 - abort_rate], ABORT operations are
-    removed from the menu when anything else is enabled.  This keeps
-    random executions from aborting everything while still exercising
-    the failure paths. *)
-let abort_damped ?(abort_rate = 0.1) (base : System.strategy) :
-    System.strategy =
- fun rng actions ->
-  let non_aborts =
-    List.filter (function Action.Abort _ -> false | _ -> true) actions
+(** The seeded driver both sections share: completion-biased choices,
+    with the serial scheduler's spontaneous aborts damped — with
+    probability [1 - abort_rate], ABORT operations leave the menu when
+    anything else is enabled, so random executions exercise the
+    failure paths without aborting everything.  A [tracer] records the
+    step-by-step action trail (category "ioa") — the window a failed
+    checker needs into {e which} scheduler step went wrong. *)
+let run ~max_steps ~abort_rate ?tracer ~seed (sys : System.t) :
+    System.run_result =
+  let strategy rng actions =
+    match
+      List.filter (function Action.Abort _ -> false | _ -> true) actions
+    with
+    | [] -> System.completion_biased rng actions
+    | non_aborts ->
+        if Prng.float rng < abort_rate then System.completion_biased rng actions
+        else System.completion_biased rng non_aborts
   in
-  match non_aborts with
-  | [] -> base rng actions
-  | _ ->
-      if Prng.float rng < abort_rate then base rng actions
-      else base rng non_aborts
+  System.run ~max_steps ~strategy ?tracer ~rng:(Prng.create seed) sys
 
-(** Run system B from a seed.  A [tracer] records the step-by-step
-    action trail (category "ioa") — the window a failed checker needs
-    into {e which} scheduler step went wrong. *)
+(** Run system B from a seed. *)
 let run_b ?(max_steps = 20_000) ?(abort_rate = 0.1) ?tracer ~seed
     (d : Description.t) : System.run_result =
-  let rng = Prng.create seed in
-  let strategy = abort_damped ~abort_rate System.completion_biased in
-  System.run ~max_steps ~strategy ?tracer ~rng (System_b.build d)
+  run ~max_steps ~abort_rate ?tracer ~seed (System_b.build d)
 
 type report = {
   seed : int;
@@ -44,16 +43,36 @@ type report = {
 
 let ( let* ) = Result.bind
 
-(** All schedule-level checks for one B-schedule. *)
-let check_all (d : Description.t) (sched : Schedule.t) :
+(** Lemma 5 (well-formedness of B's schedules) stepped alongside an
+    invariant checker: what the random harness folds over each run and
+    the exhaustive walker threads along each branch. *)
+let checker (d : Description.t) (invariants : 'st Checker.t) :
+    (Wellformed.state * 'st) Checker.t =
+  let wf = Wellformed.checker ~is_access:(Description.is_access_b d) in
+  {
+    init = (wf.init, invariants.init);
+    step =
+      (fun (w, i) a ->
+        let* w =
+          Result.map_error (( ^ ) "Lemma 5 (well-formedness): ") (wf.step w a)
+        in
+        let* i = invariants.step i a in
+        Ok (w, i));
+  }
+
+(** Validate [d], fold {!checker} over [sched], then run the Theorem 10
+    check with the section's erase predicate. *)
+let check ~erase (d : Description.t) invariants (sched : Schedule.t) :
     (unit, string) result =
   let* () =
-    Result.map_error (fun e -> "Lemma 5 (well-formedness): " ^ e)
-      (System_b.check_wellformed d sched)
+    Result.map_error (( ^ ) "invalid description: ") (Description.validate d)
   in
-  let* () = Invariants.check d sched in
-  let* _ = Simulation.check d sched in
-  Ok ()
+  let* _ = Checker.fold (checker d invariants) sched in
+  Simulation.check ~erase d sched
+
+let check_all (d : Description.t) (sched : Schedule.t) :
+    (unit, string) result =
+  check ~erase:(Description.is_replica_access d) d (Invariants.checker d) sched
 
 (** Generate a random description from [seed], run it, check
     everything.  The workhorse of the property suite. *)

@@ -141,13 +141,11 @@ let step_track tr (a : Action.t) : (item_track, string) result =
       | None -> Ok tr)
   | _ -> Ok tr
 
-(** Incremental interface: a checker state that can be stepped one
-    operation at a time — used by both the linear {!check} below and
-    the exhaustive walker in {!Explore}, which shares prefixes. *)
+(** Incremental interface: a checker state stepped one operation at a
+    time — folded over a schedule by {!check} and threaded along every
+    branch by the exhaustive walker in {!Explore}, which shares
+    prefixes. *)
 type state = item_track list
-
-let init (d : Description.t) : state =
-  List.map init_track d.Description.items
 
 let step (trs : state) (a : Action.t) : (state, string) result =
   List.fold_left
@@ -160,18 +158,14 @@ let step (trs : state) (a : Action.t) : (state, string) result =
     (Ok []) trs
   |> Result.map List.rev
 
+let checker (d : Description.t) : state Checker.t =
+  { Checker.init = List.map init_track d.Description.items; step }
+
 (** [check d sched] folds [sched] once, validating Lemmas 6, 7 and 8
     after every prefix (8.1 at even access-sequence lengths, 8.2 at
     read-TM commits). *)
 let check (d : Description.t) (sched : Schedule.t) : (unit, string) result =
-  let rec go trs i = function
-    | [] -> Ok ()
-    | a :: rest -> (
-        match step trs a with
-        | Ok trs -> go trs (i + 1) rest
-        | Error e -> Error (Fmt.str "after step %d (%a): %s" i Action.pp a e))
-  in
-  go (init d) 0 sched
+  Result.map ignore (Checker.fold (checker d) sched)
 
 (** Final logical state of each item according to the tracker — used
     by tests to cross-check {!Logical.logical_state}. *)

@@ -7,15 +7,11 @@ open Ioa
 type state
 (** Incremental checker state (one tracker per item). *)
 
-val init : Description.t -> state
-
-val step : state -> Action.t -> (state, string) result
-(** Step one operation; [Error] carries the violated lemma and
-    details. *)
+val checker : Description.t -> state Checker.t
+(** [Error] carries the violated lemma and details. *)
 
 val check : Description.t -> Schedule.t -> (unit, string) result
-(** Fold a whole schedule through {!step}, decorating errors with the
-    step index. *)
+(** {!Ioa.Checker.fold} the {!checker} over a whole schedule. *)
 
 val final_logical_states : Description.t -> Schedule.t -> (string * Value.t) list
 (** Final logical state of each item (cross-checkable against

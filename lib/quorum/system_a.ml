@@ -9,28 +9,9 @@
     the identity and system B is an extension of system A (Lemma 9)
     by construction. *)
 
-open Ioa
-
-let build (d : Description.t) : System.t =
-  (match Description.validate d with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Fmt.str "System_a.build: %s" e));
-  let scheduler = Serial.Scheduler.make () in
-  let txns =
-    Serial.User_txn.make_tree ~no_commit:true ~self:Txn.root d.root_script
-  in
-  let logical_objects =
-    List.map
-      (fun (i : Item.t) ->
-        Serial.Rw_object.make ~name:i.Item.name ~initial:i.Item.initial ())
-      d.items
-  in
-  let raws =
-    List.map
-      (fun (name, initial) -> Serial.Rw_object.make ~name ~initial ())
-      d.raw_objects
-  in
-  System.compose ((scheduler :: txns) @ logical_objects @ raws)
-
-let check_wellformed (d : Description.t) sched =
-  Wellformed.check ~is_access:(Description.is_access_a d) sched
+let build (d : Description.t) : Ioa.System.t =
+  Description.compose ~builder:"System_a.build" d
+    (List.map
+       (fun (i : Item.t) ->
+         Serial.Rw_object.make ~name:i.Item.name ~initial:i.Item.initial ())
+       d.items)

@@ -5,4 +5,4 @@
     (Lemma 9). *)
 
 val build : Description.t -> Ioa.System.t
-val check_wellformed : Description.t -> Ioa.Schedule.t -> (unit, string) result
+(** @raise Invalid_argument on an invalid description. *)

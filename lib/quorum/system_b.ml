@@ -11,13 +11,6 @@
 open Ioa
 
 let build ?(max_attempts = 3) (d : Description.t) : System.t =
-  (match Description.validate d with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Fmt.str "System_b.build: %s" e));
-  let scheduler = Serial.Scheduler.make () in
-  let txns =
-    Serial.User_txn.make_tree ~no_commit:true ~self:Txn.root d.root_script
-  in
   let tms =
     List.map
       (fun (name, item, kind) ->
@@ -35,14 +28,4 @@ let build ?(max_attempts = 3) (d : Description.t) : System.t =
           i.Item.dms)
       d.items
   in
-  let raws =
-    List.map
-      (fun (name, initial) -> Serial.Rw_object.make ~name ~initial ())
-      d.raw_objects
-  in
-  System.compose ((scheduler :: txns) @ tms @ dms @ raws)
-
-(** Well-formedness predicate for system B schedules (Lemma 5 uses
-    this instantiation). *)
-let check_wellformed (d : Description.t) sched =
-  Wellformed.check ~is_access:(Description.is_access_b d) sched
+  Description.compose ~builder:"System_b.build" d (tms @ dms)

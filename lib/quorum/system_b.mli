@@ -4,6 +4,3 @@
 
 val build : ?max_attempts:int -> Description.t -> Ioa.System.t
 (** @raise Invalid_argument on an invalid description. *)
-
-val check_wellformed : Description.t -> Ioa.Schedule.t -> (unit, string) result
-(** Lemma 5's instantiation: well-formedness of B's schedules. *)

@@ -57,7 +57,7 @@ let is_coordinator t = role_of t <> None
 
 type state = {
   self : Txn.t;
-  item : Item.t;
+  item : Quorum.Item.t;
   max_attempts : int;
   awake : bool;
   done_ : bool;
@@ -72,7 +72,7 @@ type state = {
   written : string list;
 }
 
-let init ~(item : Item.t) ~max_attempts (self : Txn.t) : state =
+let init ~(item : Quorum.Item.t) ~max_attempts (self : Txn.t) : state =
   {
     self;
     item;
@@ -81,7 +81,7 @@ let init ~(item : Item.t) ~max_attempts (self : Txn.t) : state =
     done_ = false;
     requested = Txn.Set.empty;
     best_vn = -1;
-    best_value = item.Item.initial;
+    best_value = item.Quorum.Item.initial;
     best_gen = -1;
     best_config = None;
     read = [];
@@ -99,7 +99,7 @@ let attempts_at st d =
 let is_child_access st t =
   (not (Txn.is_root t))
   && Txn.equal (Txn.parent t) st.self
-  && List.exists (fun d -> Txn.obj_of t = Some d) st.item.Item.dms
+  && List.exists (fun d -> Txn.obj_of t = Some d) st.item.Quorum.Item.dms
 
 (* A query is complete when the highest-generation configuration seen
    has a read-quorum within the DMs already read. *)
@@ -117,7 +117,7 @@ let query_summary st =
       config =
         (match st.best_config with
         | Some c -> c
-        | None -> st.item.Item.initial_config);
+        | None -> st.item.Quorum.Item.config);
     }
 
 let push_complete ~target st = Config.write_covered target st.written
@@ -198,7 +198,7 @@ let enabled (st : state) : Action.t list =
                           (Txn.Access
                              { obj = d; kind = Txn.Read; data = Value.Nil; seq = n })))
                 else None)
-              st.item.Item.dms
+              st.item.Quorum.Item.dms
         in
         let finish =
           if query_complete st then
@@ -231,7 +231,7 @@ let enabled (st : state) : Action.t list =
     | None -> []
 
 (** The family of all coordinators under one TM. *)
-let family ~(tm : Txn.t) ~(item : Item.t) ?(max_attempts = 3) () :
+let family ~(tm : Txn.t) ~(item : Quorum.Item.t) ?(max_attempts = 3) () :
     Component.t =
   let member t =
     (not (Txn.is_root t)) && Txn.equal (Txn.parent t) tm && is_coordinator t

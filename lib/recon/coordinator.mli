@@ -23,5 +23,6 @@ val is_coordinator : Txn.t -> bool
 type state
 (** One coordinator's automaton state (family member). *)
 
-val family : tm:Txn.t -> item:Item.t -> ?max_attempts:int -> unit -> Component.t
+val family :
+  tm:Txn.t -> item:Quorum.Item.t -> ?max_attempts:int -> unit -> Component.t
 (** The family of all coordinators under one TM. *)

@@ -1,150 +1,48 @@
-(** Descriptions of reconfigurable replicated systems (Section 4). *)
+(** Descriptions of reconfigurable replicated systems (Section 4).
+
+    Section 4 redefines only system B.  Its user transactions, system
+    A and the names the proof obligations speak about are Section 3's,
+    so a description keeps Section 3's description of the same system
+    ({!field-plain}: each item at its generation-0 configuration) and
+    adds what reconfiguration needs: each item's candidate
+    configurations and the spies' reconfiguration budget. *)
 
 open Ioa
 module Config = Quorum.Config
 
 type t = {
+  plain : Quorum.Description.t;
   items : Item.t list;
-  raw_objects : (string * Value.t) list;
-  root_script : Serial.User_txn.script;
   max_recons_per_txn : int;
       (** how many reconfigurations each spy may fire *)
 }
 
-let item t name = List.find_opt (fun i -> String.equal i.Item.name name) t.items
-let all_dm_names t = List.concat_map (fun i -> i.Item.dms) t.items
-let raw_names t = List.map fst t.raw_objects
-
-(** How a transaction name is interpreted in the reconfigurable
-    replicated system. *)
-type role =
-  | User
-  | Tm of Item.t * Tm.kind  (** read-, write-, or reconfigure-TM *)
-  | Coordinator of Item.t
-  | Replica_access of Item.t
-  | Raw_access
-
-let role_of t (txn : Txn.t) : role option =
-  match Tm.recon_info txn with
-  | Some (item_name, config, _) -> (
-      match item t item_name with
-      | Some i -> Some (Tm (i, Tm.Reconfigure config))
-      | None -> None)
-  | None -> (
-      match Txn.last_seg txn with
-      | Some (Txn.Param _) when Coordinator.is_coordinator txn -> (
-          (* a coordinator: its parent is a TM; find the item *)
-          let parent = Txn.parent txn in
-          match Txn.obj_of parent with
-          | Some obj -> (
-              match item t obj with
-              | Some i -> Some (Coordinator i)
-              | None -> None)
-          | None -> (
-              match Tm.recon_info parent with
-              | Some (item_name, _, _) -> (
-                  match item t item_name with
-                  | Some i -> Some (Coordinator i)
-                  | None -> None)
-              | None -> None))
-      | _ -> (
-          match Txn.obj_of txn with
-          | None -> Some User
-          | Some obj -> (
-              match item t obj with
-              | Some i -> (
-                  match Txn.kind_of txn with
-                  | Some Txn.Read -> Some (Tm (i, Tm.Read))
-                  | Some Txn.Write -> (
-                      match Txn.data_of txn with
-                      | Some v -> Some (Tm (i, Tm.Write v))
-                      | None -> None)
-                  | None -> None)
-              | None -> (
-                  match
-                    List.find_opt (fun i -> List.mem obj i.Item.dms) t.items
-                  with
-                  | Some owner -> Some (Replica_access owner)
-                  | None ->
-                      if List.mem obj (raw_names t) then Some Raw_access
-                      else None))))
-
-(** Accesses of the reconfigurable system B': replica accesses (the
-    coordinators' children) and raw accesses. *)
-let is_access_b t txn =
-  match role_of t txn with
-  | Some (Replica_access _) | Some Raw_access -> true
-  | _ -> false
-
-(** Operations to erase when projecting onto the non-replicated
-    system A: everything below the logical level — replica accesses,
-    coordinators, and whole reconfigure-TM subtrees (their
-    REQUEST_CREATE/returns included, since reconfiguration does not
-    exist in A). *)
-let erased_in_projection t txn =
-  match role_of t txn with
-  | Some (Replica_access _) | Some (Coordinator _) -> true
-  | Some (Tm (_, Tm.Reconfigure _)) -> true
-  | _ ->
-      (* also erase descendants of reconfigure-TMs (their coordinators
-         are caught above via the parent chain, but be safe) *)
-      List.exists
-        (fun n ->
-          match Tm.recon_info (List.filteri (fun i _ -> i < n) txn) with
-          | Some _ -> true
-          | None -> false)
-        (List.init (List.length txn) (fun i -> i + 1))
-
-(** The corresponding fixed-quorum description of system A: each item
-    becomes a single-object logical item.  Only [System_a.build] uses
-    it, so the configuration recorded is irrelevant (any legal one). *)
-let to_plain (t : t) : Quorum.Description.t =
+let make ~items ~raw_objects ~root_script ~max_recons_per_txn =
   {
-    Quorum.Description.items =
-      List.map
-        (fun (i : Item.t) ->
-          Quorum.Item.make ~name:i.Item.name ~dms:i.Item.dms
-            ~config:(Config.majority i.Item.dms) ~initial:i.Item.initial)
-        t.items;
-    raw_objects = t.raw_objects;
-    root_script = t.root_script;
+    plain =
+      {
+        Quorum.Description.items = List.map (fun i -> i.Item.plain) items;
+        raw_objects;
+        root_script;
+      };
+    items;
+    max_recons_per_txn;
   }
 
-(** All user-transaction names (root included). *)
-let user_txns (t : t) : Txn.t list =
-  let rec go self (s : Serial.User_txn.script) =
-    self
-    :: List.concat_map
-         (function
-           | Serial.User_txn.Access_child _ -> []
-           | Serial.User_txn.Sub (name, sub) ->
-               go (Txn.child self (Txn.Seg name)) sub)
-         s.Serial.User_txn.children
-  in
-  go Txn.root t.root_script
-
-(** Scripted logical accesses (read-/write-TM names) with their items. *)
-let tm_names (t : t) : (Txn.t * Item.t * Tm.kind) list =
-  Serial.User_txn.access_children ~self:Txn.root t.root_script
-  |> List.filter_map (fun a ->
-         match (Txn.obj_of a, Txn.kind_of a) with
-         | Some obj, Some k -> (
-             match item t obj with
-             | Some i ->
-                 let kind =
-                   match k with
-                   | Txn.Read -> Tm.Read
-                   | Txn.Write ->
-                       Tm.Write
-                         (match Txn.data_of a with Some v -> v | None -> Value.Nil)
-                 in
-                 Some (a, i, kind)
-             | None -> None)
-         | _ -> None)
+(** Operations to erase when projecting onto the non-replicated
+    system A: everything below the logical level — replica accesses
+    and coordinators — and every reconfigure-TM, requests and returns
+    included, since reconfiguration does not exist in A.  (A
+    reconfigure-TM's descendants are coordinators and their replica
+    accesses.) *)
+let erased_in_projection t txn =
+  Quorum.Description.is_replica_access t.plain txn
+  || Coordinator.is_coordinator txn
+  || Tm.is_recon_tm txn
 
 (** All statically-enumerable reconfigure-TM names: one per user
     transaction, item candidate, and slot. *)
-let recon_tm_names (t : t) : (Txn.t * Item.t * Config.t) list =
+let recon_tm_names (t : t) : (Txn.t * Quorum.Item.t * Config.t) list =
   List.concat_map
     (fun user ->
       List.concat_map
@@ -152,9 +50,9 @@ let recon_tm_names (t : t) : (Txn.t * Item.t * Config.t) list =
           List.concat_map
             (fun config ->
               List.init t.max_recons_per_txn (fun slot ->
-                  ( Tm.recon_name ~parent:user ~item:i.Item.name ~config ~slot,
-                    i,
+                  ( Tm.recon_name ~parent:user ~item:i.plain.name ~config ~slot,
+                    i.plain,
                     config )))
-            i.Item.candidates)
+            i.candidates)
         t.items)
-    (user_txns t)
+    (Quorum.Description.user_txns t.plain)

@@ -1,40 +1,30 @@
-(** Descriptions of reconfigurable replicated systems (Section 4). *)
+(** Descriptions of reconfigurable replicated systems (Section 4):
+    Section 3's description of the same user transactions over the
+    items at generation 0, plus each item's candidate configurations
+    and how many reconfigurations each spy may fire. *)
 
 open Ioa
 module Config = Quorum.Config
 
-type t = {
+type t = private {
+  plain : Quorum.Description.t;
+      (** the items at generation 0, the raw objects and the scripts:
+          item lookup, validation, user transactions, system A *)
   items : Item.t list;
-  raw_objects : (string * Value.t) list;
-  root_script : Serial.User_txn.script;
   max_recons_per_txn : int;  (** reconfigurations each spy may fire *)
 }
 
-val item : t -> string -> Item.t option
-val all_dm_names : t -> string list
-val raw_names : t -> string list
-
-type role =
-  | User
-  | Tm of Item.t * Tm.kind
-  | Coordinator of Item.t
-  | Replica_access of Item.t
-  | Raw_access
-
-val role_of : t -> Txn.t -> role option
-
-val is_access_b : t -> Txn.t -> bool
-(** Accesses of the reconfigurable system: replica + raw accesses. *)
+val make :
+  items:Item.t list ->
+  raw_objects:(string * Value.t) list ->
+  root_script:Serial.User_txn.script ->
+  max_recons_per_txn:int ->
+  t
 
 val erased_in_projection : t -> Txn.t -> bool
 (** What the simulation onto system A erases: replica accesses,
-    coordinators, and whole reconfigure-TM subtrees. *)
+    coordinators, and reconfigure-TMs. *)
 
-val to_plain : t -> Quorum.Description.t
-(** The corresponding fixed-quorum description used to build system A. *)
-
-val user_txns : t -> Txn.t list
-val tm_names : t -> (Txn.t * Item.t * Tm.kind) list
-val recon_tm_names : t -> (Txn.t * Item.t * Config.t) list
+val recon_tm_names : t -> (Txn.t * Quorum.Item.t * Config.t) list
 (** All statically-enumerable reconfigure-TM names (user x item
     candidate x slot). *)

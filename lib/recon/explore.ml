@@ -1,26 +1,11 @@
 (** Exhaustive exploration of the reconfigurable system's schedule
-    space (cf. {!Quorum.Explore}): every schedule of a small instance
-    — spy-fired reconfigurations included — checked against
-    well-formedness and the Section 4 invariants. *)
-
-open Ioa
+    space with {!Quorum.Explore}'s walker: every schedule of a small
+    instance — spy-fired reconfigurations included — stepped through
+    {!Quorum.Harness.checker} with the Section 4 invariants, the checker
+    {!Harness.check_all} folds. *)
 
 let check_description ?(budget = 1_000_000) ?(include_aborts = false)
     ?(max_attempts = 1) (d : Description.t) : Quorum.Explore.stats =
-  let filter =
-    if include_aborts then fun _ -> true else Quorum.Explore.no_aborts
-  in
-  let ( let* ) = Result.bind in
-  let checker =
-    {
-      Quorum.Explore.init =
-        ( Wellformed.init ~is_access:(Description.is_access_b d),
-          Invariants.init d );
-      step =
-        (fun (wf, inv) a ->
-          let* wf = Wellformed.step wf a in
-          let* inv = Invariants.step inv a in
-          Ok (wf, inv));
-    }
-  in
-  Quorum.Explore.run ~budget ~filter (System_b.build ~max_attempts d) checker
+  Quorum.Explore.run ~budget ~include_aborts
+    (System_b.build ~max_attempts d)
+    (Quorum.Harness.checker d.plain (Invariants.checker d))

@@ -55,13 +55,13 @@ let rec script rng ~params ~items ~depth ~label : Serial.User_txn.script =
             let it : Item.t = Prng.choose rng items in
             Serial.User_txn.Access_child
               (Txn.Access
-                 { obj = it.Item.name; kind = Txn.Read; data = Value.Nil; seq = idx })
+                 { obj = it.Item.plain.name; kind = Txn.Read; data = Value.Nil; seq = idx })
         | 1 ->
             let it : Item.t = Prng.choose rng items in
             Serial.User_txn.Access_child
               (Txn.Access
                  {
-                   obj = it.Item.name;
+                   obj = it.Item.plain.name;
                    kind = Txn.Write;
                    data = Value.Int (Prng.int rng 1_000_000);
                    seq = idx;
@@ -88,15 +88,12 @@ let description ?(params = default_params) rng : Description.t =
         Serial.User_txn.Sub
           (label, script rng ~params ~items ~depth:params.max_depth ~label))
   in
-  {
-    Description.items;
-    raw_objects = [];
-    root_script =
+  Description.make ~items ~raw_objects:[]
+    ~root_script:
       {
         Serial.User_txn.children;
         ordered = Prng.bool rng;
         eager = false;
         returns = Serial.User_txn.return_nil;
-      };
-    max_recons_per_txn = params.max_recons_per_txn;
-  }
+      }
+    ~max_recons_per_txn:params.max_recons_per_txn

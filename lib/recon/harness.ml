@@ -1,17 +1,15 @@
-(** End-to-end harness for the reconfigurable system: run, then check
-    well-formedness, the Section 4 invariants, and the simulation onto
-    system A. *)
+(** End-to-end harness for the reconfigurable system: Section 3's
+    seeded driver, then the same checks as Section 3 — well-formedness
+    folded alongside the Section 4 invariants, and the Theorem 10
+    simulation onto system A with coordinators and reconfigure-TMs
+    erased too. *)
 
 open Ioa
 module Prng = Qc_util.Prng
 
 let run ?(max_steps = 40_000) ?(abort_rate = 0.05) ~seed (d : Description.t) :
     System.run_result =
-  let rng = Prng.create seed in
-  let strategy =
-    Quorum.Harness.abort_damped ~abort_rate System.completion_biased
-  in
-  System.run ~max_steps ~strategy ~rng (System_b.build d)
+  Quorum.Harness.run ~max_steps ~abort_rate ~seed (System_b.build d)
 
 type report = {
   seed : int;
@@ -33,13 +31,9 @@ let count_recons (sched : Schedule.t) =
 
 let check_all (d : Description.t) (sched : Schedule.t) : (unit, string) result
     =
-  let* () =
-    Result.map_error
-      (fun e -> "recon well-formedness: " ^ e)
-      (System_b.check_wellformed d sched)
-  in
-  let* () = Invariants.check d sched in
-  Simulation.check d sched
+  Quorum.Harness.check
+    ~erase:(Description.erased_in_projection d)
+    d.plain (Invariants.checker d) sched
 
 let run_and_check ?(params = Gen.default_params) ?(max_steps = 40_000)
     ?(abort_rate = 0.05) ~seed () : (report, string) result =

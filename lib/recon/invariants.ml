@@ -22,14 +22,14 @@ open Ioa
 module Config = Quorum.Config
 
 type item_track = {
-  item : Item.t;
+  item : Quorum.Item.t;
   dm_state : (string * Value.recon_state) list;
   access_len : int;
   pending_tm : Txn.t option;
   logical : Value.t;
 }
 
-let init_track (item : Item.t) =
+let init_track (item : Quorum.Item.t) =
   {
     item;
     dm_state =
@@ -38,14 +38,14 @@ let init_track (item : Item.t) =
           ( d,
             {
               Value.version = 0;
-              data = item.Item.initial;
+              data = item.initial;
               generation = 0;
-              config = item.Item.initial_config;
+              config = item.config;
             } ))
-        item.Item.dms;
+        item.dms;
     access_len = 0;
     pending_tm = None;
-    logical = item.Item.initial;
+    logical = item.initial;
   }
 
 let current_vn tr =
@@ -57,7 +57,7 @@ let current_config tr =
       (fun ((g, _) as acc) (_, s) ->
         if s.Value.generation > g then (s.Value.generation, s.Value.config)
         else acc)
-      (-1, tr.item.Item.initial_config)
+      (-1, tr.item.config)
       tr.dm_state
   in
   best
@@ -80,7 +80,7 @@ let check_even_length tr =
       fail
         "recon 1a' violated for %s: no write-quorum of the current \
          configuration is at current-vn %d"
-        tr.item.Item.name cv
+        tr.item.name cv
   in
   List.fold_left
     (fun acc (dm, s) ->
@@ -88,20 +88,20 @@ let check_even_length tr =
       if s.Value.version = cv && not (Value.equal s.Value.data tr.logical)
       then
         fail "recon 1b' violated for %s: DM %s at vn %d holds %a, expected %a"
-          tr.item.Item.name dm cv Value.pp s.Value.data Value.pp tr.logical
+          tr.item.name dm cv Value.pp s.Value.data Value.pp tr.logical
       else Ok ())
     (Ok ()) tr.dm_state
 
 (* Is [t] a TM of this item (read/write/reconfigure)? *)
 let tm_kind_of tr (txn : Txn.t) : Tm.kind option =
   match Tm.recon_info txn with
-  | Some (item_name, config, _) when String.equal item_name tr.item.Item.name
+  | Some (item_name, config, _) when String.equal item_name tr.item.name
     ->
       Some (Tm.Reconfigure config)
   | Some _ -> None
   | None -> (
       match (Txn.obj_of txn, Txn.kind_of txn) with
-      | Some obj, Some k when String.equal obj tr.item.Item.name -> (
+      | Some obj, Some k when String.equal obj tr.item.name -> (
           match k with
           | Txn.Read -> Some Tm.Read
           | Txn.Write ->
@@ -113,7 +113,7 @@ let tm_kind_of tr (txn : Txn.t) : Tm.kind option =
 (* A committed write access to one of this item's DMs. *)
 let replica_write tr (txn : Txn.t) : (string * Value.t) option =
   match (Txn.obj_of txn, Txn.kind_of txn, Txn.data_of txn) with
-  | Some obj, Some Txn.Write, Some payload when List.mem obj tr.item.Item.dms
+  | Some obj, Some Txn.Write, Some payload when List.mem obj tr.item.dms
     ->
       Some (obj, payload)
   | _ -> None
@@ -124,7 +124,7 @@ let step_track tr (a : Action.t) : (item_track, string) result =
       match tr.pending_tm with
       | Some p ->
           fail "recon Lemma 6 violated for %s: CREATE(%a) while %a pending"
-            tr.item.Item.name Txn.pp t Txn.pp p
+            tr.item.name Txn.pp t Txn.pp p
       | None ->
           Ok { tr with pending_tm = Some t; access_len = tr.access_len + 1 })
   | Action.Request_commit (t, v) -> (
@@ -143,36 +143,31 @@ let step_track tr (a : Action.t) : (item_track, string) result =
                     fail
                       "recon 2' violated for %s: read-TM %a returned %a, \
                        logical-state is %a"
-                      tr.item.Item.name Txn.pp t Value.pp v Value.pp tr.logical
+                      tr.item.name Txn.pp t Value.pp v Value.pp tr.logical
               | Tm.Reconfigure _ -> Ok tr)
           | Some p ->
               fail
                 "recon Lemma 6 violated for %s: REQUEST_COMMIT(%a) while %a \
                  pending"
-                tr.item.Item.name Txn.pp t Txn.pp p
+                tr.item.name Txn.pp t Txn.pp p
           | None ->
               fail
                 "recon Lemma 6 violated for %s: REQUEST_COMMIT(%a) without \
                  CREATE"
-                tr.item.Item.name Txn.pp t)
+                tr.item.name Txn.pp t)
       | None -> (
           match replica_write tr t with
           | Some (dm, payload) ->
-              let prev =
-                match List.assoc_opt dm tr.dm_state with
-                | Some s -> Value.Recon_state s
-                | None -> Item.dm_initial tr.item
-              in
-              let merged = Dm.merge ~current:prev payload in
+              let prev = Value.Recon_state (List.assoc dm tr.dm_state) in
               let s =
-                match merged with
+                match Dm.merge ~current:prev payload with
                 | Value.Recon_state s -> s
-                | _ ->
+                | merged ->
                     {
                       Value.version = 0;
                       data = merged;
                       generation = 0;
-                      config = tr.item.Item.initial_config;
+                      config = tr.item.config;
                     }
               in
               Ok
@@ -183,11 +178,9 @@ let step_track tr (a : Action.t) : (item_track, string) result =
           | None -> Ok tr))
   | _ -> Ok tr
 
-(** Incremental interface (shared with the exhaustive explorer). *)
+(** Incremental interface: folded over a schedule by {!check} and
+    threaded along every branch by {!Explore}. *)
 type state = item_track list
-
-let init (d : Description.t) : state =
-  List.map init_track d.Description.items
 
 let step (trs : state) (a : Action.t) : (state, string) result =
   List.fold_left
@@ -201,26 +194,22 @@ let step (trs : state) (a : Action.t) : (state, string) result =
     (Ok []) trs
   |> Result.map List.rev
 
+let checker (d : Description.t) : state Checker.t =
+  { Checker.init = List.map init_track d.plain.items; step }
+
 (** Fold a schedule of the reconfigurable system through all item
     trackers, checking the Section 4 invariants at every prefix. *)
 let check (d : Description.t) (sched : Schedule.t) : (unit, string) result =
-  let rec go trs i = function
-    | [] -> Ok ()
-    | a :: rest -> (
-        match step trs a with
-        | Ok trs -> go trs (i + 1) rest
-        | Error e -> Error (Fmt.str "after step %d (%a): %s" i Action.pp a e))
-  in
-  go (init d) 0 sched
+  Result.map ignore (Checker.fold (checker d) sched)
 
 let final_logical_states (d : Description.t) (sched : Schedule.t) =
   List.map
-    (fun (i : Item.t) ->
+    (fun (i : Quorum.Item.t) ->
       let tr =
         List.fold_left
           (fun tr a ->
             match step_track tr a with Ok tr -> tr | Error _ -> tr)
           (init_track i) sched
       in
-      (i.Item.name, tr.logical))
-    d.Description.items
+      (i.name, tr.logical))
+    d.plain.items

@@ -9,8 +9,7 @@ open Ioa
 type state
 (** Incremental checker state. *)
 
-val init : Description.t -> state
-val step : state -> Action.t -> (state, string) result
+val checker : Description.t -> state Checker.t
 
 val check : Description.t -> Schedule.t -> (unit, string) result
 val final_logical_states : Description.t -> Schedule.t -> (string * Value.t) list

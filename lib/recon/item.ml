@@ -1,31 +1,22 @@
 (** Logical data items for the reconfigurable algorithm (Section 4).
 
-    In addition to the fixed-configuration data, a reconfigurable item
-    fixes the configuration all replicas hold initially (at generation
-    0) and the menu of candidate configurations the spies may install
-    at run time.  Every candidate must be legal over [dm(x)]. *)
+    A reconfigurable item is a Section 3 item — whose configuration is
+    the one all replicas hold initially, at generation 0 — plus the
+    menu of candidate configurations the spies may install at run
+    time.  Every candidate must be legal over [dm(x)]. *)
 
 open Ioa
 module Config = Quorum.Config
 
 type t = {
-  name : string;
-  dms : string list;
-  initial : Value.t;  (** [i_x] *)
-  initial_config : Config.t;  (** generation-0 configuration *)
+  plain : Quorum.Item.t;  (** name, dm(x), [i_x], generation-0 config *)
   candidates : Config.t list;  (** configurations reconfiguration may install *)
 }
 
 let make ~name ~dms ~initial ~initial_config ~candidates =
-  let check c =
-    if not (Config.legal c) then
-      invalid_arg (Fmt.str "Recon.Item.make %s: illegal configuration" name);
-    if not (List.for_all (fun d -> List.mem d dms) (Config.members c)) then
-      invalid_arg
-        (Fmt.str "Recon.Item.make %s: configuration mentions foreign DMs" name)
-  in
-  check initial_config;
-  List.iter check candidates;
+  let item config = Quorum.Item.make ~name ~dms ~config ~initial in
+  let plain = item initial_config in
+  List.iter (fun c -> ignore (item c)) candidates;
   (* deduplicate: a repeated candidate would create duplicate
      reconfigure-TM components *)
   let candidates =
@@ -33,11 +24,11 @@ let make ~name ~dms ~initial ~initial_config ~candidates =
       (fun acc c -> if List.exists (Config.equal c) acc then acc else acc @ [ c ])
       [] candidates
   in
-  { name; dms; initial; initial_config; candidates }
+  { plain; candidates }
 
 (** Initial replica state: version 0, [i_x], generation 0, the
     initial configuration (Section 4: "all replicas of x initially
     hold the same configuration and generation number"). *)
 let dm_initial t =
-  Value.Recon_state
-    { version = 0; data = t.initial; generation = 0; config = t.initial_config }
+  let { Quorum.Item.initial; config; _ } = t.plain in
+  Value.Recon_state { version = 0; data = initial; generation = 0; config }

@@ -1,15 +1,13 @@
 (** Logical items for the reconfigurable algorithm (paper Section 4):
-    fixed-case data plus the generation-0 configuration and the menu
-    of candidate configurations spies may install. *)
+    a Section 3 item, whose configuration is the one every replica
+    holds at generation 0, plus the menu of candidate configurations
+    spies may install. *)
 
 open Ioa
 module Config = Quorum.Config
 
 type t = {
-  name : string;
-  dms : string list;
-  initial : Value.t;
-  initial_config : Config.t;
+  plain : Quorum.Item.t;  (** name, dm(x), [i_x], generation-0 config *)
   candidates : Config.t list;  (** deduplicated by {!make} *)
 }
 

@@ -23,7 +23,7 @@ module Config = Quorum.Config
 
 type state = {
   user : Txn.t;
-  menu : (Item.t * Config.t) list;  (** reconfigurations it may fire *)
+  menu : (string * Config.t) list;  (** (item, configuration) it may fire *)
   max_recons : int;
   awake : bool;
   stopped : bool;  (** U has requested to commit *)
@@ -35,7 +35,7 @@ let recon_children st =
   List.concat_map
     (fun (item, config) ->
       List.init st.max_recons (fun slot ->
-          Tm.recon_name ~parent:st.user ~item:item.Item.name ~config ~slot))
+          Tm.recon_name ~parent:st.user ~item ~config ~slot))
     st.menu
 
 let is_my_recon st t =
@@ -73,7 +73,7 @@ let enabled (st : state) : Action.t list =
 (** [make ~user ~menu ()] attaches a spy to user transaction [user]
     able to fire at most [max_recons] reconfigurations drawn from
     [menu]. *)
-let make ~(user : Txn.t) ~(menu : (Item.t * Config.t) list)
+let make ~(user : Txn.t) ~(menu : (string * Config.t) list)
     ?(max_recons = 1) () : Component.t =
   let state =
     { user; menu; max_recons; awake = false; stopped = false; requested = [] }

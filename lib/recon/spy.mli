@@ -9,7 +9,7 @@ module Config = Quorum.Config
 
 val make :
   user:Txn.t ->
-  menu:(Item.t * Config.t) list ->
+  menu:(string * Config.t) list ->
   ?max_recons:int ->
   unit ->
   Component.t

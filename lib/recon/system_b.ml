@@ -5,31 +5,34 @@
     one spy per user transaction; read-/write-TMs for every scripted
     logical access and reconfigure-TMs for every spy menu entry (each
     TM paired with its coordinator family); and the reconfigurable
-    DMs plus any raw basic objects. *)
+    DMs plus any raw basic objects.  The scheduler, the user
+    transactions, the raw objects and validation are Section 3's
+    ({!Quorum.Description.compose}). *)
 
 open Ioa
 
 let build ?(max_attempts = 3) (d : Description.t) : System.t =
-  let scheduler = Serial.Scheduler.make () in
-  let txns =
-    Serial.User_txn.make_tree ~no_commit:true ~self:Txn.root d.root_script
+  let menu =
+    List.concat_map
+      (fun (i : Item.t) -> List.map (fun c -> (i.plain.name, c)) i.candidates)
+      d.items
   in
   let spies =
     List.map
-      (fun user ->
-        let menu =
-          List.concat_map
-            (fun (i : Item.t) ->
-              List.map (fun c -> (i, c)) i.Item.candidates)
-            d.Description.items
-        in
-        Spy.make ~user ~menu ~max_recons:d.Description.max_recons_per_txn ())
-      (Description.user_txns d)
+      (fun user -> Spy.make ~user ~menu ~max_recons:d.max_recons_per_txn ())
+      (Quorum.Description.user_txns d.plain)
   in
   let logical_tms =
     List.concat_map
-      (fun (name, item, kind) -> Tm.make ~self:name ~item ~kind ~max_attempts ())
-      (Description.tm_names d)
+      (fun (name, item, kind) ->
+        let kind =
+          match kind with
+          | Txn.Read -> Tm.Read
+          | Txn.Write ->
+              Tm.Write (Option.value (Txn.data_of name) ~default:Value.Nil)
+        in
+        Tm.make ~self:name ~item ~kind ~max_attempts ())
+      (Quorum.Description.tm_names d.plain)
   in
   let recon_tms =
     List.concat_map
@@ -40,16 +43,8 @@ let build ?(max_attempts = 3) (d : Description.t) : System.t =
   let dms =
     List.concat_map
       (fun (i : Item.t) ->
-        List.map (fun name -> Dm.make ~item:i ~name ()) i.Item.dms)
-      d.Description.items
+        List.map (fun name -> Dm.make ~item:i ~name ()) i.plain.dms)
+      d.items
   in
-  let raws =
-    List.map
-      (fun (name, initial) -> Serial.Rw_object.make ~name ~initial ())
-      d.Description.raw_objects
-  in
-  System.compose
-    ((scheduler :: txns) @ spies @ logical_tms @ recon_tms @ dms @ raws)
-
-let check_wellformed (d : Description.t) sched =
-  Wellformed.check ~is_access:(Description.is_access_b d) sched
+  Quorum.Description.compose ~builder:"System_b.build" d.plain
+    (spies @ logical_tms @ recon_tms @ dms)

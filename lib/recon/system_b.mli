@@ -4,4 +4,5 @@
     reconfigurable DMs, raw objects. *)
 
 val build : ?max_attempts:int -> Description.t -> Ioa.System.t
-val check_wellformed : Description.t -> Ioa.Schedule.t -> (unit, string) result
+(** @raise Invalid_argument on an invalid description, with
+    {!Quorum.System_b.build}'s message. *)

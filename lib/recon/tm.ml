@@ -54,7 +54,7 @@ let stages ~kind (r : Value.recon_state) : (Value.t * Config.t) list =
 
 type state = {
   self : Txn.t;
-  item : Item.t;
+  item : Quorum.Item.t;
   kind : kind;
   max_attempts : int;
   awake : bool;
@@ -187,8 +187,8 @@ let enabled (st : state) : Action.t list =
     queries @ pushes @ commit
 
 (** Build a TM component (and its coordinator family). *)
-let make ~(self : Txn.t) ~(item : Item.t) ~(kind : kind) ?(max_attempts = 3)
-    () : Component.t list =
+let make ~(self : Txn.t) ~(item : Quorum.Item.t) ~(kind : kind)
+    ?(max_attempts = 3) () : Component.t list =
   let state =
     {
       self;

@@ -24,6 +24,6 @@ val recon_info : Txn.t -> (string * Config.t * int) option
 val is_recon_tm : Txn.t -> bool
 
 val make :
-  self:Txn.t -> item:Item.t -> kind:kind -> ?max_attempts:int -> unit ->
+  self:Txn.t -> item:Quorum.Item.t -> kind:kind -> ?max_attempts:int -> unit ->
   Component.t list
 (** The TM component paired with its coordinator family. *)

@@ -6,7 +6,7 @@ text=$1
 shift
 err=$("$@" 2>&1 > /dev/null)
 status=$?
-if [ "$status" -ne 2 ] || ! printf '%s\n' "$err" | grep -q -- "$text"; then
+if [ "$status" -ne 2 ] || ! printf '%s\n' "$err" | grep -qF -- "$text"; then
   printf '%s\n' "$err"
   echo "$*: expected exit 2 with \"$text\", got exit $status"
   exit 1

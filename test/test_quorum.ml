@@ -425,12 +425,10 @@ let prop_theorem10_projection_clean =
       let d = Quorum.Gen.description rng in
       let run = Quorum.Harness.run_b ~abort_rate:0.1 ~seed d in
       let beta = run.System.schedule in
-      let alpha = Quorum.Simulation.project d beta in
+      let erased = Quorum.Description.is_replica_access d in
+      let alpha = Schedule.erase erased beta in
       List.length alpha <= List.length beta
-      && List.for_all
-           (fun a ->
-             not (Quorum.Description.is_replica_access d (Action.txn a)))
-           alpha)
+      && List.for_all (fun a -> not (erased (Action.txn a))) alpha)
 
 (* a run with zero aborts and quiescence commits every top-level txn *)
 let test_no_abort_run_commits_everything () =
@@ -628,7 +626,7 @@ let test_exhaustive_detects_violations () =
   let d = tiny_description Config.rowa [ "d0" ] [ tw 1 0; tr 1 ] in
   let checker =
     {
-      Quorum.Explore.init = ();
+      Checker.init = ();
       step =
         (fun () a ->
           match a with
@@ -639,7 +637,7 @@ let test_exhaustive_detects_violations () =
     }
   in
   let s =
-    Quorum.Explore.run ~filter:Quorum.Explore.no_aborts
+    Quorum.Explore.run
       (Quorum.System_b.build ~max_attempts:1 d)
       checker
   in

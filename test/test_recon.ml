@@ -99,12 +99,8 @@ let scenario max_recons =
       returns = Serial.User_txn.return_nil;
     }
   in
-  {
-    Recon.Description.items = [ item ];
-    raw_objects = [];
-    root_script = script;
-    max_recons_per_txn = max_recons;
-  }
+  Recon.Description.make ~items:[ item ] ~raw_objects:[] ~root_script:script
+    ~max_recons_per_txn:max_recons
 
 let test_migration_scenario () =
   (* across many seeds (spies fire at random points), all invariants
@@ -219,6 +215,35 @@ let test_mutation_datacopy_caught () =
     true
     (!applicable > 0 && !caught > 0)
 
+(* Section 4 rejects what Section 3 rejects: items sharing DMs, and a
+   script writing an unknown object *)
+let test_invalid_rejected () =
+  let root_script = (scenario 1).plain.root_script in
+  let shared =
+    Recon.Item.make ~name:"y" ~dms:[ "d0" ] ~initial:(Value.Int 0)
+      ~initial_config:cfg_d0 ~candidates:[]
+  in
+  let zz =
+    Txn.Access { obj = "zz"; kind = Txn.Write; data = Value.Int 1; seq = 0 }
+  in
+  let unknown = { root_script with children = [ Access_child zz ] } in
+  let message build =
+    match build () with _ -> "" | exception Invalid_argument m -> m
+  in
+  List.iter
+    (fun (items, root_script) ->
+      let d =
+        Recon.Description.make ~items ~raw_objects:[] ~root_script
+          ~max_recons_per_txn:1
+      in
+      let expected = message (fun () -> Quorum.System_b.build d.plain) in
+      Alcotest.(check bool) "Section 3 rejects it" true (expected <> "");
+      Alcotest.(check string) "same message" expected
+        (message (fun () -> Recon.System_b.build d));
+      Alcotest.(check bool) "check_all returns an error" true
+        (Result.is_error (Recon.Harness.check_all d Schedule.empty)))
+    [ ([ item; shared ], root_script); ([ item ], unknown) ]
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -244,6 +269,8 @@ let suites =
       [
         Alcotest.test_case "skipped data copy caught" `Slow
           test_mutation_datacopy_caught;
+        Alcotest.test_case "invalid descriptions rejected" `Quick
+          test_invalid_rejected;
       ] );
     ("recon.properties", [ qcheck prop_recon_random_correct ]);
   ]
@@ -262,12 +289,10 @@ let test_recon_exhaustive () =
         [ Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1" ] ] ]
   in
   let d =
-    {
-      Recon.Description.items = [ tiny_item ];
-      raw_objects = [];
-      (* the logical write hangs directly off the root, so there is a
-         single user transaction (the root) and a single spy *)
-      root_script =
+    (* the logical write hangs directly off the root, so there is a
+       single user transaction (the root) and a single spy *)
+    Recon.Description.make ~items:[ tiny_item ] ~raw_objects:[]
+      ~root_script:
         {
           Serial.User_txn.children =
             [
@@ -278,9 +303,8 @@ let test_recon_exhaustive () =
           ordered = true;
           eager = false;
           returns = Serial.User_txn.return_nil;
-        };
-      max_recons_per_txn = 1;
-    }
+        }
+      ~max_recons_per_txn:1
   in
   let s = Recon.Explore.check_description ~budget:4_000_000 d in
   (match s.Quorum.Explore.violation with
@@ -299,10 +323,11 @@ let suites = suites @ [ exhaustive_suite ]
 
 (* ---------- coordinator unit tests (component level) ---------- *)
 
-let coord_item =
-  Recon.Item.make ~name:"cx" ~dms:[ "e0"; "e1" ] ~initial:(Value.Int 0)
-    ~initial_config:(Config.majority [ "e0"; "e1" ])
-    ~candidates:[]
+(* built per test, so a broken Config.majority fails a named test
+   instead of the suite's initialisation *)
+let coord_item () =
+  Quorum.Item.make ~name:"cx" ~dms:[ "e0"; "e1" ] ~initial:(Value.Int 0)
+    ~config:(Config.majority [ "e0"; "e1" ])
 
 let tm_name : Txn.t =
   [ Txn.Seg "u"; Txn.Access { obj = "cx"; kind = Txn.Read; data = Value.Nil; seq = 0 } ]
@@ -313,7 +338,7 @@ let step_c c a =
   | None -> Alcotest.failf "coordinator rejected %a" Action.pp a
 
 let test_query_coordinator_lifecycle () =
-  let fam = Recon.Coordinator.family ~tm:tm_name ~item:coord_item () in
+  let fam = Recon.Coordinator.family ~tm:tm_name ~item:(coord_item ()) () in
   let q = Recon.Coordinator.query_name ~tm:tm_name ~attempt:0 in
   let fam = step_c fam (Action.Create q) in
   (* it wants to read DMs *)
@@ -350,7 +375,7 @@ let test_query_coordinator_lifecycle () =
   | _ -> Alcotest.fail "expected a completable query"
 
 let test_push_coordinator_lifecycle () =
-  let fam = Recon.Coordinator.family ~tm:tm_name ~item:coord_item () in
+  let fam = Recon.Coordinator.family ~tm:tm_name ~item:(coord_item ()) () in
   let payload = Value.Versioned (7, Value.Int 70) in
   let target = Config.majority [ "e0"; "e1" ] in
   let p = Recon.Coordinator.push_name ~tm:tm_name ~payload ~target ~slot:0 in
