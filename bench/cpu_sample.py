@@ -21,7 +21,13 @@ are CPU samples; a blocked child shows up in its libc wait.  Only the
 main thread is sampled.  x86_64 and aarch64 only.
 
 Prints the sample count, then one line per symbol, most samples first:
-share of samples, samples, symbol.  Exits with the command's status.
+share of samples, samples, symbol.  A last line, in the same columns,
+sums the OCaml runtime's collector symbols over the whole profile (not
+only the lines shown) and splits the share: the minor collector
+(`oldify_*`, promotion), the major one (`caml_shared_try_alloc`,
+`pool_sweep`, `do_some_marking`, `caml_darken`, ...), and the write
+barrier (`caml_modify`, `caml_initialize`).  It reads 0 for a command
+that is not an OCaml program.  Exits with the command's status.
 """
 
 import argparse
@@ -155,6 +161,33 @@ def demangle(name):
     return m.group(1).replace("__", ".") if m else name
 
 
+# The OCaml 5 runtime's collector, by part.  Root scanning
+# (`caml_scan_stack` and the frame-table lookups it makes, global and
+# local roots) runs for both collectors and counts with the minor one,
+# which does it on every collection.
+GC_PARTS = [
+    ("minor", re.compile(
+        r"^(caml_)?(oldify_\w*|empty_minor_heap\w*|minor_collection\w*|"
+        r"do_minor_collection\w*|try_update_object_header|"
+        r"scan_stack|scan_global_\w*|scan_roots\w*|do_roots\w*|"
+        r"do_local_roots\w*|find_frame_descr)$")),
+    ("major", re.compile(
+        r"^(caml_)?(shared_try_alloc|alloc_shr\w*|pool_\w*|large_alloc\w*|"
+        r"sweep\w*|do_some_marking|mark_\w*|darken\w*|"
+        r"major_collection_slice\w*|major_gc\w*|ephe_\w*|"
+        r"cycle_all_domains\w*|realloc_mark_stack|update_major_slice\w*)$")),
+    ("write barrier", re.compile(r"^caml_(modify|initialize)$")),
+]
+
+
+def gc_part(name):
+    """The collector part a printed symbol belongs to, or None."""
+    for part, pattern in GC_PARTS:
+        if pattern.match(name):
+            return part
+    return None
+
+
 class Symbolizer:
     def __init__(self, maps, exe):
         self.maps = sorted(maps)
@@ -234,6 +267,15 @@ def main():
     print(f"{total} samples of {' '.join(cmd)}", file=sys.stderr)
     for n, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: a.top]:
         print(f"{100.0 * c / total:6.2f}%  {c:6d}  {n}")
+    parts = {part: 0 for part, _ in GC_PARTS}
+    for n, c in counts.items():
+        part = gc_part(n)
+        if part is not None:
+            parts[part] += c
+    gc = sum(parts.values())
+    split = ", ".join(
+        f"{part} {100.0 * c / max(total, 1):.2f}%" for part, c in parts.items())
+    print(f"{100.0 * gc / max(total, 1):6.2f}%  {gc:6d}  [OCaml collector: {split}]")
     if os.WIFSIGNALED(status):
         return 128 + os.WTERMSIG(status)
     return os.WEXITSTATUS(status)

@@ -478,11 +478,13 @@ let txn_decided_count a = Inttbl.length a.decided_w
 (* ---------- liveness after heal ---------- *)
 
 (** After a script that provably settles ({!Script.quiesces_at}), the
-    cluster must make progress again: among operations completing
+    cluster must make progress again: among the completions logged
     after the quiesce time, at least one must succeed.  [completions]
-    is the run's chronological [(finished_at, ok)] log.  Vacuously [Ok]
-    when the script never settles or nothing completes afterwards
-    (the workload may simply have finished first). *)
+    is the run's chronological [(finished_at, ok)] log — one entry per
+    single-key operation, or per transaction attempt (retries
+    included) in a transaction run.  Vacuously [Ok] when the script
+    never settles or nothing completes afterwards (the workload may
+    simply have finished first). *)
 let liveness_after_heal ~script ~completions : (unit, string) result =
   match Script.quiesces_at script with
   | None -> Ok ()

@@ -71,10 +71,11 @@ val txn_decided_count : txn_audit -> int
 val liveness_after_heal :
   script:Script.t -> completions:(float * bool) list -> (unit, string) result
 (** After a script that settles ({!Script.quiesces_at}), at least one
-    of the operations completing later must succeed.  [completions]
-    is the run's chronological [(finished_at, ok)] log.  Vacuously
-    [Ok] when the script never settles or nothing completes after the
-    heal. *)
+    of the completions logged later must succeed.  [completions] is
+    the run's chronological [(finished_at, ok)] log: one entry per
+    single-key operation, or per transaction attempt in a transaction
+    run (retries included).  Vacuously [Ok] when the script never
+    settles or nothing completes after the heal. *)
 
 val blocked_after_heal :
   script:Script.t -> blocked:string list -> (unit, string) result

@@ -123,7 +123,20 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name : histogram =
         }
       in
       (h, Histogram h))
-    (function Histogram h -> Some h | _ -> None)
+    (function
+      | Histogram h ->
+          (* a second registration must ask for the buckets the
+             instrument counts in, or its caller's would be silently
+             dropped *)
+          if
+            Array.length h.bounds = Array.length buckets
+            && Array.for_all2 Float.equal h.bounds buckets
+          then Some h
+          else
+            invalid_arg
+              (Fmt.str "Metrics: %s re-registered with different buckets"
+                 name)
+      | _ -> None)
 
 (* ---------- operations ---------- *)
 

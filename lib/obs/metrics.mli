@@ -20,7 +20,11 @@ val default_buckets : float array
 
 val histogram : t -> ?labels:labels -> ?buckets:float array -> string -> histogram
 (** [buckets] are ascending upper bounds; an implicit +inf bucket
-    catches the rest.  Default: 1, 2, 5, ..., 500 (latency-ish). *)
+    catches the rest.  Default: 1, 2, 5, ..., 500 (latency-ish).
+    Asking again for a registered (name, labels) pair returns the same
+    histogram when the buckets are the same.
+    @raise Invalid_argument if the pair was registered with other
+    buckets, or as another kind of instrument. *)
 
 val inc : counter -> unit
 val value : counter -> int

@@ -325,6 +325,41 @@ let drive_ops w ~audit ~op_done =
   in
   List.iteri (fun ci c -> issue ci c spec.Workload.ops_per_client ci) w.clients
 
+(* The completion log of a run, kept flat while the run lasts: one
+   float and one byte per completion, where a [(float * bool) list]
+   costs a cell, a tuple and a boxed float, all promoted and marked
+   for the rest of the run.  The results' list is built once, at the
+   end.  It starts with room for one completion per operation, and a
+   transaction run, which logs every attempt, grows it on retries. *)
+type completion_log = {
+  mutable at : float array;
+  mutable ok : Bytes.t;
+  mutable n : int;
+}
+
+let completion_log n =
+  let n = Int.max 16 n in
+  { at = Array.make n 0.0; ok = Bytes.make n '\000'; n = 0 }
+
+(* inlined, so the time reaches the array unboxed *)
+let[@inline] log_completion l ~at ~ok =
+  if l.n = Array.length l.at then begin
+    let grown = Array.make (2 * l.n) 0.0 in
+    Array.blit l.at 0 grown 0 l.n;
+    l.at <- grown;
+    l.ok <- Bytes.extend l.ok 0 l.n
+  end;
+  l.at.(l.n) <- at;
+  Bytes.set l.ok l.n (if ok then '\001' else '\000');
+  l.n <- l.n + 1
+
+let completion_list l =
+  let rec from i acc =
+    if i < 0 then acc
+    else from (i - 1) ((l.at.(i), Char.equal (Bytes.get l.ok i) '\001') :: acc)
+  in
+  from (l.n - 1) []
+
 (* Closed loop per client of multi-key transactions through a {!Txn}
    coordinator: a distinct-key Zipf footprint each, with bounded
    retries (each a fresh txid) spaced by think-time draws.
@@ -599,9 +634,15 @@ let run (p : params) : results =
       shard_writes = Array.make p.n_shards 0;
     }
   in
+  let per_client =
+    match p.txns with
+    | None -> p.workload.Workload.ops_per_client
+    | Some spec -> spec.txns_per_client
+  in
+  let total = p.n_clients * per_client in
   (* completion bookkeeping shared by both drivers *)
-  let finished = ref 0 and completions = ref [] in
-  let complete ok = completions := (Core.now sim, ok) :: !completions in
+  let finished = ref 0 and completions = completion_log total in
+  let complete ok = log_completion completions ~at:(Core.now sim) ~ok in
   let read_lat = Sim.Stats.create () and write_lat = Sim.Stats.create () in
   let failed_reads = ref 0 and failed_writes = ref 0 in
   let shard_ok = Array.make p.n_shards 0 in
@@ -631,24 +672,18 @@ let run (p : params) : results =
      client-acked commits *)
   let txn_audit = Harness.Check.txn_audit () in
   let txn_lat = Sim.Stats.create () and failed_txns = ref 0 in
-  let per_client =
-    match p.txns with
-    | None ->
-        drive_ops w ~audit ~op_done;
-        p.workload.Workload.ops_per_client
-    | Some spec ->
-        List.iter
-          (fun r ->
-            Replica.set_on_decided r (fun ~txid ~commit ~writes ->
-                Harness.Check.txn_decided txn_audit ~txid ~commit ~writes))
-          all_replicas;
-        drive_txns w spec ~audit:txn_audit ~attempted:complete
-          ~finished:(fun ~ok ~latency ->
-            incr finished;
-            if ok then Sim.Stats.add txn_lat latency else incr failed_txns);
-        spec.txns_per_client
-  in
-  let total = p.n_clients * per_client in
+  (match p.txns with
+  | None -> drive_ops w ~audit ~op_done
+  | Some spec ->
+      List.iter
+        (fun r ->
+          Replica.set_on_decided r (fun ~txid ~commit ~writes ->
+              Harness.Check.txn_decided txn_audit ~txid ~commit ~writes))
+        all_replicas;
+      drive_txns w spec ~audit:txn_audit ~attempted:complete
+        ~finished:(fun ~ok ~latency ->
+          incr finished;
+          if ok then Sim.Stats.add txn_lat latency else incr failed_txns));
   let drained () = !finished >= total in
   (* the health sampler: every half-window until the workload drains *)
   let health_samples = ref [] in
@@ -720,7 +755,7 @@ let run (p : params) : results =
     trace = tracer;
     metrics;
     health = List.rev !health_samples;
-    completions = List.rev !completions;
+    completions = completion_list completions;
     txn_run = Option.is_some p.txns;
     ok_txns = txn_latency.Sim.Stats.count;
     failed_txns = !failed_txns;

@@ -157,8 +157,10 @@ type results = {
       (** every health sample taken during the run, chronological —
           empty unless [health_window] was set *)
   completions : (float * bool) list;
-      (** chronological [(finished_at, ok)] per completed operation —
-          feed to {!Harness.Check.liveness_after_heal}; not digested *)
+      (** chronological [(finished_at, ok)], one per finished
+          single-key operation or, in a transaction run, one per
+          transaction {e attempt} (a retried attempt logs its failure)
+          — feed to {!Harness.Check.liveness_after_heal}; not digested *)
   txn_run : bool;  (** the run used a transaction workload *)
   ok_txns : int;  (** client-acked commits *)
   failed_txns : int;  (** transactions whose every attempt failed *)

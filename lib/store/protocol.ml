@@ -58,8 +58,10 @@ type msg =
   | Txn_decide of {
       rid : int;
       txid : Qc_util.Txid.t;
-      commit : bool;
-      writes : (string * int * int) list;  (** full write set, final vns *)
+      decision : Register.decision;
+          (** commit?, and the full write set at its final vns — one
+              value per decision, shared by every frame that carries
+              it and kept by every replica that learns it *)
     }
   | Txn_decide_ack of { rid : int; txid : Qc_util.Txid.t; applied : bool }
 (* A static contract: [Replica.serve] and [serve_parts] match this type

@@ -67,8 +67,10 @@ type msg =
   | Txn_decide of {
       rid : int;
       txid : Qc_util.Txid.t;
-      commit : bool;
-      writes : (string * int * int) list;  (** full write set, final vns *)
+      decision : Register.decision;
+          (** commit?, and the full write set at its final vns — one
+              value per decision, shared by every frame that carries
+              it and kept by every replica that learns it *)
     }
       (** the chosen (2PC: unilateral) decision — apply prepared
           writes, release locks *)

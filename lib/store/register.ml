@@ -2,64 +2,94 @@
     the interface for the protocol; this module is the one place its
     rules are written down. *)
 
-type value = bool * (string * int * int) list
-type accepted = int * bool * (string * int * int) list
+module Inttbl = Qc_util.Inttbl
 
-(* The accepted and the decided value share one set of fields: a
-   decided register answers every ballot from its decision, so the
-   accepted value is never consulted again.  Keeping them in place
-   spares an option and a tuple per accept and per decision, in a
-   record that lives as long as the replica remembers the txid. *)
-type t = {
-  mutable promised : int;  (** highest promised ballot *)
-  mutable accepted_bal : int;
-      (** ballot of the highest accepted value; [-1] for none *)
-  mutable decided : bool;
-  mutable commit : bool;  (** the accepted, or else the decided, value *)
-  mutable writes : (string * int * int) list;
-}
+type writes = (string * int * int) list
+type value = bool * writes
+type accepted = int * bool * writes
 
-let create () =
-  {
-    promised = 0;
-    accepted_bal = -1;
-    decided = false;
-    commit = false;
-    writes = [];
-  }
+type opened = |
+type closed = |
 
-let decided t = if t.decided then Some (t.commit, t.writes) else None
+(* A register's two lives.  While the txid is undecided it is an open
+   acceptor state, mutated in place by promises and accepts.  Once
+   decided it is the decision itself: immutable, made once by the
+   decider and shared by every replica that learns it, since a
+   decided register answers every later message from its decision
+   and from nothing else. *)
+type _ state =
+  | Open : {
+      mutable promised : int;  (** highest promised ballot *)
+      mutable accepted_bal : int;
+          (** ballot of the highest accepted value; [-1] for none *)
+      mutable commit : bool;
+      mutable writes : writes;  (** the accepted value *)
+    }
+      -> opened state
+  | Decided : { commit : bool; writes : writes } -> closed state
 
-let promise t ~bal =
-  if t.decided then `Decided (t.commit, t.writes)
-  else if bal >= t.promised then begin
-    t.promised <- bal;
-    `P1b
-      ( true,
-        if t.accepted_bal < 0 then None
-        else Some (t.accepted_bal, t.commit, t.writes) )
-  end
-  else `P1b (false, None)
+type decision = closed state
 
-let accept t ~bal ~commit ~writes =
-  if t.decided then `Decided (t.commit, t.writes)
-  else if bal >= t.promised then begin
-    t.promised <- bal;
-    t.accepted_bal <- bal;
-    t.commit <- commit;
-    t.writes <- writes;
-    `P2b true
-  end
-  else `P2b false
+(* either life, with no box of its own: a table binding that holds a
+   decision holds the shared decision block itself *)
+type t = Reg : _ state -> t [@@unboxed]
+type table = t Inttbl.t
 
-let decide t ~commit ~writes =
-  if t.decided then false
-  else begin
-    t.decided <- true;
-    t.commit <- commit;
-    t.writes <- writes;
-    true
-  end
+let decision ~commit ~writes : decision = Decided { commit; writes }
+let aborted = decision ~commit:false ~writes:[]
+let commit (Decided d : decision) = d.commit
+let writes (Decided d : decision) = d.writes
+let table () : table = Inttbl.create 16
+
+let fresh () =
+  Reg (Open { promised = 0; accepted_bal = -1; commit = false; writes = [] })
+
+(* the txid's register, opened on first sight *)
+let find tbl id =
+  match Inttbl.find tbl id with
+  | r -> r
+  | exception Not_found ->
+      let r = fresh () in
+      Inttbl.replace tbl id r;
+      r
+
+let prepare tbl id : decision option =
+  match find tbl id with Reg (Decided _ as d) -> Some d | Reg (Open _) -> None
+
+let promise tbl id ~bal =
+  match find tbl id with
+  | Reg (Decided _ as d) -> `Decided d
+  | Reg (Open r) ->
+      if bal >= r.promised then begin
+        r.promised <- bal;
+        `P1b
+          ( true,
+            if r.accepted_bal < 0 then None
+            else Some (r.accepted_bal, r.commit, r.writes) )
+      end
+      else `P1b (false, None)
+
+let accept tbl id ~bal ~commit ~writes =
+  match find tbl id with
+  | Reg (Decided _ as d) -> `Decided d
+  | Reg (Open r) ->
+      if bal >= r.promised then begin
+        r.promised <- bal;
+        r.accepted_bal <- bal;
+        r.commit <- commit;
+        r.writes <- writes;
+        `P2b true
+      end
+      else `P2b false
+
+(* rebinding an existing txid relinks nothing: the table cell's data
+   becomes the decision in place *)
+let decide tbl id (d : decision) =
+  match Inttbl.find tbl id with
+  | Reg (Decided _) -> false
+  | Reg (Open _) | (exception Not_found) ->
+      Inttbl.replace tbl id (Reg d);
+      true
 
 let ballot ~attempt ~acceptors ~index =
   (attempt * (acceptors + 1)) + index + 1

@@ -7,38 +7,67 @@
     union of every participant shard's replicas, in canonical order;
     an acceptor is named by its index in that order. *)
 
-type value = bool * (string * int * int) list
-(** (commit?, full write set at its final versions) *)
+type writes = (string * int * int) list
+(** a full write set at its final versions: (key, vn, value) *)
 
-type accepted = int * bool * (string * int * int) list
+type value = bool * writes
+(** (commit?, writes) *)
+
+type accepted = int * bool * writes
 (** (ballot, commit?, writes) — a value accepted at a ballot *)
 
-type t
-(** One acceptor's register for one transaction. *)
+type decision
+(** A decided value.  The decider makes it once (the coordinator's
+    decision wave, its direct abort, a recovery leader's broadcast),
+    the [Txn_decide] frames carry it, and every replica that learns it
+    keeps that one value as its register for the txid. *)
 
-val create : unit -> t
+val decision : commit:bool -> writes:writes -> decision
 
-val decided : t -> value option
+val aborted : decision
+(** [decision ~commit:false ~writes:[]], made once for every abort. *)
+
+val commit : decision -> bool
+val writes : decision -> writes
+
+type table
+(** One acceptor's registers, by txid id.  A txid's register is open
+    (promised ballot, accepted value) until it is decided; from then
+    on its binding is the decision alone, so a decided txid costs the
+    acceptor one table cell. *)
+
+val table : unit -> table
+
+val prepare : table -> int -> decision option
+(** A prepare's look at the register: the txid's decision if it has
+    one, else [None] — and the txid has a register from here on,
+    opened if it had none, whatever the vote. *)
 
 val promise :
-  t -> bal:int -> [ `Decided of value | `P1b of bool * accepted option ]
+  table ->
+  int ->
+  bal:int ->
+  [ `Decided of decision | `P1b of bool * accepted option ]
 (** Phase 1b: promise [bal] unless a higher ballot was promised,
     reporting the highest accepted value.  A decided register answers
-    with the decision. *)
+    with the decision.  A txid seen for the first time gets an open
+    register. *)
 
 val accept :
-  t ->
+  table ->
+  int ->
   bal:int ->
   commit:bool ->
-  writes:(string * int * int) list ->
-  [ `Decided of value | `P2b of bool ]
+  writes:writes ->
+  [ `Decided of decision | `P2b of bool ]
 (** Phase 2b: accept the value at [bal] unless a higher ballot was
-    promised.  A decided register answers with the decision. *)
+    promised.  A decided register answers with the decision.  A txid
+    seen for the first time gets an open register. *)
 
-val decide : t -> commit:bool -> writes:(string * int * int) list -> bool
-(** Record the decision; [true] only the first time.  The accepted
-    value is dropped: a decided register answers every ballot from
-    the decision. *)
+val decide : table -> int -> decision -> bool
+(** Record the decision; [true] only the first time.  The open
+    register is dropped in favour of the decision itself: a decided
+    register answers every ballot from the decision. *)
 
 val ballot : attempt:int -> acceptors:int -> index:int -> int
 (** The recovery ballot of the [index]-th acceptor's [attempt]-th

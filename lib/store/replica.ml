@@ -32,7 +32,6 @@
     fsync) per drain — the naive-fsync baseline of the io ablation. *)
 
 module Strtbl = Qc_util.Strtbl
-module Inttbl = Qc_util.Inttbl
 module Txid = Qc_util.Txid
 
 (** One key's state: its name, the DM pair, and the id of the txid
@@ -163,8 +162,11 @@ type rec_lead = {
 }
 
 (** A prepared (in-doubt) transaction: the shard-local write set and
-    locked footprint of a yes-vote, held until the decision. *)
-type txn_entry = {
+    locked footprint of a yes-vote, held until the decision.  With the
+    txid's open register it is the transaction's live record here; the
+    decision drops both. *)
+type prepared = {
+  e_txid : Txid.t;  (** as the prepare carried it *)
   e_writes : (string * int) list;  (** this shard's (key, value) writes *)
   e_cells : Cell.footprint;  (** the locked footprint's cells *)
   e_kvs : (string * int * int) list;
@@ -180,13 +182,20 @@ type txn_entry = {
       (** the recovery round led here; it ends with the entry *)
 }
 
-(** Everything one replica knows about one transaction, so a
-    transaction message costs a single table lookup. *)
-type txn = {
-  txid : Txid.t;  (** as the first message naming it carried it *)
-  reg : Register.t;  (** this replica's acceptor state and decision *)
-  mutable prepared : txn_entry option;  (** in doubt here *)
-}
+(* the filler of the in-doubt array's free slots, so that no resolved
+   entry is kept alive by the slot it left *)
+let no_entry =
+  {
+    e_txid = { Txid.id = -1; name = "" };
+    e_writes = [];
+    e_cells = Cell.footprint (Strtbl.create 1) [] [];
+    e_kvs = [];
+    e_acceptors = [];
+    e_index = -1;
+    e_attempt = 0;
+    e_timer = Sim.Core.no_timer;
+    e_lead = None;
+  }
 
 type t = {
   name : string;
@@ -206,11 +215,12 @@ type t = {
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
   (* ---- cross-shard transaction state ---- *)
-  txns : txn Inttbl.t;  (** txid id -> this replica's record *)
-  mutable doubt : int array;
+  txns : Register.table;
+      (** txid id -> its register: open while undecided, then the
+          decision alone *)
+  mutable doubt : prepared array;
   mutable n_doubt : int;
-      (** [doubt.(0 .. n_doubt-1)]: the txid ids whose record holds a
-          [prepared] entry, unordered *)
+      (** [doubt.(0 .. n_doubt-1)]: the prepared entries, unordered *)
   txn_recovery_delay : float;
   mutable txn_sim : Sim.Core.t option;  (** set at attach; recovery timers *)
   mutable txn_send : dst:string -> Protocol.msg -> unit;
@@ -253,7 +263,7 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
     draining = false;
     m_fsyncs;
     m_queue_depth;
-    txns = Inttbl.create 16;
+    txns = Register.table ();
     doubt = [||];
     n_doubt = 0;
     txn_recovery_delay;
@@ -298,46 +308,42 @@ let apply t ~vn ~key ~value = Cell.install (Cell.get t.data key) ~vn ~value
 
 let set_on_decided t f = t.on_decided <- Some f
 
-(* the transaction's record, created on first sight *)
-let txn t (txid : Txid.t) =
-  try Inttbl.find t.txns txid.id
-  with Not_found ->
-    let x = { txid; reg = Register.create (); prepared = None } in
-    Inttbl.replace t.txns txid.id x;
-    x
-
-(* the name of a txid this replica has a record of *)
-let name_of t id = (Inttbl.find t.txns id).txid.name
-
-(* The in-doubt index: a txid joins at prepare and leaves at resolve,
-   swapped out by the last one.  It holds only the transactions
-   prepared here right now, so the scan is short, and nothing is
-   allocated per transaction beyond the occasional doubling. *)
-let doubt_add t id =
+(* The in-doubt index: an entry joins at its yes-vote and leaves at
+   resolve, swapped out by the last one.  It holds only the
+   transactions prepared here right now, so a scan for a txid is
+   short, and nothing is allocated per transaction beyond the
+   occasional doubling. *)
+let doubt_add t e =
   if t.n_doubt = Array.length t.doubt then begin
-    let a = Array.make (Int.max 8 (2 * t.n_doubt)) 0 in
+    let a = Array.make (Int.max 8 (2 * t.n_doubt)) no_entry in
     Array.blit t.doubt 0 a 0 t.n_doubt;
     t.doubt <- a
   end;
-  t.doubt.(t.n_doubt) <- id;
+  t.doubt.(t.n_doubt) <- e;
   t.n_doubt <- t.n_doubt + 1
 
-let rec doubt_remove t id i =
-  if i < t.n_doubt then
-    if t.doubt.(i) = id then begin
-      t.n_doubt <- t.n_doubt - 1;
-      t.doubt.(i) <- t.doubt.(t.n_doubt)
-    end
-    else doubt_remove t id (i + 1)
+(* the slot of txid [id]'s prepared entry from [i] on; [-1] if it is
+   not in doubt here *)
+let rec doubt_index t id i =
+  if i >= t.n_doubt then -1
+  else if t.doubt.(i).e_txid.id = id then i
+  else doubt_index t id (i + 1)
+
+let doubt_remove t i =
+  t.n_doubt <- t.n_doubt - 1;
+  t.doubt.(i) <- t.doubt.(t.n_doubt);
+  t.doubt.(t.n_doubt) <- no_entry
 
 let in_doubt t =
-  List.init t.n_doubt (fun i -> name_of t t.doubt.(i))
+  List.init t.n_doubt (fun i -> t.doubt.(i).e_txid.name)
   |> List.sort String.compare
 
+(* a lock's holder is prepared here *)
 let locked_keys t =
   List.filter_map
     (fun (c : cell) ->
-      if c.lock < 0 then None else Some (c.key, name_of t c.lock))
+      if c.lock < 0 then None
+      else Some (c.key, t.doubt.(doubt_index t c.lock 0).e_txid.name))
     (cells t)
 
 (* the sim tracer, when the replica is attached — recovery runs on
@@ -381,51 +387,51 @@ and install_decided t cells k = function
       else install_decided t cells k rest
 
 (* Learn (idempotently) the transaction's decision: record it, fire
-   the decision hook once, install this shard's prepared writes at
-   their decided versions on commit, release the footprint locks.
+   the decision hook once, and if the transaction is prepared here,
+   install this shard's writes at their decided versions on commit,
+   release the footprint locks and cancel the recovery timer.
    Returns whether a prepared entry was resolved — commit quorums
    count only such acks, because only they certify an install. *)
-let txn_apply_decision t x ~commit ~writes =
-  (if Register.decide x.reg ~commit ~writes then
+let learn t (txid : Txid.t) d =
+  (if Register.decide t.txns txid.id d then
      match t.on_decided with
-     | Some f -> f ~txid:x.txid ~commit ~writes
+     | Some f ->
+         f ~txid ~commit:(Register.commit d) ~writes:(Register.writes d)
      | None -> ());
-  match x.prepared with
-  | None -> false
-  | Some e ->
-      if commit then
-        install_writes t (e.e_cells :> cell list) writes e.e_writes;
-      Cell.unlock x.txid.id e.e_cells;
-      x.prepared <- None;
-      doubt_remove t x.txid.id 0;
-      (match t.txn_sim with
-      | Some sim -> Sim.Core.cancel sim e.e_timer
-      | None -> ());
-      true
+  let i = doubt_index t txid.id 0 in
+  if i < 0 then false
+  else begin
+    let e = t.doubt.(i) in
+    if Register.commit d then
+      install_writes t (e.e_cells :> cell list) (Register.writes d) e.e_writes;
+    Cell.unlock txid.id e.e_cells;
+    doubt_remove t i;
+    (match t.txn_sim with
+    | Some sim -> Sim.Core.cancel sim e.e_timer
+    | None -> ());
+    true
+  end
 
 (* Apply the decision locally (releasing our locks) and tell every
    other participant — the learn broadcast after a chosen value. *)
-let broadcast_decision t x ~commit ~writes =
-  let acceptors =
-    match x.prepared with Some e -> e.e_acceptors | None -> []
-  in
+let broadcast_decision t e d =
   (match txn_tracer t with
   | Some tr ->
-      txn_trace tr t ~name:"txn.decide" ~txid:x.txid
-        ~extra:[ ("commit", Obs.Trace.Str (string_of_bool commit)) ]
+      txn_trace tr t ~name:"txn.decide" ~txid:e.e_txid
+        ~extra:
+          [ ("commit", Obs.Trace.Str (string_of_bool (Register.commit d))) ]
   | None -> ());
-  ignore (txn_apply_decision t x ~commit ~writes : bool);
-  Register.send_all acceptors ~except:t.name t.txn_send
-    (Protocol.Txn_decide { rid = 0; txid = x.txid; commit; writes })
+  ignore (learn t e.e_txid d : bool);
+  Register.send_all e.e_acceptors ~except:t.name t.txn_send
+    (Protocol.Txn_decide { rid = 0; txid = e.e_txid; decision = d })
 
-(* The recovery round this replica leads, in the phase [phase] and at
-   ballot [bal], if it is still live and the transaction still in
-   doubt here. *)
-let leading x ~bal ~phase =
-  match x.prepared with
-  | Some ({ e_lead = Some lead; _ } as e)
+(* The recovery round led here for the prepared entry [e], in the
+   phase [phase] and at ballot [bal], if it is still live. *)
+let leading e ~bal ~phase =
+  match e.e_lead with
+  | Some lead as l
     when lead.l_live && lead.l_bal = bal && lead.l_phase = phase ->
-      Some (lead, e)
+      l
   | _ -> None
 
 (* count [src] in the round's tally; [true] if it is a new acceptor *)
@@ -435,51 +441,52 @@ let hear lead e ~src =
 (* Phase-2b bookkeeping of a recovery round this replica leads: a
    majority of the register's acceptors accepting the proposal makes
    it chosen — broadcast it. *)
-let lead_on_p2b t x ~src ~bal ~ok =
-  match leading x ~bal ~phase:`Two with
+let lead_on_p2b t e ~src ~bal ~ok =
+  match leading e ~bal ~phase:`Two with
   | None -> ()
-  | Some (lead, _) when not ok -> lead.l_live <- false
-  | Some (lead, e) ->
+  | Some lead when not ok -> lead.l_live <- false
+  | Some lead ->
       ignore (hear lead e ~src : bool);
       if Register.complete lead.l_tally then begin
         lead.l_live <- false;
         let commit, writes = Register.proposal lead.l_best in
-        broadcast_decision t x ~commit ~writes
+        broadcast_decision t e (Register.decision ~commit ~writes)
       end
 
 (* Phase-1b bookkeeping: on a majority of promises, accept the
    register's proposal here and ask every other acceptor to. *)
-let lead_on_p1b t x ~src ~bal ~ok ~accepted =
-  match leading x ~bal ~phase:`One with
+let lead_on_p1b t e ~src ~bal ~ok ~accepted =
+  match leading e ~bal ~phase:`One with
   | None -> ()
-  | Some (lead, _) when not ok -> lead.l_live <- false
-  | Some (lead, e) ->
+  | Some lead when not ok -> lead.l_live <- false
+  | Some lead ->
       if hear lead e ~src then
         lead.l_best <- Register.higher lead.l_best accepted;
       if Register.complete lead.l_tally then begin
         lead.l_phase <- `Two;
         lead.l_tally <- Register.tally (List.length e.e_acceptors);
         let commit, writes = Register.proposal lead.l_best in
-        (match Register.accept x.reg ~bal ~commit ~writes with
-        | `Decided (c, ws) ->
+        (match Register.accept t.txns e.e_txid.id ~bal ~commit ~writes with
+        | `Decided d ->
             lead.l_live <- false;
-            broadcast_decision t x ~commit:c ~writes:ws
-        | `P2b self_ok -> lead_on_p2b t x ~src:t.name ~bal ~ok:self_ok);
+            broadcast_decision t e d
+        | `P2b self_ok -> lead_on_p2b t e ~src:t.name ~bal ~ok:self_ok);
         if lead.l_live then
           Register.send_all e.e_acceptors ~except:t.name t.txn_send
-            (Protocol.Txn_p2a { rid = 0; txid = x.txid; bal; commit; writes })
+            (Protocol.Txn_p2a
+               { rid = 0; txid = e.e_txid; bal; commit; writes })
       end
 
 (* One recovery attempt: a fresh ballot unique to (attempt, this
    leader), phase 1 to every acceptor (self first, synchronously). *)
-let start_recovery t x e =
+let start_recovery t e =
   let n = List.length e.e_acceptors in
   let bal =
     Register.ballot ~attempt:e.e_attempt ~acceptors:n ~index:e.e_index
   in
   (match txn_tracer t with
   | Some tr ->
-      txn_trace tr t ~name:"txn.recover" ~txid:x.txid
+      txn_trace tr t ~name:"txn.recover" ~txid:e.e_txid
         ~extra:[ ("bal", Obs.Trace.Int bal) ]
   | None -> ());
   let lead =
@@ -492,39 +499,37 @@ let start_recovery t x e =
     }
   in
   e.e_lead <- Some lead;
-  (match Register.promise x.reg ~bal with
-  | `Decided (commit, writes) ->
+  (match Register.promise t.txns e.e_txid.id ~bal with
+  | `Decided d ->
       lead.l_live <- false;
-      broadcast_decision t x ~commit ~writes
-  | `P1b (ok, accepted) -> lead_on_p1b t x ~src:t.name ~bal ~ok ~accepted);
+      broadcast_decision t e d
+  | `P1b (ok, accepted) -> lead_on_p1b t e ~src:t.name ~bal ~ok ~accepted);
   if lead.l_live then
     Register.send_all e.e_acceptors ~except:t.name t.txn_send
-      (Protocol.Txn_p1a { rid = 0; txid = x.txid; bal })
+      (Protocol.Txn_p1a { rid = 0; txid = e.e_txid; bal })
 
-(* Arm (and re-arm) the recovery timer for an in-doubt transaction:
+(* Arm (and re-arm) the recovery timer of an in-doubt transaction:
    exponentially spaced, staggered by the replica's acceptor index so
    concurrent leaders rarely duel, bounded attempts so the event queue
    always drains.  [ldexp 1.0 a] is [2.0 ** float a], bit for bit. *)
 let txn_recovery_attempts = 8
 
-let rec arm_recovery t x =
-  match (t.txn_sim, x.prepared) with
-  | None, _ | _, None -> ()
-  | Some sim, Some e ->
-      let delay =
-        t.txn_recovery_delay
-        *. (1.0 +. (0.25 *. float_of_int e.e_index))
-        *. Float.ldexp 1.0 e.e_attempt
-      in
-      (* resolving the entry cancels the timer, so it only fires
-         while the transaction is in doubt here *)
-      e.e_timer <-
-        Sim.Core.timer sim ~delay (fun () ->
-            if e.e_attempt < txn_recovery_attempts then begin
-              e.e_attempt <- e.e_attempt + 1;
-              start_recovery t x e;
-              arm_recovery t x
-            end)
+let rec arm_recovery t sim e =
+  let delay =
+    t.txn_recovery_delay
+    *. (1.0 +. (0.25 *. float_of_int e.e_index))
+    *. Float.ldexp 1.0 e.e_attempt
+  in
+  (* resolving the entry cancels the timer, so it only fires while the
+     transaction is in doubt here; a round that resolved it at once
+     arms no further one *)
+  e.e_timer <-
+    Sim.Core.timer sim ~delay (fun () ->
+        if e.e_attempt < txn_recovery_attempts then begin
+          e.e_attempt <- e.e_attempt + 1;
+          start_recovery t e;
+          if doubt_index t e.e_txid.id 0 >= 0 then arm_recovery t sim e
+        end)
 
 (* The next group off the apply queue, in arrival order: the whole
    queue under group commit, its oldest install otherwise. *)
@@ -755,71 +760,72 @@ let[@warning "@4@8"] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
           ~args:
             [ ("txid", Obs.Trace.Str txid.name); ("rid", Obs.Trace.Int rid) ]
           ();
-      let x = txn t txid in
-      match Register.decided x.reg with
-      | Some (commit, dwrites) ->
+      match Register.prepare t.txns txid.id with
+      | Some decision ->
           (* already resolved (a recovery finished before this
              retransmission): answer with the decision *)
-          reply (Protocol.Txn_decide { rid; txid; commit; writes = dwrites })
-      | None -> (
-          match x.prepared with
-          | Some e ->
-              (* duplicate prepare: re-send the identical vote *)
-              reply (Protocol.Txn_vote { rid; txid; yes = true; kvs = e.e_kvs })
-          | None ->
-              (* two-phase locking over the key-ordered footprint:
-                 [Cell]'s signature makes that the only way to lock *)
-              let cells = Cell.footprint t.data writes reads in
-              if conflicts txid.id (cells :> cell list) then
-                reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
-              else begin
-                let kvs = Cell.lock_all txid.id cells in
-                x.prepared <-
-                  Some
-                    {
-                      e_writes = writes;
-                      e_cells = cells;
-                      e_kvs = kvs;
-                      e_acceptors = acceptors;
-                      e_index = Register.index acceptors t.name;
-                      e_attempt = 0;
-                      e_timer = Sim.Core.no_timer;
-                      e_lead = None;
-                    };
-                doubt_add t txid.id;
-                if paxos then arm_recovery t x;
-                reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
-              end))
-  | Protocol.Txn_decide { rid; txid; commit; writes } ->
+          reply (Protocol.Txn_decide { rid; txid; decision })
+      | None ->
+          let i = doubt_index t txid.id 0 in
+          if i >= 0 then
+            (* duplicate prepare: re-send the identical vote *)
+            reply
+              (Protocol.Txn_vote
+                 { rid; txid; yes = true; kvs = t.doubt.(i).e_kvs })
+          else
+            (* two-phase locking over the key-ordered footprint:
+               [Cell]'s signature makes that the only way to lock *)
+            let cells = Cell.footprint t.data writes reads in
+            if conflicts txid.id (cells :> cell list) then
+              reply (Protocol.Txn_vote { rid; txid; yes = false; kvs = [] })
+            else begin
+              let kvs = Cell.lock_all txid.id cells in
+              let e =
+                {
+                  e_txid = txid;
+                  e_writes = writes;
+                  e_cells = cells;
+                  e_kvs = kvs;
+                  e_acceptors = acceptors;
+                  e_index = Register.index acceptors t.name;
+                  e_attempt = 0;
+                  e_timer = Sim.Core.no_timer;
+                  e_lead = None;
+                }
+              in
+              doubt_add t e;
+              (match t.txn_sim with
+              | Some sim when paxos -> arm_recovery t sim e
+              | _ -> ());
+              reply (Protocol.Txn_vote { rid; txid; yes = true; kvs })
+            end)
+  | Protocol.Txn_decide { rid; txid; decision } ->
       if Obs.Trace.enabled tr then
         Obs.Trace.instant tr ~cat:"store" ~name:"txn.decide" ~track:t.name
           ~args:
             [
               ("txid", Obs.Trace.Str txid.name);
-              ("commit", Obs.Trace.Str (string_of_bool commit));
+              ( "commit",
+                Obs.Trace.Str (string_of_bool (Register.commit decision)) );
             ]
           ();
-      let applied = txn_apply_decision t (txn t txid) ~commit ~writes in
+      let applied = learn t txid decision in
       reply (Protocol.Txn_decide_ack { rid; txid; applied })
   | Protocol.Txn_p1a { rid; txid; bal } -> (
-      match Register.promise (txn t txid).reg ~bal with
-      | `Decided (commit, writes) ->
-          reply (Protocol.Txn_decide { rid; txid; commit; writes })
+      match Register.promise t.txns txid.id ~bal with
+      | `Decided decision -> reply (Protocol.Txn_decide { rid; txid; decision })
       | `P1b (ok, accepted) ->
           reply (Protocol.Txn_p1b { rid; txid; bal; ok; accepted }))
   | Protocol.Txn_p2a { rid; txid; bal; commit; writes } -> (
-      match Register.accept (txn t txid).reg ~bal ~commit ~writes with
-      | `Decided (c, ws) ->
-          reply (Protocol.Txn_decide { rid; txid; commit = c; writes = ws })
+      match Register.accept t.txns txid.id ~bal ~commit ~writes with
+      | `Decided decision -> reply (Protocol.Txn_decide { rid; txid; decision })
       | `P2b ok -> reply (Protocol.Txn_p2b { rid; txid; bal; ok }))
-  | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } -> (
-      match Inttbl.find t.txns txid.id with
-      | x -> lead_on_p1b t x ~src ~bal ~ok ~accepted
-      | exception Not_found -> ())
-  | Protocol.Txn_p2b { txid; bal; ok; _ } -> (
-      match Inttbl.find t.txns txid.id with
-      | x -> lead_on_p2b t x ~src ~bal ~ok
-      | exception Not_found -> ())
+  | Protocol.Txn_p1b { txid; bal; ok; accepted; _ } ->
+      let i = doubt_index t txid.id 0 in
+      if i >= 0 then lead_on_p1b t t.doubt.(i) ~src ~bal ~ok ~accepted
+  | Protocol.Txn_p2b { txid; bal; ok; _ } ->
+      let i = doubt_index t txid.id 0 in
+      if i >= 0 then lead_on_p2b t t.doubt.(i) ~src ~bal ~ok
   | Protocol.Txn_decide_ack _ ->
       (* a participant acking our recovery broadcast — nothing to do *)
       ()

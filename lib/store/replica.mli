@@ -32,10 +32,11 @@ type cell
     footprint's cells, so its decision and lock release look nothing
     up. *)
 
-type txn
-(** Everything one replica knows about one transaction: its
-    {!Register} state and, while it is in doubt here, its prepared
-    entry and the recovery round it leads. *)
+type prepared
+(** A transaction in doubt here: its yes-vote's write set, locked
+    footprint and snapshot, and the recovery round it leads.  With
+    the txid's open {!Register} it is the transaction's live record;
+    the decision drops both. *)
 
 type t = private {
   name : string;
@@ -54,12 +55,13 @@ type t = private {
   mutable draining : bool;  (** a group is at the device right now *)
   m_fsyncs : Obs.Metrics.counter option;  (** [replica.fsync] *)
   m_queue_depth : Obs.Metrics.histogram option;  (** [replica.queue_depth] *)
-  txns : txn Qc_util.Inttbl.t;  (** txid id -> this replica's record *)
-  mutable doubt : int array;
+  txns : Register.table;
+      (** txid id -> its register: open while the txid is undecided,
+          then the shared decision alone *)
+  mutable doubt : prepared array;
   mutable n_doubt : int;
-      (** [doubt.(0 .. n_doubt-1)]: the txid ids whose record holds a
-          [prepared] entry, unordered — kept at prepare and at
-          resolve *)
+      (** [doubt.(0 .. n_doubt-1)]: the prepared entries, unordered —
+          kept at prepare and at resolve *)
   txn_recovery_delay : float;
   mutable txn_sim : Sim.Core.t option;
   mutable txn_send : dst:string -> Protocol.msg -> unit;

@@ -173,8 +173,9 @@ let rec snap_kv snap k =
 type phase = Preparing | Proposing | Applying
 
 (* One attempt: everything its handlers share.  The decision is
-   [proposed] (the ballot-0 Commit value) until a decision wave
-   starts with [chosen]. *)
+   [proposed] (the ballot-0 Commit value's writes) until a decision
+   wave starts with [chosen], made once and carried by every frame of
+   the wave. *)
 type attempt = {
   co : t;
   txid : Txid.t;
@@ -196,7 +197,7 @@ type attempt = {
   mutable prepared : int;  (** shards holding a vote quorum *)
   mutable applied : int;  (** shards holding a write quorum of applies *)
   mutable proposed : (string * int * int) list;
-  mutable chosen : (string * int * int) list;
+  mutable chosen : Register.decision;
   mutable accepts : Register.tally;  (** ballot-0 accepts heard *)
 }
 
@@ -226,7 +227,7 @@ let conclude a ~committed ~reads =
           ~txid:a.txid ~extra:[]
     | None -> ());
     a.on_done ~committed ~reads
-      ~writes:(if committed then a.chosen else [])
+      ~writes:(if committed then Register.writes a.chosen else [])
       ~latency:(Core.now a.co.sim -. a.started)
   end
 
@@ -241,7 +242,7 @@ let direct_abort a =
       Register.send_all a.acceptors ~except:src
         (fun ~dst msg -> Sim.Net.send net ~src ~dst msg)
         (Protocol.Txn_decide
-           { rid = 0; txid = a.txid; commit = false; writes = [] })
+           { rid = 0; txid = a.txid; decision = Register.aborted })
 
 let prepare_msg a p rid =
   Protocol.Txn_prepare
@@ -259,7 +260,10 @@ let p2a_msg a rid =
     { rid; txid = a.txid; bal = 0; commit = true; writes = a.proposed }
 
 let decide_msg a rid =
-  Protocol.Txn_decide { rid; txid = a.txid; commit = true; writes = a.chosen }
+  Protocol.Txn_decide { rid; txid = a.txid; decision = a.chosen }
+
+(* the Commit decision on the proposed writes *)
+let commit_of a = Register.decision ~commit:true ~writes:a.proposed
 
 (* the decided write set: each written key one version past the
    snapshot's *)
@@ -268,9 +272,9 @@ let final_writes a =
 
 (* the decision wave: Txn_decide per shard, complete at a write
    quorum of applied acks per shard, then ack the client *)
-let rec start_apply a final =
+let rec start_apply a decision =
   a.phase <- Applying;
-  a.chosen <- final;
+  a.chosen <- decision;
   let make = decide_msg a in
   List.iter
     (fun p ->
@@ -300,10 +304,10 @@ and on_apply_reply a p ~member ~heard:_ = function
 
 (* a participant answered with the transaction's decision (a
    recovery resolved it first): adopt it *)
-let adopt a ~commit ~writes =
+let adopt a decision =
   if a.live then
-    if commit then
-      match a.phase with Applying -> () | _ -> start_apply a writes
+    if Register.commit decision then
+      match a.phase with Applying -> () | _ -> start_apply a decision
     else conclude a ~committed:false ~reads:[]
 
 (* ballot-0 phase 2: propose Commit to every acceptor (one call per
@@ -316,14 +320,14 @@ let on_p2b_reply a p ~member ~heard:_ = function
           if ok then
             ignore (Register.hear a.accepts (p.p_base + member) : bool);
           if Register.complete a.accepts then begin
-            start_apply a a.proposed;
+            start_apply a (commit_of a);
             Engine.Done
           end
           else Engine.Continue
       | Preparing | Applying -> Engine.Done)
   | Protocol.Txn_p2b _ -> Engine.Continue
-  | Protocol.Txn_decide { commit; writes; _ } ->
-      adopt a ~commit ~writes;
+  | Protocol.Txn_decide { decision; _ } ->
+      adopt a decision;
       Engine.Done
   | _ -> Engine.Continue
 
@@ -343,7 +347,7 @@ let start_register a =
 let proceed_to_decision a =
   a.proposed <- final_writes a;
   match a.co.mode with
-  | `Two_phase -> start_apply a a.proposed
+  | `Two_phase -> start_apply a (commit_of a)
   | `Paxos -> start_register a
 
 (* The prepare round's replies.  Every reply but a yes-vote ends the
@@ -371,8 +375,8 @@ let on_vote a p ~member ~heard = function
             Engine.Done
           end
           else Engine.Continue)
-  | Protocol.Txn_decide { commit; writes; _ } ->
-      adopt a ~commit ~writes;
+  | Protocol.Txn_decide { decision; _ } ->
+      adopt a decision;
       Engine.Done
   | _ -> Engine.Continue
 
@@ -454,7 +458,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
           prepared = 0;
           applied = 0;
           proposed = [];
-          chosen = [];
+          chosen = Register.aborted;
           accepts = no_tally;
         }
       in

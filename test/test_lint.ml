@@ -202,8 +202,10 @@ let rec gen_msg depth st : Protocol.msg =
   | 9 -> Protocol.Txn_p2b { rid; txid; bal; ok = bool st }
   | 10 ->
       Protocol.Txn_decide
-        { rid; txid; commit = bool st;
-          writes = gen_small_list gen_kvv st }
+        { rid; txid;
+          decision =
+            Store.Register.decision ~commit:(bool st)
+              ~writes:(gen_small_list gen_kvv st) }
   | 11 -> Protocol.Txn_decide_ack { rid; txid; applied = bool st }
   | 12 -> Protocol.Batch_req { rid; reqs = gen_small_list (gen_msg (depth - 1)) st }
   | _ -> Protocol.Batch_rep { rid; reps = gen_small_list (gen_msg (depth - 1)) st }

@@ -219,6 +219,37 @@ let test_histogram_buckets () =
     (Metrics.quantile h 0.99 = infinity);
   Alcotest.(check (float 0.0)) "q25" 1.0 (Metrics.quantile h 0.25)
 
+(* A (name, labels) pair registered again as a histogram: with the
+   same buckets (or the same default) it is the very same instrument;
+   with other buckets, or as another kind, it raises rather than hand
+   back an instrument that ignores the caller's buckets. *)
+let test_histogram_reregistered () =
+  let m = Metrics.create () in
+  let labels = [ ("op", "read") ] in
+  let h = Metrics.histogram m ~labels ~buckets:[| 1.0; 2.0; 5.0 |] "lat" in
+  let same = Metrics.histogram m ~labels ~buckets:[| 1.0; 2.0; 5.0 |] "lat" in
+  Metrics.observe same 1.5;
+  Alcotest.(check int) "same buckets: the same instrument" 1
+    (Metrics.hist_count h);
+  let d = Metrics.histogram m "dflt" in
+  Alcotest.(check bool) "default buckets twice: the same instrument" true
+    (d == Metrics.histogram m "dflt");
+  let raises what f =
+    match f () with
+    | (_ : Metrics.histogram) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "other bounds" (fun () ->
+      Metrics.histogram m ~labels ~buckets:[| 1.0; 2.0; 10.0 |] "lat");
+  raises "fewer bounds" (fun () ->
+      Metrics.histogram m ~labels ~buckets:[| 1.0; 2.0 |] "lat");
+  raises "the default buckets" (fun () -> Metrics.histogram m ~labels "lat");
+  raises "another kind" (fun () ->
+      ignore (Metrics.counter m "ops" : Metrics.counter);
+      Metrics.histogram m "ops");
+  Alcotest.(check int) "the first registration's instrument is untouched" 1
+    (Metrics.hist_count h)
+
 (* [observe] finds the bucket in one loop and keeps its sum unboxed:
    the only allocation is the caller boxing the float it passes (2
    words; each observation cost 16 before).  The dump format is pinned,
@@ -629,6 +660,8 @@ let suites =
       [
         Alcotest.test_case "counters and gauges" `Quick test_metrics_counters;
         Alcotest.test_case "histogram bucket math" `Quick test_histogram_buckets;
+        Alcotest.test_case "histogram re-registered" `Quick
+          test_histogram_reregistered;
         Alcotest.test_case "observe boxes nothing; dump pinned" `Quick
           test_histogram_observe_words;
         qcheck prop_registry_model;

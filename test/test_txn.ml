@@ -9,6 +9,7 @@ module Core = Sim.Core
 module P = Store.Protocol
 module Replica = Store.Replica
 module Cluster = Store.Cluster
+module Register = Store.Register
 
 let tr_off = Obs.Trace.create ~capacity:0 ~enabled:false ()
 
@@ -83,8 +84,7 @@ let test_replica_prepare_vote_decide () =
           {
             rid = 5;
             txid = tx "c0#t0";
-            commit = true;
-            writes = [ ("k0", 4, 99) ];
+            decision = Register.decision ~commit:true ~writes:[ ("k0", 4, 99) ]
           })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
@@ -103,14 +103,13 @@ let test_replica_prepare_vote_decide () =
           {
             rid = 6;
             txid = tx "c0#t0";
-            commit = true;
-            writes = [ ("k0", 4, 99) ];
+            decision = Register.decision ~commit:true ~writes:[ ("k0", 4, 99) ]
           })
    with
   | P.Txn_decide_ack { applied = false; _ } -> ()
   | _ -> Alcotest.fail "expected unapplied ack on retransmission");
   (match handle r (prep 7 "c0#t0") with
-  | P.Txn_decide { commit = true; _ } -> ()
+  | P.Txn_decide { decision; _ } when Register.commit decision -> ()
   | _ -> Alcotest.fail "late prepare answered with decision");
   Alcotest.(check int) "hook fired exactly once" 1 (List.length !decided)
 
@@ -133,7 +132,7 @@ let test_replica_abort_releases () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 2; txid = tx "c0#t1"; commit = false; writes = [] })
+          { rid = 2; txid = tx "c0#t1"; decision = Register.aborted })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort ack");
@@ -164,7 +163,11 @@ let test_replica_key_cells () =
          })
   in
   let decide rid txid commit writes =
-    match handle r (P.Txn_decide { rid; txid = tx txid; commit; writes }) with
+    match
+      handle r
+        (P.Txn_decide
+           { rid; txid = tx txid; decision = Register.decision ~commit ~writes })
+    with
     | P.Txn_decide_ack { applied; _ } -> applied
     | _ -> Alcotest.fail "expected a decide ack"
   in
@@ -267,13 +270,21 @@ let prepare ?(paxos = false) ?(acceptors = [ "r0" ]) ~rid txid =
 
 let decide ~rid txid =
   P.Txn_decide
-    { rid; txid = tx txid; commit = true; writes = [ ("k0", 1, 7) ] }
+    {
+      rid;
+      txid = tx txid;
+      decision = Register.decision ~commit:true ~writes:[ ("k0", 1, 7) ];
+    }
 
 let check_idle name r =
   Alcotest.(check (list string)) (name ^ ": nothing in doubt") []
     (Replica.in_doubt r);
   Alcotest.(check (list (pair string string)))
     (name ^ ": nothing locked") [] (Replica.locked_keys r)
+
+(* the decision [decide] carries *)
+let committed_k0 d =
+  Register.commit d && Register.writes d = [ ("k0", 1, 7) ]
 
 (* A replica that never saw the prepare is still a full acceptor of
    the decision register, holds no lock for it, and learns the
@@ -311,10 +322,10 @@ let test_acceptor_without_prepare () =
        (P.Txn_p2a
           { rid = 4; txid = tx "t"; bal = 9; commit = false; writes = [] })
    with
-  | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
+  | P.Txn_decide { decision; _ } when committed_k0 decision -> ()
   | _ -> Alcotest.fail "a decided register answers 2a with the decision");
   (match handle r (P.Txn_p1a { rid = 5; txid = tx "t"; bal = 9 }) with
-  | P.Txn_decide { commit = true; writes = [ ("k0", 1, 7) ]; _ } -> ()
+  | P.Txn_decide { decision; _ } when committed_k0 decision -> ()
   | _ -> Alcotest.fail "a decided register answers 1a with the decision");
   check_idle "after decision" r
 
@@ -326,14 +337,8 @@ let test_decide_before_prepare () =
   | P.Txn_decide_ack { applied = false; _ } -> ()
   | _ -> Alcotest.fail "early decide acked unapplied");
   (match handle r (prepare ~paxos:true ~rid:2 "c0#t0") with
-  | P.Txn_decide
-      {
-        rid = 2;
-        txid = { name = "c0#t0"; _ };
-        commit = true;
-        writes = [ ("k0", 1, 7) ];
-        _;
-      } ->
+  | P.Txn_decide { rid = 2; txid = { name = "c0#t0"; _ }; decision }
+    when committed_k0 decision ->
       ()
   | _ -> Alcotest.fail "late prepare answered with the decision");
   check_idle "late prepare" r;
@@ -344,7 +349,7 @@ let test_decide_before_prepare () =
   (match
      handle r
        (P.Txn_decide
-          { rid = 4; txid = tx "c0#t1"; commit = false; writes = [] })
+          { rid = 4; txid = tx "c0#t1"; decision = Register.aborted })
    with
   | P.Txn_decide_ack { applied = true; _ } -> ()
   | _ -> Alcotest.fail "abort resolves the prepared entry");
@@ -413,7 +418,11 @@ let test_decision_cancels_recovery_timer () =
     ignore
       (handle r
          (P.Txn_decide
-            { rid; txid = tx txid; commit = true; writes = [ (key, 1, rid) ] }))
+            {
+              rid;
+              txid = tx txid;
+              decision = Register.decision ~commit:true ~writes:[ (key, 1, rid) ];
+            }))
   in
   prep 1 "t2" "a";
   prep 2 "t0" "b";
@@ -505,8 +514,8 @@ let test_recovery_round () =
               | P.Txn_p1a { txid; bal; _ } -> Fmt.str "1a %s %d" txid.name bal
               | P.Txn_p2a { txid; bal; commit; _ } ->
                   Fmt.str "2a %s %d %b" txid.name bal commit
-              | P.Txn_decide { txid; commit; _ } ->
-                  Fmt.str "decide %s %b" txid.name commit
+              | P.Txn_decide { txid; decision; _ } ->
+                  Fmt.str "decide %s %b" txid.name (Register.commit decision)
               | _ -> "other"
             in
             log := Fmt.str "%s->%s %s" src peer frame :: !log))
@@ -576,7 +585,7 @@ let test_recovery_round () =
     (take ());
   from "r0" p2b;
   from "r1"
-    (P.Txn_decide { rid = 0; txid = tx "t"; commit = false; writes = [] });
+    (P.Txn_decide { rid = 0; txid = tx "t"; decision = Register.aborted });
   Alcotest.(check (list string)) "a late 2b or decision changes nothing" []
     (take ());
   Alcotest.(check (list (triple string bool (list (triple string int int)))))
@@ -584,6 +593,135 @@ let test_recovery_round () =
   check_idle "after recovery" r;
   Alcotest.(check (pair int int)) "the abort installs nothing" (0, 0)
     (Replica.lookup r "k0")
+
+(* A decided txid is answered from its decision alone.  For a
+   committed and an aborted txid, each prepared here and then decided,
+   every Txn frame that can still arrive — a retransmitted prepare,
+   phase 1a and 2a at higher ballots, the decision again and its
+   opposite, and the leader-side 1b, 2b, vote and decide-ack — gets
+   the reply pinned below, the one a replica keeping a full record per
+   txid gave.  None of them fires the decision hook again, takes a
+   lock, arms a recovery timer or moves an installed value, and the
+   replica's transaction table keeps its size: no live record comes
+   back. *)
+let show_writes ws =
+  String.concat "," (List.map (fun (k, vn, v) -> Fmt.str "%s:%d:%d" k vn v) ws)
+
+let show_reply = function
+  | None -> "-"
+  | Some (P.Txn_decide { rid; txid; decision }) ->
+      Fmt.str "decide %d %s %b [%s]" rid txid.name (Register.commit decision)
+        (show_writes (Register.writes decision))
+  | Some (P.Txn_decide_ack { rid; txid; applied }) ->
+      Fmt.str "ack %d %s %b" rid txid.name applied
+  | Some (P.Txn_vote { rid; txid; yes; _ }) ->
+      Fmt.str "vote %d %s %b" rid txid.name yes
+  | Some (P.Txn_p1b { rid; txid; ok; _ }) ->
+      Fmt.str "p1b %d %s %b" rid txid.name ok
+  | Some (P.Txn_p2b { rid; txid; ok; _ }) ->
+      Fmt.str "p2b %d %s %b" rid txid.name ok
+  | Some _ -> "other"
+
+let test_decided_txid_replies () =
+  let acceptors = [ "r0"; "r1"; "r2" ] in
+  let sim = Core.create ~seed:1 in
+  let net = Sim.Net.create ~sim ~nodes:acceptors () in
+  let r = Replica.create ~name:"r0" () in
+  Replica.attach r ~net;
+  let hook = ref [] in
+  Replica.set_on_decided r (fun ~txid ~commit ~writes:_ ->
+      hook := (txid.Qc_util.Txid.name, commit) :: !hook);
+  let prep rid txid key =
+    P.Txn_prepare
+      {
+        rid;
+        txid = tx txid;
+        writes = [ (key, rid) ];
+        reads = [];
+        acceptors;
+        paxos = true;
+      }
+  in
+  let ws key = [ (key, 1, 10) ] in
+  let dec rid txid ~commit key =
+    P.Txn_decide
+      {
+        rid;
+        txid = tx txid;
+        decision =
+          Register.decision ~commit ~writes:(if commit then ws key else []);
+      }
+  in
+  let send m = show_reply (Replica.handle_one r ~tr:tr_off m) in
+  Alcotest.(check (list string))
+    "prepare, then decide"
+    [
+      "vote 1 tc true";
+      "vote 2 ta true";
+      "ack 3 tc true";
+      "ack 4 ta true";
+    ]
+    (List.map send
+       [
+         prep 1 "tc" "a";
+         prep 2 "ta" "b";
+         dec 3 "tc" ~commit:true "a";
+         dec 4 "ta" ~commit:false "b";
+       ]);
+  let idle = (Replica.in_doubt r, Replica.locked_keys r) in
+  let values () = (Replica.lookup r "a", Replica.lookup r "b") in
+  let installed = values () in
+  let table_words () = Obj.reachable_words (Obj.repr r.Replica.txns) in
+  let words = table_words () in
+  let frames txid key =
+    let id = tx txid in
+    [
+      prep 10 txid key;
+      P.Txn_p1a { rid = 11; txid = id; bal = 5 };
+      P.Txn_p2a { rid = 12; txid = id; bal = 7; commit = true; writes = ws key };
+      dec 13 txid ~commit:true key;
+      dec 14 txid ~commit:false key;
+      P.Txn_p1b { rid = 15; txid = id; bal = 5; ok = true; accepted = None };
+      P.Txn_p2b { rid = 16; txid = id; bal = 7; ok = true };
+      P.Txn_vote { rid = 17; txid = id; yes = true; kvs = [] };
+      P.Txn_decide_ack { rid = 18; txid = id; applied = true };
+    ]
+  in
+  Alcotest.(check (list string))
+    "every later frame is answered from the decision"
+    [
+      "decide 10 tc true [a:1:10]";
+      "decide 11 tc true [a:1:10]";
+      "decide 12 tc true [a:1:10]";
+      "ack 13 tc false";
+      "ack 14 tc false";
+      "-";
+      "-";
+      "-";
+      "-";
+      "decide 10 ta false []";
+      "decide 11 ta false []";
+      "decide 12 ta false []";
+      "ack 13 ta false";
+      "ack 14 ta false";
+      "-";
+      "-";
+      "-";
+      "-";
+    ]
+    (List.map send (frames "tc" "a" @ frames "ta" "b"));
+  Alcotest.(check (list (pair string bool)))
+    "the hook fired once per txid, at the first decision"
+    [ ("ta", false); ("tc", true) ]
+    !hook;
+  Alcotest.(check bool) "in_doubt and locked_keys unchanged" true
+    (idle = (Replica.in_doubt r, Replica.locked_keys r));
+  Alcotest.(check (list string)) "nothing in doubt" [] (Replica.in_doubt r);
+  Alcotest.(check bool) "installed values unchanged" true
+    (installed = values ());
+  Alcotest.(check int) "no recovery timer armed" 0 (Core.pending sim);
+  Alcotest.(check int) "the transaction table keeps its size" words
+    (table_words ())
 
 (* ---------- end-to-end over the cluster ---------- *)
 
@@ -823,11 +961,13 @@ let prop_footprint_is_sort_uniq =
    one replica, attached to a network so a Paxos prepare arms its
    recovery timer, each served through [Replica.serve] with a reply
    function that allocates nothing.  A count covers the replica's own
-   work and the reply it builds; a fresh txid's record (the txn
-   record, its register and its table cell, 14 words) is part of a
-   prepare's.  The counts repeat exactly; the prepare budgets sit
-   under four words above their counts and the others at theirs, so
-   one more tuple or closure per message fails any of them. *)
+   work and the reply it builds; a fresh txid's open register and its
+   table cell (9 words) are part of a prepare's, and a decide rebinds
+   that cell to the decision it carries.  The counts repeat exactly.
+   The others sit at their budgets, so one more tuple or closure per
+   message fails them; the prepares, at 46.4 and 66.5 words, sit
+   under their budgets by about ten words, the budgets being those of
+   a replica that kept a record per txid (52.4 and 72.5 words). *)
 let ignore_reply (_ : P.msg) = ()
 
 let serve_words ?(setup = fun _ _ -> ()) msg =
@@ -866,7 +1006,7 @@ let abort_previous r i =
   if i > 0 then
     Replica.serve r ~tr:tr_off ~reply:ignore_reply
       (P.Txn_decide
-         { rid = i; txid = alloc_txid (i - 1); commit = false; writes = [] })
+         { rid = i; txid = alloc_txid (i - 1); decision = Register.aborted })
 
 (* before round [i]: prepare round [i]'s transaction *)
 let prepare_first r i =
@@ -896,11 +1036,87 @@ let test_serve_words () =
     ~words:
       (serve_words ~setup:prepare_first (fun i ->
            P.Txn_decide
-             { rid = i; txid = alloc_txid i; commit = true; writes = ws i }))
+             {
+               rid = i;
+               txid = alloc_txid i;
+               decision = Register.decision ~commit:true ~writes:(ws i);
+             }))
     ~budget:4.0;
   budget "Query_req"
     ~words:(serve_words (fun i -> P.Query_req { rid = i; key = "a"; ctx = None }))
     ~budget:5.0
+
+(* What a replica keeps per decided txid: [Obj.reachable_words] of
+   its transaction table at the end of a seeded Paxos Commit run, less
+   the empty table's, over the txids it learned a decision for.  Two
+   coordinators run 40 transactions each over three shards, three
+   keys a transaction, and collide, so both outcomes are in the mix.
+   The count repeats exactly: 29.8 words, the table cell and the
+   shared decision with its write set.  A replica that kept a record,
+   a register and a txid per decided transaction, as this one once
+   did, kept 42.2 words per txid here.  The budget sits just above
+   the count, so a record per decided txid coming back fails it. *)
+let decided_budget = 31.0
+
+let test_decided_retention () =
+  let sim = Core.create ~seed:7 in
+  let groups = Cluster.group_names ~n_shards:3 ~n_replicas:3 in
+  let names = Array.to_list groups |> List.concat_map Array.to_list in
+  let coords = [ "c0"; "c1" ] in
+  let net = Sim.Net.create ~sim ~nodes:(names @ coords) () in
+  let replicas =
+    List.map
+      (fun name ->
+        let r = Replica.create ~name () in
+        Replica.attach r ~net;
+        r)
+      names
+  in
+  let r = List.hd replicas in
+  let table_words () = Obj.reachable_words (Obj.repr r.Replica.txns) in
+  let empty = table_words () in
+  let decided = ref 0 and committed = ref 0 in
+  Replica.set_on_decided r (fun ~txid:_ ~commit ~writes:_ ->
+      incr decided;
+      if commit then incr committed);
+  List.iteri
+    (fun ci name ->
+      let router =
+        Store.Router.create ~name ~sim ~net ~groups
+          ~strategies:(Array.make 3 (Store.Strategy.majority 3))
+          ~scheme:`Range ~n_keys:30 ()
+      in
+      Store.Router.attach router;
+      let coord = Store.Txn.create ~name ~sim ~router ~mode:`Paxos () in
+      let rec next n =
+        if n < 40 then
+          let keys =
+            [ n mod 10; 10 + ((n * 3) + ci) mod 10; 20 + ((n * 7) mod 10) ]
+          in
+          ignore
+            (Store.Txn.execute coord
+               ~writes:(List.map (fun k -> (Fmt.str "k%d" k, n)) keys)
+               ~on_done:(fun ~committed:_ ~reads:_ ~writes:_ ~latency:_ ->
+                 Core.schedule sim ~delay:1.0 (fun () -> next (n + 1)))
+               ()
+              : string)
+      in
+      next 0)
+    coords;
+  Core.run sim;
+  List.iter (fun r -> check_idle r.Replica.name r) replicas;
+  Alcotest.(check bool)
+    (Fmt.str "both outcomes decided (%d of %d committed)" !committed !decided)
+    true
+    (!committed > 0 && !committed < !decided);
+  let per_txid =
+    float_of_int (table_words () - empty) /. float_of_int !decided
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per decided txid, budget %.0f" per_txid
+       decided_budget)
+    true
+    (per_txid <= decided_budget)
 
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -928,8 +1144,12 @@ let suites =
         Alcotest.test_case "a decided transaction leaves no event" `Quick
           test_decided_txn_leaves_no_event;
         Alcotest.test_case "a full recovery round" `Quick test_recovery_round;
+        Alcotest.test_case "a decided txid answers from its decision" `Quick
+          test_decided_txid_replies;
         qcheck prop_footprint_is_sort_uniq;
         Alcotest.test_case "words per message served" `Quick test_serve_words;
+        Alcotest.test_case "words kept per decided txid" `Quick
+          test_decided_retention;
         Alcotest.test_case "cluster txn smoke (both modes)" `Slow
           test_txn_cluster_smoke;
         Alcotest.test_case "coordinator-kill ablation: 2PC blocks, Paxos not"
