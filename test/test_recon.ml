@@ -313,7 +313,8 @@ let test_recon_exhaustive () =
   Alcotest.(check bool)
     (Fmt.str "exhausted (schedules=%d prefixes=%d)" s.schedules s.prefixes)
     true s.exhausted;
-  Alcotest.(check bool) "non-trivial space" true (s.schedules > 100)
+  Alcotest.(check (pair int int)) "schedules, prefixes" (19232, 440831)
+    (s.schedules, s.prefixes)
 
 let exhaustive_suite =
   ( "recon.exhaustive",
