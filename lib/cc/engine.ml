@@ -28,8 +28,7 @@ type outcome = Committed of Value.t | Aborted
 
 type kind =
   | KUser of Serial.User_txn.script
-  | KReadTm of Item.t
-  | KWriteTm of Item.t * Value.t
+  | KTm of Item.t * Value.t option  (** [Some value(T)] for a write-TM *)
   | KAccess of { obj : string; akind : Txn.kind; payload : Value.t; initial : Value.t }
 
 type status = Running | Blocked of Txn.t list | Finished of outcome
@@ -50,7 +49,6 @@ type node = {
   mutable spawned : Txn.seg list;
   mutable outcomes : (Txn.seg * outcome) list;
   (* TM state *)
-  mutable quorum_target : string list;
   mutable got : (string * (int * Value.t)) list;
   mutable wphase : wphase;
   mutable access_seq : int;
@@ -92,7 +90,6 @@ let new_node t ~name ~kind =
       status = Running;
       spawned = [];
       outcomes = [];
-      quorum_target = [];
       got = [];
       wphase = WReading;
       access_seq = 0;
@@ -202,7 +199,7 @@ let in_deadlock t (start_top : Txn.t) : bool =
 let victim_for (name : Txn.t) (t : t) : Txn.t =
   let parent = Txn.parent name in
   match node t parent with
-  | Some { kind = KReadTm _ | KWriteTm _; _ } -> parent
+  | Some { kind = KTm _; _ } -> parent
   | _ -> name
 
 (* ---------- spawning ---------- *)
@@ -216,11 +213,9 @@ let spawn_child t (parent : node) (seg : Txn.seg) =
   let name = Txn.child parent.name seg in
   parent.spawned <- parent.spawned @ [ seg ];
   match Description.role_of t.desc name with
-  | Some (Description.Tm (item, Txn.Read)) ->
-      ignore (new_node t ~name ~kind:(KReadTm item))
-  | Some (Description.Tm (item, Txn.Write)) ->
-      let v = match Txn.data_of name with Some v -> v | None -> Value.Nil in
-      ignore (new_node t ~name ~kind:(KWriteTm (item, v)))
+  | Some (Description.Tm (item, kind)) ->
+      let value = match kind with Txn.Write -> Txn.data_of name | Txn.Read -> None in
+      ignore (new_node t ~name ~kind:(KTm (item, value)))
   | Some Description.Raw_access ->
       let obj = Option.get (Txn.obj_of name) in
       let akind = Option.get (Txn.kind_of name) in
@@ -319,83 +314,50 @@ let step_user t (n : node) (script : Serial.User_txn.script) =
            outstanding at once (sibling concurrency) *)
         spawn_child t n (Prng.choose t.rng unspawned)
 
-(* Step a read-TM node. *)
-let step_read_tm t (n : node) (item : Item.t) =
-  if n.quorum_target = [] then begin
-    let q = Prng.choose t.rng item.Item.config.Config.read_quorums in
-    n.quorum_target <- q;
+(* Step a TM node.  Both kinds read from a read-quorum, keeping the
+   highest-versioned data; a read-TM returns it, a write-TM then
+   installs (vn + 1, value) at a write-quorum and returns nil. *)
+let step_tm t (n : node) (item : Item.t) (value : Value.t option) =
+  let spawn_quorum quorums ~akind ~payload =
     List.iter
-      (fun dm -> spawn_access t n ~dm ~akind:Txn.Read ~payload:Value.Nil ~item)
-      q
-  end
+      (fun dm -> spawn_access t n ~dm ~akind ~payload ~item)
+      (Prng.choose t.rng quorums)
+  in
+  let children = children_nodes t n in
+  if n.spawned = [] then
+    spawn_quorum item.Item.config.Config.read_quorums ~akind:Txn.Read
+      ~payload:Value.Nil
   else if
     List.exists
       (fun c -> match c.status with Finished Aborted -> true | _ -> false)
-      (children_nodes t n)
+      children
   then abort_subtree t n.name
-  else if List.for_all (fun dm -> List.mem_assoc dm n.got) n.quorum_target
-  then begin
-    (* return the value with the highest version number seen *)
-    let _, v =
-      List.fold_left
-        (fun (bvn, bv) (_, (vn, v)) -> if vn > bvn then (vn, v) else (bvn, bv))
-        (-1, item.Item.initial) n.got
-    in
-    record_event t
-      (ERead { top = top_level_of n.name; tm = n.name; item = item.Item.name; value = v });
-    finish_commit t n v
-  end
-
-(* Step a write-TM node. *)
-let step_write_tm t (n : node) (item : Item.t) (value : Value.t) =
-  match n.wphase with
-  | WReading ->
-      if n.quorum_target = [] then begin
-        let q = Prng.choose t.rng item.Item.config.Config.read_quorums in
-        n.quorum_target <- q;
-        List.iter
-          (fun dm ->
-            spawn_access t n ~dm ~akind:Txn.Read ~payload:Value.Nil ~item)
-          q
-      end
-      else if
-        List.exists
-          (fun c -> match c.status with Finished Aborted -> true | _ -> false)
-          (children_nodes t n)
-      then abort_subtree t n.name
-      else if
-        List.for_all (fun dm -> List.mem_assoc dm n.got) n.quorum_target
-      then begin
-        let vn =
-          List.fold_left (fun m (_, (vn, _)) -> Int.max m vn) 0 n.got
+  else if
+    List.for_all
+      (fun c -> match c.status with Finished (Committed _) -> true | _ -> false)
+      children
+  then
+    match (n.wphase, value) with
+    | WReading, None ->
+        (* return the value with the highest version number seen *)
+        let _, v =
+          List.fold_left
+            (fun (bvn, bv) (_, (vn, v)) -> if vn > bvn then (vn, v) else (bvn, bv))
+            (-1, item.Item.initial) n.got
         in
-        let wq = Prng.choose t.rng item.Item.config.Config.write_quorums in
-        n.wphase <- WWriting;
-        n.quorum_target <- wq;
-        List.iter
-          (fun dm ->
-            spawn_access t n ~dm ~akind:Txn.Write
-              ~payload:(Value.Versioned (vn + 1, value))
-              ~item)
-          wq
-      end
-  | WWriting ->
-      if
-        List.exists
-          (fun c -> match c.status with Finished Aborted -> true | _ -> false)
-          (children_nodes t n)
-      then abort_subtree t n.name
-      else if
-        List.for_all
-          (fun c ->
-            match c.status with Finished (Committed _) -> true | _ -> false)
-          (children_nodes t n)
-      then begin
         record_event t
-          (EWrite
-             { top = top_level_of n.name; tm = n.name; item = item.Item.name; value });
+          (ERead { top = top_level_of n.name; tm = n.name; item = item.Item.name; value = v });
+        finish_commit t n v
+    | WReading, Some value ->
+        let vn = List.fold_left (fun m (_, (vn, _)) -> Int.max m vn) 0 n.got in
+        n.wphase <- WWriting;
+        spawn_quorum item.Item.config.Config.write_quorums ~akind:Txn.Write
+          ~payload:(Value.Versioned (vn + 1, value))
+    | WWriting, None -> (* a read-TM never writes *) ()
+    | WWriting, Some value ->
+        record_event t
+          (EWrite { top = top_level_of n.name; tm = n.name; item = item.Item.name; value });
         finish_commit t n Value.Nil
-      end
 
 (* Step an access node: attempt the lock; on success perform the
    operation and commit immediately (the lock is inherited upward). *)
@@ -444,7 +406,7 @@ let step_access t (n : node) ~obj ~akind ~payload ~initial =
   | AOk read_value ->
       (* deliver the result to the parent *)
       (match (node t (Txn.parent n.name), read_value) with
-      | Some ({ kind = KReadTm _ | KWriteTm _; _ } as tm), Some v ->
+      | Some ({ kind = KTm _; _ } as tm), Some v ->
           let vn, value =
             match v with Value.Versioned (vn, x) -> (vn, x) | other -> (0, other)
           in
@@ -495,8 +457,7 @@ let live_top_levels t =
 let step_node t (n : node) =
   match n.kind with
   | KUser script -> step_user t n script
-  | KReadTm item -> step_read_tm t n item
-  | KWriteTm (item, v) -> step_write_tm t n item v
+  | KTm (item, value) -> step_tm t n item value
   | KAccess { obj; akind; payload; initial } ->
       step_access t n ~obj ~akind ~payload ~initial
 
@@ -533,7 +494,7 @@ let run ?(max_steps = 200_000) (t : t) : run_log =
                   (not (Txn.is_root n.name))
                   &&
                   match n.kind with
-                  | KUser _ | KReadTm _ | KWriteTm _ -> true
+                  | KUser _ | KTm _ -> true
                   | KAccess _ -> false)
                 ns
             in

@@ -54,5 +54,3 @@ let pp ppf = function
       Fmt.pf ppf "REQUEST_COMMIT(%a, %a)" Txn.pp t Value.pp v
   | Commit (t, v) -> Fmt.pf ppf "COMMIT(%a, %a)" Txn.pp t Value.pp v
   | Abort t -> Fmt.pf ppf "ABORT(%a)" Txn.pp t
-
-let to_string a = Fmt.str "%a" pp a

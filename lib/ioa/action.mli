@@ -20,4 +20,3 @@ val is_return : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : t Fmt.t
-val to_string : t -> string

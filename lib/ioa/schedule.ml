@@ -40,7 +40,6 @@ let equal (a : t) (b : t) =
   List.length a = List.length b && List.for_all2 Action.equal a b
 
 let pp ppf (s : t) = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut Action.pp) s
-let to_string s = Fmt.str "%a" pp s
 
 (** Operations of transactions that are (reflexive) descendants of [t]. *)
 let project_subtree (t : Txn.t) (sched : t) : t =

@@ -19,7 +19,6 @@ val view_of : Txn.t -> t -> t
 
 val equal : t -> t -> bool
 val pp : t Fmt.t
-val to_string : t -> string
 
 val project_subtree : Txn.t -> t -> t
 (** Operations of (reflexive) descendants. *)

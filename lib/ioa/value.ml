@@ -69,8 +69,6 @@ and pp_config ppf { read_quorums; write_quorums } =
     Fmt.(list ~sep:(any " ") quorum)
     write_quorums
 
-let to_string v = Fmt.str "%a" pp v
-
 let rec equal a b =
   match (a, b) with
   | Nil, Nil | Unit, Unit -> true

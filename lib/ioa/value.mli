@@ -31,7 +31,6 @@ and gen_config = { gen : int; cfg : config }
 
 val pp : t Fmt.t
 val pp_config : config Fmt.t
-val to_string : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality. *)

@@ -145,5 +145,4 @@ let grid ~rows ~cols dms =
   make ~read_quorums ~write_quorums
 
 let pp = Ioa.Value.pp_config
-let to_string c = Fmt.str "%a" pp c
 let equal = Ioa.Value.config_equal

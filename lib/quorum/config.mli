@@ -47,5 +47,4 @@ val grid : rows:int -> cols:int -> string list -> t
 
 val subsets_of_size : int -> 'a list -> 'a list list
 val pp : t Fmt.t
-val to_string : t -> string
 val equal : t -> t -> bool

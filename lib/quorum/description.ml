@@ -54,13 +54,6 @@ let is_access_b t txn =
   | Some (Replica_access _) | Some Raw_access -> true
   | Some User | Some (Tm _) | None -> false
 
-(** Accesses of system A: the TM names become accesses to the single
-    object per item; raw accesses are unchanged. *)
-let is_access_a t txn =
-  match role_of t txn with
-  | Some (Tm _) | Some Raw_access -> true
-  | Some User | Some (Replica_access _) | None -> false
-
 (** Is [txn] an operationally relevant replica access (used by the
     Theorem 10 projection, which erases exactly these)? *)
 let is_replica_access t txn =
@@ -150,12 +143,7 @@ let user_txns (t : t) : Txn.t list =
 
 (** All logical-access (TM) names appearing in the scripts, with the
     item each belongs to. *)
-let tm_names (t : t) : (Txn.t * Item.t * Txn.kind) list =
+let tm_names (t : t) : (Txn.t * Item.t) list =
   Serial.User_txn.access_children ~self:Txn.root t.root_script
   |> List.filter_map (fun a ->
-         match (Txn.obj_of a, Txn.kind_of a) with
-         | Some obj, Some k -> (
-             match item t obj with
-             | Some i -> Some (a, i, k)
-             | None -> None)
-         | _ -> None)
+         Option.bind (Txn.obj_of a) (item t) |> Option.map (fun i -> (a, i)))

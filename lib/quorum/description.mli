@@ -30,9 +30,6 @@ val role_of : t -> Txn.t -> role option
 val is_access_b : t -> Txn.t -> bool
 (** Accesses of system B: replica accesses and raw accesses. *)
 
-val is_access_a : t -> Txn.t -> bool
-(** Accesses of system A: the TM names and raw accesses. *)
-
 val is_replica_access : t -> Txn.t -> bool
 (** Exactly what the Theorem 10 projection erases in Section 3. *)
 
@@ -50,5 +47,5 @@ val compose : builder:string -> t -> Component.t list -> System.t
 val user_txns : t -> Txn.t list
 (** All user-transaction names (root included). *)
 
-val tm_names : t -> (Txn.t * Item.t * Txn.kind) list
+val tm_names : t -> (Txn.t * Item.t) list
 (** All logical-access (TM) names in the scripts, with their items. *)

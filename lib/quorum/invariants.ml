@@ -26,9 +26,7 @@ type item_track = {
   item : Item.t;
   dm_state : (string * (int * Value.t)) list;  (** reconstructed DM states *)
   last_write_vn : (string * int) list;  (** last committed write per DM *)
-  access_len : int;
-  pending_tm : Txn.t option;  (** TM created, REQUEST_COMMIT pending *)
-  logical : Value.t;
+  access : Logical.tracker;
 }
 
 let init_track (item : Item.t) =
@@ -36,9 +34,7 @@ let init_track (item : Item.t) =
     item;
     dm_state = List.map (fun d -> (d, (0, item.Item.initial))) item.Item.dms;
     last_write_vn = [];
-    access_len = 0;
-    pending_tm = None;
-    logical = item.Item.initial;
+    access = Logical.tracker item;
   }
 
 let current_vn tr =
@@ -77,53 +73,22 @@ let check_lemma8_1 tr =
   List.fold_left
     (fun acc (dm, (vn, v)) ->
       let* () = acc in
-      if vn = cv && not (Value.equal v tr.logical) then
+      if vn = cv && not (Value.equal v tr.access.logical) then
         fail
           "Lemma 8.1b violated for %s: DM %s at current-vn %d holds %a, \
            logical-state is %a"
-          tr.item.Item.name dm cv Value.pp v Value.pp tr.logical
+          tr.item.Item.name dm cv Value.pp v Value.pp tr.access.logical
       else Ok ())
     (Ok ()) tr.dm_state
 
-(* One step of the per-item tracker; validates Lemma 6 transitions and
-   Lemma 8.2 on read-TM commits. *)
+(* One step of the per-item tracker: Lemma 6 and 8.2 through the
+   shared access-sequence tracker, then the DM state a committed write
+   access to one of our DMs leaves behind. *)
 let step_track tr (a : Action.t) : (item_track, string) result =
+  let* access = Logical.track (Logical.tm_kind tr.item) tr.item tr.access a in
+  let tr = { tr with access } in
   match a with
-  | Action.Create t when Logical.is_tm tr.item t -> (
-      match tr.pending_tm with
-      | Some p ->
-          fail "Lemma 6 violated for %s: CREATE(%a) while %a pending"
-            tr.item.Item.name Txn.pp t Txn.pp p
-      | None ->
-          Ok { tr with pending_tm = Some t; access_len = tr.access_len + 1 })
-  | Action.Request_commit (t, v) when Logical.is_tm tr.item t -> (
-      match tr.pending_tm with
-      | Some p when Txn.equal p t ->
-          let tr = { tr with pending_tm = None; access_len = tr.access_len + 1 } in
-          (match Logical.tm_kind tr.item t with
-          | Some Txn.Write ->
-              let logical =
-                match Txn.data_of t with Some d -> d | None -> tr.logical
-              in
-              Ok { tr with logical }
-          | Some Txn.Read ->
-              (* Lemma 8.2: the returned value is the logical state
-                 (which this read did not change). *)
-              if Value.equal v tr.logical then Ok tr
-              else
-                fail
-                  "Lemma 8.2 violated for %s: read-TM %a returned %a, \
-                   logical-state is %a"
-                  tr.item.Item.name Txn.pp t Value.pp v Value.pp tr.logical
-          | None -> Ok tr)
-      | Some p ->
-          fail "Lemma 6 violated for %s: REQUEST_COMMIT(%a) but %a pending"
-            tr.item.Item.name Txn.pp t Txn.pp p
-      | None ->
-          fail "Lemma 6 violated for %s: REQUEST_COMMIT(%a) with no CREATE"
-            tr.item.Item.name Txn.pp t)
   | Action.Request_commit (t, _) when Txn.kind_of t = Some Txn.Write -> (
-      (* a committed write access to one of our DMs updates its state *)
       match Logical.replica_access_dm tr.item t with
       | Some dm -> (
           match Txn.data_of t with
@@ -153,7 +118,7 @@ let step (trs : state) (a : Action.t) : (state, string) result =
       let* trs = acc in
       let* tr = step_track tr a in
       let* () = check_lemma7 tr in
-      let* () = if tr.access_len mod 2 = 0 then check_lemma8_1 tr else Ok () in
+      let* () = if tr.access.access_len mod 2 = 0 then check_lemma8_1 tr else Ok () in
       Ok (tr :: trs))
     (Ok []) trs
   |> Result.map List.rev
@@ -167,10 +132,15 @@ let checker (d : Description.t) : state Checker.t =
 let check (d : Description.t) (sched : Schedule.t) : (unit, string) result =
   Result.map ignore (Checker.fold (checker d) sched)
 
-(** Final logical state of each item according to the tracker — used
-    by tests to cross-check {!Logical.logical_state}. *)
+(** Final logical state of each item according to the access-sequence
+    tracker (operations it rejects are skipped) — used by tests to
+    cross-check {!Logical.logical_state}. *)
 let final_logical_states (d : Description.t) (sched : Schedule.t) :
     (string * Value.t) list =
   List.map
-    (fun (i : Item.t) -> (i.Item.name, Logical.logical_state i sched))
+    (fun (i : Item.t) ->
+      let track tr a =
+        Result.value (Logical.track (Logical.tm_kind i) i tr a) ~default:tr
+      in
+      (i.Item.name, (List.fold_left track (Logical.tracker i) sched).logical))
     d.Description.items

@@ -3,7 +3,11 @@
 
 open Ioa
 
-val tm_kind : Item.t -> Txn.t -> Txn.kind option
+(** How a TM name classifies: a read, a write of [value(T)] (the data
+    its name carries), or (Section 4 only) a reconfiguration. *)
+type kind = Read | Write of Value.t | Reconfigure of Config.t
+
+val tm_kind : Item.t -> Txn.t -> kind option
 (** Membership (and kind) in [tm(x)] for this item. *)
 
 val is_tm : Item.t -> Txn.t -> bool
@@ -26,3 +30,24 @@ val current_vn : Item.t -> Schedule.t -> int
 
 val dm_states : Item.t -> Schedule.t -> (string * (int * Value.t)) list
 (** Every DM's (version, value) after the schedule, reconstructed. *)
+
+(** Lemma 6 bookkeeping for one item, shared by both sections'
+    invariant checkers: [access(x, b)] must alternate CREATE and
+    REQUEST_COMMIT of one TM at a time, a write-TM's REQUEST_COMMIT
+    sets [logical-state(x, b)] to [value(T)], and a read-TM's returns
+    it (Lemma 8.2). *)
+type tracker = private {
+  pending_tm : Txn.t option;  (** TM created, REQUEST_COMMIT pending *)
+  access_len : int;  (** the length of [access(x, b)] *)
+  logical : Value.t;  (** [logical-state(x, b)] *)
+}
+
+val tracker : Item.t -> tracker
+(** The empty access sequence: [logical-state = i_x]. *)
+
+val track :
+  (Txn.t -> kind option) -> Item.t -> tracker -> Action.t ->
+  (tracker, string) result
+(** [track classify item tr a] steps [tr] by [a], where [classify]
+    says which names are TMs of [item] and of which kind.  [Error]
+    names the violated lemma. *)

@@ -4,8 +4,8 @@
     [x] is implemented by the DMs in [dm(x)] (read-write objects over
     [N x V_x]), all accesses to which are children of the TMs for [x].
     Its components are: the serial scheduler, the user transaction
-    automata (from the description's scripts), one read- or write-TM
-    automaton per logical access in the scripts, one DM object per
+    automata (from the description's scripts), one TM automaton per
+    logical access in the scripts, one DM object per
     replica, and the non-replicated basic objects. *)
 
 open Ioa
@@ -13,10 +13,7 @@ open Ioa
 let build ?(max_attempts = 3) (d : Description.t) : System.t =
   let tms =
     List.map
-      (fun (name, item, kind) ->
-        match kind with
-        | Txn.Read -> Read_tm.make ~self:name ~item ~max_attempts ()
-        | Txn.Write -> Write_tm.make ~self:name ~item ~max_attempts ())
+      (fun (self, item) -> Tm.make ~self ~item ~max_attempts ())
       (Description.tm_names d)
   in
   let dms =

@@ -51,5 +51,6 @@ let run_and_check ?(params = Gen.default_params) ?(max_steps = 40_000)
       steps = Schedule.length run_res.System.schedule;
       quiescent = run_res.System.quiescent;
       recons_fired = count_recons run_res.System.schedule;
-      logical_states = Invariants.final_logical_states d run_res.System.schedule;
+      logical_states =
+        Quorum.Invariants.final_logical_states d.plain run_res.System.schedule;
     }

@@ -24,9 +24,7 @@ module Config = Quorum.Config
 type item_track = {
   item : Quorum.Item.t;
   dm_state : (string * Value.recon_state) list;
-  access_len : int;
-  pending_tm : Txn.t option;
-  logical : Value.t;
+  access : Quorum.Logical.tracker;
 }
 
 let init_track (item : Quorum.Item.t) =
@@ -43,9 +41,7 @@ let init_track (item : Quorum.Item.t) =
               config = item.config;
             } ))
         item.dms;
-    access_len = 0;
-    pending_tm = None;
-    logical = item.initial;
+    access = Quorum.Logical.tracker item;
   }
 
 let current_vn tr =
@@ -85,30 +81,12 @@ let check_even_length tr =
   List.fold_left
     (fun acc (dm, s) ->
       let* () = acc in
-      if s.Value.version = cv && not (Value.equal s.Value.data tr.logical)
+      if s.Value.version = cv && not (Value.equal s.Value.data tr.access.logical)
       then
         fail "recon 1b' violated for %s: DM %s at vn %d holds %a, expected %a"
-          tr.item.name dm cv Value.pp s.Value.data Value.pp tr.logical
+          tr.item.name dm cv Value.pp s.Value.data Value.pp tr.access.logical
       else Ok ())
     (Ok ()) tr.dm_state
-
-(* Is [t] a TM of this item (read/write/reconfigure)? *)
-let tm_kind_of tr (txn : Txn.t) : Tm.kind option =
-  match Tm.recon_info txn with
-  | Some (item_name, config, _) when String.equal item_name tr.item.name
-    ->
-      Some (Tm.Reconfigure config)
-  | Some _ -> None
-  | None -> (
-      match (Txn.obj_of txn, Txn.kind_of txn) with
-      | Some obj, Some k when String.equal obj tr.item.name -> (
-          match k with
-          | Txn.Read -> Some Tm.Read
-          | Txn.Write ->
-              Some
-                (Tm.Write
-                   (match Txn.data_of txn with Some v -> v | None -> Value.Nil)))
-      | _ -> None)
 
 (* A committed write access to one of this item's DMs. *)
 let replica_write tr (txn : Txn.t) : (string * Value.t) option =
@@ -118,64 +96,30 @@ let replica_write tr (txn : Txn.t) : (string * Value.t) option =
       Some (obj, payload)
   | _ -> None
 
+(* Lemma 6 and 2' through Section 3's access-sequence tracker, with
+   reconfigure-TMs counted in the access sequence; then the DM state a
+   committed write access to one of our DMs leaves behind. *)
 let step_track tr (a : Action.t) : (item_track, string) result =
+  let* access = Quorum.Logical.track (Tm.kind_of tr.item) tr.item tr.access a in
+  let tr = { tr with access } in
   match a with
-  | Action.Create t when tm_kind_of tr t <> None -> (
-      match tr.pending_tm with
-      | Some p ->
-          fail "recon Lemma 6 violated for %s: CREATE(%a) while %a pending"
-            tr.item.name Txn.pp t Txn.pp p
-      | None ->
-          Ok { tr with pending_tm = Some t; access_len = tr.access_len + 1 })
-  | Action.Request_commit (t, v) -> (
-      match tm_kind_of tr t with
-      | Some kind -> (
-          match tr.pending_tm with
-          | Some p when Txn.equal p t -> (
-              let tr =
-                { tr with pending_tm = None; access_len = tr.access_len + 1 }
-              in
-              match kind with
-              | Tm.Write value -> Ok { tr with logical = value }
-              | Tm.Read ->
-                  if Value.equal v tr.logical then Ok tr
-                  else
-                    fail
-                      "recon 2' violated for %s: read-TM %a returned %a, \
-                       logical-state is %a"
-                      tr.item.name Txn.pp t Value.pp v Value.pp tr.logical
-              | Tm.Reconfigure _ -> Ok tr)
-          | Some p ->
-              fail
-                "recon Lemma 6 violated for %s: REQUEST_COMMIT(%a) while %a \
-                 pending"
-                tr.item.name Txn.pp t Txn.pp p
-          | None ->
-              fail
-                "recon Lemma 6 violated for %s: REQUEST_COMMIT(%a) without \
-                 CREATE"
-                tr.item.name Txn.pp t)
-      | None -> (
-          match replica_write tr t with
-          | Some (dm, payload) ->
-              let prev = Value.Recon_state (List.assoc dm tr.dm_state) in
-              let s =
-                match Dm.merge ~current:prev payload with
-                | Value.Recon_state s -> s
-                | merged ->
-                    {
-                      Value.version = 0;
-                      data = merged;
-                      generation = 0;
-                      config = tr.item.config;
-                    }
-              in
-              Ok
+  | Action.Request_commit (t, _) -> (
+      match replica_write tr t with
+      | Some (dm, payload) ->
+          let prev = Value.Recon_state (List.assoc dm tr.dm_state) in
+          let s =
+            match Dm.merge ~current:prev payload with
+            | Value.Recon_state s -> s
+            | merged ->
                 {
-                  tr with
-                  dm_state = (dm, s) :: List.remove_assoc dm tr.dm_state;
+                  Value.version = 0;
+                  data = merged;
+                  generation = 0;
+                  config = tr.item.config;
                 }
-          | None -> Ok tr))
+          in
+          Ok { tr with dm_state = (dm, s) :: List.remove_assoc dm tr.dm_state }
+      | None -> Ok tr)
   | _ -> Ok tr
 
 (** Incremental interface: folded over a schedule by {!check} and
@@ -188,7 +132,7 @@ let step (trs : state) (a : Action.t) : (state, string) result =
       let* trs = acc in
       let* tr = step_track tr a in
       let* () =
-        if tr.access_len mod 2 = 0 then check_even_length tr else Ok ()
+        if tr.access.access_len mod 2 = 0 then check_even_length tr else Ok ()
       in
       Ok (tr :: trs))
     (Ok []) trs
@@ -201,15 +145,3 @@ let checker (d : Description.t) : state Checker.t =
     trackers, checking the Section 4 invariants at every prefix. *)
 let check (d : Description.t) (sched : Schedule.t) : (unit, string) result =
   Result.map ignore (Checker.fold (checker d) sched)
-
-let final_logical_states (d : Description.t) (sched : Schedule.t) =
-  List.map
-    (fun (i : Quorum.Item.t) ->
-      let tr =
-        List.fold_left
-          (fun tr a ->
-            match step_track tr a with Ok tr -> tr | Error _ -> tr)
-          (init_track i) sched
-      in
-      (i.name, tr.logical))
-    d.plain.items

@@ -12,4 +12,3 @@ type state
 val checker : Description.t -> state Checker.t
 
 val check : Description.t -> Schedule.t -> (unit, string) result
-val final_logical_states : Description.t -> Schedule.t -> (string * Value.t) list

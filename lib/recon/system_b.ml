@@ -24,14 +24,8 @@ let build ?(max_attempts = 3) (d : Description.t) : System.t =
   in
   let logical_tms =
     List.concat_map
-      (fun (name, item, kind) ->
-        let kind =
-          match kind with
-          | Txn.Read -> Tm.Read
-          | Txn.Write ->
-              Tm.Write (Option.value (Txn.data_of name) ~default:Value.Nil)
-        in
-        Tm.make ~self:name ~item ~kind ~max_attempts ())
+      (fun (self, item) ->
+        Tm.make ~self ~item ~kind:(Option.get (Tm.kind_of item self)) ~max_attempts ())
       (Quorum.Description.tm_names d.plain)
   in
   let recon_tms =

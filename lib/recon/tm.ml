@@ -22,7 +22,10 @@
 open Ioa
 module Config = Quorum.Config
 
-type kind = Read | Write of Value.t | Reconfigure of Config.t
+type kind = Quorum.Logical.kind =
+  | Read
+  | Write of Value.t
+  | Reconfigure of Config.t
 
 (** The name of a reconfigure-TM for [item] installing [config], as a
     child of user transaction [parent].  [slot] distinguishes repeated
@@ -39,6 +42,15 @@ let recon_info (t : Txn.t) : (string * Config.t * int) option =
   | _ -> None
 
 let is_recon_tm t = recon_info t <> None
+
+(** Is [t] a TM of [item], and of which kind?  Reconfigure-TMs are
+    recognised by their name, read- and write-TMs as in Section 3. *)
+let kind_of (item : Quorum.Item.t) (t : Txn.t) : kind option =
+  match recon_info t with
+  | Some (name, config, _) when String.equal name item.name ->
+      Some (Reconfigure config)
+  | Some _ -> None
+  | None -> Quorum.Logical.tm_kind item t
 
 (* The push stages of each TM kind, given the query result. *)
 let stages ~kind (r : Value.recon_state) : (Value.t * Config.t) list =

@@ -12,7 +12,10 @@
 open Ioa
 module Config = Quorum.Config
 
-type kind = Read | Write of Value.t | Reconfigure of Config.t
+type kind = Quorum.Logical.kind =
+  | Read
+  | Write of Value.t
+  | Reconfigure of Config.t
 
 val recon_name :
   parent:Txn.t -> item:string -> config:Config.t -> slot:int -> Txn.t
@@ -22,6 +25,10 @@ val recon_info : Txn.t -> (string * Config.t * int) option
 (** Parse a reconfigure-TM name: (item, new config, slot). *)
 
 val is_recon_tm : Txn.t -> bool
+
+val kind_of : Quorum.Item.t -> Txn.t -> kind option
+(** Is the name a TM of the item (read, write or reconfigure), and of
+    which kind? *)
 
 val make :
   self:Txn.t -> item:Quorum.Item.t -> kind:kind -> ?max_attempts:int -> unit ->

@@ -40,36 +40,39 @@ let tree_config n =
 (* Every family over small universes with what its construction
    promises ([None]: nothing) for write/write intersection,
    non-domination of the write coterie, and antichain sides; then 100
-   seeded samples of the random generator. *)
+   seeded samples of the random generator.  Forced inside the tests, so
+   a broken constructor fails a named test instead of the suite's
+   initialisation. *)
 let catalog =
-  let yes = Some true and any = None in
-  let weighted votes r w =
-    Config.weighted ~votes:(List.combine (dms (List.length votes)) votes)
-      ~read_threshold:r ~write_threshold:w
-  in
-  List.concat_map
-    (fun n ->
-      let u = dms n in
-      [ (* {U} is dominated by any smaller coterie once |U| > 1 *)
-        (Fmt.str "rowa-%d" n, yes, Some (n = 1), yes, Config.rowa u);
-        (* singleton writes stop meeting at n > 1: the generalization
-           beyond coteries the paper's algorithm allows *)
-        (Fmt.str "raow-%d" n, Some (n = 1), any, yes, Config.raow u);
-        (* majorities are non-dominated exactly at odd n *)
-        (Fmt.str "majority-%d" n, yes, Some (n mod 2 = 1), yes, Config.majority u) ])
-    [ 1; 2; 3; 4; 5; 6 ]
-  @ [ ("weighted-1.1.1-r2w2", yes, yes, yes, weighted [ 1; 1; 1 ] 2 2);
-      ("weighted-2.1.1-r2w3", yes, Some false, yes, weighted [ 2; 1; 1 ] 2 3);
-      ("weighted-3.2.1.1-r4w4", yes, any, yes, weighted [ 3; 2; 1; 1 ] 4 4) ]
-  @ List.map
-      (fun (r, c) ->
-        (Fmt.str "grid-%dx%d" r c, yes, any, any, Config.grid ~rows:r ~cols:c (dms (r * c))))
-      [ (1, 4); (4, 1); (2, 2); (2, 3); (3, 2); (3, 3) ]
-  @ List.map (fun n -> (Fmt.str "tree-3/%d" n, yes, any, yes, tree_config n)) [ 4; 5; 6; 9 ]
-  @ List.init 100 (fun seed ->
-        let rng = Prng.create seed in
-        let c = Quorum.Gen.config rng (dms (1 + Prng.int rng 5)) in
-        (Fmt.str "gen-seed%d" seed, any, any, any, c))
+  lazy
+    (let yes = Some true and any = None in
+     let weighted votes r w =
+       Config.weighted ~votes:(List.combine (dms (List.length votes)) votes)
+         ~read_threshold:r ~write_threshold:w
+     in
+     List.concat_map
+       (fun n ->
+         let u = dms n in
+         [ (* {U} is dominated by any smaller coterie once |U| > 1 *)
+           (Fmt.str "rowa-%d" n, yes, Some (n = 1), yes, Config.rowa u);
+           (* singleton writes stop meeting at n > 1: the generalization
+              beyond coteries the paper's algorithm allows *)
+           (Fmt.str "raow-%d" n, Some (n = 1), any, yes, Config.raow u);
+           (* majorities are non-dominated exactly at odd n *)
+           (Fmt.str "majority-%d" n, yes, Some (n mod 2 = 1), yes, Config.majority u) ])
+       [ 1; 2; 3; 4; 5; 6 ]
+     @ [ ("weighted-1.1.1-r2w2", yes, yes, yes, weighted [ 1; 1; 1 ] 2 2);
+         ("weighted-2.1.1-r2w3", yes, Some false, yes, weighted [ 2; 1; 1 ] 2 3);
+         ("weighted-3.2.1.1-r4w4", yes, any, yes, weighted [ 3; 2; 1; 1 ] 4 4) ]
+     @ List.map
+         (fun (r, c) ->
+           (Fmt.str "grid-%dx%d" r c, yes, any, any, Config.grid ~rows:r ~cols:c (dms (r * c))))
+         [ (1, 4); (4, 1); (2, 2); (2, 3); (3, 2); (3, 3) ]
+     @ List.map (fun n -> (Fmt.str "tree-3/%d" n, yes, any, yes, tree_config n)) [ 4; 5; 6; 9 ]
+     @ List.init 100 (fun seed ->
+           let rng = Prng.create seed in
+           let c = Quorum.Gen.config rng (dms (1 + Prng.int rng 5)) in
+           (Fmt.str "gen-seed%d" seed, any, any, any, c)))
 
 (* Assert, on every catalog row, each [(what, promise, actual)] the row
    promises something for. *)
@@ -80,7 +83,7 @@ let check_catalog checks =
         (fun (what, promise, actual) ->
           Option.iter (fun p -> Alcotest.(check bool) (name ^ " " ^ what) p actual) promise)
         (checks row))
-    catalog
+    (Lazy.force catalog)
 
 let test_config_families () =
   check_catalog (fun (_, _, _, antichain, c) ->
@@ -99,7 +102,7 @@ let test_classic_verdicts () =
         ("non-dominated", nd, Option.fold ~none:false ~some:Coterie.non_dominated cot) ])
 
 let test_catalog_clean () =
-  Alcotest.(check int) "catalog size" 131 (List.length catalog);
+  Alcotest.(check int) "catalog size" 131 (List.length (Lazy.force catalog));
   check_catalog (fun (_, _, _, _, c) ->
       let u = Config.members c and minimized = Coterie.minimize_config c in
       let covered c mask =

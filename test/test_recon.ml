@@ -10,9 +10,12 @@ let cfg_d0 = Config.make ~read_quorums:[ [ "d0" ] ] ~write_quorums:[ [ "d0" ] ]
 let cfg_new =
   Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1"; "d2" ] ]
 
+(* forced inside the tests, so a broken constructor fails a named test
+   instead of the suite's initialisation *)
 let item =
-  Recon.Item.make ~name:"x" ~dms:[ "d0"; "d1"; "d2" ] ~initial:(Value.Int 0)
-    ~initial_config:cfg_d0 ~candidates:[ cfg_new ]
+  lazy
+    (Recon.Item.make ~name:"x" ~dms:[ "d0"; "d1"; "d2" ] ~initial:(Value.Int 0)
+       ~initial_config:cfg_d0 ~candidates:[ cfg_new ])
 
 (* ---------- names ---------- *)
 
@@ -55,7 +58,7 @@ let test_candidate_dedup () =
 (* ---------- recon-DM merge ---------- *)
 
 let test_dm_merge () =
-  let s0 = Recon.Item.dm_initial item in
+  let s0 = Recon.Item.dm_initial (Lazy.force item) in
   let s1 = Recon.Dm.merge ~current:s0 (Value.Versioned (1, Value.Int 5)) in
   (match s1 with
   | Value.Recon_state s ->
@@ -99,7 +102,7 @@ let scenario max_recons =
       returns = Serial.User_txn.return_nil;
     }
   in
-  Recon.Description.make ~items:[ item ] ~raw_objects:[] ~root_script:script
+  Recon.Description.make ~items:[ Lazy.force item ] ~raw_objects:[] ~root_script:script
     ~max_recons_per_txn:max_recons
 
 let test_migration_scenario () =
@@ -242,7 +245,7 @@ let test_invalid_rejected () =
         (message (fun () -> Recon.System_b.build d));
       Alcotest.(check bool) "check_all returns an error" true
         (Result.is_error (Recon.Harness.check_all d Schedule.empty)))
-    [ ([ item; shared ], root_script); ([ item ], unknown) ]
+    [ ([ Lazy.force item; shared ], root_script); ([ Lazy.force item ], unknown) ]
 
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)

@@ -965,9 +965,9 @@ let prop_footprint_is_sort_uniq =
    table cell (9 words) are part of a prepare's, and a decide rebinds
    that cell to the decision it carries.  The counts repeat exactly.
    The others sit at their budgets, so one more tuple or closure per
-   message fails them; the prepares, at 46.4 and 66.5 words, sit
-   under their budgets by about ten words, the budgets being those of
-   a replica that kept a record per txid (52.4 and 72.5 words). *)
+   message fails them.  The prepares count 46.4 and 66.5 words against
+   budgets of 50 and 70, so a replica that kept a record per txid
+   again (52.4 and 72.5 words) fails them too. *)
 let ignore_reply (_ : P.msg) = ()
 
 let serve_words ?(setup = fun _ _ -> ()) msg =
@@ -1022,10 +1022,10 @@ let test_serve_words () =
   let ws i = [ ("c", 1, i) ] in
   budget "Txn_prepare, 1 key"
     ~words:(serve_words ~setup:abort_previous (alloc_prepare ~keys:1))
-    ~budget:56.0;
+    ~budget:50.0;
   budget "Txn_prepare, 3 keys"
     ~words:(serve_words ~setup:abort_previous (alloc_prepare ~keys:3))
-    ~budget:76.0;
+    ~budget:70.0;
   budget "Txn_p2a"
     ~words:
       (serve_words ~setup:prepare_first (fun i ->
